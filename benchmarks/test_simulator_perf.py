@@ -57,7 +57,7 @@ SCENARIOS = (
     StepScenario("step-128r-4s", ranks=128, streams=4, budget_s=1.0),
     StepScenario("step-256r-4s", ranks=256, streams=4, budget_s=2.0),
     # The 1024/4096-rank tier rides the vectorized hot state: flow
-    # bundling (RING_BUNDLE_MIN_NODES) collapses each ring unit's
+    # bundling (FluidNetwork.start_flow_group) collapses each ring unit's
     # 2·nodes-flow fan-out into two solver entities, so the acceptance
     # gate of the vectorization work (>= 5x over the pre-vectorization
     # 1024-rank wall time) holds with headroom.
@@ -115,7 +115,9 @@ def test_simulated_step_wall_clock(benchmark, scenario):
     benchmark.extra_info.update(
         ranks=scenario.ranks, streams=scenario.streams,
         model=scenario.model, algorithm=scenario.algorithm,
-        congested=scenario.congested, simulated_step_s=result)
+        congested=scenario.congested,
+        core_oversubscription=scenario.core_oversubscription,
+        simulated_step_s=result)
     assert benchmark.stats.stats.min < scenario.budget_s, (
         f"{scenario.name}: simulating one step took "
         f"{benchmark.stats.stats.min:.3f}s wall-clock "

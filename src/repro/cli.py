@@ -891,14 +891,16 @@ def _scenario_diagnosis(args: argparse.Namespace, baseline: t.Any
         model = baseline.meta.get("model", "resnet50")
         algorithm = baseline.meta.get("algorithm", "ring")
         congested = baseline.meta.get("congested") == "true"
+        core = baseline.values.get("core_oversubscription", 1.0)
         config = AIACCConfig(num_streams=streams, algorithm=algorithm)
         backend = make_backend("aiacc", config=config)
         spec = get_model(model)
         congested_links = {0: 0.9} if congested else None
+        full_link_default = congested_links is None and core == 1.0
         ctx = build_train_context(
             spec, backend, ranks, spec.default_batch_size,
-            congested_links=congested_links,
-            representative=False if congested_links is None else None,
+            congested_links=congested_links, core_oversubscription=core,
+            representative=False if full_link_default else None,
             obs=obs)
         warm = ctx.sim.spawn(backend.warmup(ctx), name="warmup")
         ctx.sim.run(until=warm)

@@ -4,9 +4,10 @@ One :class:`SharedFabric` owns the per-node NIC links and the single
 oversubscribed spine (``core``) link of the datacenter, plus the
 :class:`~repro.sim.network.FluidNetwork` that assigns max-min fair
 rates.  Jobs never talk to the network directly: :meth:`allreduce`
-stamps every launched flow with the calling job's identity
-(``FluidNetwork.flow_job``), which is what routes contention through
-the solver's *inter-job* weighted fairness at shared links.
+tags every launched flow with the calling job's identity (the ``job=``
+argument of ``FluidNetwork.start_flow``), which is what routes
+contention through the solver's *inter-job* weighted fairness at shared
+links.
 
 Chaos hooks (:meth:`scale_node_nic` / :meth:`restore_node_nic`) scale a
 node's NIC pair against its *base* capacity, so windows restore exactly
@@ -85,22 +86,12 @@ class SharedFabric:
                 f"job {job_id!r}: cap_scale must be in (0, 1]")
         hop_bytes = 2.0 * (len(members) - 1) / len(members) * nbytes
         cap = self.stream_cap_bps * cap_scale
-        network = self.network
-        previous_job = network.flow_job
-        previous_label = network.flow_label
-        network.flow_job = job_id
-        network.flow_label = label
-        try:
-            events = [
-                network.start_flow(
-                    [self.nic_out[src], self.core, self.nic_in[dst]],
-                    hop_bytes, rate_cap_bps=cap, weight=streams)
-                for src, dst in zip(members,
-                                    members[1:] + members[:1])]
-        finally:
-            network.flow_job = previous_job
-            network.flow_label = previous_label
-        return self.sim.all_of(events)
+        return self.sim.all_of([
+            self.network.start_flow(
+                [self.nic_out[src], self.core, self.nic_in[dst]],
+                hop_bytes, rate_cap_bps=cap, weight=streams,
+                label=label, job=job_id)
+            for src, dst in zip(members, members[1:] + members[:1])])
 
     # -- chaos hooks ---------------------------------------------------------
 

@@ -11,6 +11,18 @@ and NVLink fabric are simulated.  By symmetry every other NIC would carry
 exactly the same flow set at exactly the same rates, so the representative
 rates — and therefore all completion times — are exact while the event
 count drops by a factor of ``num_nodes``.
+
+Every fan-out launches the same way (:meth:`TimedCollectives.
+_launch_runs`): consecutive flows sharing (bytes, cap, weight) form a
+*uniform run*; when every run has at least two members each run enters
+the network as one :class:`~repro.sim.network.GroupFlow` via
+:meth:`~repro.sim.network.FluidNetwork.start_flow_group` (which falls
+back to batched per-member flows when bundling is not exact), otherwise
+the whole launch is inserted once through :meth:`~repro.sim.network.
+FluidNetwork.start_flows`.  Both are exact at every scale: AIACC puts
+each gradient unit on concurrent streams over the same NIC pairs, so a
+ring fan-out is symmetric and no simulated time passes between its
+same-instant arrivals.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from repro.collectives.planner import PLANNER_ALGORITHMS, CollectivePlanner
 from repro.obs import NETWORK_RANK, Observability
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.network import FluidNetwork, Link
+from repro.sim.network import FlowBundle, FluidNetwork, Link
 from repro.sim.topology import Cluster
 from repro.sim.tracing import Trace
 
@@ -32,41 +44,13 @@ from repro.sim.tracing import Trace
 #: backends (halving-doubling, multi-tree, in-network aggregation).
 ALGORITHMS = ("ring", "hierarchical") + PLANNER_ALGORITHMS
 
-#: Minimum same-instant flow fan-out before a collective inserts its
-#: flows through the batched :meth:`~repro.sim.network.FluidNetwork.
-#: start_flows` path (one rate reallocation for the whole batch) instead
-#: of one :meth:`start_flow` call per flow.  Batching preserves every
-#: simulated completion time but thins the event schedule (superseded
-#: intermediate wakeups are elided), so it is gated to the scale where
-#: the churn actually hurts: a full-link ring at >= 8 nodes fans out
-#: >= 16 flows per unit.  Every config whose replay digest is pinned by
-#: ``tests/sim/golden_digests.json`` (2–32 ranks, <= 4 nodes full-link,
-#: or representative mode's 2 flows) stays on the per-flow path and
-#: keeps its pre-optimisation event schedule bit-for-bit.
-AGGREGATE_MIN_FLOWS = 16
-
-#: Node count from which the hierarchical algorithm bundles the ``g``
-#: parallel inter-node rings of one hop into a single weighted flow
-#: (``weight=g``: g fair shares, per-stream cap, g× the bytes).  The g
-#: rings share identical rate trajectories by symmetry, so the bundle
-#: completes at the same instant up to float rounding; small clusters
-#: keep per-ring flows so their event schedules stay bit-identical to
-#: the pre-aggregation kernel.
-WEIGHTED_RING_MIN_NODES = 16
-
-#: Node count from which a symmetric same-instant fan-out (one identical
-#: flow per node pair on pairwise-disjoint links) enters the fluid
-#: network as a single bundled :class:`~repro.sim.network.GroupFlow`
-#: solver entity per uniform run, via :meth:`~repro.sim.network.
-#: FluidNetwork.start_flow_group`.  Bundling is *exact* — a bundled
-#: member's links carry nothing but aligned bundle members, so the
-#: representative's rate trajectory is every member's — but it thins the
-#: event schedule (one completion event and one wakeup stream per run
-#: instead of per flow), so like ``AGGREGATE_MIN_FLOWS`` it is gated far
-#: above every pinned golden-digest config (<= 32 ranks / 4 nodes).
-#: This is the lever that takes 1024–4096-rank steps from thousands of
-#: flow objects per step to a couple dozen solver entities.
-RING_BUNDLE_MIN_NODES = 64
+#: One flow of a launch: ``(links, bytes, per-stream cap, weight)``.
+_Spec = tuple[t.Sequence[Link], float, "float | None", int]
+#: One uniform run of a launch: its members (link sets, or a cached
+#: :class:`~repro.sim.network.FlowBundle`) plus their shared bytes,
+#: per-stream cap and weight.
+_Run = tuple["FlowBundle | t.Sequence[t.Sequence[Link]]", float,
+             "float | None", int]
 
 #: Device-wide synchronization between the hierarchical algorithm's three
 #: phases.  Every GPU of a node must finish phase k before phase k+1 may
@@ -78,7 +62,22 @@ RING_BUNDLE_MIN_NODES = 64
 HIERARCHICAL_PHASE_SYNC_S = 2e-3
 
 
-class _WirePlan:
+def _uniform_runs(specs: t.Iterable[tuple]) -> list[list]:
+    """Group consecutive specs that share everything but their links.
+
+    Returns ``[members, *shared]`` per run, e.g. a ring launch is one run
+    of NIC hops followed by one run of NVLink fabrics.
+    """
+    runs: list[list] = []
+    for links, *shared in specs:
+        if runs and runs[-1][1:] == shared:
+            runs[-1][0].append(links)
+        else:
+            runs.append([[links], *shared])
+    return runs
+
+
+class _WirePlan(t.NamedTuple):
     """Cached launch skeleton for the node-level ring's wire fan-out.
 
     The flat ring and the half-ring primitives place the identical flow
@@ -87,24 +86,16 @@ class _WirePlan:
     static per-node stream caps.  Building it per call costs O(nodes)
     Python work per collective unit, which at 1024–4096 ranks dominates
     the simulated step; this plan is built once per collectives
-    instance instead.  ``mode`` records the launch path decided by the
-    same thresholds the per-call path applied: ``"flow"`` (per-flow
-    insertion — every golden-digest config), ``"batch"`` (one batched
-    allocator pass), or ``"bundle"`` (one solver entity per uniform run
-    via cached :class:`~repro.sim.network.FlowBundle` handles).  Caps
-    are stored unscaled; launches multiply by their ``cap_scale``.
+    instance instead.  ``runs`` holds ``(members, base cap, weight)``
+    per uniform run, with members as a cached
+    :class:`~repro.sim.network.FlowBundle` wherever the structure can
+    bundle.  Caps are stored unscaled; launches multiply by their
+    ``cap_scale``.
     """
 
-    __slots__ = ("mode", "specs", "entries", "slowest_base")
-
-    def __init__(self, mode: str,
-                 specs: list[tuple[list[Link], float | None, int]],
-                 entries: list[tuple[object, float | None, int]] | None,
-                 slowest_base: float | None) -> None:
-        self.mode = mode
-        self.specs = specs
-        self.entries = entries
-        self.slowest_base = slowest_base
+    runs: list[tuple["FlowBundle | list[t.Sequence[Link]]", float | None,
+                     int]]
+    slowest_base: float | None
 
 
 class TimedCollectives:
@@ -273,16 +264,12 @@ class TimedCollectives:
             # flows — a single-worker "broadcast" is a no-op, not an
             # NVLink transfer of the full payload to itself.
             return self.sim.timeout(0.0)
-        m = self.cluster.num_nodes
-        if m == 1:
-            flow = self.network.start_flow(
-                [self.cluster.nvlink[0]], size_bytes)
-            return flow
-        flows = [self.network.start_flow(
-            hop, size_bytes,
-            rate_cap_bps=self.cluster.stream_cap_bps(src_node))
-            for src_node, hop in self._nic_hops()]
-        return self.sim.all_of(flows)
+        if self.cluster.num_nodes == 1:
+            return self._launch([([self.cluster.nvlink[0]], size_bytes,
+                                  None, 1)])[0]
+        return self.sim.all_of(self._launch([
+            (hop, size_bytes, self.cluster.stream_cap_bps(src_node), 1)
+            for src_node, hop in self._nic_hops()]))
 
     def alltoall(self, size_bytes: float) -> Event:
         """Timed all-to-all: each worker exchanges ``size_bytes`` split
@@ -369,67 +356,33 @@ class TimedCollectives:
             return [self.cluster.nvlink[0]]
         return list(self.cluster.nvlink)
 
-    def _launch(self, specs: t.Sequence[tuple[t.Sequence[Link], float,
-                                              float | None, int]],
+    def _launch(self, specs: t.Sequence[_Spec],
                 label: str | None = None) -> list[Event]:
-        """Start one flow per ``(links, bytes, cap, weight)`` spec.
+        """Start one flow per ``(links, bytes, cap, weight)`` spec."""
+        return self._launch_runs(_uniform_runs(specs), label)
 
-        Large fan-outs go through the batched allocator path; small ones
-        keep per-flow insertion (see ``AGGREGATE_MIN_FLOWS``).  ``label``
-        stamps every launched flow with its algorithm for telemetry.
+    def _launch_runs(self, runs: t.Sequence[_Run],
+                     label: str | None) -> list[Event]:
+        """Launch a same-instant fan-out: the one launch rule.
+
+        When every uniform run has at least two members, each run starts
+        as one flow group (bundled when exact, batched per-member flows
+        otherwise).  A launch with any lone member is inserted whole
+        through one batched call instead: a loose flow sharing a link
+        with a run (an oversubscribed core, say) would split the freshly
+        claimed bundle right back apart.  ``label`` names the algorithm
+        for telemetry; ``self.job`` names the tenant.
         """
         network = self.network
-        previous = network.flow_label
-        previous_job = network.flow_job
-        if label is not None:
-            network.flow_label = label
-        if self.job is not None:
-            network.flow_job = self.job
-        try:
-            if len(specs) >= AGGREGATE_MIN_FLOWS:
-                runs = self._uniform_runs(specs)
-                if runs is not None:
-                    return [network.start_flow_group(members, size_bytes,
-                                                     rate_cap_bps=cap,
-                                                     weight=weight)
-                            for members, size_bytes, cap, weight in runs]
-                return network.start_flows(specs)
-            return [network.start_flow(links, size_bytes,
-                                       rate_cap_bps=cap, weight=weight)
-                    for links, size_bytes, cap, weight in specs]
-        finally:
-            network.flow_label = previous
-            network.flow_job = previous_job
-
-    @staticmethod
-    def _uniform_runs(specs: t.Sequence[tuple[t.Sequence[Link], float,
-                                              float | None, int]]
-                      ) -> list[tuple[list[t.Sequence[Link]], float,
-                                      float | None, int]] | None:
-        """Partition a launch into bundleable uniform runs, or ``None``.
-
-        A *run* is a maximal stretch of consecutive specs sharing
-        (bytes, cap, weight) — e.g. a ring launch is one run of NIC hops
-        followed by one run of NVLink fabrics.  Bundling applies only
-        when **every** run reaches ``RING_BUNDLE_MIN_NODES`` members:
-        mixing bundles with loose flows in one launch would land the
-        loose flows on freshly claimed links and split the bundles right
-        back apart.  Link-level exactness (disjointness, identical
-        capacity profiles, unoccupied links) is re-checked per run by
-        :meth:`~repro.sim.network.FluidNetwork.start_flow_group`, which
-        falls back to per-member flows when it does not hold.
-        """
-        runs: list[tuple[list[t.Sequence[Link]], float,
-                         float | None, int]] = []
-        for links, size_bytes, cap, weight in specs:
-            if runs and runs[-1][1:] == (size_bytes, cap, weight):
-                runs[-1][0].append(links)
-            else:
-                runs.append(([links], size_bytes, cap, weight))
-        if all(len(members) >= RING_BUNDLE_MIN_NODES
-               for members, _size, _cap, _weight in runs):
-            return runs
-        return None
+        if all(len(members) >= 2 for members, _size, _cap, _weight in runs):
+            return [network.start_flow_group(
+                        members, size_bytes, rate_cap_bps=cap, weight=weight,
+                        label=label, job=self.job)
+                    for members, size_bytes, cap, weight in runs]
+        return network.start_flows(
+            [(links, size_bytes, cap, weight)
+             for members, size_bytes, cap, weight in runs
+             for links in members], label=label, job=self.job)
 
     def _wire_plan(self) -> _WirePlan:
         """Build (once) the launch skeleton for ring/half-ring wire flows.
@@ -456,72 +409,26 @@ class TimedCollectives:
                                for src_node, _hop in hops)
             for src_node, hop in hops:
                 specs.append((hop, cluster.stream_cap_bps(src_node), 1))
-            if spec.gpus_per_node > 1:
-                for fabric in self._nvlink_fabrics():
-                    specs.append(([fabric], None, 1))
-        else:
+        if m == 1 or spec.gpus_per_node > 1:
             for fabric in self._nvlink_fabrics():
                 specs.append(([fabric], None, 1))
-        mode = "flow"
-        entries: list[tuple[object, float | None, int]] | None = None
-        if len(specs) >= AGGREGATE_MIN_FLOWS:
-            mode = "batch"
-            runs: list[tuple[list[list[Link]], float | None, int]] = []
-            for links, cap, weight in specs:
-                if runs and runs[-1][1:] == (cap, weight):
-                    runs[-1][0].append(links)
-                else:
-                    runs.append(([links], cap, weight))
-            if all(len(members) >= RING_BUNDLE_MIN_NODES
-                   for members, _cap, _weight in runs):
-                handles = [(self.network.bundle(members), cap, weight)
-                           for members, cap, weight in runs]
-                if all(handle is not None
-                       for handle, _cap, _weight in handles):
-                    mode = "bundle"
-                    entries = handles
-        plan = _WirePlan(mode, specs, entries, slowest_base)
-        self._wire_cache = plan
+        runs = []
+        for members, cap, weight in _uniform_runs(specs):
+            handle = self.network.bundle(members)
+            runs.append((members if handle is None else handle, cap, weight))
+        plan = self._wire_cache = _WirePlan(runs, slowest_base)
         return plan
 
     def _launch_wire(self, plan: _WirePlan, hop_bytes: float,
                      cap_scale: float, label: str) -> list[Event]:
-        """Launch one ``hop_bytes`` transfer per wire-plan spec.
+        """Launch one ``hop_bytes`` transfer per wire-plan member.
 
-        Identical flow set and launch order as building the spec list
-        per call (NIC hops in node order, then NVLink fabrics), with the
-        plan's unscaled caps multiplied by ``cap_scale``; only the
-        per-call Python work is elided.
+        The plan's unscaled caps are multiplied by ``cap_scale``; only
+        the per-call Python work of building the fan-out is elided.
         """
-        network = self.network
-        previous = network.flow_label
-        previous_job = network.flow_job
-        network.flow_label = label
-        if self.job is not None:
-            network.flow_job = self.job
-        try:
-            if plan.mode == "bundle":
-                assert plan.entries is not None
-                return [network.start_flow_group(
-                            handle, hop_bytes,
-                            rate_cap_bps=(None if base is None
-                                          else base * cap_scale),
-                            weight=weight)
-                        for handle, base, weight in plan.entries]
-            if plan.mode == "batch":
-                return network.start_flows(
-                    [(links, hop_bytes,
-                      None if base is None else base * cap_scale, weight)
-                     for links, base, weight in plan.specs])
-            return [network.start_flow(
-                        links, hop_bytes,
-                        rate_cap_bps=(None if base is None
-                                      else base * cap_scale),
-                        weight=weight)
-                    for links, base, weight in plan.specs]
-        finally:
-            network.flow_label = previous
-            network.flow_job = previous_job
+        return self._launch_runs(
+            [(members, hop_bytes, None if base is None else base * cap_scale,
+              weight) for members, base, weight in plan.runs], label)
 
     def _slowest_stream_cap_bps(self, hops: t.Sequence[tuple[int, t.Any]],
                                 cap_scale: float) -> float:
@@ -591,20 +498,14 @@ class TimedCollectives:
 
             # Phase 2: g parallel inter-node rings on 1/g shards.  The g
             # rings of one hop are symmetric clones (same links, same
-            # cap) — at scale they collapse into one weighted flow.
+            # cap), so they run as one weighted flow per hop.
             shard_hop = ring_volume_bytes(size_bytes / g, m)
-            bundle = m >= WEIGHTED_RING_MIN_NODES
             hops = self._nic_hops()
-            specs: list[tuple[list[Link], float, float | None, int]] = []
-            for src_node, hop in hops:
-                cap = self.cluster.stream_cap_bps(src_node) * cap_scale
-                if bundle:
-                    specs.append((hop, shard_hop * g, cap, g))
-                else:
-                    specs.extend((hop, shard_hop, cap, 1)
-                                 for _local in range(g))
-            yield self.sim.all_of(self._launch(specs,
-                                               label="hierarchical"))
+            yield self.sim.all_of(self._launch([
+                (hop, shard_hop * g,
+                 self.cluster.stream_cap_bps(src_node) * cap_scale, g)
+                for src_node, hop in hops
+            ], label="hierarchical"))
             # Exposed overhead is paced by the slowest hop of the
             # inter-node rings (see _slowest_stream_cap_bps).
             shard_chunk_tx = (size_bytes / g / m) * 8.0 / \
@@ -653,12 +554,12 @@ class TimedCollectives:
 
         return self.sim.spawn(run(), name=f"planned.{algorithm}")
 
-    def _after(self, event: Event, extra_delay_s: float) -> Event:
-        """An event firing ``extra_delay_s`` after ``event`` triggers."""
+    def _after(self, event: Event, delay_s: float) -> Event:
+        """An event firing ``delay_s`` after ``event`` triggers."""
         done = self.sim.event(name="after")
 
         def _chain(_ev: Event) -> None:
-            self.sim._schedule_at(self.sim.now + extra_delay_s, done, None)
+            self.sim._schedule_at(self.sim.now + delay_s, done, None)
 
         event.add_callback(_chain)
         return done

@@ -50,7 +50,7 @@ class CommStreamPool:
         self.epoch = 0
         #: Tenant identity for multi-job fabrics: when set, every unit
         #: span carries ``job`` in its meta so exported traces separate
-        #: lanes per job (mirrors ``FluidNetwork.flow_job``).
+        #: lanes per job (mirrors ``Flow.job`` on the network).
         self.job: str | None = None
         #: Free CUDA-stream indices, smallest-first so the same workload
         #: lands units on the same lanes run after run.

@@ -57,8 +57,8 @@ def link_utilisation_rows(timeline: StepTimeline) -> list[dict]:
     achieved rate over its bottleneck link capacity — the per-stream
     share of the physical link, which the TCP transport caps at the
     paper's single-stream efficiency (≤30%).  Flows placed by a named
-    collective algorithm (the planner backends stamp
-    ``FluidNetwork.flow_label``) get their own row per link, so a
+    collective algorithm (the timed collectives tag each flow's
+    ``label``) get their own row per link, so a
     planner run attributes each link's busy-time per algorithm;
     unlabelled flows group under ``"-"``.
     """
@@ -96,7 +96,7 @@ def job_link_rows(timeline: StepTimeline) -> list[dict]:
     """Per-(link, job) traffic summary of network-category spans.
 
     The multi-tenant fabric stamps ``job`` into every flow span's meta
-    (see ``FluidNetwork.flow_job``); this groups the recorded spans by
+    (see ``Flow.job``); this groups the recorded spans by
     shared link and tenant so a cluster run can report how each job's
     bytes and busy-time split across contended links.  Spans without a
     job tag group under ``"-"``.

@@ -46,14 +46,18 @@ Scaling to 1024–4096-rank clusters relies on three hot-path properties:
   operation that would break the symmetry — a foreign flow or a capacity
   change touching a claimed link — first splits the bundle back into
   per-member flows, so rates stay exact under faults and congestion.
-  Bundling changes the *event schedule* (fewer wakeups and completions),
-  so the timed collectives gate it to scales far above every pinned
-  golden digest (see ``RING_BUNDLE_MIN_NODES`` in
-  :mod:`repro.collectives.timed`).
+  Bundling thins the *event schedule* (fewer wakeups and completions)
+  but never moves a completion time, so the timed collectives bundle
+  every symmetric fan-out of two or more members at any scale.
 
 ``start_flow(..., weight=k)`` models ``k`` identical transport streams as
 one flow: the flow counts ``k`` toward every traversed link's load,
 receives ``k`` fair shares, and its ``rate_cap_bps`` applies per stream.
+
+Every flow-starting call takes its identity explicitly: ``label`` (the
+collective algorithm that placed the flow; telemetry only) and ``job``
+(the owning tenant; shapes inter-job fairness).  Both are stamped on the
+flow at creation and never change.
 
 Capacities and rates are in **bits per second**, sizes in **bits**,
 consistent with the rest of :mod:`repro.sim` (time in seconds).
@@ -371,7 +375,7 @@ class FlowBundle:
     links — is checked when the handle first registers a claim channel,
     and the claim then persists across launches: a steady-state ring
     unit relaunches in O(representative links) instead of revalidating
-    all members each step.
+    all members each step.  Iterates (and sizes) as its member link sets.
     """
 
     __slots__ = ("members", "_channel")
@@ -379,6 +383,12 @@ class FlowBundle:
     def __init__(self, members: tuple[tuple[Link, ...], ...]) -> None:
         self.members = members
         self._channel: _BundleChannel | None = None
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self) -> t.Iterator[tuple[Link, ...]]:
+        return iter(self.members)
 
 
 class _BundleChannel:
@@ -508,16 +518,6 @@ class FluidNetwork:
         #: intervals (rates are piecewise-constant between advances) and
         #: per-flow throttling verdicts.  Purely observational.
         self.diag = None
-        #: Provenance tag stamped on every flow created while set (the
-        #: timed collectives set it to the running algorithm's name so
-        #: flow telemetry can be sliced per algorithm).  Purely
-        #: observational: it never influences rate assignment.
-        self.flow_label: str | None = None
-        #: Tenant tag stamped on every flow created while set (the
-        #: cluster runtime sets it around each job's launches).  Flows
-        #: of different jobs meeting on a shared link are rate-split by
-        #: two-level fairness — see :meth:`_solve_component_jobs`.
-        self.flow_job: str | None = None
         #: ``job_id -> priority weight`` for inter-job fairness at
         #: shared links.  Jobs absent from the map (and untagged flows,
         #: which pool under one pseudo-job) weigh 1.0.
@@ -526,83 +526,82 @@ class FluidNetwork:
     # -- public API -------------------------------------------------------
 
     def start_flow(self, links: t.Sequence[Link], size_bytes: float,
-                   rate_cap_bps: float | None = None,
-                   extra_delay_s: float = 0.0,
-                   weight: int = 1) -> Event:
+                   rate_cap_bps: float | None = None, weight: int = 1, *,
+                   label: str | None = None,
+                   job: str | None = None) -> Event:
         """Begin transferring ``size_bytes`` across ``links``.
 
         ``weight`` bundles that many identical transport streams into one
         flow (see :class:`Flow`); ``size_bytes`` is the bundle total and
-        ``rate_cap_bps`` stays per stream.
+        ``rate_cap_bps`` stays per stream.  ``label`` and ``job`` tag the
+        flow (see :attr:`Flow.label` / :attr:`Flow.job`).
 
         Returns an event that triggers when the last byte has drained plus
-        the sum of the link latencies plus ``extra_delay_s``.  The event's
-        value is the flow's transfer duration in seconds.
+        the sum of the link latencies.  The event's value is the flow's
+        transfer duration in seconds.  A non-positive ``size_bytes`` is a
+        pure-latency transfer that never enters the rate allocator.
         """
-        done = self.sim.event(name="flow.done")
-        latency = sum(link.latency_s for link in links) + extra_delay_s
-        if size_bytes <= 0:
-            # Pure-latency "transfer" (e.g. a control message of negligible
-            # size); never enters the rate allocator.
-            self.sim._schedule_at(self.sim.now + latency, done, latency)
-            return done
-        if self._claims:
-            self._split_claimed(links)
-        self._advance_progress()
-        flow = Flow(self._table, links, size_bytes * 8.0, rate_cap_bps, done,
-                    self.sim.now, tail_latency_s=latency, weight=weight,
-                    label=self.flow_label, job=self.flow_job)
-        if flow.size_bits <= _COMPLETE_BITS:
-            self._maybe_finished = True
-        self.flows[flow] = None
-        dirty = self._dirty_links
-        for link in flow.links:
-            link.flows[flow] = None
-            link.load += weight
-            dirty[link] = None
-        self._reallocate()
-        return done
+        return self._insert(((links, size_bytes, rate_cap_bps, weight),),
+                            label, job)[0]
 
     def start_flows(self, requests: t.Sequence[tuple[
-            t.Sequence[Link], float, float | None, int]]) -> list[Event]:
+            t.Sequence[Link], float, float | None, int]], *,
+            label: str | None = None,
+            job: str | None = None) -> list[Event]:
         """Begin several transfers arriving at the same instant.
 
         ``requests`` is a sequence of ``(links, size_bytes, rate_cap_bps,
-        weight)`` tuples.  Semantically identical to calling
-        :meth:`start_flow` once per request — max-min rates are a pure
-        function of the resulting flow set, and no simulated time passes
-        between same-instant arrivals — but the allocator runs **once**
-        for the whole batch instead of once per flow.  Large collectives
-        use this to insert their per-hop flow fan-out (2·nodes flows per
-        ring unit at 128 ranks) without quadratic reallocation churn.
-
-        Note the event-schedule difference: per-flow insertion leaves one
-        superseded wakeup event per intermediate allocation in the kernel
-        heap, batch insertion does not.  Callers that must preserve a
-        historical replay digest keep using :meth:`start_flow` (see
-        ``AGGREGATE_MIN_FLOWS`` in :mod:`repro.collectives.timed`).
+        weight)`` tuples, all tagged with the same ``label`` and ``job``.
+        Semantically identical to calling :meth:`start_flow` once per
+        request — max-min rates are a pure function of the resulting flow
+        set, and no simulated time passes between same-instant arrivals —
+        but the allocator runs **once** for the whole batch instead of
+        once per flow, and no superseded intermediate wakeups enter the
+        kernel heap.
         """
-        if self._claims:
-            self._split_claimed(
-                link for links, _size, _cap, _weight in requests
-                for link in links)
-        self._advance_progress()
-        events: list[Event] = []
-        flows: list[Flow] = []
+        return self._insert(requests, label, job)
+
+    def _insert(self, requests: t.Iterable[tuple[
+            t.Sequence[Link], float, float | None, int]],
+            label: str | None, job: str | None) -> list[Event]:
+        """Insert same-instant transfers and re-allocate once.
+
+        Positive-size requests split any bundle whose claimed links they
+        touch, advance progress, join the flow set and dirty their links;
+        pure-latency requests are scheduled directly and touch nothing.
+        """
         now = self.sim.now
+        events: list[Event] = []
+        pending: list[tuple[t.Sequence[Link], float, float | None, int,
+                            Event, float]] = []
         for links, size_bytes, rate_cap_bps, weight in requests:
             done = self.sim.event(name="flow.done")
             events.append(done)
             latency = sum(link.latency_s for link in links)
             if size_bytes <= 0:
                 self.sim._schedule_at(now + latency, done, latency)
-                continue
-            flows.append(Flow(self._table, links, size_bytes * 8.0,
-                              rate_cap_bps, done, now,
-                              tail_latency_s=latency, weight=weight,
-                              label=self.flow_label, job=self.flow_job))
-        if not flows:
+            else:
+                pending.append((links, size_bytes, rate_cap_bps, weight,
+                                done, latency))
+        if not pending:
             return events
+        if self._claims:
+            self._split_claimed(link for request in pending
+                                for link in request[0])
+        self._advance_progress()
+        self._enter([Flow(self._table, links, size_bytes * 8.0, rate_cap_bps,
+                          done, now, tail_latency_s=latency, weight=weight,
+                          label=label, job=job)
+                     for links, size_bytes, rate_cap_bps, weight, done,
+                     latency in pending])
+        return events
+
+    def _enter(self, flows: t.Iterable[Flow]) -> None:
+        """Add freshly created entities to the flow set and re-allocate.
+
+        A group enters on its representative links only (``links`` is
+        ``member_links[0]``); its other members' links carry claims.
+        """
         dirty = self._dirty_links
         for flow in flows:
             self.flows[flow] = None
@@ -614,7 +613,6 @@ class FluidNetwork:
                 link.load += weight
                 dirty[link] = None
         self._reallocate()
-        return events
 
     def bundle(self, member_links: t.Sequence[t.Sequence[Link]]
                ) -> FlowBundle | None:
@@ -647,7 +645,9 @@ class FluidNetwork:
                          member_links: "FlowBundle | t.Sequence[t.Sequence[Link]]",
                          size_bytes: float,
                          rate_cap_bps: float | None = None,
-                         weight: int = 1) -> Event:
+                         weight: int = 1, *,
+                         label: str | None = None,
+                         job: str | None = None) -> Event:
         """Begin one identical ``size_bytes`` transfer per member link set.
 
         The symmetric fan-out of a large collective — one flow per node
@@ -674,7 +674,8 @@ class FluidNetwork:
             handle = self.bundle(members)
         if len(members) == 1:
             return self.start_flow(members[0], size_bytes,
-                                   rate_cap_bps=rate_cap_bps, weight=weight)
+                                   rate_cap_bps=rate_cap_bps, weight=weight,
+                                   label=label, job=job)
         rep = members[0]
         latency = sum(link.latency_s for link in rep)
         if size_bytes <= 0:
@@ -695,7 +696,7 @@ class FluidNetwork:
             done = self.sim.event(name="flowgroup.done")
             events = self.start_flows(
                 [(links, size_bytes, rate_cap_bps, weight)
-                 for links in members])
+                 for links in members], label=label, job=job)
             pending = [len(events)]
 
             def _member_done(ev: Event) -> None:
@@ -711,18 +712,10 @@ class FluidNetwork:
         group = GroupFlow(self._table, members, size_bytes * 8.0,
                           rate_cap_bps, done, self.sim.now,
                           tail_latency_s=latency, weight=weight,
-                          label=self.flow_label, job=self.flow_job)
+                          label=label, job=job)
         group._channel = channel
         channel.groups[group] = None
-        if group.size_bits <= _COMPLETE_BITS:
-            self._maybe_finished = True
-        self.flows[group] = None
-        dirty = self._dirty_links
-        for link in rep:
-            link.flows[group] = None
-            link.load += weight
-            dirty[link] = None
-        self._reallocate()
+        self._enter((group,))
         return done
 
     def cancel_flow(self, done: Event) -> bool:

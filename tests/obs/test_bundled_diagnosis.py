@@ -10,12 +10,12 @@ findings file pins — must be bit-identical whether the fan-out ran
 bundled or as individual flows.
 """
 
-import repro.collectives.timed as timed_mod
 from repro.collectives import TimedCollectives
 from repro.obs import Observability, diagnose
 from repro.obs.detectors import DetectorSuite
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import FluidNetwork, Link, Simulator, alibaba_v100_cluster
+from repro.sim.network import GroupFlow
 
 
 def _feed_engine_hooks(suite):
@@ -49,13 +49,12 @@ def _run_network_scenario(bundled):
     net.diag = obs.attach_detectors()
     members = [[Link(f"m{i}a", 1e9), Link(f"m{i}b", 1e9)]
                for i in range(3)]
-    net.flow_label = "ring"
     if bundled:
-        done = [net.start_flow_group(members, 1e6, rate_cap_bps=4e9)]
+        done = [net.start_flow_group(members, 1e6, rate_cap_bps=4e9,
+                                     label="ring")]
     else:
-        done = [net.start_flow(member, 1e6, rate_cap_bps=4e9)
+        done = [net.start_flow(member, 1e6, rate_cap_bps=4e9, label="ring")
                 for member in members]
-    net.flow_label = None
     sim.run(until=sim.all_of(done))
     sim.run()
     if bundled:  # the fan-out really was fused, not fallen back
@@ -85,29 +84,42 @@ class TestNetworkLevelEquivalence:
                              for i in range(3) for side in "ab"}
 
 
-class TestCollectiveLevelEquivalence:
-    """Same ring allreduce, with the bundling gate forced on and off."""
+def _ring_allreduce(monkeypatch, ranks, bundled, size_bytes=4e6):
+    """One full-link ring all-reduce with diagnosis attached.
 
-    def _run(self, monkeypatch, bundle_min_nodes):
-        monkeypatch.setattr(timed_mod, "AGGREGATE_MIN_FLOWS", 2)
-        monkeypatch.setattr(timed_mod, "RING_BUNDLE_MIN_NODES",
-                            bundle_min_nodes)
-        sim = Simulator()
-        net = FluidNetwork(sim)
-        obs = Observability()
-        net.obs = obs
-        net.diag = obs.attach_detectors()
-        cluster = alibaba_v100_cluster(sim, 128, gpus_per_node=8)
-        timed = TimedCollectives(sim, net, cluster, representative=False)
-        done = timed.allreduce(4e6, algorithm="ring")
+    The unbundled twin makes :meth:`FluidNetwork.bundle` report every
+    fan-out as structurally unbundleable, which is the network's own
+    per-member fallback.  Returns the network (for inspection right
+    after launch), the completion event and the observability sink.
+    """
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    if not bundled:
+        monkeypatch.setattr(net, "bundle", lambda member_links: None)
+    obs = Observability()
+    net.obs = obs
+    net.diag = obs.attach_detectors()
+    cluster = alibaba_v100_cluster(sim, ranks, gpus_per_node=8)
+    timed = TimedCollectives(sim, net, cluster, representative=False)
+    done = timed.allreduce(size_bytes, algorithm="ring")
+    return net, done, obs
+
+
+class TestCollectiveLevelEquivalence:
+    """Same ring all-reduce, bundled or through the per-member fallback."""
+
+    def _run(self, monkeypatch, bundled):
+        net, done, obs = _ring_allreduce(monkeypatch, 128, bundled)
+        sim = net.sim
         sim.run(until=done)
+        finished = sim.now
         sim.run()
-        return sim.now, bool(net._claims), diagnose(obs)
+        return finished, bool(net._claims), diagnose(obs)
 
     def test_full_ring_diagnoses_identically(self, monkeypatch):
-        now_b, claimed_b, bundled = self._run(monkeypatch, 2)
-        now_u, claimed_u, unbundled = self._run(monkeypatch, 10**9)
-        assert claimed_b and not claimed_u  # the gate actually flipped
+        now_b, claimed_b, bundled = self._run(monkeypatch, True)
+        now_u, claimed_u, unbundled = self._run(monkeypatch, False)
+        assert claimed_b and not claimed_u  # fusion really differed
         assert now_b == now_u  # completion time is representation-free
         assert bundled.findings == unbundled.findings
         assert bundled.events == unbundled.events
@@ -116,6 +128,21 @@ class TestCollectiveLevelEquivalence:
         # representations (the clean-run gate the detector thresholds
         # are calibrated against).
         assert bundled.findings == ()
+
+    def test_small_ring_bundles_at_any_scale(self, monkeypatch):
+        # 4 nodes x 8 GPUs: no size gate keeps a small ring off the
+        # bundled path any more.
+        net_b, done_b, _ = _ring_allreduce(monkeypatch, 32, True)
+        entities = list(net_b.flows)
+        assert len(entities) == 2  # one NIC-hop run, one NVLink run
+        assert all(isinstance(flow, GroupFlow) for flow in entities)
+        assert sorted(len(flow.member_links) for flow in entities) == [4, 4]
+        net_u, done_u, _ = _ring_allreduce(monkeypatch, 32, False)
+        assert len(net_u.flows) == 8
+        assert not any(isinstance(flow, GroupFlow) for flow in net_u.flows)
+        net_b.sim.run(until=done_b)
+        net_u.sim.run(until=done_u)
+        assert net_b.sim.now == net_u.sim.now  # bit for bit
 
 
 class TestJobTaggedBundling:
@@ -135,19 +162,16 @@ class TestJobTaggedBundling:
         net.diag = obs.attach_detectors()
         members = [[Link(f"m{i}a", 1e9), Link(f"m{i}b", 1e9)]
                    for i in range(3)]
-        net.flow_job = "jobA"
-        net.flow_label = "ring"
         if bundled:
-            done = [net.start_flow_group(members, 1e6, rate_cap_bps=4e9)]
+            done = [net.start_flow_group(members, 1e6, rate_cap_bps=4e9,
+                                         label="ring", job="jobA")]
         else:
-            done = [net.start_flow(member, 1e6, rate_cap_bps=4e9)
+            done = [net.start_flow(member, 1e6, rate_cap_bps=4e9,
+                                   label="ring", job="jobA")
                     for member in members]
         # A second tenant on its own links, concurrently.
-        net.flow_job = "jobB"
-        net.flow_label = "halving-doubling"
-        done.append(net.start_flow([Link("b0", 1e9), Link("b1", 1e9)], 2e6))
-        net.flow_job = None
-        net.flow_label = None
+        done.append(net.start_flow([Link("b0", 1e9), Link("b1", 1e9)], 2e6,
+                                   label="halving-doubling", job="jobB"))
         sim.run(until=sim.all_of(done))
         sim.run()
         return net, net.diag

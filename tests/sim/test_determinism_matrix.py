@@ -31,6 +31,7 @@ from repro.harness.determinism import (
     probe_key,
     run_probe,
 )
+from repro.sim.invariants import ENV_FLAG
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -104,6 +105,27 @@ class TestReplayStability:
         probe = run_probe(**cell, invariants=False, seed=0)
         assert probe.digest is None
         assert list(probe.iteration_times_s) == golden["iteration_times_s"]
+
+
+class TestEnvironmentIndependence:
+    """An explicit ``invariants`` choice wins over the environment.
+
+    ``REPRO_CHECK_INVARIANTS=1`` must neither attach a checker to a run
+    that declined one nor move the point where a requested checker
+    attaches, so a cell's digest and times are the same either way.
+    """
+
+    @pytest.mark.parametrize("invariants", [True, False],
+                             ids=["inv", "noinv"])
+    def test_fault_probe_ignores_the_variable(self, monkeypatch,
+                                              invariants):
+        monkeypatch.delenv(ENV_FLAG, raising=False)
+        unset = run_probe(8, 4, faults=True, invariants=invariants, seed=0)
+        monkeypatch.setenv(ENV_FLAG, "1")
+        armed = run_probe(8, 4, faults=True, invariants=invariants, seed=0)
+        assert armed.digest == unset.digest
+        assert armed.iteration_times_s == unset.iteration_times_s
+        assert (unset.digest is not None) == invariants
 
 
 class TestSeedSensitivity:

@@ -48,11 +48,14 @@ class TestSingleFlow:
         sim.run(until=done)
         assert sim.now == pytest.approx(0.25)
 
-    def test_extra_delay(self):
+    def test_identity_is_stamped_per_flow(self):
         sim, net, link = make_net(capacity_bps=8e9)
-        done = net.start_flow([link], size_bytes=1e9, extra_delay_s=0.3)
-        sim.run(until=done)
-        assert sim.now == pytest.approx(1.3)
+        net.start_flow([link], size_bytes=1e9, label="ring", job="jobA")
+        net.start_flows([([link], 1e9, None, 1)], label="ina")
+        tags = [(flow.label, flow.job) for flow in net.flows]
+        # Each call tags only its own flows; nothing persists between
+        # calls on the network itself.
+        assert tags == [("ring", "jobA"), ("ina", None)]
 
     def test_flow_requires_links(self):
         sim = Simulator()
