@@ -25,18 +25,18 @@ Scaling to 1024–4096-rank clusters relies on three hot-path properties:
   :func:`solve_rates_reference` keeps the from-scratch solver alive as the
   oracle for the property-based equivalence tests.
 
-* **Vectorized hot state.**  Every flow's mutable solver state — bits
-  remaining, assigned rate, seconds-to-completion — lives in one
-  structure-of-arrays table (:class:`_FlowTable`) indexed by a stable
-  *slot* id assigned in creation order.  Progress advancement, the
-  next-completion scan and the completion sweep are single numpy
-  expressions over contiguous ``float64`` arrays instead of per-object
-  Python attribute churn, and components above
-  ``VECTOR_SOLVE_MIN_FLOWS`` flows water-fill over array slices.  IEEE
-  754 elementwise array arithmetic performs bit-identical operations to
-  the scalar loops it replaces (min/minimum are order-independent, and
-  every division/multiplication maps one-to-one), so replay digests are
-  unchanged at every scale — the vector paths need no gating.
+* **Scalar hot state, array water-filling.**  Every flow's mutable
+  solver state — bits remaining, assigned rate, seconds-to-completion —
+  is a plain float attribute on the :class:`Flow`.  Progress
+  advancement, the next-completion scan and the completion sweep are
+  Python loops over :attr:`FluidNetwork.flows` in creation order: a
+  multi-stream step is a long run of events that each see a handful of
+  live flows, where per-call numpy dispatch costs more than the loop.
+  Only components of at least ``VECTOR_SOLVE_MIN_FLOWS`` flows (large
+  shared-spine fan-outs) water-fill over arrays, and they write plain
+  floats back.  Both solvers perform bit-identical IEEE 754 operations
+  (min is order-independent, every division/multiplication maps
+  one-to-one), so the size switch needs no digest gating.
 
 * **Flow bundling.**  A symmetric collective fan-out (one identical flow
   per node pair, pairwise-disjoint links) collapses into a single
@@ -97,6 +97,28 @@ THROTTLE_DEPTH = 0.5
 VECTOR_SOLVE_MIN_FLOWS = 24
 
 
+def _check_capacity(name: str, capacity_bps: float) -> None:
+    if not math.isfinite(capacity_bps) or capacity_bps <= 0:
+        raise NetworkError(
+            f"link {name!r} capacity must be positive and finite, "
+            f"got {capacity_bps!r}")
+
+
+def _check_transfer(size_bytes: float, rate_cap_bps: float | None) -> None:
+    """Reject a non-finite size or cap before it reaches the solver.
+
+    NaN compares false against everything, so a NaN size, cap or
+    capacity would otherwise stall the wakeup scan and hang ``run()``.
+    """
+    if not math.isfinite(size_bytes):
+        raise NetworkError(f"flow size must be finite, got {size_bytes!r}")
+    if rate_cap_bps is not None and (not math.isfinite(rate_cap_bps)
+                                     or rate_cap_bps <= 0):
+        raise NetworkError(
+            f"flow rate cap must be positive and finite when given, "
+            f"got {rate_cap_bps!r}")
+
+
 class Link:
     """A unidirectional network resource with finite capacity.
 
@@ -107,10 +129,11 @@ class Link:
     __slots__ = ("name", "capacity_bps", "latency_s", "flows", "load")
 
     def __init__(self, name: str, capacity_bps: float, latency_s: float = 0.0) -> None:
-        if capacity_bps <= 0:
-            raise NetworkError(f"link {name!r} capacity must be positive")
-        if latency_s < 0:
-            raise NetworkError(f"link {name!r} latency must be non-negative")
+        _check_capacity(name, capacity_bps)
+        if not math.isfinite(latency_s) or latency_s < 0:
+            raise NetworkError(
+                f"link {name!r} latency must be finite and non-negative, "
+                f"got {latency_s!r}")
         self.name = name
         self.capacity_bps = float(capacity_bps)
         self.latency_s = float(latency_s)
@@ -130,96 +153,6 @@ class Link:
         return f"<Link {self.name} {gbps:.1f}Gbps {len(self.flows)} flows>"
 
 
-class _FlowTable:
-    """Structure-of-arrays hot state for every in-flight flow.
-
-    Slots are assigned strictly in creation order and never reused until
-    :meth:`compact` packs the live entries down (preserving their
-    relative order), so **ascending slot order is creation order** — the
-    iteration-order invariant every sweep relies on for replay
-    determinism.  Dead slots are neutral elements for every vector
-    operation: rate 0 (no progress), remaining 0, finish ``inf`` (never
-    the next completion), multiplier 0 (no delivered-bits credit),
-    ``live`` False (excluded from completion sweeps).
-    """
-
-    __slots__ = ("remaining", "rate", "finish", "mult", "live",
-                 "size", "dead", "flow_by_slot")
-
-    _INITIAL = 64
-    #: Compact once at least this many dead slots have accumulated…
-    _COMPACT_MIN_DEAD = 64
-    #: …and the dead fraction exceeds half the table.
-
-    def __init__(self) -> None:
-        n = self._INITIAL
-        self.remaining = np.zeros(n)
-        self.rate = np.zeros(n)
-        self.finish = np.full(n, math.inf)
-        self.mult = np.zeros(n)
-        self.live = np.zeros(n, dtype=bool)
-        #: Slots in use (high-water mark), including dead ones.
-        self.size = 0
-        self.dead = 0
-        self.flow_by_slot: list["Flow | None"] = []
-
-    def add(self, flow: "Flow", remaining_bits: float, mult: float) -> int:
-        slot = self.size
-        if slot == len(self.rate):
-            self._grow()
-        self.size = slot + 1
-        self.remaining[slot] = remaining_bits
-        self.rate[slot] = 0.0
-        self.finish[slot] = math.inf
-        self.mult[slot] = mult
-        self.live[slot] = True
-        self.flow_by_slot.append(flow)
-        return slot
-
-    def free(self, slot: int) -> None:
-        self.live[slot] = False
-        self.rate[slot] = 0.0
-        self.remaining[slot] = 0.0
-        self.finish[slot] = math.inf
-        self.mult[slot] = 0.0
-        self.flow_by_slot[slot] = None
-        self.dead += 1
-        if self.dead >= self._COMPACT_MIN_DEAD and self.dead * 2 >= self.size:
-            self.compact()
-
-    def _grow(self) -> None:
-        n = len(self.rate)
-        grown = n * 2
-        for name in ("remaining", "rate", "finish", "mult", "live"):
-            old = getattr(self, name)
-            fresh = np.empty(grown, dtype=old.dtype)
-            fresh[:n] = old
-            if name == "finish":
-                fresh[n:] = math.inf
-            else:
-                fresh[n:] = 0
-            setattr(self, name, fresh)
-
-    def compact(self) -> None:
-        """Pack live entries to the front, preserving creation order."""
-        keep = [f for f in self.flow_by_slot if f is not None]
-        index = np.array([f._slot for f in keep], dtype=np.intp)
-        n = len(keep)
-        old_size = self.size
-        for name in ("remaining", "rate", "finish", "mult", "live"):
-            arr = getattr(self, name)
-            arr[:n] = arr[index]
-            if name == "finish":
-                arr[n:old_size] = math.inf
-            else:
-                arr[n:old_size] = 0
-        for slot, flow in enumerate(keep):
-            flow._slot = slot
-        self.flow_by_slot = t.cast("list[Flow | None]", keep)
-        self.size = n
-        self.dead = 0
-
-
 class Flow:
     """A single in-flight data transfer across one or more links.
 
@@ -227,30 +160,26 @@ class Flow:
     takes ``weight`` shares of every traversed link and its per-stream
     rate cap scales accordingly (``rate_bps`` is the bundle total).
 
-    Mutable solver state (``remaining_bits``, ``rate_bps``, the cached
-    seconds-to-completion) lives in the owning :class:`_FlowTable`; the
-    attribute-style accessors below delegate to the flow's table slot
-    and return plain Python floats, so scalar code paths (and external
-    consumers such as the diagnosis samplers) are unaffected by the
-    array-backed storage.
+    The mutable solver state — ``remaining_bits``, ``rate_bps``, the
+    cached seconds-to-completion ``_finish_s`` (``inf`` while the rate
+    is zero) and the delivered-bits multiplier ``_mult`` — is held in
+    plain Python floats, never numpy scalars: kernel times are derived
+    from it, and a numpy scalar's ``repr`` would corrupt replay digests.
+    The network validates size and cap before it creates a flow.
     """
 
     __slots__ = ("flow_id", "links", "size_bits", "rate_cap_bps", "done",
                  "started_at", "tail_latency_s", "weight", "label", "job",
-                 "_table", "_slot")
+                 "remaining_bits", "rate_bps", "_finish_s", "_mult")
 
     _ids = itertools.count()
 
-    def __init__(self, table: _FlowTable, links: t.Sequence[Link],
+    def __init__(self, links: t.Sequence[Link],
                  size_bits: float, rate_cap_bps: float | None, done: Event,
                  now: float, tail_latency_s: float = 0.0, weight: int = 1,
                  label: str | None = None, job: str | None = None) -> None:
-        if size_bits < 0:
-            raise NetworkError(f"flow size must be non-negative, got {size_bits}")
         if not links:
             raise NetworkError("flow must traverse at least one link")
-        if rate_cap_bps is not None and rate_cap_bps <= 0:
-            raise NetworkError("flow rate cap must be positive when given")
         if not isinstance(weight, int) or weight < 1:
             raise NetworkError(
                 f"flow weight must be a positive integer, got {weight!r}"
@@ -258,7 +187,8 @@ class Flow:
         self.flow_id = next(Flow._ids)
         self.links = tuple(links)
         self.size_bits = float(size_bits)
-        self.rate_cap_bps = rate_cap_bps
+        self.rate_cap_bps = None if rate_cap_bps is None \
+            else float(rate_cap_bps)
         self.done = done
         self.started_at = now
         self.tail_latency_s = tail_latency_s
@@ -274,35 +204,10 @@ class Flow:
         #: each job's flows).  ``None`` everywhere keeps the classic
         #: single-tenant solver paths bit-identical.
         self.job = job
-        self._table = table
-        self._slot = table.add(self, self.size_bits, 1.0)
-
-    # -- table-backed hot state -------------------------------------------
-
-    @property
-    def remaining_bits(self) -> float:
-        return self._table.remaining.item(self._slot)
-
-    @remaining_bits.setter
-    def remaining_bits(self, value: float) -> None:
-        self._table.remaining[self._slot] = value
-
-    @property
-    def rate_bps(self) -> float:
-        return self._table.rate.item(self._slot)
-
-    @rate_bps.setter
-    def rate_bps(self, value: float) -> None:
-        self._table.rate[self._slot] = value
-
-    @property
-    def _finish_s(self) -> float:
-        """Cached seconds-to-completion (``inf`` while the rate is zero)."""
-        return self._table.finish.item(self._slot)
-
-    @_finish_s.setter
-    def _finish_s(self, value: float) -> None:
-        self._table.finish[self._slot] = value
+        self.remaining_bits = self.size_bits
+        self.rate_bps = 0.0
+        self._finish_s = math.inf
+        self._mult = 1.0
 
     def member_link_sets(self) -> tuple[tuple[Link, ...], ...]:
         """Link sets of the transfers this entity stands for.
@@ -327,8 +232,8 @@ class GroupFlow(Flow):
     the same capacities and competitors (competing entities on a bundled
     link are themselves aligned group members), so the representative's
     rate trajectory is exact for all members.  ``size_bits`` and
-    ``rate_bps`` are **per member**; the table's delivered-bits
-    multiplier accounts for the full fan-out.
+    ``rate_bps`` are **per member**; the delivered-bits multiplier
+    ``_mult`` (the member count) accounts for the full fan-out.
 
     ``member_links`` passed as a tuple is trusted to already be a tuple
     of link tuples (the canonical form) so that repeated launches off a
@@ -337,8 +242,7 @@ class GroupFlow(Flow):
 
     __slots__ = ("member_links", "_channel")
 
-    def __init__(self, table: _FlowTable,
-                 member_links: t.Sequence[t.Sequence[Link]],
+    def __init__(self, member_links: t.Sequence[t.Sequence[Link]],
                  size_bits: float, rate_cap_bps: float | None, done: Event,
                  now: float, tail_latency_s: float = 0.0, weight: int = 1,
                  label: str | None = None, job: str | None = None) -> None:
@@ -350,10 +254,10 @@ class GroupFlow(Flow):
         #: The :class:`_BundleChannel` whose claim this group rides
         #: (set by the network right after construction).
         self._channel: "_BundleChannel | None" = None
-        super().__init__(table, members[0], size_bits, rate_cap_bps, done,
+        super().__init__(members[0], size_bits, rate_cap_bps, done,
                          now, tail_latency_s=tail_latency_s, weight=weight,
                          label=label, job=job)
-        table.mult[self._slot] = float(len(members))
+        self._mult = float(len(members))
 
     def member_link_sets(self) -> tuple[tuple[Link, ...], ...]:
         return self.member_links
@@ -475,10 +379,9 @@ class FluidNetwork:
         # Insertion-ordered for the same reason as Link.flows: every
         # traversal (progress debits, water-filling, completion sweeps)
         # must visit flows in creation order so that identical runs
-        # schedule identical event sequences.
+        # schedule identical event sequences.  Flows are inserted right
+        # after they are created, so insertion order is creation order.
         self.flows: dict[Flow, None] = {}
-        #: Array-backed hot state of every flow in ``self.flows``.
-        self._table = _FlowTable()
         #: Links whose flow membership or capacity changed since the last
         #: rate assignment; the solver re-solves only the components
         #: reachable from these (insertion-ordered for reproducibility).
@@ -575,6 +478,7 @@ class FluidNetwork:
         pending: list[tuple[t.Sequence[Link], float, float | None, int,
                             Event, float]] = []
         for links, size_bytes, rate_cap_bps, weight in requests:
+            _check_transfer(size_bytes, rate_cap_bps)
             done = self.sim.event(name="flow.done")
             events.append(done)
             latency = sum(link.latency_s for link in links)
@@ -589,7 +493,7 @@ class FluidNetwork:
             self._split_claimed(link for request in pending
                                 for link in request[0])
         self._advance_progress()
-        self._enter([Flow(self._table, links, size_bytes * 8.0, rate_cap_bps,
+        self._enter([Flow(links, size_bytes * 8.0, rate_cap_bps,
                           done, now, tail_latency_s=latency, weight=weight,
                           label=label, job=job)
                      for links, size_bytes, rate_cap_bps, weight, done,
@@ -664,6 +568,7 @@ class FluidNetwork:
         plus the link latencies; its value is the member transfer
         duration plus tail latency.
         """
+        _check_transfer(size_bytes, rate_cap_bps)
         if isinstance(member_links, FlowBundle):
             handle: FlowBundle | None = member_links
             members = member_links.members
@@ -709,7 +614,7 @@ class FluidNetwork:
             return done
         self._advance_progress()
         done = self.sim.event(name="flowgroup.done")
-        group = GroupFlow(self._table, members, size_bytes * 8.0,
+        group = GroupFlow(members, size_bytes * 8.0,
                           rate_cap_bps, done, self.sim.now,
                           tail_latency_s=latency, weight=weight,
                           label=label, job=job)
@@ -765,10 +670,7 @@ class FluidNetwork:
         is the hook that varies it.  In-flight flows are re-allocated
         immediately at the new capacity.
         """
-        if capacity_bps <= 0:
-            raise NetworkError(
-                f"link {link.name!r} capacity must be positive"
-            )
+        _check_capacity(link.name, capacity_bps)
         if self._claims:
             # A capacity change on any bundled member's link breaks the
             # symmetry bundling relies on; split first so the degraded
@@ -884,7 +786,7 @@ class FluidNetwork:
         for links in group.member_links:
             inner = self.sim.event(name="flow.done")
             inner.add_callback(_member_done)
-            flow = Flow(self._table, links, group.size_bits,
+            flow = Flow(links, group.size_bits,
                         group.rate_cap_bps, inner, group.started_at,
                         tail_latency_s=group.tail_latency_s,
                         weight=group.weight, label=group.label,
@@ -903,11 +805,11 @@ class FluidNetwork:
     def _advance_progress(self) -> None:
         """Debit every active flow for the time elapsed at its current rate.
 
-        One vector expression over the flow table: every public
-        operation advances before mutating the flow set, so all flows
-        share the same elapsed interval.  If the clock has not moved
-        since the last advance the whole update is skipped — the common
-        case for batched same-instant arrivals.
+        Every public operation advances before mutating the flow set, so
+        all flows share the same elapsed interval.  If the clock has not
+        moved since the last advance the whole update is skipped — the
+        common case for batched same-instant arrivals.  A zero-rate flow
+        neither progresses nor changes its ``inf`` finish time.
         """
         now = self.sim.now
         if now == self._progress_time:
@@ -918,21 +820,22 @@ class FluidNetwork:
             # samples link utilisation exactly (no polling error).
             self.diag.link_sampler.observe_interval(elapsed, self.flows)
         self._progress_time = now
-        table = self._table
-        n = table.size
-        if n == 0:
-            return
-        remaining = table.remaining[:n]
-        rate = table.rate[:n]
-        sent = rate * elapsed
-        np.minimum(sent, remaining, out=sent)
-        remaining -= sent
-        self.bits_delivered += float(sent @ table.mult[:n])
-        # Same division the wakeup scan used to redo per flow per event;
-        # zero-rate (and dead) slots keep their current ``inf``.
-        np.divide(remaining, rate, out=table.finish[:n], where=rate > 0.0)
-        if bool(((remaining <= _COMPLETE_BITS) & table.live[:n]).any()):
-            self._maybe_finished = True
+        delivered = 0.0
+        for flow in self.flows:
+            rate = flow.rate_bps
+            remaining = flow.remaining_bits
+            if rate > 0.0:
+                sent = rate * elapsed
+                if sent > remaining:
+                    sent = remaining
+                remaining -= sent
+                flow.remaining_bits = remaining
+                # Projected here once, not redone by the wakeup scan.
+                flow._finish_s = remaining / rate
+                delivered += sent * flow._mult
+            if remaining <= _COMPLETE_BITS:
+                self._maybe_finished = True
+        self.bits_delivered += delivered
 
     def _reallocate(self) -> None:
         """Re-run water-filling and schedule the next completion wakeup.
@@ -988,7 +891,6 @@ class FluidNetwork:
 
     def _solve_component(self, flows_seen: dict[Flow, None]) -> None:
         """Water-fill one bottleneck component (in flow-creation order)."""
-        table = self._table
         if len(flows_seen) == 1:
             # Fast path: a flow alone on its links (the common case on a
             # non-blocking fabric, where every NIC pair is its own
@@ -1008,10 +910,9 @@ class FluidNetwork:
             rate = share if share > 0.0 else 0.0
             if weight != 1:
                 rate *= weight
-            slot = flow._slot
-            table.rate[slot] = rate
-            table.finish[slot] = (table.remaining.item(slot) / rate
-                                  if rate > 0 else math.inf)
+            flow.rate_bps = rate
+            flow._finish_s = (flow.remaining_bits / rate
+                              if rate > 0 else math.inf)
             return
         # Global creation order makes the per-link arithmetic match a
         # from-scratch global solve exactly.
@@ -1171,7 +1072,8 @@ class FluidNetwork:
         any intermediate goes negative, and exact subtraction chains are
         associativity-free), and the final ``remaining/rate`` divisions
         match the scalar ``_fix_rate``.  Only the *bookkeeping* — who is
-        unassigned, which link is a bottleneck — moves into arrays.
+        unassigned, which link is a bottleneck — moves into arrays; the
+        results go back onto the flows as Python floats.
         """
         nf = len(component)
         weight_f = np.empty(nf)
@@ -1235,13 +1137,10 @@ class FluidNetwork:
             np.subtract.at(load, sub_links, weight_f[sub_flows])
             unassigned &= ~fixed
 
-        table = self._table
-        slots = np.array([flow._slot for flow in component], dtype=np.intp)
-        table.rate[slots] = rates
-        finish = np.full(nf, math.inf)
-        np.divide(table.remaining[slots], rates, out=finish,
-                  where=rates > 0.0)
-        table.finish[slots] = finish
+        for flow, rate in zip(component, rates.tolist()):
+            flow.rate_bps = rate
+            flow._finish_s = (flow.remaining_bits / rate
+                              if rate > 0.0 else math.inf)
 
     @staticmethod
     def _fix_rate(flow: Flow, per_stream_rate: float,
@@ -1259,14 +1158,13 @@ class FluidNetwork:
             load[link] -= flow.weight
 
     def _retire_flow(self, flow: Flow) -> None:
-        """Remove one entity from the flow set, links and table.
+        """Remove one entity from the flow set and its links.
 
         A retiring group leaves its channel's claim in place: the
         steady-state relaunch next step reuses it for O(1) validation,
         and an idle claim is evicted lazily by the first foreign touch.
         """
         self.flows.pop(flow, None)
-        self._table.free(flow._slot)
         dirty = self._dirty_links
         weight = flow.weight
         for link in flow.links:
@@ -1284,23 +1182,15 @@ class FluidNetwork:
         A flow can only cross the completion threshold inside
         :meth:`_advance_progress` (or arrive already sub-threshold), and
         both paths raise ``_maybe_finished`` — so when the flag is down
-        the table scan is skipped entirely.  The scan itself is one
-        vector compare; ascending slot order is creation order, matching
-        the flow-dict iteration the scalar engine performed.
+        the scan is skipped entirely.  Completions fire in creation order.
         """
         if not self._maybe_finished:
             return
         self._maybe_finished = False
-        table = self._table
-        n = table.size
-        finished = np.nonzero(
-            (table.remaining[:n] <= _COMPLETE_BITS) & table.live[:n])[0]
-        if finished.size == 0:
-            return
-        flows_done = [table.flow_by_slot[slot] for slot in finished]
+        finished = [flow for flow in self.flows
+                    if flow.remaining_bits <= _COMPLETE_BITS]
         now = self.sim.now
-        for flow in flows_done:
-            flow = t.cast(Flow, flow)
+        for flow in finished:
             self._retire_flow(flow)
             duration = now - flow.started_at
             tail = flow.tail_latency_s
@@ -1371,17 +1261,18 @@ class FluidNetwork:
     def _schedule_wakeup(self) -> None:
         """Schedule a kernel event at the earliest next flow completion.
 
-        The next completion is one vector min over the cached
-        seconds-to-completion column (dead slots hold ``inf``).  Wakeup
-        events are recycled through the kernel's event pool; the cast to
-        a Python float keeps numpy scalars out of the kernel heap (their
-        ``repr`` differs, which would corrupt replay digests).
+        The next completion is the least cached seconds-to-completion
+        over the live flows.  Wakeup events are recycled through the
+        kernel's event pool.  Every ``_finish_s`` is a Python float (see
+        :class:`Flow`), so no numpy scalar can reach the kernel heap.
         """
         self._wakeup_token += 1
         token = self._wakeup_token
-        table = self._table
-        n = table.size
-        next_finish = math.inf if n == 0 else float(table.finish[:n].min())
+        next_finish = math.inf
+        for flow in self.flows:
+            finish = flow._finish_s
+            if finish < next_finish:
+                next_finish = finish
         if next_finish == math.inf:
             if self.flows:
                 raise NetworkError(

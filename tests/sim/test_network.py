@@ -5,6 +5,8 @@ import pytest
 from repro.errors import NetworkError
 from repro.sim import FluidNetwork, Link, Simulator
 
+NAN = float("nan")
+INF = float("inf")
 
 def make_net(capacity_bps=1e9, latency_s=0.0):
     sim = Simulator()
@@ -21,6 +23,64 @@ class TestLinkValidation:
     def test_rejects_negative_latency(self):
         with pytest.raises(NetworkError):
             Link("bad", 1e9, latency_s=-1)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_rejects_non_finite_capacity(self, value):
+        with pytest.raises(NetworkError, match="finite"):
+            Link("bad", value)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_rejects_non_finite_latency(self, value):
+        with pytest.raises(NetworkError, match="finite"):
+            Link("bad", 1e9, latency_s=value)
+
+
+class TestNonFiniteTransfers:
+    """A NaN or infinite size, cap or capacity raises at the call.
+
+    NaN compares false against everything, so letting one through left
+    ``sim.run()`` spinning forever (or, for a NaN cap, silently
+    uncapped); an infinite size failed late with a misleading message.
+    """
+
+    @pytest.mark.parametrize("size", [NAN, INF, -INF])
+    def test_start_flow_size(self, size):
+        sim, net, link = make_net()
+        with pytest.raises(NetworkError, match="size must be finite"):
+            net.start_flow([link], size)
+        assert not net.flows
+
+    @pytest.mark.parametrize("cap", [NAN, INF, 0.0])
+    def test_start_flow_cap(self, cap):
+        sim, net, link = make_net()
+        with pytest.raises(NetworkError, match="rate cap"):
+            net.start_flow([link], 1e6, rate_cap_bps=cap)
+        assert not net.flows
+
+    @pytest.mark.parametrize("size, cap", [(NAN, None), (1e6, NAN)])
+    def test_start_flows(self, size, cap):
+        sim, net, link = make_net()
+        with pytest.raises(NetworkError, match="finite"):
+            net.start_flows([([link], 1e6, None, 1), ([link], size, cap, 1)])
+        assert not net.flows
+
+    @pytest.mark.parametrize("size, cap", [(NAN, None), (INF, None),
+                                           (1e6, NAN)])
+    def test_start_flow_group(self, size, cap):
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        fanout = [[Link(f"l{i}", 1e9)] for i in range(3)]
+        with pytest.raises(NetworkError, match="finite"):
+            net.start_flow_group(fanout, size, rate_cap_bps=cap)
+        assert not net.flows
+
+    @pytest.mark.parametrize("capacity", [NAN, INF])
+    def test_set_link_capacity(self, capacity):
+        sim, net, link = make_net()
+        net.start_flow([link], 1e6)
+        with pytest.raises(NetworkError, match="finite"):
+            net.set_link_capacity(link, capacity)
+        assert link.capacity_bps == 1e9
 
 
 class TestSingleFlow:
