@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import typing as t
 
 import numpy as np
@@ -64,6 +65,14 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise ClusterError("job_id must be non-empty")
+        # NaN passes every ordered comparison below, and a NaN priority
+        # or time would stall the shared fabric's solver or clock.
+        for name in ("priority", "arrival_s", "compute_s", "bytes_per_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ClusterError(
+                    f"job {self.job_id!r}: {name} must be finite, "
+                    f"got {value!r}")
         if self.num_nodes < 1:
             raise ClusterError(
                 f"job {self.job_id!r}: num_nodes must be >= 1")

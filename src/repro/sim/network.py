@@ -25,18 +25,16 @@ Scaling to 1024–4096-rank clusters relies on three hot-path properties:
   :func:`solve_rates_reference` keeps the from-scratch solver alive as the
   oracle for the property-based equivalence tests.
 
-* **Scalar hot state, array water-filling.**  Every flow's mutable
+* **Scalar hot state, one water-filling loop.**  Every flow's mutable
   solver state — bits remaining, assigned rate, seconds-to-completion —
   is a plain float attribute on the :class:`Flow`.  Progress
   advancement, the next-completion scan and the completion sweep are
   Python loops over :attr:`FluidNetwork.flows` in creation order: a
   multi-stream step is a long run of events that each see a handful of
   live flows, where per-call numpy dispatch costs more than the loop.
-  Only components of at least ``VECTOR_SOLVE_MIN_FLOWS`` flows (large
-  shared-spine fan-outs) water-fill over arrays, and they write plain
-  floats back.  Both solvers perform bit-identical IEEE 754 operations
-  (min is order-independent, every division/multiplication maps
-  one-to-one), so the size switch needs no digest gating.
+  A component of one flow takes a bit-equal fast path; every larger
+  component, single- or multi-tenant, goes through the same job-aware
+  water-filling loop (:meth:`FluidNetwork._solve_component`).
 
 * **Flow bundling.**  A symmetric collective fan-out (one identical flow
   per node pair, pairwise-disjoint links) collapses into a single
@@ -69,8 +67,6 @@ import itertools
 import math
 import typing as t
 
-import numpy as np
-
 from repro.errors import NetworkError
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -86,15 +82,6 @@ _COMPLETE_BITS = 0.5
 #: A capped flow counts as fabric-throttled only below this fraction of
 #: its per-stream rate cap (see ``FluidNetwork._record_flow``).
 THROTTLE_DEPTH = 0.5
-
-#: Component size from which water-filling switches from the scalar
-#: dict-based loop to the vectorized array solver.  A pure performance
-#: switch: both paths perform bit-identical float operations (the
-#: differential property tests force the vector path onto tiny
-#: components and compare against :func:`solve_rates_reference`), so the
-#: threshold needs no digest gating — it only balances numpy dispatch
-#: overhead against Python loop cost.
-VECTOR_SOLVE_MIN_FLOWS = 24
 
 
 def _check_capacity(name: str, capacity_bps: float) -> None:
@@ -197,12 +184,12 @@ class Flow:
         #: placed this flow); surfaces in flow telemetry, never in rates.
         self.label = label
         #: Owning tenant (``job_id``) on a shared multi-job fabric.
-        #: Unlike ``label`` this *does* shape rate assignment: when a
-        #: bottleneck component mixes flows of two or more jobs, the
-        #: solver switches to two-level fairness (between jobs first,
-        #: weighted by :attr:`FluidNetwork.job_priorities`, then among
-        #: each job's flows).  ``None`` everywhere keeps the classic
-        #: single-tenant solver paths bit-identical.
+        #: Unlike ``label`` this *does* shape rate assignment: a link
+        #: carrying flows of two or more jobs is shared between the jobs
+        #: first, weighted by :attr:`FluidNetwork.job_priorities`, then
+        #: among each job's flows.  Untagged (``None``) flows form one
+        #: tenant of their own.  On a link with a single tenant the
+        #: split is plain per-stream max-min fairness.
         self.job = job
         self.remaining_bits = self.size_bits
         self.rate_bps = 0.0
@@ -421,9 +408,10 @@ class FluidNetwork:
         #: intervals (rates are piecewise-constant between advances) and
         #: per-flow throttling verdicts.  Purely observational.
         self.diag = None
-        #: ``job_id -> priority weight`` for inter-job fairness at
-        #: shared links.  Jobs absent from the map (and untagged flows,
-        #: which pool under one pseudo-job) weigh 1.0.
+        #: ``job_id -> priority weight`` for inter-job fairness at links
+        #: shared by several tenants.  Jobs absent from the map, and the
+        #: untagged tenant, weigh 1.0.  A priority must be positive and
+        #: finite; the solver raises :class:`NetworkError` otherwise.
         self.job_priorities: dict[str, float] = {}
 
     # -- public API -------------------------------------------------------
@@ -890,13 +878,30 @@ class FluidNetwork:
                 self._solve_component(flows_seen)
 
     def _solve_component(self, flows_seen: dict[Flow, None]) -> None:
-        """Water-fill one bottleneck component (in flow-creation order)."""
+        """Water-fill one bottleneck component (in flow-creation order).
+
+        Fairness holds between *tenants* at each link first, then
+        between each tenant's streams: a job that opens 16 streams must
+        not crowd out a neighbour running 2.  Every round offers each
+        unassigned flow the least, over its links, of
+        ``residual * prio / prio_sum / tenant_weight`` — the link's
+        residual capacity split between the tenants present there
+        (proportional to :attr:`job_priorities`), then over the flow's
+        tenant's stream weight on the link.  On a link carrying one
+        tenant this is ``residual / weight``: plain per-stream max-min.
+        Flows whose per-stream cap is at most their offer (within
+        ``_EPS``) take the cap; otherwise every flow offered within
+        ``_EPS`` of the round's floor is frozen at its offer.  Each
+        round fixes at least one flow and debits its rate from its
+        links, so surplus released by capped flows is re-offered to the
+        survivors in later rounds.
+        """
         if len(flows_seen) == 1:
             # Fast path: a flow alone on its links (the common case on a
             # non-blocking fabric, where every NIC pair is its own
             # component).  Performs the same divisions/comparisons the
-            # general loop would — ``residual/load`` is
-            # ``capacity_bps / weight`` here — so rates are bit-equal.
+            # general loop would — the offer is ``capacity_bps /
+            # weight`` here — so rates are bit-equal.
             (flow,) = flows_seen
             weight = flow.weight
             share = math.inf
@@ -914,248 +919,97 @@ class FluidNetwork:
             flow._finish_s = (flow.remaining_bits / rate
                               if rate > 0 else math.inf)
             return
-        # Global creation order makes the per-link arithmetic match a
-        # from-scratch global solve exactly.
-        component = sorted(flows_seen, key=lambda f: f.flow_id)
-        jobs = {flow.job for flow in component}
-        if len(jobs) > 1:
-            # The component mixes tenants: rates come from two-level
-            # fairness (between jobs first, then within each job).
-            # Single-tenant and untagged components never reach this
-            # branch, so the classic paths below stay bit-identical.
-            self._solve_component_jobs(component)
-            return
-        if len(component) >= VECTOR_SOLVE_MIN_FLOWS:
-            self._solve_component_vector(component)
-            return
-        unassigned: dict[Flow, None] = dict.fromkeys(component)
-        residual: dict[Link, float] = {}
-        load: dict[Link, int] = {}
-        for flow in unassigned:
-            for link in flow.links:
-                if link not in residual:
-                    residual[link] = link.capacity_bps
-                    load[link] = link.load
-        fix_rate = self._fix_rate
-
-        while unassigned:
-            # Fair share currently offered by the most constrained link.
-            share = math.inf
-            for link, cap in residual.items():
-                if load[link] > 0:
-                    share = min(share, cap / load[link])
-            if share is math.inf:  # pragma: no cover - defensive
-                raise NetworkError("active flows traverse no loaded link")
-
-            # Flows whose cap is below the fair share take their cap and
-            # release the surplus to everyone else.
-            capped = [f for f in unassigned
-                      if f.rate_cap_bps is not None
-                      and f.rate_cap_bps <= share * (1 + _EPS)]
-            if capped:
-                for flow in capped:
-                    fix_rate(flow, flow.rate_cap_bps, unassigned,
-                             residual, load)
-                continue
-
-            # Otherwise freeze every flow crossing a bottleneck link.
-            bottlenecked = [
-                f for f in unassigned
-                if any(load[l] > 0
-                       and residual[l] / load[l] <= share * (1 + _EPS)
-                       for l in f.links)
-            ]
-            for flow in bottlenecked:
-                fix_rate(flow, share, unassigned, residual, load)
-
-    def _solve_component_jobs(self, component: list[Flow]) -> None:
-        """Two-level (inter-job, then intra-job) water-fill.
-
-        On a shared multi-tenant fabric, fairness must hold *between
-        jobs* at every shared link, not between individual flows: a job
-        that opens 16 streams must not crowd out a neighbour running 2.
-        Each filling round offers every unassigned flow a per-stream
-        rate derived hierarchically — the link's residual capacity is
-        split between the jobs present (proportional to
-        :attr:`job_priorities`, default 1.0; untagged flows pool under
-        one pseudo-job), and each job's share is split over its own
-        streams by flow weight.  Flows whose per-stream cap sits below
-        their offer take the cap; otherwise the flows at the lowest
-        offer (their bottleneck is exhausted at that level) are frozen
-        and their bandwidth debited.  Each round fixes at least one
-        flow, and released surplus is re-offered to the survivors in
-        later rounds, so the filling is work-conserving.
-
-        Only components whose flows span two or more distinct job tags
-        are solved here; everything else takes the classic paths, which
-        keeps all single-tenant replay digests bit-identical.
-        """
+        # Global creation order makes the rounds' float operations, and
+        # so the rates, independent of how the component was discovered.
+        unassigned = dict.fromkeys(sorted(flows_seen,
+                                          key=lambda f: f.flow_id))
         priorities = self.job_priorities
-        unassigned: dict[Flow, None] = dict.fromkeys(component)
+        prio: dict[str | None, float] = {}
         residual: dict[Link, float] = {}
+        # ``link -> {tenant: summed stream weight of its unassigned
+        # flows}``, built once and debited as flows are fixed.
+        tenants: dict[Link, dict[str | None, int]] = {}
         for flow in unassigned:
+            job = flow.job
+            if job not in prio:
+                priority = 1.0 if job is None else priorities.get(job, 1.0)
+                if not 0.0 < priority < math.inf:
+                    raise NetworkError(
+                        f"job {job!r} priority must be positive and "
+                        f"finite, got {priority!r}")
+                prio[job] = priority
+            weight = flow.weight
             for link in flow.links:
-                if link not in residual:
+                weights = tenants.get(link)
+                if weights is None:
                     residual[link] = link.capacity_bps
+                    tenants[link] = {job: weight}
+                else:
+                    weights[job] = weights.get(job, 0) + weight
+        # Summed tenant priorities of every link shared by two or more.
+        prio_sum = {link: sum(prio[job] for job in weights)
+                    for link, weights in tenants.items() if len(weights) > 1}
+        slack = 1 + _EPS
 
         while unassigned:
-            # Per-link hierarchy over the surviving flows: which jobs
-            # are present, and each job's total stream weight there.
-            link_jobs: dict[Link, dict[str, float]] = {}
+            offers: list[float] = []
+            capped: list[tuple[Flow, float]] = []
+            floor = math.inf
             for flow in unassigned:
-                tenant = flow.job if flow.job is not None else "-"
-                for link in flow.links:
-                    weights = link_jobs.setdefault(link, {})
-                    weights[tenant] = weights.get(tenant, 0.0) + flow.weight
-            prio_sum: dict[Link, float] = {
-                link: sum(priorities.get(tenant, 1.0) for tenant in weights)
-                for link, weights in link_jobs.items()
-            }
-            offers: dict[Flow, float] = {}
-            for flow in unassigned:
-                tenant = flow.job if flow.job is not None else "-"
-                prio = priorities.get(tenant, 1.0)
+                job = flow.job
                 offer = math.inf
                 for link in flow.links:
-                    weights = link_jobs[link]
-                    per_stream = (residual[link] * prio / prio_sum[link]
-                                  / weights[tenant])
+                    weights = tenants[link]
+                    if len(weights) == 1:
+                        per_stream = residual[link] / weights[job]
+                    else:
+                        per_stream = (residual[link] * prio[job]
+                                      / prio_sum[link] / weights[job])
                     if per_stream < offer:
                         offer = per_stream
-                offers[flow] = offer
+                offers.append(offer)
+                if offer < floor:
+                    floor = offer
+                cap = flow.rate_cap_bps
+                if cap is not None and cap <= offer * slack:
+                    capped.append((flow, cap))
 
-            capped = [f for f in unassigned
-                      if f.rate_cap_bps is not None
-                      and f.rate_cap_bps <= offers[f] * (1 + _EPS)]
             if capped:
-                for flow in capped:
-                    self._fix_rate_hierarchical(flow, flow.rate_cap_bps,
-                                                unassigned, residual)
-                continue
-            floor = min(offers.values())
-            frozen = [f for f in unassigned
-                      if offers[f] <= floor * (1 + _EPS)]
-            for flow in frozen:
-                self._fix_rate_hierarchical(flow, offers[flow],
-                                            unassigned, residual)
-
-    @staticmethod
-    def _fix_rate_hierarchical(flow: Flow, per_stream_rate: float,
-                               unassigned: dict[Flow, None],
-                               residual: dict[Link, float]) -> None:
-        """Freeze one flow's rate in the two-level filling.
-
-        Like :meth:`_fix_rate`, but the hierarchical solver rebuilds
-        its per-link job weights every round instead of carrying the
-        integer load cache (per-job shares are not expressible as a
-        single load count).
-        """
-        rate = per_stream_rate if per_stream_rate > 0.0 else 0.0
-        if flow.weight != 1:
-            rate *= flow.weight
-        flow.rate_bps = rate
-        flow._finish_s = flow.remaining_bits / rate if rate > 0 else math.inf
-        unassigned.pop(flow, None)
-        for link in flow.links:
-            left = residual[link] - rate
-            residual[link] = left if left > 0.0 else 0.0
-
-    def _solve_component_vector(self, component: list[Flow]) -> None:
-        """Array water-fill of one component, bit-identical to the scalar.
-
-        Per-round float operations map one-to-one onto the scalar loop:
-        the fair share is a min over the identical per-link divisions
-        (min is order-independent), fixing a set of flows subtracts the
-        identical rates from the identical residuals (clamping once
-        after a batch of monotone non-negative subtractions lands on the
-        same value as clamping after each — both floor at 0 as soon as
-        any intermediate goes negative, and exact subtraction chains are
-        associativity-free), and the final ``remaining/rate`` divisions
-        match the scalar ``_fix_rate``.  Only the *bookkeeping* — who is
-        unassigned, which link is a bottleneck — moves into arrays; the
-        results go back onto the flows as Python floats.
-        """
-        nf = len(component)
-        weight_f = np.empty(nf)
-        cap_f = np.full(nf, math.inf)
-        has_cap = np.zeros(nf, dtype=bool)
-        link_index: dict[Link, int] = {}
-        links: list[Link] = []
-        inc_flow: list[int] = []
-        inc_link: list[int] = []
-        for fi, flow in enumerate(component):
-            weight_f[fi] = flow.weight
-            cap = flow.rate_cap_bps
-            if cap is not None:
-                has_cap[fi] = True
-                cap_f[fi] = cap
-            for link in flow.links:
-                li = link_index.get(link)
-                if li is None:
-                    li = link_index[link] = len(links)
-                    links.append(link)
-                inc_flow.append(fi)
-                inc_link.append(li)
-        nl = len(links)
-        residual = np.array([link.capacity_bps for link in links])
-        # Integer loads stored as float64: weights are small integers, so
-        # every subtraction below is exact and ``load > 0`` stays crisp.
-        load = np.array([float(link.load) for link in links])
-        inc_flow_a = np.asarray(inc_flow, dtype=np.intp)
-        inc_link_a = np.asarray(inc_link, dtype=np.intp)
-        unassigned = np.ones(nf, dtype=bool)
-        rates = np.zeros(nf)
-        ratio = np.empty(nl)
-
-        while bool(unassigned.any()):
-            loaded = load > 0.0
-            ratio.fill(math.inf)
-            np.divide(residual, load, out=ratio, where=loaded)
-            share = float(ratio.min())
-            if share == math.inf:  # pragma: no cover - defensive
-                raise NetworkError("active flows traverse no loaded link")
-            threshold = share * (1 + _EPS)
-            fixed = unassigned & has_cap & (cap_f <= threshold)
-            if bool(fixed.any()):
-                np.multiply(cap_f, weight_f, out=rates, where=fixed)
+                # Flows whose cap is below their offer take the cap and
+                # release the surplus to everyone else.
+                fixed = capped
             else:
-                hit = np.zeros(nf, dtype=bool)
-                hit[inc_flow_a[(ratio <= threshold)[inc_link_a]]] = True
-                fixed = unassigned & hit
-                if not bool(fixed.any()):  # pragma: no cover - defensive
+                # Otherwise freeze every flow offered the round's floor.
+                threshold = floor * slack
+                fixed = [(flow, offer)
+                         for flow, offer in zip(unassigned, offers)
+                         if offer <= threshold]
+                if not fixed:  # pragma: no cover - defensive
                     raise NetworkError(
-                        "water-filling round fixed no flow; the fair "
-                        "share is inconsistent with every link"
-                    )
-                per_stream = share if share > 0.0 else 0.0
-                np.multiply(per_stream, weight_f, out=rates, where=fixed)
-            member_fixed = fixed[inc_flow_a]
-            sub_links = inc_link_a[member_fixed]
-            sub_flows = inc_flow_a[member_fixed]
-            np.subtract.at(residual, sub_links, rates[sub_flows])
-            np.maximum(residual, 0.0, out=residual)
-            np.subtract.at(load, sub_links, weight_f[sub_flows])
-            unassigned &= ~fixed
+                        "water-filling round fixed no flow; the offers "
+                        f"are inconsistent with their floor {floor!r}")
 
-        for flow, rate in zip(component, rates.tolist()):
-            flow.rate_bps = rate
-            flow._finish_s = (flow.remaining_bits / rate
-                              if rate > 0.0 else math.inf)
-
-    @staticmethod
-    def _fix_rate(flow: Flow, per_stream_rate: float,
-                  unassigned: dict[Flow, None],
-                  residual: dict[Link, float], load: dict[Link, int]) -> None:
-        rate = per_stream_rate if per_stream_rate > 0.0 else 0.0
-        if flow.weight != 1:
-            rate *= flow.weight
-        flow.rate_bps = rate
-        flow._finish_s = flow.remaining_bits / rate if rate > 0 else math.inf
-        unassigned.pop(flow, None)
-        for link in flow.links:
-            left = residual[link] - rate
-            residual[link] = left if left > 0.0 else 0.0
-            load[link] -= flow.weight
+            for flow, per_stream in fixed:
+                rate = per_stream if per_stream > 0.0 else 0.0
+                weight = flow.weight
+                if weight != 1:
+                    rate *= weight
+                flow.rate_bps = rate
+                flow._finish_s = (flow.remaining_bits / rate
+                                  if rate > 0 else math.inf)
+                del unassigned[flow]
+                job = flow.job
+                for link in flow.links:
+                    left = residual[link] - rate
+                    residual[link] = left if left > 0.0 else 0.0
+                    weights = tenants[link]
+                    if weights[job] == weight:
+                        del weights[job]
+                        if len(weights) > 1:
+                            prio_sum[link] = sum(prio[other]
+                                                 for other in weights)
+                    else:
+                        weights[job] -= weight
 
     def _retire_flow(self, flow: Flow) -> None:
         """Remove one entity from the flow set and its links.

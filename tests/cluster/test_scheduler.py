@@ -48,6 +48,13 @@ class TestJobSpecValidation:
         dict(compute_s=0.0),
         dict(bytes_per_step=0.0),
         dict(num_nodes=3, batch_size=64),  # not divisible
+        dict(priority=float("nan")),
+        dict(priority=float("inf")),
+        dict(arrival_s=float("nan")),
+        dict(arrival_s=float("inf")),
+        dict(compute_s=float("nan")),
+        dict(bytes_per_step=float("nan")),
+        dict(bytes_per_step=float("inf")),
     ])
     def test_invalid_specs_rejected(self, kw):
         base = dict(job_id="j")

@@ -1,6 +1,6 @@
 """Bundled fan-outs must diagnose identically to unbundled ones.
 
-The vectorized hot state lets the fluid network fuse a homogeneous ring
+The fluid network fuses a homogeneous ring
 fan-out into one :class:`~repro.sim.network.GroupFlow` solver entity.
 That fusion is a performance representation only: the observability
 layer unrolls groups member by member (``member_link_sets``), so every

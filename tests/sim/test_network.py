@@ -215,6 +215,47 @@ class TestFairSharing:
         assert sim.now == pytest.approx(8.0)
 
 
+class TestJobFairness:
+    """Shared links split between tenants by priority, then per stream."""
+
+    def rates(self, net):
+        return [(flow.job, flow.rate_bps) for flow in net.flows]
+
+    def test_priorities_weight_tenants_then_streams(self):
+        sim, net, link = make_net(capacity_bps=1.2e9)
+        net.job_priorities = {"b": 2.0}
+        net.start_flow([link], 1e6, job="a")
+        net.start_flow([link], 1e6, job="a")
+        net.start_flow([link], 1e6, job="b", weight=4)
+        assert self.rates(net) == [("a", pytest.approx(0.2e9)),
+                                   ("a", pytest.approx(0.2e9)),
+                                   ("b", pytest.approx(0.8e9))]
+
+    def test_untagged_traffic_is_not_a_job_named_dash(self):
+        sim, net, link = make_net(capacity_bps=1e9)
+        net.job_priorities = {"-": 3.0}
+        net.start_flow([link], 1e6, job="-")
+        net.start_flow([link], 1e6)
+        assert self.rates(net) == [("-", pytest.approx(0.75e9)),
+                                   (None, pytest.approx(0.25e9))]
+
+    def test_capped_tenant_releases_its_surplus(self):
+        sim, net, link = make_net(capacity_bps=1e9)
+        net.start_flow([link], 1e6, rate_cap_bps=1e8, job="a")
+        net.start_flow([link], 1e6, job="b")
+        assert self.rates(net) == [("a", pytest.approx(1e8)),
+                                   ("b", pytest.approx(9e8))]
+
+    @pytest.mark.parametrize("priority", [NAN, INF, 0.0, -1.0])
+    def test_bad_priority_raises_instead_of_hanging(self, priority):
+        # A NaN priority used to give NaN offers and spin ``run()``.
+        sim, net, link = make_net()
+        net.job_priorities = {"a": priority}
+        net.start_flow([link], 1e6, job="a")
+        with pytest.raises(NetworkError, match="priority"):
+            net.start_flow([link], 1e6, job="b")
+
+
 class TestAccounting:
     def test_bits_delivered(self):
         sim, net, link = make_net(capacity_bps=8e9)

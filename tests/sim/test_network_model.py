@@ -1,26 +1,28 @@
 """Model-based test of :class:`FluidNetwork`.
 
 A Hypothesis state machine drives random sequences of the network's
-public operations — single, batched and bundled flow starts,
-cancellation, capacity changes and clock advances — over a small fixed
-link pool, and checks after every step that:
+public operations — single, batched and bundled flow starts tagged with
+no job or one of two prioritised jobs, cancellation, capacity changes
+and clock advances — over a small fixed link pool, and checks after
+every step that:
 
-1. every live flow's rate equals what the from-scratch
-   :func:`~repro.sim.network.solve_rates_reference` oracle assigns;
-2. each ``Link.load`` equals the summed weights of the flows on it;
-3. the solver hot state (``rate_bps``, ``remaining_bits``,
+1. no link carries more than its capacity (``1e-9`` relative slack)
+   and no flow runs above ``cap x weight``; every rate is finite and
+   non-negative;
+2. when every live flow carries the same job tag, each rate equals what
+   the from-scratch :func:`~repro.sim.network.solve_rates_reference`
+   oracle assigns;
+3. each ``Link.load`` equals the summed weights of the flows on it;
+4. the solver hot state (``rate_bps``, ``remaining_bits``,
    ``_finish_s``) holds Python floats, never numpy scalars;
-4. every time in the kernel heap is a Python float;
-5. each completion event is scheduled at most once, fires at most once,
+5. every time in the kernel heap is a Python float;
+6. each completion event is scheduled at most once, fires at most once,
    never before its flow started, and never after it was cancelled.
 
 At the end of each run the simulation is drained and every
-non-cancelled completion must have fired exactly once.  The machine
-runs twice: with the default vector-solver gate, and with the gate
-forced to 1 so every multi-flow component takes the array water-fill.
+non-cancelled completion must have fired exactly once.
 """
 
-import contextlib
 import math
 
 from hypothesis import settings
@@ -29,8 +31,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.sim import FluidNetwork, Link, Simulator
 from repro.sim.network import solve_rates_reference
-
-from .test_network_properties import vector_threshold
 
 NUM_LINKS = 5
 #: Few distinct capacities and caps, so equal-profile bundles and
@@ -43,20 +43,18 @@ link_ids = st.lists(st.integers(0, NUM_LINKS - 1), min_size=1, max_size=3,
 sizes = st.just(0.0) | st.floats(1e3, 1e7)
 caps = st.none() | st.sampled_from(CAPS)
 weights = st.integers(1, 3)
+#: Untagged traffic plus two tenants of unequal priority.
+jobs = st.sampled_from((None, "a", "b"))
+JOB_PRIORITIES = {"a": 1.0, "b": 2.0}
 
 
 @settings(max_examples=40, stateful_step_count=30, deadline=None)
 class FluidNetworkMachine(RuleBasedStateMachine):
-    #: ``None`` keeps the default vector-solver gate; an int forces it.
-    vector_min_flows: int | None = None
-
     def __init__(self):
         super().__init__()
-        self._restore = contextlib.ExitStack()
-        if self.vector_min_flows is not None:
-            self._restore.enter_context(vector_threshold(self.vector_min_flows))
         self.sim = Simulator()
         self.net = FluidNetwork(self.sim)
+        self.net.job_priorities = dict(JOB_PRIORITIES)
         # The last link adds latency, so its flows finish after a tail
         # and cannot bundle with latency-free members.
         self.links = [Link(f"l{i}", 1e9,
@@ -78,26 +76,26 @@ class FluidNetworkMachine(RuleBasedStateMachine):
 
     # -- rules --------------------------------------------------------------
 
-    @rule(ids=link_ids, size=sizes, cap=caps, weight=weights)
-    def start_flow(self, ids, size, cap, weight):
+    @rule(ids=link_ids, size=sizes, cap=caps, weight=weights, job=jobs)
+    def start_flow(self, ids, size, cap, weight, job):
         links = [self.links[i] for i in ids]
         self._track(self.net.start_flow(links, size, rate_cap_bps=cap,
-                                        weight=weight))
+                                        weight=weight, job=job))
 
     @rule(requests=st.lists(st.tuples(link_ids, sizes, caps, weights),
-                            min_size=1, max_size=4))
-    def start_flows(self, requests):
+                            min_size=1, max_size=4), job=jobs)
+    def start_flows(self, requests, job):
         events = self.net.start_flows(
             [([self.links[i] for i in ids], size, cap, weight)
-             for ids, size, cap, weight in requests])
+             for ids, size, cap, weight in requests], job=job)
         for event in events:
             self._track(event)
 
     @rule(order=st.permutations(range(NUM_LINKS)), width=st.integers(1, 2),
           count=st.integers(1, NUM_LINKS), size=sizes, cap=caps,
-          weight=weights, reuse_handle=st.booleans())
+          weight=weights, reuse_handle=st.booleans(), job=jobs)
     def start_flow_group(self, order, width, count, size, cap, weight,
-                         reuse_handle):
+                         reuse_handle, job):
         count = min(count, NUM_LINKS // width)
         key = tuple(tuple(order[m * width:(m + 1) * width])
                     for m in range(count))
@@ -108,7 +106,7 @@ class FluidNetworkMachine(RuleBasedStateMachine):
             # claim channel, as the timed collectives do every step.
             fanout = self.handles.setdefault(key, self.net.bundle(members))
         self._track(self.net.start_flow_group(fanout, size, rate_cap_bps=cap,
-                                              weight=weight))
+                                              weight=weight, job=job))
 
     @rule(index=st.integers(min_value=0))
     def cancel_flow(self, index):
@@ -136,7 +134,20 @@ class FluidNetworkMachine(RuleBasedStateMachine):
     # -- invariants ---------------------------------------------------------
 
     @invariant()
-    def rates_match_reference(self):
+    def rates_within_capacity_and_caps(self):
+        for link in self.links:
+            # utilization_of also credits bundled non-representative
+            # members, which do not sit in ``link.flows``.
+            assert self.net.utilization_of(link) <= 1 + 1e-9, link
+        for flow in self.net.flows:
+            assert math.isfinite(flow.rate_bps) and flow.rate_bps >= 0.0
+            if flow.rate_cap_bps is not None:
+                assert flow.rate_bps <= flow.rate_cap_bps * flow.weight
+
+    @invariant()
+    def single_tenant_rates_match_reference(self):
+        if len({flow.job for flow in self.net.flows}) > 1:
+            return  # inter-job weighting: the oracle is per-flow max-min
         for flow, want in solve_rates_reference(self.net.flows).items():
             assert math.isclose(flow.rate_bps, want, rel_tol=1e-7,
                                 abs_tol=1e-3), (flow, want)
@@ -168,18 +179,10 @@ class FluidNetworkMachine(RuleBasedStateMachine):
             assert all(when >= started for when in fires)
 
     def teardown(self):
-        try:
-            self.sim.run()
-            assert not self.net.flows
-            for event, (_, fires) in self.completions.items():
-                assert len(fires) == (0 if event in self.cancelled else 1)
-        finally:
-            self._restore.close()
-
-
-class ForcedVectorMachine(FluidNetworkMachine):
-    vector_min_flows = 1
+        self.sim.run()
+        assert not self.net.flows
+        for event, (_, fires) in self.completions.items():
+            assert len(fires) == (0 if event in self.cancelled else 1)
 
 
 TestFluidNetworkModel = FluidNetworkMachine.TestCase
-TestFluidNetworkModelForcedVector = ForcedVectorMachine.TestCase
