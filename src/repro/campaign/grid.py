@@ -30,6 +30,19 @@ def _require_scalar(axis: str, value: object) -> Scalar:
     return t.cast(Scalar, value)
 
 
+def _require_runner(runner: object) -> str:
+    if not isinstance(runner, str) or not runner:
+        raise CampaignError(f"runner must be a non-empty name, got {runner!r}")
+    return runner
+
+
+def _load_json(text: str, what: str) -> t.Any:
+    try:
+        return json.loads(text)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise CampaignError(f"corrupt {what} JSON: {exc}") from exc
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """One grid cell: a runner name plus its JSON-safe parameters."""
@@ -52,11 +65,15 @@ class RunSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "RunSpec":
-        try:
-            data = json.loads(text)
-            return cls(runner=data["runner"], params=dict(data["params"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CampaignError(f"corrupt run spec: {exc}") from exc
+        data = _load_json(text, "run spec")
+        if not isinstance(data, dict) or set(data) != {"runner", "params"} \
+                or not isinstance(data["params"], dict):
+            raise CampaignError(
+                "corrupt run spec: want an object with exactly 'runner' "
+                "and 'params'")
+        params = {name: _require_scalar(name, value)
+                  for name, value in data["params"].items()}
+        return cls(runner=_require_runner(data["runner"]), params=params)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,14 +91,16 @@ class CampaignGrid:
     base: t.Mapping[str, Scalar] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.runner:
-            raise CampaignError("grid needs a runner name")
+        _require_runner(self.runner)
         overlap = set(self.axes) & set(self.base)
         if overlap:
             raise CampaignError(
                 f"parameters {sorted(overlap)} appear both as an axis and "
                 f"as a base value")
         for axis, values in self.axes.items():
+            if not isinstance(values, (list, tuple)):
+                raise CampaignError(
+                    f"axis {axis!r} must be a list of values, got {values!r}")
             if not values:
                 raise CampaignError(f"axis {axis!r} has no values")
             for value in values:
@@ -107,14 +126,23 @@ class CampaignGrid:
                 "base": dict(sorted(self.base.items()))}
 
     @classmethod
-    def from_payload(cls, data: t.Mapping[str, t.Any]) -> "CampaignGrid":
-        try:
-            return cls(runner=data.get("runner", "measure"),
-                       axes={str(k): tuple(v)
-                             for k, v in dict(data.get("axes", {})).items()},
-                       base=dict(data.get("base", {})))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise CampaignError(f"corrupt grid payload: {exc}") from exc
+    def from_payload(cls, data: t.Any) -> "CampaignGrid":
+        """A grid from its JSON object (``runner``, ``axes``, ``base``);
+        anything else raises :class:`CampaignError`."""
+        if not isinstance(data, dict):
+            raise CampaignError(f"grid must be a JSON object, got {data!r}")
+        unknown = sorted(set(data) - {"runner", "axes", "base"})
+        axes = data.get("axes", {})
+        base = data.get("base", {})
+        if unknown or not isinstance(axes, dict) \
+                or not isinstance(base, dict):
+            raise CampaignError(
+                f"corrupt grid payload: want 'runner' plus 'axes' and "
+                f"'base' objects, got {sorted(data)}")
+        return cls(runner=data.get("runner", "measure"),
+                   axes={name: tuple(values) if isinstance(values, list)
+                         else values for name, values in axes.items()},
+                   base=base)
 
 
 def expand_grids(grids: t.Sequence[CampaignGrid]) -> list[RunSpec]:
@@ -138,10 +166,7 @@ def grids_payload(grids: t.Sequence[CampaignGrid]) -> str:
 
 
 def grids_from_payload(text: str) -> list[CampaignGrid]:
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise CampaignError(f"corrupt campaign grid JSON: {exc}") from exc
+    data = _load_json(text, "campaign grid")
     if not isinstance(data, list):
         raise CampaignError("campaign grid JSON must be a list of grids")
     return [CampaignGrid.from_payload(item) for item in data]

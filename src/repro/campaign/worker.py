@@ -24,6 +24,7 @@ in tests and CI.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import signal
 import threading
@@ -57,16 +58,30 @@ Runner = t.Callable[[dict, RunContext], t.Mapping[str, object]]
 # Paper runners
 # --------------------------------------------------------------------------
 
-def _aiacc_overrides(params: t.Mapping[str, object]) -> dict:
-    overrides: dict[str, object] = {}
-    if params.get("streams") is not None:
-        overrides["num_streams"] = int(t.cast(int, params["streams"]))
-    if params.get("granularity_mb") is not None:
-        overrides["granularity_bytes"] = \
-            float(t.cast(float, params["granularity_mb"])) * 1e6
-    if params.get("algorithm") is not None:
-        overrides["algorithm"] = str(params["algorithm"])
-    return overrides
+#: Keys that label a ``measure`` cell without changing its run.
+MEASURE_LABELS = ("figure", "seed")
+
+
+def measure_kwargs(params: t.Mapping[str, object]) -> dict[str, t.Any]:
+    """A ``measure`` cell's :func:`~repro.harness.experiments.measure`
+    keywords: labels and ``diagnose`` dropped, ``backend`` defaulted to
+    ``aiacc``; unknown, missing or mistyped keys raise
+    :class:`CampaignError`."""
+    from repro.harness.experiments import MEASURE_PARAMS
+
+    kwargs = {key: value for key, value in params.items()
+              if key not in MEASURE_LABELS and key != "diagnose"}
+    unknown = sorted(set(kwargs) - set(MEASURE_PARAMS))
+    if unknown:
+        raise CampaignError(f"unknown measure cell parameters {unknown}")
+    missing = [key for key in ("model", "gpus") if key not in kwargs]
+    if missing:
+        raise CampaignError(f"measure cell needs {missing}")
+    if not isinstance(params.get("diagnose", False), bool):
+        raise CampaignError(
+            f"diagnose must be true or false, got {params['diagnose']!r}")
+    kwargs.setdefault("backend", "aiacc")
+    return kwargs
 
 
 def measure_runner(params: dict, _ctx: RunContext) -> dict:
@@ -79,38 +94,16 @@ def measure_runner(params: dict, _ctx: RunContext) -> dict:
     without the flag record exactly the pre-diagnosis result payload —
     existing campaign digests are stable.
     """
-    from repro.frameworks import make_backend
-    from repro.harness.experiments import tuned_aiacc_config
-    from repro.sim.rdma import RDMA, RDMA_DEFAULT_BANDWIDTH_BPS
-    from repro.sim.tcp import TCP
-    from repro.training.trainer import run_training
+    from repro.harness.experiments import measure
 
-    model = str(params["model"])
-    gpus = int(t.cast(int, params["gpus"]))
-    backend_name = str(params.get("backend", "aiacc"))
-    rdma = bool(params.get("rdma", False))
-    backend: t.Any = backend_name
-    if backend_name == "aiacc":
-        config = tuned_aiacc_config(model, gpus)
-        overrides = _aiacc_overrides(params)
-        if overrides:
-            config = config.replace(**overrides)
-        backend = make_backend("aiacc", config=config)
+    kwargs = measure_kwargs(params)
     obs = None
     if params.get("diagnose"):
         from repro.obs import Observability
 
         obs = Observability(enabled=True)
         obs.attach_detectors()
-    result = run_training(
-        model, backend, gpus,
-        batch_per_gpu=(int(t.cast(int, params["batch_per_gpu"]))
-                       if params.get("batch_per_gpu") is not None else None),
-        measure_iterations=int(t.cast(int, params.get("iterations", 3))),
-        warmup_iterations=1,
-        transport=RDMA if rdma else TCP,
-        nic_bandwidth_bps=(RDMA_DEFAULT_BANDWIDTH_BPS if rdma else 30e9),
-        obs=obs)
+    result = measure(**kwargs, obs=obs)
     payload: dict[str, object] = {
         "model": result.model,
         "backend": result.backend,
@@ -156,8 +149,13 @@ def hybrid_runner(params: dict, _ctx: RunContext) -> dict:
     }
 
 
+#: The settings a ``chaos:`` fault plan may name.
+FAULT_PLAN_KEYS = ("horizon", "mtbf")
+
+
 def parse_fault_plan(text: str) -> dict[str, float]:
-    """``"chaos:mtbf=0.35,horizon=2.5"`` -> its keyword arguments."""
+    """``"chaos:mtbf=0.35,horizon=2.5"`` -> its keyword arguments; any
+    other key, or a value that is not finite and positive, raises."""
     kind, _, body = text.partition(":")
     if kind != "chaos":
         raise CampaignError(f"unknown fault plan {text!r}")
@@ -168,10 +166,15 @@ def parse_fault_plan(text: str) -> dict[str, float]:
             if not _ or not key:
                 raise CampaignError(f"malformed fault plan {text!r}")
             try:
-                kwargs[key] = float(value)
+                number = float(value)
             except ValueError as exc:
                 raise CampaignError(
                     f"malformed fault plan {text!r}: {exc}") from exc
+            if key not in FAULT_PLAN_KEYS or not 0 < number < math.inf:
+                raise CampaignError(
+                    f"fault plan {text!r}: want {' or '.join(FAULT_PLAN_KEYS)}"
+                    f" set to a finite positive number")
+            kwargs[key] = number
     return kwargs
 
 

@@ -354,29 +354,29 @@ def cmd_table1(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    from repro.frameworks import make_backend
-    from repro.harness import tuned_aiacc_config
-    from repro.sim.rdma import RDMA, RDMA_DEFAULT_BANDWIDTH_BPS
-    from repro.sim.tcp import TCP
-    from repro.training.trainer import run_training
+def _print_spec(cell: dict[str, t.Any]) -> str:
+    """Print a ``measure`` cell's ``spec_id`` and its one-cell grid JSON.
 
-    transport = RDMA if args.rdma else TCP
-    nic = RDMA_DEFAULT_BANDWIDTH_BPS if args.rdma else 30e9
-    backend: t.Any = args.backend
-    if args.backend == "aiacc":
-        config = tuned_aiacc_config(args.model, args.gpus)
-        overrides: dict[str, t.Any] = {}
-        if args.streams is not None:
-            overrides["num_streams"] = args.streams
-        if args.granularity_mb is not None:
-            overrides["granularity_bytes"] = args.granularity_mb * 1e6
-        if overrides:
-            config = config.replace(**overrides)
-        backend = make_backend("aiacc", config=config)
-    result = run_training(args.model, backend, args.gpus,
-                          batch_per_gpu=args.batch,
-                          transport=transport, nic_bandwidth_bps=nic)
+    Returns the JSON: saved to a file, ``campaign run --grid FILE``
+    replays the run.
+    """
+    from repro.campaign.grid import CampaignGrid, RunSpec, grids_payload
+
+    grid = grids_payload([CampaignGrid(runner="measure", base=cell)])
+    print(f"spec_id:            {RunSpec('measure', cell).spec_id}")
+    print(f"spec:               {grid}")
+    return grid
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    from repro.harness import measure
+
+    flags = {"model": args.model, "backend": args.backend, "gpus": args.gpus,
+             "batch_per_gpu": args.batch, "streams": args.streams,
+             "granularity_mb": args.granularity_mb, "rdma": args.rdma}
+    cell = {key: value for key, value in flags.items() if value is not None}
+    _print_spec(cell)
+    result = measure(**cell)
     print(f"model:              {result.model}")
     print(f"backend:            {result.backend}")
     print(f"GPUs:               {result.num_gpus}")
@@ -862,9 +862,34 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_diagnosis(args: argparse.Namespace, baseline: t.Any
+def _scenario_cell(baseline: t.Any, iterations: int) -> dict[str, t.Any]:
+    """The ``measure`` cell of the baseline's recorded benchmark scenario.
+
+    The workload *is* the scenario shape, run full-link with the stock
+    AIACC granularity like the benchmark suite, so the relative
+    step-time SLO compares like with like.
+    """
+    from repro.core.runtime import AIACCConfig
+
+    values, meta = baseline.values, baseline.meta
+    return {
+        "model": meta.get("model", "resnet50"),
+        "backend": "aiacc",
+        "gpus": int(values.get("ranks", 8)),
+        "streams": int(values.get("streams", 4)),
+        "granularity_mb": AIACCConfig.granularity_bytes / 1e6,
+        "algorithm": meta.get("algorithm", "ring"),
+        "congested": meta.get("congested") == "true",
+        "core_oversubscription": values.get("core_oversubscription", 1.0),
+        "full_link": True,
+        "iterations": iterations,
+        "diagnose": True,
+    }
+
+
+def _scenario_diagnosis(cell: dict[str, t.Any]
                         ) -> tuple[t.Any, t.Any, dict[str, float]]:
-    """Run the baseline's benchmark scenario plain + instrumented.
+    """Run a scenario cell plain + instrumented.
 
     The plain (observability-disabled) run prices the instrumented one:
     ``obs_overhead_frac`` is the wall-clock factor between the best of
@@ -874,57 +899,23 @@ def _scenario_diagnosis(args: argparse.Namespace, baseline: t.Any
     """
     import time
 
-    from repro.frameworks.base import IterationStats
+    from repro.campaign.worker import measure_kwargs
+    from repro.harness import measure
     from repro.obs import Observability, diagnose
 
-    def build_and_run(obs: t.Any) -> tuple[float, float]:
-        from repro.core.runtime import AIACCConfig
-        from repro.frameworks import make_backend
-        from repro.models.zoo import get_model
-        from repro.training.trainer import build_train_context
-
-        # The workload *is* the baseline's recorded scenario shape, so
-        # the relative step-time SLO compares like with like (the same
-        # full-link mode the benchmark suite pins).
-        ranks = int(baseline.values.get("ranks", 8))
-        streams = int(baseline.values.get("streams", 4))
-        model = baseline.meta.get("model", "resnet50")
-        algorithm = baseline.meta.get("algorithm", "ring")
-        congested = baseline.meta.get("congested") == "true"
-        core = baseline.values.get("core_oversubscription", 1.0)
-        config = AIACCConfig(num_streams=streams, algorithm=algorithm)
-        backend = make_backend("aiacc", config=config)
-        spec = get_model(model)
-        congested_links = {0: 0.9} if congested else None
-        full_link_default = congested_links is None and core == 1.0
-        ctx = build_train_context(
-            spec, backend, ranks, spec.default_batch_size,
-            congested_links=congested_links, core_oversubscription=core,
-            representative=False if full_link_default else None,
-            obs=obs)
-        warm = ctx.sim.spawn(backend.warmup(ctx), name="warmup")
-        ctx.sim.run(until=warm)
-        times = []
-        for index in range(args.iterations + 1):
-            proc = ctx.sim.spawn(backend.iteration(ctx),
-                                 name=f"iter{index}")
-            ctx.sim.run(until=proc)
-            stats = t.cast(IterationStats, proc.value)
-            if index >= 1:
-                times.append(stats.iteration_time_s)
-        return sum(times) / len(times), ctx.compute_time_s
+    kwargs = measure_kwargs(cell)
 
     def timed(make_obs: t.Callable[[], t.Any]
-              ) -> tuple[float, tuple[t.Any, float, float]]:
+              ) -> tuple[float, tuple[t.Any, t.Any]]:
         best_wall = float("inf")
         kept = None
         for _ in range(2):
             obs = make_obs()
             start = time.perf_counter()
-            mean, compute = build_and_run(obs)
+            result = measure(**kwargs, obs=obs)
             best_wall = min(best_wall, time.perf_counter() - start)
             if kept is None:
-                kept = (obs, mean, compute)
+                kept = (obs, result)
         return best_wall, t.cast(tuple, kept)
 
     def instrumented() -> t.Any:
@@ -933,13 +924,13 @@ def _scenario_diagnosis(args: argparse.Namespace, baseline: t.Any
         return obs
 
     plain_wall, _ = timed(Observability.disabled)
-    inst_wall, (obs, mean_step_s, compute_s) = timed(instrumented)
+    inst_wall, (obs, result) = timed(instrumented)
 
     report = diagnose(obs)
     measurements = {
-        "simulated_step_s": mean_step_s,
-        "scaling_efficiency": compute_s / mean_step_s
-        if mean_step_s > 0 else 0.0,
+        "simulated_step_s": result.mean_iteration_s,
+        "scaling_efficiency":
+        result.compute_time_s / result.mean_iteration_s,
         "obs_overhead_frac": inst_wall / plain_wall
         if plain_wall > 0 else 1.0,
     }
@@ -1017,6 +1008,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         parse_severity,
         write_diagnosis_artifacts,
     )
+    from repro.ioutil import atomic_write_text
     from repro.obs.baselines import DEFAULT_BENCH_SCENARIO
     from repro.obs.diagnosis import diagnose
 
@@ -1035,6 +1027,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
     measurements: dict[str, float] = {}
     obs = None
+    spec = None
     if args.from_artifacts is not None:
         obs = load_artifacts(args.from_artifacts)
         report = diagnose(obs)
@@ -1052,7 +1045,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     else:
         if baseline is None:
             baseline = bench_baseline()
-        obs, report, measurements = _scenario_diagnosis(args, baseline)
+        cell = _scenario_cell(baseline, args.iterations)
+        spec = _print_spec(cell)
+        obs, report, measurements = _scenario_diagnosis(cell)
 
     merged = dict(report.measurements)
     merged.update(measurements)
@@ -1067,6 +1062,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     print()
     print(report.to_markdown())
     written = write_diagnosis_artifacts(args.out, report, obs=obs)
+    if spec is not None:
+        written["spec"] = atomic_write_text(args.out / "spec.json",
+                                            spec + "\n")
     for name, path in sorted(written.items()):
         print(f"wrote {name}: {path}")
 

@@ -13,12 +13,16 @@ itself runs the real ensemble search.
 
 from __future__ import annotations
 
+import inspect
+import math
 import typing as t
 
 from repro.core.runtime import AIACCConfig
+from repro.errors import TrainingError
 from repro.frameworks import make_backend
 from repro.models.base import ModelSpec
 from repro.models.zoo import get_model
+from repro.obs import Observability
 from repro.sim.rdma import RDMA, RDMA_DEFAULT_BANDWIDTH_BPS
 from repro.sim.tcp import TCP
 from repro.training.convergence import time_to_accuracy
@@ -75,21 +79,87 @@ def tuned_aiacc_config(model: str | ModelSpec,
     return AIACCConfig(num_streams=streams, granularity_bytes=granularity)
 
 
-def measure(model: str | ModelSpec, backend_name: str, num_gpus: int,
-            batch_per_gpu: int | None = None,
-            transport: t.Any = TCP,
-            nic_bandwidth_bps: float = 30e9,
-            iterations: int = 3) -> ThroughputResult:
-    """One throughput measurement with per-deployment AIACC tuning."""
-    if backend_name == "aiacc":
-        backend: t.Any = make_backend(
-            "aiacc", config=tuned_aiacc_config(model, num_gpus))
+#: Kinds of ``measure`` parameter value :func:`_checked` accepts.
+_KINDS = {"count": "whole number >= 1", "finite": "finite number",
+          "flag": "bool"}
+
+
+def _checked(name: str, value: t.Any, kind: str) -> t.Any:
+    """``value`` if it is of ``kind`` (see :data:`_KINDS`), a count as an
+    int; bools are not numbers and strings are neither."""
+    if kind == "flag":
+        valid = isinstance(value, bool)
     else:
-        backend = make_backend(backend_name)
+        valid = isinstance(value, (int, float)) \
+            and not isinstance(value, bool) and math.isfinite(value) \
+            and (kind == "finite" or (value >= 1 and value == int(value)))
+    if not valid:
+        raise TrainingError(
+            f"{name} must be a {_KINDS[kind]}, got {value!r}")
+    return int(value) if kind == "count" else value
+
+
+def measure(model: str | ModelSpec, backend: str, gpus: int,
+            batch_per_gpu: int | None = None, *,
+            streams: int | None = None,
+            granularity_mb: float | None = None,
+            algorithm: str | None = None,
+            rdma: bool = False,
+            iterations: int = 3,
+            congested: bool = False,
+            core_oversubscription: float = 1.0,
+            full_link: bool = False,
+            obs: Observability | None = None) -> ThroughputResult:
+    """One steady-state throughput measurement (§VII-D protocol).
+
+    One warm-up iteration, then the mean of ``iterations``.  The only
+    code that turns ``measure`` campaign-cell parameters into a run:
+    ``repro train``, the harness figures, campaign cells and scenario
+    ``diagnose`` all call it, so a printed ``spec_id`` replays its run.
+    The keywords are the cell parameters tabled in ``docs/campaigns.md``;
+    malformed values raise :class:`~repro.errors.TrainingError`.
+    """
+    gpus = _checked("gpus", gpus, "count")
+    if batch_per_gpu is not None:
+        batch_per_gpu = _checked("batch_per_gpu", batch_per_gpu, "count")
+    tuning = {"streams": streams, "granularity_mb": granularity_mb,
+              "algorithm": algorithm}
+    if backend == "aiacc":
+        overrides: dict[str, t.Any] = {}
+        if streams is not None:
+            overrides["num_streams"] = _checked("streams", streams, "count")
+        if granularity_mb is not None:
+            overrides["granularity_bytes"] = \
+                _checked("granularity_mb", granularity_mb, "finite") * 1e6
+        if algorithm is not None:
+            overrides["algorithm"] = algorithm
+        engine: t.Any = make_backend("aiacc", config=tuned_aiacc_config(
+            model, gpus).replace(**overrides))
+    elif any(value is not None for value in tuning.values()):
+        raise TrainingError(
+            f"{', '.join(k for k, v in tuning.items() if v is not None)} "
+            f"only apply to the aiacc backend, not {backend!r}")
+    else:
+        engine = make_backend(backend)
+    rdma = _checked("rdma", rdma, "flag")
     return run_training(
-        model, backend, num_gpus, batch_per_gpu=batch_per_gpu,
-        measure_iterations=iterations, warmup_iterations=1,
-        transport=transport, nic_bandwidth_bps=nic_bandwidth_bps)
+        model, engine, gpus, batch_per_gpu=batch_per_gpu,
+        measure_iterations=_checked("iterations", iterations, "count"),
+        warmup_iterations=1,
+        transport=RDMA if rdma else TCP,
+        nic_bandwidth_bps=RDMA_DEFAULT_BANDWIDTH_BPS if rdma else 30e9,
+        congested_links={0: 0.9}
+        if _checked("congested", congested, "flag") else None,
+        core_oversubscription=_checked(
+            "core_oversubscription", core_oversubscription, "finite"),
+        representative=False
+        if _checked("full_link", full_link, "flag") else None,
+        obs=obs)
+
+
+#: Every ``measure`` campaign-cell parameter: :func:`measure`'s keywords.
+MEASURE_PARAMS = tuple(name for name in inspect.signature(measure).parameters
+                       if name != "obs")
 
 
 # --------------------------------------------------------------------------
@@ -246,10 +316,8 @@ def fig15_rdma(models: t.Sequence[str] = ("resnet50", "vgg16",
     """Fig. 15: RDMA nodes (64 GPUs), speedup over PyTorch-DDP."""
     rows = []
     for model in models:
-        aiacc = measure(model, "aiacc", num_gpus, transport=RDMA,
-                        nic_bandwidth_bps=RDMA_DEFAULT_BANDWIDTH_BPS)
-        ddp = measure(model, "pytorch-ddp", num_gpus, transport=RDMA,
-                      nic_bandwidth_bps=RDMA_DEFAULT_BANDWIDTH_BPS)
+        aiacc = measure(model, "aiacc", num_gpus, rdma=True)
+        ddp = measure(model, "pytorch-ddp", num_gpus, rdma=True)
         rows.append({
             "model": model,
             "aiacc": aiacc.throughput,

@@ -42,6 +42,7 @@ activity.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import typing as t
 
@@ -59,6 +60,12 @@ from repro.sim.tracing import Trace
 DEAD_LINK_BPS = 1e-3
 
 
+def _require_duration(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise FaultInjectionError(
+            f"{name} must be finite and positive, got {value}")
+
+
 @dataclasses.dataclass(frozen=True)
 class Fault:
     """Base class for scheduled faults.
@@ -72,9 +79,9 @@ class Fault:
     node: int
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
+        if not 0 <= self.at_s < math.inf:
             raise FaultInjectionError(
-                f"fault time must be >= 0, got {self.at_s}"
+                f"fault time must be finite and >= 0, got {self.at_s}"
             )
         if self.node < 0:
             raise FaultInjectionError(
@@ -95,8 +102,7 @@ class LinkFlap(Fault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.down_s <= 0:
-            raise FaultInjectionError("down_s must be positive")
+        _require_duration("down_s", self.down_s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,8 +116,7 @@ class BandwidthDegradation(Fault):
         super().__post_init__()
         if not 0 < self.fraction <= 1:
             raise FaultInjectionError("fraction must be in (0, 1]")
-        if self.duration_s <= 0:
-            raise FaultInjectionError("duration_s must be positive")
+        _require_duration("duration_s", self.duration_s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,10 +128,9 @@ class Straggler(Fault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.slowdown <= 1:
-            raise FaultInjectionError("slowdown must be > 1")
-        if self.duration_s <= 0:
-            raise FaultInjectionError("duration_s must be positive")
+        if not 1 < self.slowdown < math.inf:
+            raise FaultInjectionError("slowdown must be finite and > 1")
+        _require_duration("duration_s", self.duration_s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,10 +280,8 @@ class FaultPlan:
         is skipped instead), so a plan can be checked against the
         cluster size up front.
         """
-        if mtbf_s <= 0:
-            raise FaultInjectionError("mtbf_s must be positive")
-        if horizon_s <= 0:
-            raise FaultInjectionError("horizon_s must be positive")
+        _require_duration("mtbf_s", mtbf_s)
+        _require_duration("horizon_s", horizon_s)
         if num_nodes < 1:
             raise FaultInjectionError("num_nodes must be >= 1")
         rng = random.Random(seed)
@@ -342,8 +344,7 @@ class FaultPlan:
         """
         if num_nodes < 1:
             raise FaultInjectionError("num_nodes must be >= 1")
-        if horizon_s <= 0:
-            raise FaultInjectionError("horizon_s must be positive")
+        _require_duration("horizon_s", horizon_s)
         if not 1 <= min_nodes <= num_nodes:
             raise FaultInjectionError(
                 "min_nodes must be within [1, num_nodes]")
@@ -354,8 +355,7 @@ class FaultPlan:
             NodeLeave, NodeJoin)
         rng = random.Random(seed)
         mean = mtbf_s if mtbf_s is not None else horizon_s / 6.0
-        if mean <= 0:
-            raise FaultInjectionError("mtbf_s must be positive")
+        _require_duration("mtbf_s", mean)
         members = set(range(num_nodes))
         gone: set[int] = set()  # crashed or departed, eligible to rejoin
         next_new = num_nodes

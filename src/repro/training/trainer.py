@@ -159,6 +159,7 @@ def run_training(
     gpu_spec: t.Any = None,
     obs: Observability | None = None,
     core_oversubscription: float = 1.0,
+    representative: bool | None = None,
 ) -> ThroughputResult:
     """Simulate distributed training and measure steady-state throughput.
 
@@ -182,6 +183,9 @@ def run_training(
         Leaf-spine oversubscription ratio; ``> 1`` inserts the shared
         core link every inter-node flow traverses (also forces full-link
         mode, since the shared core breaks NIC symmetry).
+    representative:
+        ``False`` simulates every NIC even on a symmetric cluster;
+        ``None`` samples one NIC exactly when the cluster is symmetric.
     gpu_spec:
         GPU model override (defaults to the paper's V100); pass
         :data:`repro.sim.cuda.A100` for future-hardware what-ifs.
@@ -203,7 +207,8 @@ def run_training(
         gpus_per_node=gpus_per_node, trace=trace,
         extra_forward_time_s=extra_forward_time_s,
         congested_links=congested_links, gpu_spec=gpu_spec,
-        obs=obs, core_oversubscription=core_oversubscription,
+        representative=representative, obs=obs,
+        core_oversubscription=core_oversubscription,
     )
     sim = ctx.sim
 

@@ -9,6 +9,8 @@ cell set.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.grid import (
     CampaignGrid,
@@ -93,6 +95,98 @@ class TestCampaignGrid:
             grids_from_payload("{not json")
         with pytest.raises(CampaignError):
             grids_from_payload(json.dumps({"runner": "x"}))  # not a list
+
+
+class TestLoaderErrors:
+    """Malformed grid and spec JSON fails at load time, typed — not
+    later, when a cell runs, and not as a differently-shaped grid."""
+
+    @pytest.mark.parametrize("grid", [
+        {"runner": 5},
+        {"runner": {"a": 1}},
+        {"runner": ""},
+        {"axes": {"x": "abc"}},
+        {"axes": {"x": {"a": 1}}},
+        {"axes": {"x": 3}},
+        {"axes": [["x", [1]]]},
+        {"base": [["x", 1]]},
+        {"axis": {"x": [1]}},
+        ["measure"],
+    ])
+    def test_malformed_grid_raises_at_load(self, grid):
+        with pytest.raises(CampaignError):
+            grids_from_payload(json.dumps([grid]))
+
+    @pytest.mark.parametrize("text", [
+        '{"runner": 5, "params": {}}',
+        '{"runner": "measure", "params": [["gpus", 8]]}',
+        '{"runner": "measure", "params": {"gpus": [8]}}',
+        '{"runner": "measure", "params": {}, "extra": 1}',
+        '[]',
+        '"measure"',
+        pytest.param("[" * 100_000, id="deeply-nested"),
+    ])
+    def test_malformed_spec_raises_typed(self, text):
+        with pytest.raises(CampaignError):
+            RunSpec.from_json(text)
+
+    def test_string_axis_is_not_split_into_characters(self):
+        with pytest.raises(CampaignError, match="list of values"):
+            CampaignGrid(axes={"model": "abc"})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20)
+#: Objects shaped like grids and specs, so the fuzz reaches past the
+#: top-level type checks.
+GRID_LIKE = st.fixed_dictionaries({}, optional={
+    "runner": JSON_VALUES, "axes": JSON_VALUES, "base": JSON_VALUES,
+    "params": JSON_VALUES})
+
+
+def canonical(data):
+    return json.dumps(data, sort_keys=True)
+
+
+class TestLoaderFuzz:
+    """Arbitrary JSON either loads losslessly or raises
+    :class:`CampaignError` — never another exception, never a grid or
+    spec that says something other than its input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, GRID_LIKE, st.lists(GRID_LIKE, max_size=3)))
+    def test_grids_load_or_raise_campaign_error(self, data):
+        try:
+            grids = grids_from_payload(json.dumps(data))
+        except CampaignError:
+            return
+        for grid, item in zip(grids, data, strict=True):
+            assert isinstance(grid.runner, str)
+            assert canonical(grid.to_payload()) == canonical(
+                {"runner": "measure", "axes": {}, "base": {}, **item})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, GRID_LIKE))
+    def test_spec_loads_or_raises_campaign_error(self, data):
+        try:
+            spec = RunSpec.from_json(json.dumps(data))
+        except CampaignError:
+            return
+        assert isinstance(spec.runner, str)
+        assert spec.to_json() == canonical(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40))
+    def test_arbitrary_text_loads_or_raises_campaign_error(self, text):
+        for load in (grids_from_payload, RunSpec.from_json):
+            try:
+                load(text)
+            except CampaignError:
+                pass
 
 
 class TestExpandGrids:

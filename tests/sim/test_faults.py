@@ -1,10 +1,13 @@
 """Unit tests for the fault-injection subsystem (`repro.sim.faults`)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FaultInjectionError, ProcessInterrupt
+from repro.campaign.worker import parse_fault_plan
+from repro.errors import CampaignError, FaultInjectionError, ProcessInterrupt
 from repro.sim.faults import (
     DEAD_LINK_BPS,
     MEMBERSHIP_FAULTS,
@@ -132,6 +135,63 @@ class TestFaultPlanHardening:
         plan = FaultPlan.chaos(seed=seed, num_nodes=4, horizon_s=40.0,
                                mtbf_s=0.8)
         plan.membership_bounds(4)  # includes the overlap check
+
+
+NAN = math.nan
+INF = math.inf
+
+
+class TestNonFiniteSchedules:
+    """NaN and inf times, durations and rates are rejected up front: a
+    NaN horizon never ends a draw loop, so it would hang the run.
+
+    These call the schedule builders and parsers directly, never
+    :meth:`FaultPlan.chaos` or the chaos runner with a NaN time, so a
+    regression fails here instead of hanging.
+    """
+
+    @pytest.mark.parametrize("mtbf_s,horizon_s", [
+        (NAN, 2.5), (INF, 2.5), (0.35, NAN), (0.35, INF), (NAN, NAN)])
+    def test_poisson_rejects_non_finite(self, mtbf_s, horizon_s):
+        with pytest.raises(FaultInjectionError):
+            FaultPlan.poisson(mtbf_s, horizon_s, 4)
+
+    def test_chaos_rejects_infinite_mtbf(self):
+        with pytest.raises(FaultInjectionError):
+            FaultPlan.chaos(0, num_nodes=4, horizon_s=2.5, mtbf_s=INF)
+
+    @pytest.mark.parametrize("make", [
+        lambda: NodeCrash(at_s=NAN, node=0),
+        lambda: NodeCrash(at_s=INF, node=0),
+        lambda: NodeJoin(at_s=NAN, node=5),
+        lambda: LinkFlap(at_s=0.0, node=0, down_s=NAN),
+        lambda: LinkFlap(at_s=0.0, node=0, down_s=INF),
+        lambda: BandwidthDegradation(at_s=0.0, node=0, duration_s=NAN),
+        lambda: BandwidthDegradation(at_s=0.0, node=0, duration_s=INF),
+        lambda: BandwidthDegradation(at_s=0.0, node=0, fraction=NAN),
+        lambda: Straggler(at_s=0.0, node=0, duration_s=NAN),
+        lambda: Straggler(at_s=0.0, node=0, duration_s=INF),
+        lambda: Straggler(at_s=0.0, node=0, slowdown=NAN),
+        lambda: Straggler(at_s=0.0, node=0, slowdown=INF),
+    ], ids=["crash-at-nan", "crash-at-inf", "join-at-nan", "flap-nan",
+            "flap-inf", "degrade-nan", "degrade-inf", "fraction-nan",
+            "straggle-nan", "straggle-inf", "slowdown-nan", "slowdown-inf"])
+    def test_fault_rejects_non_finite_fields(self, make):
+        with pytest.raises(FaultInjectionError):
+            make()
+
+    @pytest.mark.parametrize("text", [
+        "chaos:mtbf=nan", "chaos:horizon=nan", "chaos:mtbf=inf",
+        "chaos:horizon=inf", "chaos:mtbf=0", "chaos:horizon=-1",
+        "chaos:foo=1", "chaos:mtbf=0.35,foo=1"])
+    def test_parse_fault_plan_rejects(self, text):
+        with pytest.raises(CampaignError):
+            parse_fault_plan(text)
+
+    def test_parse_fault_plan_accepts_the_stock_plan(self):
+        assert parse_fault_plan("chaos:mtbf=0.35,horizon=2.5") == \
+            {"mtbf": 0.35, "horizon": 2.5}
+        assert parse_fault_plan("chaos:") == {}
 
 
 class TestFaultInjectorCrash:

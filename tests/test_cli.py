@@ -151,9 +151,7 @@ class TestDiagnoseScenario:
     def test_planner_scenario_runs_the_baseline_fabric(self):
         # The 4:1 spine is part of the recorded scenario: diagnosing on
         # a non-blocking core would compare unlike with unlike.
-        import argparse
-
-        from repro.cli import _scenario_diagnosis
+        from repro.cli import _scenario_cell, _scenario_diagnosis
         from repro.obs import load_bench_baseline
 
         baseline = load_bench_baseline(
@@ -161,6 +159,6 @@ class TestDiagnoseScenario:
             / "BENCH_simulator.json", scenario="planner-128r-ina")
         assert baseline.values["core_oversubscription"] == 4.0
         _obs, _report, measured = _scenario_diagnosis(
-            argparse.Namespace(iterations=1), baseline)
+            _scenario_cell(baseline, iterations=1))
         assert measured["simulated_step_s"] == pytest.approx(
             baseline.values["simulated_step_s"], rel=0, abs=1e-9)
