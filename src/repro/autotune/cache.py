@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import pathlib
+import typing as t
 
 import networkx as nx
 
@@ -122,12 +124,15 @@ class SettingsCache:
         topology) is quarantined into :attr:`quarantined` and logged
         instead of poisoning the whole cache: losing one remembered
         deployment costs a warm start, losing the cache on every load
-        costs the tuner its memory entirely.  An unreadable or
-        non-JSON *file* still raises :class:`AutotuneError`.
+        costs the tuner its memory entirely.  An entry whose values no
+        tuner could have stored (a negative or non-finite cost, fewer than
+        one stream, a non-positive granularity) is quarantined the same
+        way.  An unreadable or non-JSON *file* — including one nested too
+        deeply to decode — still raises :class:`AutotuneError`.
         """
         try:
             payload = json.loads(pathlib.Path(path).read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise AutotuneError(f"cannot load settings cache: {exc}") \
                 from exc
         if not isinstance(payload, list):
@@ -141,8 +146,8 @@ class SettingsCache:
                     model=_model_from_fingerprint(item["model"]),
                     topology=nx.node_link_graph(item["topology"],
                                                 edges="links"),
-                    best_point=ParameterPoint(**item["best_point"]),
-                    best_cost_s=float(item["best_cost_s"]),
+                    best_point=_point_from_payload(item["best_point"]),
+                    best_cost_s=_cost_from_payload(item["best_cost_s"]),
                 )
             except Exception as exc:  # corrupt entry: quarantine it
                 cache.quarantined.append((item, str(exc)))
@@ -150,6 +155,39 @@ class SettingsCache:
                     "settings cache %s: quarantined corrupt entry "
                     "(%s): %r", path, exc, item)
         return cache
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _point_from_payload(data: dict) -> ParameterPoint:
+    """A persisted :class:`ParameterPoint`, or ``ValueError`` if invalid."""
+    point = ParameterPoint(**data)
+    streams, granularity = point.num_streams, point.granularity_bytes
+    if isinstance(streams, bool) or not isinstance(streams, int) \
+            or streams < 1:
+        raise ValueError(f"num_streams must be an integer >= 1, "
+                         f"got {streams!r}")
+    if not _is_number(granularity) or not math.isfinite(granularity) \
+            or granularity <= 0:
+        raise ValueError(f"granularity_bytes must be positive and finite, "
+                         f"got {granularity!r}")
+    if not isinstance(point.algorithm, str):
+        raise ValueError(f"algorithm must be a string, "
+                         f"got {point.algorithm!r}")
+    return point
+
+
+def _cost_from_payload(value: t.Any) -> float:
+    """A persisted best cost, or ``ValueError`` unless finite and >= 0."""
+    if not _is_number(value):
+        raise ValueError(f"best_cost_s must be a number, got {value!r}")
+    cost = float(value)
+    if not math.isfinite(cost) or cost < 0:
+        raise ValueError(f"best_cost_s must be finite and >= 0, "
+                         f"got {cost!r}")
+    return cost
 
 
 def _model_fingerprint(model: ModelSpec) -> dict:

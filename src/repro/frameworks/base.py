@@ -28,6 +28,7 @@ from repro.errors import TrainingError
 from repro.models.base import ModelSpec, ParameterSpec
 from repro.collectives.timed import TimedCollectives
 from repro.obs import Observability
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork
 from repro.sim.resources import Store
@@ -39,6 +40,9 @@ UPDATE_TIME_S = 1e-3
 
 #: Sentinel pushed to the gradient store when the backward pass finishes.
 BACKWARD_DONE = object()
+
+#: Sentinel closing one :class:`ConnectionPool` connection.
+_CLOSE = object()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,6 +198,54 @@ class DDLBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class ConnectionPool:
+    """``size`` long-lived connection processes serving transfers FIFO.
+
+    The parameter-server baselines pipeline their push/pulls over a
+    fixed number of connections.  Rather than spawning one process per
+    transfer that then queues for a connection, each connection is one
+    process that takes the next submitted item from a FIFO store and
+    runs ``serve(item)`` to completion.  Items start in submission
+    order, each on the first connection to become free — the grant order
+    of a FIFO semaphore — so the pool spawns ``size`` processes per
+    iteration instead of one per transfer.
+
+    :meth:`close` ends every connection once the queue drains and
+    returns the event that fires when all have finished; it fails with
+    the first exception a ``serve`` raises.
+    """
+
+    def __init__(self, sim: Simulator, size: int,
+                 serve: t.Callable[[t.Any], t.Generator],
+                 name: str) -> None:
+        self._queue = Store(sim, name=f"{name}.queue")
+        self._serve = serve
+        self._connections = [
+            sim.spawn(self._connection(), name=f"{name}.connection")
+            for _ in range(size)]
+        # Watched from the start, so a crashing connection fails the
+        # pool instead of surfacing out of the kernel.
+        self._closed = sim.all_of(self._connections)
+
+    def submit(self, item: object) -> None:
+        """Queue ``item`` for the next free connection."""
+        self._queue.put(item)
+
+    def close(self) -> Event:
+        """Close every connection after the queued items; the join event."""
+        for _ in self._connections:
+            self._queue.put(_CLOSE)
+        return self._closed
+
+    def _connection(self) -> t.Generator:
+        queue, serve = self._queue, self._serve
+        while True:
+            item = yield queue.get()
+            if item is _CLOSE:
+                return
+            yield from serve(item)
 
 
 def drain_gradients(store: Store) -> t.Generator:

@@ -12,24 +12,26 @@ baseline, and why "to achieve improved performance for BytePS will incur
 an extra financial cost for CPU machine subscription".
 
 Tensors are partitioned into 4 MB parts, and push/pull of different parts
-pipeline over a small pool of connections.
+pipeline over a small :class:`~repro.frameworks.base.ConnectionPool`.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as t
+import weakref
 
 from repro.frameworks.base import (
     BACKWARD_DONE,
+    ConnectionPool,
     DDLBackend,
     IterationStats,
     ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
 )
-from repro.sim.resources import Resource, Store
-
-_COMM_DONE = object()
+from repro.sim.network import FluidNetwork, Link
+from repro.sim.resources import Store
 
 
 class BytePSBackend(DDLBackend):
@@ -52,6 +54,10 @@ class BytePSBackend(DDLBackend):
         #: Dedicated CPU server machines (the paper's setup has none).
         self.extra_cpu_server_nodes = extra_cpu_server_nodes
         self.server_overhead_s = server_overhead_s
+        #: ``network -> dedicated-server NIC``: one link per run, so a
+        #: reused backend never carries a previous cluster's capacity.
+        self._server_links: weakref.WeakKeyDictionary[FluidNetwork, Link] \
+            = weakref.WeakKeyDictionary()
 
     def nic_bytes_per_gradient(self, ctx: TrainContext,
                                grad_bytes: float) -> float:
@@ -103,22 +109,17 @@ class BytePSBackend(DDLBackend):
 
         gradients = Store(ctx.sim, name="byteps.gradients")
         ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
-        connections = Resource(ctx.sim, self.num_connections,
-                               name="byteps.connections")
-        transfers: list = []
-
+        pool = ConnectionPool(ctx.sim, self.num_connections,
+                              functools.partial(self._push_pull, ctx),
+                              name="byteps")
         while True:
             item = yield gradients.get()
             if item is BACKWARD_DONE:
                 break
             grad = t.cast(ReadyGradient, item)
-            size = ctx.wire_bytes(grad.parameter)
-            for part in self._partition(size):
-                transfers.append(ctx.sim.spawn(
-                    self._push_pull(ctx, connections, part),
-                    name="byteps.pushpull"))
-        if transfers:
-            yield ctx.sim.all_of(transfers)
+            for part in self._partition(ctx.wire_bytes(grad.parameter)):
+                pool.submit(part)
+        yield pool.close()
         yield ctx.sim.timeout(UPDATE_TIME_S)
         return IterationStats(
             iteration_time_s=ctx.sim.now - start,
@@ -134,43 +135,36 @@ class BytePSBackend(DDLBackend):
             parts.append(size)
         return parts
 
-    def _push_pull(self, ctx: TrainContext, connections: Resource,
-                   part_bytes: float) -> t.Generator:
+    def _push_pull(self, ctx: TrainContext, part_bytes: float) -> t.Generator:
         """Push one partition to its server, then pull the aggregate."""
         nic_bytes = self.nic_bytes_per_gradient(ctx, part_bytes)
-        yield connections.acquire()
-        try:
-            if nic_bytes <= 0:
-                # Single node (or all-local servers): NVLink/loopback only.
-                yield ctx.network.start_flow(
-                    [ctx.cluster.nvlink[0]], 2 * part_bytes)
-                return
-            cap = ctx.cluster.stream_cap_bps()
-            hop = list(ctx.cluster.representative_hop())
-            server_bytes = self.server_nic_bytes_per_gradient(ctx,
-                                                              part_bytes)
-            if server_bytes:
-                # Dedicated server NICs can become the bottleneck when
-                # too few CPU machines are subscribed.
-                hop.append(self._server_link(ctx))
-                nic_bytes = max(nic_bytes, server_bytes)
-            # Push ...
-            yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
-            yield ctx.sim.timeout(self.server_overhead_s)
-            # ... then pull the reduced value back.
-            yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
-        finally:
-            connections.release()
+        if nic_bytes <= 0:
+            # Single node (or all-local servers): NVLink/loopback only.
+            yield ctx.network.start_flow(
+                [ctx.cluster.nvlink[0]], 2 * part_bytes)
+            return
+        cap = ctx.cluster.stream_cap_bps()
+        hop = list(ctx.cluster.representative_hop())
+        server_bytes = self.server_nic_bytes_per_gradient(ctx, part_bytes)
+        if server_bytes:
+            # Dedicated server NICs can become the bottleneck when
+            # too few CPU machines are subscribed.
+            hop.append(self._server_link(ctx))
+            nic_bytes = max(nic_bytes, server_bytes)
+        # Push ...
+        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
+        yield ctx.sim.timeout(self.server_overhead_s)
+        # ... then pull the reduced value back.
+        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
 
-    def _server_link(self, ctx: TrainContext):
-        """Lazily created shared NIC of the dedicated CPU server fleet."""
-        link = getattr(self, "_server_link_obj", None)
+    def _server_link(self, ctx: TrainContext) -> Link:
+        """The shared NIC of the dedicated CPU server fleet on ``ctx``'s
+        network, built on first use with that cluster's capacity."""
+        link = self._server_links.get(ctx.network)
         if link is None:
-            from repro.sim.network import Link
-
             transport = ctx.cluster.spec.transport
             capacity = transport.effective_capacity_bps(
                 ctx.cluster.spec.nic_bandwidth_bps)
             link = Link("byteps.server-nic", capacity)
-            self._server_link_obj = link
+            self._server_links[ctx.network] = link
         return link

@@ -16,17 +16,19 @@ key value store interface").
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from repro.frameworks.base import (
     BACKWARD_DONE,
+    ConnectionPool,
     DDLBackend,
     IterationStats,
     ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 
 class MXNetKVStoreBackend(DDLBackend):
@@ -49,43 +51,32 @@ class MXNetKVStoreBackend(DDLBackend):
 
         gradients = Store(ctx.sim, name="kvstore.gradients")
         ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
-        connections = Resource(ctx.sim, self.num_connections,
-                               name="kvstore.connections")
-        transfers: list = []
-
+        pool = ConnectionPool(ctx.sim, self.num_connections,
+                              functools.partial(self._push_pull, ctx),
+                              name="kvstore")
         while True:
             item = yield gradients.get()
             if item is BACKWARD_DONE:
                 break
             grad = t.cast(ReadyGradient, item)
-            size = ctx.wire_bytes(grad.parameter)
-            transfers.append(ctx.sim.spawn(
-                self._push_pull(ctx, connections, size),
-                name="kvstore.pushpull"))
-        if transfers:
-            yield ctx.sim.all_of(transfers)
+            pool.submit(ctx.wire_bytes(grad.parameter))
+        yield pool.close()
         yield ctx.sim.timeout(UPDATE_TIME_S)
         return IterationStats(
             iteration_time_s=ctx.sim.now - start,
             compute_time_s=ctx.compute_time_s,
         )
 
-    def _push_pull(self, ctx: TrainContext, connections: Resource,
-                   size: float) -> t.Generator:
+    def _push_pull(self, ctx: TrainContext, size: float) -> t.Generator:
         """Serial whole-key push then pull on one connection."""
         g = ctx.cluster.spec.gpus_per_node
         m = ctx.cluster.num_nodes
-        yield connections.acquire()
-        try:
-            yield ctx.sim.timeout(self.per_key_overhead_s)
-            if m == 1:
-                yield ctx.network.start_flow(
-                    [ctx.cluster.nvlink[0]], 2 * size)
-                return
-            nic_bytes = g * size * (m - 1) / m
-            cap = ctx.cluster.stream_cap_bps()
-            hop = ctx.cluster.representative_hop()
-            yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
-            yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
-        finally:
-            connections.release()
+        yield ctx.sim.timeout(self.per_key_overhead_s)
+        if m == 1:
+            yield ctx.network.start_flow([ctx.cluster.nvlink[0]], 2 * size)
+            return
+        nic_bytes = g * size * (m - 1) / m
+        cap = ctx.cluster.stream_cap_bps()
+        hop = ctx.cluster.representative_hop()
+        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
+        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)

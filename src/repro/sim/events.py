@@ -24,24 +24,35 @@ Callback = t.Callable[["Event"], None]
 #: Sentinel used for "not yet triggered" values.
 _PENDING = object()
 
-#: Memoized ``timeout(<delay:g>)`` labels.  Simulated workloads reuse a
-#: small set of distinct delays (per-hop latencies, retry backoffs, layer
-#: compute times) thousands of times per step, and ``%g`` formatting per
-#: Timeout shows up in kernel profiles.  The cached string is identical
-#: to the formatted one, so event names — and replay digests — are
-#: unchanged.  Bounded so adversarial delay sequences cannot grow it.
-_TIMEOUT_NAMES: dict[float, str] = {}
-_TIMEOUT_NAMES_MAX = 4096
+class _NameMemo(dict):
+    """Bounded memo of formatted event labels, keyed by what they format.
+
+    Simulated workloads reuse a small set of labels thousands of times
+    per step — ``timeout(<delay:g>)`` for per-hop latencies, retry
+    backoffs and layer compute times, ``<process>.start`` for the
+    processes each iteration spawns — and formatting one per event shows
+    up in kernel profiles.  The cached string is identical to the
+    formatted one, so event names (and replay digests) are unchanged.
+    Cleared when full so adversarial key sequences cannot grow it.
+    """
+
+    __slots__ = ("template",)
+
+    MAX = 4096
+
+    def __init__(self, template: str) -> None:
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, key: object) -> str:
+        if len(self) >= self.MAX:
+            self.clear()
+        name = self[key] = self.template.format(key)
+        return name
 
 
-def _timeout_name(delay: float) -> str:
-    name = _TIMEOUT_NAMES.get(delay)
-    if name is None:
-        name = f"timeout({delay:g})"
-        if len(_TIMEOUT_NAMES) >= _TIMEOUT_NAMES_MAX:
-            _TIMEOUT_NAMES.clear()
-        _TIMEOUT_NAMES[delay] = name
-    return name
+_TIMEOUT_NAMES = _NameMemo("timeout({:g})")
+_START_NAMES = _NameMemo("{}.start")
 
 
 class Event:
@@ -66,9 +77,10 @@ class Event:
         self._value: object = _PENDING
         self._ok: bool = True
         #: Heap-entry balance: incremented when the kernel schedules this
-        #: event, decremented when it triggers.  Non-zero means at least
-        #: one pending heap entry still references the object, so it must
-        #: not be recycled (see :meth:`Simulator.release_event`).
+        #: event, decremented when the entry pops (triggering or not).
+        #: Non-zero means at least one pending heap entry still references
+        #: the object, so it must not be recycled (see
+        #: :meth:`Simulator.release_event`).
         self._scheduled: int = 0
         #: Whether the event currently sits in the kernel's event pool.
         #: Guards against double-release (a cancellation path and the
@@ -97,13 +109,19 @@ class Event:
     # -- triggering --------------------------------------------------------
 
     def succeed(self, value: object = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+        """Trigger the event successfully with ``value``.
+
+        Callbacks run inline, in registration order, before this returns.
+        """
         if self._value is not _PENDING:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
         self._ok = True
-        self._scheduled -= 1
-        self.sim._dispatch(self)
+        callbacks = self.callbacks
+        self.callbacks = None
+        if callbacks:
+            for callback in callbacks:
+                callback(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -118,8 +136,11 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = exception
         self._ok = False
-        self._scheduled -= 1
-        self.sim._dispatch(self)
+        callbacks = self.callbacks
+        self.callbacks = None
+        if callbacks:
+            for callback in callbacks:
+                callback(self)
         return self
 
     # -- observer registration ----------------------------------------------
@@ -169,7 +190,15 @@ class Timeout(Event):
                  name: str = "") -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=name or _timeout_name(delay))
+        # The slots of Event.__init__, set here without the super() call:
+        # timeouts are the kernel's most frequent allocation.
+        self.sim = sim
+        self.name = name or _TIMEOUT_NAMES[delay]
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = 0
+        self._pooled = False
         self.delay = delay
         sim._schedule_at(sim.now + delay, self, value)
 

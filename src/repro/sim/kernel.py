@@ -15,7 +15,7 @@ import itertools
 import typing as t
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Timeout
 from repro.sim.invariants import InvariantChecker, invariants_enabled_by_env
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -58,6 +58,12 @@ class Simulator:
         #: wakeups, epoch-batched advance timers — shares one free list
         #: that survives across training epochs and elastic transitions.
         self._event_pool: list[Event] = []
+        #: Deterministic work counters, like ``FluidNetwork.reallocations``:
+        #: processes started through :meth:`spawn`, and heap entries pushed
+        #: (every timeout, start, grant and wakeup goes through
+        #: :meth:`_schedule_at`).
+        self.processes_spawned = 0
+        self.events_scheduled = 0
         self.invariants: InvariantChecker | None = None
         if check_invariants is None:
             check_invariants = invariants_enabled_by_env()
@@ -73,15 +79,8 @@ class Simulator:
                 f"cannot schedule event in the past ({when} < {self.now})"
             )
         event._scheduled += 1
+        self.events_scheduled += 1
         heapq.heappush(self._heap, (when, next(self._counter), event, value))
-
-    def _dispatch(self, event: Event) -> None:
-        """Run the callbacks of a freshly triggered event."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
 
     # -- event factories ------------------------------------------------------
 
@@ -142,6 +141,7 @@ class Simulator:
         """Start a new simulated process running ``generator``."""
         from repro.sim.process import Process
 
+        self.processes_spawned += 1
         return Process(self, generator, name=name)
 
     def interrupt(self, process: "Process", cause: object = None,
@@ -171,14 +171,20 @@ class Simulator:
     # -- main loop -----------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next scheduled event."""
+        """Process the single next scheduled event.
+
+        A popped entry settles its event's heap balance (``_scheduled``)
+        whether or not the event still needs triggering, so the balance
+        counts exactly the entries still in the heap.
+        """
         if not self._heap:
             raise SimulationError("step() called on an empty event queue")
         when, _, event, value = heapq.heappop(self._heap)
         self.now = when
         if self.invariants is not None:
             self.invariants.record_event(when, event.name)
-        if not event.triggered:
+        event._scheduled -= 1
+        if event._value is _PENDING:
             event.succeed(value)
 
     def run(self, until: float | Event | None = None) -> None:
@@ -210,7 +216,7 @@ class Simulator:
         pop = heapq.heappop
         if isinstance(until, Event):
             stop = until
-            while not stop.triggered:
+            while stop._value is _PENDING:
                 if not heap:
                     raise SimulationError(
                         f"simulation ran out of events before {stop!r} triggered"
@@ -220,7 +226,8 @@ class Simulator:
                 checker = self.invariants
                 if checker is not None:
                     checker.record_event(when, event.name)
-                if not event.triggered:
+                event._scheduled -= 1
+                if event._value is _PENDING:
                     event.succeed(value)
         elif until is None:
             while heap:
@@ -229,7 +236,8 @@ class Simulator:
                 checker = self.invariants
                 if checker is not None:
                     checker.record_event(when, event.name)
-                if not event.triggered:
+                event._scheduled -= 1
+                if event._value is _PENDING:
                     event.succeed(value)
         else:
             horizon = float(until)
@@ -243,7 +251,8 @@ class Simulator:
                 checker = self.invariants
                 if checker is not None:
                     checker.record_event(when, event.name)
-                if not event.triggered:
+                event._scheduled -= 1
+                if event._value is _PENDING:
                     event.succeed(value)
             self.now = horizon
 

@@ -1168,7 +1168,6 @@ class FluidNetwork:
         :class:`Flow`), so no numpy scalar can reach the kernel heap.
         """
         self._wakeup_token += 1
-        token = self._wakeup_token
         next_finish = math.inf
         for flow in self.flows:
             finish = flow._finish_s
@@ -1182,12 +1181,17 @@ class FluidNetwork:
                 )
             return
         wakeup = self.sim.pooled_event("network.wakeup")
-        wakeup.add_callback(lambda ev: self._on_wakeup(token, ev))
-        self.sim._schedule_at(self.sim.now + next_finish, wakeup, None)
+        wakeup.callbacks.append(self._on_wakeup)
+        self.sim._schedule_at(self.sim.now + next_finish, wakeup,
+                              self._wakeup_token)
 
-    def _on_wakeup(self, token: int, wakeup: Event) -> None:
+    def _on_wakeup(self, wakeup: Event) -> None:
+        """Advance and re-allocate, unless a newer allocation superseded
+        this wakeup (its value, the token it was scheduled with, is
+        stale)."""
+        token = wakeup._value
         self.sim.release_event(wakeup)
         if token != self._wakeup_token:
-            return  # a newer allocation superseded this wakeup
+            return
         self._advance_progress()
         self._reallocate()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import ProcessInterrupt, SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _START_NAMES, Event
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -38,9 +38,9 @@ class Process(Event):
         self._waiting_on: Event | None = None
         # Kick off the process at the current simulation instant, but through
         # the event queue so that spawn order does not matter.
-        bootstrap = sim.event(name=f"{self.name}.start")
+        bootstrap = sim.event(name=_START_NAMES[self.name])
         self._waiting_on = bootstrap
-        bootstrap.add_callback(self._resume)
+        bootstrap.callbacks.append(self)
         sim._schedule_at(sim.now, bootstrap, None)
 
     # -- lifecycle ------------------------------------------------------------
@@ -81,16 +81,20 @@ class Process(Event):
     # -- engine -----------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Callback fired when the event this process waits on triggers."""
+        """Callback fired when the event this process waits on triggers.
+
+        Also the process's ``__call__``: a process registers *itself* as
+        the callback of the event it yields, so no bound method is built
+        per yield.
+        """
         if self._waiting_on is not event:
             # The process was interrupted while waiting and has moved on;
             # ignore the stale wakeup.
             return
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value, throw=False)
-        else:
-            self._step(event.value, throw=True)
+        self._step(event._value, not event._ok)
+
+    __call__ = _resume
 
     def _step(self, value: object, throw: bool) -> None:
         """Advance the generator one yield."""
@@ -125,4 +129,8 @@ class Process(Event):
             ))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:  # already dispatched: resume at once
+            self._resume(target)
+        else:
+            callbacks.append(self)

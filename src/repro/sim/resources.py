@@ -44,6 +44,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name or "resource"
+        self._acquire_name = f"{self.name}.acquire"
         self.in_use = 0
         self._waiters: deque[tuple[Event, int]] = deque()
         # Double-entry grant/release ledger.  ``in_use`` must always equal
@@ -81,7 +82,7 @@ class Resource:
         are granted when the pool is idle, holding the whole pool.
         """
         self._check_count(count)
-        event = self.sim.event(name=f"{self.name}.acquire")
+        event = self.sim.event(name=self._acquire_name)
         if not self._waiters and self._fits(count):
             self._grant(count)
             self.sim._schedule_at(self.sim.now, event, None)
@@ -189,6 +190,7 @@ class Store:
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name or "store"
+        self._get_name = f"{self.name}.get"
         self._items: deque[object] = deque()
         self._getters: deque[Event] = deque()
         self._checker = getattr(sim, "invariants", None)
@@ -208,7 +210,7 @@ class Store:
 
     def get(self) -> Event:
         """Return an event whose value is the next item (FIFO order)."""
-        event = self.sim.event(name=f"{self.name}.get")
+        event = self.sim.event(name=self._get_name)
         if self._items:
             self.sim._schedule_at(self.sim.now, event, self._items.popleft())
         else:
@@ -247,6 +249,7 @@ class PriorityStore:
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name or "priority_store"
+        self._get_name = f"{self.name}.get"
         self._heap: list[tuple[object, int, object]] = []
         self._counter = itertools.count()
         self._getters: deque[Event] = deque()
@@ -265,7 +268,7 @@ class PriorityStore:
 
     def get(self) -> Event:
         """Return an event whose value is the smallest-priority item."""
-        event = self.sim.event(name=f"{self.name}.get")
+        event = self.sim.event(name=self._get_name)
         if self._heap:
             _, _, item = heapq.heappop(self._heap)
             self.sim._schedule_at(self.sim.now, event, item)

@@ -1,8 +1,11 @@
 """Tests for settings-cache persistence and elastic timed scaling."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.autotune import ParameterPoint, SettingsCache
 from repro.errors import AutotuneError, TrainingError
@@ -133,3 +136,95 @@ class TestElasticScaling:
             simulate_elastic_scaling("resnet50", "aiacc", [])
         with pytest.raises(TrainingError):
             simulate_elastic_scaling("resnet50", "aiacc", [(0, 5)])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20)
+#: Entries shaped like saved ones, with every field free to go wrong, so
+#: the fuzz reaches the per-entry validation.
+POINT_LIKE = st.fixed_dictionaries({}, optional={
+    "num_streams": st.integers(-3, 8) | JSON_VALUES,
+    "granularity_bytes": st.floats() | st.integers(-1, 2) | JSON_VALUES,
+    "algorithm": st.sampled_from(("ring", "tree")) | JSON_VALUES,
+})
+ENTRY_LIKE = st.fixed_dictionaries({
+    "label": st.text(max_size=8),
+    "model": st.just({"name": "m", "layer_sizes": [10, 20],
+                      "layer_flops": [1.0, 2.0], "compute_occupancy": 0.5}),
+    "topology": st.just({"directed": False, "multigraph": False,
+                         "graph": {}, "nodes": [{"id": 0}], "links": []}),
+    "best_point": POINT_LIKE,
+    "best_cost_s": st.floats() | st.integers(-2, 2) | JSON_VALUES,
+})
+
+
+def _valid(entry):
+    point = entry.best_point
+    return (isinstance(point.num_streams, int) and point.num_streams >= 1
+            and math.isfinite(point.granularity_bytes)
+            and point.granularity_bytes > 0
+            and math.isfinite(entry.best_cost_s) and entry.best_cost_s >= 0)
+
+
+class TestLoaderFuzz:
+    """Arbitrary JSON loads as a cache of valid entries (the rest
+    quarantined) or raises :class:`AutotuneError` — never another
+    exception."""
+
+    @staticmethod
+    def _load(tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("cache") / "cache.json"
+        path.write_text(text)
+        try:
+            return SettingsCache.load(path)
+        except AutotuneError:
+            return None
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(JSON_VALUES, st.lists(ENTRY_LIKE | JSON_VALUES,
+                                           max_size=3)))
+    def test_payload_loads_or_raises_autotune_error(self, tmp_path_factory,
+                                                    data):
+        cache = self._load(tmp_path_factory, json.dumps(data))
+        if cache is None:
+            return
+        assert isinstance(data, list)
+        assert len(cache) + len(cache.quarantined) == len(data)
+        assert all(_valid(entry) for entry in cache._entries)
+
+    def test_deep_nesting_raises_autotune_error(self, tmp_path_factory):
+        text = "[" * 100000 + "]" * 100000
+        assert self._load(tmp_path_factory, text) is None
+
+    @pytest.mark.parametrize("field, value", (
+        ("best_cost_s", float("nan")),
+        ("best_cost_s", -0.5),
+        ("best_cost_s", float("inf")),
+        ("num_streams", -3),
+        ("num_streams", 0),
+        ("granularity_bytes", 0.0),
+        ("granularity_bytes", -1e6),
+    ))
+    def test_impossible_values_are_quarantined(self, tmp_path, field,
+                                               value):
+        cache = SettingsCache()
+        cache.store("rn50@32", get_model("resnet50"), topo(32),
+                    ParameterPoint(12, 16e6, "ring"), 0.2)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        payload = json.loads(path.read_text())
+        bad = json.loads(json.dumps(payload[0]))
+        bad["label"] = "bad"
+        if field == "best_cost_s":
+            bad[field] = value
+        else:
+            bad["best_point"][field] = value
+        path.write_text(json.dumps(payload + [bad]))
+        restored = SettingsCache.load(path)
+        assert [entry.label for entry in restored._entries] == ["rn50@32"]
+        assert [item["label"] for item, _ in restored.quarantined] == ["bad"]

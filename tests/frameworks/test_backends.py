@@ -162,6 +162,20 @@ class TestBytePS:
         assert backend.server_nic_bytes_per_gradient(ctx, 1e6) == \
             pytest.approx(64e6)
 
+    def test_reused_backend_builds_server_link_per_network(self):
+        # The dedicated-server NIC takes its capacity from the run's
+        # cluster; a backend reused on a faster cluster must not keep
+        # the first run's 30 Gb/s link (it measured 0.98559 s).
+        def mean_step(backend, nic_bps):
+            return run_training("resnet50", backend, 16,
+                                nic_bandwidth_bps=nic_bps).mean_iteration_s
+
+        reused = BytePSBackend(extra_cpu_server_nodes=1)
+        assert mean_step(reused, 30e9) == pytest.approx(0.99832, abs=5e-6)
+        fresh = mean_step(BytePSBackend(extra_cpu_server_nodes=1), 100e9)
+        assert fresh == pytest.approx(0.36153, abs=5e-6)
+        assert mean_step(reused, 100e9) == fresh
+
     def test_single_node_stays_on_nvlink(self):
         backend = BytePSBackend()
         ctx = make_ctx(num_gpus=8)

@@ -1,0 +1,208 @@
+"""Differential tests: PS connection pools against per-transfer processes.
+
+BytePS and MXNet KVStore run their push/pulls on a
+:class:`~repro.frameworks.base.ConnectionPool`: ``num_connections``
+long-lived processes fed FIFO from a store.  The oracles below keep the
+previous scheduling around the same push/pull bodies: one process per
+transfer, gated by a FIFO :class:`~repro.sim.resources.Resource` of
+connections.  Both grant transfers in the same order, and every PS flow
+of a cell shares one path and one cap, so the simulated iteration times
+must be equal, not merely close.
+"""
+
+import typing as t
+
+import pytest
+
+from repro.errors import SimulationError
+from repro.frameworks import BytePSBackend, MXNetKVStoreBackend
+from repro.frameworks.base import (
+    BACKWARD_DONE,
+    IterationStats,
+    ReadyGradient,
+    TrainContext,
+    UPDATE_TIME_S,
+)
+from repro.models import get_model
+from repro.sim.resources import Resource, Store
+from repro.training.trainer import run_training
+
+
+class _PerTransferIteration:
+    """One process per transfer, each queueing on a connection semaphore."""
+
+    pushpull_name: str
+
+    def _items(self, ctx: TrainContext, grad: ReadyGradient) -> list[float]:
+        raise NotImplementedError
+
+    def iteration(self, ctx: TrainContext) -> t.Generator:
+        start = ctx.sim.now
+        yield ctx.sim.timeout(ctx.forward_time_s)
+
+        gradients = Store(ctx.sim, name="oracle.gradients")
+        ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
+        connections = Resource(ctx.sim, self.num_connections,
+                               name="oracle.connections")
+        transfers: list = []
+
+        while True:
+            item = yield gradients.get()
+            if item is BACKWARD_DONE:
+                break
+            for size in self._items(ctx, t.cast(ReadyGradient, item)):
+                transfers.append(ctx.sim.spawn(
+                    self._gated(ctx, connections, size),
+                    name=self.pushpull_name))
+        if transfers:
+            yield ctx.sim.all_of(transfers)
+        yield ctx.sim.timeout(UPDATE_TIME_S)
+        return IterationStats(
+            iteration_time_s=ctx.sim.now - start,
+            compute_time_s=ctx.compute_time_s,
+        )
+
+    def _gated(self, ctx: TrainContext, connections: Resource,
+               size: float) -> t.Generator:
+        yield connections.acquire()
+        try:
+            yield from self._push_pull(ctx, size)
+        finally:
+            connections.release()
+
+
+class OracleBytePS(_PerTransferIteration, BytePSBackend):
+    pushpull_name = "byteps.pushpull"
+
+    def _items(self, ctx, grad):
+        return self._partition(ctx.wire_bytes(grad.parameter))
+
+
+class OracleKVStore(_PerTransferIteration, MXNetKVStoreBackend):
+    pushpull_name = "kvstore.pushpull"
+
+    def _items(self, ctx, grad):
+        return [ctx.wire_bytes(grad.parameter)]
+
+
+def iteration_times(backend, model, gpus):
+    return run_training(model, backend, gpus, measure_iterations=2,
+                        warmup_iterations=1).iteration_times_s
+
+
+#: Largest wire size of a resnet50 gradient (fp32, so a multiple of 4):
+#: a quarter of it divides that tensor exactly.
+_RESNET_MAX_BYTES = max(p.num_elements for p in
+                        get_model("resnet50").parameters()) * 4
+
+BYTEPS_CELLS = (
+    ("1-node-nvlink", "resnet50", 8, {}),
+    ("2-nodes", "resnet50", 16, {}),
+    ("32-nodes", "resnet50", 256, {}),
+    ("2-servers", "resnet50", 16, {"extra_cpu_server_nodes": 2}),
+    ("32-nodes-2-servers", "vgg16", 256, {"extra_cpu_server_nodes": 2}),
+    ("1-connection", "resnet50", 16, {"num_connections": 1}),
+    ("4-connections-bert", "bert-large", 16, {"num_connections": 4}),
+    ("exact-partitions", "resnet50", 16,
+     {"partition_bytes": _RESNET_MAX_BYTES / 4}),
+    ("remainder-partitions", "resnet50", 16, {"partition_bytes": 3e6}),
+)
+
+
+class TestPoolMatchesPerTransferOracle:
+    @pytest.mark.parametrize("model, gpus, options",
+                             [cell[1:] for cell in BYTEPS_CELLS],
+                             ids=[cell[0] for cell in BYTEPS_CELLS])
+    def test_byteps(self, model, gpus, options):
+        pooled = iteration_times(BytePSBackend(**options), model, gpus)
+        oracle = iteration_times(OracleBytePS(**options), model, gpus)
+        assert pooled == oracle
+
+    @pytest.mark.parametrize("connections", (1, 2))
+    @pytest.mark.parametrize("model, gpus", (("resnet50", 8),
+                                             ("resnet50", 16),
+                                             ("vgg16", 64)))
+    def test_kvstore(self, model, gpus, connections):
+        pooled = iteration_times(
+            MXNetKVStoreBackend(num_connections=connections), model, gpus)
+        oracle = iteration_times(
+            OracleKVStore(num_connections=connections), model, gpus)
+        assert pooled == oracle
+
+    def test_exact_partition_leaves_no_remainder(self):
+        backend = BytePSBackend(partition_bytes=_RESNET_MAX_BYTES / 4)
+        assert backend._partition(_RESNET_MAX_BYTES) == \
+            [_RESNET_MAX_BYTES / 4] * 4
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+class TestConnectionFailure:
+    @pytest.mark.parametrize("backend_cls", (BytePSBackend,
+                                             MXNetKVStoreBackend))
+    def test_exception_in_one_connection_fails_the_iteration(
+            self, backend_cls):
+        backend = backend_cls(num_connections=2)
+        served = []
+
+        def push_pull(ctx, size):
+            index = len(served)
+            served.append(size)
+            yield ctx.sim.timeout(1e-4)
+            if index == 2:
+                raise _Boom("connection lost")
+
+        backend._push_pull = push_pull
+        with pytest.raises(_Boom, match="connection lost"):
+            run_training("resnet50", backend, 16, measure_iterations=1,
+                         warmup_iterations=0)
+
+    def test_failure_is_delivered_to_a_waiting_iteration(self):
+        # The crash happens after the last submit, while the iteration
+        # already waits on the pool: it must fail, not hang.
+        from repro.frameworks.base import ConnectionPool
+        from repro.sim import Simulator
+
+        sim = Simulator()
+
+        def serve(item):
+            yield sim.timeout(item)
+            if item == 2.0:
+                raise _Boom("late")
+
+        failed_at = []
+
+        def iteration():
+            pool = ConnectionPool(sim, 2, serve, name="test")
+            for item in (1.0, 2.0, 3.0):
+                pool.submit(item)
+            try:
+                yield pool.close()
+            except _Boom:
+                failed_at.append(sim.now)
+                raise
+
+        sim.spawn(iteration())
+        with pytest.raises(_Boom, match="late"):
+            sim.run()
+        assert failed_at == [2.0]
+
+    def test_yielding_a_non_event_still_fails(self):
+        from repro.frameworks.base import ConnectionPool
+        from repro.sim import Simulator
+
+        sim = Simulator()
+
+        def serve(item):
+            yield item
+
+        def iteration():
+            pool = ConnectionPool(sim, 1, serve, name="test")
+            pool.submit("not an event")
+            yield pool.close()
+
+        sim.spawn(iteration())
+        with pytest.raises(SimulationError, match="only yield Event"):
+            sim.run()

@@ -43,6 +43,21 @@ class TestPoolMechanics:
         sim.release_event(event)  # now safe
         assert sim.pooled_event("again") is event
 
+    def test_release_refused_after_direct_trigger_until_entry_pops(self):
+        # A scheduled event triggered directly still has its heap entry
+        # pending; recycling it then would let the stale pop fire the
+        # next owner early.  The kernel settles the balance on the pop.
+        sim = Simulator()
+        event = sim.pooled_event("wakeup")
+        sim._schedule_at(1.0, event, "first")
+        event.succeed("early")
+        sim.release_event(event)
+        assert sim.pooled_event("next") is not event
+        sim.run()
+        assert event._scheduled == 0
+        sim.release_event(event)
+        assert sim.pooled_event("again") is event
+
     def test_double_release_is_idempotent(self):
         sim = Simulator()
         event = sim.pooled_event("once")

@@ -1,32 +1,61 @@
-"""Pinned fluid-solver work counters for one simulated training step.
+"""Pinned work counters for one simulated training step.
 
 ``FluidNetwork.reallocations`` (rate assignments) and
 ``solver_flow_visits`` (flows solved across them) are deterministic, so
 unlike wall time they gate exactly on the work the solver does.  An
 optimisation that only makes each visit cheaper leaves them unchanged;
 one that changes how many components are solved, or how large, moves
-them and must re-pin here with a reason.
+them and must re-pin here with a reason.  ``Simulator.processes_spawned``
+and ``Simulator.events_scheduled`` do the same for the event kernel.
 """
 
 import pytest
 
 from bench.workloads import StepConfig, build_step_context, simulate_step
+from repro.frameworks import BytePSBackend, MXNetKVStoreBackend
+from repro.models import get_model
+from repro.training.trainer import build_train_context
 
-#: ``(config, reallocations, flow visits)`` for one step after warm-up.
+#: ``(config, reallocations, flow visits, processes spawned, events
+#: scheduled)`` for one step after warm-up.
 PINNED = (
-    (StepConfig("step-8r", 8), 22, 11),
-    (StepConfig("step-256r", 256), 44, 56),
+    (StepConfig("step-8r", 8), 22, 11, 30, 286),
+    (StepConfig("step-256r", 256), 44, 56, 30, 328),
     (StepConfig("stress-256r-hier", 256, streams=24, model="vgg16",
-                algorithm="hierarchical", congested=True), 280, 3014),
+                algorithm="hierarchical", congested=True), 280, 3014,
+     129, 1980),
 )
 
 
-@pytest.mark.parametrize("config, reallocations, visits", PINNED,
-                         ids=[config.name for config, _, _ in PINNED])
-def test_one_step_solver_work(config, reallocations, visits):
+def _kernel_work(sim):
+    return sim.processes_spawned, sim.events_scheduled
+
+
+@pytest.mark.parametrize(
+    "config, reallocations, visits, spawned, scheduled", PINNED,
+    ids=[pinned[0].name for pinned in PINNED])
+def test_one_step_solver_work(config, reallocations, visits, spawned,
+                              scheduled):
     ctx, backend = build_step_context(config)
-    net = ctx.network
-    before = net.reallocations, net.solver_flow_visits
+    net, sim = ctx.network, ctx.sim
+    before = (net.reallocations, net.solver_flow_visits, *_kernel_work(sim))
     simulate_step(ctx, backend)
-    assert (net.reallocations - before[0],
-            net.solver_flow_visits - before[1]) == (reallocations, visits)
+    after = (net.reallocations, net.solver_flow_visits, *_kernel_work(sim))
+    assert tuple(b - a for a, b in zip(before, after)) == \
+        (reallocations, visits, spawned, scheduled)
+
+
+@pytest.mark.parametrize("backend", (
+    BytePSBackend(), BytePSBackend(num_connections=1),
+    MXNetKVStoreBackend(), MXNetKVStoreBackend(num_connections=1)),
+    ids=("byteps-4", "byteps-1", "kvstore-2", "kvstore-1"))
+def test_ps_step_spawns_one_process_per_connection(backend):
+    # The step itself, the backward producer and one process per
+    # connection — however many partitions or keys the model has.
+    model = get_model("resnet50")
+    ctx = build_train_context(model, backend, 16, model.default_batch_size)
+    simulate_step(ctx, backend)  # warm-up
+    spawned = ctx.sim.processes_spawned
+    simulate_step(ctx, backend)
+    assert ctx.sim.processes_spawned - spawned == 2 + backend.num_connections
+    assert len(model.parameters()) > 100
