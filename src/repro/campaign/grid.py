@@ -7,6 +7,11 @@ else a runner understands), each executed by a named runner from
 ``spec_id`` — a digest of the runner name and the cell's parameters — so
 resubmitting the same grid into a store is idempotent and an interrupted
 campaign resumes against exactly the same cell set.
+
+A cell's **run** is identified separately by :func:`run_key`: the same
+digest with the runner's label parameters (:data:`RUN_LABELS`) dropped.
+Cells that differ only in labels share one run key, and a campaign
+simulates that run once.
 """
 
 from __future__ import annotations
@@ -43,6 +48,34 @@ def _load_json(text: str, what: str) -> t.Any:
         raise CampaignError(f"corrupt {what} JSON: {exc}") from exc
 
 
+#: runner -> the cell parameters that label a run without changing it.
+#: Only these runners' cells have a :func:`run_key`; every other runner
+#: (``chaos``, the injection runners) always executes its own cell.
+RUN_LABELS: dict[str, tuple[str, ...]] = {
+    "measure": ("figure", "seed"),
+    "hybrid": ("figure", "seed"),
+}
+
+
+def _params_digest(runner: str, params: t.Mapping[str, Scalar]) -> str:
+    payload = json.dumps({"runner": runner,
+                          "params": dict(sorted(params.items()))},
+                         sort_keys=True)
+    return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
+
+
+def run_key(runner: str, params: t.Mapping[str, Scalar]) -> str | None:
+    """Identity of the run a cell executes: a digest of ``runner`` and
+    ``params`` without the runner's :data:`RUN_LABELS`; None for
+    runners without labels, whose cells are never shared.  A cell
+    without labels has ``run_key == spec_id``."""
+    labels = RUN_LABELS.get(runner)
+    if labels is None:
+        return None
+    return _params_digest(runner, {key: value for key, value in
+                                   params.items() if key not in labels})
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """One grid cell: a runner name plus its JSON-safe parameters."""
@@ -53,10 +86,7 @@ class RunSpec:
     @property
     def spec_id(self) -> str:
         """Deterministic identity of this cell (stable across sessions)."""
-        payload = json.dumps({"runner": self.runner,
-                              "params": dict(sorted(self.params.items()))},
-                             sort_keys=True)
-        return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
+        return _params_digest(self.runner, self.params)
 
     def to_json(self) -> str:
         return json.dumps({"runner": self.runner,
@@ -149,8 +179,11 @@ def expand_grids(grids: t.Sequence[CampaignGrid]) -> list[RunSpec]:
     """Expand several grids into one deduplicated, ordered cell list.
 
     Duplicate cells (same runner + params, hence same ``spec_id``) are
-    collapsed — two figures sharing a (model, backend, gpus) point
-    measure it once and both read the same durable result.
+    collapsed.  Cells that differ only in labels — two figures sharing
+    a (model, backend, gpus) point — stay distinct cells with their own
+    ``spec_id``, but share a :func:`run_key`, so a campaign simulates
+    the point once and the second cell copies the first one's durable
+    result.
     """
     if not grids:
         raise CampaignError("campaign needs at least one grid")

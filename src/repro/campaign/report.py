@@ -98,6 +98,8 @@ class CampaignReport:
                         flat[key] = row.result[key]
             if row.state in ("failed", "quarantined"):
                 flat["error_class"] = row.error_class
+            if row.reused_from is not None:
+                flat["reused_from"] = row.reused_from
             rows.append(flat)
         return rows
 
@@ -240,6 +242,10 @@ def build_metrics(report: CampaignReport) -> t.Any:
         "repro_campaign_run_wall_time_s",
         help="per-run wall time of recorded attempts",
         buckets=(0.1, 0.5, 1.0, 5.0, 30.0, 120.0))
+    registry.counter(
+        "repro_campaign_runs_reused_total",
+        help="done runs that copied a twin's result instead of simulating"
+    ).inc(sum(row.reused_from is not None for row in report.rows))
     for state, count in report.counts.items():
         if count:
             states.inc(count, state=state)
@@ -261,7 +267,8 @@ def run_records(report: CampaignReport) -> t.Iterator[dict]:
                "state": row.state, "attempts": row.attempt,
                "params": dict(sorted(row.params.items())),
                "result": row.result, "error_class": row.error_class,
-               "wall_time_s": row.wall_time_s}
+               "wall_time_s": row.wall_time_s,
+               "reused_from": row.reused_from}
 
 
 def write_report_artifacts(directory: str | pathlib.Path,

@@ -34,6 +34,10 @@ Robustness contracts:
   :class:`~repro.campaign.policy.RetryPolicy` within the same immediate
   transaction that reads the previous error class, so retry/quarantine
   decisions are atomic with the state they depend on.
+* **Runs shared by key** — every row keeps its cell's
+  :func:`~repro.campaign.grid.run_key`; :meth:`done_twin` finds a
+  ``done`` row of the same run, whose result a worker may record for
+  its own cell instead of simulating it again.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import time
 import typing as t
 import uuid
 
-from repro.campaign.grid import RunSpec
+from repro.campaign.grid import RUN_LABELS, RunSpec, run_key
 from repro.campaign.policy import FAIL, QUARANTINE, RETRY, RetryPolicy
 from repro.errors import CampaignStoreError
 
@@ -88,10 +92,19 @@ CREATE TABLE IF NOT EXISTS runs (
     error            TEXT,
     traceback        TEXT,
     result_json      TEXT,
+    run_key          TEXT,
+    reused_from      TEXT,
     PRIMARY KEY (campaign_id, spec_id)
 );
 CREATE INDEX IF NOT EXISTS runs_by_state
     ON runs (campaign_id, state, not_before);
+"""
+
+#: Created after :meth:`CampaignStore._migrate`, which adds the column
+#: to stores written before runs had keys.
+_RUN_KEY_INDEX = """
+CREATE INDEX IF NOT EXISTS runs_by_run_key
+    ON runs (campaign_id, run_key, state);
 """
 
 
@@ -115,6 +128,10 @@ class RunRow:
     error: str | None
     traceback: str | None
     result: dict | None
+    #: Identity of the run (see :func:`~repro.campaign.grid.run_key`).
+    run_key: str | None = None
+    #: ``spec_id`` of the ``done`` twin whose result this cell copied.
+    reused_from: str | None = None
 
     @classmethod
     def from_sql(cls, row: sqlite3.Row) -> "RunRow":
@@ -136,6 +153,8 @@ class RunRow:
             traceback=row["traceback"],
             result=(json.loads(row["result_json"])
                     if row["result_json"] else None),
+            run_key=row["run_key"],
+            reused_from=row["reused_from"],
         )
 
 
@@ -173,9 +192,40 @@ class CampaignStore:
             self._conn.execute(
                 f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
             self._conn.executescript(_SCHEMA)
+            self._migrate()
+            self._conn.executescript(_RUN_KEY_INDEX)
         except sqlite3.Error as exc:
             raise CampaignStoreError(
                 f"cannot open campaign store {self.path}: {exc}") from exc
+
+    def _migrate(self) -> None:
+        """Add ``run_key``/``reused_from`` to a store created before
+        them and backfill ``run_key`` for cells of labelled runners.
+
+        Re-checked under the write lock: concurrent openers of an old
+        store migrate it once.
+        """
+        def has_run_key() -> bool:
+            return any(row["name"] == "run_key" for row in
+                       self._conn.execute("PRAGMA table_info(runs)"))
+
+        if has_run_key():
+            return
+        with self._immediate() as conn:
+            if has_run_key():
+                return
+            for column in ("run_key", "reused_from"):
+                conn.execute(f"ALTER TABLE runs ADD COLUMN {column} TEXT")
+            marks = ",".join("?" for _ in RUN_LABELS)
+            rows = conn.execute(
+                f"SELECT campaign_id, spec_id, runner, params_json "
+                f"FROM runs WHERE runner IN ({marks})",
+                tuple(RUN_LABELS)).fetchall()
+            conn.executemany(
+                "UPDATE runs SET run_key = ? "
+                "WHERE campaign_id = ? AND spec_id = ?",
+                [(run_key(row["runner"], json.loads(row["params_json"])),
+                  row["campaign_id"], row["spec_id"]) for row in rows])
 
     def close(self) -> None:
         self._conn.close()
@@ -247,11 +297,12 @@ class CampaignStore:
                 for spec in specs:
                     cursor = conn.execute(
                         "INSERT OR IGNORE INTO runs "
-                        "(campaign_id, spec_id, runner, params_json) "
-                        "VALUES (?, ?, ?, ?)",
+                        "(campaign_id, spec_id, runner, params_json, "
+                        "run_key) VALUES (?, ?, ?, ?, ?)",
                         (campaign_id, spec.spec_id, spec.runner,
                          json.dumps(dict(sorted(spec.params.items())),
-                                    sort_keys=True)))
+                                    sort_keys=True),
+                         run_key(spec.runner, spec.params)))
                     inserted += cursor.rowcount
         except sqlite3.Error as exc:
             raise CampaignStoreError(f"cannot add runs: {exc}") from exc
@@ -393,9 +444,11 @@ class CampaignStore:
 
     def record_done(self, campaign_id: int, spec_id: str, claim_token: str,
                     result: t.Mapping[str, object], wall_time_s: float,
-                    now: float | None = None) -> bool:
+                    now: float | None = None,
+                    reused_from: str | None = None) -> bool:
         """running -> done (token-guarded, exactly-once).
 
+        ``reused_from`` names the ``done`` twin whose result this is.
         Returns False when the claim went stale — the run was reclaimed
         and belongs to a newer attempt, so this result is dropped.
         """
@@ -403,11 +456,12 @@ class CampaignStore:
         cursor = self._transition(
             "UPDATE runs SET state = 'done', result_json = ?, "
             "wall_time_s = ?, finished_at = ?, claim_token = NULL, "
-            "error_class = NULL, error = NULL, traceback = NULL "
+            "error_class = NULL, error = NULL, traceback = NULL, "
+            "reused_from = ? "
             "WHERE campaign_id = ? AND spec_id = ? AND claim_token = ? "
             "AND state IN ('claimed', 'running')",
             (json.dumps(dict(result), sort_keys=True), wall_time_s, now,
-             campaign_id, spec_id, claim_token))
+             reused_from, campaign_id, spec_id, claim_token))
         return cursor.rowcount == 1
 
     def record_failure(self, campaign_id: int, spec_id: str,
@@ -474,6 +528,19 @@ class CampaignStore:
 
     # -- inspection ------------------------------------------------------------
 
+    def done_twin(self, campaign_id: int,
+                  key: str) -> tuple[str, dict] | None:
+        """``(spec_id, result)`` of a ``done`` cell of this campaign whose
+        run key is ``key`` (the lowest such spec id), or None.  Failed
+        and quarantined cells never count."""
+        row = self._query(
+            "SELECT spec_id, result_json FROM runs WHERE campaign_id = ? "
+            "AND run_key = ? AND state = 'done' ORDER BY spec_id LIMIT 1",
+            (campaign_id, key)).fetchone()
+        if row is None:
+            return None
+        return row["spec_id"], json.loads(row["result_json"])
+
     def run(self, campaign_id: int, spec_id: str) -> RunRow:
         row = self._query(
             "SELECT * FROM runs WHERE campaign_id = ? AND spec_id = ?",
@@ -506,6 +573,13 @@ class CampaignStore:
         for row in rows:
             counts[row["state"]] = row["n"]
         return counts
+
+    def reused_count(self, campaign_id: int) -> int:
+        """How many ``done`` cells copied a twin's result."""
+        row = self._query(
+            "SELECT COUNT(*) AS n FROM runs WHERE campaign_id = ? AND "
+            "reused_from IS NOT NULL", (campaign_id,)).fetchone()
+        return int(row["n"])
 
     def active_count(self, campaign_id: int) -> int:
         row = self._query(

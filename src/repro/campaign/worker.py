@@ -7,6 +7,11 @@ the store, from *inside the worker process*:
 * the worker marks the run ``running``, heartbeats its claim lease from
   a background thread (so long cells are not falsely declared dead),
   and records ``done``/``failed``/``quarantined`` itself;
+* a cell whose run (:func:`~repro.campaign.grid.run_key`) already has a
+  ``done`` twin in the campaign records that twin's result verbatim,
+  with ``reused_from`` naming it, instead of simulating the run again —
+  runs are deterministic functions of their spec, so the copy is the
+  result the simulation would produce;
 * the orchestrator merely schedules; if it is ``kill -9``-ed the moment
   a worker finishes, the finished cell is already recorded and a resume
   will not re-run it;
@@ -32,6 +37,7 @@ import time
 import traceback
 import typing as t
 
+from repro.campaign.grid import RUN_LABELS
 from repro.campaign.policy import RetryPolicy
 from repro.campaign.store import CampaignStore
 from repro.errors import CampaignError, ReproError, TransientWorkerError
@@ -58,10 +64,6 @@ Runner = t.Callable[[dict, RunContext], t.Mapping[str, object]]
 # Paper runners
 # --------------------------------------------------------------------------
 
-#: Keys that label a ``measure`` cell without changing its run.
-MEASURE_LABELS = ("figure", "seed")
-
-
 def measure_kwargs(params: t.Mapping[str, object]) -> dict[str, t.Any]:
     """A ``measure`` cell's :func:`~repro.harness.experiments.measure`
     keywords: labels and ``diagnose`` dropped, ``backend`` defaulted to
@@ -70,7 +72,7 @@ def measure_kwargs(params: t.Mapping[str, object]) -> dict[str, t.Any]:
     from repro.harness.experiments import MEASURE_PARAMS
 
     kwargs = {key: value for key, value in params.items()
-              if key not in MEASURE_LABELS and key != "diagnose"}
+              if key not in RUN_LABELS["measure"] and key != "diagnose"}
     unknown = sorted(set(kwargs) - set(MEASURE_PARAMS))
     if unknown:
         raise CampaignError(f"unknown measure cell parameters {unknown}")
@@ -123,21 +125,52 @@ def measure_runner(params: dict, _ctx: RunContext) -> dict:
     return payload
 
 
+#: A ``hybrid`` cell's parameters besides its labels.
+HYBRID_PARAMS = ("model", "backend", "gpus", "model_parallel_degree")
+
+
+def hybrid_kwargs(params: t.Mapping[str, object]) -> dict[str, t.Any]:
+    """A ``hybrid`` cell's run settings: labels dropped, ``backend``
+    defaulted to ``aiacc`` and ``model_parallel_degree`` to 2;
+    unknown, missing or mistyped keys raise :class:`CampaignError`."""
+    kwargs = {key: value for key, value in params.items()
+              if key not in RUN_LABELS["hybrid"]}
+    unknown = sorted(set(kwargs) - set(HYBRID_PARAMS))
+    if unknown:
+        raise CampaignError(f"unknown hybrid cell parameters {unknown}")
+    missing = [key for key in ("model", "gpus") if key not in kwargs]
+    if missing:
+        raise CampaignError(f"hybrid cell needs {missing}")
+    kwargs.setdefault("backend", "aiacc")
+    kwargs.setdefault("model_parallel_degree", 2)
+    for key in ("model", "backend"):
+        if not isinstance(kwargs[key], str):
+            raise CampaignError(
+                f"hybrid {key} must be a name, got {kwargs[key]!r}")
+    for key in ("gpus", "model_parallel_degree"):
+        value = kwargs[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value) or value != int(value) \
+                or value < 1:
+            raise CampaignError(
+                f"hybrid {key} must be a whole number >= 1, got {value!r}")
+        kwargs[key] = int(value)
+    return kwargs
+
+
 def hybrid_runner(params: dict, _ctx: RunContext) -> dict:
     """Fig. 13 cell: hybrid data+model parallelism throughput."""
     from repro.harness.experiments import tuned_aiacc_config
     from repro.training.hybrid import run_hybrid_training
 
-    model = str(params["model"])
-    gpus = int(t.cast(int, params["gpus"]))
-    backend = str(params.get("backend", "aiacc"))
+    kwargs = hybrid_kwargs(params)
+    model, backend, gpus = kwargs["model"], kwargs["backend"], kwargs["gpus"]
     options = None
     if backend == "aiacc":
         options = {"config": tuned_aiacc_config(model, gpus)}
     result = run_hybrid_training(
         model, backend, gpus,
-        model_parallel_degree=int(
-            t.cast(int, params.get("model_parallel_degree", 2))),
+        model_parallel_degree=kwargs["model_parallel_degree"],
         measure_iterations=3, warmup_iterations=1,
         backend_options=options)
     return {
@@ -324,6 +357,15 @@ def execute_run(store_path: str, campaign_id: int, spec_id: str,
                 error=f"no runner named {row.runner!r}",
                 traceback_text="", wall_time_s=0.0)
             return state or "stale"
+
+        twin = (store.done_twin(campaign_id, row.run_key)
+                if row.run_key is not None else None)
+        if twin is not None:
+            source, result = twin
+            if store.record_done(campaign_id, spec_id, claim_token, result,
+                                 wall_time_s=0.0, reused_from=source):
+                return "done"
+            return "stale"
 
         heartbeat = _HeartbeatThread(store_path, campaign_id, spec_id,
                                      claim_token, lease_s)

@@ -721,7 +721,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 counts = store.counts(info.id)
                 states = " ".join(f"{state}={count}"
                                   for state, count in counts.items())
-                print(f"campaign {info.id} ({info.name}): {states}")
+                print(f"campaign {info.id} ({info.name}): {states} "
+                      f"reused={store.reused_count(info.id)}")
         if not campaigns:
             print("no campaigns recorded")
         return 0

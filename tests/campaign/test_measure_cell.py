@@ -14,7 +14,13 @@ import pytest
 
 from repro.campaign.grid import expand_grids, figures_grids
 from repro.campaign.report import load_report_from_path
-from repro.campaign.worker import RunContext, measure_kwargs, measure_runner
+from repro.campaign.worker import (
+    RunContext,
+    hybrid_kwargs,
+    hybrid_runner,
+    measure_kwargs,
+    measure_runner,
+)
 from repro.cli import main
 from repro.errors import CampaignError, TrainingError
 from repro.harness.experiments import fig9_cv_pytorch, measure
@@ -76,6 +82,39 @@ class TestMeasureCellValidation:
         assert main(["diagnose", "--baseline", str(BENCH), "--iterations",
                      "0", "--out", str(tmp_path)]) == 1
         assert "iterations must be" in capsys.readouterr().err
+
+
+HYBRID = {"model": "resnet50", "gpus": 8}
+
+
+class TestHybridCellValidation:
+    @pytest.mark.parametrize("cell", [
+        {**HYBRID, "streams": 64},
+        {**HYBRID, "modle": "vgg16"},
+        {**HYBRID, "diagnose": True},
+        {**HYBRID, "gpus": 8.7}, {**HYBRID, "gpus": True},
+        {**HYBRID, "gpus": 0}, {**HYBRID, "gpus": "8"},
+        {**HYBRID, "gpus": None}, {**HYBRID, "gpus": math.inf},
+        {**HYBRID, "model_parallel_degree": 1.5},
+        {**HYBRID, "model_parallel_degree": False},
+        {**HYBRID, "model_parallel_degree": 0},
+        {**HYBRID, "model": 7}, {**HYBRID, "backend": None},
+        {"gpus": 8},
+        {"model": "resnet50"},
+    ], ids=repr)
+    def test_bad_cell_raises_campaign_error(self, cell):
+        with pytest.raises(CampaignError):
+            hybrid_runner(cell, CTX)
+
+    def test_labels_are_accepted_and_dropped(self):
+        assert hybrid_kwargs({**HYBRID, "figure": "fig13", "seed": 3}) == \
+            {**HYBRID, "backend": "aiacc", "model_parallel_degree": 2}
+
+    def test_integral_float_counts_run_as_ints(self):
+        assert hybrid_kwargs({**HYBRID, "gpus": 8.0,
+                              "model_parallel_degree": 2.0}) == \
+            hybrid_kwargs(HYBRID)
+        assert type(hybrid_kwargs({**HYBRID, "gpus": 8.0})["gpus"]) is int
 
 
 def spec_line(out: str, name: str) -> str:

@@ -17,7 +17,11 @@ every step that:
    ``_finish_s``) holds Python floats, never numpy scalars;
 5. every time in the kernel heap is a Python float;
 6. each completion event is scheduled at most once, fires at most once,
-   never before its flow started, and never after it was cancelled.
+   never before its flow started, and never after it was cancelled;
+7. bytes are conserved: every live flow has ``0 <= remaining_bits <=
+   size_bits``, and ``bits_delivered`` equals the bits debited from
+   every entity ever started — completed, cancelled or live — each
+   counted ``_mult`` times (``1e-9`` relative).
 
 At the end of each run the simulation is drained and every
 non-cancelled completion must have fired exactly once.
@@ -64,6 +68,8 @@ class FluidNetworkMachine(RuleBasedStateMachine):
         #: completion event -> (start time, [fire times])
         self.completions = {}
         self.cancelled = set()
+        #: every entity seen live -> bits it had delivered when first seen
+        self.entities = {}
 
     def _track(self, event):
         fires = []
@@ -178,11 +184,33 @@ class FluidNetworkMachine(RuleBasedStateMachine):
                 assert not fires
             assert all(when >= started for when in fires)
 
+    @invariant()
+    def bytes_are_conserved(self):
+        for flow in self.net.flows:
+            assert 0.0 <= flow.remaining_bits <= flow.size_bits, flow
+            if flow in self.entities:
+                continue
+            if flow.done in self.completions:
+                # A public flow is first seen at the instant it starts.
+                assert flow.remaining_bits == flow.size_bits, flow
+                self.entities[flow] = 0.0
+            else:
+                # A split bundle's member: it inherits the progress the
+                # retired group already accounts for.
+                self.entities[flow] = flow.size_bits - flow.remaining_bits
+        debited = sum(
+            (flow.size_bits - flow.remaining_bits - inherited) * flow._mult
+            for flow, inherited in self.entities.items())
+        assert math.isclose(self.net.bits_delivered, debited,
+                            rel_tol=1e-9, abs_tol=1e-6), \
+            (self.net.bits_delivered, debited)
+
     def teardown(self):
         self.sim.run()
         assert not self.net.flows
         for event, (_, fires) in self.completions.items():
             assert len(fires) == (0 if event in self.cancelled else 1)
+        self.bytes_are_conserved()
 
 
 TestFluidNetworkModel = FluidNetworkMachine.TestCase

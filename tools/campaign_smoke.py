@@ -2,14 +2,16 @@
 
 The script exercises ISSUE 6's end-to-end invariant on a tiny grid:
 
-1. submit a grid mixing sleep cells with one ``kamikaze`` cell that
-   SIGKILLs its own worker mid-campaign;
+1. submit a grid mixing sleep cells, one ``kamikaze`` cell that
+   SIGKILLs its own worker mid-campaign, and a ``measure`` twin pair
+   that differs only in its ``figure`` label (so one cell may copy the
+   other's result instead of simulating it);
 2. run the campaign in a child orchestrator and ``kill -9`` that
    orchestrator once some cells are done and some are still active;
 3. resume with ``python -m repro campaign resume`` and require that
    every cell ends terminal, the kamikaze cell recovered, and the final
    report digest equals that of an uninterrupted control run of the
-   same grid in a fresh store;
+   same grid in a fresh store — whichever twin ran or was reused;
 4. write the resulting store summary under ``--out`` for upload.
 
 Exit code 0 only if every check holds.
@@ -29,7 +31,7 @@ import time
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.campaign.grid import CampaignGrid  # noqa: E402
+from repro.campaign.grid import CampaignGrid, expand_grids  # noqa: E402
 from repro.campaign.policy import RetryPolicy  # noqa: E402
 from repro.campaign.report import (  # noqa: E402
     load_report,
@@ -49,7 +51,10 @@ GRIDS = [
                  base={"duration_s": 0.25}),
     CampaignGrid(runner="kamikaze", axes={"cell": (100,)},
                  base={"die_attempts": 1}),
+    CampaignGrid(runner="measure", axes={"figure": ("a", "b")},
+                 base={"model": "resnet50", "gpus": 8}),
 ]
+CELLS = len(expand_grids(GRIDS))
 
 
 def run_uninterrupted(store_path: pathlib.Path) -> str:
@@ -58,7 +63,7 @@ def run_uninterrupted(store_path: pathlib.Path) -> str:
     runner = CampaignRunner(store_path, campaign_id, max_workers=2,
                             lease_s=1.0, poll_s=0.05, policy=POLICY)
     counts = runner.run(max_wall_s=120.0)
-    assert counts["done"] == 7, f"control run incomplete: {counts}"
+    assert counts["done"] == CELLS, f"control run incomplete: {counts}"
     with CampaignStore(store_path) as store:
         return load_report(store, campaign_id).digest()
 
@@ -131,9 +136,11 @@ def main() -> int:
     with CampaignStore(store_path) as store:
         report = load_report(store, campaign_id)
         counts = store.counts(campaign_id)
+        reused = store.reused_count(campaign_id)
     write_report_artifacts(args.out, report)
     summary = {
         "counts": counts,
+        "reused": reused,
         "digest": report.digest(),
         "control_digest": control_digest,
         "counts_at_kill": at_kill,
@@ -141,7 +148,8 @@ def main() -> int:
     (args.out / "smoke.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
 
-    assert counts["done"] == 7, f"resume left cells unfinished: {counts}"
+    assert counts["done"] == CELLS, \
+        f"resume left cells unfinished: {counts}"
     assert report.complete, "report not complete after resume"
     assert report.digest() == control_digest, (
         f"digest mismatch: interrupted {report.digest()} != "
