@@ -13,6 +13,7 @@ from repro.autotune.bandit import AUCBandit
 from repro.autotune.bayesian import BayesianOptimization
 from repro.autotune.cache import CacheEntry, SettingsCache
 from repro.autotune.graph_distance import (
+    ModelFingerprint,
     deployment_distance,
     graph_edit_distance,
     model_graph,
@@ -43,6 +44,7 @@ __all__ = [
     "EXTENDED_ALGORITHMS",
     "GridSearch",
     "Hyperband",
+    "ModelFingerprint",
     "ParameterPoint",
     "PopulationBasedTraining",
     "SearchSpace",

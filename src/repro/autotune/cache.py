@@ -19,7 +19,10 @@ import typing as t
 import networkx as nx
 
 from repro.errors import AutotuneError
-from repro.autotune.graph_distance import deployment_distance
+from repro.autotune.graph_distance import (
+    ModelFingerprint,
+    deployment_distance,
+)
 from repro.autotune.space import ParameterPoint
 from repro.ioutil import atomic_write_text
 from repro.models.base import ModelSpec
@@ -32,7 +35,7 @@ class CacheEntry:
     """One remembered deployment and its tuned parameters."""
 
     label: str
-    model: ModelSpec
+    model: ModelFingerprint
     topology: nx.Graph
     best_point: ParameterPoint
     best_cost_s: float
@@ -53,16 +56,19 @@ class SettingsCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def store(self, label: str, model: ModelSpec, topology: nx.Graph,
-              best_point: ParameterPoint, best_cost_s: float) -> None:
+    def store(self, label: str, model: ModelSpec | ModelFingerprint,
+              topology: nx.Graph, best_point: ParameterPoint,
+              best_cost_s: float) -> None:
         """Remember a tuned deployment (oldest evicted beyond capacity)."""
         self._entries.append(CacheEntry(
-            label=label, model=model, topology=topology,
+            label=label, model=ModelFingerprint.of(model),
+            topology=topology,
             best_point=best_point, best_cost_s=best_cost_s))
         if len(self._entries) > self.max_entries:
             self._entries.pop(0)
 
-    def lookup(self, model: ModelSpec, topology: nx.Graph,
+    def lookup(self, model: ModelSpec | ModelFingerprint,
+               topology: nx.Graph,
                max_distance: float | None = None
                ) -> tuple[CacheEntry, float] | None:
         """Most similar remembered deployment (entry, distance), or None.
@@ -70,11 +76,12 @@ class SettingsCache:
         ``max_distance`` rejects matches that are too far away to be a
         useful warm start.
         """
+        query = ModelFingerprint.of(model)
         best: CacheEntry | None = None
         best_distance = float("inf")
         for entry in self._entries:
             distance = deployment_distance(
-                model, topology, entry.model, entry.topology)
+                query, topology, entry.model, entry.topology)
             if distance < best_distance:
                 best, best_distance = entry, distance
         if best is None:
@@ -83,7 +90,8 @@ class SettingsCache:
             return None
         return best, best_distance
 
-    def starting_point(self, model: ModelSpec, topology: nx.Graph,
+    def starting_point(self, model: ModelSpec | ModelFingerprint,
+                       topology: nx.Graph,
                        max_distance: float | None = None
                        ) -> ParameterPoint | None:
         """The warm-start point for a new deployment, if any."""
@@ -99,7 +107,7 @@ class SettingsCache:
         for entry in self._entries:
             payload.append({
                 "label": entry.label,
-                "model": _model_fingerprint(entry.model),
+                "model": _fingerprint_payload(entry.model),
                 "topology": nx.node_link_data(entry.topology, edges="links"),
                 "best_point": {
                     "num_streams": entry.best_point.num_streams,
@@ -117,8 +125,9 @@ class SettingsCache:
              max_entries: int = 256) -> "SettingsCache":
         """Restore a cache written by :meth:`save`.
 
-        Model specs are restored as lightweight fingerprints that carry
-        exactly the layer-size structure the similarity metric uses.
+        Models are restored as the :class:`ModelFingerprint` they were
+        saved as: exactly the layer-size structure the similarity metric
+        uses.
 
         A corrupt *entry* (missing keys, wrong types, an unparsable
         topology) is quarantined into :attr:`quarantined` and logged
@@ -127,8 +136,12 @@ class SettingsCache:
         costs the tuner its memory entirely.  An entry whose values no
         tuner could have stored (a negative or non-finite cost, fewer than
         one stream, a non-positive granularity) is quarantined the same
-        way.  An unreadable or non-JSON *file* — including one nested too
-        deeply to decode — still raises :class:`AutotuneError`.
+        way, as is a model fingerprint no :class:`ModelSpec` could have
+        (a non-string name, a size that is not a whole number >= 0, a
+        negative or non-finite FLOP count, size and FLOP lists of
+        different lengths).  An unreadable or non-JSON *file* —
+        including one nested too deeply to decode — still raises
+        :class:`AutotuneError`.
         """
         try:
             payload = json.loads(pathlib.Path(path).read_text())
@@ -143,7 +156,7 @@ class SettingsCache:
             try:
                 cache.store(
                     label=item["label"],
-                    model=_model_from_fingerprint(item["model"]),
+                    model=_fingerprint_from_payload(item["model"]),
                     topology=nx.node_link_graph(item["topology"],
                                                 edges="links"),
                     best_point=_point_from_payload(item["best_point"]),
@@ -190,31 +203,41 @@ def _cost_from_payload(value: t.Any) -> float:
     return cost
 
 
-def _model_fingerprint(model: ModelSpec) -> dict:
-    """The communication-relevant skeleton of a model, JSON-safe."""
+def _fingerprint_payload(model: ModelFingerprint) -> dict:
+    """The JSON form of a fingerprint, as :meth:`SettingsCache.save`
+    writes it."""
     return {
         "name": model.name,
-        "layer_sizes": [layer.num_parameters for layer in model.layers],
-        "layer_flops": [layer.forward_flops for layer in model.layers],
+        "layer_sizes": list(model.layer_sizes),
+        "layer_flops": list(model.layer_flops),
         "compute_occupancy": model.compute_occupancy,
     }
 
 
-def _model_from_fingerprint(data: dict) -> ModelSpec:
-    """Rebuild a similarity-equivalent ModelSpec from a fingerprint."""
-    from repro.models.base import LayerSpec, ParameterSpec
-
-    layers = tuple(
-        LayerSpec(
-            name=f"layer{i}",
-            parameters=(ParameterSpec(f"layer{i}.p", max(1, int(size))),),
-            forward_flops=float(flops),
-        )
-        for i, (size, flops) in enumerate(
-            zip(data["layer_sizes"], data["layer_flops"]))
-    )
-    return ModelSpec(
-        name=data["name"],
-        layers=layers,
-        compute_occupancy=data["compute_occupancy"],
-    )
+def _fingerprint_from_payload(data: dict) -> ModelFingerprint:
+    """A persisted :class:`ModelFingerprint`, or ``ValueError`` if no
+    :class:`ModelSpec` could have produced it."""
+    name, sizes, flops = data["name"], data["layer_sizes"], \
+        data["layer_flops"]
+    occupancy = data["compute_occupancy"]
+    if not isinstance(name, str):
+        raise ValueError(f"model name must be a string, got {name!r}")
+    if not isinstance(sizes, list) or not isinstance(flops, list) \
+            or not sizes or len(sizes) != len(flops):
+        raise ValueError(f"layer_sizes and layer_flops must be non-empty "
+                         f"lists of one length, got {sizes!r} and "
+                         f"{flops!r}")
+    for size in sizes:
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise ValueError(f"layer sizes must be integers >= 0, "
+                             f"got {size!r}")
+    for value in flops:
+        if not _is_number(value) or not math.isfinite(value) or value < 0:
+            raise ValueError(f"layer FLOPs must be finite and >= 0, "
+                             f"got {value!r}")
+    if not _is_number(occupancy) or not 0 < occupancy <= 1:
+        raise ValueError(f"compute_occupancy must be in (0, 1], "
+                         f"got {occupancy!r}")
+    return ModelFingerprint(name=name, layer_sizes=tuple(sizes),
+                            layer_flops=tuple(map(float, flops)),
+                            compute_occupancy=occupancy)

@@ -10,10 +10,15 @@ cache compares (tens of nodes) we run networkx's optimized GED
 approximation, and beyond a size threshold we fall back to a
 degree/attribute-signature lower bound — both metrics are admissible for
 nearest-neighbour lookup, which is all the cache needs.
+
+A model's side of the comparison is a :class:`ModelFingerprint`: the
+layer-size skeleton the cache persists plus the signature of its layer
+chain, computed once so repeated lookups compare tuples, not graphs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 
 import networkx as nx
 import numpy as np
@@ -55,6 +60,56 @@ def _signature(graph: nx.Graph, node_attr: str | None) -> np.ndarray:
     ])
 
 
+def _chain_signature(layer_sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """``_signature(model_graph(spec), "size_bucket")`` from layer sizes
+    alone: a chain of ``n`` layers has ``n - 1`` edges and degrees
+    ``[1, 1, 2, ...]`` (``[0]`` for a single layer)."""
+    count = len(layer_sizes)
+    degrees = [0] * 8
+    if count == 1:
+        degrees[0] = 1
+    elif count > 1:
+        degrees[1], degrees[2] = 2, count - 2
+    histogram = [0] * 16
+    for size in layer_sizes:
+        histogram[int(np.log10(max(size, 1))) % 16] += 1
+    return (count, max(count - 1, 0), *degrees, *histogram)
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelFingerprint:
+    """The communication-relevant skeleton of a model (what the settings
+    cache persists) and its precomputed similarity signature."""
+
+    name: str
+    layer_sizes: tuple[int, ...]
+    layer_flops: tuple[float, ...]
+    compute_occupancy: float
+    signature: tuple[int, ...] = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signature",
+                           _chain_signature(self.layer_sizes))
+
+    @classmethod
+    def of(cls, model: "ModelSpec | ModelFingerprint") -> "ModelFingerprint":
+        """``model``'s fingerprint (a fingerprint is its own)."""
+        if isinstance(model, ModelFingerprint):
+            return model
+        return cls(
+            name=model.name,
+            layer_sizes=tuple(layer.num_parameters
+                              for layer in model.layers),
+            layer_flops=tuple(layer.forward_flops for layer in model.layers),
+            compute_occupancy=model.compute_occupancy)
+
+    def distance(self, other: "ModelFingerprint") -> float:
+        """L1 distance between the two chain signatures."""
+        return float(sum(abs(a - b) for a, b in
+                         zip(self.signature, other.signature)))
+
+
 def signature_distance(a: nx.Graph, b: nx.Graph,
                        node_attr: str | None = None) -> float:
     """L1 distance between graph signatures — a cheap GED lower bound."""
@@ -62,9 +117,23 @@ def signature_distance(a: nx.Graph, b: nx.Graph,
                         - _signature(b, node_attr)).sum())
 
 
+def _identical(a: nx.Graph, b: nx.Graph, node_attr: str | None) -> bool:
+    if list(a.nodes) != list(b.nodes) or list(a.edges) != list(b.edges):
+        return False
+    return node_attr is None or all(
+        data.get(node_attr) == b.nodes[node].get(node_attr)
+        for node, data in a.nodes(data=True))
+
+
 def graph_edit_distance(a: nx.Graph, b: nx.Graph,
                         node_attr: str | None = None) -> float:
-    """GED between two graphs (approximate beyond the size limit)."""
+    """GED between two graphs (approximate beyond the size limit).
+
+    Graphs with the same node list, edge list and ``node_attr`` values
+    are identical, so their distance is exactly 0 without a search.
+    """
+    if _identical(a, b, node_attr):
+        return 0.0
     if max(a.number_of_nodes(), b.number_of_nodes()) > GED_EXACT_NODE_LIMIT:
         return signature_distance(a, b, node_attr)
 
@@ -81,12 +150,13 @@ def graph_edit_distance(a: nx.Graph, b: nx.Graph,
     return signature_distance(a, b, node_attr)  # pragma: no cover
 
 
-def deployment_distance(model_a: ModelSpec, topo_a: nx.Graph,
-                        model_b: ModelSpec, topo_b: nx.Graph) -> float:
+def deployment_distance(model_a: ModelSpec | ModelFingerprint,
+                        topo_a: nx.Graph,
+                        model_b: ModelSpec | ModelFingerprint,
+                        topo_b: nx.Graph) -> float:
     """Combined (model graph, topology graph) deployment distance."""
-    model_term = signature_distance(model_graph(model_a),
-                                    model_graph(model_b),
-                                    node_attr="size_bucket")
+    model_term = ModelFingerprint.of(model_a).distance(
+        ModelFingerprint.of(model_b))
     topo_term = graph_edit_distance(topo_a, topo_b)
     # Topology differences dominate: a new cluster shape changes optimal
     # parameters more than a few extra layers do.

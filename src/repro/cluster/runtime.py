@@ -32,6 +32,7 @@ from repro.autotune.grid import GridSearch
 from repro.autotune.space import ParameterPoint, SearchSpace
 from repro.autotune.tuner import AutoTuner
 from repro.autotune.cache import SettingsCache
+from repro.autotune.graph_distance import ModelFingerprint
 from repro.cluster.fabric import SharedFabric
 from repro.cluster.jobs import JobSpec, JobState, NumericTrainer
 from repro.cluster.scheduler import PlacementScheduler, backoff_delay_s
@@ -179,6 +180,13 @@ class ClusterRuntime:
         self.scheduler = PlacementScheduler(self.fabric)
         self.cache = settings_cache if settings_cache is not None \
             else SettingsCache()
+        # Settings-cache keys, built once per run: a model's fingerprint
+        # per distinct model, a sub-fabric topology per job.
+        self._fingerprints = {
+            name: ModelFingerprint.of(get_model(name))
+            for name in dict.fromkeys(spec.model for spec in self.specs)}
+        self._topologies = {spec.job_id: self._job_topology(spec)
+                            for spec in self.specs}
         self.states: dict[str, JobState] = {}
         self.findings: list[Finding] = []
         for spec in self.specs:
@@ -337,7 +345,8 @@ class ClusterRuntime:
     def _warm_start(self, state: JobState) -> None:
         """Seed stream count from the most similar remembered tenant."""
         found = self.cache.lookup(
-            get_model(state.spec.model), self._job_topology(state.spec),
+            self._fingerprints[state.spec.model],
+            self._topologies[state.spec.job_id],
             max_distance=self.config.warm_start_max_distance)
         if found is None:
             return
@@ -352,8 +361,9 @@ class ClusterRuntime:
             return
         mean_step = sum(state.step_times) / len(state.step_times)
         self.cache.store(
-            label=state.spec.job_id, model=get_model(state.spec.model),
-            topology=self._job_topology(state.spec),
+            label=state.spec.job_id,
+            model=self._fingerprints[state.spec.model],
+            topology=self._topologies[state.spec.job_id],
             best_point=ParameterPoint(
                 num_streams=state.streams, granularity_bytes=4_000_000,
                 algorithm="ring"),

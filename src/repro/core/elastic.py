@@ -44,6 +44,7 @@ from repro.core.fault_tolerance import ElasticCoordinator, State
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.autotune.cache import SettingsCache
+    from repro.autotune.graph_distance import ModelFingerprint
     from repro.core.runtime import AIACCConfig
     from repro.models.base import ModelSpec
     from repro.sim.topology import Cluster
@@ -275,7 +276,8 @@ class ElasticRuntime:
 
     # -- tuner re-key ---------------------------------------------------------
 
-    def retune(self, model: "ModelSpec", cluster: "Cluster",
+    def retune(self, model: "ModelSpec | ModelFingerprint",
+               cluster: "Cluster",
                config: "AIACCConfig"
                ) -> tuple["AIACCConfig", str | None]:
         """Re-key the tuner's best-setting cache for a new topology.
@@ -284,7 +286,8 @@ class ElasticRuntime:
         cluster (paper §VI: settings are cached per computation graph ×
         topology) and applies its parameter point to ``config``.
         Returns ``(config, None)`` unchanged when no cache is attached
-        or it has no usable entry.
+        or it has no usable entry.  A driver that re-keys more than once
+        passes the model's :class:`ModelFingerprint`, computed once.
         """
         if self.settings_cache is None:
             return config, None

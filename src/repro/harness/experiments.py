@@ -120,6 +120,7 @@ def measure(model: str | ModelSpec, backend: str, gpus: int,
     malformed values raise :class:`~repro.errors.TrainingError`.
     """
     gpus = _checked("gpus", gpus, "count")
+    spec = get_model(model) if isinstance(model, str) else model
     if batch_per_gpu is not None:
         batch_per_gpu = _checked("batch_per_gpu", batch_per_gpu, "count")
     tuning = {"streams": streams, "granularity_mb": granularity_mb,
@@ -134,7 +135,7 @@ def measure(model: str | ModelSpec, backend: str, gpus: int,
         if algorithm is not None:
             overrides["algorithm"] = algorithm
         engine: t.Any = make_backend("aiacc", config=tuned_aiacc_config(
-            model, gpus).replace(**overrides))
+            spec, gpus).replace(**overrides))
     elif any(value is not None for value in tuning.values()):
         raise TrainingError(
             f"{', '.join(k for k, v in tuning.items() if v is not None)} "
@@ -143,7 +144,7 @@ def measure(model: str | ModelSpec, backend: str, gpus: int,
         engine = make_backend(backend)
     rdma = _checked("rdma", rdma, "flag")
     return run_training(
-        model, engine, gpus, batch_per_gpu=batch_per_gpu,
+        spec, engine, gpus, batch_per_gpu=batch_per_gpu,
         measure_iterations=_checked("iterations", iterations, "count"),
         warmup_iterations=1,
         transport=RDMA if rdma else TCP,

@@ -233,19 +233,18 @@ class ModelSpec:
             raise ModelSpecError("scale targets must be positive")
         param_scale = target_parameters / self.num_parameters
         flop_scale = target_forward_flops / self.forward_flops
-        new_layers = []
-        for layer in self.layers:
-            new_params = tuple(
-                dataclasses.replace(
-                    p, num_elements=max(1, round(p.num_elements * param_scale)))
-                for p in layer.parameters
-            )
-            new_layers.append(dataclasses.replace(
-                layer,
-                parameters=new_params,
-                forward_flops=layer.forward_flops * flop_scale,
-            ))
-        return dataclasses.replace(self, layers=tuple(new_layers))
+        layers = tuple(
+            LayerSpec(
+                name=layer.name,
+                parameters=tuple(
+                    ParameterSpec(
+                        p.name,
+                        max(1, round(p.num_elements * param_scale)),
+                        p.dtype_bytes)
+                    for p in layer.parameters),
+                forward_flops=layer.forward_flops * flop_scale)
+            for layer in self.layers)
+        return dataclasses.replace(self, layers=layers)
 
 
 def make_layer(name: str, shapes: t.Sequence[tuple[str, int]],

@@ -360,6 +360,7 @@ def run_fault_injected_training(
     new topology.  Crashes keep the abort → rebuild → checkpoint-restore
     path, now also stamped as a ``failure`` epoch transition.
     """
+    from repro.autotune.graph_distance import ModelFingerprint
     from repro.core.elastic import ElasticRuntime
     from repro.core.fault_tolerance import CheckpointManager, \
         ElasticCoordinator
@@ -423,6 +424,9 @@ def run_fault_injected_training(
         runtime = ElasticRuntime(
             elastic, members=range(num_nodes), gpus_per_node=gpus_per_node,
             settings_cache=settings_cache)
+        # The tuner re-key's model side, fingerprinted once per run.
+        cache_key = ModelFingerprint.of(spec) \
+            if settings_cache is not None else spec
         ckpt_cost = checkpoint_write_time_s(spec)
         rebuild_cost = restart_overhead_s + broadcast_time_s(spec)
         #: Communicator re-formation pause at a clean epoch boundary —
@@ -531,7 +535,7 @@ def run_fault_injected_training(
                             gpus_per_node=gpus_per_node, trace=run_trace,
                             representative=False, sim=sim, obs=obs)
                         backend.config, tuned_label = runtime.retune(
-                            spec, joined_ctx.cluster, backend.config)
+                            cache_key, joined_ctx.cluster, backend.config)
                         runtime.scale_up(
                             nodes, at_s=sim.now, live_parameters=live,
                             resumed_iteration=completed,

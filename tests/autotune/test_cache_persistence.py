@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,6 +100,124 @@ class TestCachePersistence:
         path.write_text(json.dumps({"not": "a list"}))
         with pytest.raises(AutotuneError):
             SettingsCache.load(path)
+
+
+#: A cache file written by the graph-building cache (before fingerprints
+#: were precomputed): three deployments, resnet50@16, vgg16@32 and
+#: bert-large@8.
+SAVED = pathlib.Path(__file__).parent / "settings_cache_saved.json"
+
+
+def _saved_cache():
+    cache = SettingsCache()
+    cache.store("rn50@16", get_model("resnet50"), topo(16),
+                ParameterPoint(8, 8e6, "ring"), 0.25)
+    cache.store("vgg@32", get_model("vgg16"), topo(32),
+                ParameterPoint(16, 16e6, "ring"), 0.5)
+    cache.store("bert@8", get_model("bert-large"), topo(8),
+                ParameterPoint(4, 32e6, "tree"), 1.5)
+    return cache
+
+
+class TestSavedFormat:
+    def test_save_writes_the_committed_format(self, tmp_path):
+        path = tmp_path / "cache.json"
+        _saved_cache().save(path)
+        assert path.read_text() == SAVED.read_text()
+
+    def test_reload_and_resave_is_byte_identical(self, tmp_path):
+        path = tmp_path / "cache.json"
+        SettingsCache.load(SAVED).save(path)
+        assert path.read_text() == SAVED.read_text()
+
+    @pytest.mark.parametrize("model, gpus, label, distance", (
+        ("resnet50", 8, "rn50@16", 8.0),
+        ("resnet50", 16, "rn50@16", 0.0),
+        ("resnet50", 32, "vgg@32", 12.0),
+        ("vgg16", 24, "vgg@32", 16.0),
+        ("bert-large", 32, "bert@8", 36.0),
+        ("transformer", 8, "rn50@16", 32.0),
+        ("resnet101", 32, "vgg@32", 86.0),
+    ))
+    def test_saved_file_gives_the_same_lookups(self, model, gpus, label,
+                                               distance):
+        restored = SettingsCache.load(SAVED)
+        assert restored.quarantined == []
+        entry, found = restored.lookup(get_model(model), topo(gpus))
+        assert (entry.label, found) == (label, distance)
+
+
+def _with_model(tmp_path, **fields):
+    """Load :data:`SAVED` plus one copy of its first entry whose model
+    fingerprint has ``fields`` overridden."""
+    payload = json.loads(SAVED.read_text())
+    bad = json.loads(json.dumps(payload[0]))
+    bad["label"] = "bad"
+    bad["model"].update(fields)
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(payload + [bad]))
+    return SettingsCache.load(path)
+
+
+class TestMalformedFingerprint:
+    """A fingerprint no ModelSpec could have is quarantined, with a
+    reason, instead of being coerced into one."""
+
+    def _assert_quarantined(self, cache, reason):
+        assert [entry.label for entry in cache._entries] == \
+            ["rn50@16", "vgg@32", "bert@8"]
+        [(item, why)] = cache.quarantined
+        assert item["label"] == "bad"
+        assert reason in why
+
+    def test_size_and_flop_lists_of_different_lengths(self, tmp_path):
+        cache = _with_model(tmp_path, layer_sizes=[10, 20, 30],
+                            layer_flops=[1.0, 2.0])
+        self._assert_quarantined(cache, "one length")
+
+    def test_negative_size(self, tmp_path):
+        cache = _with_model(tmp_path, layer_sizes=[10, -5],
+                            layer_flops=[1.0, 2.0])
+        self._assert_quarantined(cache, "-5")
+
+    def test_boolean_size(self, tmp_path):
+        cache = _with_model(tmp_path, layer_sizes=[10, True],
+                            layer_flops=[1.0, 2.0])
+        self._assert_quarantined(cache, "True")
+
+    def test_fractional_size(self, tmp_path):
+        cache = _with_model(tmp_path, layer_sizes=[10, 2.7],
+                            layer_flops=[1.0, 2.0])
+        self._assert_quarantined(cache, "2.7")
+
+    def test_string_size(self, tmp_path):
+        cache = _with_model(tmp_path, layer_sizes=[10, "7"],
+                            layer_flops=[1.0, 2.0])
+        self._assert_quarantined(cache, "'7'")
+
+    def test_nan_flops(self, tmp_path):
+        cache = _with_model(tmp_path, layer_sizes=[10, 20],
+                            layer_flops=[1.0, float("nan")])
+        self._assert_quarantined(cache, "nan")
+
+    def test_non_string_name(self, tmp_path):
+        cache = _with_model(tmp_path, name=5)
+        self._assert_quarantined(cache, "name")
+
+    def test_zero_size_layer_still_loads(self, tmp_path):
+        # A layer without parameters (pooling, activation) saves size 0.
+        cache = _with_model(tmp_path, layer_sizes=[10, 0],
+                            layer_flops=[1.0, 0.0])
+        assert cache.quarantined == []
+        assert cache._entries[-1].model.layer_sizes == (10, 0)
+
+    def test_integer_flops_load_as_floats(self, tmp_path):
+        # FLOPs load as floats whatever their JSON number type, so a
+        # load then save writes floats.
+        cache = _with_model(tmp_path, layer_sizes=[10, 20],
+                            layer_flops=[1, 2])
+        flops = cache._entries[-1].model.layer_flops
+        assert [type(value) for value in flops] == [float, float]
 
 
 class TestElasticScaling:

@@ -9,6 +9,7 @@ chaos-free shared run, and the whole run replays to a pinned
 
 import pytest
 
+import repro.cluster.runtime as runtime_module
 from repro.autotune.cache import SettingsCache
 from repro.cluster import (
     ClusterConfig,
@@ -17,6 +18,7 @@ from repro.cluster import (
     three_job_scenario,
 )
 from repro.errors import AdmissionRejected, ClusterError
+from repro.models import get_model
 from repro.sim.faults import FaultPlan, NodeCrash
 
 
@@ -173,3 +175,17 @@ class TestWarmStart:
     def test_cold_start_leaves_warm_start_unset(self):
         result = three_job_scenario(chaos=False).run()
         assert result.jobs["jobB"]["warm_start"] is None
+
+    def test_each_model_is_built_once_per_run(self, monkeypatch):
+        # Warm start and store share one fingerprint per distinct model:
+        # resnet50 (jobs A and C) and vgg16 (job B).
+        built = []
+
+        def counting_get_model(name):
+            built.append(name)
+            return get_model(name)
+
+        monkeypatch.setattr(runtime_module, "get_model", counting_get_model)
+        result = three_job_scenario(chaos=True).run()
+        assert sorted(built) == ["resnet50", "vgg16"]
+        assert result.cluster_digest == "aea42149d0d935ce8d2d84bb3ca89582"
