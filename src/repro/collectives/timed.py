@@ -14,15 +14,21 @@ count drops by a factor of ``num_nodes``.
 
 Every fan-out launches the same way (:meth:`TimedCollectives.
 _launch_runs`): consecutive flows sharing (bytes, cap, weight) form a
-*uniform run*; when every run has at least two members each run enters
-the network as one :class:`~repro.sim.network.GroupFlow` via
-:meth:`~repro.sim.network.FluidNetwork.start_flow_group` (which falls
-back to batched per-member flows when bundling is not exact), otherwise
-the whole launch is inserted once through :meth:`~repro.sim.network.
-FluidNetwork.start_flows`.  Both are exact at every scale: AIACC puts
-each gradient unit on concurrent streams over the same NIC pairs, so a
-ring fan-out is symmetric and no simulated time passes between its
-same-instant arrivals.
+*uniform run*.  The members of a run that share no link with another
+member of the launch split into classes of capacity-identical members
+(:meth:`~repro.sim.network.FluidNetwork.bundle_classes`): each class of
+two or more enters as one :class:`~repro.sim.network.GroupFlow`, every
+other member as a plain flow, so one congested hop no longer unbundles
+the rest of its ring, while hops sharing an oversubscribed core enter
+member by member.  A launch with a lone-member run enters the network
+in one :meth:`~repro.sim.network.FluidNetwork.start_flows` insert; a
+launch whose runs all have two or more members enters one insert per
+run.  Both are exact at every scale: bundled members are link-disjoint
+and capacity-identical, so each one's rate is bit-equal to the group's,
+and no simulated time passes between a launch's same-instant arrivals.
+The ring, half-ring and hierarchical launches classify once per
+collectives instance (:class:`_WirePlan`); planner phases, broadcast
+and all-to-all classify per call.
 """
 
 from __future__ import annotations
@@ -46,10 +52,9 @@ ALGORITHMS = ("ring", "hierarchical") + PLANNER_ALGORITHMS
 
 #: One flow of a launch: ``(links, bytes, per-stream cap, weight)``.
 _Spec = tuple[t.Sequence[Link], float, "float | None", int]
-#: One uniform run of a launch: its members (link sets, or a cached
-#: :class:`~repro.sim.network.FlowBundle`) plus their shared bytes,
-#: per-stream cap and weight.
-_Run = tuple["FlowBundle | t.Sequence[t.Sequence[Link]]", float,
+#: One uniform run of a launch: its members (link sets, or their
+#: :class:`_Classes`) plus their shared bytes, per-stream cap and weight.
+_Run = tuple["_Classes | t.Sequence[t.Sequence[Link]]", float,
              "float | None", int]
 
 #: Device-wide synchronization between the hierarchical algorithm's three
@@ -77,24 +82,63 @@ def _uniform_runs(specs: t.Iterable[tuple]) -> list[list]:
     return runs
 
 
+class _Classes(tuple):
+    """A uniform run's member link sets and the entries they launch as.
+
+    A tuple of the member link sets, so it stands wherever a run's
+    members do; ``parts`` are the run's
+    :meth:`~repro.sim.network.FluidNetwork.start_flows` entries — a
+    :class:`~repro.sim.network.FlowBundle` per class of two or more
+    capacity-identical members and the bare links of each lone member
+    (see :meth:`~repro.sim.network.FluidNetwork.bundle_classes`).
+    """
+
+    parts: list["FlowBundle | tuple[Link, ...]"]
+
+    @classmethod
+    def of(cls, members: t.Iterable[t.Sequence[Link]],
+           parts: list["FlowBundle | tuple[Link, ...]"]) -> "_Classes":
+        classes = cls(members)
+        classes.parts = parts
+        return classes
+
+
+def _classify(network: FluidNetwork, runs: list[list]) -> list[list]:
+    """Split a launch's uniform runs into their bundle classes.
+
+    A run with a class of two or more members gets its members as
+    :class:`_Classes`; every other run, and every run of a launch of
+    lone members (which skips the scan), keeps its members as they are.
+    """
+    if all(len(run[0]) == 1 for run in runs):
+        return runs
+    return [[_Classes.of(run[0], parts), *run[1:]]
+            if any(part.__class__ is FlowBundle for part in parts) else run
+            for run, parts in zip(runs, network.bundle_classes(
+                [run[0] for run in runs]))]
+
+
 class _WirePlan(t.NamedTuple):
-    """Cached launch skeleton for the node-level ring's wire fan-out.
+    """Cached launch skeleton of the node-level wire fan-outs.
 
     The flat ring and the half-ring primitives place the identical flow
     pattern every launch — one NIC hop per node plus the NVLink fabrics
-    — and the pattern depends only on the (immutable) topology and the
-    static per-node stream caps.  Building it per call costs O(nodes)
-    Python work per collective unit, which at 1024–4096 ranks dominates
-    the simulated step; this plan is built once per collectives
-    instance instead.  ``runs`` holds ``(members, base cap, weight)``
-    per uniform run, with members as a cached
-    :class:`~repro.sim.network.FlowBundle` wherever the structure can
-    bundle.  Caps are stored unscaled; launches multiply by their
-    ``cap_scale``.
+    — and the hierarchical all-reduce places the same NVLink fabrics
+    (phases 1 and 3) and the same hops with ``g`` streams each (phase
+    2).  The pattern depends only on the (immutable) topology and the
+    static per-node stream caps.  Building and classifying it per call
+    costs O(nodes) Python work per collective unit, which at 1024–4096
+    ranks dominates the simulated step; this plan is built once per
+    collectives instance instead.  ``hops`` holds ``(members, base
+    cap)`` per uniform hop run and ``nvlink`` the one run of NVLink
+    fabrics (empty when none is launched), each already classified:
+    hop and NVLink links never meet, so classifying them apart equals
+    classifying a launch of both.  Caps are stored unscaled; launches
+    multiply by their ``cap_scale``.
     """
 
-    runs: list[tuple["FlowBundle | list[t.Sequence[Link]]", float | None,
-                     int]]
+    hops: list[list]
+    nvlink: list[list]
     slowest_base: float | None
 
 
@@ -359,33 +403,46 @@ class TimedCollectives:
     def _launch(self, specs: t.Sequence[_Spec],
                 label: str | None = None) -> list[Event]:
         """Start one flow per ``(links, bytes, cap, weight)`` spec."""
-        return self._launch_runs(_uniform_runs(specs), label)
+        return self._launch_runs(
+            _classify(self.network, _uniform_runs(specs)), label)
 
     def _launch_runs(self, runs: t.Sequence[_Run],
                      label: str | None) -> list[Event]:
         """Launch a same-instant fan-out: the one launch rule.
 
-        When every uniform run has at least two members, each run starts
-        as one flow group (bundled when exact, batched per-member flows
-        otherwise).  A launch with any lone member is inserted whole
-        through one batched call instead: a loose flow sharing a link
-        with a run (an oversubscribed core, say) would split the freshly
-        claimed bundle right back apart.  ``label`` names the algorithm
-        for telemetry; ``self.job`` names the tenant.
+        Runs whose members were classified (:class:`_Classes`) enter as
+        their classes — a flow group per class of two or more, a plain
+        flow per lone member; other members enter one flow each.  A
+        launch with a lone-member run enters in one insert.  When every
+        run has two or more members, each run enters in an insert of
+        its own, an unclassified run as one flow group: the determinism
+        matrix pins the fault probes' event sequences, superseded
+        wakeups included, and one insert per launch would drop some.
+        ``label`` names the algorithm for telemetry; ``self.job`` names
+        the tenant.
         """
         network = self.network
+        job = self.job
         if all(len(members) >= 2 for members, _size, _cap, _weight in runs):
-            return [network.start_flow_group(
-                        members, size_bytes, rate_cap_bps=cap, weight=weight,
-                        label=label, job=self.job)
-                    for members, size_bytes, cap, weight in runs]
+            events: list[Event] = []
+            for members, size_bytes, cap, weight in runs:
+                if members.__class__ is _Classes:
+                    events += network.start_flows(
+                        [(part, size_bytes, cap, weight)
+                         for part in members.parts], label=label, job=job)
+                else:
+                    events.append(network.start_flow_group(
+                        members, size_bytes, rate_cap_bps=cap,
+                        weight=weight, label=label, job=job))
+            return events
         return network.start_flows(
-            [(links, size_bytes, cap, weight)
+            [(part, size_bytes, cap, weight)
              for members, size_bytes, cap, weight in runs
-             for links in members], label=label, job=self.job)
+             for part in (members.parts if members.__class__ is _Classes
+                          else members)], label=label, job=job)
 
     def _wire_plan(self) -> _WirePlan:
-        """Build (once) the launch skeleton for ring/half-ring wire flows.
+        """Build (once) the launch skeleton of the wire fan-outs.
 
         Safe to cache for the instance lifetime: hop structure and
         NVLink fabrics are fixed by the topology, and per-node stream
@@ -400,23 +457,19 @@ class TimedCollectives:
             return plan
         cluster = self.cluster
         m = cluster.num_nodes
-        spec = cluster.spec
-        specs: list[tuple[list[Link], float | None, int]] = []
+        hops: list[tuple[list[Link], float]] = []
         slowest_base: float | None = None
         if m > 1:
-            hops = self._nic_hops()
-            slowest_base = min(cluster.stream_cap_bps(src_node)
-                               for src_node, _hop in hops)
-            for src_node, hop in hops:
-                specs.append((hop, cluster.stream_cap_bps(src_node), 1))
-        if m == 1 or spec.gpus_per_node > 1:
-            for fabric in self._nvlink_fabrics():
-                specs.append(([fabric], None, 1))
-        runs = []
-        for members, cap, weight in _uniform_runs(specs):
-            handle = self.network.bundle(members)
-            runs.append((members if handle is None else handle, cap, weight))
-        plan = self._wire_cache = _WirePlan(runs, slowest_base)
+            hops = [(hop, cluster.stream_cap_bps(src_node))
+                    for src_node, hop in self._nic_hops()]
+            slowest_base = min(cap for _hop, cap in hops)
+        nvlink: list[tuple[list[Link]]] = []
+        if m == 1 or cluster.spec.gpus_per_node > 1:
+            nvlink = [([fabric],) for fabric in self._nvlink_fabrics()]
+        network = self.network
+        plan = self._wire_cache = _WirePlan(
+            _classify(network, _uniform_runs(hops)),
+            _classify(network, _uniform_runs(nvlink)), slowest_base)
         return plan
 
     def _launch_wire(self, plan: _WirePlan, hop_bytes: float,
@@ -426,23 +479,11 @@ class TimedCollectives:
         The plan's unscaled caps are multiplied by ``cap_scale``; only
         the per-call Python work of building the fan-out is elided.
         """
-        return self._launch_runs(
-            [(members, hop_bytes, None if base is None else base * cap_scale,
-              weight) for members, base, weight in plan.runs], label)
-
-    def _slowest_stream_cap_bps(self, hops: t.Sequence[tuple[int, t.Any]],
-                                cap_scale: float) -> float:
-        """Per-stream cap of the slowest hop in a schedule.
-
-        Exposed per-chunk overhead must be computed against the slowest
-        NIC on the ring's path: the pipeline advances at the pace of its
-        most constrained hop, so on clusters with heterogeneous NIC caps
-        the default node's cap underestimates chunk wire time.  On
-        symmetric clusters every cap is the identical float, so the min
-        changes nothing (replay digests included).
-        """
-        return min(self.cluster.stream_cap_bps(src_node)
-                   for src_node, _hop in hops) * cap_scale
+        runs = [(members, hop_bytes, base * cap_scale, 1)
+                for members, base in plan.hops]
+        runs.extend((members, hop_bytes, None, 1)
+                    for members, in plan.nvlink)
+        return self._launch_runs(runs, label)
 
     def _ring(self, size_bytes: float, cap_scale: float = 1.0) -> Event:
         """Flat topology-aware ring across all ``n`` GPUs."""
@@ -485,14 +526,14 @@ class TimedCollectives:
         if m == 1 or g == 1:
             return self._ring(size_bytes, cap_scale)
         spec = self.cluster.spec
+        plan = self._wire_plan()
 
         def schedule() -> t.Generator:
             # Phase 1: intra-node reduce-scatter.
             rs_bytes = size_bytes * (g - 1) / g
-            yield self.sim.all_of(self._launch([
-                ([fabric], rs_bytes, None, 1)
-                for fabric in self._nvlink_fabrics()
-            ], label="hierarchical"))
+            yield self.sim.all_of(self._launch_runs(
+                [(members, rs_bytes, None, 1) for members, in plan.nvlink],
+                "hierarchical"))
             yield self.sim.timeout((g - 1) * spec.intra_node_latency_s
                                    + HIERARCHICAL_PHASE_SYNC_S)
 
@@ -500,16 +541,13 @@ class TimedCollectives:
             # rings of one hop are symmetric clones (same links, same
             # cap), so they run as one weighted flow per hop.
             shard_hop = ring_volume_bytes(size_bytes / g, m)
-            hops = self._nic_hops()
-            yield self.sim.all_of(self._launch([
-                (hop, shard_hop * g,
-                 self.cluster.stream_cap_bps(src_node) * cap_scale, g)
-                for src_node, hop in hops
-            ], label="hierarchical"))
+            yield self.sim.all_of(self._launch_runs(
+                [(members, shard_hop * g, base * cap_scale, g)
+                 for members, base in plan.hops], "hierarchical"))
             # Exposed overhead is paced by the slowest hop of the
-            # inter-node rings (see _slowest_stream_cap_bps).
+            # inter-node rings, not the default node's NIC.
             shard_chunk_tx = (size_bytes / g / m) * 8.0 / \
-                self._slowest_stream_cap_bps(hops, cap_scale)
+                (plan.slowest_base * cap_scale)
             exposed = max(0.0, spec.transport.per_message_overhead_s
                           - shard_chunk_tx)
             yield self.sim.timeout(
@@ -518,10 +556,9 @@ class TimedCollectives:
 
             # Phase 3: intra-node all-gather.
             ag_bytes = size_bytes * (g - 1) / g
-            yield self.sim.all_of(self._launch([
-                ([fabric], ag_bytes, None, 1)
-                for fabric in self._nvlink_fabrics()
-            ], label="hierarchical"))
+            yield self.sim.all_of(self._launch_runs(
+                [(members, ag_bytes, None, 1) for members, in plan.nvlink],
+                "hierarchical"))
             yield self.sim.timeout((g - 1) * spec.intra_node_latency_s)
 
         return self.sim.spawn(schedule(), name="hier.allreduce")

@@ -42,17 +42,22 @@ Scaling to 1024–4096-rank clusters relies on three hot-path properties:
   multi-tenant, goes through one job-aware water-filling loop
   (:meth:`FluidNetwork._solve_component`).
 
-* **Flow bundling.**  A symmetric collective fan-out (one identical flow
-  per node pair, pairwise-disjoint links) collapses into a single
-  :class:`GroupFlow` solver entity: only the *representative* member's
-  links enter the solver, the remaining members' links carry claim
-  markers, and one completion event stands for the whole fan-out.  Any
-  operation that would break the symmetry — a foreign flow or a capacity
-  change touching a claimed link — first splits the bundle back into
+* **Flow bundling.**  The members of a collective fan-out that share
+  no link with another member split into *classes* of
+  capacity-identical members (:meth:`FluidNetwork.bundle_classes`);
+  each class of two or more collapses into a single
+  :class:`GroupFlow` solver entity: only the
+  *representative* member's links enter the solver, the remaining
+  members' links carry claim markers, and one completion event stands
+  for the whole class.  Every other member enters as a plain flow, and
+  groups and flows enter in one insert with one reallocation
+  (:meth:`FluidNetwork.start_flows`).  Any operation that
+  would break a bundle's symmetry — a foreign flow or a capacity change
+  touching a claimed link — first splits the bundle back into
   per-member flows, so rates stay exact under faults and congestion.
   Bundling thins the *event schedule* (fewer wakeups and completions)
   but never moves a completion time, so the timed collectives bundle
-  every symmetric fan-out of two or more members at any scale.
+  every class of two or more members at any scale.
 
 ``start_flow(..., weight=k)`` models ``k`` identical transport streams as
 one flow: the flow counts ``k`` toward every traversed link's load,
@@ -69,8 +74,10 @@ consistent with the rest of :mod:`repro.sim` (time in seconds).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import operator
 import typing as t
 
 from repro.errors import NetworkError
@@ -88,6 +95,10 @@ _COMPLETE_BITS = 0.5
 #: A capped flow counts as fabric-throttled only below this fraction of
 #: its per-stream rate cap (see ``FluidNetwork._record_flow``).
 THROTTLE_DEPTH = 0.5
+
+#: A link's ``(capacity_bps, latency_s)``: a bundle's members must match
+#: link for link (see ``FluidNetwork.bundle_classes``).
+_link_profile = operator.attrgetter("capacity_bps", "latency_s")
 
 
 def _check_capacity(name: str, capacity_bps: float) -> None:
@@ -124,6 +135,22 @@ def _check_path(links: t.Sequence["Link"]) -> None:
     if len(set(links)) != len(links):
         raise NetworkError(
             f"flow path lists a link twice: {[link.name for link in links]}")
+
+
+def _joined(public: Event, count: int) -> t.Callable[[Event], None]:
+    """A member-completion callback that fires ``public`` after ``count``.
+
+    ``public`` takes the value of the last member to complete: the
+    member transfer duration plus its tail latency.
+    """
+    pending = [count]
+
+    def _member_done(ev: Event) -> None:
+        pending[0] -= 1
+        if pending[0] == 0:
+            public.succeed(ev.value)
+
+    return _member_done
 
 
 class Link:
@@ -177,7 +204,8 @@ class Flow:
 
     __slots__ = ("flow_id", "links", "size_bits", "rate_cap_bps", "done",
                  "started_at", "tail_latency_s", "weight", "label", "job",
-                 "remaining_bits", "rate_bps", "_finish_s", "_mult")
+                 "remaining_bits", "rate_bps", "_finish_s", "_mult",
+                 "_owner")
 
     _ids = itertools.count()
 
@@ -214,6 +242,10 @@ class Flow:
         self.rate_bps = 0.0
         self._finish_s = math.inf
         self._mult = 1.0
+        #: Public event of the flow group this flow is one member of
+        #: (a split or unbundled group), so cancelling the group finds
+        #: it; ``None`` for a flow started on its own.
+        self._owner: Event | None = None
 
     def member_link_sets(self) -> tuple[tuple[Link, ...], ...]:
         """Link sets of the transfers this entity stands for.
@@ -286,12 +318,17 @@ class FlowBundle:
     and the claim then persists across launches: a steady-state ring
     unit relaunches in O(representative links) instead of revalidating
     all members each step.  Iterates (and sizes) as its member link sets.
+    ``bundles=False`` marks a fan-out whose structure can never bundle
+    (:meth:`FluidNetwork.start_flow_group` on members sharing a link):
+    it always launches per member, joined into one event.
     """
 
-    __slots__ = ("members", "_channel")
+    __slots__ = ("members", "bundles", "_channel")
 
-    def __init__(self, members: tuple[tuple[Link, ...], ...]) -> None:
+    def __init__(self, members: tuple[tuple[Link, ...], ...],
+                 bundles: bool = True) -> None:
         self.members = members
+        self.bundles = bundles
         self._channel: _BundleChannel | None = None
 
     def __len__(self) -> int:
@@ -455,56 +492,115 @@ class FluidNetwork:
                             label, job)[0]
 
     def start_flows(self, requests: t.Sequence[tuple[
-            t.Sequence[Link], float, float | None, int]], *,
+            "FlowBundle | t.Sequence[Link]", float, float | None, int]], *,
             label: str | None = None,
             job: str | None = None) -> list[Event]:
-        """Begin several transfers arriving at the same instant.
+        """Begin a same-instant fan-out in one insert.
 
         ``requests`` is a sequence of ``(links, size_bytes, rate_cap_bps,
         weight)`` tuples, all tagged with the same ``label`` and ``job``.
-        Semantically identical to calling :meth:`start_flow` once per
-        request — max-min rates are a pure function of the resulting flow
-        set, and no simulated time passes between same-instant arrivals —
-        but the allocator runs **once** for the whole batch instead of
-        once per flow, and no superseded intermediate wakeups enter the
-        kernel heap.
+        ``links`` may be a :class:`FlowBundle`, whose members then start
+        as one flow group with one event, exactly as
+        :meth:`start_flow_group` would; any other ``links`` starts one
+        flow, exactly as :meth:`start_flow` would.  Max-min rates are a
+        pure function of the resulting flow set and no simulated time
+        passes between same-instant arrivals, so the result is the same
+        as starting each request on its own — but the allocator runs
+        **once** for the whole fan-out, and no superseded intermediate
+        wakeups enter the kernel heap.  Returns one event per request.
         """
         return self._insert(requests, label, job)
 
     def _insert(self, requests: t.Iterable[tuple[
-            t.Sequence[Link], float, float | None, int]],
+            "FlowBundle | t.Sequence[Link]", float, float | None, int]],
             label: str | None, job: str | None) -> list[Event]:
         """Insert same-instant transfers and re-allocate once.
 
-        Positive-size requests split any bundle whose claimed links they
-        touch, advance progress, join the flow set and dirty their links;
-        pure-latency requests are scheduled directly and touch nothing.
+        A :class:`FlowBundle` request enters as one :class:`GroupFlow`
+        on its claim channel when bundling is exact right now, else as
+        per-member flows joined into the request's event.  Plain flows
+        (per-member ones included) split any bundle whose claimed links
+        they touch; a group whose channel a later request of this same
+        insert released, by evicting its claim or by such a split,
+        enters per member too.  Pure-latency requests are scheduled
+        directly and touch nothing.
         """
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         events: list[Event] = []
-        pending: list[tuple[t.Sequence[Link], float, float | None, int,
-                            Event, float]] = []
+        #: ``(links or members, handle, channel, size_bytes, cap, weight,
+        #: done, latency)`` per positive-size request, in request order.
+        pending: list[tuple] = []
+        #: Link sets of the plain flows about to enter.
+        loose: list[t.Sequence[Link]] = []
+        groups = 0
         for links, size_bytes, rate_cap_bps, weight in requests:
             _check_transfer(size_bytes, rate_cap_bps)
-            done = self.sim.event(name="flow.done")
-            events.append(done)
-            latency = sum(link.latency_s for link in links)
-            if size_bytes <= 0:
-                self.sim._schedule_at(now + latency, done, latency)
+            if links.__class__ is FlowBundle:
+                handle: FlowBundle | None = links
+                links = links.members
+                done = sim.event(name="flowgroup.done")
+                latency = sum(link.latency_s for link in links[0])
             else:
-                pending.append((links, size_bytes, rate_cap_bps, weight,
-                                done, latency))
+                handle = None
+                done = sim.event(name="flow.done")
+                latency = sum(link.latency_s for link in links)
+            events.append(done)
+            if size_bytes <= 0:
+                sim._schedule_at(now + latency, done, latency)
+                continue
+            channel = None
+            if handle is None:
+                loose.append(links)
+            else:
+                channel = handle._channel
+                if channel is None or not channel.claimed:
+                    channel = handle._channel = self._register_bundle(handle)
+                if channel is None:
+                    loose.extend(links)
+                groups += 1
+            pending.append((links, handle, channel, size_bytes,
+                            rate_cap_bps, weight, done, latency))
         if not pending:
             return events
-        if self._claims:
-            self._split_claimed(link for request in pending
-                                for link in request[0])
+        if groups > 1:
+            # A later request's registration may have evicted an earlier
+            # one's claim.
+            for links, handle, channel, *_ in pending:
+                if channel is not None and not channel.claimed:
+                    loose.extend(links)
+        if loose and self._claims:
+            self._split_claimed(link for links in loose for link in links)
         self._advance_progress()
-        self._enter([Flow(links, size_bytes * 8.0, rate_cap_bps,
-                          done, now, tail_latency_s=latency, weight=weight,
-                          label=label, job=job)
-                     for links, size_bytes, rate_cap_bps, weight, done,
-                     latency in pending])
+        entities: list[Flow] = []
+        for (links, handle, channel, size_bytes, rate_cap_bps, weight, done,
+             latency) in pending:
+            size_bits = size_bytes * 8.0
+            if handle is None:
+                entities.append(Flow(links, size_bits, rate_cap_bps, done,
+                                     now, tail_latency_s=latency,
+                                     weight=weight, label=label, job=job))
+            elif channel is not None and channel.claimed:
+                group = GroupFlow(links, size_bits, rate_cap_bps, done, now,
+                                  tail_latency_s=latency, weight=weight,
+                                  label=label, job=job)
+                group._channel = channel
+                channel.groups[group] = None
+                entities.append(group)
+            else:
+                # Bundling is not exact right now: one flow per member,
+                # whose completions join into the group's single event.
+                member_done = _joined(done, len(links))
+                for member in links:
+                    inner = sim.event(name="flow.done")
+                    inner.add_callback(member_done)
+                    flow = Flow(member, size_bits, rate_cap_bps, inner, now,
+                                tail_latency_s=sum(link.latency_s
+                                                   for link in member),
+                                weight=weight, label=label, job=job)
+                    flow._owner = done
+                    entities.append(flow)
+        self._enter(entities)
         return events
 
     def _enter(self, flows: t.Iterable[Flow]) -> None:
@@ -552,6 +648,41 @@ class FluidNetwork:
                 seen.add(link)
         return FlowBundle(members)
 
+    def bundle_classes(self, runs: t.Sequence[t.Sequence[t.Sequence[Link]]]
+                       ) -> list[list["FlowBundle | tuple[Link, ...]"]]:
+        """Split a fan-out into the :meth:`start_flows` entries it bundles as.
+
+        ``runs`` lists the member link sets of each *uniform run* — the
+        members of one run share bytes, cap and weight, so only their
+        links differ.  A member none of whose links appears in another
+        member of the fan-out joins the *class* of its run's members
+        with the same ``(capacity_bps, latency_s)`` link profile, the
+        profile the claim channel compares: a class of two or more
+        becomes one :class:`FlowBundle`, a lone member stays its link
+        tuple.  A member sharing a link — every hop crossing an
+        oversubscribed core, say — stays its link tuple too: a bundle
+        there would be split apart by its own fan-out.  Returns one
+        entry list per run, classes in order of first member.
+        Structure is immutable, so callers that relaunch a fan-out every
+        step classify it once; a capacity change at run time only makes
+        a class fail its claim and enter per member.
+        """
+        uses = collections.Counter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(runs)))
+        shared = {link for link, count in uses.items() if count > 1}
+        entries: list[list[FlowBundle | tuple[Link, ...]]] = []
+        for members in runs:
+            classes: dict[object, list[tuple[Link, ...]]] = {}
+            for index, links in enumerate(map(tuple, members)):
+                # A member sharing a link keys on its index: an entry of
+                # its own.
+                key = (index if shared and not shared.isdisjoint(links)
+                       else tuple(map(_link_profile, links)))
+                classes.setdefault(key, []).append(links)
+            entries.append([FlowBundle(tuple(group)) if len(group) > 1
+                            else group[0] for group in classes.values()])
+        return entries
+
     def start_flow_group(self,
                          member_links: "FlowBundle | t.Sequence[t.Sequence[Link]]",
                          size_bytes: float,
@@ -566,69 +697,29 @@ class FluidNetwork:
         capacity-identical paths — enters the solver as a **single**
         :class:`GroupFlow` entity when bundling is exact (structure via
         :meth:`bundle`, capacity profile and link occupancy via the
-        claim channel); otherwise this falls back to per-member flows
-        through the batched path, so the returned event's timing is
-        identical either way.  ``member_links`` may be a
+        claim channel); otherwise its members enter as per-member flows,
+        so the returned event's timing is identical either way.  A
+        one-request :meth:`start_flows` call.  ``member_links`` may be a
         :class:`FlowBundle` from :meth:`bundle`, in which case the
         steady-state relaunch costs O(representative links) only.
         Returns one event that triggers when every member has drained
         plus the link latencies; its value is the member transfer
         duration plus tail latency.
         """
-        _check_transfer(size_bytes, rate_cap_bps)
         if isinstance(member_links, FlowBundle):
-            handle: FlowBundle | None = member_links
-            members = member_links.members
+            handle = member_links
         else:
             members = tuple(tuple(links) for links in member_links)
             if not members:
                 raise NetworkError("a flow group needs at least one member")
-            handle = self.bundle(members)
-        if len(members) == 1:
-            return self.start_flow(members[0], size_bytes,
-                                   rate_cap_bps=rate_cap_bps, weight=weight,
-                                   label=label, job=job)
-        rep = members[0]
-        latency = sum(link.latency_s for link in rep)
-        if size_bytes <= 0:
-            done = self.sim.event(name="flowgroup.done")
-            self.sim._schedule_at(self.sim.now + latency, done, latency)
-            return done
-        channel = handle._channel if handle is not None else None
-        if channel is None or not channel.claimed:
-            channel = self._register_bundle(handle) \
-                if handle is not None else None
-            if handle is not None:
-                handle._channel = channel
-        if channel is None:
-            # Fall back to per-member flows (splitting any bundles the
-            # members' links belong to happens inside start_flows); a
-            # countdown joins the member completions into the single
-            # event this API promises.
-            done = self.sim.event(name="flowgroup.done")
-            events = self.start_flows(
-                [(links, size_bytes, rate_cap_bps, weight)
-                 for links in members], label=label, job=job)
-            pending = [len(events)]
-
-            def _member_done(ev: Event) -> None:
-                pending[0] -= 1
-                if pending[0] == 0:
-                    done.succeed(ev.value)
-
-            for event in events:
-                event.add_callback(_member_done)
-            return done
-        self._advance_progress()
-        done = self.sim.event(name="flowgroup.done")
-        group = GroupFlow(members, size_bytes * 8.0,
-                          rate_cap_bps, done, self.sim.now,
-                          tail_latency_s=latency, weight=weight,
-                          label=label, job=job)
-        group._channel = channel
-        channel.groups[group] = None
-        self._enter((group,))
-        return done
+            if len(members) == 1:
+                return self.start_flow(members[0], size_bytes,
+                                       rate_cap_bps=rate_cap_bps,
+                                       weight=weight, label=label, job=job)
+            handle = self.bundle(members) or FlowBundle(members,
+                                                        bundles=False)
+        return self._insert(((handle, size_bytes, rate_cap_bps, weight),),
+                            label, job)[0]
 
     def cancel_flow(self, done: Event) -> bool:
         """Abort the in-flight transfer whose completion event is ``done``.
@@ -637,9 +728,12 @@ class FluidNetwork:
         consuming bandwidth immediately, and their completion events are
         simply never fired (matching a hung NCCL collective, which is
         detected by timeout, not by an error).  Bandwidth is
-        re-allocated to the survivors at once.  Returns ``False`` when no
-        in-flight flow owns ``done`` (already completed, zero-byte, or
-        never started) — cancelling twice is a harmless no-op.
+        re-allocated to the survivors at once.  ``done`` may be a flow
+        group's event: every live member stops, whether the group is
+        bundled, split by a foreign touch or entered per member.
+        Returns ``False`` when no in-flight flow owns ``done`` (already
+        completed, zero-byte, or never started) — cancelling twice is a
+        harmless no-op.
 
         Superseded wakeup events left in the kernel heap by the
         cancelled allocation are *not* recycled here: they still hold
@@ -647,13 +741,13 @@ class FluidNetwork:
         refuses them (see the event-pool regression tests), so they die
         naturally when popped instead of resurrecting into the pool.
         """
-        for flow in self.flows:
-            if flow.done is done:
-                break
-        else:
+        owned = [flow for flow in self.flows
+                 if flow.done is done or flow._owner is done]
+        if not owned:
             return False
         self._advance_progress()
-        self._retire_flow(flow)
+        for flow in owned:
+            self._retire_flow(flow)
         self._reallocate()
         return True
 
@@ -702,14 +796,14 @@ class FluidNetwork:
         concurrent aligned launches (multi-stream pipelining) share one
         claim.  Stale claims of idle misaligned channels are evicted.
         Runs once per handle lifetime in the steady state; returns
-        ``None`` when bundling is not exact right now.
+        ``None`` when bundling is not exact right now (or never is).
         """
+        if not handle.bundles:
+            return None
         members = handle.members
-        profile = tuple((link.capacity_bps, link.latency_s)
-                        for link in members[0])
+        profile = tuple(map(_link_profile, members[0]))
         for links in members:
-            if tuple((link.capacity_bps, link.latency_s)
-                     for link in links) != profile:
+            if tuple(map(_link_profile, links)) != profile:
                 return None
         claims = self._claims
         channels: dict[int, _BundleChannel] = {}
@@ -781,24 +875,19 @@ class FluidNetwork:
         self._advance_progress()
         remaining = group.remaining_bits
         self._retire_flow(group)
-        pending = [len(group.member_links)]
         public = group.done
-
-        def _member_done(ev: Event) -> None:
-            pending[0] -= 1
-            if pending[0] == 0:
-                public.succeed(ev.value)
-
+        member_done = _joined(public, len(group.member_links))
         dirty = self._dirty_links
         for links in group.member_links:
             inner = self.sim.event(name="flow.done")
-            inner.add_callback(_member_done)
+            inner.add_callback(member_done)
             flow = Flow(links, group.size_bits,
                         group.rate_cap_bps, inner, group.started_at,
                         tail_latency_s=group.tail_latency_s,
                         weight=group.weight, label=group.label,
                         job=group.job)
             flow.remaining_bits = remaining
+            flow._owner = public
             if remaining <= _COMPLETE_BITS:
                 self._maybe_finished = True
             self.flows[flow] = None

@@ -55,9 +55,7 @@ class TestHeterogeneousNicCaps:
     def test_slowest_cap_helper_scans_all_hops(self):
         _sim, timed, cluster = make_context(
             32, congested_links={2: 0.5})
-        hops = timed._nic_hops()
-        assert timed._slowest_stream_cap_bps(hops, 1.0) == \
-            cluster.stream_cap_bps(2)
+        assert timed._wire_plan().slowest_base == cluster.stream_cap_bps(2)
         assert cluster.stream_cap_bps(2) < cluster.stream_cap_bps(0)
 
     @pytest.mark.parametrize("algorithm", ["ring", "hierarchical"])

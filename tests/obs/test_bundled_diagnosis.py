@@ -87,15 +87,18 @@ class TestNetworkLevelEquivalence:
 def _ring_allreduce(monkeypatch, ranks, bundled, size_bytes=4e6):
     """One full-link ring all-reduce with diagnosis attached.
 
-    The unbundled twin makes :meth:`FluidNetwork.bundle` report every
-    fan-out as structurally unbundleable, which is the network's own
-    per-member fallback.  Returns the network (for inspection right
+    The unbundled twin makes :meth:`FluidNetwork.bundle` and
+    :meth:`FluidNetwork.bundle_classes` report every fan-out as
+    structurally unbundleable, which is the network's own per-member
+    path: no handle, and every member an entry of its own.  Returns the network (for inspection right
     after launch), the completion event and the observability sink.
     """
     sim = Simulator()
     net = FluidNetwork(sim)
     if not bundled:
         monkeypatch.setattr(net, "bundle", lambda member_links: None)
+        monkeypatch.setattr(net, "bundle_classes", lambda runs: [
+            [tuple(links) for links in members] for members in runs])
     obs = Observability()
     net.obs = obs
     net.diag = obs.attach_detectors()

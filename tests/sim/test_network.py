@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.sim import FluidNetwork, Link, Simulator
+from repro.sim.network import FlowBundle
 
 NAN = float("nan")
 INF = float("inf")
@@ -339,3 +340,75 @@ class TestDynamicCapacity:
         net.set_link_capacity(link, 100e9)
         sim.run(until=done)
         assert sim.now == pytest.approx(8.0)
+
+
+class TestGroupCancellation:
+    """Cancelling a flow group's event retires every live member."""
+
+    def _cancel_twice(self, net, done):
+        reallocations = net.reallocations
+        assert net.cancel_flow(done)
+        assert net.reallocations == reallocations + 1
+        assert not net.flows
+        assert not net.cancel_flow(done)
+
+    def test_cancel_split_group(self):
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        links = [Link(f"m{i}", 1e9) for i in range(3)]
+        done = net.start_flow_group([[link] for link in links], 1e6)
+        foreign = net.start_flow([links[1]], 1e6)
+        sim.run(until=sim.now + 1e-4)
+        assert net.cancel_flow(foreign)
+        assert len(net.flows) == 3  # the foreign touch split the bundle
+        self._cancel_twice(net, done)
+        sim.run()
+        assert not done.triggered
+
+    def test_cancel_unbundled_group(self):
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        members = [[Link("fast", 2e9)], [Link("slow", 1e9)]]
+        done = net.start_flow_group(members, 1e6)
+        assert len(net.flows) == 2  # unequal capacities: per member
+        sim.run(until=sim.now + 1e-4)
+        self._cancel_twice(net, done)
+        sim.run()
+        assert not done.triggered
+
+    def test_cancel_bundled_group(self):
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        done = net.start_flow_group([[Link(f"m{i}", 1e9)] for i in range(3)],
+                                    1e6)
+        assert len(net.flows) == 1
+        self._cancel_twice(net, done)
+
+
+class TestFanOutEntry:
+    """``start_flows`` with bundle entries: groups and flows, one insert."""
+
+    def test_mixed_launch_reallocates_once(self):
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        fast = [[Link(f"f{i}", 2e9)] for i in range(3)]
+        slow = [Link("s", 1e9)]
+        [classes] = net.bundle_classes([fast + [slow]])
+        assert len(classes) == 2 and list(classes[0]) == \
+            [tuple(links) for links in fast]
+        assert classes[1] == tuple(slow)
+        events = net.start_flows([(part, 1e6, None, 1) for part in classes])
+        assert net.reallocations == 1
+        assert len(net.flows) == 2  # one group plus one flow
+        sim.run()
+        assert [event.value for event in events] == [4e-3, 8e-3]
+
+    def test_members_sharing_a_link_stay_plain(self):
+        core = Link("core", 1e9)
+        hops = [(Link(f"h{i}", 1e9), core) for i in range(3)]
+        fabrics = [(Link(f"nv{i}", 1e9),) for i in range(3)]
+        net = FluidNetwork(Simulator())
+        hop_entries, [fabric_class] = net.bundle_classes([hops, fabrics])
+        assert hop_entries == hops
+        assert isinstance(fabric_class, FlowBundle)
+        assert list(fabric_class) == fabrics

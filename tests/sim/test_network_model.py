@@ -1,10 +1,11 @@
 """Model-based test of :class:`FluidNetwork`.
 
 A Hypothesis state machine drives random sequences of the network's
-public operations — single, batched and bundled flow starts tagged with
-no job or one of two prioritised jobs, cancellation, capacity changes
-and clock advances — over a small fixed link pool, and checks after
-every step that:
+public operations — single, batched and bundled flow starts and mixed
+launches (bundle classes plus lone flows in one insert) tagged with no
+job or one of two prioritised jobs, cancellation, capacity changes and
+clock advances — over a small fixed link pool, and checks after every
+step that:
 
 1. no link carries more than its capacity (``1e-9`` relative slack)
    and no flow runs above ``cap x weight``; every rate is finite and
@@ -24,7 +25,12 @@ every step that:
    counted ``_mult`` times (``1e-9`` relative).
 
 At the end of each run the simulation is drained and every
-non-cancelled completion must have fired exactly once.
+non-cancelled completion must have fired exactly once.  A shadow network
+on twin links receives every operation with each flow group started
+member by member: bundling must not move a completion, so every
+positive-size start completes at the same instant in both (the
+ROADMAP's bundled-equals-unbundled invariant), and a cancellation stops
+a start in both or in neither.
 """
 
 import math
@@ -34,7 +40,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.sim import FluidNetwork, Link, Simulator
-from repro.sim.network import solve_rates_reference
+from repro.sim.network import FlowBundle, solve_rates_reference
 
 NUM_LINKS = 5
 #: Few distinct capacities and caps, so equal-profile bundles and
@@ -65,9 +71,23 @@ class FluidNetworkMachine(RuleBasedStateMachine):
                            latency_s=1e-4 if i == NUM_LINKS - 1 else 0.0)
                       for i in range(NUM_LINKS)]
         self.handles = {}
+        self.classes = {}
+        # The shadow: twin links, every group started member by member.
+        self.shadow_sim = Simulator()
+        self.shadow = FluidNetwork(self.shadow_sim)
+        self.shadow.job_priorities = dict(JOB_PRIORITIES)
+        self.twin = {link: Link(link.name, link.capacity_bps,
+                                latency_s=link.latency_s)
+                     for link in self.links}
+        #: positive-size completion event -> its shadow member events
+        self.shadow_of = {}
+        #: shadow member event -> [fire times]
+        self.shadow_fires = {}
         #: completion event -> (start time, [fire times])
         self.completions = {}
         self.cancelled = set()
+        #: starts cancelled at a partly popped instant (see cancel_flow)
+        self.raced = set()
         #: every entity seen live -> bits it had delivered when first seen
         self.entities = {}
 
@@ -75,6 +95,33 @@ class FluidNetworkMachine(RuleBasedStateMachine):
         fires = []
         self.completions[event] = (self.sim.now, fires)
         event.add_callback(lambda ev: fires.append(self.sim.now))
+
+    def _shadow_start(self, events, requests, job):
+        """Start ``requests`` on the shadow, each group member by member.
+
+        ``events`` are the main network's events for ``requests``
+        (``(links or FlowBundle or member list, size, cap, weight,
+        is_group)``); each positive-size one maps to the shadow events
+        of its members.
+        """
+        self.shadow_sim.run(until=self.sim.now)
+        flat, owners = [], []
+        for event, (links, size, cap, weight, is_group) in zip(events,
+                                                               requests):
+            members = links if is_group else [links]
+            for member in members:
+                flat.append(([self.twin[link] for link in member], size,
+                             cap, weight))
+                owners.append(event if size > 0 else None)
+        for owner, shadow_event in zip(owners,
+                                       self.shadow.start_flows(flat,
+                                                               job=job)):
+            if owner is None:
+                continue
+            fires = self.shadow_fires[shadow_event] = []
+            shadow_event.add_callback(
+                lambda ev, fires=fires: fires.append(self.shadow_sim.now))
+            self.shadow_of.setdefault(owner, []).append(shadow_event)
 
     def _pending(self):
         return [event for event, (_, fires) in self.completions.items()
@@ -85,17 +132,22 @@ class FluidNetworkMachine(RuleBasedStateMachine):
     @rule(ids=link_ids, size=sizes, cap=caps, weight=weights, job=jobs)
     def start_flow(self, ids, size, cap, weight, job):
         links = [self.links[i] for i in ids]
-        self._track(self.net.start_flow(links, size, rate_cap_bps=cap,
-                                        weight=weight, job=job))
+        event = self.net.start_flow(links, size, rate_cap_bps=cap,
+                                    weight=weight, job=job)
+        self._track(event)
+        self._shadow_start([event], [(links, size, cap, weight, False)],
+                           job)
 
     @rule(requests=st.lists(st.tuples(link_ids, sizes, caps, weights),
                             min_size=1, max_size=4), job=jobs)
     def start_flows(self, requests, job):
-        events = self.net.start_flows(
-            [([self.links[i] for i in ids], size, cap, weight)
-             for ids, size, cap, weight in requests], job=job)
+        requests = [([self.links[i] for i in ids], size, cap, weight)
+                    for ids, size, cap, weight in requests]
+        events = self.net.start_flows(requests, job=job)
         for event in events:
             self._track(event)
+        self._shadow_start(events, [(*request, False)
+                                    for request in requests], job)
 
     @rule(order=st.permutations(range(NUM_LINKS)), width=st.integers(1, 2),
           count=st.integers(1, NUM_LINKS), size=sizes, cap=caps,
@@ -111,8 +163,51 @@ class FluidNetworkMachine(RuleBasedStateMachine):
             # A cached handle relaunches through its (possibly live)
             # claim channel, as the timed collectives do every step.
             fanout = self.handles.setdefault(key, self.net.bundle(members))
-        self._track(self.net.start_flow_group(fanout, size, rate_cap_bps=cap,
-                                              weight=weight, job=job))
+        event = self.net.start_flow_group(fanout, size, rate_cap_bps=cap,
+                                          weight=weight, job=job)
+        self._track(event)
+        self._shadow_start([event], [(members, size, cap, weight, True)],
+                           job)
+
+    @rule(order=st.permutations(range(NUM_LINKS)), width=st.integers(1, 2),
+          runs=st.lists(st.tuples(sizes, caps, weights), min_size=1,
+                        max_size=3),
+          overlap=st.none() | st.tuples(link_ids, sizes, caps, weights,
+                                        st.booleans()),
+          reuse_classes=st.booleans(), job=jobs)
+    def start_mixed_launch(self, order, width, runs, overlap, reuse_classes,
+                           job):
+        # A link-disjoint fan-out of uniform runs, split into bundle
+        # classes and lone members and started in one insert, as the
+        # timed collectives launch.  An optional overlapping flow, or
+        # bundle of one-link members, in the same insert touches the
+        # fan-out's own claims.
+        members = [tuple(order[m * width:(m + 1) * width])
+                   for m in range(NUM_LINKS // width)]
+        key = tuple(tuple(members[r::len(runs)]) for r in range(len(runs))
+                    if members[r::len(runs)])
+        classes = self.classes.get(key) if reuse_classes else None
+        if classes is None:
+            classes = self.net.bundle_classes(
+                [[[self.links[i] for i in ids] for ids in run]
+                 for run in key])
+            self.classes[key] = classes
+        requests = [(part, size, cap, weight)
+                    for parts, (size, cap, weight) in zip(classes, runs)
+                    for part in parts]
+        if overlap is not None:
+            ids, size, cap, weight, as_bundle = overlap
+            links = [self.links[i] for i in ids]
+            if as_bundle and len(links) >= 2:
+                links = self.net.bundle([[link] for link in links])
+            requests.append((links, size, cap, weight))
+        events = self.net.start_flows(requests, job=job)
+        for event in events:
+            self._track(event)
+        self._shadow_start(events, [
+            (list(links) if type(links) is FlowBundle else links, size, cap,
+             weight, type(links) is FlowBundle)
+            for links, size, cap, weight in requests], job)
 
     @rule(index=st.integers(min_value=0))
     def cancel_flow(self, index):
@@ -120,13 +215,27 @@ class FluidNetworkMachine(RuleBasedStateMachine):
         if not pending:
             return
         event = pending[index % len(pending)]
-        if self.net.cancel_flow(event):
+        cancelled = self.net.cancel_flow(event)
+        if cancelled:
             self.cancelled.add(event)
+        self.shadow_sim.run(until=self.sim.now)
+        shadow = [self.shadow.cancel_flow(member)
+                  for member in self.shadow_of.get(event, ())]
+        if self.sim._heap and self.sim._heap[0][0] <= self.sim.now:
+            # ``step_one_event`` left events of this instant unpopped
+            # here, while the shadow popped them all: which side of a
+            # completion at this very instant the cancel lands on may
+            # differ, so the two starts are not compared.
+            self.raced.add(event)
+        else:
+            assert any(shadow) == cancelled
 
     @rule(link=st.integers(0, NUM_LINKS - 1),
           capacity=st.sampled_from(CAPACITIES))
     def set_link_capacity(self, link, capacity):
         self.net.set_link_capacity(self.links[link], capacity)
+        self.shadow_sim.run(until=self.sim.now)
+        self.shadow.set_link_capacity(self.twin[self.links[link]], capacity)
 
     @rule(dt=st.floats(0.0, 0.05))
     def advance(self, dt):
@@ -207,9 +316,17 @@ class FluidNetworkMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self.sim.run()
-        assert not self.net.flows
+        self.shadow_sim.run()
+        assert not self.net.flows and not self.shadow.flows
         for event, (_, fires) in self.completions.items():
             assert len(fires) == (0 if event in self.cancelled else 1)
+            shadow_fires = [self.shadow_fires[member]
+                            for member in self.shadow_of.get(event, ())]
+            if shadow_fires and not (event in self.cancelled
+                                     or event in self.raced):
+                # Bundled or not, a start completes at the same instant.
+                assert all(len(times) == 1 for times in shadow_fires)
+                assert fires == [max(times[0] for times in shadow_fires)]
         self.bytes_are_conserved()
 
 

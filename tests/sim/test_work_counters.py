@@ -21,9 +21,13 @@ from repro.training.trainer import build_train_context
 PINNED = (
     (StepConfig("step-8r", 8), 22, 11, 30, 286),
     (StepConfig("step-256r", 256), 44, 56, 30, 328),
+    # Congested: node 0's hop and the hop into node 0 launch alone, the
+    # other 30 hops and the NVLink fabrics as one bundle class each.
     (StepConfig("stress-256r-hier", 256, streams=24, model="vgg16",
-                algorithm="hierarchical", congested=True), 280, 3014,
-     129, 1980),
+                algorithm="hierarchical", congested=True), 280, 404,
+     129, 820),
+    (StepConfig("planner-128r-ina", 128, algorithm="ina",
+                core_oversubscription=4.0), 99, 220, 41, 583),
 )
 
 
