@@ -11,6 +11,7 @@ run — and the measured goodput must agree with the closed-form
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.obs import Observability, chrome_trace_events
 from repro.sim.faults import FaultPlan, NodeCrash
 from repro.training.resilience import (
     run_fault_injected_training,
@@ -34,7 +35,7 @@ def crash_recovery_run():
     result = run_fault_injected_training(
         MODEL, FaultPlan([NodeCrash(at_s=crash_at, node=1)]),
         num_gpus=NUM_GPUS, total_iterations=ITERATIONS,
-        checkpoint_interval=CHECKPOINT_INTERVAL)
+        checkpoint_interval=CHECKPOINT_INTERVAL, obs=Observability())
     return iter_s, result
 
 
@@ -51,10 +52,10 @@ class TestFaultRecovery:
         assert rec.failed_nodes == (1,)
 
         # --- detection went through the sync-round timeout -------------
-        counters = result.trace.counters
-        assert counters["aiacc.faults.sync_timeout"] >= 1
-        assert counters["aiacc.faults.suspect"] >= 1
-        assert counters["aiacc.faults.confirm"] == 1
+        counters = result.obs.fault_counts()
+        assert counters["sync_timeout"] >= 1
+        assert counters["suspect"] >= 1
+        assert counters["confirm"] == 1
         assert rec.injected_at_s < rec.suspected_at_s < rec.confirmed_at_s
 
         # --- resumed from the checkpoint boundary -----------------------
@@ -71,14 +72,13 @@ class TestFaultRecovery:
         assert result.goodput == pytest.approx(analytical.goodput,
                                                rel=0.15)
 
-        # --- fault events visible in counters and the Chrome trace ------
+        # --- fault events visible in counters and the Perfetto trace ----
         for kind in ("inject", "suspect", "confirm", "rebuild", "restore"):
-            assert counters[f"aiacc.faults.{kind}"] >= 1, kind
-        chrome_names = {ev.get("name")
-                        for ev in result.trace.to_chrome_trace()}
-        assert {"aiacc.fault.inject", "aiacc.fault.suspect",
-                "aiacc.fault.confirm", "aiacc.fault.rebuild",
-                "aiacc.fault.restore"} <= chrome_names
+            assert counters[kind] >= 1, kind
+        chrome_names = {ev.get("name") for ev in
+                        chrome_trace_events(result.obs.timeline)}
+        assert {"fault.inject", "fault.suspect", "fault.confirm",
+                "fault.rebuild", "fault.restore"} <= chrome_names
 
         record_table("fault_recovery", [{
             "model": MODEL,

@@ -487,6 +487,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     import json
 
     from repro.errors import TrainingError
+    from repro.obs import Observability, chrome_trace_events
     from repro.sim.faults import FaultPlan, NodeCrash
     from repro.training.resilience import (
         run_fault_injected_training,
@@ -533,6 +534,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         unit_timeout_s=args.unit_timeout,
         comm_retries=args.retries,
         check_invariants=args.check_invariants,
+        obs=Observability(),
     )
 
     print(f"model:               {result.model}")
@@ -560,11 +562,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
         print(f"analytical goodput:  {analytical.goodput:.3f} "
               f"(simulate_resilient_training)")
 
-    fault_counters = {name: value
-                      for name, value in sorted(result.trace.counters.items())
-                      if name.startswith("aiacc.faults.")}
-    for name, value in fault_counters.items():
-        print(f"{name}: {value:g}")
+    for kind, value in sorted(result.obs.fault_counts().items()):
+        print(f"aiacc.faults.{kind}: {value:g}")
 
     if result.state_digest is not None:
         print(f"invariants:          ok (state digest "
@@ -573,8 +572,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
     if args.trace_out is not None:
         from repro.ioutil import atomic_write_text
 
-        atomic_write_text(args.trace_out,
-                          json.dumps(result.trace.to_chrome_trace()))
+        atomic_write_text(args.trace_out, json.dumps(
+            chrome_trace_events(result.obs.timeline)))
         print(f"wrote {args.trace_out}")
     return 0
 

@@ -43,7 +43,6 @@ from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.network import FlowBundle, FluidNetwork, Link
 from repro.sim.topology import Cluster
-from repro.sim.tracing import Trace
 
 #: Supported all-reduce algorithm names: the two legacy hard-coded
 #: schedules (paper Section V-B) plus the topology-synthesized planner
@@ -155,13 +154,11 @@ class TimedCollectives:
     """
 
     def __init__(self, sim: Simulator, network: FluidNetwork,
-                 cluster: Cluster, trace: Trace | None = None,
-                 representative: bool | None = None,
+                 cluster: Cluster, representative: bool | None = None,
                  obs: Observability | None = None) -> None:
         self.sim = sim
         self.network = network
         self.cluster = cluster
-        self.trace = trace or Trace(enabled=False)
         #: Tenant identity stamped on every launched flow (the cluster
         #: runtime sets it so shared-fabric fairness and telemetry can
         #: attribute traffic per job; ``None`` = single-job semantics).
@@ -206,7 +203,7 @@ class TimedCollectives:
         """
         if not self.cluster.failed_nodes:
             return None
-        self.trace.incr("aiacc.faults.stalled_collectives")
+        self.obs.count_fault("stalled_collectives")
         return self.sim.event(name=f"{name}.stalled")
 
     def allreduce(self, size_bytes: float, algorithm: str = "ring",
@@ -261,10 +258,6 @@ class TimedCollectives:
 
         def _finish(_ev: Event) -> None:
             duration = self.sim.now - start
-            self.trace.add_span("allreduce", start, self.sim.now,
-                                bytes=size_bytes, algorithm=algorithm)
-            self.trace.incr("allreduce.count")
-            self.trace.incr("allreduce.bytes", size_bytes)
             self._m_allreduce.inc(algorithm=algorithm)
             self._m_allreduce_bytes.observe(size_bytes,
                                             algorithm=algorithm)

@@ -196,7 +196,6 @@ class AIACCBackend(DDLBackend):
             size = ctx.wire_bytes(grad.parameter)
             batch.append((grad_id, size))
             batch_bytes += size
-            ctx.trace.incr("aiacc.gradients")
             self._m_gradients.inc()
             if batch_bytes >= self.config.granularity_bytes:
                 dispatch_processes.append(self._track(ctx.sim.spawn(
@@ -286,15 +285,15 @@ class AIACCBackend(DDLBackend):
                 return value
             if suspected_at is None:
                 suspected_at = ctx.sim.now
-                ctx.trace.fault("suspect", ctx.sim.now, phase=phase)
-            ctx.trace.incr(f"aiacc.faults.{phase}_timeout")
+                ctx.obs.fault_event("suspect", ctx.sim.now, phase=phase)
+            ctx.obs.count_fault(f"{phase}_timeout")
             if abandon is not None:
                 abandon(pending)
             if attempt < self.config.comm_retries:
                 yield ctx.sim.timeout(min(
                     self.config.retry_backoff_s * (2 ** attempt), cap))
                 deadline = min(deadline * 2, cap)
-        ctx.trace.fault("confirm", ctx.sim.now, phase=phase)
+        ctx.obs.fault_event("confirm", ctx.sim.now, phase=phase)
         raise PeerDeadError(phase=phase,
                             suspected_at_s=t.cast(float, suspected_at),
                             confirmed_at_s=ctx.sim.now)
@@ -359,8 +358,6 @@ class AIACCBackend(DDLBackend):
         if ctx.obs.diag is not None:
             ctx.obs.diag.observe_negotiation(
                 0, ctx.sim.now - negotiate_start)
-        ctx.trace.incr("aiacc.sync_rounds")
-        ctx.trace.incr("aiacc.units", len(units))
         self._m_sync_rounds.inc()
         self._m_units.inc(len(units))
         for unit in units:

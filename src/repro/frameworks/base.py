@@ -33,7 +33,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork
 from repro.sim.resources import Store
 from repro.sim.topology import Cluster
-from repro.sim.tracing import Trace
 
 #: Fixed cost of the optimizer parameter-update kernel per iteration.
 UPDATE_TIME_S = 1e-3
@@ -66,7 +65,6 @@ class TrainContext:
     collectives: TimedCollectives
     model: ModelSpec
     batch_per_gpu: int
-    trace: Trace
     #: Bytes per gradient element actually transmitted (2 when fp16
     #: gradient compression is enabled, else the parameter dtype width).
     wire_dtype_bytes: int = 4

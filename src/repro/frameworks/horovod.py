@@ -126,8 +126,6 @@ class HorovodBackend(DDLBackend):
             if not pending:
                 continue
             delay = self.negotiation_delay_s(ctx, len(pending))
-            ctx.trace.add_span("negotiation", ctx.sim.now,
-                               ctx.sim.now + delay)
             yield ctx.sim.timeout(delay)
             for buffer_bytes in self.pack_fusion_buffers(ctx, pending):
                 # PCIe staging into the fusion buffer overlaps with the

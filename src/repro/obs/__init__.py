@@ -82,6 +82,14 @@ from repro.obs.timeline import (
 )
 
 
+#: Fault-lifecycle and detector events, one sample per ``kind`` label
+#: (``inject``, ``suspect``, ``sync_timeout``, ``stalled_collectives``...).
+FAULTS_TOTAL = "aiacc_faults_total"
+
+#: Membership-epoch advances (scale-down, scale-up, failure).
+EPOCH_ADVANCES_TOTAL = "aiacc_epoch_advances_total"
+
+
 class Observability:
     """One run's metrics registry + step timeline, enabled together."""
 
@@ -110,6 +118,32 @@ class Observability:
     @property
     def enabled(self) -> bool:
         return self.registry.enabled or self.timeline.enabled
+
+    # -- fault lifecycle and membership ------------------------------------
+
+    def count_fault(self, kind: str) -> None:
+        """Count one fault event that has no timeline instant."""
+        faults = self.registry.counter(
+            FAULTS_TOTAL, "Fault-lifecycle and detector events")
+        faults.inc(kind=kind)
+
+    def fault_event(self, kind: str, time: float, **meta: object) -> None:
+        """Count a fault-lifecycle event and record it on the timeline."""
+        self.count_fault(kind)
+        self.timeline.fault_event(kind, time, **meta)
+
+    def epoch_event(self, epoch: int, time: float, **meta: object) -> None:
+        """Count a membership-epoch advance and record it on the timeline."""
+        self.registry.counter(
+            EPOCH_ADVANCES_TOTAL, "Membership-epoch advances").inc()
+        self.timeline.epoch_event(epoch, time, **meta)
+
+    def fault_counts(self) -> dict[str, float]:
+        """``kind -> count`` of every fault event counted so far."""
+        metric = self.registry.get(FAULTS_TOTAL)
+        if metric is None:
+            return {}
+        return {labels["kind"]: value for labels, value in metric.labelled()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "enabled" if self.enabled else "disabled"

@@ -10,9 +10,10 @@ record as a multi-track Perfetto trace (pid = rank, tid = stream or
 activity lane) or JSONL.
 
 Fault-lifecycle events (inject / suspect / confirm / rebuild / restore)
-arrive through :meth:`StepTimeline.fault_event` — usually forwarded by
-:meth:`repro.sim.tracing.Trace.fault` — and are chained into *flow*
-episodes so a recovery reads as one connected arrow across the trace.
+arrive through :meth:`StepTimeline.fault_event` — called by
+:meth:`repro.obs.Observability.fault_event`, which also counts them —
+and are chained into *flow* episodes so a recovery reads as one
+connected arrow across the trace.
 
 Every record method begins with a single ``enabled`` branch; a disabled
 timeline is one comparison per call.

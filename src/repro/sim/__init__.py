@@ -13,7 +13,6 @@ V100 nodes, 30 Gbps VPC TCP / RDMA) with a deterministic simulator:
 - :mod:`repro.sim.topology` — clusters of V100 nodes;
 - :mod:`repro.sim.cuda` — GPU compute timing and CUDA-stream contention;
 - :mod:`repro.sim.mpi` — per-worker communication daemons;
-- :mod:`repro.sim.tracing` — metric collection;
 - :mod:`repro.sim.invariants` — opt-in invariant checking and
   deterministic-replay digests.
 """
@@ -41,7 +40,6 @@ from repro.sim.rdma import RDMA, rdma_transport
 from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.tcp import TCP, tcp_transport
 from repro.sim.topology import Cluster, NodeSpec, alibaba_v100_cluster
-from repro.sim.tracing import Span, Trace
 from repro.sim.transport import TransportModel
 
 __all__ = [
@@ -68,12 +66,10 @@ __all__ = [
     "RDMA",
     "Resource",
     "Simulator",
-    "Span",
     "Store",
     "Straggler",
     "TCP",
     "Timeout",
-    "Trace",
     "TransportModel",
     "V100",
     "alibaba_v100_cluster",

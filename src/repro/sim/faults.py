@@ -47,11 +47,11 @@ import random
 import typing as t
 
 from repro.errors import FaultInjectionError
+from repro.obs import Observability
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork, Link
 from repro.sim.process import Process
 from repro.sim.topology import Cluster
-from repro.sim.tracing import Trace
 
 #: Capacity a dead node's links are squashed to.  The fluid network
 #: requires strictly positive capacities; at 1e-3 bit/s any in-flight
@@ -425,11 +425,14 @@ class FaultInjector:
     """
 
     def __init__(self, sim: Simulator, cluster: Cluster,
-                 network: FluidNetwork, trace: Trace | None = None) -> None:
+                 network: FluidNetwork,
+                 obs: Observability | None = None) -> None:
         self.sim = sim
         self.cluster = cluster
         self.network = network
-        self.trace = trace or Trace(enabled=False)
+        #: The run's observability; fault events are counted and put on
+        #: its timeline.
+        self.obs = obs or Observability.disabled()
         #: Original node ids of the nodes present in the current cluster,
         #: in cluster order: ``_current[i]`` is the original identity of
         #: current node ``i``.
@@ -654,8 +657,8 @@ class FaultInjector:
                 # process crash out of sim.step().
                 victim.add_callback(lambda _ev: None)
                 victim.interrupt(fault)
-        self.trace.fault("inject", self.sim.now, fault="node_crash",
-                         node=fault.node)
+        self.obs.fault_event("inject", self.sim.now, fault="node_crash",
+                             node=fault.node)
 
     def _apply_leave(self, fault: NodeLeave) -> None:
         """Announce a clean departure; excision waits for the boundary.
@@ -669,7 +672,7 @@ class FaultInjector:
             return  # duplicate announcement
         self._pending_leaves.append(fault.node)
         self.leave_times[fault.node] = self.sim.now
-        self.trace.fault("leave", self.sim.now, node=fault.node)
+        self.obs.fault_event("leave", self.sim.now, node=fault.node)
 
     def _apply_join(self, fault: NodeJoin) -> None:
         """Record a join request; admission waits for the boundary."""
@@ -679,7 +682,7 @@ class FaultInjector:
             return  # duplicate request
         self._pending_joins.append(fault.node)
         self.join_times[fault.node] = self.sim.now
-        self.trace.fault("join", self.sim.now, node=fault.node)
+        self.obs.fault_event("join", self.sim.now, node=fault.node)
 
     def _apply_scaled(self, fault: Fault, index: int, scale: float | None,
                       duration_s: float, kind: str) -> None:
@@ -695,7 +698,8 @@ class FaultInjector:
             restore.append((link, before))
             target = DEAD_LINK_BPS if scale is None else before * scale
             self._squash(link, target)
-        self.trace.fault("inject", self.sim.now, fault=kind, node=original)
+        self.obs.fault_event("inject", self.sim.now, fault=kind,
+                             node=original)
 
         def _recover() -> t.Generator:
             yield self.sim.timeout(duration_s)
@@ -704,8 +708,8 @@ class FaultInjector:
             for link, capacity in restore:
                 self.network.set_link_capacity(link, capacity)
                 self._saved_caps.pop(link, None)
-            self.trace.fault("recover", self.sim.now, fault=kind,
-                             node=original)
+            self.obs.fault_event("recover", self.sim.now, fault=kind,
+                                 node=original)
 
         self.sim.spawn(_recover(), name=f"fault-recover:{kind}@{original}")
 

@@ -26,9 +26,9 @@ from repro.errors import FaultInjectionError, PeerDeadError, TrainingError
 from repro.core.elastic import EpochTransition
 from repro.models.base import ModelSpec
 from repro.models.zoo import get_model
+from repro.obs import Observability
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Trace
 from repro.sim.transport import TransportModel
 from repro.sim.tcp import TCP
 
@@ -276,7 +276,8 @@ class FaultInjectionResult:
     checkpoint_time_s: float
     iteration_times_s: tuple[float, ...]
     recoveries: tuple[RecoveryRecord, ...]
-    trace: Trace
+    #: The run's observability: fault and epoch counters, timeline.
+    obs: Observability
     #: Event-sequence digest (replay determinism); ``None`` unless the
     #: run executed under the invariant checker.
     state_digest: str | None = None
@@ -321,10 +322,9 @@ def run_fault_injected_training(
     comm_retries: int = 1,
     retry_backoff_s: float = 0.25,
     restart_overhead_s: float = DEFAULT_RESTART_OVERHEAD_S,
-    trace: Trace | None = None,
     max_restarts: int = 8,
     check_invariants: bool = False,
-    obs: t.Any = None,
+    obs: Observability | None = None,
     settings_cache: t.Any = None,
 ) -> FaultInjectionResult:
     """Train under an event-driven fault schedule and self-heal.
@@ -393,7 +393,8 @@ def run_fault_injected_training(
     except FaultInjectionError as exc:
         raise TrainingError(f"invalid fault plan: {exc}") from exc
     batch = batch_per_gpu or spec.default_batch_size
-    run_trace = trace or Trace(enabled=True, keep_spans=True)
+    # One sink for the whole run, shared by every rebuilt context.
+    obs = obs or Observability.disabled()
 
     # The run's own config decides whether the checker attaches (at
     # construction, so the digest covers every event); the environment
@@ -402,8 +403,8 @@ def run_fault_injected_training(
     ctx = build_train_context(
         spec, backend, num_gpus, batch, transport=transport,
         nic_bandwidth_bps=nic_bandwidth_bps, gpus_per_node=gpus_per_node,
-        trace=run_trace, representative=False, sim=sim, obs=obs)
-    injector = FaultInjector(sim, ctx.cluster, ctx.network, trace=run_trace)
+        representative=False, sim=sim, obs=obs)
+    injector = FaultInjector(sim, ctx.cluster, ctx.network, obs=obs)
     injector.arm(plan)
 
     # Checkpoint payloads are stubs: simulated time uses the analytical
@@ -444,8 +445,8 @@ def run_fault_injected_training(
             ctx = build_train_context(
                 spec, backend, world_size, batch, transport=transport,
                 nic_bandwidth_bps=nic_bandwidth_bps,
-                gpus_per_node=gpus_per_node, trace=run_trace,
-                representative=False, sim=sim, obs=obs)
+                gpus_per_node=gpus_per_node, representative=False,
+                sim=sim, obs=obs)
             injector.retarget(ctx.cluster, ctx.network)
             backend.advance_epoch(runtime.epoch)
             rewarm = sim.spawn(backend.warmup(ctx), name=label)
@@ -513,7 +514,7 @@ def run_fault_injected_training(
                         _rebuild(runtime.view.world_size,
                                  f"rewarm-epoch{runtime.epoch}")
                         sim.run(until=sim.timeout(reconfigure_cost))
-                        run_trace.epoch(runtime.epoch, sim.now,
+                        obs.epoch_event(runtime.epoch, sim.now,
                                         kind="scale-down",
                                         world=runtime.view.world_size)
                     else:
@@ -532,7 +533,7 @@ def run_fault_injected_training(
                             spec, backend, new_world, batch,
                             transport=transport,
                             nic_bandwidth_bps=nic_bandwidth_bps,
-                            gpus_per_node=gpus_per_node, trace=run_trace,
+                            gpus_per_node=gpus_per_node,
                             representative=False, sim=sim, obs=obs)
                         backend.config, tuned_label = runtime.retune(
                             cache_key, joined_ctx.cluster, backend.config)
@@ -549,7 +550,7 @@ def run_fault_injected_training(
                             name=f"rewarm-epoch{runtime.epoch}")
                         sim.run(until=rewarm)
                         sim.run(until=sim.timeout(join_cost))
-                        run_trace.epoch(runtime.epoch, sim.now,
+                        obs.epoch_event(runtime.epoch, sim.now,
                                         kind="scale-up", world=new_world)
                 continue
 
@@ -573,13 +574,13 @@ def run_fault_injected_training(
             all_dead: list[int] = []
             while dead:
                 all_dead.extend(dead)
-                run_trace.fault("rebuild", sim.now, nodes=tuple(dead))
+                obs.fault_event("rebuild", sim.now, nodes=tuple(dead))
                 sim.run(until=sim.timeout(rebuild_cost))
                 dead = injector.take_pending_dead()
 
             resume_iteration, _params = elastic.on_failure(
                 failed_workers=len(all_dead) * gpus_per_node)
-            run_trace.fault("restore", sim.now,
+            obs.fault_event("restore", sim.now,
                             iteration=resume_iteration)
             runtime.failure(
                 all_dead, at_s=sim.now, resumed_iteration=resume_iteration,
@@ -598,7 +599,7 @@ def run_fault_injected_training(
                 failed_at_iteration=completed,
                 resumed_iteration=resume_iteration,
             ))
-            run_trace.epoch(runtime.epoch, sim.now, kind="failure",
+            obs.epoch_event(runtime.epoch, sim.now, kind="failure",
                             world=runtime.view.world_size)
             wasted += completed - resume_iteration
             completed = resume_iteration
@@ -617,7 +618,7 @@ def run_fault_injected_training(
         checkpoint_time_s=ckpt_total,
         iteration_times_s=tuple(times),
         recoveries=tuple(recoveries),
-        trace=run_trace,
+        obs=obs,
         state_digest=sim.state_digest(),
         epoch_transitions=tuple(runtime.transitions),
         final_epoch=runtime.epoch,

@@ -28,7 +28,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork
 from repro.sim.tcp import TCP
 from repro.sim.topology import alibaba_v100_cluster
-from repro.sim.tracing import Trace
 from repro.sim.transport import TransportModel
 
 
@@ -80,7 +79,6 @@ def build_train_context(
     transport: TransportModel = TCP,
     nic_bandwidth_bps: float = 30e9,
     gpus_per_node: int = 8,
-    trace: Trace | None = None,
     extra_forward_time_s: float = 0.0,
     congested_links: t.Mapping[int, float] | None = None,
     gpu_spec: t.Any = None,
@@ -119,23 +117,20 @@ def build_train_context(
             nic_bandwidth_bps=nic_bandwidth_bps,
             gpus_per_node=gpus_per_node, gpu=gpu_spec or V100,
             core_oversubscription=core_oversubscription)
-    run_trace = trace or Trace(enabled=True)
     obs = obs or Observability.disabled()
     # The fluid network only pays per-flow telemetry when something will
-    # read it; the fault hooks gain timeline instants the same way.
+    # read it.
     network.obs = obs if obs.enabled else None
     network.diag = obs.diag
-    run_trace.attach_timeline(obs.timeline)
     return TrainContext(
         sim=sim,
         network=network,
         cluster=cluster,
-        collectives=TimedCollectives(sim, network, cluster, trace=run_trace,
+        collectives=TimedCollectives(sim, network, cluster,
                                      representative=representative,
                                      obs=obs),
         model=spec,
         batch_per_gpu=batch_per_gpu,
-        trace=run_trace,
         wire_dtype_bytes=_wire_bytes_of(backend),
         extra_forward_time_s=extra_forward_time_s,
         obs=obs,
@@ -153,7 +148,6 @@ def run_training(
     nic_bandwidth_bps: float = 30e9,
     gpus_per_node: int = 8,
     backend_options: t.Mapping[str, t.Any] | None = None,
-    trace: Trace | None = None,
     extra_forward_time_s: float = 0.0,
     congested_links: t.Mapping[int, float] | None = None,
     gpu_spec: t.Any = None,
@@ -204,7 +198,7 @@ def run_training(
     ctx = build_train_context(
         spec, backend, num_gpus, batch,
         transport=transport, nic_bandwidth_bps=nic_bandwidth_bps,
-        gpus_per_node=gpus_per_node, trace=trace,
+        gpus_per_node=gpus_per_node,
         extra_forward_time_s=extra_forward_time_s,
         congested_links=congested_links, gpu_spec=gpu_spec,
         representative=representative, obs=obs,

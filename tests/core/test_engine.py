@@ -147,15 +147,16 @@ class TestAIACCBackend:
         ratio = single.throughput / horovod.throughput
         assert 0.7 < ratio < 1.5
 
-    def test_trace_counts_units_and_syncs(self):
-        from repro.sim.tracing import Trace
+    def test_registry_counts_units_and_syncs(self):
+        from repro.obs import Observability
 
-        trace = Trace(enabled=True)
+        obs = Observability()
         run_training("resnet50", AIACCBackend(), 16, measure_iterations=1,
-                     warmup_iterations=0, trace=trace)
-        assert trace.counters["aiacc.units"] > 0
-        assert trace.counters["aiacc.sync_rounds"] > 0
-        assert trace.counters["aiacc.gradients"] > 100
+                     warmup_iterations=0, obs=obs)
+        registry = obs.registry
+        assert registry.get("aiacc_units_total").value() > 0
+        assert registry.get("aiacc_sync_rounds_total").value() > 0
+        assert registry.get("aiacc_gradients_total").value() > 100
 
     def test_fp16_compression_reduces_comm_time(self):
         plain = run_training(
@@ -175,7 +176,7 @@ class TestBatchAwareOccupancy:
         from repro.frameworks.base import TrainContext
         from repro.collectives.timed import TimedCollectives
         from repro.models import get_model
-        from repro.sim import FluidNetwork, Simulator, Trace
+        from repro.sim import FluidNetwork, Simulator
         from repro.sim import alibaba_v100_cluster
 
         def ctx_at(batch):
@@ -185,8 +186,7 @@ class TestBatchAwareOccupancy:
             return TrainContext(
                 sim=sim, network=net, cluster=cluster,
                 collectives=TimedCollectives(sim, net, cluster),
-                model=get_model("bert-large"), batch_per_gpu=batch,
-                trace=Trace(enabled=False))
+                model=get_model("bert-large"), batch_per_gpu=batch)
 
         full = ctx_at(16)   # BERT default batch
         tiny = ctx_at(2)
@@ -201,7 +201,7 @@ class TestBatchAwareOccupancy:
         from repro.frameworks.base import TrainContext
         from repro.collectives.timed import TimedCollectives
         from repro.models import get_model
-        from repro.sim import FluidNetwork, Simulator, Trace
+        from repro.sim import FluidNetwork, Simulator
         from repro.sim import alibaba_v100_cluster
 
         sim = Simulator()
@@ -214,8 +214,7 @@ class TestBatchAwareOccupancy:
             ctx = TrainContext(
                 sim=sim, network=net, cluster=cluster,
                 collectives=TimedCollectives(sim, net, cluster),
-                model=model, batch_per_gpu=batch,
-                trace=Trace(enabled=False))
+                model=model, batch_per_gpu=batch)
             return device.max_concurrent_comm_streams(
                 ctx.effective_occupancy)
 

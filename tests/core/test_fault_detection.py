@@ -14,10 +14,10 @@ from repro.errors import (
     SyncTimeoutError,
 )
 from repro.models import ParameterSpec
+from repro.obs import Observability
 from repro.sim import Communicator, FluidNetwork, Simulator
 from repro.sim.cuda import GPUDevice, V100
 from repro.sim.topology import Cluster, NodeSpec
-from repro.sim.tracing import Trace
 from repro.collectives.timed import TimedCollectives
 
 
@@ -134,18 +134,18 @@ class TestStalledCollectives:
         sim = Simulator()
         cluster = Cluster(sim, num_nodes, NodeSpec(gpus_per_node=2))
         network = FluidNetwork(sim)
-        trace = Trace(enabled=True)
-        collectives = TimedCollectives(sim, network, cluster, trace=trace,
-                                       representative=False)
-        return sim, cluster, collectives, trace
+        obs = Observability()
+        collectives = TimedCollectives(sim, network, cluster,
+                                       representative=False, obs=obs)
+        return sim, cluster, collectives, obs
 
     def test_allreduce_hangs_when_node_dead(self):
-        sim, cluster, collectives, trace = self.make()
+        sim, cluster, collectives, obs = self.make()
         cluster.fail_node(1)
         done = collectives.allreduce(1e6)
         sim.run(until=sim.timeout(120.0))
         assert not done.triggered
-        assert trace.counters["aiacc.faults.stalled_collectives"] == 1
+        assert obs.fault_counts() == {"stalled_collectives": 1}
 
     def test_control_roundtrip_hangs_when_node_dead(self):
         sim, cluster, collectives, _ = self.make()
@@ -226,29 +226,28 @@ class TestEngineDetection:
         backend = AIACCBackend(AIACCConfig(
             sync_timeout_s=sync_timeout_s, unit_timeout_s=1.0,
             comm_retries=comm_retries, retry_backoff_s=0.1))
-        trace = Trace(enabled=True)
+        obs = Observability()
         ctx = build_train_context(spec, backend, 16,
                                   spec.default_batch_size,
-                                  trace=trace, representative=False)
-        injector = FaultInjector(ctx.sim, ctx.cluster, ctx.network,
-                                 trace=trace)
+                                  representative=False, obs=obs)
+        injector = FaultInjector(ctx.sim, ctx.cluster, ctx.network, obs=obs)
         injector.arm(FaultPlan([NodeCrash(at_s=crash_at_s, node=1)]))
         warm = ctx.sim.spawn(backend.warmup(ctx))
         ctx.sim.run(until=warm)
         proc = ctx.sim.spawn(backend.iteration(ctx))
         proc.add_callback(lambda _ev: None)
         ctx.sim.run(until=proc)
-        return backend, ctx, proc, trace
+        return backend, ctx, proc, obs.fault_counts()
 
     def test_crash_mid_iteration_confirms_peer_dead(self):
-        backend, ctx, proc, trace = self.run_iteration_with_crash(
+        backend, ctx, proc, faults = self.run_iteration_with_crash(
             crash_at_s=0.02)
         assert not proc.ok
         failure = proc.value
         assert isinstance(failure, PeerDeadError)
         assert failure.confirmed_at_s > failure.suspected_at_s
-        assert trace.counters["aiacc.faults.suspect"] >= 1
-        assert trace.counters["aiacc.faults.confirm"] >= 1
+        assert faults["suspect"] >= 1
+        assert faults["confirm"] >= 1
 
     def test_abort_clears_inflight_units(self):
         backend, ctx, proc, _ = self.run_iteration_with_crash(
@@ -260,7 +259,7 @@ class TestEngineDetection:
         ctx.sim.run(until=ctx.sim.timeout(1.0))
 
     def test_healthy_iteration_with_detection_enabled(self):
-        backend, ctx, proc, trace = self.run_iteration_with_crash(
+        backend, ctx, proc, faults = self.run_iteration_with_crash(
             crash_at_s=1e9)  # never fires
         assert proc.ok
-        assert trace.counters.get("aiacc.faults.suspect", 0) == 0
+        assert faults.get("suspect", 0) == 0

@@ -14,7 +14,7 @@ from repro.frameworks import (
 from repro.frameworks.base import ReadyGradient, TrainContext
 from repro.collectives.timed import TimedCollectives
 from repro.models import ParameterSpec, get_model
-from repro.sim import FluidNetwork, Simulator, Trace, alibaba_v100_cluster
+from repro.sim import FluidNetwork, Simulator, alibaba_v100_cluster
 from repro.training.trainer import run_training
 
 
@@ -26,7 +26,6 @@ def make_ctx(model="resnet50", num_gpus=16, batch=32):
         sim=sim, network=net, cluster=cluster,
         collectives=TimedCollectives(sim, net, cluster),
         model=get_model(model), batch_per_gpu=batch,
-        trace=Trace(enabled=False),
     )
 
 

@@ -8,7 +8,7 @@ from repro.core.perseus import PerseusSession
 from repro.core.runtime import AIACCConfig
 from repro.core.sparsification import TopKCompressor, train_step_with_topk
 from repro.harness import measure
-from repro.sim.tracing import Trace
+from repro.obs import Observability, chrome_trace_events
 from repro.training.numeric import (
     TinyMLP,
     make_synthetic_task,
@@ -151,14 +151,14 @@ class TestNumericFullStack:
 
 class TestTimedFullStack:
     def test_trace_spans_exported_from_real_run(self):
-        trace = Trace(enabled=True, keep_spans=True)
+        obs = Observability()
         run_training("resnet50", "aiacc", 16, measure_iterations=1,
-                     warmup_iterations=0, trace=trace)
-        events = trace.to_chrome_trace()
-        assert any(e["name"] == "allreduce" for e in events)
-        # Concurrent all-reduces overlap in the timeline: at least two
-        # complete events intersect in time.
-        complete = sorted((e for e in events if e["ph"] == "X"),
+                     warmup_iterations=0, obs=obs)
+        events = chrome_trace_events(obs.timeline)
+        # Concurrent all-reduce units overlap in the timeline: at least
+        # two complete events intersect in time.
+        complete = sorted((e for e in events if e["ph"] == "X"
+                           and e["name"] == "allreduce-unit"),
                           key=lambda e: e["ts"])
         overlaps = any(
             a["ts"] + a["dur"] > b["ts"]

@@ -8,6 +8,7 @@ from repro.errors import ReproError
 from repro.obs import (
     NETWORK_RANK,
     MetricsRegistry,
+    Observability,
     StepTimeline,
     chrome_trace_events,
     jsonl_lines,
@@ -71,6 +72,41 @@ class TestStepTimeline:
         enabled_dst.merge(src)
         assert len(enabled_dst.spans) == len(src.spans)
         assert enabled_dst.step_window(0, 0) == (0.0, 1.0)
+
+
+class TestFaultTelemetry:
+    """``Observability`` counts fault and epoch events and timelines them."""
+
+    def test_fault_events_count_by_kind(self):
+        obs = Observability()
+        obs.fault_event("inject", 1.0, node=1)
+        obs.count_fault("sync_timeout")
+        obs.fault_event("inject", 2.0, node=2)
+        assert obs.fault_counts() == {"inject": 2, "sync_timeout": 1}
+        # A counter-only kind puts nothing on the timeline.
+        assert [i.name for i in obs.timeline.instants] == \
+            ["fault.inject", "fault.inject"]
+        assert 'aiacc_faults_total{kind="inject"} 2' in \
+            prometheus_text(obs.registry)
+
+    def test_epoch_event_counts_and_closes_the_episode(self):
+        obs = Observability()
+        obs.fault_event("leave", 1.0, node=1)
+        obs.epoch_event(1, 2.0, kind="scale-down")
+        epochs = obs.registry.get("aiacc_epoch_advances_total")
+        assert epochs.value() == 1
+        assert obs.timeline.instants[-1].name == "epoch.advance"
+        assert [p.phase for p in obs.timeline.flow_points] == \
+            ["start", "end"]
+
+    def test_disabled_records_nothing(self):
+        obs = Observability.disabled()
+        obs.fault_event("inject", 1.0)
+        obs.count_fault("stalled_collectives")
+        obs.epoch_event(1, 2.0)
+        assert obs.fault_counts() == {}
+        assert not obs.timeline.instants
+        assert obs.registry.get("aiacc_epoch_advances_total").value() == 0
 
 
 class TestChromeExport:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.campaign.worker import parse_fault_plan
 from repro.errors import CampaignError, FaultInjectionError, ProcessInterrupt
+from repro.obs import Observability
 from repro.sim.faults import (
     DEAD_LINK_BPS,
     MEMBERSHIP_FAULTS,
@@ -23,7 +24,6 @@ from repro.sim.faults import (
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork
 from repro.sim.topology import Cluster, NodeSpec
-from repro.sim.tracing import Trace
 
 
 def make_cluster(sim, num_nodes=4):
@@ -244,17 +244,15 @@ class TestFaultInjectorCrash:
         assert isinstance(causes[0], NodeCrash)
         assert sim.now == pytest.approx(3.0)
 
-    def test_trace_records_injection(self):
+    def test_obs_records_injection(self):
         sim = Simulator()
         cluster = make_cluster(sim)
-        trace = Trace(enabled=True, keep_spans=True)
-        injector = FaultInjector(sim, cluster, FluidNetwork(sim),
-                                 trace=trace)
+        obs = Observability()
+        injector = FaultInjector(sim, cluster, FluidNetwork(sim), obs=obs)
         injector.arm(FaultPlan([NodeCrash(at_s=1.0, node=0)]))
         sim.run()
-        assert trace.counters["aiacc.faults.inject"] == 1
-        assert any(name == "aiacc.fault.inject"
-                   for name, _, _ in trace.points)
+        assert obs.fault_counts() == {"inject": 1}
+        assert [i.name for i in obs.timeline.instants] == ["fault.inject"]
 
 
 class TestTransientFaults:

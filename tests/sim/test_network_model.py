@@ -22,7 +22,11 @@ step that:
 7. bytes are conserved: every live flow has ``0 <= remaining_bits <=
    size_bits``, and ``bits_delivered`` equals the bits debited from
    every entity ever started — completed, cancelled or live — each
-   counted ``_mult`` times (``1e-9`` relative).
+   counted ``_mult`` times (``1e-9`` relative);
+8. bytes are conserved per link: the bits debited from the entities
+   crossing a link, each group member counted on its own link set, never
+   exceed the integral of the link's capacity over elapsed time, tracked
+   across capacity changes (``1e-9`` relative).
 
 At the end of each run the simulation is drained and every
 non-cancelled completion must have fired exactly once.  A shadow network
@@ -90,6 +94,8 @@ class FluidNetworkMachine(RuleBasedStateMachine):
         self.raced = set()
         #: every entity seen live -> bits it had delivered when first seen
         self.entities = {}
+        #: link -> (capacity integral in bits up to ``since``, ``since``)
+        self.capacity_bits = {link: (0.0, 0.0) for link in self.links}
 
     def _track(self, event):
         fires = []
@@ -233,9 +239,13 @@ class FluidNetworkMachine(RuleBasedStateMachine):
     @rule(link=st.integers(0, NUM_LINKS - 1),
           capacity=st.sampled_from(CAPACITIES))
     def set_link_capacity(self, link, capacity):
-        self.net.set_link_capacity(self.links[link], capacity)
+        link = self.links[link]
+        bits, since = self.capacity_bits[link]
+        self.capacity_bits[link] = (
+            bits + link.capacity_bps * (self.sim.now - since), self.sim.now)
+        self.net.set_link_capacity(link, capacity)
         self.shadow_sim.run(until=self.sim.now)
-        self.shadow.set_link_capacity(self.twin[self.links[link]], capacity)
+        self.shadow.set_link_capacity(self.twin[link], capacity)
 
     @rule(dt=st.floats(0.0, 0.05))
     def advance(self, dt):
@@ -293,8 +303,8 @@ class FluidNetworkMachine(RuleBasedStateMachine):
                 assert not fires
             assert all(when >= started for when in fires)
 
-    @invariant()
-    def bytes_are_conserved(self):
+    def _debited(self):
+        """Entity -> bits debited from each of its members so far."""
         for flow in self.net.flows:
             assert 0.0 <= flow.remaining_bits <= flow.size_bits, flow
             if flow in self.entities:
@@ -307,12 +317,28 @@ class FluidNetworkMachine(RuleBasedStateMachine):
                 # A split bundle's member: it inherits the progress the
                 # retired group already accounts for.
                 self.entities[flow] = flow.size_bits - flow.remaining_bits
-        debited = sum(
-            (flow.size_bits - flow.remaining_bits - inherited) * flow._mult
-            for flow, inherited in self.entities.items())
+        return {flow: flow.size_bits - flow.remaining_bits - inherited
+                for flow, inherited in self.entities.items()}
+
+    @invariant()
+    def bytes_are_conserved(self):
+        debited = sum(bits * flow._mult
+                      for flow, bits in self._debited().items())
         assert math.isclose(self.net.bits_delivered, debited,
                             rel_tol=1e-9, abs_tol=1e-6), \
             (self.net.bits_delivered, debited)
+
+    @invariant()
+    def link_bits_within_capacity(self):
+        carried = dict.fromkeys(self.links, 0.0)
+        for flow, bits in self._debited().items():
+            for member in flow.member_link_sets():
+                for link in member:
+                    carried[link] += bits
+        for link, bits in carried.items():
+            offered, since = self.capacity_bits[link]
+            offered += link.capacity_bps * (self.sim.now - since)
+            assert bits <= offered * (1 + 1e-9) + 1e-6, (link, bits, offered)
 
     def teardown(self):
         self.sim.run()
@@ -328,6 +354,7 @@ class FluidNetworkMachine(RuleBasedStateMachine):
                 assert all(len(times) == 1 for times in shadow_fires)
                 assert fires == [max(times[0] for times in shadow_fires)]
         self.bytes_are_conserved()
+        self.link_bits_within_capacity()
 
 
 TestFluidNetworkModel = FluidNetworkMachine.TestCase

@@ -107,7 +107,7 @@ class TestFaultsCommand:
                      "--crash-node", "1", "--crash-at", "0.3",
                      "--trace-out", str(trace_out)]) == 0
         events = json.loads(trace_out.read_text())
-        assert any(ev.get("name") == "aiacc.fault.inject" for ev in events)
+        assert any(ev.get("name") == "fault.inject" for ev in events)
 
     def test_faults_rejects_small_cluster(self, capsys):
         assert main(["faults", "--model", "resnet50", "--gpus", "8"]) == 1

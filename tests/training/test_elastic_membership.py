@@ -4,7 +4,7 @@ Exercises `run_fault_injected_training` with `NodeLeave` / `NodeJoin`
 events: scale-down must continue from live parameters (no checkpoint
 restore), scale-up must admit joiners through the bit-identical live
 broadcast, and both must advance the membership epoch visibly in the
-trace and the observability timeline.
+observability registry and timeline.
 """
 
 import pytest
@@ -37,7 +37,7 @@ def run(plan, **overrides):
 class TestScaleDown:
     def test_clean_leave_continues_without_restore(self, tmp_path):
         result = run(FaultPlan([NodeLeave(at_s=0.2, node=1)]),
-                     checkpoint_dir=str(tmp_path))
+                     checkpoint_dir=str(tmp_path), obs=Observability())
         # The departure is not a failure: nothing detected, nothing
         # restored, nothing lost.
         assert result.recoveries == ()
@@ -53,11 +53,12 @@ class TestScaleDown:
         # The resumed iteration equals the boundary's completed count:
         # live continuation, not a checkpoint rollback.
         assert transition.resumed_iteration > 0
-        counters = result.trace.counters
-        assert counters["aiacc.faults.leave"] == 1
-        assert counters["aiacc.epoch_advances"] == 1
-        assert "aiacc.faults.restore" not in counters
-        assert "aiacc.faults.confirm" not in counters
+        counters = result.obs.fault_counts()
+        assert counters["leave"] == 1
+        assert result.obs.registry.get(
+            "aiacc_epoch_advances_total").value() == 1
+        assert "restore" not in counters
+        assert "confirm" not in counters
 
     def test_all_iterations_complete(self, tmp_path):
         result = run(FaultPlan([NodeLeave(at_s=0.2, node=1)]),

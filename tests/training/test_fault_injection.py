@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import TrainingError
 from repro.models.synthetic import random_model_spec
+from repro.obs import Observability, chrome_trace_events
 from repro.sim.faults import FaultPlan, NodeCrash
 from repro.training.resilience import run_fault_injected_training
 
@@ -49,21 +50,21 @@ class TestFaultInjectedTraining:
         assert result.wasted_iterations == rec.lost_iterations
         assert 0 < result.goodput <= 1.0
 
-    def test_fault_events_reach_trace(self, tmp_path):
+    def test_fault_events_reach_obs(self, tmp_path):
         result = run_fault_injected_training(
             small_spec(),
             FaultPlan([NodeCrash(at_s=0.2, node=1)]),
             num_gpus=16, total_iterations=6, checkpoint_interval=2,
             checkpoint_dir=str(tmp_path), restart_overhead_s=1.0,
             sync_timeout_s=0.5, unit_timeout_s=1.0, comm_retries=1,
-            retry_backoff_s=0.1)
-        counters = result.trace.counters
+            retry_backoff_s=0.1, obs=Observability())
+        counters = result.obs.fault_counts()
         for kind in ("inject", "suspect", "confirm", "rebuild", "restore"):
-            assert counters[f"aiacc.faults.{kind}"] >= 1, kind
-        chrome = result.trace.to_chrome_trace()
+            assert counters[kind] >= 1, kind
+        chrome = chrome_trace_events(result.obs.timeline)
         names = {ev.get("name") for ev in chrome}
-        assert {"aiacc.fault.inject", "aiacc.fault.confirm",
-                "aiacc.fault.rebuild", "aiacc.fault.restore"} <= names
+        assert {"fault.inject", "fault.confirm",
+                "fault.rebuild", "fault.restore"} <= names
 
     def test_healthy_run_has_no_recoveries(self, tmp_path):
         result = run_fault_injected_training(
