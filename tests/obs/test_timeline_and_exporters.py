@@ -63,6 +63,31 @@ class TestStepTimeline:
         assert timeline.flow_points[-1].flow_id != \
             timeline.flow_points[0].flow_id
 
+    def test_disabled_timeline_records_nothing(self):
+        timeline = StepTimeline(enabled=False)
+        timeline.span("x", "compute", 0, 0.0, 1.0)
+        timeline.instant("p", "fault", 0, 0.5)
+        timeline.begin_step(0, 0, 0.0)
+        timeline.end_step(0, 0, 1.0)
+        assert timeline.flow_start("f", 0, 0.0) == 0
+        timeline.fault_event("inject", 0.2)
+        timeline.epoch_event(1, 0.8)
+        assert not timeline.spans
+        assert not timeline.instants
+        assert not timeline.flow_points
+        assert list(timeline.steps()) == []
+        assert chrome_trace_events(timeline) == []
+
+    def test_merge_copies_instants_and_flow_points(self):
+        src = StepTimeline()
+        src.span("x", "compute", 0, 0.0, 1.0)
+        src.fault_event("inject", 0.5)
+        dst = StepTimeline()
+        dst.merge(src)
+        assert len(dst.spans) == 1
+        assert [i.name for i in dst.instants] == ["fault.inject"]
+        assert [p.phase for p in dst.flow_points] == ["start"]
+
     def test_merge_respects_disabled_destination(self):
         src = sample_timeline()
         dst = StepTimeline(enabled=False)
@@ -118,6 +143,50 @@ class TestChromeExport:
         flow_span = next(e for e in events if e["name"] == "flow")
         assert flow_span["pid"] != 0  # synthetic network process
         assert flow_span["tid"] >= 64  # named lane
+
+    def test_spans_become_complete_events(self):
+        timeline = StepTimeline()
+        timeline.span("allreduce", "network", 0, 1.0, 1.5, bytes=100)
+        timeline.span("compute", "compute", 0, 0.0, 1.0)
+        timeline.instant("failure", "fault", 0, 0.7, node=3)
+        events = [e for e in chrome_trace_events(timeline)
+                  if e["ph"] != "M"]
+        assert [e["ph"] for e in events] == ["X", "i", "X"]
+        assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
+        allreduce = next(e for e in events if e["name"] == "allreduce")
+        assert allreduce["ts"] == pytest.approx(1e6)
+        assert allreduce["dur"] == pytest.approx(0.5e6)
+        assert allreduce["args"] == {"bytes": 100}
+
+    def test_non_json_metadata_is_stringified(self):
+        timeline = StepTimeline()
+        timeline.span("x", "compute", 0, 0.0, 1.0, meta_obj=object())
+        timeline.instant("p", "fault", 0, 0.5, where=("node", 1))
+        events = chrome_trace_events(timeline)
+        json.dumps(events)
+        span = next(e for e in events if e["name"] == "x")
+        assert isinstance(span["args"]["meta_obj"], str)
+
+    def test_named_lanes_numbered_by_sorted_name(self):
+        # Lane tids follow sorted lane names, not insertion order or
+        # hash(), so the layout survives PYTHONHASHSEED.
+        timeline = StepTimeline()
+        timeline.span("flow", "net", NETWORK_RANK, 0.0, 1.0, lane="b.link")
+        timeline.span("flow", "net", NETWORK_RANK, 0.5, 1.5, lane="a.link")
+        events = [e for e in chrome_trace_events(timeline)
+                  if e["ph"] == "X"]
+        tids = {e["args"]["lane"]: e["tid"] for e in events}
+        assert tids == {"a.link": 64, "b.link": 65}
+
+    def test_same_lane_shares_one_track(self):
+        timeline = StepTimeline()
+        timeline.span("flow", "net", NETWORK_RANK, 0.0, 1.0, lane="l")
+        timeline.span("flow", "net", NETWORK_RANK, 2.0, 3.0, lane="l")
+        timeline.span("unit", "network", 1, 0.0, 1.0, stream=0)
+        timeline.span("unit", "network", 1, 2.0, 3.0, stream=0)
+        tracks = {(e["pid"], e["tid"]) for e in
+                  chrome_trace_events(timeline) if e["ph"] == "X"}
+        assert len(tracks) == 2
 
     def test_step_window_renders_on_activity_lane(self):
         events = chrome_trace_events(sample_timeline())
