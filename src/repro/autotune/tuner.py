@@ -172,16 +172,15 @@ INFEASIBLE_COST_S = 1e6
 
 
 def make_evaluator(model: str, num_gpus: int,
-                   batch_per_gpu: int | None = None,
-                   transport: t.Any = None,
-                   nic_bandwidth_bps: float = 30e9,
                    core_oversubscription: float = 1.0
                    ) -> t.Callable[[ParameterPoint], float]:
     """Build the cost function: one simulated iteration's duration.
 
     Each call constructs a fresh deployment with the candidate's
-    parameters and measures a single steady-state training iteration —
-    the analogue of the paper's measure-one-warm-up-iteration protocol.
+    parameters — the model's default batch on the paper's TCP cluster —
+    and times one iteration straight after the backend's setup, with no
+    warm-up iterations: the tuner itself runs during the paper's warm-up
+    phase, so this is not :func:`repro.harness.measure`'s protocol.
     ``core_oversubscription > 1`` evaluates candidates on a cluster with
     a shared leaf-spine core, where congestion-aware algorithm choice
     (multi-tree, in-network aggregation) pays off.
@@ -189,7 +188,6 @@ def make_evaluator(model: str, num_gpus: int,
     from repro.errors import CollectiveError
     from repro.core.runtime import AIACCConfig
     from repro.frameworks import make_backend
-    from repro.sim.tcp import TCP
     from repro.training.trainer import run_training
 
     def evaluate(point: ParameterPoint) -> float:
@@ -201,10 +199,7 @@ def make_evaluator(model: str, num_gpus: int,
         try:
             result = run_training(
                 model, make_backend("aiacc", config=config), num_gpus,
-                batch_per_gpu=batch_per_gpu,
                 measure_iterations=1, warmup_iterations=0,
-                transport=transport or TCP,
-                nic_bandwidth_bps=nic_bandwidth_bps,
                 core_oversubscription=core_oversubscription,
             )
         except CollectiveError:

@@ -160,23 +160,14 @@ def hybrid_kwargs(params: t.Mapping[str, object]) -> dict[str, t.Any]:
 
 def hybrid_runner(params: dict, _ctx: RunContext) -> dict:
     """Fig. 13 cell: hybrid data+model parallelism throughput."""
-    from repro.harness.experiments import tuned_aiacc_config
-    from repro.training.hybrid import run_hybrid_training
+    from repro.harness.experiments import measure_hybrid
 
     kwargs = hybrid_kwargs(params)
-    model, backend, gpus = kwargs["model"], kwargs["backend"], kwargs["gpus"]
-    options = None
-    if backend == "aiacc":
-        options = {"config": tuned_aiacc_config(model, gpus)}
-    result = run_hybrid_training(
-        model, backend, gpus,
-        model_parallel_degree=kwargs["model_parallel_degree"],
-        measure_iterations=3, warmup_iterations=1,
-        backend_options=options)
+    result = measure_hybrid(**kwargs)
     return {
-        "model": model,
-        "backend": backend,
-        "gpus": gpus,
+        "model": kwargs["model"],
+        "backend": kwargs["backend"],
+        "gpus": kwargs["gpus"],
         "throughput": result.throughput,
         "mean_iteration_s": result.mean_iteration_s,
     }

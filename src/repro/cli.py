@@ -486,24 +486,29 @@ def cmd_translate(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core.runtime import AIACCConfig
     from repro.errors import TrainingError
+    from repro.harness import measure
     from repro.obs import Observability, chrome_trace_events
     from repro.sim.faults import FaultPlan, NodeCrash
     from repro.training.resilience import (
         run_fault_injected_training,
         simulate_resilient_training,
     )
-    from repro.training.trainer import run_training
 
     num_nodes = args.gpus // 8
     if args.gpus % 8 != 0 or num_nodes < 2:
         raise TrainingError("--gpus must be a multiple of 8 and >= 16")
 
-    # A quick healthy measurement fixes the iteration time, which anchors
-    # both the default crash schedule and the analytical comparison.
-    baseline = run_training(args.model, "aiacc", args.gpus,
-                            measure_iterations=2, warmup_iterations=1)
-    iter_s = baseline.mean_iteration_s
+    # A quick healthy measurement of the run's own engine settings fixes
+    # the iteration time, which anchors both the default crash schedule
+    # and the analytical comparison.
+    cell = {"model": args.model, "backend": "aiacc", "gpus": args.gpus,
+            "streams": AIACCConfig.num_streams,
+            "granularity_mb": AIACCConfig.granularity_bytes / 1e6,
+            "iterations": 2}
+    _print_spec(cell)
+    iter_s = measure(**cell).mean_iteration_s
     horizon = args.iterations * iter_s
 
     if args.mtbf is not None:
@@ -533,7 +538,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
         sync_timeout_s=args.sync_timeout,
         unit_timeout_s=args.unit_timeout,
         comm_retries=args.retries,
-        check_invariants=args.check_invariants,
+        # Without the flag the environment decides, as for every other
+        # simulator.
+        check_invariants=args.check_invariants or None,
         obs=Observability(),
     )
 
@@ -1084,9 +1091,9 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if getattr(args, "check_invariants", False):
-        # The environment flag is how every simulator and AIACCConfig
-        # constructed downstream picks the checker up, without threading
-        # the option through each command's call graph.
+        # The environment flag is how every simulator constructed
+        # downstream picks the checker up, without threading the option
+        # through each command's call graph.
         import os
 
         from repro.sim.invariants import ENV_FLAG

@@ -23,6 +23,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork, Link
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs import Observability
     from repro.sim.events import Event
 
 #: Capacity of a flapped (hard-down) NIC — mirrors the fault injector's
@@ -36,7 +37,8 @@ class SharedFabric:
     def __init__(self, sim: Simulator, num_nodes: int,
                  nic_bps: float = 10e9,
                  core_oversubscription: float = 2.0,
-                 stream_cap_fraction: float = 0.25) -> None:
+                 stream_cap_fraction: float = 0.25,
+                 obs: Observability | None = None) -> None:
         if num_nodes < 2:
             raise ClusterError("a shared fabric needs >= 2 nodes")
         if nic_bps <= 0:
@@ -51,7 +53,7 @@ class SharedFabric:
         #: Single-transport-stream ceiling on a NIC (the paper's <=30%
         #: single-stream efficiency is the motivating regime).
         self.stream_cap_bps = float(nic_bps) * stream_cap_fraction
-        self.network = FluidNetwork(sim)
+        self.network = FluidNetwork(sim, obs=obs)
         self.nic_out = [Link(f"node{n}.nic.out", nic_bps)
                         for n in range(num_nodes)]
         self.nic_in = [Link(f"node{n}.nic.in", nic_bps)

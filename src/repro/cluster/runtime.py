@@ -174,9 +174,7 @@ class ClusterRuntime:
         self.fabric = SharedFabric(
             self.sim, self.config.num_nodes, self.config.nic_bps,
             self.config.core_oversubscription,
-            self.config.stream_cap_fraction)
-        self.fabric.network.obs = self.obs
-        self.fabric.network.diag = self.obs.diag
+            self.config.stream_cap_fraction, obs=self.obs)
         self.scheduler = PlacementScheduler(self.fabric)
         self.cache = settings_cache if settings_cache is not None \
             else SettingsCache()

@@ -36,7 +36,7 @@ from repro.frameworks.base import (
     UPDATE_TIME_S,
 )
 from repro.obs.metrics import STEP_TIME_BUCKETS
-from repro.sim.invariants import InvariantChecker, ensure_invariants
+from repro.sim.invariants import InvariantChecker
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
 
@@ -77,12 +77,8 @@ class AIACCBackend(DDLBackend):
 
     def warmup(self, ctx: TrainContext) -> t.Generator:
         """Create stream contexts and the registry (one-time setup)."""
-        # Attach the invariant checker before building the pool/daemon so
-        # their resources register their accounting ledgers with it.
-        if self.config.check_invariants:
-            self._checker = ensure_invariants(ctx.sim)
-        else:
-            self._checker = getattr(ctx.sim, "invariants", None)
+        # The simulator attached its checker (if any) at construction.
+        self._checker = ctx.sim.invariants
         self._registry = GradientRegistry()
         self._registry.register_model(ctx.model)
         self._registry.freeze()

@@ -84,7 +84,7 @@ def run_message_level_iteration(
     config: AIACCConfig | None = None,
     compute_time_s: float = 0.0,
     seed: int = 0,
-    check_invariants: bool = False,
+    check_invariants: bool | None = None,
     obs: Observability | None = None,
     compute_skew: t.Mapping[int, float] | None = None,
 ) -> MessageLevelResult:
@@ -98,21 +98,20 @@ def run_message_level_iteration(
     Gradient values are deterministic per (worker, parameter) so the
     reduction can be verified.
 
-    With ``check_invariants`` (or ``config.check_invariants``, or the
-    environment flag) the invariant checker runs as a shadow referee:
+    With ``check_invariants`` (``None`` follows the
+    ``REPRO_CHECK_INVARIANTS`` environment flag, as
+    :class:`~repro.sim.kernel.Simulator` does) the invariant checker
+    runs as a shadow referee:
     every worker's unit plan and sync decision is compared against the
     other ranks' for the same round, and the returned
     ``state_digest`` fingerprints the full event sequence.
     """
     config = config or AIACCConfig()
-    checking = check_invariants or config.check_invariants
     obs = obs or Observability.disabled()
     timeline = obs.timeline
-    sim = Simulator(check_invariants=True if checking else None)
+    sim = Simulator(check_invariants=check_invariants)
     checker = sim.invariants
-    network = FluidNetwork(sim)
-    network.obs = obs if obs.enabled else None
-    network.diag = obs.diag
+    network = FluidNetwork(sim, obs=obs)
     cluster = Cluster(sim, num_nodes,
                       NodeSpec(gpus_per_node=gpus_per_node))
     world = cluster.world_size

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import ReproError
-from repro.sim.invariants import invariants_enabled_by_env
 
 #: Search bounds observed in the paper's deployments ("the number of
 #: concurrent CUDA streams varies between 2 and 24", §VIII-D).
@@ -68,13 +67,6 @@ class AIACCConfig:
     #: total confirmation latency stays linear in ``comm_retries``
     #: instead of exponential.
     max_detection_deadline_s: float | None = None
-    #: Run under the simulation-wide invariant checker
-    #: (:mod:`repro.sim.invariants`): resource-accounting ledgers,
-    #: unit-plan/sync-round cross-worker agreement, quiescence at
-    #: iteration boundaries.  Defaults to the ``REPRO_CHECK_INVARIANTS``
-    #: environment flag (the ``--check-invariants`` CLI flag sets it).
-    check_invariants: bool = dataclasses.field(
-        default_factory=invariants_enabled_by_env)
 
     def __post_init__(self) -> None:
         if not MIN_STREAMS <= self.num_streams <= MAX_STREAMS:

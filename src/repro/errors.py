@@ -20,7 +20,7 @@ class InvariantViolation(ReproError):
     """A simulation-wide invariant was violated.
 
     Raised by the opt-in :class:`repro.sim.invariants.InvariantChecker`
-    (``AIACCConfig.check_invariants`` / ``--check-invariants`` /
+    (``Simulator(check_invariants=True)`` / ``--check-invariants`` /
     ``REPRO_CHECK_INVARIANTS=1``).  Structured so a violation in a
     multi-worker run pinpoints itself: it names the invariant, the rank it
     is attributable to (when known), and the simulated time.

@@ -136,8 +136,19 @@ def run_chaos_case(
     :class:`~repro.training.resilience.FaultInjectionResult` for
     completed cases and ``None`` for typed clean failures.  Exceptions
     outside :class:`~repro.errors.ReproError` propagate — they are
-    harness bugs, not chaos outcomes.
+    harness bugs, not chaos outcomes.  A misconfigured soak (fewer than
+    two whole nodes, or a count below 1) raises
+    :class:`~repro.errors.ReproError` before any schedule runs.
     """
+    if gpus_per_node < 1 or num_gpus % gpus_per_node != 0 \
+            or num_gpus < 2 * gpus_per_node:
+        raise ReproError(
+            f"chaos soak needs >= 2 whole nodes of gpus_per_node >= 1 "
+            f"GPUs, got num_gpus={num_gpus}, gpus_per_node={gpus_per_node}")
+    if total_iterations < 1 or checkpoint_interval < 1:
+        raise ReproError(
+            f"chaos soak needs total_iterations and checkpoint_interval "
+            f">= 1, got {total_iterations} and {checkpoint_interval}")
     spec = model or default_chaos_model()
     plan = FaultPlan.chaos(seed, num_nodes=num_gpus // gpus_per_node,
                            horizon_s=horizon_s, mtbf_s=mtbf_s,

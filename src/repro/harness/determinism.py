@@ -35,11 +35,8 @@ import typing as t
 from repro.core.runtime import AIACCConfig
 from repro.errors import TrainingError
 from repro.frameworks import make_backend
-from repro.frameworks.base import IterationStats
-from repro.models.zoo import get_model
 from repro.sim.faults import FaultPlan, NodeCrash
-from repro.sim.kernel import Simulator
-from repro.training.trainer import build_train_context
+from repro.training.trainer import run_training
 
 #: Forward-time jitter per seed unit in the fault-free probe (seconds).
 SEED_JITTER_S = 1e-6
@@ -171,25 +168,16 @@ def run_probe(ranks: int, streams: int = 4, faults: bool = False,
 def _run_clean_probe(ranks: int, streams: int, invariants: bool,
                      seed: int, iterations: int, model: str,
                      algorithm: str = "ring") -> DeterminismProbe:
-    spec = get_model(model)
-    config = AIACCConfig(num_streams=streams, check_invariants=invariants,
-                         algorithm=algorithm)
-    backend = make_backend("aiacc", config=config)
-    sim = Simulator(check_invariants=invariants)
-    ctx = build_train_context(
-        spec, backend, ranks, spec.default_batch_size, sim=sim,
-        extra_forward_time_s=seed * SEED_JITTER_S)
-    warm = sim.spawn(backend.warmup(ctx), name="warmup")
-    sim.run(until=warm)
-    times: list[float] = []
-    for index in range(iterations):
-        proc = sim.spawn(backend.iteration(ctx), name=f"iter{index}")
-        sim.run(until=proc)
-        times.append(t.cast(IterationStats, proc.value).iteration_time_s)
+    config = AIACCConfig(num_streams=streams, algorithm=algorithm)
+    result = run_training(
+        model, make_backend("aiacc", config=config), ranks,
+        measure_iterations=iterations, warmup_iterations=0,
+        extra_forward_time_s=seed * SEED_JITTER_S,
+        check_invariants=invariants)
     return DeterminismProbe(
         ranks=ranks, streams=streams, faults=False, invariants=invariants,
-        seed=seed, digest=sim.state_digest(),
-        iteration_times_s=tuple(times), algorithm=algorithm)
+        seed=seed, digest=result.state_digest,
+        iteration_times_s=result.iteration_times_s, algorithm=algorithm)
 
 
 def _run_fault_probe(ranks: int, streams: int, invariants: bool,
@@ -204,11 +192,10 @@ def _run_fault_probe(ranks: int, streams: int, invariants: bool,
     victim = seed % num_nodes
     crash_at = 0.4 + 0.01 * (seed % 7)
     plan = FaultPlan([NodeCrash(at_s=crash_at, node=victim)])
-    config = AIACCConfig(num_streams=streams, check_invariants=invariants)
-    backend = make_backend("aiacc", config=config)
     result = run_fault_injected_training(
-        model, plan, backend=backend, num_gpus=ranks,
-        gpus_per_node=gpus_per_node, total_iterations=iterations,
+        model, plan, config=AIACCConfig(num_streams=streams),
+        num_gpus=ranks, gpus_per_node=gpus_per_node,
+        total_iterations=iterations,
         checkpoint_interval=max(1, iterations // 2),
         check_invariants=invariants)
     return DeterminismProbe(

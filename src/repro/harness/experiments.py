@@ -158,6 +158,21 @@ def measure(model: str | ModelSpec, backend: str, gpus: int,
         obs=obs)
 
 
+def measure_hybrid(model: str, backend: str, gpus: int,
+                   model_parallel_degree: int = 2) -> ThroughputResult:
+    """One hybrid data+model-parallel measurement (Fig. 13).
+
+    The same protocol as :func:`measure` (one warm-up iteration, then
+    the mean of three), with aiacc on its :func:`tuned_aiacc_config`
+    setting.  Fig. 13 and campaign ``hybrid`` cells both call it.
+    """
+    engine = make_backend("aiacc", config=tuned_aiacc_config(model, gpus)) \
+        if backend == "aiacc" else make_backend(backend)
+    return run_hybrid_training(
+        model, engine, gpus, model_parallel_degree=model_parallel_degree,
+        measure_iterations=3, warmup_iterations=1)
+
+
 #: Every ``measure`` campaign-cell parameter: :func:`measure`'s keywords.
 MEASURE_PARAMS = tuple(name for name in inspect.signature(measure).parameters
                        if name != "obs")
@@ -276,14 +291,8 @@ def fig13_hybrid(gpu_counts: t.Sequence[int] | None = None
     """Fig. 13: hybrid data+model parallelism, AIACC vs MXNet KVStore."""
     rows = []
     for gpus in gpu_counts or FIGURE_SWEEPS["fig13"]["gpus"]:
-        aiacc = run_hybrid_training(
-            "resnet50", "aiacc", gpus, model_parallel_degree=2,
-            measure_iterations=3, warmup_iterations=1,
-            backend_options={"config": tuned_aiacc_config("resnet50",
-                                                          gpus)})
-        kvstore = run_hybrid_training(
-            "resnet50", "mxnet-kvstore", gpus, model_parallel_degree=2,
-            measure_iterations=3, warmup_iterations=1)
+        aiacc = measure_hybrid("resnet50", "aiacc", gpus)
+        kvstore = measure_hybrid("resnet50", "mxnet-kvstore", gpus)
         rows.append({
             "gpus": gpus,
             "aiacc": aiacc.throughput,

@@ -21,7 +21,6 @@ from repro.sim.cuda import A100, GPUDevice, GPUSpec, V100
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.invariants import (
     InvariantChecker,
-    ensure_invariants,
     invariants_enabled_by_env,
 )
 from repro.sim.faults import (
@@ -73,7 +72,6 @@ __all__ = [
     "TransportModel",
     "V100",
     "alibaba_v100_cluster",
-    "ensure_invariants",
     "invariants_enabled_by_env",
     "rdma_transport",
     "tcp_transport",

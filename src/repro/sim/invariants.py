@@ -38,12 +38,14 @@ round while its previous ring worker is still alive
 (:meth:`on_sync_worker` — the leaked-worker class of bug).
 
 Enabling the checker: pass ``check_invariants=True`` to
-:class:`~repro.sim.kernel.Simulator`, set
-``AIACCConfig(check_invariants=True)``, pass ``--check-invariants`` to a
+:class:`~repro.sim.kernel.Simulator` (the run drivers forward their own
+``check_invariants`` argument to it), pass ``--check-invariants`` to a
 ``repro`` CLI subcommand, or export ``REPRO_CHECK_INVARIANTS=1`` (the CI
-hook) — the environment flag makes every new simulator attach a checker
-automatically.  Violations raise :class:`~repro.errors.InvariantViolation`
-naming the invariant, rank, and simulated time.
+hook) — the environment flag makes every new simulator built without an
+explicit choice attach a checker.  The checker always attaches at
+construction, so the digest covers every popped event.  Violations
+raise :class:`~repro.errors.InvariantViolation` naming the invariant,
+rank, and simulated time.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ def invariants_enabled_by_env() -> bool:
     """Whether ``REPRO_CHECK_INVARIANTS`` requests checking globally."""
     value = os.environ.get(ENV_FLAG, "").strip().lower()
     return value not in ("", "0", "false", "no")
-
-
-def ensure_invariants(sim: "Simulator") -> "InvariantChecker":
-    """Return ``sim``'s checker, attaching a fresh one if absent."""
-    checker = sim.invariants
-    if checker is None:
-        checker = InvariantChecker()
-        checker.attach(sim)
-    return checker
 
 
 class InvariantChecker:

@@ -84,6 +84,9 @@ from repro.errors import NetworkError
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 
+if t.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs import Observability
+
 #: Relative tolerance used when comparing rates during water-filling.
 _EPS = 1e-9
 
@@ -415,9 +418,14 @@ class FluidNetwork:
     ----------
     sim:
         Owning simulator.
+    obs:
+        Optional :class:`repro.obs.Observability` sink for per-flow
+        telemetry and its detectors; a disabled sink is dropped so the
+        completion path pays one ``None`` check.
     """
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator,
+                 obs: Observability | None = None) -> None:
         self.sim = sim
         # Insertion-ordered for the same reason as Link.flows: every
         # traversal (progress debits, water-filling, completion sweeps)
@@ -454,16 +462,16 @@ class FluidNetwork:
         #: incremental solver visits only the dirty components.
         self.reallocations = 0
         self.solver_flow_visits = 0
-        #: Optional :class:`repro.obs.Observability`; when attached,
-        #: every completed flow is recorded as a per-link timeline span
-        #: with its achieved rate and bottleneck utilisation (Fig. 3's
-        #: per-stream link-utilisation measurement), plus flow metrics.
-        self.obs = None
-        #: Optional :class:`repro.obs.detectors.DetectorSuite`; when
-        #: attached, the fluid model feeds it exact per-link utilisation
+        #: Enabled :class:`repro.obs.Observability` or ``None``; when
+        #: set, every completed flow is recorded as a per-link timeline
+        #: span with its achieved rate and bottleneck utilisation (Fig.
+        #: 3's per-stream link-utilisation measurement), plus flow metrics.
+        self.obs = obs if obs is not None and obs.enabled else None
+        #: The sink's :class:`repro.obs.detectors.DetectorSuite`, if
+        #: any: the fluid model feeds it exact per-link utilisation
         #: intervals (rates are piecewise-constant between advances) and
         #: per-flow throttling verdicts.  Purely observational.
-        self.diag = None
+        self.diag = obs.diag if obs is not None else None
         #: ``job_id -> priority weight`` for inter-job fairness at links
         #: shared by several tenants.  Jobs absent from the map, and the
         #: untagged tenant, weigh 1.0.  A priority must be positive and

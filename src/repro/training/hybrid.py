@@ -21,6 +21,7 @@ import dataclasses
 import typing as t
 
 from repro.errors import TrainingError
+from repro.frameworks.base import DDLBackend
 from repro.models.base import ModelSpec
 from repro.models.zoo import get_model
 from repro.training.trainer import ThroughputResult, run_training
@@ -77,9 +78,8 @@ def make_hybrid_plan(model: str | ModelSpec,
     )
 
 
-def run_hybrid_training(model: str | ModelSpec, backend: str,
+def run_hybrid_training(model: str | ModelSpec, backend: str | DDLBackend,
                         num_gpus: int, model_parallel_degree: int = 2,
-                        batch_per_group: int | None = None,
                         **train_kwargs: object) -> ThroughputResult:
     """Simulate hybrid-parallel training; returns group-level throughput.
 
@@ -94,7 +94,7 @@ def run_hybrid_training(model: str | ModelSpec, backend: str,
             f"num_gpus={num_gpus} not divisible by "
             f"model_parallel_degree={k}"
         )
-    batch = batch_per_group or plan.model.default_batch_size
+    batch = plan.model.default_batch_size
     shard_spec = plan.per_gpu_spec()
     exchange = plan.activation_exchange_time_s(batch, V100.nvlink_bps)
     result = run_training(

@@ -24,13 +24,12 @@ import numpy as np
 
 from repro.errors import FaultInjectionError, PeerDeadError, TrainingError
 from repro.core.elastic import EpochTransition
+from repro.core.runtime import AIACCConfig
 from repro.models.base import ModelSpec
 from repro.models.zoo import get_model
 from repro.obs import Observability
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.kernel import Simulator
-from repro.sim.transport import TransportModel
-from repro.sim.tcp import TCP
 
 #: Sustained write bandwidth of cloud block storage for checkpoints.
 CHECKPOINT_WRITE_BPS = 2e9 * 8
@@ -308,22 +307,19 @@ class FaultInjectionResult:
 def run_fault_injected_training(
     model: str | ModelSpec,
     plan: FaultPlan,
-    backend: str | t.Any = "aiacc",
+    config: AIACCConfig | None = None,
     num_gpus: int = 16,
     total_iterations: int = 20,
     checkpoint_interval: int = 5,
     checkpoint_dir: str | None = None,
-    batch_per_gpu: int | None = None,
     gpus_per_node: int = 8,
-    transport: TransportModel = TCP,
-    nic_bandwidth_bps: float = 30e9,
     sync_timeout_s: float = 1.0,
     unit_timeout_s: float = 2.0,
     comm_retries: int = 1,
     retry_backoff_s: float = 0.25,
     restart_overhead_s: float = DEFAULT_RESTART_OVERHEAD_S,
     max_restarts: int = 8,
-    check_invariants: bool = False,
+    check_invariants: bool | None = None,
     obs: Observability | None = None,
     settings_cache: t.Any = None,
 ) -> FaultInjectionResult:
@@ -344,7 +340,12 @@ def run_fault_injected_training(
     The full (non-representative) link set is simulated so the dead
     node's NIC squash actually stalls traffic; ``sync_timeout_s`` /
     ``unit_timeout_s`` / ``comm_retries`` / ``retry_backoff_s`` drive the
-    paper's §IV failure detector.
+    paper's §IV failure detector.  The run's engine is built from a copy
+    of ``config`` (default :class:`AIACCConfig`) with those four
+    replaced; the caller's config is never modified.
+    ``check_invariants`` attaches the invariant checker to the run's
+    simulator (``None`` follows ``REPRO_CHECK_INVARIANTS``); the result
+    then carries the run's ``state_digest``.
 
     The plan may also schedule *membership* events
     (:class:`~repro.sim.faults.NodeLeave` /
@@ -362,9 +363,9 @@ def run_fault_injected_training(
     """
     from repro.autotune.graph_distance import ModelFingerprint
     from repro.core.elastic import ElasticRuntime
+    from repro.core.engine import AIACCBackend
     from repro.core.fault_tolerance import CheckpointManager, \
         ElasticCoordinator
-    from repro.frameworks import make_backend
     from repro.training.trainer import build_train_context
 
     spec = get_model(model) if isinstance(model, str) else model
@@ -375,35 +376,26 @@ def run_fault_injected_training(
             "fault injection needs >= 2 whole nodes (num_gpus a multiple "
             "of gpus_per_node)"
         )
-    if isinstance(backend, str):
-        backend = make_backend(backend)
-    config = getattr(backend, "config", None)
-    if config is None or not hasattr(backend, "abort"):
-        raise TrainingError(
-            "fault-injected training requires an abortable backend with "
-            "detection timeouts (the aiacc engine)"
-        )
-    backend.config = config.replace(
+    backend = AIACCBackend((config or AIACCConfig()).replace(
         sync_timeout_s=sync_timeout_s, unit_timeout_s=unit_timeout_s,
-        comm_retries=comm_retries, retry_backoff_s=retry_backoff_s,
-        check_invariants=check_invariants or config.check_invariants)
+        comm_retries=comm_retries, retry_backoff_s=retry_backoff_s))
     num_nodes = num_gpus // gpus_per_node
     try:
         plan.membership_bounds(num_nodes)
     except FaultInjectionError as exc:
         raise TrainingError(f"invalid fault plan: {exc}") from exc
-    batch = batch_per_gpu or spec.default_batch_size
     # One sink for the whole run, shared by every rebuilt context.
     obs = obs or Observability.disabled()
 
-    # The run's own config decides whether the checker attaches (at
-    # construction, so the digest covers every event); the environment
-    # variable must not override an explicit choice.
-    sim = Simulator(check_invariants=backend.config.check_invariants)
-    ctx = build_train_context(
-        spec, backend, num_gpus, batch, transport=transport,
-        nic_bandwidth_bps=nic_bandwidth_bps, gpus_per_node=gpus_per_node,
-        representative=False, sim=sim, obs=obs)
+    sim = Simulator(check_invariants=check_invariants)
+
+    def _context(world_size: int):
+        return build_train_context(
+            spec, backend, world_size, spec.default_batch_size,
+            gpus_per_node=gpus_per_node, representative=False, sim=sim,
+            obs=obs)
+
+    ctx = _context(num_gpus)
     injector = FaultInjector(sim, ctx.cluster, ctx.network, obs=obs)
     injector.arm(plan)
 
@@ -442,11 +434,7 @@ def run_fault_injected_training(
             membership bookkeeping, so no fault can land in between.
             """
             nonlocal ctx
-            ctx = build_train_context(
-                spec, backend, world_size, batch, transport=transport,
-                nic_bandwidth_bps=nic_bandwidth_bps,
-                gpus_per_node=gpus_per_node, representative=False,
-                sim=sim, obs=obs)
+            ctx = _context(world_size)
             injector.retarget(ctx.cluster, ctx.network)
             backend.advance_epoch(runtime.epoch)
             rewarm = sim.spawn(backend.warmup(ctx), name=label)
@@ -529,12 +517,7 @@ def run_fault_injected_training(
                                 for _ in range(elastic.live_workers)]
                         new_world = runtime.view.world_size + \
                             len(nodes) * gpus_per_node
-                        joined_ctx = build_train_context(
-                            spec, backend, new_world, batch,
-                            transport=transport,
-                            nic_bandwidth_bps=nic_bandwidth_bps,
-                            gpus_per_node=gpus_per_node,
-                            representative=False, sim=sim, obs=obs)
+                        joined_ctx = _context(new_world)
                         backend.config, tuned_label = runtime.retune(
                             cache_key, joined_ctx.cluster, backend.config)
                         runtime.scale_up(

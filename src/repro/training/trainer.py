@@ -17,17 +17,18 @@ import logging
 import statistics
 import typing as t
 
-from repro.errors import TrainingError
+from repro.errors import TopologyError, TrainingError
 from repro.collectives.timed import TimedCollectives
 from repro.frameworks import make_backend
 from repro.frameworks.base import DDLBackend, IterationStats, TrainContext
 from repro.models.base import ModelSpec
 from repro.models.zoo import get_model
 from repro.obs import Observability
+from repro.sim.cuda import V100
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork
 from repro.sim.tcp import TCP
-from repro.sim.topology import alibaba_v100_cluster
+from repro.sim.topology import Cluster, NodeSpec
 from repro.sim.transport import TransportModel
 
 
@@ -45,6 +46,9 @@ class ThroughputResult:
     iteration_times_s: tuple[float, ...]
     compute_time_s: float
     sample_unit: str
+    #: Event-sequence digest (replay determinism); ``None`` unless the
+    #: run executed under the invariant checker.
+    state_digest: str | None = None
 
     @property
     def mean_iteration_s(self) -> float:
@@ -92,36 +96,30 @@ def build_train_context(
     Shared by :func:`run_training` and the fault-injection driver
     (:func:`repro.training.resilience.run_fault_injected_training`, which
     passes ``representative=False`` so that a crashed node's links are
-    actually simulated and its death stalls real flows).
+    actually simulated and its death stalls real flows).  Fewer than
+    ``gpus_per_node`` GPUs form one partially filled node, except under
+    ``congested_links``, which need whole nodes.
     """
-    sim = sim or Simulator()
-    network = FluidNetwork(sim)
-    from repro.sim.cuda import V100
-
-    if congested_links:
-        from repro.sim.topology import Cluster, NodeSpec
-
-        if num_gpus % gpus_per_node != 0:
+    if num_gpus < 1:
+        raise TopologyError(f"num_gpus must be >= 1, got {num_gpus}")
+    if num_gpus % gpus_per_node != 0:
+        if congested_links:
             raise TrainingError("num_gpus must fill whole nodes when "
                                 "injecting congestion")
-        node_spec = NodeSpec(gpus_per_node=gpus_per_node,
-                             nic_bandwidth_bps=nic_bandwidth_bps,
-                             transport=transport,
-                             gpu=gpu_spec or V100)
-        cluster = Cluster(sim, num_gpus // gpus_per_node, node_spec,
-                          congested_links=congested_links,
-                          core_oversubscription=core_oversubscription)
-    else:
-        cluster = alibaba_v100_cluster(
-            sim, num_gpus, transport=transport,
-            nic_bandwidth_bps=nic_bandwidth_bps,
-            gpus_per_node=gpus_per_node, gpu=gpu_spec or V100,
-            core_oversubscription=core_oversubscription)
+        if num_gpus > gpus_per_node:
+            raise TopologyError(
+                f"num_gpus={num_gpus} is not a multiple of "
+                f"gpus_per_node={gpus_per_node}")
+        gpus_per_node = num_gpus
+    sim = sim or Simulator()
     obs = obs or Observability.disabled()
-    # The fluid network only pays per-flow telemetry when something will
-    # read it.
-    network.obs = obs if obs.enabled else None
-    network.diag = obs.diag
+    network = FluidNetwork(sim, obs=obs)
+    node_spec = NodeSpec(gpus_per_node=gpus_per_node,
+                         nic_bandwidth_bps=nic_bandwidth_bps,
+                         transport=transport, gpu=gpu_spec or V100)
+    cluster = Cluster(sim, num_gpus // gpus_per_node, node_spec,
+                      congested_links=congested_links,
+                      core_oversubscription=core_oversubscription)
     return TrainContext(
         sim=sim,
         network=network,
@@ -147,13 +145,13 @@ def run_training(
     transport: TransportModel = TCP,
     nic_bandwidth_bps: float = 30e9,
     gpus_per_node: int = 8,
-    backend_options: t.Mapping[str, t.Any] | None = None,
     extra_forward_time_s: float = 0.0,
     congested_links: t.Mapping[int, float] | None = None,
     gpu_spec: t.Any = None,
     obs: Observability | None = None,
     core_oversubscription: float = 1.0,
     representative: bool | None = None,
+    check_invariants: bool | None = None,
 ) -> ThroughputResult:
     """Simulate distributed training and measure steady-state throughput.
 
@@ -169,7 +167,12 @@ def run_training(
     batch_per_gpu:
         Per-GPU minibatch; defaults to the model's paper setting.
     measure_iterations / warmup_iterations:
-        Measurement protocol; warm-up iterations are discarded.
+        Measurement protocol; warm-up iterations are discarded.  The
+        backend's one-time setup runs first, as process ``warmup``;
+        iteration ``i`` runs as process ``iter{i}``.
+    extra_forward_time_s:
+        Added to every iteration's forward pass (activation exchange of
+        hybrid parallelism, or a deliberate replay perturbation).
     congested_links:
         Optional ``node -> capacity_fraction`` map injecting cross-tenant
         congestion (forces the slower full-link simulation mode).
@@ -183,28 +186,28 @@ def run_training(
     gpu_spec:
         GPU model override (defaults to the paper's V100); pass
         :data:`repro.sim.cuda.A100` for future-hardware what-ifs.
+    check_invariants:
+        Run under the invariant checker, attached when the simulator is
+        built; the result then carries the run's ``state_digest``.
+        ``None`` follows the ``REPRO_CHECK_INVARIANTS`` environment flag.
     """
     if measure_iterations < 1 or warmup_iterations < 0:
         raise TrainingError("iteration counts out of range")
     spec = get_model(model) if isinstance(model, str) else model
     if isinstance(backend, str):
-        backend = make_backend(backend, **dict(backend_options or {}))
-    elif backend_options:
-        raise TrainingError(
-            "backend_options only apply when backend is given by name"
-        )
+        backend = make_backend(backend)
     batch = batch_per_gpu or spec.default_batch_size
 
+    sim = Simulator(check_invariants=check_invariants)
     ctx = build_train_context(
         spec, backend, num_gpus, batch,
         transport=transport, nic_bandwidth_bps=nic_bandwidth_bps,
         gpus_per_node=gpus_per_node,
         extra_forward_time_s=extra_forward_time_s,
         congested_links=congested_links, gpu_spec=gpu_spec,
-        representative=representative, obs=obs,
+        representative=representative, sim=sim, obs=obs,
         core_oversubscription=core_oversubscription,
     )
-    sim = ctx.sim
 
     warm = sim.spawn(backend.warmup(ctx), name="warmup")
     sim.run(until=warm)
@@ -225,6 +228,7 @@ def run_training(
         iteration_times_s=tuple(times),
         compute_time_s=ctx.compute_time_s,
         sample_unit=spec.sample_unit,
+        state_digest=sim.state_digest(),
     )
     logger.debug(
         "%s/%s on %d GPUs: %.1f %s/s (efficiency %.3f, "

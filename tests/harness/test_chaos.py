@@ -47,6 +47,15 @@ class TestChaosCase:
                 assert again.outcome_digest() == outcome.outcome_digest()
         assert "TrainingError" in statuses.values()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"num_gpus": 3}, {"num_gpus": 2}, {"gpus_per_node": 0},
+        {"total_iterations": 0}, {"checkpoint_interval": 0}])
+    def test_misconfigured_soak_rejected(self, kwargs):
+        # Checked before the schedule is drawn, so no input reaches the
+        # try block as a "clean failure" or escapes as a raw exception.
+        with pytest.raises(ReproError, match="chaos soak needs"):
+            run_chaos_case(seed=0, **kwargs)
+
 
 class TestChaosSoak:
     def test_twenty_seeds_terminate_deterministically(self):

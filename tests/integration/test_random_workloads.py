@@ -44,7 +44,8 @@ class TestRandomWorkloadProperties:
         spec = random_model_spec(seed, num_layers=30,
                                  total_parameters=120_000_000,
                                  total_forward_flops=15e9)
-        aiacc = quick(spec, "aiacc", backend_options={"num_streams": 8})
+        aiacc = quick(spec, make_backend(
+            "aiacc", config=AIACCConfig(num_streams=8)))
         horovod = quick(spec, "horovod")
         # 2% tolerance for compute-bound ties.
         assert aiacc.throughput >= horovod.throughput * 0.98

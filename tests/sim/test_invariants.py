@@ -29,7 +29,6 @@ from repro.sim import (
     Simulator,
     Store,
     V100,
-    ensure_invariants,
     invariants_enabled_by_env,
 )
 from repro.sim.invariants import ENV_FLAG
@@ -75,16 +74,26 @@ class TestEnabling:
         # An explicit False overrides the environment.
         assert Simulator(check_invariants=False).invariants is None
 
-    def test_env_flag_sets_config_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_FLAG, "1")
-        assert AIACCConfig().check_invariants is True
-        monkeypatch.delenv(ENV_FLAG)
-        assert AIACCConfig().check_invariants is False
+    def test_env_flag_sets_run_default(self, monkeypatch):
+        # A run driver's check_invariants=None defers to the environment
+        # exactly as Simulator does; an explicit False still wins.
+        from repro.models.synthetic import random_model_spec
+        from repro.training.trainer import run_training
 
-    def test_ensure_invariants_idempotent(self):
-        sim = Simulator()
-        checker = ensure_invariants(sim)
-        assert ensure_invariants(sim) is checker
+        spec = random_model_spec(seed=0, num_layers=4,
+                                 total_parameters=100_000,
+                                 total_forward_flops=1e8)
+
+        def digest(**kwargs):
+            return run_training(spec, "aiacc", 2, measure_iterations=1,
+                                warmup_iterations=0, **kwargs).state_digest
+
+        monkeypatch.setenv(ENV_FLAG, "1")
+        assert digest() is not None
+        assert digest(check_invariants=False) is None
+        monkeypatch.delenv(ENV_FLAG)
+        assert digest() is None
+        assert digest(check_invariants=True) is not None
 
     def test_double_attach_rejected(self):
         sim = checked_sim()
@@ -433,13 +442,39 @@ class TestEngineIntegration:
         spec = random_model_spec(seed=0, num_layers=8,
                                  total_parameters=2_000_000,
                                  total_forward_flops=1e9)
-        backend = make_backend(
-            "aiacc", config=AIACCConfig(check_invariants=True))
+        backend = make_backend("aiacc")
         result = run_training(spec, backend, 8,
-                              measure_iterations=2, warmup_iterations=1)
+                              measure_iterations=2, warmup_iterations=1,
+                              check_invariants=True)
         assert result.mean_iteration_s > 0
+        assert result.state_digest is not None
         assert backend._checker is not None
         assert backend._checker.checks > 0
+
+    def test_digest_covers_every_popped_event(self):
+        # The checker is attached when the simulator is built, so the
+        # digest folds every event popped from the heap, and
+        # run_training's digest is the digest of that same run.
+        from repro.frameworks import make_backend
+        from repro.models.zoo import get_model
+        from repro.training.trainer import build_train_context, run_training
+
+        spec = get_model("resnet50")
+        config = AIACCConfig(num_streams=4)
+        sim = Simulator(check_invariants=True)
+        backend = make_backend("aiacc", config=config)
+        ctx = build_train_context(spec, backend, 16,
+                                  spec.default_batch_size, sim=sim)
+        sim.run(until=sim.spawn(backend.warmup(ctx), name="warmup"))
+        for index in range(2):
+            sim.run(until=sim.spawn(backend.iteration(ctx),
+                                    name=f"iter{index}"))
+        assert sim.invariants.events_hashed == \
+            sim.events_scheduled - len(sim._heap)
+        result = run_training(spec, make_backend("aiacc", config=config),
+                              16, measure_iterations=2,
+                              warmup_iterations=0, check_invariants=True)
+        assert result.state_digest == sim.state_digest()
 
     def test_message_level_referee_runs(self):
         from repro.core.message_engine import run_message_level_iteration

@@ -122,6 +122,17 @@ class TestFaultsCommand:
         assert "seed   0" in out
         assert len(jsonl.read_text().strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("flags", [
+        ["--gpus", "3"], ["--iterations", "0"], ["--gpus-per-node", "0"]])
+    def test_chaos_misconfigured_soak_exits_one(self, capsys, flags):
+        # A bad layout or count is a harness error, not a chaos outcome:
+        # the CLI exits 1 before any seed runs.
+        assert main(["chaos", "--seeds", "2", "--replays", "1",
+                     *flags]) == 1
+        captured = capsys.readouterr()
+        assert "error: chaos soak needs" in captured.err
+        assert "seed " not in captured.out
+
     def test_chaos_typed_failures_exit_zero(self, capsys):
         # Typed clean failures are expected chaos outcomes, not harness
         # errors: a sweep containing them still exits 0.

@@ -57,13 +57,6 @@ class TestRunTraining:
         with pytest.raises(TrainingError):
             run_training("resnet50", "aiacc", 8, measure_iterations=0)
 
-    def test_backend_options_require_name(self):
-        from repro.frameworks import HorovodBackend
-
-        with pytest.raises(TrainingError):
-            run_training("resnet50", HorovodBackend(), 8,
-                         backend_options={"cycle_time_s": 1e-3})
-
 
 class TestHybrid:
     def test_plan_shards_parameters(self):
