@@ -1,9 +1,10 @@
 """Shared helpers for the paper-reproduction benchmarks.
 
-Every benchmark runs its experiment exactly once (the simulator is
-deterministic), asserts the paper's *shape* criteria, and writes the
-regenerated table to ``results/`` so a benchmark run leaves all paper
-tables on disk.
+Every shape test runs its experiment from the registry
+(:data:`repro.harness.experiments.EXPERIMENTS`) exactly once (the
+simulator is deterministic), asserts the paper's *shape* criteria, and
+writes the regenerated table to ``results/`` so a benchmark run leaves
+all paper tables on disk.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.harness.report import format_table, save_report
+from repro.harness.experiments import experiment_rows, write_table
 
 #: Where regenerated tables are written.
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -20,19 +21,13 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 @pytest.fixture
 def record_table():
-    """Fixture: render rows, save under results/, and echo to stdout."""
-
-    def _record(name: str, rows, title: str, columns=None) -> str:
-        table = format_table(rows, columns=columns, title=title)
-        save_report(name, table, directory=RESULTS_DIR)
+    """Fixture: ``record_table(stem)`` runs registry experiment ``stem``,
+    saves its table under results/, echoes it to stdout and returns the
+    rows; ``record_table(stem, rows)`` saves given rows instead."""
+    def _record(stem: str, rows: list[dict] | None = None) -> list[dict]:
+        if rows is None:
+            ((_, rows),) = experiment_rows([stem])
         print()
-        print(table)
-        return table
-
+        print(write_table(stem, rows, RESULTS_DIR))
+        return rows
     return _record
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)

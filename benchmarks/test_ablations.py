@@ -5,80 +5,9 @@ decisions: multi-streaming, decentralized synchronization, and adaptive
 packing with tensor splitting.
 """
 
-from benchmarks.conftest import run_once
-from repro.core.runtime import AIACCConfig
-from repro.frameworks import make_backend
-from repro.training.trainer import run_training
 
-
-def sweep_streams(model="vgg16", num_gpus=64,
-                  streams_axis=(1, 2, 4, 8, 16, 24)):
-    rows = []
-    for streams in streams_axis:
-        config = AIACCConfig(num_streams=streams, granularity_bytes=8e6)
-        result = run_training(model, make_backend("aiacc", config=config),
-                              num_gpus, measure_iterations=2,
-                              warmup_iterations=1)
-        rows.append({"streams": streams,
-                     "throughput": result.throughput,
-                     "efficiency": result.scaling_efficiency})
-    return rows
-
-
-def sweep_granularity(model="bert-large", num_gpus=64,
-                      granularities_mb=(1, 4, 16, 64, 256)):
-    rows = []
-    for granularity in granularities_mb:
-        config = AIACCConfig(num_streams=16,
-                             granularity_bytes=granularity * 1e6)
-        result = run_training(model, make_backend("aiacc", config=config),
-                              num_gpus, measure_iterations=2,
-                              warmup_iterations=1)
-        rows.append({"granularity_mb": granularity,
-                     "throughput": result.throughput})
-    return rows
-
-
-def compare_sync_schemes(num_gpus=128):
-    """Decentralized (AIACC) vs master-based (Horovod) negotiation on the
-    gradient-count-heavy CTR workload, with the data plane equalised as
-    far as the frameworks allow (single stream AIACC)."""
-    single_stream = AIACCConfig(num_streams=1, granularity_bytes=64e6)
-    aiacc = run_training("ctr", make_backend("aiacc", config=single_stream),
-                         num_gpus, measure_iterations=2,
-                         warmup_iterations=1)
-    horovod = run_training("ctr", "horovod", num_gpus,
-                           measure_iterations=2, warmup_iterations=1)
-    return [{
-        "scheme": "decentralized (AIACC, 1 stream)",
-        "iteration_s": aiacc.mean_iteration_s,
-    }, {
-        "scheme": "master-based (Horovod)",
-        "iteration_s": horovod.mean_iteration_s,
-    }]
-
-
-def compare_packing(num_gpus=64):
-    """Tensor splitting on/off: VGG's 410 MB fc6 gradient with a packer
-    that can slice it (16 MB units) vs Horovod-style whole-tensor
-    transfers approximated by a huge granularity."""
-    split = AIACCConfig(num_streams=16, granularity_bytes=16e6)
-    whole = AIACCConfig(num_streams=16, granularity_bytes=256e6)
-    rows = []
-    for label, config in (("split into 16MB units", split),
-                          ("whole tensors (256MB units)", whole)):
-        result = run_training("vgg16", make_backend("aiacc", config=config),
-                              num_gpus, measure_iterations=2,
-                              warmup_iterations=1)
-        rows.append({"packing": label,
-                     "throughput": result.throughput})
-    return rows
-
-
-def test_ablation_streams(benchmark, record_table):
-    rows = run_once(benchmark, sweep_streams)
-    record_table("ablation_streams", rows,
-                 "Ablation: number of communication streams (VGG-16, 64 GPUs)")
+def test_ablation_streams(record_table):
+    rows = record_table("ablation_streams")
     by_streams = {row["streams"]: row for row in rows}
     # Throughput rises steeply up to saturation (~4 streams at 30% each).
     assert by_streams[4]["throughput"] > 2 * by_streams[1]["throughput"]
@@ -87,10 +16,8 @@ def test_ablation_streams(benchmark, record_table):
         < 0.15 * by_streams[8]["throughput"]
 
 
-def test_ablation_granularity(benchmark, record_table):
-    rows = run_once(benchmark, sweep_granularity)
-    record_table("ablation_granularity", rows,
-                 "Ablation: all-reduce unit granularity (BERT-Large, 64 GPUs)")
+def test_ablation_granularity(record_table):
+    rows = record_table("ablation_granularity")
     best = max(row["throughput"] for row in rows)
     worst = min(row["throughput"] for row in rows)
     # Granularity matters: the extremes differ measurably.
@@ -100,21 +27,16 @@ def test_ablation_granularity(benchmark, record_table):
     assert rows[-1]["throughput"] < best
 
 
-def test_ablation_decentralized_sync(benchmark, record_table):
-    rows = run_once(benchmark, compare_sync_schemes)
-    record_table("ablation_sync", rows,
-                 "Ablation: decentralized vs master-based synchronization "
-                 "(CTR, 128 GPUs)")
+def test_ablation_decentralized_sync(record_table):
+    rows = record_table("ablation_sync")
     decentralized, master = rows[0]["iteration_s"], rows[1]["iteration_s"]
     # Even with a single communication stream, removing the master
     # negotiation is a large win on many-gradient workloads.
     assert master > 1.5 * decentralized
 
 
-def test_ablation_packing(benchmark, record_table):
-    rows = run_once(benchmark, compare_packing)
-    record_table("ablation_packing", rows,
-                 "Ablation: tensor splitting (VGG-16, 64 GPUs)")
+def test_ablation_packing(record_table):
+    rows = record_table("ablation_packing")
     split, whole = rows[0]["throughput"], rows[1]["throughput"]
     # Splitting the huge FC gradients across streams is a clear win
     # (the 256 MB "whole" mode still splits the 410 MB fc6 once, so the
@@ -122,25 +44,8 @@ def test_ablation_packing(benchmark, record_table):
     assert split > 1.1 * whole
 
 
-def sweep_byteps_servers(num_gpus=64,
-                         server_counts=(0, 2, 8, 16)):
-    """BytePS with/without dedicated CPU server machines (§VIII-A)."""
-    from repro.frameworks import BytePSBackend
-
-    rows = []
-    for extra in server_counts:
-        result = run_training(
-            "vgg16", BytePSBackend(extra_cpu_server_nodes=extra),
-            num_gpus, measure_iterations=2, warmup_iterations=1)
-        rows.append({"extra_cpu_servers": extra,
-                     "throughput": result.throughput})
-    return rows
-
-
-def test_ablation_byteps_cpu_servers(benchmark, record_table):
-    rows = run_once(benchmark, sweep_byteps_servers)
-    record_table("ablation_byteps_servers", rows,
-                 "Ablation: BytePS dedicated CPU servers (VGG-16, 64 GPUs)")
+def test_ablation_byteps_cpu_servers(record_table):
+    rows = record_table("ablation_byteps_servers")
     by_servers = {row["extra_cpu_servers"]: row["throughput"]
                   for row in rows}
     # The paper: "To achieve improved performance for BytePS will incur

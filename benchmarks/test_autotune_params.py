@@ -8,14 +8,9 @@ The ring-vs-hierarchical choice is within noise in our cost model (see
 EXPERIMENTS.md), so it is reported but not asserted.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import autotune_parameters
 
-
-def test_autotune_parameter_trends(benchmark, record_table):
-    rows = run_once(benchmark, autotune_parameters)
-    record_table("autotune_params", rows,
-                 "Auto-tuned communication parameters (§VIII-D)")
+def test_autotune_parameter_trends(record_table):
+    rows = record_table("autotune_params")
     by_key = {(row["model"], row["gpus"]): row for row in rows}
 
     # All choices stay in the paper's observed stream range.

@@ -6,14 +6,9 @@ push utilisation toward the aggregate limit (~96%), which is the entire
 premise of multi-streamed communication.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import bandwidth_utilization
 
-
-def test_bandwidth_utilization(benchmark, record_table):
-    rows = run_once(benchmark, bandwidth_utilization)
-    record_table("bandwidth_utilization", rows,
-                 "TCP utilisation vs number of concurrent streams (§III)")
+def test_bandwidth_utilization(record_table):
+    rows = record_table("bandwidth_utilization")
     by_streams = {row["streams"]: row for row in rows}
 
     # One stream: at most ~30% of the raw 30 Gbps link.

@@ -6,14 +6,9 @@ a fabric where one node's NIC is congested by other tenants, the
 hierarchical algorithm wins clearly — the reason it exists.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness.experiments import congested_algorithm_choice
 
-
-def test_congested_algorithm_choice(benchmark, record_table):
-    rows = run_once(benchmark, congested_algorithm_choice)
-    record_table("congested_algorithm", rows,
-                 "Ring vs hierarchical all-reduce under congestion (§V-B)")
+def test_congested_algorithm_choice(record_table):
+    rows = record_table("congested_algorithm")
     by_scenario = {row["scenario"]: row for row in rows}
 
     healthy = by_scenario["healthy"]["hierarchical_speedup"]

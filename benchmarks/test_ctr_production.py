@@ -7,14 +7,9 @@ over hand-tuned Horovod-DDL; our synthetic CTR stand-in lands in the
 same regime — see EXPERIMENTS.md for the calibration notes).
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import ctr_production
 
-
-def test_ctr_production(benchmark, record_table):
-    rows = run_once(benchmark, ctr_production)
-    record_table("ctr_production", rows,
-                 "Production CTR workload (128 GPUs)")
+def test_ctr_production(record_table):
+    rows = record_table("ctr_production")
     row = rows[0]
 
     # Near-order-of-magnitude win from decentralized synchronization.

@@ -8,14 +8,9 @@ cost of $7.43" on 16 instances.
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.harness import dawnbench
 
-
-def test_dawnbench(benchmark, record_table):
-    rows = run_once(benchmark, dawnbench)
-    record_table("dawnbench", rows,
-                 "DAWNBench: ResNet-50 to 93% top-5 (128 GPUs)")
+def test_dawnbench(record_table):
+    rows = record_table("dawnbench")
     row = rows[0]
 
     assert row["instances"] == 16

@@ -10,38 +10,17 @@ run — and the measured goodput must agree with the closed-form
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.obs import Observability, chrome_trace_events
-from repro.sim.faults import FaultPlan, NodeCrash
-from repro.training.resilience import (
-    run_fault_injected_training,
-    simulate_resilient_training,
-)
-from repro.training.trainer import run_training
+from repro.harness.experiments import crash_recovery_run, fault_recovery_rows
+from repro.obs import chrome_trace_events
 
-MODEL = "resnet50"
 NUM_GPUS = 16
 ITERATIONS = 20
 CHECKPOINT_INTERVAL = 5
 
 
-def crash_recovery_run():
-    baseline = run_training(MODEL, "aiacc", NUM_GPUS,
-                            measure_iterations=2, warmup_iterations=1)
-    iter_s = baseline.mean_iteration_s
-    # Crash 40% into iteration 9 — mid-allreduce, past the checkpoint
-    # written after iteration 5.
-    crash_at = 8.4 * iter_s
-    result = run_fault_injected_training(
-        MODEL, FaultPlan([NodeCrash(at_s=crash_at, node=1)]),
-        num_gpus=NUM_GPUS, total_iterations=ITERATIONS,
-        checkpoint_interval=CHECKPOINT_INTERVAL, obs=Observability())
-    return iter_s, result
-
-
 class TestFaultRecovery:
-    def test_crash_mid_allreduce_self_heals(self, benchmark, record_table):
-        iter_s, result = run_once(benchmark, crash_recovery_run)
+    def test_crash_mid_allreduce_self_heals(self, record_table):
+        result, analytical = crash_recovery_run()
 
         # --- the run completed on the surviving workers ----------------
         assert result.total_iterations == ITERATIONS
@@ -64,11 +43,6 @@ class TestFaultRecovery:
         assert result.wasted_iterations == rec.lost_iterations
 
         # --- goodput agrees with the analytical model (±15%) ------------
-        failure_at = [min(int(rec.injected_at_s // iter_s),
-                          ITERATIONS - 1)]
-        analytical = simulate_resilient_training(
-            MODEL, iter_s, ITERATIONS, CHECKPOINT_INTERVAL,
-            failure_at=failure_at)
         assert result.goodput == pytest.approx(analytical.goodput,
                                                rel=0.15)
 
@@ -80,13 +54,5 @@ class TestFaultRecovery:
         assert {"fault.inject", "fault.suspect", "fault.confirm",
                 "fault.rebuild", "fault.restore"} <= chrome_names
 
-        record_table("fault_recovery", [{
-            "model": MODEL,
-            "workers": f"{NUM_GPUS} -> {result.final_num_gpus}",
-            "detection_s": round(rec.detection_latency_s, 2),
-            "rebuild_s": round(rec.rebuild_time_s, 1),
-            "lost_iters": rec.lost_iterations,
-            "goodput": round(result.goodput, 3),
-            "analytical": round(analytical.goodput, 3),
-        }], title="Self-healing recovery from an injected node crash "
-                  "(16 workers, crash mid-allreduce)")
+        record_table("fault_recovery",
+                     fault_recovery_rows(result, analytical))

@@ -5,14 +5,9 @@ linear once multiple nodes communicate over TCP, and ~75% scaling
 efficiency at 32 GPUs (the paper's headline motivation number).
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import fig2_motivation
 
-
-def test_fig2_motivation(benchmark, record_table):
-    rows = run_once(benchmark, fig2_motivation)
-    record_table("fig02_motivation", rows,
-                 "Fig. 2: Horovod vs linear scaling (ResNet-50)")
+def test_fig2_motivation(record_table):
+    rows = record_table("fig02_motivation")
     by_gpus = {row["gpus"]: row for row in rows}
 
     # Single node (NVLink) is near-linear.

@@ -10,16 +10,9 @@ Shape criteria (paper §VIII-A):
 * ResNet-50 is the most scalable model.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import fig9_cv_pytorch
 
-
-def test_fig9_cv_models(benchmark, record_table):
-    rows = run_once(benchmark, fig9_cv_pytorch)
-    record_table(
-        "fig09_cv_pytorch", rows, "Fig. 9: PyTorch CV model throughput",
-        columns=["model", "gpus", "aiacc", "horovod", "pytorch-ddp",
-                 "byteps", "aiacc_eff", "horovod_eff"])
+def test_fig9_cv_models(record_table):
+    rows = record_table("fig09_cv_pytorch")
 
     by_key = {(row["model"], row["gpus"]): row for row in rows}
     models = ("vgg16", "resnet50", "resnet101")

@@ -6,16 +6,9 @@ shows the larger AIACC gap; computation-intensive models scale worse than
 ResNet-50 (paper §VIII-A discussion of CUDA-stream limits).
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import fig10_nlp_pytorch
 
-
-def test_fig10_nlp_models(benchmark, record_table):
-    rows = run_once(benchmark, fig10_nlp_pytorch)
-    record_table(
-        "fig10_nlp_pytorch", rows, "Fig. 10: PyTorch NLP model throughput",
-        columns=["model", "gpus", "aiacc", "horovod", "pytorch-ddp",
-                 "byteps", "aiacc_eff", "horovod_eff"])
+def test_fig10_nlp_models(record_table):
+    rows = record_table("fig10_nlp_pytorch")
     by_key = {(row["model"], row["gpus"]): row for row in rows}
 
     for model in ("transformer", "bert-large"):

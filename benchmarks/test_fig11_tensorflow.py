@@ -6,17 +6,9 @@ Horovod approaching ~3x for the communication-bound model at 256 GPUs
 ("a speedup of 3.3x over Horovod when using 256 GPUs").
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import fig11_tensorflow
 
-
-def test_fig11_tensorflow(benchmark, record_table):
-    rows = run_once(benchmark, fig11_tensorflow)
-    record_table(
-        "fig11_tensorflow", rows,
-        "Fig. 11: TensorFlow throughput (AIACC vs Horovod engine)",
-        columns=["model", "gpus", "aiacc", "horovod", "aiacc_eff",
-                 "horovod_eff"])
+def test_fig11_tensorflow(record_table):
+    rows = record_table("fig11_tensorflow")
     by_key = {(row["model"], row["gpus"]): row for row in rows}
 
     for (model, gpus), row in by_key.items():

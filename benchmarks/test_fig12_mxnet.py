@@ -5,17 +5,9 @@ lower throughput compared to the all-reduce" — AIACC wins every
 multi-node point and the gap widens with scale.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import fig12_mxnet
 
-
-def test_fig12_mxnet(benchmark, record_table):
-    rows = run_once(benchmark, fig12_mxnet)
-    record_table(
-        "fig12_mxnet", rows,
-        "Fig. 12: MXNet throughput (AIACC vs KVStore PS)",
-        columns=["model", "gpus", "aiacc", "mxnet-kvstore", "aiacc_eff",
-                 "mxnet-kvstore_eff"])
+def test_fig12_mxnet(record_table):
+    rows = record_table("fig12_mxnet")
     by_key = {(row["model"], row["gpus"]): row for row in rows}
 
     for (model, gpus), row in by_key.items():

@@ -6,14 +6,9 @@ Shape criteria: AIACC consistently improves the MXNet DDL implementation,
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.harness import fig13_hybrid
 
-
-def test_fig13_hybrid(benchmark, record_table):
-    rows = run_once(benchmark, fig13_hybrid)
-    record_table("fig13_hybrid", rows,
-                 "Fig. 13: hybrid data+model parallelism (ResNet-50)")
+def test_fig13_hybrid(record_table):
+    rows = record_table("fig13_hybrid")
     by_gpus = {row["gpus"]: row for row in rows}
 
     # AIACC wins on every multi-node point and the gap grows.

@@ -6,14 +6,9 @@ over Horovod decreases monotonically as per-GPU batch grows, from a
 multi-x gain at tiny batches toward parity at memory-filling batches.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import fig14_batchsize
 
-
-def test_fig14_batchsize(benchmark, record_table):
-    rows = run_once(benchmark, fig14_batchsize)
-    record_table("fig14_batchsize", rows,
-                 "Fig. 14: BERT-Large speedup over Horovod vs batch size")
+def test_fig14_batchsize(record_table):
+    rows = record_table("fig14_batchsize")
     speedups = [row["speedup"] for row in rows]
 
     # Monotone decrease with batch size.

@@ -8,14 +8,9 @@ bigger gains.
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.harness import fig15_rdma
 
-
-def test_fig15_rdma(benchmark, record_table):
-    rows = run_once(benchmark, fig15_rdma)
-    record_table("fig15_rdma", rows,
-                 "Fig. 15: RDMA (64 GPUs), speedup over PyTorch-DDP")
+def test_fig15_rdma(record_table):
+    rows = record_table("fig15_rdma")
     by_model = {row["model"]: row for row in rows}
 
     # AIACC wins for every model.

@@ -7,14 +7,9 @@ parallelism" — on an A100 cluster (more SMs, faster compute) the
 AIACC-over-Horovod speedup must exceed the V100 cluster's.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness import future_gpu_whatif
 
-
-def test_future_gpu_whatif(benchmark, record_table):
-    rows = run_once(benchmark, future_gpu_whatif)
-    record_table("future_gpu", rows,
-                 "What-if: V100 vs A100 (VGG-16, 64 GPUs, 30 Gbps TCP)")
+def test_future_gpu_whatif(record_table):
+    rows = record_table("future_gpu")
     by_gpu = {row["gpu"]: row for row in rows}
 
     # Both generations: AIACC wins.

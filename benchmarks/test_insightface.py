@@ -8,14 +8,11 @@ Horovod DDL is much larger than on ImageNet ResNet-50 — the paper reports
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.harness import insightface_speedup, measure
+from repro.harness import measure
 
 
-def test_insightface(benchmark, record_table):
-    rows = run_once(benchmark, insightface_speedup)
-    record_table("insightface", rows,
-                 "InsightFace face recognition (128 GPUs)")
+def test_insightface(record_table):
+    rows = record_table("insightface")
     row = rows[0]
 
     # Paper: 3.8x at 128 GPUs.

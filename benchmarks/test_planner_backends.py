@@ -8,14 +8,9 @@ leaf-spine core the ordering flips: ina moves ~S(1+1/m) bytes per node
 through the core instead of ~2S, so it must win outright.
 """
 
-from benchmarks.conftest import run_once
-from repro.harness.experiments import planner_backend_sweep
 
-
-def test_planner_backend_sweep(benchmark, record_table):
-    rows = run_once(benchmark, planner_backend_sweep)
-    record_table("planner_backends", rows,
-                 "Planner backends vs spine oversubscription (§V)")
+def test_planner_backend_sweep(record_table):
+    rows = record_table("planner_backends")
     by_scenario = {row["scenario"]: row for row in rows}
 
     healthy = by_scenario["healthy"]

@@ -12,14 +12,9 @@ Shape criteria:
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.harness import scaling_efficiency_summary
 
-
-def test_scaling_efficiency_claims(benchmark, record_table):
-    rows = run_once(benchmark, scaling_efficiency_summary)
-    record_table("scaling_efficiency", rows,
-                 "Scaling efficiency and speedups (§VIII-A)")
+def test_scaling_efficiency_claims(record_table):
+    rows = record_table("scaling_efficiency")
     by_key = {(row["model"], row["gpus"]): row for row in rows}
 
     # ResNet-50 @32: ~1.3x over Horovod (Horovod at ~75% efficiency).

@@ -2,9 +2,6 @@
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.models import table1
-
 #: The paper's printed values.
 PAPER_TABLE1 = {
     "vgg16": (138.3e6, 31e9),
@@ -15,9 +12,8 @@ PAPER_TABLE1 = {
 }
 
 
-def test_table1(benchmark, record_table):
-    rows = run_once(benchmark, table1)
-    record_table("table1_models", rows, "Table I: DNN model characteristics")
+def test_table1(record_table):
+    rows = record_table("table1_models")
     for row in rows:
         params, flops = PAPER_TABLE1[row["model"]]
         assert row["parameters"] == pytest.approx(params, rel=0.001)

@@ -625,10 +625,11 @@ class _Txn:
 def open_store_readonly(path: str | pathlib.Path) -> CampaignStore:
     """Open an existing store, with typed errors for missing/corrupt files.
 
-    ``python -m repro report --from-campaign`` and ``campaign
-    status``/``report`` go through here so a missing database or a file
-    that is not SQLite surfaces as a :class:`CampaignStoreError` (a
-    :class:`~repro.errors.ReproError`) instead of a traceback.
+    ``python -m repro campaign status``/``report``/``diff`` and
+    ``diagnose --from-campaign`` go through here so a missing database
+    or a file that is not SQLite surfaces as a
+    :class:`CampaignStoreError` (a :class:`~repro.errors.ReproError`)
+    instead of a traceback.
     """
     store = CampaignStore(path, create=False)
     try:

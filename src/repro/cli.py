@@ -7,7 +7,8 @@ Commands
 ``train``
     Measure one training deployment (model x backend x GPUs).
 ``bench``
-    Run a named paper experiment and print its table.
+    Regenerate a paper table (``results/<stem>.md``, or ``all`` of
+    them) and print it.
 ``tune``
     Run the Section VI auto-tuner on a deployment.
 ``translate``
@@ -24,8 +25,7 @@ Commands
     Run one fully-instrumented iteration and emit the observability
     report: per-rank step-time attribution, per-stream lane usage,
     per-link utilisation, plus Perfetto/Prometheus/JSONL artifacts.
-    With ``--from-campaign`` it instead renders a campaign's durable
-    results store.
+    (``campaign report`` renders a campaign's durable results store.)
 ``campaign``
     Crash-safe experiment campaigns over a durable SQLite results
     store: ``submit`` a parameter grid, ``run`` it across a process
@@ -59,15 +59,10 @@ import typing as t
 
 from repro.errors import ReproError
 
-#: Experiment name -> harness function (resolved lazily).
-EXPERIMENTS = (
-    "fig2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "scaling", "ctr", "dawnbench", "autotune", "bandwidth", "congested",
-    "planner", "insightface", "futuregpu",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness.experiments import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="AIACC-Training reproduction toolkit",
@@ -97,8 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="AIACC unit granularity in MB")
     add_check_invariants(train)
 
-    bench = sub.add_parser("bench", help="run a paper experiment")
-    bench.add_argument("experiment", choices=EXPERIMENTS + ("all",))
+    bench = sub.add_parser(
+        "bench", help="regenerate a paper table under results/")
+    bench.add_argument("experiment", choices=(*EXPERIMENTS, "all"))
     add_check_invariants(bench)
 
     tune = sub.add_parser("tune", help="run the §VI auto-tuner")
@@ -176,14 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=pathlib.Path("results/report"),
                         help="directory for trace.json / timeline.jsonl / "
                         "metrics.prom")
-    report.add_argument("--from-campaign", type=pathlib.Path, default=None,
-                        metavar="STORE",
-                        help="render a campaign results store instead of "
-                        "running a simulation (typed error on a missing "
-                        "or corrupt store)")
-    report.add_argument("--campaign-id", type=int, default=None,
-                        help="campaign id inside --from-campaign "
-                        "(default: the latest)")
 
     campaign = sub.add_parser(
         "campaign",
@@ -390,57 +378,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro import harness
-    from repro.harness import ascii_chart, format_table, save_report
+    from repro.harness import ascii_chart
+    from repro.harness.experiments import (
+        EXPERIMENTS,
+        experiment_rows,
+        write_table,
+    )
 
-    #: Optional bar-chart rendering: name -> (label_key, value_keys).
-    charts: dict[str, tuple[str, list[str]]] = {
-        "fig2": ("gpus", ["horovod_throughput", "linear_throughput"]),
-        "fig13": ("gpus", ["aiacc", "mxnet-kvstore"]),
-        "fig14": ("batch_per_gpu", ["speedup"]),
-        "fig15": ("model", ["speedup"]),
-        "bandwidth": ("streams", ["utilization"]),
-        "congested": ("scenario", ["hierarchical_speedup"]),
-        "planner": ("scenario", ["ring_ms", "hierarchical_ms", "ina_ms"]),
-    }
-
-    runners: dict[str, tuple[t.Callable[[], list], str]] = {
-        "fig2": (harness.fig2_motivation, "Fig. 2: Horovod vs linear"),
-        "fig9": (harness.fig9_cv_pytorch, "Fig. 9: PyTorch CV"),
-        "fig10": (harness.fig10_nlp_pytorch, "Fig. 10: PyTorch NLP"),
-        "fig11": (harness.fig11_tensorflow, "Fig. 11: TensorFlow"),
-        "fig12": (harness.fig12_mxnet, "Fig. 12: MXNet"),
-        "fig13": (harness.fig13_hybrid, "Fig. 13: hybrid parallelism"),
-        "fig14": (harness.fig14_batchsize, "Fig. 14: batch size"),
-        "fig15": (harness.fig15_rdma, "Fig. 15: RDMA"),
-        "scaling": (harness.scaling_efficiency_summary,
-                    "Scaling efficiency (§VIII-A)"),
-        "ctr": (harness.ctr_production, "CTR production (§VIII-C)"),
-        "dawnbench": (harness.dawnbench, "DAWNBench (§VIII-C)"),
-        "autotune": (harness.autotune_parameters,
-                     "Auto-tuned parameters (§VIII-D)"),
-        "bandwidth": (harness.bandwidth_utilization,
-                      "TCP utilisation (§III)"),
-        "congested": (harness.congested_algorithm_choice,
-                      "Algorithm choice under congestion (§V-B)"),
-        "planner": (harness.planner_backend_sweep,
-                    "Planner backends vs spine oversubscription (§V)"),
-        "insightface": (harness.insightface_speedup,
-                        "InsightFace face recognition (§VIII-C)"),
-        "futuregpu": (harness.future_gpu_whatif,
-                      "Future-GPU what-if (§VIII-A)"),
-    }
-    names = list(runners) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        runner, title = runners[name]
-        rows = runner()
-        table = format_table(rows, title=title)
-        save_report(name, table)
-        print(table)
-        if name in charts:
-            label_key, value_keys = charts[name]
+    stems = list(EXPERIMENTS) if args.experiment == "all" \
+        else [args.experiment]
+    for stem, rows in experiment_rows(stems):
+        print(write_table(stem, rows))
+        chart = EXPERIMENTS[stem].chart
+        if chart is not None:
             print()
-            print(ascii_chart(rows, label_key, value_keys))
+            print(ascii_chart(rows, *chart))
         print()
     return 0
 
@@ -640,18 +592,6 @@ def _campaign_grids(grid_arg: str) -> tuple[str, list]:
     return path.stem, grids_from_payload(text)
 
 
-def _print_campaign_report(report: t.Any,
-                           out: pathlib.Path | None) -> None:
-    from repro.campaign.report import render_report, write_report_artifacts
-
-    # Artifacts first: a consumer truncating stdout (head, a dropped
-    # pipe) must not cost the durable files.
-    written = {} if out is None else write_report_artifacts(out, report)
-    print(render_report(report))
-    for name, path in sorted(written.items()):
-        print(f"wrote {name}: {path}")
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign.policy import RetryPolicy
     from repro.campaign.report import load_report, load_report_from_path
@@ -752,8 +692,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 1
 
     assert args.campaign_command == "report"
+    from repro.campaign.report import render_report, write_report_artifacts
+
     report = load_report_from_path(args.store, args.id)
-    _print_campaign_report(report, args.out)
+    # Artifacts first: a consumer truncating stdout (head, a dropped
+    # pipe) must not cost the durable files.
+    written = {} if args.out is None \
+        else write_report_artifacts(args.out, report)
+    print(render_report(report))
+    for name, path in sorted(written.items()):
+        print(f"wrote {name}: {path}")
     return 0
 
 
@@ -822,16 +770,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.harness import format_table
     from repro.obs import write_artifacts
     from repro.obs.report import build_step_report
-
-    if args.from_campaign is not None:
-        from repro.campaign.report import load_report_from_path
-
-        report = load_report_from_path(args.from_campaign,
-                                       args.campaign_id)
-        _print_campaign_report(
-            report, args.out if args.out != pathlib.Path("results/report")
-            else None)
-        return 0
 
     overrides: dict[str, t.Any] = {}
     if args.streams is not None:

@@ -1,9 +1,10 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-See :mod:`repro.harness.experiments` for one function per table/figure and
-:mod:`repro.harness.report` for table rendering/persistence.  The
-``benchmarks/`` directory drives these functions under pytest-benchmark
-and asserts the paper's shape criteria.
+:mod:`repro.harness.experiments` holds one function per table and the
+:data:`~repro.harness.experiments.EXPERIMENTS` registry that declares
+each committed ``results/`` table once; :mod:`repro.harness.report`
+renders and persists tables.  ``python -m repro bench`` and the shape
+tests in ``benchmarks/`` both write tables through the registry.
 """
 
 from repro.harness.chaos import (
@@ -14,6 +15,8 @@ from repro.harness.chaos import (
     run_chaos_soak,
 )
 from repro.harness.experiments import (
+    EXPERIMENTS,
+    Experiment,
     congested_algorithm_choice,
     PYTORCH_BACKENDS,
     SCALE_AXIS,
@@ -21,32 +24,30 @@ from repro.harness.experiments import (
     bandwidth_utilization,
     ctr_production,
     dawnbench,
+    experiment_rows,
     fig2_motivation,
-    fig9_cv_pytorch,
-    fig10_nlp_pytorch,
-    fig11_tensorflow,
-    fig12_mxnet,
-    fig13_hybrid,
     fig14_batchsize,
     fig15_rdma,
+    figure_rows,
     future_gpu_whatif,
     insightface_speedup,
     measure,
     planner_backend_sweep,
     scaling_efficiency_summary,
-    throughput_matrix,
     tuned_aiacc_config,
+    write_table,
 )
 from repro.harness.report import (
     ascii_chart,
     format_table,
     save_report,
-    series_summary,
 )
 
 __all__ = [
     "ChaosOutcome",
     "ChaosSoakReport",
+    "EXPERIMENTS",
+    "Experiment",
     "PYTORCH_BACKENDS",
     "SCALE_AXIS",
     "default_chaos_model",
@@ -57,14 +58,11 @@ __all__ = [
     "congested_algorithm_choice",
     "ctr_production",
     "dawnbench",
+    "experiment_rows",
     "fig2_motivation",
-    "fig9_cv_pytorch",
-    "fig10_nlp_pytorch",
-    "fig11_tensorflow",
-    "fig12_mxnet",
-    "fig13_hybrid",
     "fig14_batchsize",
     "fig15_rdma",
+    "figure_rows",
     "ascii_chart",
     "format_table",
     "future_gpu_whatif",
@@ -73,7 +71,6 @@ __all__ = [
     "planner_backend_sweep",
     "save_report",
     "scaling_efficiency_summary",
-    "series_summary",
-    "throughput_matrix",
     "tuned_aiacc_config",
+    "write_table",
 ]

@@ -1,8 +1,12 @@
-"""Experiment definitions: one function per paper table/figure.
+"""Paper experiments and the registry of their committed tables.
 
-Each function runs the relevant simulations and returns a list of row
-dicts; the benchmarks in ``benchmarks/`` drive these, assert the paper's
-shape criteria, and persist the regenerated tables.
+Each experiment function runs the relevant simulations and returns a
+list of row dicts.  :data:`EXPERIMENTS` declares every committed
+``results/<stem>.md`` table once: its title, columns, optional chart
+and row function.  ``python -m repro bench <stem>|all`` and the shape
+tests in ``benchmarks/`` both write tables through it.  Figs. 9-13 have
+no function of their own: :func:`figure_rows` pivots the campaign
+``figures`` grid cells into their rows.
 
 The AIACC configuration per deployment comes from
 :func:`tuned_aiacc_config`, a deterministic heuristic matching what the
@@ -13,21 +17,32 @@ itself runs the real ensemble search.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import itertools
 import math
+import pathlib
 import typing as t
 
 from repro.core.runtime import AIACCConfig
 from repro.errors import TrainingError
 from repro.frameworks import make_backend
+from repro.harness.report import format_table, save_report
 from repro.models.base import ModelSpec
-from repro.models.zoo import get_model
+from repro.models.zoo import get_model, table1
 from repro.obs import Observability
 from repro.sim.rdma import RDMA, RDMA_DEFAULT_BANDWIDTH_BPS
 from repro.sim.tcp import TCP
 from repro.training.convergence import time_to_accuracy
 from repro.training.hybrid import run_hybrid_training
 from repro.training.trainer import ThroughputResult, run_training
+
+if t.TYPE_CHECKING:
+    from repro.campaign.grid import RunSpec
+    from repro.training.resilience import (
+        FaultInjectionResult,
+        ResilienceResult,
+    )
 
 #: GPU counts of the paper's scalability axes (8 GPUs per node).
 SCALE_AXIS = (8, 16, 32, 64, 128, 256)
@@ -37,16 +52,17 @@ PYTORCH_BACKENDS = ("aiacc", "horovod", "pytorch-ddp", "byteps")
 
 #: Declarative axes of the paper's figure sweeps (Figs. 9-13).
 #:
-#: One source of truth consumed both by the in-process harness
-#: functions below and by the campaign service
-#: (:func:`repro.campaign.grid.figures_grids`), so ``python -m repro
-#: campaign run --grid figures`` regenerates exactly the published
-#: cells — each one a durable, individually retryable run.
+#: The campaign service expands them into cells
+#: (:func:`repro.campaign.grid.figures_grids`), each one a durable,
+#: individually retryable run, and :func:`figure_rows` pivots those
+#: cells into the published tables.
 FIGURE_SWEEPS: dict[str, dict] = {
     "fig9": {"models": ("vgg16", "resnet50", "resnet101"),
              "backends": PYTORCH_BACKENDS, "gpus": SCALE_AXIS},
     "fig10": {"models": ("transformer", "bert-large"),
               "backends": PYTORCH_BACKENDS, "gpus": SCALE_AXIS},
+    # TensorFlow's distribution path is Horovod's all-reduce engine, and
+    # the unified AIACC library applies the same optimization there.
     "fig11": {"models": ("vgg16", "resnet50", "bert-large"),
               "backends": ("aiacc", "horovod"), "gpus": SCALE_AXIS},
     "fig12": {"models": ("vgg16", "resnet50"),
@@ -227,80 +243,57 @@ def bandwidth_utilization(streams_axis: t.Sequence[int] = (1, 2, 4, 8, 16)
 
 
 # --------------------------------------------------------------------------
-# Main throughput figures
+# Main throughput figures (Figs. 9-13)
 # --------------------------------------------------------------------------
 
-def throughput_matrix(models: t.Sequence[str],
-                      backends: t.Sequence[str] = PYTORCH_BACKENDS,
-                      gpu_counts: t.Sequence[int] = SCALE_AXIS,
-                      **measure_kwargs: t.Any) -> list[dict]:
-    """Generic (model x backend x #GPUs) throughput sweep."""
-    rows = []
-    for model in models:
-        for gpus in gpu_counts:
-            row: dict[str, object] = {"model": model, "gpus": gpus}
-            for backend in backends:
-                result = measure(model, backend, gpus, **measure_kwargs)
-                row[backend] = result.throughput
-                row[f"{backend}_eff"] = result.scaling_efficiency
-            rows.append(row)
-    return rows
+def figure_rows(cells: t.Iterable[RunSpec]) -> dict[str, list[dict]]:
+    """Pivot Fig. 9-13 campaign cells into each figure's table rows.
 
-
-def fig9_cv_pytorch(gpu_counts: t.Sequence[int] | None = None) -> list[dict]:
-    """Fig. 9: PyTorch CV models, all four backends."""
-    sweep = FIGURE_SWEEPS["fig9"]
-    return throughput_matrix(sweep["models"], backends=sweep["backends"],
-                             gpu_counts=gpu_counts or sweep["gpus"])
-
-
-def fig10_nlp_pytorch(gpu_counts: t.Sequence[int] | None = None
-                      ) -> list[dict]:
-    """Fig. 10: PyTorch NLP models, all four backends."""
-    sweep = FIGURE_SWEEPS["fig10"]
-    return throughput_matrix(sweep["models"], backends=sweep["backends"],
-                             gpu_counts=gpu_counts or sweep["gpus"])
-
-
-def fig11_tensorflow(gpu_counts: t.Sequence[int] | None = None
-                     ) -> list[dict]:
-    """Fig. 11: TensorFlow models — AIACC vs. Horovod all-reduce.
-
-    TensorFlow's distribution path is Horovod's all-reduce engine; the
-    unified AIACC library applies the identical optimization, so the
-    backend pair is (aiacc, horovod) over the TF workloads.
+    ``cells`` are :func:`~repro.campaign.grid.figures_grids` cells, or
+    a subset of them.  Each one runs through its campaign runner, once
+    per distinct :func:`~repro.campaign.grid.run_key`, so a point two
+    figures share is simulated once.  A figure gets one row per
+    (model, gpus) point, in :data:`FIGURE_SWEEPS` order.  The row holds
+    each backend's throughput and, where the runner reports it, its
+    scaling efficiency as ``<backend>_eff``.  A two-backend figure also
+    gets aiacc's ``speedup`` over the other backend.
     """
-    sweep = FIGURE_SWEEPS["fig11"]
-    return throughput_matrix(sweep["models"], backends=sweep["backends"],
-                             gpu_counts=gpu_counts or sweep["gpus"])
+    from repro.campaign.grid import run_key
+    from repro.campaign.worker import RUNNERS, RunContext
 
-
-def fig12_mxnet(gpu_counts: t.Sequence[int] | None = None) -> list[dict]:
-    """Fig. 12: MXNet models — AIACC vs. the native KVStore PS."""
-    sweep = FIGURE_SWEEPS["fig12"]
-    return throughput_matrix(sweep["models"], backends=sweep["backends"],
-                             gpu_counts=gpu_counts or sweep["gpus"])
+    payloads: dict[str | None, t.Mapping[str, t.Any]] = {}
+    points: dict[str, dict[tuple, dict]] = {}
+    for cell in cells:
+        params = cell.params
+        key = run_key(cell.runner, params)
+        if key not in payloads:
+            payloads[key] = RUNNERS[cell.runner](dict(params), RunContext(
+                attempt=1, spec_id=cell.spec_id, campaign_id=0))
+        payload = payloads[key]
+        model, gpus = params["model"], params["gpus"]
+        row = points.setdefault(t.cast(str, params["figure"]), {}) \
+            .setdefault((model, gpus), {"model": model, "gpus": gpus})
+        backend = params["backend"]
+        row[backend] = payload["throughput"]
+        if "scaling_efficiency" in payload:
+            row[f"{backend}_eff"] = payload["scaling_efficiency"]
+    tables = {}
+    for figure, by_point in points.items():
+        sweep = FIGURE_SWEEPS[figure]
+        rows = [by_point[point] for point in
+                itertools.product(sweep["models"], sweep["gpus"])
+                if point in by_point]
+        if len(sweep["backends"]) == 2:
+            other = sweep["backends"][1]
+            for row in rows:
+                row["speedup"] = row["aiacc"] / row[other]
+        tables[figure] = rows
+    return tables
 
 
 # --------------------------------------------------------------------------
 # Further analysis (§VIII-D)
 # --------------------------------------------------------------------------
-
-def fig13_hybrid(gpu_counts: t.Sequence[int] | None = None
-                 ) -> list[dict]:
-    """Fig. 13: hybrid data+model parallelism, AIACC vs MXNet KVStore."""
-    rows = []
-    for gpus in gpu_counts or FIGURE_SWEEPS["fig13"]["gpus"]:
-        aiacc = measure_hybrid("resnet50", "aiacc", gpus)
-        kvstore = measure_hybrid("resnet50", "mxnet-kvstore", gpus)
-        rows.append({
-            "gpus": gpus,
-            "aiacc": aiacc.throughput,
-            "mxnet-kvstore": kvstore.throughput,
-            "speedup": aiacc.throughput / kvstore.throughput,
-        })
-    return rows
-
 
 def fig14_batchsize(batch_sizes: t.Sequence[int] = (2, 4, 8, 16, 32, 64),
                     num_gpus: int = 16) -> list[dict]:
@@ -516,3 +509,271 @@ def future_gpu_whatif(num_gpus: int = 64) -> list[dict]:
             "speedup": aiacc.throughput / horovod.throughput,
         })
     return rows
+
+
+# --------------------------------------------------------------------------
+# Ablations of the paper's three design decisions (DESIGN.md)
+# --------------------------------------------------------------------------
+
+def _aiacc_run(model: str, num_gpus: int,
+               config: AIACCConfig) -> ThroughputResult:
+    return run_training(model, make_backend("aiacc", config=config),
+                        num_gpus, measure_iterations=2, warmup_iterations=1)
+
+
+def ablation_streams() -> list[dict]:
+    """Multi-streaming: VGG-16 on 64 GPUs vs the number of streams."""
+    rows = []
+    for streams in (1, 2, 4, 8, 16, 24):
+        result = _aiacc_run("vgg16", 64, AIACCConfig(
+            num_streams=streams, granularity_bytes=8e6))
+        rows.append({"streams": streams,
+                     "throughput": result.throughput,
+                     "efficiency": result.scaling_efficiency})
+    return rows
+
+
+def ablation_granularity() -> list[dict]:
+    """Adaptive packing: BERT-Large on 64 GPUs vs the all-reduce unit
+    size."""
+    rows = []
+    for granularity in (1, 4, 16, 64, 256):
+        result = _aiacc_run("bert-large", 64, AIACCConfig(
+            num_streams=16, granularity_bytes=granularity * 1e6))
+        rows.append({"granularity_mb": granularity,
+                     "throughput": result.throughput})
+    return rows
+
+
+def ablation_sync() -> list[dict]:
+    """Decentralized (AIACC) vs master-based (Horovod) negotiation on the
+    gradient-count-heavy CTR workload, with the data plane equalised as
+    far as the frameworks allow (single stream AIACC)."""
+    aiacc = _aiacc_run("ctr", 128, AIACCConfig(
+        num_streams=1, granularity_bytes=64e6))
+    horovod = run_training("ctr", "horovod", 128,
+                           measure_iterations=2, warmup_iterations=1)
+    return [{
+        "scheme": "decentralized (AIACC, 1 stream)",
+        "iteration_s": aiacc.mean_iteration_s,
+    }, {
+        "scheme": "master-based (Horovod)",
+        "iteration_s": horovod.mean_iteration_s,
+    }]
+
+
+def ablation_packing() -> list[dict]:
+    """Tensor splitting on/off: VGG's 410 MB fc6 gradient with a packer
+    that can slice it (16 MB units) vs Horovod-style whole-tensor
+    transfers approximated by a huge granularity."""
+    rows = []
+    for label, granularity in (("split into 16MB units", 16e6),
+                               ("whole tensors (256MB units)", 256e6)):
+        result = _aiacc_run("vgg16", 64, AIACCConfig(
+            num_streams=16, granularity_bytes=granularity))
+        rows.append({"packing": label,
+                     "throughput": result.throughput})
+    return rows
+
+
+def ablation_byteps_servers() -> list[dict]:
+    """BytePS with/without dedicated CPU server machines (§VIII-A)."""
+    from repro.frameworks import BytePSBackend
+
+    rows = []
+    for extra in (0, 2, 8, 16):
+        result = run_training(
+            "vgg16", BytePSBackend(extra_cpu_server_nodes=extra),
+            64, measure_iterations=2, warmup_iterations=1)
+        rows.append({"extra_cpu_servers": extra,
+                     "throughput": result.throughput})
+    return rows
+
+
+# --------------------------------------------------------------------------
+# Fault tolerance (§IV)
+# --------------------------------------------------------------------------
+
+def crash_recovery_run() -> tuple[FaultInjectionResult, ResilienceResult]:
+    """A node crash mid-allreduce in a 16-worker AIACC run (§IV).
+
+    Node 1 dies 40% into iteration 9: mid-allreduce, past the checkpoint
+    written after iteration 5, in a 20-iteration run.  Returns the
+    event-driven run and the closed-form
+    :func:`~repro.training.resilience.simulate_resilient_training` walk
+    of the same failure iterations.
+    """
+    from repro.sim.faults import FaultPlan, NodeCrash
+    from repro.training.resilience import (
+        run_fault_injected_training,
+        simulate_resilient_training,
+    )
+
+    model, iterations, interval = "resnet50", 20, 5
+    iter_s = run_training(model, "aiacc", 16, measure_iterations=2,
+                          warmup_iterations=1).mean_iteration_s
+    result = run_fault_injected_training(
+        model, FaultPlan([NodeCrash(at_s=8.4 * iter_s, node=1)]),
+        num_gpus=16, total_iterations=iterations,
+        checkpoint_interval=interval, obs=Observability())
+    failure_at = sorted({min(int(rec.injected_at_s // iter_s),
+                             iterations - 1) for rec in result.recoveries})
+    analytical = simulate_resilient_training(
+        model, iter_s, iterations, interval, failure_at=failure_at)
+    return result, analytical
+
+
+def fault_recovery_rows(result: FaultInjectionResult,
+                        analytical: ResilienceResult) -> list[dict]:
+    """The recovery trajectory of a :func:`crash_recovery_run`."""
+    return [{
+        "model": result.model,
+        "workers": f"{result.initial_num_gpus} -> {result.final_num_gpus}",
+        "detection_s": round(rec.detection_latency_s, 2),
+        "rebuild_s": round(rec.rebuild_time_s, 1),
+        "lost_iters": rec.lost_iterations,
+        "goodput": round(result.goodput, 3),
+        "analytical": round(analytical.goodput, 3),
+    } for rec in result.recoveries]
+
+
+# --------------------------------------------------------------------------
+# The registry: one entry per committed results/ table
+# --------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """One paper table, committed as ``results/<stem>.md``.
+
+    ``rows`` builds the table's rows.  A Fig. 9-13 entry names its
+    :data:`FIGURE_SWEEPS` key in ``figure`` instead, and its rows come
+    from :func:`figure_rows`.  ``columns`` picks and orders the rendered
+    columns (default: the first row's keys).  ``chart`` is the
+    ``(label_key, value_keys)`` bar chart ``repro bench`` also prints.
+    """
+
+    title: str
+    rows: t.Callable[[], list[dict]] | None = None
+    columns: tuple[str, ...] | None = None
+    chart: tuple[str, tuple[str, ...]] | None = None
+    figure: str | None = None
+
+
+_ALLREDUCE_COLUMNS = ("model", "gpus", "aiacc", "horovod", "pytorch-ddp",
+                      "byteps", "aiacc_eff", "horovod_eff")
+
+#: results/ stem -> its table.  ``repro bench`` and the shape tests in
+#: ``benchmarks/`` both write through this registry.
+EXPERIMENTS: dict[str, Experiment] = {
+    "table1_models": Experiment(
+        "Table I: DNN model characteristics", table1),
+    "fig02_motivation": Experiment(
+        "Fig. 2: Horovod vs linear scaling (ResNet-50)", fig2_motivation,
+        chart=("gpus", ("horovod_throughput", "linear_throughput"))),
+    "bandwidth_utilization": Experiment(
+        "TCP utilisation vs number of concurrent streams (§III)",
+        bandwidth_utilization, chart=("streams", ("utilization",))),
+    "fig09_cv_pytorch": Experiment(
+        "Fig. 9: PyTorch CV model throughput", figure="fig9",
+        columns=_ALLREDUCE_COLUMNS),
+    "fig10_nlp_pytorch": Experiment(
+        "Fig. 10: PyTorch NLP model throughput", figure="fig10",
+        columns=_ALLREDUCE_COLUMNS),
+    "fig11_tensorflow": Experiment(
+        "Fig. 11: TensorFlow throughput (AIACC vs Horovod engine)",
+        figure="fig11", columns=("model", "gpus", "aiacc", "horovod",
+                                 "aiacc_eff", "horovod_eff")),
+    "fig12_mxnet": Experiment(
+        "Fig. 12: MXNet throughput (AIACC vs KVStore PS)", figure="fig12",
+        columns=("model", "gpus", "aiacc", "mxnet-kvstore", "aiacc_eff",
+                 "mxnet-kvstore_eff")),
+    "fig13_hybrid": Experiment(
+        "Fig. 13: hybrid data+model parallelism (ResNet-50)",
+        figure="fig13",
+        columns=("gpus", "aiacc", "mxnet-kvstore", "speedup"),
+        chart=("gpus", ("aiacc", "mxnet-kvstore"))),
+    "fig14_batchsize": Experiment(
+        "Fig. 14: BERT-Large speedup over Horovod vs batch size",
+        fig14_batchsize, chart=("batch_per_gpu", ("speedup",))),
+    "fig15_rdma": Experiment(
+        "Fig. 15: RDMA (64 GPUs), speedup over PyTorch-DDP", fig15_rdma,
+        chart=("model", ("speedup",))),
+    "scaling_efficiency": Experiment(
+        "Scaling efficiency and speedups (§VIII-A)",
+        scaling_efficiency_summary),
+    "future_gpu": Experiment(
+        "What-if: V100 vs A100 (VGG-16, 64 GPUs, 30 Gbps TCP)",
+        future_gpu_whatif),
+    "ctr_production": Experiment(
+        "Production CTR workload (128 GPUs)", ctr_production),
+    "dawnbench": Experiment(
+        "DAWNBench: ResNet-50 to 93% top-5 (128 GPUs)", dawnbench),
+    "insightface": Experiment(
+        "InsightFace face recognition (128 GPUs)", insightface_speedup),
+    "autotune_params": Experiment(
+        "Auto-tuned communication parameters (§VIII-D)",
+        autotune_parameters),
+    "congested_algorithm": Experiment(
+        "Ring vs hierarchical all-reduce under congestion (§V-B)",
+        congested_algorithm_choice,
+        chart=("scenario", ("hierarchical_speedup",))),
+    "planner_backends": Experiment(
+        "Planner backends vs spine oversubscription (§V)",
+        planner_backend_sweep,
+        chart=("scenario", ("ring_ms", "hierarchical_ms", "ina_ms"))),
+    "fault_recovery": Experiment(
+        "Self-healing recovery from an injected node crash "
+        "(16 workers, crash mid-allreduce)",
+        lambda: fault_recovery_rows(*crash_recovery_run())),
+    "ablation_streams": Experiment(
+        "Ablation: number of communication streams (VGG-16, 64 GPUs)",
+        ablation_streams),
+    "ablation_granularity": Experiment(
+        "Ablation: all-reduce unit granularity (BERT-Large, 64 GPUs)",
+        ablation_granularity),
+    "ablation_sync": Experiment(
+        "Ablation: decentralized vs master-based synchronization "
+        "(CTR, 128 GPUs)", ablation_sync),
+    "ablation_packing": Experiment(
+        "Ablation: tensor splitting (VGG-16, 64 GPUs)", ablation_packing),
+    "ablation_byteps_servers": Experiment(
+        "Ablation: BytePS dedicated CPU servers (VGG-16, 64 GPUs)",
+        ablation_byteps_servers),
+}
+
+
+def experiment_rows(stems: t.Sequence[str]
+                    ) -> t.Iterator[tuple[str, list[dict]]]:
+    """``(stem, rows)`` for each of ``stems``, in order.
+
+    The Fig. 9-13 stems among them share one :func:`figure_rows` call
+    over their :func:`~repro.campaign.grid.figures_grids` cells, made
+    when the first of them comes up.
+    """
+    from repro.campaign.grid import expand_grids, figures_grids
+
+    figures = {EXPERIMENTS[stem].figure for stem in stems} - {None}
+    pivoted: dict[str, list[dict]] | None = None
+    for stem in stems:
+        experiment = EXPERIMENTS[stem]
+        if experiment.figure is None:
+            yield stem, t.cast(t.Callable[[], list[dict]], experiment.rows)()
+            continue
+        if pivoted is None:
+            pivoted = figure_rows(
+                cell for cell in expand_grids(figures_grids())
+                if cell.params["figure"] in figures)
+        yield stem, pivoted[experiment.figure]
+
+
+def write_table(stem: str, rows: t.Sequence[dict],
+                directory: str | pathlib.Path = "results") -> str:
+    """Write ``rows`` as ``stem``'s table to ``directory/<stem>.md``.
+
+    Returns the rendered table.
+    """
+    experiment = EXPERIMENTS[stem]
+    table = format_table(rows, columns=experiment.columns,
+                         title=experiment.title)
+    save_report(stem, table, directory=directory)
+    return table

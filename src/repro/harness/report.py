@@ -68,12 +68,6 @@ def save_report(name: str, content: str,
     return path
 
 
-def series_summary(rows: t.Sequence[Row], key: str, value: str
-                   ) -> dict[object, object]:
-    """Collapse rows to ``{row[key]: row[value]}`` for quick assertions."""
-    return {row[key]: row[value] for row in rows}
-
-
 def ascii_chart(rows: t.Sequence[Row], label_key: str,
                 value_keys: t.Sequence[str], width: int = 48,
                 title: str = "") -> str:
@@ -81,8 +75,8 @@ def ascii_chart(rows: t.Sequence[Row], label_key: str,
 
     One group per row (labelled by ``row[label_key]``), one bar per value
     key, all scaled to the global maximum.  Used by the CLI so
-    ``python -m repro bench fig9`` shows the figure's shape, not just the
-    table.
+    ``python -m repro bench fig13_hybrid`` shows the figure's shape, not
+    just the table.
     """
     if not rows:
         raise ReproError("cannot chart an empty series")

@@ -107,11 +107,13 @@ class TestRunResumeReport:
         assert main(["campaign", "run", "--store", store,
                      "--grid", self.grid_file(tmp_path)]) == 0
         capsys.readouterr()
-        assert main(["report", "--from-campaign", store]) == 0
-        assert "digest" in capsys.readouterr().out
+        assert main(["campaign", "report", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "digest" in out
+        assert "wrote" not in out
 
     def test_report_missing_store_is_typed_error(self, tmp_path, capsys):
-        assert main(["report", "--from-campaign",
+        assert main(["campaign", "report", "--store",
                      str(tmp_path / "nope.db")]) == 1
         assert "error:" in capsys.readouterr().err
 

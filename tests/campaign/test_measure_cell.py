@@ -9,10 +9,11 @@ spec replays the run it names bit for bit.
 import json
 import math
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
-from repro.campaign.grid import expand_grids, figures_grids
+from repro.campaign.grid import expand_grids, figures_grids, run_key
 from repro.campaign.report import load_report_from_path
 from repro.campaign.worker import (
     RunContext,
@@ -23,11 +24,21 @@ from repro.campaign.worker import (
 )
 from repro.cli import main
 from repro.errors import CampaignError, TrainingError
-from repro.harness.experiments import fig9_cv_pytorch, measure
+from repro.harness import experiments
+from repro.harness.experiments import figure_rows, measure, write_table
 
 CTX = RunContext(attempt=1, spec_id="cell", campaign_id=1)
 CELL = {"model": "resnet50", "gpus": 8}
 BENCH = pathlib.Path(__file__).resolve().parents[2] / "BENCH_simulator.json"
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results"
+
+
+def table_cells(path: pathlib.Path) -> list[list[str]]:
+    """A markdown table's title, then its header and body cells, with
+    the column padding stripped."""
+    text = path.read_text().splitlines()
+    return [[text[0]]] + [[cell.strip() for cell in line.strip("|").split("|")]
+                          for line in text if line.startswith("| ")]
 
 
 class TestMeasureCellValidation:
@@ -162,13 +173,39 @@ class TestReplay:
         assert result["mean_iteration_s"] == \
             measured["measurements"]["simulated_step_s"]
 
-    def test_fig9_harness_matches_figures_cells(self):
-        rows = {row["model"]: row for row in fig9_cv_pytorch(gpu_counts=(8,))}
+    def test_fig9_pivot_renders_committed_table(self, tmp_path):
         cells = [spec for spec in expand_grids(figures_grids())
                  if spec.params["figure"] == "fig9"
                  and spec.params["gpus"] == 8]
         assert len(cells) == 12
-        for spec in cells:
-            payload = measure_runner(dict(spec.params), CTX)
-            assert payload["throughput"] == \
-                rows[spec.params["model"]][spec.params["backend"]]
+        write_table("fig09_cv_pytorch", figure_rows(cells)["fig9"],
+                    tmp_path)
+        title, header, *lines = table_cells(tmp_path / "fig09_cv_pytorch.md")
+        committed = table_cells(RESULTS / "fig09_cv_pytorch.md")
+        assert [title, header] == committed[:2]
+        assert lines == [line for line in committed[2:] if line[1] == "8"]
+        assert len(lines) == 3
+
+    def test_figures_simulate_each_run_once(self, monkeypatch):
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append((args, tuple(sorted(kwargs.items()))))
+            return SimpleNamespace(
+                model=kwargs["model"], backend=kwargs["backend"],
+                num_gpus=kwargs["gpus"], batch_per_gpu=1,
+                mean_iteration_s=1.0, throughput=float(len(calls)),
+                scaling_efficiency=1.0, exposed_comm_s=0.0)
+
+        monkeypatch.setattr(experiments, "measure", fake)
+        monkeypatch.setattr(experiments, "measure_hybrid", fake)
+        cells = expand_grids(figures_grids())
+        tables = figure_rows(cells)
+        assert len(cells) == 188
+        assert len(calls) == len(set(calls)) == 140
+        assert len(calls) == len({run_key(spec.runner, spec.params)
+                                  for spec in cells})
+        assert {figure: len(rows) for figure, rows in tables.items()} == {
+            "fig9": 18, "fig10": 12, "fig11": 18, "fig12": 12, "fig13": 4}
+        # A point two figures share reads the one run's payload.
+        assert tables["fig11"][0]["aiacc"] == tables["fig9"][0]["aiacc"]

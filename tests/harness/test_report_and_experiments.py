@@ -1,15 +1,18 @@
 """Tests for report rendering and the experiment helpers."""
 
+import pathlib
+
 import pytest
 
 from repro.errors import ReproError
-from repro.harness.experiments import measure, tuned_aiacc_config
-from repro.harness.report import (
-    format_cell,
-    format_table,
-    save_report,
-    series_summary,
+from repro.harness.experiments import (
+    EXPERIMENTS,
+    measure,
+    tuned_aiacc_config,
 )
+from repro.harness.report import format_cell, format_table, save_report
+
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results"
 
 
 class TestFormatCell:
@@ -81,10 +84,20 @@ class TestSaveReport:
         assert (nested / "x.md").exists()
 
 
-class TestSeriesSummary:
-    def test_collapses_rows(self):
-        rows = [{"gpus": 8, "eff": 0.9}, {"gpus": 16, "eff": 0.8}]
-        assert series_summary(rows, "gpus", "eff") == {8: 0.9, 16: 0.8}
+class TestExperimentRegistry:
+    def test_one_entry_per_committed_table(self):
+        committed = {path.stem for path in RESULTS.glob("*.md")}
+        assert set(EXPERIMENTS) == committed
+
+    def test_committed_tables_carry_registry_titles(self):
+        for stem, experiment in EXPERIMENTS.items():
+            first = (RESULTS / f"{stem}.md").read_text().splitlines()[0]
+            assert first == f"### {experiment.title}", stem
+
+    def test_each_entry_has_one_row_source(self):
+        for stem, experiment in EXPERIMENTS.items():
+            assert (experiment.rows is None) != (experiment.figure is None), \
+                stem
 
 
 class TestTunedConfig:

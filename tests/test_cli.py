@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 
 class TestParser:
     def test_requires_command(self):
@@ -49,10 +51,12 @@ class TestCommands:
 
     def test_bench_single_experiment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "fig2"]) == 0
+        assert main(["bench", "fig02_motivation"]) == 0
         out = capsys.readouterr().out
         assert "Horovod" in out or "horovod" in out
-        assert (tmp_path / "results" / "fig2.md").exists()
+        # bench writes the committed table, byte for byte.
+        assert (tmp_path / "results" / "fig02_motivation.md").read_text() \
+            == (ROOT / "results" / "fig02_motivation.md").read_text()
 
     def test_tune(self, capsys):
         assert main(["tune", "--model", "resnet50", "--gpus", "16",
@@ -142,8 +146,8 @@ class TestFaultsCommand:
 
 
 class TestNewBenchEntries:
-    @pytest.mark.parametrize("experiment", ["congested", "insightface",
-                                            "futuregpu"])
+    @pytest.mark.parametrize("experiment", ["congested_algorithm",
+                                            "insightface", "future_gpu"])
     def test_bench_entry_runs(self, experiment, capsys, tmp_path,
                               monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -153,7 +157,7 @@ class TestNewBenchEntries:
     def test_bench_chart_rendered_for_congested(self, capsys, tmp_path,
                                                 monkeypatch):
         monkeypatch.chdir(tmp_path)
-        main(["bench", "congested"])
+        main(["bench", "congested_algorithm"])
         out = capsys.readouterr().out
         assert "#" in out  # the ascii bar chart
 
