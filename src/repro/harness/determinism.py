@@ -59,27 +59,34 @@ class DeterminismProbe:
     iteration_times_s: tuple[float, ...]
     #: All-reduce algorithm of the probed run.
     algorithm: str = "ring"
+    #: Communication backend of the probed run.
+    backend: str = "aiacc"
 
     @property
     def key(self) -> str:
         """Stable identifier used by the golden-digest file."""
         return probe_key(self.ranks, self.streams, self.faults,
-                         self.invariants, self.seed, self.algorithm)
+                         self.invariants, self.seed, self.algorithm,
+                         self.backend)
 
 
 def probe_key(ranks: int, streams: int, faults: bool, invariants: bool,
-              seed: int, algorithm: str = "ring") -> str:
+              seed: int, algorithm: str = "ring",
+              backend: str = "aiacc") -> str:
     """Canonical name of one matrix cell (JSON key in the golden file).
 
-    The default ring algorithm keeps the legacy key format so existing
+    The default AIACC ring keeps the legacy key format so existing
     golden entries stay addressable; planner-backend cells append an
-    ``-<algorithm>`` suffix.
+    ``-<algorithm>`` suffix and baseline-backend cells a ``-<backend>``
+    suffix.
     """
     key = (f"r{ranks}-s{streams}"
            f"-{'faults' if faults else 'nofaults'}"
            f"-{'inv' if invariants else 'noinv'}-seed{seed}")
     if algorithm != "ring":
         key += f"-{algorithm}"
+    if backend != "aiacc":
+        key += f"-{backend}"
     return key
 
 
@@ -153,31 +160,42 @@ def _fault_layout(ranks: int) -> int:
 def run_probe(ranks: int, streams: int = 4, faults: bool = False,
               invariants: bool = True, seed: int = 0,
               iterations: int = 2, model: str = PROBE_MODEL,
-              algorithm: str = "ring") -> DeterminismProbe:
-    """Run one matrix cell and return its digest + iteration times."""
+              algorithm: str = "ring",
+              backend: str = "aiacc") -> DeterminismProbe:
+    """Run one matrix cell and return its digest + iteration times.
+
+    ``streams`` and ``algorithm`` configure the AIACC engine; any other
+    ``backend`` runs with its default settings and ignores them.
+    """
     if faults:
-        if algorithm != "ring":
+        if algorithm != "ring" or backend != "aiacc":
             raise TrainingError(
-                "fault probes only cover the ring algorithm")
+                "fault probes only cover the AIACC ring algorithm")
         return _run_fault_probe(ranks, streams, invariants, seed,
                                 iterations, model)
     return _run_clean_probe(ranks, streams, invariants, seed,
-                            iterations, model, algorithm)
+                            iterations, model, algorithm, backend)
 
 
 def _run_clean_probe(ranks: int, streams: int, invariants: bool,
                      seed: int, iterations: int, model: str,
-                     algorithm: str = "ring") -> DeterminismProbe:
-    config = AIACCConfig(num_streams=streams, algorithm=algorithm)
+                     algorithm: str = "ring",
+                     backend: str = "aiacc") -> DeterminismProbe:
+    if backend == "aiacc":
+        comm = make_backend("aiacc", config=AIACCConfig(
+            num_streams=streams, algorithm=algorithm))
+    else:
+        comm = make_backend(backend)
     result = run_training(
-        model, make_backend("aiacc", config=config), ranks,
+        model, comm, ranks,
         measure_iterations=iterations, warmup_iterations=0,
         extra_forward_time_s=seed * SEED_JITTER_S,
         check_invariants=invariants)
     return DeterminismProbe(
         ranks=ranks, streams=streams, faults=False, invariants=invariants,
         seed=seed, digest=result.state_digest,
-        iteration_times_s=result.iteration_times_s, algorithm=algorithm)
+        iteration_times_s=result.iteration_times_s, algorithm=algorithm,
+        backend=backend)
 
 
 def _run_fault_probe(ranks: int, streams: int, invariants: bool,

@@ -83,8 +83,8 @@ class Event:
         #: :meth:`Simulator.release_event`).
         self._scheduled: int = 0
         #: Whether the event currently sits in the kernel's event pool.
-        #: Guards against double-release (a cancellation path and the
-        #: wakeup callback may both try to return the same object).
+        #: Guards against double-release (two owners' paths may both
+        #: try to return the same object).
         self._pooled: bool = False
 
     # -- state inspection -------------------------------------------------
@@ -149,15 +149,13 @@ class Event:
         """Return a fired event to the untriggered state (object pooling).
 
         Strictly internal: only safe for events whose every reference is
-        owned by the caller — the network's wakeup timers qualify (they
-        are never yielded to processes, and each one is popped from the
-        kernel heap exactly once before it is recycled).  Pooling them
-        cuts one allocation per rate reallocation off the hot path; the
-        recycled event is observationally identical to a fresh one
-        (including its name, which the replay digest folds), so replay
-        digests are unchanged.  :meth:`Simulator.release_event` refuses
-        events with a pending heap entry (``_scheduled > 0``), so a
-        recycled event can never be resurrected into a double-trigger.
+        owned by the caller — never yielded to processes, and popped
+        from the kernel heap before they are recycled.  The recycled
+        event is observationally identical to a fresh one (including
+        its name, which the replay digest folds), so replay digests are
+        unchanged.  :meth:`Simulator.release_event` refuses events with
+        a pending heap entry (``_scheduled > 0``), so a recycled event
+        can never be resurrected into a double-trigger.
         """
         self._value = _PENDING
         self._ok = True

@@ -53,10 +53,8 @@ class Simulator:
         self._counter = itertools.count()
         self._active_processes = 0
         #: Recycled one-shot :class:`Event` slots (see
-        #: :meth:`pooled_event` / :meth:`release_event`).  Owned by the
-        #: kernel so every pooling component — the network's completion
-        #: wakeups, epoch-batched advance timers — shares one free list
-        #: that survives across training epochs and elastic transitions.
+        #: :meth:`pooled_event` / :meth:`release_event`), one free list
+        #: per kernel.
         self._event_pool: list[Event] = []
         #: Deterministic work counters, like ``FluidNetwork.reallocations``:
         #: processes started through :meth:`spawn`, and heap entries pushed
@@ -73,7 +71,12 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def _schedule_at(self, when: float, event: Event, value: object) -> None:
-        """Schedule ``event`` to trigger successfully at absolute time ``when``."""
+        """Schedule ``event`` to trigger successfully at absolute time ``when``.
+
+        ``event`` may also be any object with the slots a pop reads —
+        ``name``, ``_scheduled``, ``_value`` and ``succeed(value)`` —
+        such as the fluid network's wakeup timer.
+        """
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past ({when} < {self.now})"
@@ -105,11 +108,11 @@ class Simulator:
 
         Behaviourally identical to :meth:`event` — same name semantics,
         same replay-digest fold — but the object may be a recycled
-        instance, saving one allocation per call on hot paths (the fluid
-        network schedules one wakeup per rate reallocation).  Callers
-        that hand the event to :meth:`release_event` after it fires MUST
-        own every reference to it; never pool events yielded to
-        processes.
+        instance, saving one allocation per call.  Nothing in the
+        package calls it today: the fluid network schedules its
+        wakeups on one reusable timer instead.  Callers that hand the
+        event to :meth:`release_event` after it fires MUST own every
+        reference to it; never pool events yielded to processes.
         """
         pool = self._event_pool
         if pool:
@@ -124,13 +127,13 @@ class Simulator:
 
         Safe means: the event is not already pooled (double release is
         idempotent) and no pending heap entry still references it
-        (``_scheduled > 0``).  The latter arises under fault-injected
-        cancellation — a flow is interrupted, its owner releases the
-        wakeup, but the wakeup's heap entry has not popped yet.  Reusing
-        that object would let the stale pop trigger the *recycled*
-        event.  Such events are simply not pooled; they die naturally
-        when their stale entry pops (already-triggered entries are
-        skipped by the run loop) and get garbage-collected.
+        (``_scheduled > 0``).  The latter arises when an owner
+        supersedes or abandons a scheduled event — triggers it directly,
+        say — before its heap entry has popped.  Reusing that object
+        would let the stale pop trigger the *recycled* event.  Such
+        events are simply not pooled; they die naturally when their
+        stale entry pops (already-triggered entries are skipped by the
+        run loop) and get garbage-collected.
         """
         if event._pooled or event._scheduled > 0:
             return
@@ -191,16 +194,15 @@ class Simulator:
         """Run the simulation.
 
         The loops below inline :meth:`step` (pop, clock update, digest
-        fold, trigger) with the heap and pop function hoisted into
-        locals: at 128–256 ranks the kernel pops tens of thousands of
-        events per simulated step, and the per-event method/property
-        overhead of calling ``step()`` is a measurable fraction of total
-        wall-clock.  ``self.invariants`` is re-read on every pop — a
-        checker may legitimately attach *mid-run* (the AIACC engine's
-        warmup process attaches one from inside the first ``run()``
-        call) and must see every event popped after attachment.  The
-        inlined loops pop events in the identical order with identical
-        clock updates, so :meth:`state_digest` is unaffected.
+        fold, trigger) with the heap, pop function and invariant
+        checker hoisted into locals: at 128–256 ranks the kernel pops
+        tens of thousands of events per simulated step, and the
+        per-event method/property overhead of calling ``step()`` is a
+        measurable fraction of total wall-clock.  A checker is attached
+        only where the simulator is built, so reading
+        ``self.invariants`` once per call sees every pop.  The inlined
+        loops pop events in the identical order with identical clock
+        updates, so :meth:`state_digest` is unaffected.
 
         Parameters
         ----------
@@ -214,6 +216,7 @@ class Simulator:
         """
         heap = self._heap
         pop = heapq.heappop
+        checker = self.invariants
         if isinstance(until, Event):
             stop = until
             while stop._value is _PENDING:
@@ -223,7 +226,6 @@ class Simulator:
                     )
                 when, _, event, value = pop(heap)
                 self.now = when
-                checker = self.invariants
                 if checker is not None:
                     checker.record_event(when, event.name)
                 event._scheduled -= 1
@@ -233,7 +235,6 @@ class Simulator:
             while heap:
                 when, _, event, value = pop(heap)
                 self.now = when
-                checker = self.invariants
                 if checker is not None:
                     checker.record_event(when, event.name)
                 event._scheduled -= 1
@@ -248,7 +249,6 @@ class Simulator:
             while heap and heap[0][0] <= horizon:
                 when, _, event, value = pop(heap)
                 self.now = when
-                checker = self.invariants
                 if checker is not None:
                     checker.record_event(when, event.name)
                 event._scheduled -= 1

@@ -81,7 +81,7 @@ import operator
 import typing as t
 
 from repro.errors import NetworkError
-from repro.sim.events import Event
+from repro.sim.events import _PENDING, Event
 from repro.sim.kernel import Simulator
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -133,9 +133,12 @@ def _check_path(links: t.Sequence["Link"]) -> None:
     link, so a repeated link would make the flow's rate depend on
     whether other flows share that link.
     """
-    if not links:
+    count = len(links)
+    if not count:
         raise NetworkError("flow must traverse at least one link")
-    if len(set(links)) != len(links):
+    # Most paths are one or two links: a set only pays off beyond that.
+    if (links[0] is links[1] if count == 2
+            else count > 2 and len(set(links)) != count):
         raise NetworkError(
             f"flow path lists a link twice: {[link.name for link in links]}")
 
@@ -154,6 +157,37 @@ def _joined(public: Event, count: int) -> t.Callable[[Event], None]:
             public.succeed(ev.value)
 
     return _member_done
+
+
+class _WakeupTimer:
+    """A network's one reusable completion wakeup.
+
+    The kernel heap takes it like an event: its entries carry the
+    allocation token they were scheduled with, every pop folds
+    ``name`` into the replay digest and settles ``_scheduled``, and,
+    since ``_value`` stays pending, hands the token to :meth:`succeed`.
+    Superseded entries just carry stale tokens, so one object serves
+    every reallocation: no event, callback list or bound method is
+    allocated per wakeup.  Never yielded to processes.
+    """
+
+    __slots__ = ("name", "_scheduled", "_value", "_network")
+
+    def __init__(self) -> None:
+        self.name = "network.wakeup"
+        #: Heap entries still pending (see :class:`Event`).
+        self._scheduled = 0
+        self._value = _PENDING
+        #: The owning network while an entry is pending.  A timer at
+        #: rest holds no reference back, so a finished network is freed
+        #: by reference counting, not left to the cycle collector.
+        self._network: FluidNetwork | None = None
+
+    def succeed(self, token: int) -> None:
+        network = self._network
+        if not self._scheduled:
+            self._network = None
+        network._on_wakeup(token)
 
 
 class Link:
@@ -443,8 +477,10 @@ class FluidNetwork:
         #: touch on a claimed link splits the channel's groups back into
         #: per-member flows and releases the claim.
         self._claims: dict[Link, _BundleChannel] = {}
-        #: Monotonic token used to invalidate stale wakeup events.
+        #: Monotonic token used to invalidate stale wakeup entries.
         self._wakeup_token = 0
+        #: The one timer every completion wakeup is scheduled on.
+        self._timer = _WakeupTimer()
         #: Clock value of the last progress advance.  All flows advance
         #: in lockstep — every public operation advances before mutating
         #: the flow set — so one scalar timestamp replaces the per-flow
@@ -495,9 +531,30 @@ class FluidNetwork:
         the sum of the link latencies.  The event's value is the flow's
         transfer duration in seconds.  A non-positive ``size_bytes`` is a
         pure-latency transfer that never enters the rate allocator.
+
+        A plain link sequence takes the steps :meth:`_insert` takes for
+        a one-request batch, in the same order, without its batch
+        bookkeeping; a :class:`FlowBundle` goes through :meth:`_insert`.
         """
-        return self._insert(((links, size_bytes, rate_cap_bps, weight),),
-                            label, job)[0]
+        if links.__class__ is FlowBundle:
+            return self._insert(((links, size_bytes, rate_cap_bps, weight),),
+                                label, job)[0]
+        _check_transfer(size_bytes, rate_cap_bps)
+        sim = self.sim
+        now = sim.now
+        done = sim.event(name="flow.done")
+        latency = sum(link.latency_s for link in links)
+        if size_bytes <= 0:
+            sim._schedule_at(now + latency, done, latency)
+            return done
+        if self._claims:
+            self._split_claimed(links)
+        self._advance_progress()
+        self._add_flow(Flow(links, size_bytes * 8.0, rate_cap_bps, done, now,
+                            tail_latency_s=latency, weight=weight,
+                            label=label, job=job))
+        self._reallocate()
+        return done
 
     def start_flows(self, requests: t.Sequence[tuple[
             "FlowBundle | t.Sequence[Link]", float, float | None, int]], *,
@@ -617,17 +674,24 @@ class FluidNetwork:
         A group enters on its representative links only (``links`` is
         ``member_links[0]``); its other members' links carry claims.
         """
-        dirty = self._dirty_links
         for flow in flows:
-            self.flows[flow] = None
-            if flow.size_bits <= _COMPLETE_BITS:
-                self._maybe_finished = True
-            weight = flow.weight
-            for link in flow.links:
-                link.flows[flow] = None
-                link.load += weight
-                dirty[link] = None
+            self._add_flow(flow)
         self._reallocate()
+
+    def _add_flow(self, flow: Flow) -> None:
+        """Put one entity on the flow set and its links, marking them dirty.
+
+        The caller re-allocates.
+        """
+        self.flows[flow] = None
+        if flow.remaining_bits <= _COMPLETE_BITS:
+            self._maybe_finished = True
+        weight = flow.weight
+        dirty = self._dirty_links
+        for link in flow.links:
+            link.flows[flow] = None
+            link.load += weight
+            dirty[link] = None
 
     def bundle(self, member_links: t.Sequence[t.Sequence[Link]]
                ) -> FlowBundle | None:
@@ -743,11 +807,9 @@ class FluidNetwork:
         completed, zero-byte, or never started) — cancelling twice is a
         harmless no-op.
 
-        Superseded wakeup events left in the kernel heap by the
-        cancelled allocation are *not* recycled here: they still hold
-        pending heap entries, and :meth:`Simulator.release_event`
-        refuses them (see the event-pool regression tests), so they die
-        naturally when popped instead of resurrecting into the pool.
+        The cancelled allocation's wakeup entry stays in the kernel
+        heap.  Re-allocating takes a new wakeup token, so that entry
+        pops as a no-op and never advances progress.
         """
         owned = [flow for flow in self.flows
                  if flow.done is done or flow._owner is done]
@@ -885,7 +947,6 @@ class FluidNetwork:
         self._retire_flow(group)
         public = group.done
         member_done = _joined(public, len(group.member_links))
-        dirty = self._dirty_links
         for links in group.member_links:
             inner = self.sim.event(name="flow.done")
             inner.add_callback(member_done)
@@ -896,13 +957,7 @@ class FluidNetwork:
                         job=group.job)
             flow.remaining_bits = remaining
             flow._owner = public
-            if remaining <= _COMPLETE_BITS:
-                self._maybe_finished = True
-            self.flows[flow] = None
-            for link in links:
-                link.flows[flow] = None
-                link.load += group.weight
-                dirty[link] = None
+            self._add_flow(flow)
 
     # -- engine -----------------------------------------------------------
 
@@ -945,10 +1000,15 @@ class FluidNetwork:
         """Re-run water-filling and schedule the next completion wakeup.
 
         Finished flows are retired *before* rates are assigned so that their
-        bandwidth is immediately redistributed to the survivors.
+        bandwidth is immediately redistributed to the survivors.  Each
+        step runs only when its flag says there is work: a flow may have
+        finished (``_maybe_finished``) or some link changed
+        (``_dirty_links``).
         """
-        self._complete_finished()
-        self._assign_rates()
+        if self._maybe_finished:
+            self._complete_finished()
+        if self._dirty_links:
+            self._assign_rates()
         self._schedule_wakeup()
 
     def _assign_rates(self) -> None:
@@ -970,10 +1030,8 @@ class FluidNetwork:
         so every flow gets the same offer), computed in the same order,
         so rates are bit-equal.  AIACC's concurrent streams of one unit
         over one NIC pair, and any flow alone on its links, take this
-        path.
+        path.  Called only with dirty links.
         """
-        if not self._dirty_links:
-            return
         self.reallocations += 1
         dirty = self._dirty_links
         self._dirty_links = {}
@@ -1179,11 +1237,9 @@ class FluidNetwork:
 
         A flow can only cross the completion threshold inside
         :meth:`_advance_progress` (or arrive already sub-threshold), and
-        both paths raise ``_maybe_finished`` — so when the flag is down
-        the scan is skipped entirely.  Completions fire in creation order.
+        both paths raise ``_maybe_finished`` — so the caller skips the
+        scan while the flag is down.  Completions fire in creation order.
         """
-        if not self._maybe_finished:
-            return
         self._maybe_finished = False
         finished = [flow for flow in self.flows
                     if flow.remaining_bits <= _COMPLETE_BITS]
@@ -1257,12 +1313,13 @@ class FluidNetwork:
                     utilisation, link=bottleneck.name)
 
     def _schedule_wakeup(self) -> None:
-        """Schedule a kernel event at the earliest next flow completion.
+        """Schedule the wakeup timer at the earliest next flow completion.
 
         The next completion is the least cached seconds-to-completion
-        over the live flows.  Wakeup events are recycled through the
-        kernel's event pool.  Every ``_finish_s`` is a Python float (see
-        :class:`Flow`), so no numpy scalar can reach the kernel heap.
+        over the live flows.  Every call takes a new token, so the
+        timer's older heap entries go stale.  Every ``_finish_s`` is a
+        Python float (see :class:`Flow`), so no numpy scalar can reach
+        the kernel heap.
         """
         self._wakeup_token += 1
         next_finish = math.inf
@@ -1277,18 +1334,20 @@ class FluidNetwork:
                     "(all rates are zero)"
                 )
             return
-        wakeup = self.sim.pooled_event("network.wakeup")
-        wakeup.callbacks.append(self._on_wakeup)
-        self.sim._schedule_at(self.sim.now + next_finish, wakeup,
-                              self._wakeup_token)
+        timer = self._timer
+        timer._network = self
+        sim = self.sim
+        sim._schedule_at(sim.now + next_finish, timer, self._wakeup_token)
 
-    def _on_wakeup(self, wakeup: Event) -> None:
+    def _on_wakeup(self, token: int) -> None:
         """Advance and re-allocate, unless a newer allocation superseded
-        this wakeup (its value, the token it was scheduled with, is
-        stale)."""
-        token = wakeup._value
-        self.sim.release_event(wakeup)
+        this wakeup (``token``, the one it was scheduled with, is
+        stale).  Inlines :meth:`_reallocate`: this is the hottest call."""
         if token != self._wakeup_token:
             return
         self._advance_progress()
-        self._reallocate()
+        if self._maybe_finished:
+            self._complete_finished()
+        if self._dirty_links:
+            self._assign_rates()
+        self._schedule_wakeup()

@@ -60,16 +60,21 @@ MATRIX = [
     # schedule gets the same cross-commit pin as the legacy algorithms.
     {"ranks": 8, "streams": 4, "faults": False, "algorithm": "ina"},
     # Large-scale cell: pins the bundled-ring tier (GroupFlow fan-outs,
-    # pooled wakeup events) at 1024 ranks.  Symmetric, so it
+    # the network's wakeup timer) at 1024 ranks.  Symmetric, so it
     # runs in representative mode — cheap enough for the matrix while
     # still covering the 128-node schedule's event stream.
     {"ranks": 1024, "streams": 4, "faults": False},
+] + [
+    # Parameter-server baselines: single flows through ``start_flow``.
+    {"ranks": 16, "streams": 4, "faults": False, "backend": backend}
+    for backend in ("byteps", "mxnet-kvstore")
 ]
 
 
 def cell_id(cell):
     return probe_key(cell["ranks"], cell["streams"], cell["faults"],
-                     True, 0, cell.get("algorithm", "ring"))
+                     True, 0, cell.get("algorithm", "ring"),
+                     cell.get("backend", "aiacc"))
 
 
 class TestGoldenDigests:

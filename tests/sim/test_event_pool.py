@@ -1,14 +1,21 @@
-"""Regression tests for the kernel's recycled-event pool.
+"""Regression tests for the kernel's recycled-event pool and the
+fluid network's wakeup timer.
 
-The fluid network schedules one completion wakeup per rate reallocation
-and recycles the objects through :meth:`Simulator.pooled_event` /
-:meth:`Simulator.release_event`.  The dangerous corner is a released
-event whose *stale heap entry* has not popped yet (superseded or
-cancelled allocations): reusing such an object would let the stale pop
-trigger the recycled event — a double-fire with somebody else's value.
-These tests pin the guards that make reuse safe, including under
-fault-injected flow cancellation.
+:meth:`Simulator.pooled_event` / :meth:`Simulator.release_event`
+recycle one-shot events.  The dangerous corner is a released event
+whose *stale heap entry* has not popped yet: reusing such an object
+would let the stale pop trigger the recycled event — a double-fire with
+somebody else's value.  The first class pins the guards that make reuse
+safe.
+
+The fluid network schedules one completion wakeup per rate
+reallocation, all on one reusable timer; a newer allocation or a
+fault-injected flow cancellation leaves stale entries in the heap.  The
+second class pins that those pop as no-ops.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -83,20 +90,70 @@ class TestPoolMechanics:
         assert fired == [("gen1", 1), ("gen2", 2)]
 
 
+def record_wakeups(net):
+    """Spy on the timer: ``(token, current)`` per popped entry."""
+    pops = []
+    on_wakeup = net._on_wakeup
+
+    def spy(token):
+        pops.append((token, token == net._wakeup_token))
+        on_wakeup(token)
+
+    net._on_wakeup = spy
+    return pops
+
+
+def record_advances(net):
+    """Spy on progress advances: the clock at each call."""
+    times = []
+    advance = net._advance_progress
+
+    def spy():
+        times.append(net.sim.now)
+        advance()
+
+    net._advance_progress = spy
+    return times
+
+
 class TestNetworkWakeupRecycling:
-    def test_superseded_wakeups_die_then_recycle(self):
+    def test_superseded_wakeups_pop_harmlessly(self):
         # Every new allocation supersedes the previous wakeup; the stale
-        # entries must pop harmlessly (token mismatch) and the objects
-        # must land back in the pool exactly once each.
+        # entries pop first (same instant, scheduled earlier) and do
+        # nothing, and the last one completes every flow.  The timer
+        # owns no heap entry once the run drains, and the network never
+        # touches the kernel's event pool.
         sim = Simulator()
         net = FluidNetwork(sim)
+        pops = record_wakeups(net)
         links = [Link(f"l{i}", 1e9) for i in range(4)]
         done = [net.start_flow([link], 1e6) for link in links]
+        advances = record_advances(net)
         sim.run(until=sim.all_of(done))
+        assert pops == [(1, False), (2, False), (3, False), (4, True)]
+        assert advances == [8e6 / 1e9]  # the current wakeup only
+        assert [event.value for event in done] == [8e6 / 1e9] * 4
+        sim.run()
         assert sim.queue_length == 0
-        pool = sim._event_pool
-        assert pool  # wakeups were recycled
-        assert len({id(event) for event in pool}) == len(pool)
+        assert net._timer._scheduled == 0
+        assert sim._event_pool == []
+
+    def test_drained_network_is_freed_by_reference_counting(self):
+        # The timer points back at its network only while an entry is
+        # pending, so a drained network is no reference cycle: it goes
+        # as soon as the last reference does, without a collection.
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        net.start_flow([Link("l", 1e9)], 1e6)
+        sim.run()
+        assert net._timer._network is None
+        gone = weakref.ref(net)
+        gc.disable()
+        try:
+            del net
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_cancelled_flow_does_not_resurrect_stale_wakeup(self):
         # Fault-injected cancellation: the cancelled allocation's wakeup
@@ -122,8 +179,33 @@ class TestNetworkWakeupRecycling:
         assert not victim.triggered  # hung collective: never fires
         sim.run()
         assert sim.queue_length == 0
-        pool = sim._event_pool
-        assert len({id(event) for event in pool}) == len(pool)
+        assert net._timer._scheduled == 0
+        assert sim._event_pool == []
+
+    def test_cancelled_allocation_wakeup_never_advances(self):
+        # Two stale entries pop while the survivor is still live (it
+        # ends at 4 + 14 = 18 ms after the cancel): the victim-alone
+        # wakeup at 8 ms, superseded when the survivor started, and the
+        # victim's half-rate completion at 16 ms, superseded by the
+        # cancel.  Neither may advance progress.
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        link = Link("l", 1e9)
+        victim = net.start_flow([link], 1e6)
+        survivor = net.start_flow([link], 2e6)
+        pops = record_wakeups(net)
+        advances = record_advances(net)
+
+        def interrupt():
+            yield sim.timeout(0.004)
+            assert net.cancel_flow(victim)
+
+        sim.spawn(interrupt())
+        sim.run()
+        assert pops == [(1, False), (2, False), (3, True)]
+        assert advances == pytest.approx([0.004, 0.018])
+        assert survivor.value == pytest.approx(0.018)
+        assert net._timer._scheduled == 0
 
     def test_cancellation_replay_is_deterministic(self):
         def run_once():

@@ -34,12 +34,19 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     {"ranks": 8, "streams": 4, "faults": False, "invariants": True,
      "seed": 0, "algorithm": "ina"},
     # Large-scale cell: 1024 ranks pins the bundled-ring tier
-    # (GroupFlow fan-outs, pooled wakeups) at the scale the
+    # (GroupFlow fan-outs, the network's wakeup timer) at the scale the
     # flow-bundling work targets.  Symmetric, so it runs in
     # representative mode — cheap enough for the test matrix while
     # still covering the 128-node schedule's event stream.
     {"ranks": 1024, "streams": 4, "faults": False, "invariants": True,
      "seed": 0},
+) + tuple(
+    # Parameter-server baselines: their push/pulls are single flows
+    # through ``FluidNetwork.start_flow``, a path the AIACC cells barely
+    # touch.  ``streams`` is ignored by these backends.
+    {"ranks": 16, "streams": 4, "faults": False, "invariants": True,
+     "seed": 0, "backend": backend}
+    for backend in ("byteps", "mxnet-kvstore")
 )
 
 
