@@ -28,17 +28,15 @@ from repro.core.registration import GradientRegistry
 from repro.core.runtime import AIACCConfig, DETECTION_DEADLINE_CAP_FACTOR
 from repro.core.streams import CommStreamPool
 from repro.frameworks.base import (
-    BACKWARD_DONE,
     DDLBackend,
     IterationStats,
-    ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
 )
 from repro.obs.metrics import STEP_TIME_BUCKETS
 from repro.sim.invariants import InvariantChecker
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 class AIACCBackend(DDLBackend):
@@ -175,30 +173,28 @@ class AIACCBackend(DDLBackend):
         backward_start = ctx.sim.now
         pool.compute_started()
 
-        gradients = Store(ctx.sim, name="aiacc.gradients")
-        ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
-
         unit_processes: list[Process] = []
         dispatch_processes: list[Process] = []
         batch: list[tuple[int, float]] = []
         batch_bytes = 0.0
 
-        while True:
-            item = yield gradients.get()
-            if item is BACKWARD_DONE:
-                break
-            grad = t.cast(ReadyGradient, item)
-            grad_id = registry.mark_ready(grad.parameter.name)
-            size = ctx.wire_bytes(grad.parameter)
-            batch.append((grad_id, size))
-            batch_bytes += size
-            self._m_gradients.inc()
-            if batch_bytes >= self.config.granularity_bytes:
-                dispatch_processes.append(self._track(ctx.sim.spawn(
-                    self._dispatch(ctx, packer, batch, unit_processes),
-                    name="aiacc.dispatch")))
-                batch = []
-                batch_bytes = 0.0
+        # The framework hook: each schedule point's gradients enter the
+        # gradient queue in one resume.
+        for delay, parameters in ctx.backward_steps():
+            if delay:
+                yield ctx.sim.timeout(delay)
+            for parameter in parameters:
+                grad_id = registry.mark_ready(parameter.name)
+                size = ctx.wire_bytes(parameter)
+                batch.append((grad_id, size))
+                batch_bytes += size
+                self._m_gradients.inc()
+                if batch_bytes >= self.config.granularity_bytes:
+                    dispatch_processes.append(self._track(ctx.sim.spawn(
+                        self._dispatch(ctx, packer, batch, unit_processes),
+                        name="aiacc.dispatch")))
+                    batch = []
+                    batch_bytes = 0.0
 
         pool.compute_finished()
         timeline.span("backward", "compute", 0, backward_start, ctx.sim.now)

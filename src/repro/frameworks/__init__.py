@@ -21,13 +21,11 @@ import typing as t
 
 from repro.errors import ReproError
 from repro.frameworks.base import (
-    BACKWARD_DONE,
     DDLBackend,
     IterationStats,
     ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
-    drain_gradients,
 )
 from repro.frameworks.byteps import BytePSBackend
 from repro.frameworks.horovod import HorovodBackend
@@ -72,7 +70,6 @@ def make_backend(name: str, **kwargs: t.Any) -> DDLBackend:
 
 
 __all__ = [
-    "BACKWARD_DONE",
     "BytePSBackend",
     "DDLBackend",
     "HorovodBackend",
@@ -83,6 +80,5 @@ __all__ = [
     "TrainContext",
     "UPDATE_TIME_S",
     "available_backends",
-    "drain_gradients",
     "make_backend",
 ]

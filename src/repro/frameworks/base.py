@@ -7,7 +7,10 @@ All backends drive the same simulated iteration structure:
 1. **forward** — pure compute, ``batch x forward_flops`` on the GPU;
 2. **backward** — compute runs for ``2x`` forward; gradient tensors become
    ready at their :meth:`~repro.models.base.ModelSpec.backward_schedule`
-   fractions and are pushed to the backend as they appear;
+   fractions.  The schedule is fixed data, so each backend walks
+   :meth:`TrainContext.backward_steps` in its own process and handles
+   every tensor of a schedule point in one resume — the framework hook
+   of the paper's Figs. 5–6 without a gradient queue between them;
 3. **communication** — backend-specific; the iteration completes when all
    gradients are globally reduced and the optimizer step has run.
 
@@ -36,9 +39,6 @@ from repro.sim.topology import Cluster
 
 #: Fixed cost of the optimizer parameter-update kernel per iteration.
 UPDATE_TIME_S = 1e-3
-
-#: Sentinel pushed to the gradient store when the backward pass finishes.
-BACKWARD_DONE = object()
 
 #: Sentinel closing one :class:`ConnectionPool` connection.
 _CLOSE = object()
@@ -137,30 +137,29 @@ class TrainContext:
 
     # -- gradient production --------------------------------------------------
 
-    def backward_producer(self, store: Store) -> t.Generator:
-        """Process emitting gradients into ``store`` during backward.
+    def backward_steps(self) -> list[tuple[float, tuple[ParameterSpec, ...]]]:
+        """The backward pass as ``(delay_s, parameters)`` steps.
 
-        Gradients appear in reverse layer order at schedule fractions of
-        the backward duration; ids follow registration (forward) order.
-        Ends by pushing :data:`BACKWARD_DONE`.
+        One step per :meth:`~repro.models.base.ModelSpec.backward_schedule`
+        point, in reverse layer order: its ``parameters`` become ready
+        ``delay_s`` after the previous step, 0 when the point shares the
+        previous point's instant.  A last ``(delay_s, ())`` step ends the
+        pass at ``backward_time_s``.  A backend walks the list in its own
+        process — ``if delay: yield sim.timeout(delay)``, then handles
+        the point's parameters in one resume.
         """
-        ids = {p.name: i for i, p in enumerate(self.model.parameters())}
         duration = self.backward_time_s
         elapsed = 0.0
+        steps: list[tuple[float, tuple[ParameterSpec, ...]]] = []
         for event in self.model.backward_schedule():
             target = event.time_fraction * duration
+            delay = 0.0
             if target > elapsed:
-                yield self.sim.timeout(target - elapsed)
+                delay = target - elapsed
                 elapsed = target
-            for parameter in event.parameters:
-                store.put(ReadyGradient(
-                    parameter=parameter,
-                    grad_id=ids[parameter.name],
-                    ready_at=self.sim.now,
-                ))
-        if elapsed < duration:
-            yield self.sim.timeout(duration - elapsed)
-        store.put(BACKWARD_DONE)
+            steps.append((delay, event.parameters))
+        steps.append((duration - elapsed if elapsed < duration else 0.0, ()))
+        return steps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,17 +243,3 @@ class ConnectionPool:
             if item is _CLOSE:
                 return
             yield from serve(item)
-
-
-def drain_gradients(store: Store) -> t.Generator:
-    """Helper: collect every gradient of one backward pass from ``store``.
-
-    Yields control while waiting; returns the complete list.  Useful for
-    backends that only act on full-iteration boundaries.
-    """
-    gradients: list[ReadyGradient] = []
-    while True:
-        item = yield store.get()
-        if item is BACKWARD_DONE:
-            return gradients
-        gradients.append(t.cast(ReadyGradient, item))

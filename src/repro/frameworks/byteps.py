@@ -22,16 +22,13 @@ import typing as t
 import weakref
 
 from repro.frameworks.base import (
-    BACKWARD_DONE,
     ConnectionPool,
     DDLBackend,
     IterationStats,
-    ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
 )
 from repro.sim.network import FluidNetwork, Link
-from repro.sim.resources import Store
 
 
 class BytePSBackend(DDLBackend):
@@ -107,18 +104,15 @@ class BytePSBackend(DDLBackend):
         start = ctx.sim.now
         yield ctx.sim.timeout(ctx.forward_time_s)
 
-        gradients = Store(ctx.sim, name="byteps.gradients")
-        ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
         pool = ConnectionPool(ctx.sim, self.num_connections,
                               functools.partial(self._push_pull, ctx),
                               name="byteps")
-        while True:
-            item = yield gradients.get()
-            if item is BACKWARD_DONE:
-                break
-            grad = t.cast(ReadyGradient, item)
-            for part in self._partition(ctx.wire_bytes(grad.parameter)):
-                pool.submit(part)
+        for delay, parameters in ctx.backward_steps():
+            if delay:
+                yield ctx.sim.timeout(delay)
+            for parameter in parameters:
+                for part in self._partition(ctx.wire_bytes(parameter)):
+                    pool.submit(part)
         yield pool.close()
         yield ctx.sim.timeout(UPDATE_TIME_S)
         return IterationStats(

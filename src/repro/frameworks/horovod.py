@@ -19,13 +19,13 @@ from __future__ import annotations
 import typing as t
 
 from repro.frameworks.base import (
-    BACKWARD_DONE,
     DDLBackend,
     IterationStats,
     ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
 )
+from repro.sim.process import Process
 from repro.sim.resources import Store
 
 #: Queue sentinel: no more fusion buffers will be produced.
@@ -92,11 +92,12 @@ class HorovodBackend(DDLBackend):
         start = ctx.sim.now
         yield ctx.sim.timeout(ctx.forward_time_s)
 
-        gradients = Store(ctx.sim, name="horovod.gradients")
+        ready: list[ReadyGradient] = []
         comm_queue = Store(ctx.sim, name="horovod.comm")
-        ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
+        backward = ctx.sim.spawn(_backward(ctx, ready), name="backward")
         negotiator = ctx.sim.spawn(
-            self._negotiator(ctx, gradients, comm_queue), name="negotiator")
+            self._negotiator(ctx, backward, ready, comm_queue),
+            name="negotiator")
         comm = ctx.sim.spawn(self._comm_worker(ctx, comm_queue), name="comm")
 
         yield negotiator
@@ -107,22 +108,22 @@ class HorovodBackend(DDLBackend):
             compute_time_s=ctx.compute_time_s,
         )
 
-    def _negotiator(self, ctx: TrainContext, gradients: Store,
+    def _negotiator(self, ctx: TrainContext, backward: Process,
+                    ready: list[ReadyGradient],
                     comm_queue: Store) -> t.Generator:
-        """Cycle loop: gather ready tensors, negotiate, emit fusion buffers."""
+        """Cycle loop: gather ready tensors, negotiate, emit fusion buffers.
+
+        ``backward`` appends to ``ready``; each cycle takes everything
+        appended so far, and the cycle that finds ``backward`` finished
+        has taken the last tensor.
+        """
         backward_done = False
-        pending: list[ReadyGradient] = []
         staging: list = []
-        while not (backward_done and not pending and not len(gradients)):
+        while not backward_done:
             yield ctx.sim.timeout(self.cycle_time_s)
-            while True:
-                ok, item = gradients.try_get()
-                if not ok:
-                    break
-                if item is BACKWARD_DONE:
-                    backward_done = True
-                else:
-                    pending.append(t.cast(ReadyGradient, item))
+            backward_done = backward.triggered
+            pending = ready[:]
+            ready.clear()
             if not pending:
                 continue
             delay = self.negotiation_delay_s(ctx, len(pending))
@@ -133,7 +134,6 @@ class HorovodBackend(DDLBackend):
                 staging.append(ctx.sim.spawn(
                     _stage_then_enqueue(ctx, buffer_bytes, comm_queue),
                     name="horovod.stage"))
-            pending = []
         if staging:
             yield ctx.sim.all_of(staging)
         comm_queue.put(_COMM_DONE)
@@ -147,6 +147,22 @@ class HorovodBackend(DDLBackend):
                 return
             yield ctx.collectives.allreduce(
                 t.cast(float, buffer_bytes), algorithm=self.algorithm)
+
+
+def _backward(ctx: TrainContext, ready: list[ReadyGradient]) -> t.Generator:
+    """Walk the backward pass, appending each gradient to ``ready``.
+
+    Ids follow registration (forward) order; the fusion buffers pack
+    by them.
+    """
+    ids = {p.name: i for i, p in enumerate(ctx.model.parameters())}
+    for delay, parameters in ctx.backward_steps():
+        if delay:
+            yield ctx.sim.timeout(delay)
+        ready.extend(
+            ReadyGradient(parameter=parameter, grad_id=ids[parameter.name],
+                          ready_at=ctx.sim.now)
+            for parameter in parameters)
 
 
 def _stage_then_enqueue(ctx: TrainContext, buffer_bytes: float,

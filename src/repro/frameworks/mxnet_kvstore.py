@@ -20,15 +20,12 @@ import functools
 import typing as t
 
 from repro.frameworks.base import (
-    BACKWARD_DONE,
     ConnectionPool,
     DDLBackend,
     IterationStats,
-    ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
 )
-from repro.sim.resources import Store
 
 
 class MXNetKVStoreBackend(DDLBackend):
@@ -49,17 +46,14 @@ class MXNetKVStoreBackend(DDLBackend):
         start = ctx.sim.now
         yield ctx.sim.timeout(ctx.forward_time_s)
 
-        gradients = Store(ctx.sim, name="kvstore.gradients")
-        ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
         pool = ConnectionPool(ctx.sim, self.num_connections,
                               functools.partial(self._push_pull, ctx),
                               name="kvstore")
-        while True:
-            item = yield gradients.get()
-            if item is BACKWARD_DONE:
-                break
-            grad = t.cast(ReadyGradient, item)
-            pool.submit(ctx.wire_bytes(grad.parameter))
+        for delay, parameters in ctx.backward_steps():
+            if delay:
+                yield ctx.sim.timeout(delay)
+            for parameter in parameters:
+                pool.submit(ctx.wire_bytes(parameter))
         yield pool.close()
         yield ctx.sim.timeout(UPDATE_TIME_S)
         return IterationStats(

@@ -17,10 +17,8 @@ from __future__ import annotations
 import typing as t
 
 from repro.frameworks.base import (
-    BACKWARD_DONE,
     DDLBackend,
     IterationStats,
-    ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
 )
@@ -81,12 +79,10 @@ class PyTorchDDPBackend(DDLBackend):
         remaining = [len(names) for names in buckets]
         sizes = self._bucket_sizes(ctx, buckets)
 
-        gradients = Store(ctx.sim, name="ddp.gradients")
         comm_queue = Store(ctx.sim, name="ddp.comm")
-        ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
         hook = ctx.sim.spawn(
-            self._autograd_hook(ctx, gradients, comm_queue, bucket_of,
-                                remaining, sizes), name="ddp.hook")
+            self._autograd_hook(ctx, comm_queue, bucket_of, remaining,
+                                sizes), name="ddp.hook")
         comm = ctx.sim.spawn(self._comm_worker(ctx, comm_queue),
                              name="ddp.comm")
         yield hook
@@ -106,11 +102,10 @@ class PyTorchDDPBackend(DDLBackend):
             for names in buckets
         ]
 
-    def _autograd_hook(self, ctx: TrainContext, gradients: Store,
-                       comm_queue: Store, bucket_of: dict[str, int],
-                       remaining: list[int],
+    def _autograd_hook(self, ctx: TrainContext, comm_queue: Store,
+                       bucket_of: dict[str, int], remaining: list[int],
                        sizes: list[float]) -> t.Generator:
-        """Mark gradients; release buckets in order as they complete.
+        """Walk backward; release buckets in order as they complete.
 
         Each complete bucket is staged over PCIe (concurrently with the
         sends of earlier buckets) before entering the serial comm queue.
@@ -118,21 +113,20 @@ class PyTorchDDPBackend(DDLBackend):
         staging: list = []
         next_to_launch = 0
         complete = [count == 0 for count in remaining]
-        while True:
-            item = yield gradients.get()
-            if item is BACKWARD_DONE:
-                break
-            grad = t.cast(ReadyGradient, item)
-            index = bucket_of[grad.parameter.name]
-            remaining[index] -= 1
-            if remaining[index] == 0:
-                complete[index] = True
-                # DDP launches buckets strictly in bucket order.
-                while next_to_launch < len(sizes) and \
-                        complete[next_to_launch]:
-                    staging.append(ctx.sim.spawn(_stage_then_enqueue(
-                        ctx, sizes[next_to_launch], comm_queue)))
-                    next_to_launch += 1
+        for delay, parameters in ctx.backward_steps():
+            if delay:
+                yield ctx.sim.timeout(delay)
+            for parameter in parameters:
+                index = bucket_of[parameter.name]
+                remaining[index] -= 1
+                if remaining[index] == 0:
+                    complete[index] = True
+                    # DDP launches buckets strictly in bucket order.
+                    while next_to_launch < len(sizes) and \
+                            complete[next_to_launch]:
+                        staging.append(ctx.sim.spawn(_stage_then_enqueue(
+                            ctx, sizes[next_to_launch], comm_queue)))
+                        next_to_launch += 1
         if next_to_launch != len(sizes):
             # Straggler buckets launch at backward end (grads all arrived).
             while next_to_launch < len(sizes):

@@ -17,14 +17,13 @@ import pytest
 from repro.errors import SimulationError
 from repro.frameworks import BytePSBackend, MXNetKVStoreBackend
 from repro.frameworks.base import (
-    BACKWARD_DONE,
     IterationStats,
-    ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
 )
 from repro.models import get_model
-from repro.sim.resources import Resource, Store
+from repro.models.base import ParameterSpec
+from repro.sim.resources import Resource
 from repro.training.trainer import run_training
 
 
@@ -33,27 +32,26 @@ class _PerTransferIteration:
 
     pushpull_name: str
 
-    def _items(self, ctx: TrainContext, grad: ReadyGradient) -> list[float]:
+    def _items(self, ctx: TrainContext,
+               parameter: ParameterSpec) -> list[float]:
         raise NotImplementedError
 
     def iteration(self, ctx: TrainContext) -> t.Generator:
         start = ctx.sim.now
         yield ctx.sim.timeout(ctx.forward_time_s)
 
-        gradients = Store(ctx.sim, name="oracle.gradients")
-        ctx.sim.spawn(ctx.backward_producer(gradients), name="backward")
         connections = Resource(ctx.sim, self.num_connections,
                                name="oracle.connections")
         transfers: list = []
 
-        while True:
-            item = yield gradients.get()
-            if item is BACKWARD_DONE:
-                break
-            for size in self._items(ctx, t.cast(ReadyGradient, item)):
-                transfers.append(ctx.sim.spawn(
-                    self._gated(ctx, connections, size),
-                    name=self.pushpull_name))
+        for delay, parameters in ctx.backward_steps():
+            if delay:
+                yield ctx.sim.timeout(delay)
+            for parameter in parameters:
+                for size in self._items(ctx, parameter):
+                    transfers.append(ctx.sim.spawn(
+                        self._gated(ctx, connections, size),
+                        name=self.pushpull_name))
         if transfers:
             yield ctx.sim.all_of(transfers)
         yield ctx.sim.timeout(UPDATE_TIME_S)
@@ -74,15 +72,15 @@ class _PerTransferIteration:
 class OracleBytePS(_PerTransferIteration, BytePSBackend):
     pushpull_name = "byteps.pushpull"
 
-    def _items(self, ctx, grad):
-        return self._partition(ctx.wire_bytes(grad.parameter))
+    def _items(self, ctx, parameter):
+        return self._partition(ctx.wire_bytes(parameter))
 
 
 class OracleKVStore(_PerTransferIteration, MXNetKVStoreBackend):
     pushpull_name = "kvstore.pushpull"
 
-    def _items(self, ctx, grad):
-        return [ctx.wire_bytes(grad.parameter)]
+    def _items(self, ctx, parameter):
+        return [ctx.wire_bytes(parameter)]
 
 
 def iteration_times(backend, model, gpus):

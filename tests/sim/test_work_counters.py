@@ -17,17 +17,19 @@ from repro.models import get_model
 from repro.training.trainer import build_train_context
 
 #: ``(config, reallocations, flow visits, processes spawned, events
-#: scheduled)`` for one step after warm-up.
+#: scheduled)`` for one step after warm-up.  The iteration walks the
+#: backward schedule itself: one timeout per distinct ready instant, no
+#: event per gradient tensor.
 PINNED = (
-    (StepConfig("step-8r", 8), 22, 11, 30, 286),
-    (StepConfig("step-256r", 256), 44, 56, 30, 328),
+    (StepConfig("step-8r", 8), 22, 11, 29, 123),
+    (StepConfig("step-256r", 256), 44, 56, 29, 165),
     # Congested: node 0's hop and the hop into node 0 launch alone, the
     # other 30 hops and the NVLink fabrics as one bundle class each.
     (StepConfig("stress-256r-hier", 256, streams=24, model="vgg16",
                 algorithm="hierarchical", congested=True), 280, 404,
-     129, 820),
+     128, 786),
     (StepConfig("planner-128r-ina", 128, algorithm="ina",
-                core_oversubscription=4.0), 99, 220, 41, 583),
+                core_oversubscription=4.0), 99, 220, 40, 420),
 )
 
 
@@ -54,12 +56,13 @@ def test_one_step_solver_work(config, reallocations, visits, spawned,
     MXNetKVStoreBackend(), MXNetKVStoreBackend(num_connections=1)),
     ids=("byteps-4", "byteps-1", "kvstore-2", "kvstore-1"))
 def test_ps_step_spawns_one_process_per_connection(backend):
-    # The step itself, the backward producer and one process per
-    # connection — however many partitions or keys the model has.
+    # The step itself, which also walks the backward schedule, and one
+    # process per connection — however many partitions or keys the
+    # model has.
     model = get_model("resnet50")
     ctx = build_train_context(model, backend, 16, model.default_batch_size)
     simulate_step(ctx, backend)  # warm-up
     spawned = ctx.sim.processes_spawned
     simulate_step(ctx, backend)
-    assert ctx.sim.processes_spawned - spawned == 2 + backend.num_connections
+    assert ctx.sim.processes_spawned - spawned == 1 + backend.num_connections
     assert len(model.parameters()) > 100

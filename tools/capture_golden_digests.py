@@ -9,6 +9,11 @@ by even one ulp fails ``tests/sim/test_determinism_matrix.py``.
 Only regenerate after an *intentional*, reviewed behaviour change:
 
     PYTHONPATH=src python tools/capture_golden_digests.py
+
+Before writing, it compares each cell with the committed file and
+prints whether its ``iteration_times_s`` held.  A change that only
+reorders same-instant events moves digests but must print ``held``
+for every cell.
 """
 
 from __future__ import annotations
@@ -50,21 +55,31 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
 )
 
 
-def capture() -> dict:
+def capture(committed: dict) -> dict:
     digests = {}
     for cell in GOLDEN_CELLS:
         probe = run_probe(**cell)
         assert probe.digest is not None
-        digests[probe_key(**cell)] = {
-            "digest": probe.digest,
-            "iteration_times_s": list(probe.iteration_times_s),
-        }
-        print(f"{probe.key}: {probe.digest}", file=sys.stderr)
+        key = probe_key(**cell)
+        times = list(probe.iteration_times_s)
+        digests[key] = {"digest": probe.digest, "iteration_times_s": times}
+        old = committed.get(key)
+        if old is None:
+            times_state = "new"
+        elif old["iteration_times_s"] == times:
+            times_state = "held"
+        else:
+            times_state = "MOVED"
+        old_digest = old["digest"] if old else "-"
+        print(f"{key}: times {times_state}, digest {old_digest} -> "
+              f"{probe.digest}", file=sys.stderr)
     return digests
 
 
 def main() -> None:
-    GOLDEN_PATH.write_text(json.dumps(capture(), indent=2) + "\n")
+    committed = json.loads(GOLDEN_PATH.read_text()) \
+        if GOLDEN_PATH.exists() else {}
+    GOLDEN_PATH.write_text(json.dumps(capture(committed), indent=2) + "\n")
     print(f"wrote {GOLDEN_PATH}", file=sys.stderr)
 
 
