@@ -34,7 +34,14 @@ from repro.core.message_engine import (
     MessageLevelResult,
     run_message_level_iteration,
 )
-from repro.core.packing import AllReduceUnit, GradientPacker, TensorSlice, unpack
+from repro.core.packing import (
+    AllReduceUnit,
+    BackwardPlan,
+    GradientPacker,
+    TensorSlice,
+    plan_backward,
+    unpack,
+)
 from repro.core.perseus import PerseusSession, init
 from repro.core.registration import GradientRegistry
 from repro.core.runtime import AIACCConfig
@@ -55,6 +62,7 @@ __all__ = [
     "AIACCBackend",
     "AIACCConfig",
     "AllReduceUnit",
+    "BackwardPlan",
     "CheckpointManager",
     "CommStreamPool",
     "DecentralizedSynchronizer",
@@ -76,6 +84,7 @@ __all__ = [
     "train_step_with_topk",
     "check_finite",
     "init",
+    "plan_backward",
     "run_message_level_iteration",
     "synchronize_all",
     "translate_horovod_source",

@@ -9,7 +9,10 @@ One iteration runs the pipeline of Fig. 6:
    among the MPI daemons) confirms global readiness — asynchronously, off
    the critical path;
 3. synchronized gradients are **packed** into all-reduce units of the
-   tuned granularity (large tensors sliced, small tensors merged);
+   tuned granularity (large tensors sliced, small tensors merged).
+   Which gradients close each batch, and how it is sliced, is fixed by
+   the backward schedule's order, the wire sizes and the granularity,
+   so the plan is packed once per warm-up and replayed every step;
 4. each unit is dispatched to a free stream of the **communication
    thread pool** and all-reduced concurrently with other units over the
    same physical network — the multi-streamed communication that lifts
@@ -23,7 +26,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import PeerDeadError, ProcessInterrupt, TrainingError
-from repro.core.packing import GradientPacker, unpack
+from repro.core.packing import AllReduceUnit, BackwardPlan, plan_backward
 from repro.core.registration import GradientRegistry
 from repro.core.runtime import AIACCConfig, DETECTION_DEADLINE_CAP_FACTOR
 from repro.core.streams import CommStreamPool
@@ -52,6 +55,7 @@ class AIACCBackend(DDLBackend):
         self.config = config or AIACCConfig()
         self._pool: CommStreamPool | None = None
         self._registry: GradientRegistry | None = None
+        self._plan: BackwardPlan | None = None
         self._daemon: Resource | None = None
         self._checker: InvariantChecker | None = None
         #: Processes this iteration spawned that are still running;
@@ -74,12 +78,15 @@ class AIACCBackend(DDLBackend):
     # -- lifecycle -----------------------------------------------------------
 
     def warmup(self, ctx: TrainContext) -> t.Generator:
-        """Create stream contexts and the registry (one-time setup)."""
+        """Create stream contexts, the registry and the packing plan."""
         # The simulator attached its checker (if any) at construction.
         self._checker = ctx.sim.invariants
         self._registry = GradientRegistry()
         self._registry.register_model(ctx.model)
         self._registry.freeze()
+        self._plan = plan_backward(
+            ctx.backward_steps(), self._registry.grad_id, ctx.wire_bytes,
+            self.config.granularity_bytes)
         self._pool = CommStreamPool(
             ctx.sim,
             ctx.cluster.gpu_device,
@@ -154,14 +161,15 @@ class AIACCBackend(DDLBackend):
     # -- iteration -----------------------------------------------------------
 
     def iteration(self, ctx: TrainContext) -> t.Generator:
-        if self._pool is None or self._registry is None:
+        if self._pool is None or self._registry is None \
+                or self._plan is None:
             raise TrainingError(
                 "AIACCBackend.warmup() must run before iterations"
             )
         pool = self._pool
-        registry = self._registry
-        registry.reset_vector()
-        packer = GradientPacker(self.config.granularity_bytes)
+        plan = self._plan
+        self._registry.reset_vector()
+        sync_vector = self._registry.sync_vector
 
         timeline = ctx.obs.timeline
         self._step += 1
@@ -175,32 +183,26 @@ class AIACCBackend(DDLBackend):
 
         unit_processes: list[Process] = []
         dispatch_processes: list[Process] = []
-        batch: list[tuple[int, float]] = []
-        batch_bytes = 0.0
 
         # The framework hook: each schedule point's gradients enter the
-        # gradient queue in one resume.
-        for delay, parameters in ctx.backward_steps():
+        # gradient queue in one resume, and the batches the plan closes
+        # there go to the daemon.
+        for (delay, _parameters), (grad_ids, batches) in zip(
+                ctx.backward_steps(), plan.points, strict=True):
             if delay:
                 yield ctx.sim.timeout(delay)
-            for parameter in parameters:
-                grad_id = registry.mark_ready(parameter.name)
-                size = ctx.wire_bytes(parameter)
-                batch.append((grad_id, size))
-                batch_bytes += size
-                self._m_gradients.inc()
-                if batch_bytes >= self.config.granularity_bytes:
-                    dispatch_processes.append(self._track(ctx.sim.spawn(
-                        self._dispatch(ctx, packer, batch, unit_processes),
-                        name="aiacc.dispatch")))
-                    batch = []
-                    batch_bytes = 0.0
+            sync_vector[grad_ids] = 1
+            self._m_gradients.inc(len(grad_ids))
+            for units in batches:
+                dispatch_processes.append(self._track(ctx.sim.spawn(
+                    self._dispatch(ctx, units, unit_processes),
+                    name="aiacc.dispatch")))
 
         pool.compute_finished()
         timeline.span("backward", "compute", 0, backward_start, ctx.sim.now)
-        if batch:
+        if plan.tail:
             dispatch_processes.append(self._track(ctx.sim.spawn(
-                self._dispatch(ctx, packer, batch, unit_processes),
+                self._dispatch(ctx, plan.tail, unit_processes),
                 name="aiacc.dispatch")))
 
         # All dispatches must finish creating units before the barrier on
@@ -290,10 +292,10 @@ class AIACCBackend(DDLBackend):
                             suspected_at_s=t.cast(float, suspected_at),
                             confirmed_at_s=ctx.sim.now)
 
-    def _dispatch(self, ctx: TrainContext, packer: GradientPacker,
-                  batch: list[tuple[int, float]],
+    def _dispatch(self, ctx: TrainContext,
+                  units: tuple[AllReduceUnit, ...],
                   unit_processes: list[Process]) -> t.Generator:
-        """Synchronize a gradient batch, pack it, launch its units.
+        """Synchronize a planned gradient batch, launch its units.
 
         The daemon CPU work (relaying the bit-vector ring, launching
         units) is serialized on the single MPI daemon thread; the network
@@ -303,7 +305,6 @@ class AIACCBackend(DDLBackend):
         pool = t.cast(CommStreamPool, self._pool)
         daemon = t.cast(Resource, self._daemon)
         spec = ctx.cluster.spec
-        units = packer.pack(batch)
         if self._checker is not None:
             self._checker.check_unit_plan(
                 units, self.config.granularity_bytes, rank=0)
@@ -403,5 +404,3 @@ class AIACCBackend(DDLBackend):
 
             unit_processes.append(self._track(ctx.sim.spawn(
                 unit_process(), name=f"aiacc.unit{unit.unit_id}")))
-        # Account for the unpack/regroup callback bookkeeping.
-        unpack(units)

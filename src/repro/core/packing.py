@@ -18,9 +18,13 @@ concurrent streams instead of crawling through one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as t
 
+import numpy as np
+
 from repro.errors import PackingError
+from repro.models.base import ParameterSpec
 
 #: Minimum slice size, as a fraction of the packing granularity.  Byte
 #: counts are floats, so closing a unit at *exact* granularity lets
@@ -56,7 +60,7 @@ class AllReduceUnit:
     unit_id: int
     slices: tuple[TensorSlice, ...]
 
-    @property
+    @functools.cached_property
     def nbytes(self) -> float:
         return sum(s.nbytes for s in self.slices)
 
@@ -148,3 +152,67 @@ def unpack(units: t.Sequence[AllReduceUnit]) -> dict[int, float]:
             position += piece.nbytes
         totals[grad_id] = position
     return totals
+
+
+class PlanPoint(t.NamedTuple):
+    """One backward schedule point of a :class:`BackwardPlan`."""
+
+    #: Gradient ids of the point's parameters (sync-vector indices).
+    grad_ids: np.ndarray
+    #: The units of each batch that closes at this point, in dispatch
+    #: order.
+    batches: tuple[tuple[AllReduceUnit, ...], ...]
+
+
+class BackwardPlan(t.NamedTuple):
+    """An iteration's packing, fixed by the backward schedule."""
+
+    #: One entry per backward step, the tail step included.
+    points: tuple[PlanPoint, ...]
+    #: Units of the batch still open when the pass ends; empty when the
+    #: last gradient closed a batch.
+    tail: tuple[AllReduceUnit, ...]
+
+
+def plan_backward(
+        steps: t.Iterable[tuple[float, t.Sequence[ParameterSpec]]],
+        grad_id: t.Callable[[str], int],
+        wire_bytes: t.Callable[[ParameterSpec], float],
+        granularity_bytes: float) -> BackwardPlan:
+    """Pack one backward pass ahead of time (paper §V, Fig. 6).
+
+    ``steps`` are ``(delay_s, parameters)`` schedule points as
+    :meth:`~repro.frameworks.base.TrainContext.backward_steps` returns
+    them.  Gradients join the open batch in schedule order; the batch
+    closes once its accumulated wire bytes reach ``granularity_bytes``.
+    Which batches close where, and how each is sliced, depends on the
+    order, the sizes and the granularity only — never on simulated
+    time — so one plan serves every iteration.  One packer numbers the
+    units in dispatch order, and each batch is unpacked once here, so a
+    malformed plan raises :class:`PackingError` before any iteration.
+    """
+    packer = GradientPacker(granularity_bytes)
+
+    def close(batch: list[tuple[int, float]]) -> tuple[AllReduceUnit, ...]:
+        units = tuple(packer.pack(batch))
+        unpack(units)
+        return units
+
+    points: list[PlanPoint] = []
+    batch: list[tuple[int, float]] = []
+    batch_bytes = 0.0
+    for _delay, parameters in steps:
+        ids: list[int] = []
+        closed: list[tuple[AllReduceUnit, ...]] = []
+        for parameter in parameters:
+            gid = grad_id(parameter.name)
+            size = wire_bytes(parameter)
+            ids.append(gid)
+            batch.append((gid, size))
+            batch_bytes += size
+            if batch_bytes >= granularity_bytes:
+                closed.append(close(batch))
+                batch = []
+                batch_bytes = 0.0
+        points.append(PlanPoint(np.array(ids, dtype=np.intp), tuple(closed)))
+    return BackwardPlan(tuple(points), close(batch) if batch else ())

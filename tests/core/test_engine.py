@@ -150,13 +150,22 @@ class TestAIACCBackend:
     def test_registry_counts_units_and_syncs(self):
         from repro.obs import Observability
 
+        from repro.models import get_model
+
         obs = Observability()
-        run_training("resnet50", AIACCBackend(), 16, measure_iterations=1,
-                     warmup_iterations=0, obs=obs)
+        run_training("resnet50", AIACCBackend(), 16, measure_iterations=2,
+                     warmup_iterations=1, obs=obs)
         registry = obs.registry
-        assert registry.get("aiacc_units_total").value() > 0
+        iterations = registry.get("aiacc_iterations_total").value()
+        assert iterations == 3
+        units = registry.get("aiacc_units_total").value()
+        assert units > 0
         assert registry.get("aiacc_sync_rounds_total").value() > 0
-        assert registry.get("aiacc_gradients_total").value() > 100
+        # Every gradient of every iteration is counted exactly once, and
+        # every launched unit observes its wire size once.
+        assert registry.get("aiacc_gradients_total").value() == \
+            iterations * len(get_model("resnet50").parameters())
+        assert registry.get("aiacc_unit_bytes").state().count == units
 
     def test_fp16_compression_reduces_comm_time(self):
         plain = run_training(

@@ -86,3 +86,17 @@ class TestPackingProperties:
         assert [u.unit_id for u in units] == list(range(len(units)))
         emitted = [(s.grad_id, s.offset) for u in units for s in u.slices]
         assert emitted == sorted(emitted)
+
+    @settings(max_examples=200, deadline=None)
+    @given(granularity=st.floats(1.0, 5_000.0),
+           sizes=st.lists(st.floats(1e-3, 20_000.0), min_size=1,
+                          max_size=20))
+    def test_unit_nbytes_is_the_left_to_right_slice_sum(self, granularity,
+                                                        sizes):
+        # ``nbytes`` is summed once per unit and cached; it must be the
+        # very float the left-to-right slice sum gives, on every read.
+        units = GradientPacker(granularity).pack(list(enumerate(sizes)))
+        for unit in units:
+            expected = sum(s.nbytes for s in unit.slices)
+            assert unit.nbytes == expected
+            assert unit.nbytes == expected
