@@ -12,6 +12,15 @@ exactly the same flow set at exactly the same rates, so the representative
 rates — and therefore all completion times — are exact while the event
 count drops by a factor of ``num_nodes``.
 
+Every timed collective is a list of *phases*, and one sequencing rule
+runs them (:meth:`TimedCollectives._chain`): a phase launches its runs
+as one fan-out; once the fan-out drains, the phase's delay passes and
+the next phase launches; the last delay fires the collective's event.
+The flat ring, the half-ring primitives and all-to-all are one phase,
+the hierarchical all-reduce three and the planner schedules one per
+:class:`~repro.collectives.planner.SchedulePhase`.  The chain runs on
+event callbacks, not a process.
+
 Every fan-out launches the same way (:meth:`TimedCollectives.
 _launch_runs`): consecutive flows sharing (bytes, cap, weight) form a
 *uniform run*.  The members of a run that share no link with another
@@ -20,15 +29,14 @@ member of the launch split into classes of capacity-identical members
 two or more enters as one :class:`~repro.sim.network.GroupFlow`, every
 other member as a plain flow, so one congested hop no longer unbundles
 the rest of its ring, while hops sharing an oversubscribed core enter
-member by member.  A launch with a lone-member run enters the network
-in one :meth:`~repro.sim.network.FluidNetwork.start_flows` insert; a
-launch whose runs all have two or more members enters one insert per
-run.  Both are exact at every scale: bundled members are link-disjoint
-and capacity-identical, so each one's rate is bit-equal to the group's,
-and no simulated time passes between a launch's same-instant arrivals.
-The ring, half-ring and hierarchical launches classify once per
+member by member.  The whole fan-out enters the network in one
+:meth:`~repro.sim.network.FluidNetwork.start_flows` insert.  This is
+exact at every scale: bundled members are link-disjoint and
+capacity-identical, so each one's rate is bit-equal to the group's, and
+no simulated time passes between a launch's same-instant arrivals.
+The ring, half-ring and hierarchical runs are classified once per
 collectives instance (:class:`_WirePlan`); planner phases, broadcast
-and all-to-all classify per call.
+and all-to-all are classified when their phases are built.
 """
 
 from __future__ import annotations
@@ -55,6 +63,10 @@ _Spec = tuple[t.Sequence[Link], float, "float | None", int]
 #: :class:`_Classes`) plus their shared bytes, per-stream cap and weight.
 _Run = tuple["_Classes | t.Sequence[t.Sequence[Link]]", float,
              "float | None", int]
+#: One phase of a collective: the runs it launches as one fan-out, the
+#: delay that follows their drain, and the name of its
+#: ``collective.<name>`` timeline span (``None`` records none).
+_Phase = tuple[t.Sequence[_Run], float, "str | None"]
 
 #: Device-wide synchronization between the hierarchical algorithm's three
 #: phases.  Every GPU of a node must finish phase k before phase k+1 may
@@ -159,10 +171,6 @@ class TimedCollectives:
         self.sim = sim
         self.network = network
         self.cluster = cluster
-        #: Tenant identity stamped on every launched flow (the cluster
-        #: runtime sets it so shared-fabric fairness and telemetry can
-        #: attribute traffic per job; ``None`` = single-job semantics).
-        self.job: str | None = None
         #: Observability sink for collective telemetry.
         self.obs = obs or Observability.disabled()
         registry = self.obs.registry
@@ -338,10 +346,8 @@ class TimedCollectives:
             intra_bytes = g * size_bytes * (g - 1) / n
             for fabric in self._nvlink_fabrics():
                 specs.append(([fabric], intra_bytes, None, 1))
-        if not specs:
-            return self.sim.timeout(alpha)
-        done = self.sim.all_of(self._launch(specs, label="alltoall"))
-        return self._after(done, alpha)
+        runs = _classify(self.network, _uniform_runs(specs))
+        return self._chain([(runs, alpha, None)], "alltoall")
 
     def reduce_scatter(self, size_bytes: float) -> Event:
         """Timed ring reduce-scatter of ``size_bytes`` (half a ring
@@ -366,9 +372,8 @@ class TimedCollectives:
             alpha = (n - 1) * spec.inter_node_latency_s
         else:
             alpha = (n - 1) * spec.intra_node_latency_s
-        done = self.sim.all_of(
-            self._launch_wire(self._wire_plan(), hop_bytes, 1.0, name))
-        return self._after(done, alpha)
+        runs = self._wire_runs(self._wire_plan(), hop_bytes, 1.0)
+        return self._chain([(runs, alpha, None)], name)
 
     # -- algorithm schedules -------------------------------------------------
 
@@ -401,38 +406,69 @@ class TimedCollectives:
 
     def _launch_runs(self, runs: t.Sequence[_Run],
                      label: str | None) -> list[Event]:
-        """Launch a same-instant fan-out: the one launch rule.
+        """Launch a same-instant fan-out in one insert: the launch rule.
 
         Runs whose members were classified (:class:`_Classes`) enter as
         their classes — a flow group per class of two or more, a plain
-        flow per lone member; other members enter one flow each.  A
-        launch with a lone-member run enters in one insert.  When every
-        run has two or more members, each run enters in an insert of
-        its own, an unclassified run as one flow group: the determinism
-        matrix pins the fault probes' event sequences, superseded
-        wakeups included, and one insert per launch would drop some.
-        ``label`` names the algorithm for telemetry; ``self.job`` names
-        the tenant.
+        flow per lone member; other members enter one flow each.
+        ``label`` names the algorithm for telemetry.
         """
-        network = self.network
-        job = self.job
-        if all(len(members) >= 2 for members, _size, _cap, _weight in runs):
-            events: list[Event] = []
-            for members, size_bytes, cap, weight in runs:
-                if members.__class__ is _Classes:
-                    events += network.start_flows(
-                        [(part, size_bytes, cap, weight)
-                         for part in members.parts], label=label, job=job)
-                else:
-                    events.append(network.start_flow_group(
-                        members, size_bytes, rate_cap_bps=cap,
-                        weight=weight, label=label, job=job))
-            return events
-        return network.start_flows(
+        return self.network.start_flows(
             [(part, size_bytes, cap, weight)
              for members, size_bytes, cap, weight in runs
              for part in (members.parts if members.__class__ is _Classes
-                          else members)], label=label, job=job)
+                          else members)], label=label)
+
+    def _chain(self, phases: t.Sequence[_Phase], label: str,
+               **span_meta: object) -> Event:
+        """Run ``phases`` back to back: the one sequencing rule.
+
+        A phase launches its runs as one fan-out (a phase with no runs
+        is only its delay); once the fan-out drains, the phase's delay
+        passes and the next phase launches.  The last delay schedules
+        the returned event directly.  Each delay is ``now + delay``
+        taken at the drain instant, and a zero delay between phases
+        launches the next one at once.  A named phase records its
+        ``collective.<name>`` span, from its launch to the end of its
+        delay, with ``algorithm=label`` and ``span_meta``.  A fan-out
+        that never drains — a cancelled flow — stalls the chain: no
+        later phase launches and the event never fires.
+        """
+        sim = self.sim
+        timeline = self.obs.timeline
+        done = sim.event(name=label)
+        last = len(phases) - 1
+
+        def launch(index: int) -> None:
+            runs, delay_s, span = phases[index]
+            start = sim.now
+
+            def finish(_ev: Event | None = None) -> None:
+                if span is not None:
+                    timeline.span(f"collective.{span}", "collective",
+                                  NETWORK_RANK, start, sim.now,
+                                  algorithm=label, **span_meta)
+                if index < last:
+                    launch(index + 1)
+
+            def drained(_ev: Event | None = None) -> None:
+                if index == last:
+                    if span is not None:
+                        done.add_callback(finish)
+                    sim._schedule_at(sim.now + delay_s, done, None)
+                elif delay_s:
+                    sim.timeout(delay_s).add_callback(finish)
+                else:
+                    finish()
+
+            if runs:
+                sim.all_of(self._launch_runs(runs, label)).add_callback(
+                    drained)
+            else:
+                drained()
+
+        launch(0)
+        return done
 
     def _wire_plan(self) -> _WirePlan:
         """Build (once) the launch skeleton of the wire fan-outs.
@@ -465,9 +501,9 @@ class TimedCollectives:
             _classify(network, _uniform_runs(nvlink)), slowest_base)
         return plan
 
-    def _launch_wire(self, plan: _WirePlan, hop_bytes: float,
-                     cap_scale: float, label: str) -> list[Event]:
-        """Launch one ``hop_bytes`` transfer per wire-plan member.
+    def _wire_runs(self, plan: _WirePlan, hop_bytes: float,
+                   cap_scale: float) -> list[_Run]:
+        """One ``hop_bytes`` run per wire-plan run, hops then NVLink.
 
         The plan's unscaled caps are multiplied by ``cap_scale``; only
         the per-call Python work of building the fan-out is elided.
@@ -476,15 +512,13 @@ class TimedCollectives:
                 for members, base in plan.hops]
         runs.extend((members, hop_bytes, None, 1)
                     for members, in plan.nvlink)
-        return self._launch_runs(runs, label)
+        return runs
 
     def _ring(self, size_bytes: float, cap_scale: float = 1.0) -> Event:
         """Flat topology-aware ring across all ``n`` GPUs."""
         n = self.cluster.world_size
         m = self.cluster.num_nodes
         spec = self.cluster.spec
-        if n == 1:
-            return self.sim.timeout(0.0)
         hop_bytes = ring_volume_bytes(size_bytes, n)
         steps = 2 * (n - 1)
         plan = self._wire_plan()
@@ -507,9 +541,8 @@ class TimedCollectives:
             alpha = steps * spec.intra_node_latency_s
             fill = 0.0
 
-        all_flows = self.sim.all_of(
-            self._launch_wire(plan, hop_bytes, cap_scale, "ring"))
-        return self._after(all_flows, alpha + fill)
+        runs = self._wire_runs(plan, hop_bytes, cap_scale)
+        return self._chain([(runs, alpha + fill, None)], "ring")
 
     def _hierarchical(self, size_bytes: float,
                       cap_scale: float = 1.0) -> Event:
@@ -520,41 +553,30 @@ class TimedCollectives:
             return self._ring(size_bytes, cap_scale)
         spec = self.cluster.spec
         plan = self._wire_plan()
+        intra_latency = (g - 1) * spec.intra_node_latency_s
 
-        def schedule() -> t.Generator:
-            # Phase 1: intra-node reduce-scatter.
-            rs_bytes = size_bytes * (g - 1) / g
-            yield self.sim.all_of(self._launch_runs(
-                [(members, rs_bytes, None, 1) for members, in plan.nvlink],
-                "hierarchical"))
-            yield self.sim.timeout((g - 1) * spec.intra_node_latency_s
-                                   + HIERARCHICAL_PHASE_SYNC_S)
-
-            # Phase 2: g parallel inter-node rings on 1/g shards.  The g
-            # rings of one hop are symmetric clones (same links, same
-            # cap), so they run as one weighted flow per hop.
-            shard_hop = ring_volume_bytes(size_bytes / g, m)
-            yield self.sim.all_of(self._launch_runs(
-                [(members, shard_hop * g, base * cap_scale, g)
-                 for members, base in plan.hops], "hierarchical"))
-            # Exposed overhead is paced by the slowest hop of the
-            # inter-node rings, not the default node's NIC.
-            shard_chunk_tx = (size_bytes / g / m) * 8.0 / \
-                (plan.slowest_base * cap_scale)
-            exposed = max(0.0, spec.transport.per_message_overhead_s
-                          - shard_chunk_tx)
-            yield self.sim.timeout(
-                2 * (m - 1) * (spec.inter_node_latency_s + exposed)
-                + HIERARCHICAL_PHASE_SYNC_S)
-
-            # Phase 3: intra-node all-gather.
-            ag_bytes = size_bytes * (g - 1) / g
-            yield self.sim.all_of(self._launch_runs(
-                [(members, ag_bytes, None, 1) for members, in plan.nvlink],
-                "hierarchical"))
-            yield self.sim.timeout((g - 1) * spec.intra_node_latency_s)
-
-        return self.sim.spawn(schedule(), name="hier.allreduce")
+        # Phases 1 and 3: intra-node reduce-scatter and all-gather.
+        intra_bytes = size_bytes * (g - 1) / g
+        intra = [(members, intra_bytes, None, 1)
+                 for members, in plan.nvlink]
+        # Phase 2: g parallel inter-node rings on 1/g shards.  The g
+        # rings of one hop are symmetric clones (same links, same cap),
+        # so they run as one weighted flow per hop.
+        shard_hop = ring_volume_bytes(size_bytes / g, m)
+        rings = [(members, shard_hop * g, base * cap_scale, g)
+                 for members, base in plan.hops]
+        # Exposed overhead is paced by the slowest hop of the inter-node
+        # rings, not the default node's NIC.
+        shard_chunk_tx = (size_bytes / g / m) * 8.0 / \
+            (plan.slowest_base * cap_scale)
+        exposed = max(0.0, spec.transport.per_message_overhead_s
+                      - shard_chunk_tx)
+        return self._chain([
+            (intra, intra_latency + HIERARCHICAL_PHASE_SYNC_S, None),
+            (rings, 2 * (m - 1) * (spec.inter_node_latency_s + exposed)
+             + HIERARCHICAL_PHASE_SYNC_S, None),
+            (intra, intra_latency, None),
+        ], "hierarchical")
 
     def _planned(self, algorithm: str, size_bytes: float,
                  cap_scale: float) -> Event:
@@ -565,31 +587,9 @@ class TimedCollectives:
         schedule = planner.plan(algorithm, size_bytes, cap_scale)
         if not schedule.phases:
             return self.sim.timeout(0.0)
-        timeline = self.obs.timeline
-
-        def run() -> t.Generator:
-            for phase in schedule.phases:
-                phase_start = self.sim.now
-                specs = [flow.as_request() for flow in phase.flows
-                         if flow.size_bytes > 0]
-                if specs:
-                    yield self.sim.all_of(
-                        self._launch(specs, label=algorithm))
-                if phase.latency_s > 0:
-                    yield self.sim.timeout(phase.latency_s)
-                timeline.span(
-                    f"collective.{phase.name}", "collective",
-                    NETWORK_RANK, phase_start, self.sim.now,
-                    algorithm=algorithm, bytes=size_bytes)
-
-        return self.sim.spawn(run(), name=f"planned.{algorithm}")
-
-    def _after(self, event: Event, delay_s: float) -> Event:
-        """An event firing ``delay_s`` after ``event`` triggers."""
-        done = self.sim.event(name="after")
-
-        def _chain(_ev: Event) -> None:
-            self.sim._schedule_at(self.sim.now + delay_s, done, None)
-
-        event.add_callback(_chain)
-        return done
+        network = self.network
+        return self._chain([
+            (_classify(network, _uniform_runs(
+                flow.as_request() for flow in phase.flows
+                if flow.size_bytes > 0)), phase.latency_s, phase.name)
+            for phase in schedule.phases], algorithm, bytes=size_bytes)

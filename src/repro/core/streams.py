@@ -48,10 +48,6 @@ class CommStreamPool:
         #: elastic runtime bumps it so unit spans from different
         #: topologies are distinguishable in exported traces.
         self.epoch = 0
-        #: Tenant identity for multi-job fabrics: when set, every unit
-        #: span carries ``job`` in its meta so exported traces separate
-        #: lanes per job (mirrors ``Flow.job`` on the network).
-        self.job: str | None = None
         #: Free CUDA-stream indices, smallest-first so the same workload
         #: lands units on the same lanes run after run.
         self._free_ids = list(range(num_streams))
@@ -177,8 +173,6 @@ class CommStreamPool:
             diag = self.obs.diag
             if self.epoch:
                 span_meta = dict(span_meta, epoch=self.epoch)
-            if self.job is not None:
-                span_meta = dict(span_meta, job=self.job)
             for stream_id in held:
                 heapq.heappush(self._free_ids, stream_id)
                 timeline.span(label, "network", self.rank, granted_at,

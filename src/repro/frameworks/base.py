@@ -201,12 +201,13 @@ class ConnectionPool:
     """``size`` long-lived connection processes serving transfers FIFO.
 
     The parameter-server baselines pipeline their push/pulls over a
-    fixed number of connections.  Rather than spawning one process per
-    transfer that then queues for a connection, each connection is one
-    process that takes the next submitted item from a FIFO store and
-    runs ``serve(item)`` to completion.  Items start in submission
-    order, each on the first connection to become free — the grant order
-    of a FIFO semaphore — so the pool spawns ``size`` processes per
+    fixed number of connections, and Horovod and DDP run their serial
+    all-reduces on one.  Rather than spawning one process per transfer
+    that then queues for a connection, each connection is one process
+    that takes the next submitted item from a FIFO store and runs
+    ``serve(item)`` to completion.  Items start in submission order,
+    each on the first connection to become free — the grant order of a
+    FIFO semaphore — so the pool spawns ``size`` processes per
     iteration instead of one per transfer.
 
     :meth:`close` ends every connection once the queue drains and
@@ -229,6 +230,17 @@ class ConnectionPool:
     def submit(self, item: object) -> None:
         """Queue ``item`` for the next free connection."""
         self._queue.put(item)
+
+    def stage(self, ctx: TrainContext, nbytes: float) -> t.Generator:
+        """Copy ``nbytes`` over PCIe, then submit them.
+
+        Spawned once per fusion buffer or bucket: staging overlaps the
+        sends of earlier items (a separate copy engine).
+        """
+        staging = ctx.staging_time_s(nbytes)
+        if staging:
+            yield ctx.sim.timeout(staging)
+        self.submit(nbytes)
 
     def close(self) -> Event:
         """Close every connection after the queued items; the join event."""

@@ -16,9 +16,11 @@ attacks.
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from repro.frameworks.base import (
+    ConnectionPool,
     DDLBackend,
     IterationStats,
     ReadyGradient,
@@ -26,10 +28,6 @@ from repro.frameworks.base import (
     UPDATE_TIME_S,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Store
-
-#: Queue sentinel: no more fusion buffers will be produced.
-_COMM_DONE = object()
 
 
 class HorovodBackend(DDLBackend):
@@ -93,15 +91,13 @@ class HorovodBackend(DDLBackend):
         yield ctx.sim.timeout(ctx.forward_time_s)
 
         ready: list[ReadyGradient] = []
-        comm_queue = Store(ctx.sim, name="horovod.comm")
+        # The single comm thread: fusion buffers all-reduce serially.
+        comm = ConnectionPool(ctx.sim, 1,
+                              functools.partial(self._allreduce, ctx),
+                              name="horovod.comm")
         backward = ctx.sim.spawn(_backward(ctx, ready), name="backward")
-        negotiator = ctx.sim.spawn(
-            self._negotiator(ctx, backward, ready, comm_queue),
-            name="negotiator")
-        comm = ctx.sim.spawn(self._comm_worker(ctx, comm_queue), name="comm")
-
-        yield negotiator
-        yield comm
+        yield ctx.sim.spawn(self._negotiator(ctx, backward, ready, comm),
+                            name="negotiator")
         yield ctx.sim.timeout(UPDATE_TIME_S)
         return IterationStats(
             iteration_time_s=ctx.sim.now - start,
@@ -110,12 +106,13 @@ class HorovodBackend(DDLBackend):
 
     def _negotiator(self, ctx: TrainContext, backward: Process,
                     ready: list[ReadyGradient],
-                    comm_queue: Store) -> t.Generator:
+                    comm: ConnectionPool) -> t.Generator:
         """Cycle loop: gather ready tensors, negotiate, emit fusion buffers.
 
         ``backward`` appends to ``ready``; each cycle takes everything
         appended so far, and the cycle that finds ``backward`` finished
-        has taken the last tensor.
+        has taken the last tensor.  Returns once ``comm`` has sent every
+        buffer.
         """
         backward_done = False
         staging: list = []
@@ -132,21 +129,16 @@ class HorovodBackend(DDLBackend):
                 # PCIe staging into the fusion buffer overlaps with the
                 # network send of earlier buffers (separate copy engine).
                 staging.append(ctx.sim.spawn(
-                    _stage_then_enqueue(ctx, buffer_bytes, comm_queue),
-                    name="horovod.stage"))
+                    comm.stage(ctx, buffer_bytes), name="horovod.stage"))
         if staging:
             yield ctx.sim.all_of(staging)
-        comm_queue.put(_COMM_DONE)
+        yield comm.close()
 
-    def _comm_worker(self, ctx: TrainContext,
-                     comm_queue: Store) -> t.Generator:
-        """Single-stream serial all-reduce of fusion buffers."""
-        while True:
-            buffer_bytes = yield comm_queue.get()
-            if buffer_bytes is _COMM_DONE:
-                return
-            yield ctx.collectives.allreduce(
-                t.cast(float, buffer_bytes), algorithm=self.algorithm)
+    def _allreduce(self, ctx: TrainContext,
+                   buffer_bytes: float) -> t.Generator:
+        """Single-stream all-reduce of one fusion buffer."""
+        yield ctx.collectives.allreduce(buffer_bytes,
+                                        algorithm=self.algorithm)
 
 
 def _backward(ctx: TrainContext, ready: list[ReadyGradient]) -> t.Generator:
@@ -163,14 +155,3 @@ def _backward(ctx: TrainContext, ready: list[ReadyGradient]) -> t.Generator:
             ReadyGradient(parameter=parameter, grad_id=ids[parameter.name],
                           ready_at=ctx.sim.now)
             for parameter in parameters)
-
-
-def _stage_then_enqueue(ctx: TrainContext, buffer_bytes: float,
-                        comm_queue: Store) -> t.Generator:
-    """Copy a fusion buffer over PCIe, then hand it to the comm thread."""
-    staging = ctx.staging_time_s(buffer_bytes)
-    if staging:
-        yield ctx.sim.timeout(staging)
-    comm_queue.put(buffer_bytes)
-    return
-    yield  # pragma: no cover - keeps this a generator when staging == 0

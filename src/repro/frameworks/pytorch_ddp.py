@@ -14,18 +14,17 @@ efficiency.
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from repro.frameworks.base import (
+    ConnectionPool,
     DDLBackend,
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
 )
 from repro.models.base import ParameterSpec
-from repro.sim.resources import Store
-
-_COMM_DONE = object()
 
 
 class PyTorchDDPBackend(DDLBackend):
@@ -79,14 +78,13 @@ class PyTorchDDPBackend(DDLBackend):
         remaining = [len(names) for names in buckets]
         sizes = self._bucket_sizes(ctx, buckets)
 
-        comm_queue = Store(ctx.sim, name="ddp.comm")
-        hook = ctx.sim.spawn(
-            self._autograd_hook(ctx, comm_queue, bucket_of, remaining,
-                                sizes), name="ddp.hook")
-        comm = ctx.sim.spawn(self._comm_worker(ctx, comm_queue),
-                             name="ddp.comm")
-        yield hook
-        yield comm
+        # The single NCCL stream: buckets all-reduce serially.
+        comm = ConnectionPool(ctx.sim, 1,
+                              functools.partial(self._allreduce, ctx),
+                              name="ddp.comm")
+        yield ctx.sim.spawn(
+            self._autograd_hook(ctx, comm, bucket_of, remaining, sizes),
+            name="ddp.hook")
         yield ctx.sim.timeout(UPDATE_TIME_S)
         return IterationStats(
             iteration_time_s=ctx.sim.now - start,
@@ -102,13 +100,14 @@ class PyTorchDDPBackend(DDLBackend):
             for names in buckets
         ]
 
-    def _autograd_hook(self, ctx: TrainContext, comm_queue: Store,
+    def _autograd_hook(self, ctx: TrainContext, comm: ConnectionPool,
                        bucket_of: dict[str, int], remaining: list[int],
                        sizes: list[float]) -> t.Generator:
         """Walk backward; release buckets in order as they complete.
 
         Each complete bucket is staged over PCIe (concurrently with the
         sends of earlier buckets) before entering the serial comm queue.
+        Returns once ``comm`` has sent every bucket.
         """
         staging: list = []
         next_to_launch = 0
@@ -124,37 +123,23 @@ class PyTorchDDPBackend(DDLBackend):
                     # DDP launches buckets strictly in bucket order.
                     while next_to_launch < len(sizes) and \
                             complete[next_to_launch]:
-                        staging.append(ctx.sim.spawn(_stage_then_enqueue(
-                            ctx, sizes[next_to_launch], comm_queue)))
+                        staging.append(ctx.sim.spawn(comm.stage(
+                            ctx, sizes[next_to_launch])))
                         next_to_launch += 1
         if next_to_launch != len(sizes):
             # Straggler buckets launch at backward end (grads all arrived).
             while next_to_launch < len(sizes):
-                staging.append(ctx.sim.spawn(_stage_then_enqueue(
-                    ctx, sizes[next_to_launch], comm_queue)))
+                staging.append(ctx.sim.spawn(comm.stage(
+                    ctx, sizes[next_to_launch])))
                 next_to_launch += 1
         if staging:
             yield ctx.sim.all_of(staging)
-        comm_queue.put(_COMM_DONE)
+        yield comm.close()
 
-    def _comm_worker(self, ctx: TrainContext,
-                     comm_queue: Store) -> t.Generator:
-        while True:
-            bucket_bytes = yield comm_queue.get()
-            if bucket_bytes is _COMM_DONE:
-                return
-            yield ctx.sim.timeout(self.launch_overhead_s)
-            yield ctx.collectives.allreduce(
-                t.cast(float, bucket_bytes), algorithm=self.algorithm,
-                cap_scale=self.stream_cap_scale)
-
-
-def _stage_then_enqueue(ctx: TrainContext, bucket_bytes: float,
-                        comm_queue: Store):
-    """Copy a bucket over PCIe, then hand it to the comm thread."""
-    staging = ctx.staging_time_s(bucket_bytes)
-    if staging:
-        yield ctx.sim.timeout(staging)
-    comm_queue.put(bucket_bytes)
-    return
-    yield  # pragma: no cover
+    def _allreduce(self, ctx: TrainContext,
+                   bucket_bytes: float) -> t.Generator:
+        """Launch overhead, then the capped all-reduce of one bucket."""
+        yield ctx.sim.timeout(self.launch_overhead_s)
+        yield ctx.collectives.allreduce(
+            bucket_bytes, algorithm=self.algorithm,
+            cap_scale=self.stream_cap_scale)

@@ -36,7 +36,7 @@ from repro.sim.mpi import Communicator
 from repro.sim.network import Flow, FluidNetwork, Link
 from repro.sim.process import Process
 from repro.sim.rdma import RDMA, rdma_transport
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.tcp import TCP, tcp_transport
 from repro.sim.topology import Cluster, NodeSpec, alibaba_v100_cluster
 from repro.sim.transport import TransportModel
@@ -60,7 +60,6 @@ __all__ = [
     "LinkFlap",
     "NodeCrash",
     "NodeSpec",
-    "PriorityStore",
     "Process",
     "RDMA",
     "Resource",

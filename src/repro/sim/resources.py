@@ -1,6 +1,6 @@
 """Shared-resource primitives for simulated processes.
 
-Three primitives cover the library's needs:
+Two primitives cover the library's needs:
 
 :class:`Resource`
     A counting semaphore with FIFO queuing (GPU SM slots, CPU cores,
@@ -8,14 +8,10 @@ Three primitives cover the library's needs:
 :class:`Store`
     An unbounded FIFO channel of Python objects (message queues between the
     training worker and the MPI daemon, MPI mailboxes).
-:class:`PriorityStore`
-    A :class:`Store` whose items are retrieved smallest-first.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import typing as t
 from collections import deque
 
@@ -219,12 +215,6 @@ class Store:
             self._checker.check_store(self)
         return event
 
-    def try_get(self) -> tuple[bool, object]:
-        """Non-blocking get; returns ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
     def cancel(self, event: Event) -> bool:
         """Withdraw a pending :meth:`get` request.
 
@@ -238,40 +228,3 @@ class Store:
         except ValueError:
             return False
         return True
-
-
-class PriorityStore:
-    """A store whose :meth:`get` returns the smallest item first.
-
-    Items must be comparable; ties are broken by insertion order.
-    """
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self.sim = sim
-        self.name = name or "priority_store"
-        self._get_name = f"{self.name}.get"
-        self._heap: list[tuple[object, int, object]] = []
-        self._counter = itertools.count()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def put(self, item: object, priority: object | None = None) -> None:
-        """Deposit ``item`` with ``priority`` (defaults to the item itself)."""
-        key = item if priority is None else priority
-        if self._getters:
-            event = self._getters.popleft()
-            self.sim._schedule_at(self.sim.now, event, item)
-        else:
-            heapq.heappush(self._heap, (key, next(self._counter), item))
-
-    def get(self) -> Event:
-        """Return an event whose value is the smallest-priority item."""
-        event = self.sim.event(name=self._get_name)
-        if self._heap:
-            _, _, item = heapq.heappop(self._heap)
-            self.sim._schedule_at(self.sim.now, event, item)
-        else:
-            self._getters.append(event)
-        return event

@@ -1,27 +1,43 @@
-"""Differential test of the timed collectives' launch rule.
+"""Differential tests of the timed collectives' launch and chain rules.
 
-The oracle is the launch rule the class split replaced, kept verbatim
-below: a launch with any lone-member run was inserted whole as
-per-member flows, and a launch whose runs all had two or more members
-started each run as one flow group.  So one congested hop — its own
-per-stream cap makes it a lone-member run — unbundled the whole fan-out.
-The current rule bundles every class of capacity-identical members that
-share no link with the rest of the launch instead.  Bundled members are link-disjoint and
-capacity-identical, so only the event schedule may change: every
-iteration time and every diagnosis finding must be identical.
+Two oracles are kept verbatim below.
+
+The first is the launch rule the class split replaced: a launch with
+any lone-member run was inserted whole as per-member flows, and a
+launch whose runs all had two or more members started each run as one
+flow group.  So one congested hop — its own per-stream cap makes it a
+lone-member run — unbundled the whole fan-out.  The current rule
+bundles every class of capacity-identical members that share no link
+with the rest of the launch, and enters the whole fan-out in one
+insert.
+
+The second is the pair of generator processes that ran the
+hierarchical and planner schedules phase by phase, yielding each
+fan-out's barrier and then a timeout.  Every collective now builds a
+list of phases that one callback chain runs instead.
+
+Bundled members are link-disjoint and capacity-identical, and each
+chained delay is ``now + delay`` taken at the drain instant, so only
+the event schedule may change: every iteration time, every diagnosis
+finding and every ``collective.*`` timeline span must be identical.
 
 The matrix covers every fan-out the collectives launch (ring,
 hierarchical, half-ring, broadcast, all-to-all and the three planner
 schedules) on 2-, 4- and 32-node clusters with one congested node, with
 and without a capacity change while flows are in flight, plus the
-oversubscribed core, which every hop shares.
+oversubscribed core, which every hop shares.  The chain oracle replaces
+only the multi-phase runners, so its matrix is the hierarchical and
+planner collectives.
 """
+
+import typing as t
 
 import pytest
 
-from repro.collectives import TimedCollectives
-from repro.collectives.timed import _Classes
-from repro.obs import Observability, diagnose
+from repro.collectives import TimedCollectives, ring_volume_bytes
+from repro.collectives.planner import CollectivePlanner
+from repro.collectives.timed import HIERARCHICAL_PHASE_SYNC_S, _Classes
+from repro.obs import NETWORK_RANK, Observability, diagnose
 from repro.sim import FluidNetwork, Simulator
 from repro.sim.network import FlowBundle, GroupFlow
 from repro.sim.topology import Cluster, NodeSpec
@@ -32,12 +48,87 @@ def _oracle_launch_runs(self, runs, label):
     if all(len(members) >= 2 for members, _size, _cap, _weight in runs):
         return [network.start_flow_group(
                     members, size_bytes, rate_cap_bps=cap, weight=weight,
-                    label=label, job=self.job)
+                    label=label)
                 for members, size_bytes, cap, weight in runs]
     return network.start_flows(
         [(links, size_bytes, cap, weight)
          for members, size_bytes, cap, weight in runs
-         for links in members], label=label, job=self.job)
+         for links in members], label=label)
+
+
+def _oracle_hierarchical(self, size_bytes: float,
+                         cap_scale: float = 1.0):
+    """Intra-node RS, g parallel inter-node rings, intra-node AG."""
+    m = self.cluster.num_nodes
+    g = self.cluster.spec.gpus_per_node
+    if m == 1 or g == 1:
+        return self._ring(size_bytes, cap_scale)
+    spec = self.cluster.spec
+    plan = self._wire_plan()
+
+    def schedule() -> t.Generator:
+        # Phase 1: intra-node reduce-scatter.
+        rs_bytes = size_bytes * (g - 1) / g
+        yield self.sim.all_of(self._launch_runs(
+            [(members, rs_bytes, None, 1) for members, in plan.nvlink],
+            "hierarchical"))
+        yield self.sim.timeout((g - 1) * spec.intra_node_latency_s
+                               + HIERARCHICAL_PHASE_SYNC_S)
+
+        # Phase 2: g parallel inter-node rings on 1/g shards.  The g
+        # rings of one hop are symmetric clones (same links, same
+        # cap), so they run as one weighted flow per hop.
+        shard_hop = ring_volume_bytes(size_bytes / g, m)
+        yield self.sim.all_of(self._launch_runs(
+            [(members, shard_hop * g, base * cap_scale, g)
+             for members, base in plan.hops], "hierarchical"))
+        # Exposed overhead is paced by the slowest hop of the
+        # inter-node rings, not the default node's NIC.
+        shard_chunk_tx = (size_bytes / g / m) * 8.0 / \
+            (plan.slowest_base * cap_scale)
+        exposed = max(0.0, spec.transport.per_message_overhead_s
+                      - shard_chunk_tx)
+        yield self.sim.timeout(
+            2 * (m - 1) * (spec.inter_node_latency_s + exposed)
+            + HIERARCHICAL_PHASE_SYNC_S)
+
+        # Phase 3: intra-node all-gather.
+        ag_bytes = size_bytes * (g - 1) / g
+        yield self.sim.all_of(self._launch_runs(
+            [(members, ag_bytes, None, 1) for members, in plan.nvlink],
+            "hierarchical"))
+        yield self.sim.timeout((g - 1) * spec.intra_node_latency_s)
+
+    return self.sim.spawn(schedule(), name="hier.allreduce")
+
+
+def _oracle_planned(self, algorithm: str, size_bytes: float,
+                    cap_scale: float):
+    """Execute a planner-synthesized schedule phase by phase."""
+    planner = self._planner
+    if planner is None:
+        planner = self._planner = CollectivePlanner(self.cluster)
+    schedule = planner.plan(algorithm, size_bytes, cap_scale)
+    if not schedule.phases:
+        return self.sim.timeout(0.0)
+    timeline = self.obs.timeline
+
+    def run() -> t.Generator:
+        for phase in schedule.phases:
+            phase_start = self.sim.now
+            specs = [flow.as_request() for flow in phase.flows
+                     if flow.size_bytes > 0]
+            if specs:
+                yield self.sim.all_of(
+                    self._launch(specs, label=algorithm))
+            if phase.latency_s > 0:
+                yield self.sim.timeout(phase.latency_s)
+            timeline.span(
+                f"collective.{phase.name}", "collective",
+                NETWORK_RANK, phase_start, self.sim.now,
+                algorithm=algorithm, bytes=size_bytes)
+
+    return self.sim.spawn(run(), name=f"planned.{algorithm}")
 
 
 def _half_ring(collectives, size):
@@ -69,7 +160,8 @@ STAGGER_S = 2e-4
 
 
 def run(collective, nodes, congested, degrade, core=1.0, iterations=3):
-    """Iteration times and findings digest of one matrix cell."""
+    """Iteration times, findings digest and collective spans of one
+    matrix cell."""
     sim = Simulator()
     net = FluidNetwork(sim)
     cluster = Cluster(sim, nodes, NodeSpec(gpus_per_node=2),
@@ -110,7 +202,10 @@ def run(collective, nodes, congested, degrade, core=1.0, iterations=3):
 
     sim.run(until=sim.spawn(driver()))
     assert not net.flows
-    return times, diagnose(obs).findings_digest
+    spans = [(span.name, span.start, span.end, span.meta)
+             for span in obs.timeline.spans
+             if span.name.startswith("collective.")]
+    return times, diagnose(obs).findings_digest, spans
 
 
 CELLS = [
@@ -141,6 +236,44 @@ def test_oversubscribed_core_matches_old_launch_rule(monkeypatch,
     monkeypatch.setattr(TimedCollectives, "_launch_runs",
                         _oracle_launch_runs)
     assert run(collective, 4, 1, True, core=4.0) == current
+
+
+def _use_process_runners(monkeypatch):
+    monkeypatch.setattr(TimedCollectives, "_hierarchical",
+                        _oracle_hierarchical)
+    monkeypatch.setattr(TimedCollectives, "_planned", _oracle_planned)
+
+
+#: The collectives the process runners ran: the chain oracle's matrix.
+CHAINED = ("hierarchical", "ina", "halving-doubling", "multi-tree")
+
+
+@pytest.mark.parametrize(
+    "collective, nodes, congested, degrade",
+    [cell for cell in CELLS if cell[0] in CHAINED],
+    ids=[f"{c}-{n}n-congested{k}-{'degraded' if d else 'steady'}"
+         for c, n, k, d in CELLS if c in CHAINED])
+def test_phase_chain_matches_process_runners(monkeypatch, collective,
+                                             nodes, congested, degrade):
+    current = run(collective, nodes, congested, degrade)
+    _use_process_runners(monkeypatch)
+    assert run(collective, nodes, congested, degrade) == current
+
+
+@pytest.mark.parametrize("collective", CHAINED)
+def test_oversubscribed_core_matches_process_runners(monkeypatch,
+                                                     collective):
+    current = run(collective, 4, 1, True, core=4.0)
+    _use_process_runners(monkeypatch)
+    assert run(collective, 4, 1, True, core=4.0) == current
+
+
+def test_planner_cells_record_collective_spans():
+    # The span comparison above is not vacuous: every planner phase
+    # records one span per collective.
+    _times, _digest, spans = run("ina", 4, 1, False, iterations=1)
+    assert spans and all(meta["algorithm"] == "ina"
+                         for _name, _start, _end, meta in spans)
 
 
 def test_congested_hop_no_longer_unbundles_the_launch():

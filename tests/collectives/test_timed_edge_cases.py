@@ -1,6 +1,6 @@
 """Regression tests: timed-collective edge cases and heterogeneous NICs.
 
-Three bug classes pinned here:
+Four bug classes pinned here:
 
 * the flat ring's exposed per-chunk overhead was computed from the
   *default* node's per-stream cap even though the pipeline advances at
@@ -9,7 +9,10 @@ Three bug classes pinned here:
   ``world_size == num_nodes``) where the closed-form cost model used to
   charge phantom NVLink terms;
 * zero-byte and single-participant collectives, which must complete at
-  zero cost instead of launching empty flows that still pay α terms.
+  zero cost instead of launching empty flows that still pay α terms;
+* stalls: a phase chain whose fan-out never drains, or whose cluster
+  has a crashed node, must hang like a real NCCL collective — no later
+  phase launches and the collective's event never fires.
 """
 
 import pytest
@@ -200,3 +203,55 @@ class TestZeroAndSingleParticipant:
         _sim, timed, _cluster = make_context(32)
         with pytest.raises(CollectiveError):
             timed.allreduce(-1.0)
+
+
+class TestChainStall:
+    """A hierarchical all-reduce is a three-phase chain; stalls hang it."""
+
+    def context(self):
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        cluster = Cluster(sim, 4, NodeSpec(gpus_per_node=2))
+        launched = []
+        start_flows = net.start_flows
+
+        def recording(requests, **kwargs):
+            launched.append([tuple(links) for links, *_rest in requests])
+            return start_flows(requests, **kwargs)
+
+        net.start_flows = recording
+        return sim, net, cluster, TimedCollectives(sim, net, cluster), \
+            launched
+
+    def test_cancelled_phase_two_flow_stalls_the_chain(self):
+        sim, net, cluster, timed, launched = self.context()
+        done = timed.allreduce(8e6, "hierarchical")
+        assert launched == [[(cluster.nvlink[0],)]]
+        while len(launched) < 2:
+            sim.step()
+        hop = tuple(cluster.representative_hop())
+        assert launched[1] == [hop]
+        (flow,) = [flow for flow in net.flows if tuple(flow.links) == hop]
+        assert net.cancel_flow(flow.done)
+        sim.run()
+        # No phase-3 NVLink flow launched, and the event never fired.
+        assert len(launched) == 2
+        assert not net.flows
+        assert not done.triggered
+
+    def test_healthy_chain_runs_three_phases(self):
+        sim, _net, cluster, timed, launched = self.context()
+        done = timed.allreduce(8e6, "hierarchical")
+        sim.run(until=done)
+        nvlink = [(cluster.nvlink[0],)]
+        assert launched == [nvlink, [tuple(cluster.representative_hop())],
+                            nvlink]
+
+    def test_crashed_node_stalls_before_any_flow(self):
+        sim, net, cluster, timed, launched = self.context()
+        cluster.fail_node(2)
+        done = timed.allreduce(8e6, "hierarchical")
+        assert done.name == "allreduce.hierarchical.stalled"
+        sim.run()
+        assert launched == [] and not net.flows
+        assert not done.triggered

@@ -1,10 +1,10 @@
-"""Tests for Resource, Store and PriorityStore."""
+"""Tests for Resource and Store."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 class TestResource:
@@ -143,47 +143,3 @@ class TestStore:
         sim.spawn(getter())
         sim.run()
         assert received == [1, 2, 3]
-
-    def test_try_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.try_get() == (False, None)
-        store.put(7)
-        assert store.try_get() == (True, 7)
-        assert len(store) == 0
-
-
-class TestPriorityStore:
-    def test_smallest_first(self):
-        sim = Simulator()
-        store = PriorityStore(sim)
-        for priority in (5, 1, 3):
-            store.put(f"item{priority}", priority=priority)
-        received = []
-
-        def getter():
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        sim.spawn(getter())
-        sim.run()
-        assert received == ["item1", "item3", "item5"]
-
-    def test_blocking_get(self):
-        sim = Simulator()
-        store = PriorityStore(sim)
-        received = []
-
-        def getter():
-            item = yield store.get()
-            received.append((item, sim.now))
-
-        def putter():
-            yield sim.timeout(2.0)
-            store.put("a", priority=0)
-
-        sim.spawn(getter())
-        sim.spawn(putter())
-        sim.run()
-        assert received == [("a", 2.0)]

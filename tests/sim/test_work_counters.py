@@ -19,17 +19,23 @@ from repro.training.trainer import build_train_context
 #: ``(config, reallocations, flow visits, processes spawned, events
 #: scheduled)`` for one step after warm-up.  The iteration walks the
 #: backward schedule itself: one timeout per distinct ready instant, no
-#: event per gradient tensor.
+#: event per gradient tensor.  Every fan-out enters the network in one
+#: insert, and multi-phase collectives run as callback chains, not
+#: processes.
 PINNED = (
     (StepConfig("step-8r", 8), 22, 11, 29, 123),
-    (StepConfig("step-256r", 256), 44, 56, 29, 165),
+    # The ring's hop bundle and NVLink bundle enter in one insert, not
+    # one each: one reallocation and one wakeup fewer per all-reduce.
+    (StepConfig("step-256r", 256), 33, 56, 29, 154),
     # Congested: node 0's hop and the hop into node 0 launch alone, the
     # other 30 hops and the NVLink fabrics as one bundle class each.
+    # No process per hierarchical all-reduce: no spawn, no bootstrap.
     (StepConfig("stress-256r-hier", 256, streams=24, model="vgg16",
                 algorithm="hierarchical", congested=True), 280, 404,
-     128, 786),
+     88, 746),
+    # No process per planner all-reduce.
     (StepConfig("planner-128r-ina", 128, algorithm="ina",
-                core_oversubscription=4.0), 99, 220, 40, 420),
+                core_oversubscription=4.0), 99, 220, 29, 409),
 )
 
 
