@@ -59,6 +59,11 @@ MATRIX = [
     # through the fluid network's multi-phase planned path, so its event
     # schedule gets the same cross-commit pin as the legacy algorithms.
     {"ranks": 8, "streams": 4, "faults": False, "algorithm": "ina"},
+    # Hierarchical cell: every unit holds one CUDA stream per local GPU
+    # for its inter-node rings, so the stream pool grants multi-slot
+    # requests and the collective runs its three-phase chain.
+    {"ranks": 32, "streams": 4, "faults": False,
+     "algorithm": "hierarchical"},
     # Large-scale cell: pins the bundled-ring tier (GroupFlow fan-outs,
     # the network's wakeup timer) at 1024 ranks.  Symmetric, so it
     # runs in representative mode — cheap enough for the matrix while

@@ -38,6 +38,10 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     # Planner-backend cell (in-network aggregation schedule).
     {"ranks": 8, "streams": 4, "faults": False, "invariants": True,
      "seed": 0, "algorithm": "ina"},
+    # Hierarchical cell: multi-slot stream grants (one stream per local
+    # GPU per unit) and the three-phase hierarchical chain.
+    {"ranks": 32, "streams": 4, "faults": False, "invariants": True,
+     "seed": 0, "algorithm": "hierarchical"},
     # Large-scale cell: 1024 ranks pins the bundled-ring tier
     # (GroupFlow fan-outs, the network's wakeup timer) at the scale the
     # flow-bundling work targets.  Symmetric, so it runs in
