@@ -234,8 +234,8 @@ class TimedCollectives:
             configuration and reaches a lower single-stream ceiling, which
             its backend models with ``cap_scale < 1``.
 
-        Returns an event triggering at completion; its value is the
-        duration in seconds.
+        Returns the collective's own event, triggering at completion;
+        its value is the duration in seconds.
         """
         if algorithm not in ALGORITHMS:
             raise CollectiveError(
@@ -254,26 +254,23 @@ class TimedCollectives:
             # Degenerate all-reduce: nothing crosses any link.  Complete
             # at zero cost rather than launching empty flows (which would
             # still pay link latencies and α terms).
-            inner = self.sim.timeout(0.0)
+            done = self.sim.timeout(0.0, 0.0)
         elif algorithm == "ring":
-            inner = self._ring(size_bytes, cap_scale)
+            done = self._ring(size_bytes, cap_scale)
         elif algorithm == "hierarchical":
-            inner = self._hierarchical(size_bytes, cap_scale)
+            done = self._hierarchical(size_bytes, cap_scale)
         else:
-            inner = self._planned(algorithm, size_bytes, cap_scale)
+            done = self._planned(algorithm, size_bytes, cap_scale)
 
-        done = self.sim.event(name=f"allreduce.{algorithm}")
-
-        def _finish(_ev: Event) -> None:
-            duration = self.sim.now - start
+        def _observe(_ev: Event) -> None:
             self._m_allreduce.inc(algorithm=algorithm)
             self._m_allreduce_bytes.observe(size_bytes,
                                             algorithm=algorithm)
-            self._m_allreduce_seconds.observe(duration,
+            self._m_allreduce_seconds.observe(self.sim.now - start,
                                               algorithm=algorithm)
-            done.succeed(duration)
 
-        inner.add_callback(_finish)
+        # Registered first, so the metrics are in before any waiter runs.
+        done.add_callback(_observe)
         return done
 
     def control_roundtrip(self, payload_bytes: float = 64.0) -> Event:
@@ -426,27 +423,30 @@ class TimedCollectives:
         A phase launches its runs as one fan-out (a phase with no runs
         is only its delay); once the fan-out drains, the phase's delay
         passes and the next phase launches.  The last delay schedules
-        the returned event directly.  Each delay is ``now + delay``
-        taken at the drain instant, and a zero delay between phases
-        launches the next one at once.  A named phase records its
-        ``collective.<name>`` span, from its launch to the end of its
-        delay, with ``algorithm=label`` and ``span_meta``.  A fan-out
+        the returned event directly, with the chain's duration in
+        seconds as its value.  A fan-out of one flow entity is waited
+        on directly, with no barrier around it.  Each delay is
+        ``now + delay`` taken at the drain instant, and a zero delay
+        between phases launches the next one at once.  A named phase
+        records its ``collective.<name>`` span, from its launch to the
+        end of its delay, with ``algorithm=label`` and ``span_meta``.  A fan-out
         that never drains — a cancelled flow — stalls the chain: no
         later phase launches and the event never fires.
         """
         sim = self.sim
         timeline = self.obs.timeline
         done = sim.event(name=label)
+        start = sim.now
         last = len(phases) - 1
 
         def launch(index: int) -> None:
             runs, delay_s, span = phases[index]
-            start = sim.now
+            phase_start = sim.now
 
             def finish(_ev: Event | None = None) -> None:
                 if span is not None:
                     timeline.span(f"collective.{span}", "collective",
-                                  NETWORK_RANK, start, sim.now,
+                                  NETWORK_RANK, phase_start, sim.now,
                                   algorithm=label, **span_meta)
                 if index < last:
                     launch(index + 1)
@@ -455,15 +455,18 @@ class TimedCollectives:
                 if index == last:
                     if span is not None:
                         done.add_callback(finish)
-                    sim._schedule_at(sim.now + delay_s, done, None)
+                    end = sim.now + delay_s
+                    sim._schedule_at(end, done, end - start)
                 elif delay_s:
                     sim.timeout(delay_s).add_callback(finish)
                 else:
                     finish()
 
             if runs:
-                sim.all_of(self._launch_runs(runs, label)).add_callback(
-                    drained)
+                flows = self._launch_runs(runs, label)
+                fan_out = flows[0] if len(flows) == 1 \
+                    else sim.all_of(flows)
+                fan_out.add_callback(drained)
             else:
                 drained()
 
@@ -586,7 +589,7 @@ class TimedCollectives:
             planner = self._planner = CollectivePlanner(self.cluster)
         schedule = planner.plan(algorithm, size_bytes, cap_scale)
         if not schedule.phases:
-            return self.sim.timeout(0.0)
+            return self.sim.timeout(0.0, 0.0)
         network = self.network
         return self._chain([
             (_classify(network, _uniform_runs(

@@ -16,13 +16,17 @@ One iteration runs the pipeline of Fig. 6:
 4. each unit is dispatched to a free stream of the **communication
    thread pool** and all-reduced concurrently with other units over the
    same physical network — the multi-streamed communication that lifts
-   TCP utilisation from ≤30% toward the aggregate limit;
+   TCP utilisation from ≤30% toward the aggregate limit.  A unit runs
+   on the pool's callbacks, not as a process: the step spawns only
+   itself and one dispatch per packed batch (plus, with a unit
+   deadline, one failure-detector loop per unit);
 5. when every unit of the iteration has completed, gradients are
    unpacked and handed to the optimizer via the callback.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from repro.errors import PeerDeadError, ProcessInterrupt, TrainingError
@@ -37,6 +41,7 @@ from repro.frameworks.base import (
     UPDATE_TIME_S,
 )
 from repro.obs.metrics import STEP_TIME_BUCKETS
+from repro.sim.events import Event
 from repro.sim.invariants import InvariantChecker
 from repro.sim.process import Process
 from repro.sim.resources import Resource
@@ -66,6 +71,9 @@ class AIACCBackend(DDLBackend):
         #: requests — depend on memory addresses, leaking allocation
         #: history into the replay digest.
         self._inflight: dict[Process, None] = {}
+        #: Number of :meth:`abort` calls so far: a unit whose staging
+        #: began before the latest abort never starts.
+        self._aborts = 0
         #: Step index of the representative worker's timeline (-1 until
         #: the first iteration runs).
         self._step = -1
@@ -141,11 +149,13 @@ class AIACCBackend(DDLBackend):
             self._checker.advance_epoch(epoch)
 
     def abort(self, cause: object = None) -> int:
-        """Interrupt every in-flight dispatch/unit process.
+        """Interrupt every in-flight process and cancel every live unit.
 
         Called by the recovery driver after a confirmed peer death: units
         talking to the dead node would otherwise hold stream slots
-        forever.  Returns the number of processes interrupted.
+        forever.  Afterwards no stream slot is held, no request is
+        queued and no unit still being staged will start.  Returns the
+        number of processes interrupted plus units cancelled.
         """
         victims, self._inflight = list(self._inflight), {}
         interrupted = 0
@@ -156,6 +166,9 @@ class AIACCBackend(DDLBackend):
                 victim.add_callback(lambda _ev: None)
                 victim.interrupt(cause)
                 interrupted += 1
+        self._aborts += 1
+        if self._pool is not None:
+            interrupted += self._pool.cancel_all(cause)
         return interrupted
 
     # -- iteration -----------------------------------------------------------
@@ -181,7 +194,7 @@ class AIACCBackend(DDLBackend):
         backward_start = ctx.sim.now
         pool.compute_started()
 
-        unit_processes: list[Process] = []
+        unit_events: list[Event] = []
         dispatch_processes: list[Process] = []
 
         # The framework hook: each schedule point's gradients enter the
@@ -195,22 +208,22 @@ class AIACCBackend(DDLBackend):
             self._m_gradients.inc(len(grad_ids))
             for units in batches:
                 dispatch_processes.append(self._track(ctx.sim.spawn(
-                    self._dispatch(ctx, units, unit_processes),
+                    self._dispatch(ctx, units, unit_events),
                     name="aiacc.dispatch")))
 
         pool.compute_finished()
         timeline.span("backward", "compute", 0, backward_start, ctx.sim.now)
         if plan.tail:
             dispatch_processes.append(self._track(ctx.sim.spawn(
-                self._dispatch(ctx, plan.tail, unit_processes),
+                self._dispatch(ctx, plan.tail, unit_events),
                 name="aiacc.dispatch")))
 
-        # All dispatches must finish creating units before the barrier on
+        # All dispatches must finish starting units before the barrier on
         # the units themselves is complete.
         if dispatch_processes:
             yield ctx.sim.all_of(dispatch_processes)
-        if unit_processes:
-            yield ctx.sim.all_of(unit_processes)
+        if unit_events:
+            yield ctx.sim.all_of(unit_events)
 
         if self._checker is not None:
             # Iteration boundary is a quiescence point: every stream slot
@@ -259,7 +272,7 @@ class AIACCBackend(DDLBackend):
         preceded by exponential backoff and given a doubled deadline —
         is the peer *confirmed* dead (:class:`PeerDeadError`).  The
         optional ``abandon`` callback tears down a timed-out attempt
-        (e.g. interrupts a hung unit so it frees its streams).
+        (e.g. cancels a hung unit so it frees its streams).
 
         Both the per-attempt deadline and the backoff are clamped to
         ``config.max_detection_deadline_s`` (default:
@@ -294,15 +307,16 @@ class AIACCBackend(DDLBackend):
 
     def _dispatch(self, ctx: TrainContext,
                   units: tuple[AllReduceUnit, ...],
-                  unit_processes: list[Process]) -> t.Generator:
-        """Synchronize a planned gradient batch, launch its units.
+                  unit_events: list[Event]) -> t.Generator:
+        """Synchronize a planned gradient batch, start its units.
 
         The daemon CPU work (relaying the bit-vector ring, launching
         units) is serialized on the single MPI daemon thread; the network
         round-trip of the synchronization ring is asynchronous and only
-        delays when these units may start.
+        delays when these units may start.  Each unit's event goes into
+        ``unit_events`` when it starts — after its staging, if any — and
+        the dispatch returns once every unit of the batch has started.
         """
-        pool = t.cast(CommStreamPool, self._pool)
         daemon = t.cast(Resource, self._daemon)
         spec = ctx.cluster.spec
         if self._checker is not None:
@@ -360,47 +374,59 @@ class AIACCBackend(DDLBackend):
         # stream per local GPU for its inter-node stage (g parallel
         # rings / per-shard exchange streams); a flat-ring unit
         # occupies one.
-        streams_per_unit = 1 if self.config.algorithm == "ring" \
+        streams = 1 if self.config.algorithm == "ring" \
             else spec.gpus_per_node
+        staging: list[Event] = []
         for unit in units:
-            def work(nbytes: float = unit.nbytes) -> t.Any:
-                return ctx.collectives.allreduce(
-                    nbytes, algorithm=self.config.algorithm)
+            # Paper §V-A.2: with GPU-direct RDMA the bucket lives in
+            # GPU memory; over TCP it is staged through CPU memory.
+            staging_s = ctx.staging_time_s(unit.nbytes)
+            if staging_s:
+                stage = ctx.sim.timeout(staging_s)
+                stage.add_callback(functools.partial(
+                    self._staged, ctx, unit, streams, unit_events,
+                    self._aborts, ctx.sim.now))
+                staging.append(stage)
+            else:
+                unit_events.append(self._start_unit(ctx, unit, streams))
+        if staging:
+            # The iteration builds its barrier from ``unit_events`` once
+            # every dispatch has returned, so each staged unit must
+            # have started by then.
+            yield ctx.sim.all_of(staging)
 
-            def unit_process(nbytes: float = unit.nbytes,
-                             do_work: t.Callable = work) -> t.Generator:
-                # Paper §V-A.2: with GPU-direct RDMA the bucket lives in
-                # GPU memory; over TCP it is staged through CPU memory.
-                staging = ctx.staging_time_s(nbytes)
-                if staging:
-                    staging_start = ctx.sim.now
-                    yield ctx.sim.timeout(staging)
-                    ctx.obs.timeline.span("staging", "staging", 0,
-                                          staging_start, ctx.sim.now,
-                                          bytes=nbytes)
-                if self.config.unit_timeout_s is None:
-                    result = yield ctx.sim.spawn(
-                        pool.run_unit(do_work, streams=streams_per_unit,
-                                      label="allreduce-unit", bytes=nbytes))
-                    return result
+    def _staged(self, ctx: TrainContext, unit: AllReduceUnit,
+                streams: int, unit_events: list[Event], aborts: int,
+                staging_start: float, _stage: Event) -> None:
+        """Start ``unit`` once its staging copy is done (unless aborted)."""
+        if aborts != self._aborts:
+            return
+        ctx.obs.timeline.span("staging", "staging", 0, staging_start,
+                              ctx.sim.now, bytes=unit.nbytes)
+        unit_events.append(self._start_unit(ctx, unit, streams))
 
-                def launch() -> Process:
-                    return self._track(ctx.sim.spawn(
-                        pool.run_unit(do_work, streams=streams_per_unit,
-                                      label="allreduce-unit",
-                                      bytes=nbytes)))
+    def _start_unit(self, ctx: TrainContext, unit: AllReduceUnit,
+                    streams: int) -> Event:
+        """Hand ``unit`` to the stream pool; returns its event.
 
-                def abandon(runner: Process) -> None:
-                    # Free the hung attempt's streams before retrying.
-                    if runner.can_interrupt:
-                        runner.add_callback(lambda _ev: None)
-                        runner.interrupt("unit timeout")
+        With a unit deadline configured, the failure detector's retry
+        loop owns the unit: each attempt is a pool unit, and a timed-out
+        attempt is cancelled through the pool before the next one.
+        """
+        pool = t.cast(CommStreamPool, self._pool)
+        nbytes = unit.nbytes
+        algorithm = self.config.algorithm
 
-                result = yield from self._retrying(
-                    ctx, launch, phase="unit",
-                    timeout_s=t.cast(float, self.config.unit_timeout_s),
-                    abandon=abandon)
-                return result
+        def work() -> Event:
+            return ctx.collectives.allreduce(nbytes, algorithm=algorithm)
 
-            unit_processes.append(self._track(ctx.sim.spawn(
-                unit_process(), name=f"aiacc.unit{unit.unit_id}")))
+        timeout_s = self.config.unit_timeout_s
+        if timeout_s is None:
+            return pool.start_unit(work, streams, "allreduce-unit",
+                                   bytes=nbytes)
+        return self._track(ctx.sim.spawn(self._retrying(
+            ctx,
+            lambda: pool.start_unit(work, streams, "allreduce-unit",
+                                    bytes=nbytes),
+            phase="unit", timeout_s=timeout_s, abandon=pool.cancel),
+            name=f"aiacc.unit{unit.unit_id}"))

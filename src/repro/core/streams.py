@@ -10,6 +10,12 @@ while backward compute kernels are running (paper §VIII-A): the
 :class:`~repro.sim.cuda.GPUDevice` contention model shrinks the pool
 during backward and the full requested width becomes available once
 compute finishes.
+
+A dispatched unit is a stream grant, one collective and a release, so
+it runs as a chain of callbacks on the pool
+(:meth:`CommStreamPool.start_unit`), not as a process: the FIFO grant
+starts the collective, and the collective's completion returns the
+streams.  :meth:`CommStreamPool.cancel` tears a unit down at any point.
 """
 
 from __future__ import annotations
@@ -70,6 +76,9 @@ class CommStreamPool:
         #: request: a queued request cancelled by an interrupt never
         #: dispatched anything and must not inflate this metric).
         self.dispatched_units = 0
+        #: Started units that have not finished, oldest first, each
+        #: mapped to its cancel hook (see :meth:`cancel`).
+        self._live: dict[Event, t.Callable[[object], None]] = {}
         self._m_dispatched = self.obs.registry.counter(
             "aiacc_dispatched_units_total",
             "All-reduce units granted a CUDA stream")
@@ -109,34 +118,17 @@ class CommStreamPool:
     def in_flight(self) -> int:
         return self._resource.in_use
 
-    def acquire(self, streams: int = 1) -> Event:
-        """Wait for ``streams`` free slots (granted atomically).
+    def start_unit(self, work: t.Callable[[], Event], streams: int = 1,
+                   label: str = "unit", **span_meta: object) -> Event:
+        """Acquire stream(s), run ``work()`` on them, release them.
 
-        ``dispatched_units`` is incremented when the grant fires, not
-        when the request is queued — a request later withdrawn by an
-        interrupt (:meth:`run_unit`'s cancel path) never dispatched and
-        must not drift the post-recovery metrics.
-        """
-        grant = self._resource.acquire(streams)
-
-        def _count_grant(event: Event) -> None:
-            if event.ok:
-                self.dispatched_units += 1
-                self._m_dispatched.inc(rank=self.rank)
-                self._m_in_flight.set(self._resource.in_use,
-                                      rank=self.rank)
-
-        grant.add_callback(_count_grant)
-        return grant
-
-    def release(self, streams: int = 1) -> None:
-        self._resource.release(streams)
-        self._m_in_flight.set(self._resource.in_use, rank=self.rank)
-
-    def run_unit(self, work: t.Callable[[], Event],
-                 streams: int = 1, label: str = "unit",
-                 **span_meta: object) -> t.Generator:
-        """Process generator: acquire stream(s), run ``work()``, release.
+        A unit is a stream grant, one collective and a release; it runs
+        on callbacks, not a process.  The request goes through the
+        pool's FIFO :class:`~repro.sim.resources.Resource`; when the
+        grant fires, the unit takes the smallest free stream ids and
+        calls ``work()``; when the work's event fires, the ids go back,
+        the slots are released and the returned event fires with the
+        work's value (or fails with its exception).
 
         ``streams`` > 1 models collectives that occupy several CUDA
         streams at once — the hierarchical all-reduce runs ``g`` parallel
@@ -145,41 +137,97 @@ class CommStreamPool:
         With observability attached, the unit's occupancy is recorded as
         one timeline span per held CUDA stream (``label`` + ``span_meta``
         under category ``network``), so the exported trace shows exactly
-        which lanes carried which unit — including units cut short by an
-        interrupt, which are flagged ``interrupted``.
+        which lanes carried which unit — including units cut short by
+        :meth:`cancel`, which are flagged ``interrupted``.
 
-        Interrupt-safe: an abort while queued withdraws the acquire
-        request (no leaked grant to a dead process); an abort while
-        running releases the held streams.
+        ``dispatched_units`` is incremented when the grant fires, not
+        when the request is queued: a request withdrawn by
+        :meth:`cancel` never dispatched and must not drift the
+        post-recovery metrics.
         """
-        request = self.acquire(streams)
-        try:
-            yield request
-        except ProcessInterrupt:
-            if not self._resource.cancel(request):
-                self.release(streams)
-            raise
-        held = [heapq.heappop(self._free_ids)
-                for _ in range(min(streams, len(self._free_ids)))]
-        granted_at = self.sim.now
-        interrupted = False
-        try:
-            yield work()
-        except ProcessInterrupt:
-            interrupted = True
-            raise
-        finally:
+        sim = self.sim
+        resource = self._resource
+        unit = sim.event(name=label)
+        request = resource.acquire(streams)
+        held: list[int] = []
+        granted_at: float | None = None
+
+        def finish(interrupted: bool) -> None:
+            del self._live[unit]
             timeline = self.obs.timeline
             diag = self.obs.diag
-            if self.epoch:
-                span_meta = dict(span_meta, epoch=self.epoch)
+            start = t.cast(float, granted_at)
+            meta = dict(span_meta, epoch=self.epoch) if self.epoch \
+                else span_meta
             for stream_id in held:
                 heapq.heappush(self._free_ids, stream_id)
-                timeline.span(label, "network", self.rank, granted_at,
-                              self.sim.now, stream=stream_id,
-                              interrupted=interrupted, **span_meta)
+                timeline.span(label, "network", self.rank, start, sim.now,
+                              stream=stream_id, interrupted=interrupted,
+                              **meta)
                 if diag is not None:
                     diag.observe_stream_span(
-                        self.rank, stream_id, self.sim.now - granted_at,
-                        float(t.cast(float, span_meta.get("bytes", 0.0))))
-            self.release(streams)
+                        self.rank, stream_id, sim.now - start,
+                        float(t.cast(float, meta.get("bytes", 0.0))))
+            self._release(streams)
+
+        def done(event: Event) -> None:
+            if unit.triggered:  # cancelled while running
+                return
+            finish(interrupted=False)
+            if event._ok:
+                unit.succeed(event._value)
+            else:
+                unit.fail(t.cast(BaseException, event._value))
+
+        def grant(_request: Event) -> None:
+            nonlocal granted_at
+            self.dispatched_units += 1
+            self._m_dispatched.inc(rank=self.rank)
+            self._m_in_flight.set(resource.in_use, rank=self.rank)
+            if unit.triggered:  # cancelled after the grant was scheduled
+                return
+            free = self._free_ids
+            held.extend(heapq.heappop(free)
+                        for _ in range(min(streams, len(free))))
+            granted_at = sim.now
+            work().add_callback(done)
+
+        def cancel(cause: object) -> None:
+            if granted_at is not None:
+                finish(interrupted=True)
+            else:
+                del self._live[unit]
+                if not resource.cancel(request):
+                    # Granted, but the grant has not fired yet.
+                    self._release(streams)
+            unit.fail(ProcessInterrupt(cause))
+
+        self._live[unit] = cancel
+        request.add_callback(grant)
+        return unit
+
+    def cancel(self, unit: Event, cause: object = None) -> None:
+        """Cancel a unit started by :meth:`start_unit`.
+
+        A queued request is withdrawn (no grant is ever handed to a dead
+        unit); a grant that was scheduled but has not fired is released
+        at once, and when it fires it starts no work; a running unit
+        returns its streams, recording its spans with
+        ``interrupted=True``.  The unit's event fails with
+        :class:`~repro.errors.ProcessInterrupt`.  Cancelling a unit that
+        already finished is a no-op.
+        """
+        cancel = self._live.get(unit)
+        if cancel is not None:
+            cancel(cause)
+
+    def cancel_all(self, cause: object = None) -> int:
+        """Cancel every live unit, oldest first; returns how many."""
+        live = list(self._live)
+        for unit in live:
+            self.cancel(unit, cause)
+        return len(live)
+
+    def _release(self, streams: int) -> None:
+        self._resource.release(streams)
+        self._m_in_flight.set(self._resource.in_use, rank=self.rank)

@@ -231,16 +231,22 @@ class ConnectionPool:
         """Queue ``item`` for the next free connection."""
         self._queue.put(item)
 
-    def stage(self, ctx: TrainContext, nbytes: float) -> t.Generator:
+    def stage(self, ctx: TrainContext, nbytes: float) -> Event | None:
         """Copy ``nbytes`` over PCIe, then submit them.
 
-        Spawned once per fusion buffer or bucket: staging overlaps the
-        sends of earlier items (a separate copy engine).
+        Called once per fusion buffer or bucket: staging overlaps the
+        sends of earlier items (a separate copy engine).  Returns the
+        copy's timeout, whose callback submits the item, or ``None``
+        when there is nothing to copy and the item was submitted at
+        once.
         """
         staging = ctx.staging_time_s(nbytes)
-        if staging:
-            yield ctx.sim.timeout(staging)
-        self.submit(nbytes)
+        if not staging:
+            self.submit(nbytes)
+            return None
+        copy = ctx.sim.timeout(staging)
+        copy.add_callback(lambda _ev: self.submit(nbytes))
+        return copy
 
     def close(self) -> Event:
         """Close every connection after the queued items; the join event."""

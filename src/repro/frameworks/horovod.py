@@ -27,6 +27,7 @@ from repro.frameworks.base import (
     TrainContext,
     UPDATE_TIME_S,
 )
+from repro.sim.events import Event
 from repro.sim.process import Process
 
 
@@ -115,7 +116,7 @@ class HorovodBackend(DDLBackend):
         buffer.
         """
         backward_done = False
-        staging: list = []
+        staging: list[Event] = []
         while not backward_done:
             yield ctx.sim.timeout(self.cycle_time_s)
             backward_done = backward.triggered
@@ -128,8 +129,9 @@ class HorovodBackend(DDLBackend):
             for buffer_bytes in self.pack_fusion_buffers(ctx, pending):
                 # PCIe staging into the fusion buffer overlaps with the
                 # network send of earlier buffers (separate copy engine).
-                staging.append(ctx.sim.spawn(
-                    comm.stage(ctx, buffer_bytes), name="horovod.stage"))
+                copy = comm.stage(ctx, buffer_bytes)
+                if copy is not None:
+                    staging.append(copy)
         if staging:
             yield ctx.sim.all_of(staging)
         yield comm.close()

@@ -25,6 +25,7 @@ from repro.frameworks.base import (
     UPDATE_TIME_S,
 )
 from repro.models.base import ParameterSpec
+from repro.sim.events import Event
 
 
 class PyTorchDDPBackend(DDLBackend):
@@ -109,7 +110,13 @@ class PyTorchDDPBackend(DDLBackend):
         sends of earlier buckets) before entering the serial comm queue.
         Returns once ``comm`` has sent every bucket.
         """
-        staging: list = []
+        staging: list[Event] = []
+
+        def launch(bucket: int) -> None:
+            copy = comm.stage(ctx, sizes[bucket])
+            if copy is not None:
+                staging.append(copy)
+
         next_to_launch = 0
         complete = [count == 0 for count in remaining]
         for delay, parameters in ctx.backward_steps():
@@ -123,14 +130,12 @@ class PyTorchDDPBackend(DDLBackend):
                     # DDP launches buckets strictly in bucket order.
                     while next_to_launch < len(sizes) and \
                             complete[next_to_launch]:
-                        staging.append(ctx.sim.spawn(comm.stage(
-                            ctx, sizes[next_to_launch])))
+                        launch(next_to_launch)
                         next_to_launch += 1
         if next_to_launch != len(sizes):
             # Straggler buckets launch at backward end (grads all arrived).
             while next_to_launch < len(sizes):
-                staging.append(ctx.sim.spawn(comm.stage(
-                    ctx, sizes[next_to_launch])))
+                launch(next_to_launch)
                 next_to_launch += 1
         if staging:
             yield ctx.sim.all_of(staging)

@@ -8,8 +8,10 @@ approach the aggregate link capacity.
 import pytest
 
 from repro.collectives import TimedCollectives, ring_volume_bytes
+from repro.collectives.timed import ALGORITHMS
 from repro.collectives.cost_model import CostParams, ring_allreduce_time_s
 from repro.errors import CollectiveError
+from repro.obs import Observability
 from repro.sim import FluidNetwork, Simulator, alibaba_v100_cluster
 from repro.sim.topology import Cluster, NodeSpec
 
@@ -118,6 +120,27 @@ class TestRingTimed:
         done = timed.allreduce(10e6)
         sim.run(until=done)
         assert done.value == pytest.approx(sim.now)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_value_and_metric_are_the_exact_duration(self, algorithm):
+        # The collective's own event is returned: its value, and the
+        # duration metric recorded before any waiter runs, are the
+        # clock difference bit for bit, as a wrapping event's were.
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        cluster = alibaba_v100_cluster(sim, 32)
+        obs = Observability(enabled=True)
+        timed = TimedCollectives(sim, net, cluster, obs=obs)
+        sim.run(until=sim.timeout(0.25))
+        start = sim.now
+        done = timed.allreduce(10e6, algorithm=algorithm)
+        seconds = obs.registry.get("allreduce_seconds")
+        seen = []
+        done.add_callback(lambda _ev: seen.append(
+            [(state.count, state.sum) for state in seconds.samples.values()]))
+        sim.run(until=done)
+        assert done.value == sim.now - start
+        assert seen == [[(1, sim.now - start)]]
 
 
 class TestHierarchicalTimed:

@@ -32,14 +32,9 @@ class TestCommStreamPool:
         sim, pool = self.make_pool(streams=2, occupancy=0.5)
         done_times = []
 
-        def unit():
-            yield pool.acquire()
-            yield sim.timeout(1.0)
-            pool.release()
-            done_times.append(sim.now)
-
         for _ in range(4):
-            sim.spawn(unit())
+            unit = pool.start_unit(lambda: sim.timeout(1.0))
+            unit.add_callback(lambda _ev: done_times.append(sim.now))
         sim.run()
         assert done_times == [1.0, 1.0, 2.0, 2.0]
 
@@ -49,19 +44,15 @@ class TestCommStreamPool:
         order = []
 
         def heavy():
-            yield pool.acquire(8)
             order.append(("heavy-start", sim.now))
-            yield sim.timeout(1.0)
-            pool.release(8)
+            return sim.timeout(1.0)
 
         def light():
-            yield pool.acquire(1)
             order.append(("light-start", sim.now))
-            yield sim.timeout(0.1)
-            pool.release(1)
+            return sim.timeout(0.1)
 
-        sim.spawn(heavy())
-        sim.spawn(light())
+        pool.start_unit(heavy, streams=8)
+        pool.start_unit(light, streams=1)
         sim.run()
         assert order == [("heavy-start", 0.0), ("light-start", 1.0)]
 
@@ -86,13 +77,8 @@ class TestCommStreamPool:
     def test_dispatched_units_counts_grants(self):
         sim, pool = self.make_pool(streams=2, occupancy=0.5)
 
-        def unit():
-            yield pool.acquire()
-            yield sim.timeout(1.0)
-            pool.release()
-
         for _ in range(4):
-            sim.spawn(unit())
+            pool.start_unit(lambda: sim.timeout(1.0))
         sim.run()
         assert pool.dispatched_units == 4
 
@@ -104,13 +90,11 @@ class TestCommStreamPool:
         def never():
             return sim.event(name="hung")
 
-        running = sim.spawn(pool.run_unit(never))
-        running.add_callback(lambda _ev: None)
-        queued = sim.spawn(pool.run_unit(never))
-        queued.add_callback(lambda _ev: None)
+        pool.start_unit(never)
+        queued = pool.start_unit(never)
         sim.run(until=sim.timeout(1.0))
         assert pool.in_flight == 1
-        queued.interrupt("abort")
+        pool.cancel(queued, "abort")
         sim.run(until=queued)
         assert pool.dispatched_units == 1
 

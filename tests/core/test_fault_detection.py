@@ -179,13 +179,12 @@ class TestStreamPoolInterrupts:
         def never():
             return sim.event(name="hung-allreduce")
 
-        proc = sim.spawn(pool.run_unit(never, streams=2))
-        proc.add_callback(lambda _ev: None)
+        unit = pool.start_unit(never, streams=2)
         sim.run(until=sim.timeout(1.0))
         assert pool.in_flight == 2
-        proc.interrupt("abort")
-        sim.run(until=proc)
-        assert not proc.ok
+        pool.cancel(unit, "abort")
+        sim.run(until=unit)
+        assert not unit.ok
         assert pool.in_flight == 0
 
     def test_interrupt_while_queued_withdraws_request(self):
@@ -196,18 +195,16 @@ class TestStreamPoolInterrupts:
         def never():
             return sim.event(name="hung")
 
-        first = sim.spawn(pool.run_unit(never))
-        first.add_callback(lambda _ev: None)
-        queued = sim.spawn(pool.run_unit(never))
-        queued.add_callback(lambda _ev: None)
+        first = pool.start_unit(never)
+        queued = pool.start_unit(never)
         sim.run(until=sim.timeout(1.0))
         assert pool.in_flight == 1
-        queued.interrupt("abort")
+        pool.cancel(queued, "abort")
         sim.run(until=queued)
         assert not queued.ok
         assert isinstance(queued.value, ProcessInterrupt)
         # The withdrawn request must not hold or later consume a slot.
-        first.interrupt("abort")
+        pool.cancel(first, "abort")
         sim.run()
         assert pool.in_flight == 0
 
@@ -255,6 +252,9 @@ class TestEngineDetection:
         interrupted = backend.abort("rebuilding")
         assert interrupted >= 0
         assert not backend._inflight
+        # Every live unit was cancelled through the pool.
+        assert backend._pool.in_flight == 0
+        assert backend._pool._resource.waiting_requests == 0
         # The simulator must stay consistent after the abort.
         ctx.sim.run(until=ctx.sim.timeout(1.0))
 

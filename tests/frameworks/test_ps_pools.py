@@ -15,16 +15,23 @@ import typing as t
 import pytest
 
 from repro.errors import SimulationError
-from repro.frameworks import BytePSBackend, MXNetKVStoreBackend
+from repro.frameworks import (
+    BytePSBackend,
+    HorovodBackend,
+    MXNetKVStoreBackend,
+)
 from repro.frameworks.base import (
+    ConnectionPool,
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
 )
 from repro.models import get_model
 from repro.models.base import ParameterSpec
+from repro.sim.rdma import RDMA
 from repro.sim.resources import Resource
-from repro.training.trainer import run_training
+from repro.sim.tcp import TCP
+from repro.training.trainer import build_train_context, run_training
 
 
 class _PerTransferIteration:
@@ -204,3 +211,37 @@ class TestConnectionFailure:
         sim.spawn(iteration())
         with pytest.raises(SimulationError, match="only yield Event"):
             sim.run()
+
+
+class TestStaging:
+    """``ConnectionPool.stage``: a PCIe copy timeout, not a process."""
+
+    def make(self, transport):
+        model = get_model("resnet50")
+        ctx = build_train_context(model, HorovodBackend(), 16,
+                                  model.default_batch_size,
+                                  transport=transport)
+        served = []
+
+        def serve(item):
+            served.append((item, ctx.sim.now))
+            yield ctx.sim.timeout(0.0)
+
+        return ctx, ConnectionPool(ctx.sim, 1, serve, name="test"), served
+
+    def test_copy_submits_when_it_fires(self):
+        ctx, pool, served = self.make(TCP)
+        spawned = ctx.sim.processes_spawned
+        copy = pool.stage(ctx, 4e6)
+        assert copy is not None
+        assert ctx.sim.processes_spawned == spawned
+        ctx.sim.run(until=copy)
+        ctx.sim.run(until=pool.close())
+        assert served == [(4e6, ctx.staging_time_s(4e6))]
+
+    def test_nothing_to_copy_submits_at_once(self):
+        ctx, pool, served = self.make(RDMA)
+        assert ctx.staging_time_s(4e6) == 0.0
+        assert pool.stage(ctx, 4e6) is None
+        ctx.sim.run(until=pool.close())
+        assert served == [(4e6, 0.0)]

@@ -367,12 +367,10 @@ class TestDispatchOvercountDetection:
         def never():
             return sim.event(name="hung")
 
-        running = sim.spawn(pool.run_unit(never))
-        running.add_callback(lambda _ev: None)
-        queued = sim.spawn(pool.run_unit(never))
-        queued.add_callback(lambda _ev: None)
+        pool.start_unit(never)
+        queued = pool.start_unit(never)
         sim.run(until=sim.timeout(1.0))
-        queued.interrupt("abort")
+        pool.cancel(queued, "abort")
         sim.run(until=queued)
         assert pool.dispatched_units == 1
         sim.invariants.check_stream_accounting(pool)
@@ -385,18 +383,44 @@ class TestDispatchOvercountDetection:
         def never():
             return sim.event(name="hung")
 
-        running = sim.spawn(pool.run_unit(never))
-        running.add_callback(lambda _ev: None)
-        queued = sim.spawn(pool.run_unit(never))
-        queued.add_callback(lambda _ev: None)
+        pool.start_unit(never)
+        queued = pool.start_unit(never)
         sim.run(until=sim.timeout(1.0))
-        queued.interrupt("abort")
+        pool.cancel(queued, "abort")
         sim.run(until=queued)
         pool.dispatched_units += 1  # the old acquire()-side increment
         with pytest.raises(InvariantViolation) as excinfo:
             sim.invariants.check_stream_accounting(pool, rank=1)
         assert excinfo.value.invariant == "stream-dispatch-count"
         assert excinfo.value.rank == 1
+
+    def test_cancel_running_unit_while_next_grant_is_scheduled(self):
+        # Cancelling the running unit hands its slot to the queued one:
+        # that grant is scheduled but has not fired when the queued
+        # unit is cancelled too.  The slot comes back at once, and the
+        # late grant starts no work.
+        sim, pool = self.make_pool()
+        calls = []
+
+        def never():
+            calls.append(sim.now)
+            return sim.event(name="hung")
+
+        running = pool.start_unit(never)
+        queued = pool.start_unit(never)
+        sim.run(until=sim.timeout(1.0))
+        assert calls == [0.0]
+        pool.cancel(running, "abort")
+        assert pool._resource.waiting_requests == 0
+        assert pool.in_flight == 1  # granted to the queued unit
+        pool.cancel(queued, "abort")
+        assert pool.in_flight == 0
+        sim.run()
+        assert calls == [0.0]
+        assert not running.ok and not queued.ok
+        assert pool.in_flight == 0
+        assert pool._resource.waiting_requests == 0
+        sim.invariants.check_stream_accounting(pool)
 
 
 class TestCrossWorkerAgreement:

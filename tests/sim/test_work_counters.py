@@ -12,7 +12,12 @@ and ``Simulator.events_scheduled`` do the same for the event kernel.
 import pytest
 
 from bench.workloads import StepConfig, build_step_context, simulate_step
-from repro.frameworks import BytePSBackend, MXNetKVStoreBackend
+from repro.frameworks import (
+    BytePSBackend,
+    HorovodBackend,
+    MXNetKVStoreBackend,
+    PyTorchDDPBackend,
+)
 from repro.models import get_model
 from repro.training.trainer import build_train_context
 
@@ -21,21 +26,28 @@ from repro.training.trainer import build_train_context
 #: backward schedule itself: one timeout per distinct ready instant, no
 #: event per gradient tensor.  Every fan-out enters the network in one
 #: insert, and multi-phase collectives run as callback chains, not
-#: processes.
+#: processes.  An all-reduce unit runs on the stream pool's callbacks:
+#: the step spawns the iteration and one dispatch per packed batch.
 PINNED = (
-    (StepConfig("step-8r", 8), 22, 11, 29, 123),
+    # No process per unit: 11 units x (unit process + pool runner)
+    # spawns and bootstraps fewer, 29 -> 7 and 123 -> 101.
+    (StepConfig("step-8r", 8), 22, 11, 7, 101),
     # The ring's hop bundle and NVLink bundle enter in one insert, not
     # one each: one reallocation and one wakeup fewer per all-reduce.
-    (StepConfig("step-256r", 256), 33, 56, 29, 154),
+    # No process per unit: 29 -> 7 spawned, 154 -> 132 scheduled.
+    (StepConfig("step-256r", 256), 33, 56, 7, 132),
     # Congested: node 0's hop and the hop into node 0 launch alone, the
     # other 30 hops and the NVLink fabrics as one bundle class each.
     # No process per hierarchical all-reduce: no spawn, no bootstrap.
+    # No process per unit: 40 units x 2 spawns and bootstraps fewer,
+    # 88 -> 8 and 746 -> 666.
     (StepConfig("stress-256r-hier", 256, streams=24, model="vgg16",
                 algorithm="hierarchical", congested=True), 280, 404,
-     88, 746),
-    # No process per planner all-reduce.
+     8, 666),
+    # No process per planner all-reduce.  No process per unit:
+    # 29 -> 7 spawned, 409 -> 387 scheduled.
     (StepConfig("planner-128r-ina", 128, algorithm="ina",
-                core_oversubscription=4.0), 99, 220, 29, 409),
+                core_oversubscription=4.0), 99, 220, 7, 387),
 )
 
 
@@ -72,3 +84,39 @@ def test_ps_step_spawns_one_process_per_connection(backend):
     simulate_step(ctx, backend)
     assert ctx.sim.processes_spawned - spawned == 1 + backend.num_connections
     assert len(model.parameters()) > 100
+
+
+@pytest.mark.parametrize("config", [pinned[0] for pinned in PINNED],
+                         ids=[pinned[0].name for pinned in PINNED])
+def test_aiacc_step_spawns_no_process_per_unit(config):
+    # The iteration and one dispatch per packed batch — however many
+    # all-reduce units the batches hold.
+    ctx, backend = build_step_context(config)
+    simulate_step(ctx, backend)  # warm-up
+    plan = backend._plan
+    batches = [units for _ids, closed in plan.points for units in closed]
+    if plan.tail:
+        batches.append(plan.tail)
+    units = sum(len(batch) for batch in batches)
+    spawned = ctx.sim.processes_spawned
+    simulate_step(ctx, backend)
+    assert ctx.sim.processes_spawned - spawned == 1 + len(batches)
+    assert units > len(batches)
+
+
+@pytest.mark.parametrize("backend, processes", (
+    (HorovodBackend, 4), (PyTorchDDPBackend, 3)), ids=("horovod", "ddp"))
+def test_serial_backend_step_spawns_no_process_per_buffer(backend,
+                                                          processes):
+    # Horovod: the step, the backward walk, the negotiator and the one
+    # connection; DDP: the step, the autograd hook and the connection.
+    # Staging a fusion buffer or bucket is a timeout, not a process, so
+    # the count is the same whatever the model's buffer count.
+    for name in ("resnet50", "bert-large", "vgg16"):
+        model = get_model(name)
+        comm = backend()
+        ctx = build_train_context(model, comm, 16, model.default_batch_size)
+        simulate_step(ctx, comm)  # warm-up
+        spawned = ctx.sim.processes_spawned
+        simulate_step(ctx, comm)
+        assert ctx.sim.processes_spawned - spawned == processes
