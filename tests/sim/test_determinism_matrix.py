@@ -64,6 +64,13 @@ MATRIX = [
     # requests and the collective runs its three-phase chain.
     {"ranks": 32, "streams": 4, "faults": False,
      "algorithm": "hierarchical"},
+] + [
+    # Multi-node planner cells: the 8-rank ina cell fits on one node,
+    # so it takes the planner's single-node ring.  At 32 ranks every
+    # planner schedule runs its inter-node phases.
+    {"ranks": 32, "streams": 4, "faults": False, "algorithm": algorithm}
+    for algorithm in ("ina", "multi-tree", "halving-doubling")
+] + [
     # Large-scale cell: pins the bundled-ring tier (GroupFlow fan-outs,
     # the network's wakeup timer) at 1024 ranks.  Symmetric, so it
     # runs in representative mode — cheap enough for the matrix while

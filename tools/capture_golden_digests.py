@@ -42,6 +42,14 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     # GPU per unit) and the three-phase hierarchical chain.
     {"ranks": 32, "streams": 4, "faults": False, "invariants": True,
      "seed": 0, "algorithm": "hierarchical"},
+) + tuple(
+    # Multi-node planner cells: the 8-rank ina cell fits on one node,
+    # so it takes the planner's single-node ring.  At 32 ranks every
+    # planner schedule runs its inter-node phases.
+    {"ranks": 32, "streams": 4, "faults": False, "invariants": True,
+     "seed": 0, "algorithm": algorithm}
+    for algorithm in ("ina", "multi-tree", "halving-doubling")
+) + (
     # Large-scale cell: 1024 ranks pins the bundled-ring tier
     # (GroupFlow fan-outs, the network's wakeup timer) at the scale the
     # flow-bundling work targets.  Symmetric, so it runs in
