@@ -48,6 +48,7 @@ Timing is differential-tested against the closed forms in
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as t
 
 import numpy as np
@@ -181,16 +182,19 @@ class CollectivePlanner:
         """Synthesize the schedule for one all-reduce.
 
         Raises :class:`~repro.errors.CollectiveError` for unknown
-        algorithms or shapes the algorithm cannot run on (e.g.
-        halving-doubling on a non-power-of-two node count).
+        algorithms, negative or non-finite sizes, and shapes the
+        algorithm cannot run on (e.g. halving-doubling on a
+        non-power-of-two node count).
         """
         if algorithm not in PLANNER_ALGORITHMS:
             raise CollectiveError(
                 f"unknown planner algorithm {algorithm!r}; "
                 f"expected one of {PLANNER_ALGORITHMS}"
             )
-        if size_bytes < 0:
-            raise CollectiveError("size_bytes must be non-negative")
+        if not 0 <= size_bytes < math.inf:
+            raise CollectiveError(
+                f"size_bytes must be finite and non-negative, got "
+                f"{size_bytes!r}")
         if not 0 < cap_scale <= 1:
             raise CollectiveError("cap_scale must be in (0, 1]")
         if size_bytes == 0 or self.cluster.world_size == 1:

@@ -34,13 +34,24 @@ member by member.  The whole fan-out enters the network in one
 exact at every scale: bundled members are link-disjoint and
 capacity-identical, so each one's rate is bit-equal to the group's, and
 no simulated time passes between a launch's same-instant arrivals.
-The ring, half-ring and hierarchical runs are classified once per
-collectives instance (:class:`_WirePlan`); planner phases, broadcast
-and all-to-all are classified when their phases are built.
+
+Every all-reduce, half-ring and all-to-all builds its phase list once
+per ``(algorithm, size_bytes, cap_scale)`` (:meth:`TimedCollectives.
+_phases`) and replays it on every later call with that key.  A launch
+is classified once per member structure (:meth:`TimedCollectives.
+_classify`), so every size of one algorithm launches the same
+:class:`~repro.sim.network.FlowBundle` handles and a steady-state
+relaunch keeps their claims.  Both memos are exact: a phase list is a
+pure function of its key and of state fixed at construction (the
+topology, the per-node stream caps and the planner's aggregation link),
+and runtime capacity changes reach only ``Link.capacity_bps``, which
+the solver reads at solve time and each bundle's claim re-checks when
+it registers.
 """
 
 from __future__ import annotations
 
+import math
 import typing as t
 
 from repro.errors import CollectiveError
@@ -67,6 +78,8 @@ _Run = tuple["_Classes | t.Sequence[t.Sequence[Link]]", float,
 #: delay that follows their drain, and the name of its
 #: ``collective.<name>`` timeline span (``None`` records none).
 _Phase = tuple[t.Sequence[_Run], float, "str | None"]
+#: A built collective: its phases and the label its chain runs under.
+_Plan = tuple[list[_Phase], str]
 
 #: Device-wide synchronization between the hierarchical algorithm's three
 #: phases.  Every GPU of a node must finish phase k before phase k+1 may
@@ -76,6 +89,14 @@ _Phase = tuple[t.Sequence[_Run], float, "str | None"]
 #: algorithm still wins on congested links, where its bandwidth shape
 #: matters more.
 HIERARCHICAL_PHASE_SYNC_S = 2e-3
+
+
+def _check_size(size_bytes: float) -> None:
+    """Reject a negative or non-finite collective size."""
+    if not 0 <= size_bytes < math.inf:
+        raise CollectiveError(
+            f"size_bytes must be finite and non-negative, got "
+            f"{size_bytes!r}")
 
 
 def _uniform_runs(specs: t.Iterable[tuple]) -> list[list]:
@@ -114,38 +135,23 @@ class _Classes(tuple):
         return classes
 
 
-def _classify(network: FluidNetwork, runs: list[list]) -> list[list]:
-    """Split a launch's uniform runs into their bundle classes.
-
-    A run with a class of two or more members gets its members as
-    :class:`_Classes`; every other run, and every run of a launch of
-    lone members (which skips the scan), keeps its members as they are.
-    """
-    if all(len(run[0]) == 1 for run in runs):
-        return runs
-    return [[_Classes.of(run[0], parts), *run[1:]]
-            if any(part.__class__ is FlowBundle for part in parts) else run
-            for run, parts in zip(runs, network.bundle_classes(
-                [run[0] for run in runs]))]
-
-
 class _WirePlan(t.NamedTuple):
-    """Cached launch skeleton of the node-level wire fan-outs.
+    """Launch skeleton of the node-level wire fan-outs.
 
     The flat ring and the half-ring primitives place the identical flow
     pattern every launch — one NIC hop per node plus the NVLink fabrics
     — and the hierarchical all-reduce places the same NVLink fabrics
     (phases 1 and 3) and the same hops with ``g`` streams each (phase
     2).  The pattern depends only on the (immutable) topology and the
-    static per-node stream caps.  Building and classifying it per call
-    costs O(nodes) Python work per collective unit, which at 1024–4096
-    ranks dominates the simulated step; this plan is built once per
-    collectives instance instead.  ``hops`` holds ``(members, base
-    cap)`` per uniform hop run and ``nvlink`` the one run of NVLink
-    fabrics (empty when none is launched), each already classified:
-    hop and NVLink links never meet, so classifying them apart equals
-    classifying a launch of both.  Caps are stored unscaled; launches
-    multiply by their ``cap_scale``.
+    static per-node stream caps, so it is built once per collectives
+    instance and every new ``(size_bytes, cap_scale)`` of these
+    collectives builds its phase list from it in O(runs), not
+    O(nodes).  ``hops`` holds ``(members, base cap)`` per uniform hop
+    run and ``nvlink`` the one run of NVLink fabrics (empty when none
+    is launched), each already classified: hop and NVLink links never
+    meet, so classifying them apart equals classifying a launch of
+    both.  Caps are stored unscaled; builders multiply by their
+    ``cap_scale``.
     """
 
     hops: list[list]
@@ -197,6 +203,14 @@ class TimedCollectives:
         self._planner: CollectivePlanner | None = None
         #: Lazily built wire-flow launch skeleton (see :class:`_WirePlan`).
         self._wire_cache: _WirePlan | None = None
+        #: Built phase lists by ``(algorithm, size_bytes, cap_scale)``
+        #: (see :meth:`_phases`).
+        self._plans: dict[tuple[str, float, float], _Plan] = {}
+        #: Classified members of each launch structure, one entry per
+        #: run, by the runs' link sets (see :meth:`_classify`).
+        self._classes: dict[tuple, list] = {}
+        #: Phase lists built so far: one per distinct memo key.
+        self.phase_plans_built = 0
 
     # -- public API -------------------------------------------------------
 
@@ -242,8 +256,7 @@ class TimedCollectives:
                 f"unknown all-reduce algorithm {algorithm!r}; "
                 f"expected one of {ALGORITHMS}"
             )
-        if size_bytes < 0:
-            raise CollectiveError("size_bytes must be non-negative")
+        _check_size(size_bytes)
         if not 0 < cap_scale <= 1:
             raise CollectiveError("cap_scale must be in (0, 1]")
         stalled = self._stalled(f"allreduce.{algorithm}")
@@ -255,12 +268,9 @@ class TimedCollectives:
             # at zero cost rather than launching empty flows (which would
             # still pay link latencies and α terms).
             done = self.sim.timeout(0.0, 0.0)
-        elif algorithm == "ring":
-            done = self._ring(size_bytes, cap_scale)
-        elif algorithm == "hierarchical":
-            done = self._hierarchical(size_bytes, cap_scale)
         else:
-            done = self._planned(algorithm, size_bytes, cap_scale)
+            done = self._chain(*self._phases(algorithm, size_bytes,
+                                             cap_scale), bytes=size_bytes)
 
         def _observe(_ev: Event) -> None:
             self._m_allreduce.inc(algorithm=algorithm)
@@ -280,6 +290,7 @@ class TimedCollectives:
         among the MPI daemons (paper Fig. 8b).  The payload is tiny, so the
         cost is pure latency: ``2 (m - 1)`` inter-node hops.
         """
+        _check_size(payload_bytes)
         stalled = self._stalled("control_roundtrip")
         if stalled is not None:
             return stalled
@@ -298,10 +309,11 @@ class TimedCollectives:
 
     def broadcast(self, size_bytes: float) -> Event:
         """Timed pipelined broadcast from rank 0 to all workers."""
+        _check_size(size_bytes)
         stalled = self._stalled("broadcast")
         if stalled is not None:
             return stalled
-        if size_bytes <= 0 or self.cluster.world_size == 1:
+        if size_bytes == 0 or self.cluster.world_size == 1:
             # Nothing to move (or nobody to move it to): zero-cost, no
             # flows — a single-worker "broadcast" is a no-op, not an
             # NVLink transfer of the full payload to itself.
@@ -319,12 +331,61 @@ class TimedCollectives:
 
         Returns an event triggering at completion.
         """
-        stalled = self._stalled("alltoall")
+        return self._one_phase("alltoall", size_bytes)
+
+    def reduce_scatter(self, size_bytes: float) -> Event:
+        """Timed ring reduce-scatter of ``size_bytes`` (half a ring
+        all-reduce: ``n - 1`` steps, ``S (n-1)/n`` bytes per hop)."""
+        return self._one_phase("reduce_scatter", size_bytes)
+
+    def allgather(self, size_bytes: float) -> Event:
+        """Timed ring all-gather of ``size_bytes`` (the other half)."""
+        return self._one_phase("allgather", size_bytes)
+
+    def _one_phase(self, kind: str, size_bytes: float) -> Event:
+        """Start an all-to-all or half ring: checks, then its phase list."""
+        _check_size(size_bytes)
+        stalled = self._stalled(kind)
         if stalled is not None:
             return stalled
-        n = self.cluster.world_size
-        if size_bytes <= 0 or n == 1:
+        if size_bytes == 0 or self.cluster.world_size == 1:
             return self.sim.timeout(0.0)
+        return self._chain(*self._phases(kind, size_bytes))
+
+    # -- algorithm schedules -------------------------------------------------
+
+    def _phases(self, kind: str, size_bytes: float,
+                cap_scale: float = 1.0) -> _Plan:
+        """The phase list and chain label of one collective, built once.
+
+        ``kind`` is an all-reduce algorithm, ``"alltoall"``,
+        ``"reduce_scatter"`` or ``"allgather"``.  The first call with a
+        ``(kind, size_bytes, cap_scale)`` key builds the list and every
+        later one replays it: a builder reads only its arguments and
+        state fixed at construction, so the replayed launches are the
+        ones a rebuild would make.  Callers validate the key and handle
+        the degenerate sizes first.
+        """
+        key = (kind, size_bytes, cap_scale)
+        plan = self._plans.get(key)
+        if plan is None:
+            if kind == "ring":
+                plan = self._ring(size_bytes, cap_scale)
+            elif kind == "hierarchical":
+                plan = self._hierarchical(size_bytes, cap_scale)
+            elif kind == "alltoall":
+                plan = self._alltoall(size_bytes)
+            elif kind in PLANNER_ALGORITHMS:
+                plan = self._planned(kind, size_bytes, cap_scale)
+            else:
+                plan = self._half_ring(kind, size_bytes)
+            self._plans[key] = plan
+            self.phase_plans_built += 1
+        return plan
+
+    def _alltoall(self, size_bytes: float) -> _Plan:
+        """Staggered-partner all-to-all: one phase."""
+        n = self.cluster.world_size
         m = self.cluster.num_nodes
         g = self.cluster.spec.gpus_per_node
         spec = self.cluster.spec
@@ -343,25 +404,12 @@ class TimedCollectives:
             intra_bytes = g * size_bytes * (g - 1) / n
             for fabric in self._nvlink_fabrics():
                 specs.append(([fabric], intra_bytes, None, 1))
-        runs = _classify(self.network, _uniform_runs(specs))
-        return self._chain([(runs, alpha, None)], "alltoall")
+        return [(self._classify(_uniform_runs(specs)), alpha, None)], \
+            "alltoall"
 
-    def reduce_scatter(self, size_bytes: float) -> Event:
-        """Timed ring reduce-scatter of ``size_bytes`` (half a ring
-        all-reduce: ``n - 1`` steps, ``S (n-1)/n`` bytes per hop)."""
-        return self._half_ring("reduce_scatter", size_bytes)
-
-    def allgather(self, size_bytes: float) -> Event:
-        """Timed ring all-gather of ``size_bytes`` (the other half)."""
-        return self._half_ring("allgather", size_bytes)
-
-    def _half_ring(self, name: str, size_bytes: float) -> Event:
-        stalled = self._stalled(name)
-        if stalled is not None:
-            return stalled
+    def _half_ring(self, name: str, size_bytes: float) -> _Plan:
+        """Reduce-scatter or all-gather: half a ring, one phase."""
         n = self.cluster.world_size
-        if size_bytes <= 0 or n == 1:
-            return self.sim.timeout(0.0)
         m = self.cluster.num_nodes
         spec = self.cluster.spec
         hop_bytes = ring_volume_bytes(size_bytes, n) / 2.0
@@ -370,9 +418,7 @@ class TimedCollectives:
         else:
             alpha = (n - 1) * spec.intra_node_latency_s
         runs = self._wire_runs(self._wire_plan(), hop_bytes, 1.0)
-        return self._chain([(runs, alpha, None)], name)
-
-    # -- algorithm schedules -------------------------------------------------
+        return [(runs, alpha, None)], name
 
     def _nic_hops(self) -> list[tuple[int, list[Link]]]:
         """Directed inter-node NIC hops of the node-level ring.
@@ -398,8 +444,32 @@ class TimedCollectives:
     def _launch(self, specs: t.Sequence[_Spec],
                 label: str | None = None) -> list[Event]:
         """Start one flow per ``(links, bytes, cap, weight)`` spec."""
-        return self._launch_runs(
-            _classify(self.network, _uniform_runs(specs)), label)
+        return self._launch_runs(self._classify(_uniform_runs(specs)),
+                                 label)
+
+    def _classify(self, runs: list[list]) -> list[list]:
+        """Split a launch's uniform runs into their bundle classes.
+
+        A run with a class of two or more members gets its members as
+        :class:`_Classes`; every other run, and every run of a launch of
+        lone members (which skips the scan), keeps its members as they
+        are.  Classes depend on the member link sets only, never on
+        bytes, so each structure is classified once: later launches of
+        it reuse its :class:`~repro.sim.network.FlowBundle` handles,
+        whose claims then persist across launches.
+        """
+        if all(len(run[0]) == 1 for run in runs):
+            return runs
+        key = tuple(tuple(map(tuple, run[0])) for run in runs)
+        classes = self._classes.get(key)
+        if classes is None:
+            classes = self._classes[key] = [
+                _Classes.of(run[0], parts)
+                if any(part.__class__ is FlowBundle for part in parts)
+                else run[0]
+                for run, parts in zip(runs, self.network.bundle_classes(
+                    [run[0] for run in runs]))]
+        return [[members, *run[1:]] for members, run in zip(classes, runs)]
 
     def _launch_runs(self, runs: t.Sequence[_Run],
                      label: str | None) -> list[Event]:
@@ -476,7 +546,7 @@ class TimedCollectives:
     def _wire_plan(self) -> _WirePlan:
         """Build (once) the launch skeleton of the wire fan-outs.
 
-        Safe to cache for the instance lifetime: hop structure and
+        Safe to keep for the instance lifetime: hop structure and
         NVLink fabrics are fixed by the topology, and per-node stream
         caps come from the static cluster spec and build-time congestion
         map — runtime capacity degradation (``set_link_capacity``) does
@@ -498,18 +568,16 @@ class TimedCollectives:
         nvlink: list[tuple[list[Link]]] = []
         if m == 1 or cluster.spec.gpus_per_node > 1:
             nvlink = [([fabric],) for fabric in self._nvlink_fabrics()]
-        network = self.network
         plan = self._wire_cache = _WirePlan(
-            _classify(network, _uniform_runs(hops)),
-            _classify(network, _uniform_runs(nvlink)), slowest_base)
+            self._classify(_uniform_runs(hops)),
+            self._classify(_uniform_runs(nvlink)), slowest_base)
         return plan
 
     def _wire_runs(self, plan: _WirePlan, hop_bytes: float,
                    cap_scale: float) -> list[_Run]:
         """One ``hop_bytes`` run per wire-plan run, hops then NVLink.
 
-        The plan's unscaled caps are multiplied by ``cap_scale``; only
-        the per-call Python work of building the fan-out is elided.
+        The plan's unscaled caps are multiplied by ``cap_scale``.
         """
         runs = [(members, hop_bytes, base * cap_scale, 1)
                 for members, base in plan.hops]
@@ -517,8 +585,8 @@ class TimedCollectives:
                     for members, in plan.nvlink)
         return runs
 
-    def _ring(self, size_bytes: float, cap_scale: float = 1.0) -> Event:
-        """Flat topology-aware ring across all ``n`` GPUs."""
+    def _ring(self, size_bytes: float, cap_scale: float = 1.0) -> _Plan:
+        """Flat topology-aware ring across all ``n`` GPUs: one phase."""
         n = self.cluster.world_size
         m = self.cluster.num_nodes
         spec = self.cluster.spec
@@ -545,11 +613,15 @@ class TimedCollectives:
             fill = 0.0
 
         runs = self._wire_runs(plan, hop_bytes, cap_scale)
-        return self._chain([(runs, alpha + fill, None)], "ring")
+        return [(runs, alpha + fill, None)], "ring"
 
     def _hierarchical(self, size_bytes: float,
-                      cap_scale: float = 1.0) -> Event:
-        """Intra-node RS, g parallel inter-node rings, intra-node AG."""
+                      cap_scale: float = 1.0) -> _Plan:
+        """Intra-node RS, g parallel inter-node rings, intra-node AG.
+
+        A single node or one GPU per node falls back to the flat ring,
+        which chains as ``"ring"``.
+        """
         m = self.cluster.num_nodes
         g = self.cluster.spec.gpus_per_node
         if m == 1 or g == 1:
@@ -574,25 +646,22 @@ class TimedCollectives:
             (plan.slowest_base * cap_scale)
         exposed = max(0.0, spec.transport.per_message_overhead_s
                       - shard_chunk_tx)
-        return self._chain([
+        return [
             (intra, intra_latency + HIERARCHICAL_PHASE_SYNC_S, None),
             (rings, 2 * (m - 1) * (spec.inter_node_latency_s + exposed)
              + HIERARCHICAL_PHASE_SYNC_S, None),
             (intra, intra_latency, None),
-        ], "hierarchical")
+        ], "hierarchical"
 
     def _planned(self, algorithm: str, size_bytes: float,
-                 cap_scale: float) -> Event:
-        """Execute a planner-synthesized schedule phase by phase."""
+                 cap_scale: float) -> _Plan:
+        """A planner-synthesized schedule, one phase per schedule phase."""
         planner = self._planner
         if planner is None:
             planner = self._planner = CollectivePlanner(self.cluster)
         schedule = planner.plan(algorithm, size_bytes, cap_scale)
-        if not schedule.phases:
-            return self.sim.timeout(0.0, 0.0)
-        network = self.network
-        return self._chain([
-            (_classify(network, _uniform_runs(
+        return [
+            (self._classify(_uniform_runs(
                 flow.as_request() for flow in phase.flows
                 if flow.size_bytes > 0)), phase.latency_s, phase.name)
-            for phase in schedule.phases], algorithm, bytes=size_bytes)
+            for phase in schedule.phases], algorithm

@@ -35,7 +35,7 @@ import typing as t
 import pytest
 
 from repro.collectives import TimedCollectives, ring_volume_bytes
-from repro.collectives.planner import CollectivePlanner
+from repro.collectives.planner import PLANNER_ALGORITHMS, CollectivePlanner
 from repro.collectives.timed import HIERARCHICAL_PHASE_SYNC_S, _Classes
 from repro.obs import NETWORK_RANK, Observability, diagnose
 from repro.sim import FluidNetwork, Simulator
@@ -62,7 +62,7 @@ def _oracle_hierarchical(self, size_bytes: float,
     m = self.cluster.num_nodes
     g = self.cluster.spec.gpus_per_node
     if m == 1 or g == 1:
-        return self._ring(size_bytes, cap_scale)
+        return self._chain(*self._ring(size_bytes, cap_scale))
     spec = self.cluster.spec
     plan = self._wire_plan()
 
@@ -239,9 +239,20 @@ def test_oversubscribed_core_matches_old_launch_rule(monkeypatch,
 
 
 def _use_process_runners(monkeypatch):
-    monkeypatch.setattr(TimedCollectives, "_hierarchical",
-                        _oracle_hierarchical)
-    monkeypatch.setattr(TimedCollectives, "_planned", _oracle_planned)
+    # The runners returned the collective's event, so they stand in for
+    # the whole all-reduce.  That skips its metrics callback, which
+    # none of the compared results read.
+    allreduce = TimedCollectives.allreduce
+
+    def process_allreduce(self, size_bytes, algorithm="ring",
+                          cap_scale=1.0):
+        if algorithm == "hierarchical":
+            return _oracle_hierarchical(self, size_bytes, cap_scale)
+        if algorithm in PLANNER_ALGORITHMS:
+            return _oracle_planned(self, algorithm, size_bytes, cap_scale)
+        return allreduce(self, size_bytes, algorithm, cap_scale)
+
+    monkeypatch.setattr(TimedCollectives, "allreduce", process_allreduce)
 
 
 #: The collectives the process runners ran: the chain oracle's matrix.

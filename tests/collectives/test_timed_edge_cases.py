@@ -12,18 +12,26 @@ Four bug classes pinned here:
   zero cost instead of launching empty flows that still pay α terms;
 * stalls: a phase chain whose fan-out never drains, or whose cluster
   has a crashed node, must hang like a real NCCL collective — no later
-  phase launches and the collective's event never fires.
+  phase launches and the collective's event never fires;
+* non-finite sizes: a NaN size once ran a planner all-reduce to
+  completion (every flow failed the planner's ``size_bytes > 0``
+  filter), and would add a phase-list memo entry per call, since NaN
+  never equals itself as a key.
 """
+
+import math
 
 import pytest
 
-from repro.collectives import TimedCollectives
+from repro.collectives import ALGORITHMS, PLANNER_ALGORITHMS, TimedCollectives
+from repro.collectives.planner import CollectivePlanner
 from repro.collectives.cost_model import (
     CostParams,
     hierarchical_allreduce_time_s,
     ring_allreduce_time_s,
 )
 from repro.sim import FluidNetwork, Simulator, alibaba_v100_cluster
+from repro.errors import CollectiveError
 from repro.sim.topology import Cluster, NodeSpec
 
 
@@ -255,3 +263,49 @@ class TestChainStall:
         sim.run()
         assert launched == [] and not net.flows
         assert not done.triggered
+
+
+BAD_SIZES = (math.nan, math.inf, -1.0)
+
+#: Every sized entry point: each all-reduce algorithm, the other
+#: collectives and the control-plane ring pass.
+ENTRY_POINTS = {
+    **{f"allreduce-{algorithm}":
+       (lambda algorithm: lambda timed, size: timed.allreduce(
+           size, algorithm=algorithm))(algorithm)
+       for algorithm in ALGORITHMS},
+    "broadcast": lambda timed, size: timed.broadcast(size),
+    "alltoall": lambda timed, size: timed.alltoall(size),
+    "reduce_scatter": lambda timed, size: timed.reduce_scatter(size),
+    "allgather": lambda timed, size: timed.allgather(size),
+    "control_roundtrip": lambda timed, size: timed.control_roundtrip(size),
+}
+
+
+class TestNonFiniteSizes:
+    """Negative and non-finite sizes fail before anything is built."""
+
+    @pytest.mark.parametrize("size", BAD_SIZES, ids=repr)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_timed_entry_points_reject(self, entry, size):
+        sim, timed, _cluster = make_context(32)
+        with pytest.raises(CollectiveError, match="size_bytes"):
+            ENTRY_POINTS[entry](timed, size)
+        assert timed._plans == {} and timed.phase_plans_built == 0
+        assert not timed.network.flows and sim.events_scheduled == 0
+
+    @pytest.mark.parametrize("size", BAD_SIZES, ids=repr)
+    @pytest.mark.parametrize("algorithm", PLANNER_ALGORITHMS)
+    def test_planner_rejects(self, algorithm, size):
+        _sim, _timed, cluster = make_context(32)
+        with pytest.raises(CollectiveError, match="size_bytes"):
+            CollectivePlanner(cluster).plan(algorithm, size)
+
+    def test_rejected_before_the_stall_check(self):
+        # A dead node stalls a valid collective, but a bad size is an
+        # input error whatever the cluster's state.
+        _sim, timed, cluster = make_context(32)
+        cluster.fail_node(1)
+        with pytest.raises(CollectiveError):
+            timed.allreduce(math.nan, algorithm="ina")
+        assert not timed.allreduce(8e6, algorithm="ina").triggered

@@ -6,7 +6,9 @@ unlike wall time they gate exactly on the work the solver does.  An
 optimisation that only makes each visit cheaper leaves them unchanged;
 one that changes how many components are solved, or how large, moves
 them and must re-pin here with a reason.  ``Simulator.processes_spawned``
-and ``Simulator.events_scheduled`` do the same for the event kernel.
+and ``Simulator.events_scheduled`` do the same for the event kernel,
+and ``TimedCollectives.phase_plans_built`` for the collectives' phase
+lists.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.frameworks import (
     PyTorchDDPBackend,
 )
 from repro.models import get_model
+from repro.sim.network import FluidNetwork
 from repro.training.trainer import build_train_context
 
 #: ``(config, reallocations, flow visits, processes spawned, events
@@ -120,3 +123,39 @@ def test_serial_backend_step_spawns_no_process_per_buffer(backend,
         spawned = ctx.sim.processes_spawned
         simulate_step(ctx, comm)
         assert ctx.sim.processes_spawned - spawned == processes
+
+
+#: Steady-state planner steps: after warm-up and one step, every unit
+#: repeats an ``(algorithm, size, cap)`` key, so a step builds no phase
+#: list and classifies no launch.  Halving-doubling re-registers the
+#: claims its rounds evict from each other: at most the 88 registrations
+#: per step it made while it classified every launch afresh.
+STEADY = (
+    (StepConfig("planner-128r-ina", 128, algorithm="ina",
+                core_oversubscription=4.0), 0),
+    (StepConfig("multi-tree-64r", 64, algorithm="multi-tree"), 0),
+    (StepConfig("halving-doubling-64r", 64,
+                algorithm="halving-doubling"), 88),
+)
+
+
+@pytest.mark.parametrize("config, registrations", STEADY,
+                         ids=[config.name for config, _ in STEADY])
+def test_steady_planner_step_builds_no_phase_list(monkeypatch, config,
+                                                  registrations):
+    ctx, backend = build_step_context(config)
+    simulate_step(ctx, backend)
+    calls = {"bundle_classes": 0, "_register_bundle": 0}
+    for name in calls:
+        original = getattr(FluidNetwork, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(FluidNetwork, name, counted)
+    built = ctx.collectives.phase_plans_built
+    simulate_step(ctx, backend)
+    assert ctx.collectives.phase_plans_built == built > 0
+    assert calls["bundle_classes"] == 0
+    assert calls["_register_bundle"] <= registrations
