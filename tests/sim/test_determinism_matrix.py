@@ -80,6 +80,10 @@ MATRIX = [
     # Parameter-server baselines: single flows through ``start_flow``.
     {"ranks": 16, "streams": 4, "faults": False, "backend": backend}
     for backend in ("byteps", "mxnet-kvstore")
+] + [
+    # Serial all-reduce baselines: one coordinated stream per rank.
+    {"ranks": 16, "streams": 4, "faults": False, "backend": backend}
+    for backend in ("horovod", "pytorch-ddp")
 ]
 
 

@@ -64,6 +64,11 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     {"ranks": 16, "streams": 4, "faults": False, "invariants": True,
      "seed": 0, "backend": backend}
     for backend in ("byteps", "mxnet-kvstore")
+) + tuple(
+    # Serial all-reduce baselines: one coordinated stream per rank.
+    {"ranks": 16, "streams": 4, "faults": False, "invariants": True,
+     "seed": 0, "backend": backend}
+    for backend in ("horovod", "pytorch-ddp")
 )
 
 
