@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 import typing as t
 
 from repro.errors import TrainingError
@@ -42,6 +43,19 @@ UPDATE_TIME_S = 1e-3
 
 #: Sentinel closing one :class:`ConnectionPool` connection.
 _CLOSE = object()
+
+
+def require_positive(name: str, value: float) -> None:
+    """Reject a backend size or period that is not finite and positive."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def require_non_negative(name: str, value: float) -> None:
+    """Reject a backend overhead that is not finite and non-negative."""
+    if not 0 <= value < math.inf:
+        raise ValueError(
+            f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -27,6 +27,8 @@ from repro.frameworks.base import (
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
+    require_non_negative,
+    require_positive,
 )
 from repro.sim.network import FluidNetwork, Link
 
@@ -40,8 +42,8 @@ class BytePSBackend(DDLBackend):
                  num_connections: int = 4,
                  extra_cpu_server_nodes: int = 0,
                  server_overhead_s: float = 50e-6) -> None:
-        if partition_bytes <= 0:
-            raise ValueError("partition_bytes must be positive")
+        require_positive("partition_bytes", partition_bytes)
+        require_non_negative("server_overhead_s", server_overhead_s)
         if num_connections < 1:
             raise ValueError("num_connections must be >= 1")
         if extra_cpu_server_nodes < 0:

@@ -26,6 +26,8 @@ from repro.frameworks.base import (
     ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
+    require_non_negative,
+    require_positive,
 )
 from repro.sim.events import Event
 from repro.sim.process import Process
@@ -41,8 +43,12 @@ class HorovodBackend(DDLBackend):
                  master_service_per_worker_s: float = 5e-6,
                  master_service_per_entry_s: float = 1.0e-6,
                  algorithm: str = "ring") -> None:
-        if cycle_time_s <= 0 or fusion_buffer_bytes <= 0:
-            raise ValueError("cycle time and fusion buffer must be positive")
+        require_positive("cycle_time_s", cycle_time_s)
+        require_positive("fusion_buffer_bytes", fusion_buffer_bytes)
+        require_non_negative("master_service_per_worker_s",
+                             master_service_per_worker_s)
+        require_non_negative("master_service_per_entry_s",
+                             master_service_per_entry_s)
         self.cycle_time_s = cycle_time_s
         self.fusion_buffer_bytes = fusion_buffer_bytes
         self.master_service_per_worker_s = master_service_per_worker_s

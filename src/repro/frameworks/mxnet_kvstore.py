@@ -25,6 +25,7 @@ from repro.frameworks.base import (
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
+    require_non_negative,
 )
 
 
@@ -37,6 +38,7 @@ class MXNetKVStoreBackend(DDLBackend):
                  num_connections: int = 2) -> None:
         if num_connections < 1:
             raise ValueError("num_connections must be >= 1")
+        require_non_negative("per_key_overhead_s", per_key_overhead_s)
         self.per_key_overhead_s = per_key_overhead_s
         #: KVStore overlaps the push of one key with the pull of another,
         #: but far less aggressively than BytePS's partitioned pipeline.

@@ -23,6 +23,8 @@ from repro.frameworks.base import (
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
+    require_non_negative,
+    require_positive,
 )
 from repro.models.base import ParameterSpec
 from repro.sim.events import Event
@@ -37,8 +39,8 @@ class PyTorchDDPBackend(DDLBackend):
                  launch_overhead_s: float = 30e-6,
                  stream_cap_scale: float = 0.65,
                  algorithm: str = "ring") -> None:
-        if bucket_bytes <= 0:
-            raise ValueError("bucket_bytes must be positive")
+        require_positive("bucket_bytes", bucket_bytes)
+        require_non_negative("launch_overhead_s", launch_overhead_s)
         if not 0 < stream_cap_scale <= 1:
             raise ValueError("stream_cap_scale must be in (0, 1]")
         self.bucket_bytes = bucket_bytes

@@ -1,11 +1,12 @@
 """Deterministic-replay probes for the seed x config determinism matrix.
 
-The simulator's replay-determinism guarantee (PR 2) is only worth
-anything if it survives hot-path rewrites.  This module packages one
-training run per matrix cell — ranks x streams x {faults on/off} x
-{invariants on/off} — behind a single function so the determinism test
-suite, the benchmark harness and ad-hoc debugging all probe the exact
-same configurations.
+The simulator's replay-determinism guarantee is only worth anything if
+it survives hot-path rewrites.  This module packages one training run
+per matrix cell — ranks x streams x {faults on/off} x {invariants
+on/off} — behind a single function, and declares every golden-pinned
+cell once (:data:`GOLDEN_CELLS`, :data:`FINDINGS_CELLS`), so the
+determinism test and ``tools/capture_golden.py`` check and re-pin the
+exact same configurations.
 
 Each probe returns the run's :meth:`~repro.sim.kernel.Simulator.
 state_digest` (``None`` when the invariant checker is off — the digest
@@ -36,7 +37,10 @@ from repro.core.runtime import AIACCConfig
 from repro.errors import TrainingError
 from repro.frameworks import make_backend
 from repro.sim.faults import FaultPlan, NodeCrash
-from repro.training.trainer import run_training
+from repro.training.trainer import ThroughputResult, run_training
+
+if t.TYPE_CHECKING:
+    from repro.training.resilience import FaultInjectionResult
 
 #: Forward-time jitter per seed unit in the fault-free probe (seconds).
 SEED_JITTER_S = 1e-6
@@ -49,72 +53,18 @@ PROBE_MODEL = "resnet50"
 class DeterminismProbe:
     """Outcome of one determinism-matrix cell."""
 
-    ranks: int
-    streams: int
-    faults: bool
-    invariants: bool
-    seed: int
     #: Event-sequence digest; ``None`` when invariants are off.
     digest: str | None
     iteration_times_s: tuple[float, ...]
-    #: All-reduce algorithm of the probed run.
-    algorithm: str = "ring"
-    #: Communication backend of the probed run.
-    backend: str = "aiacc"
-
-    @property
-    def key(self) -> str:
-        """Stable identifier used by the golden-digest file."""
-        return probe_key(self.ranks, self.streams, self.faults,
-                         self.invariants, self.seed, self.algorithm,
-                         self.backend)
-
-
-def probe_key(ranks: int, streams: int, faults: bool, invariants: bool,
-              seed: int, algorithm: str = "ring",
-              backend: str = "aiacc") -> str:
-    """Canonical name of one matrix cell (JSON key in the golden file).
-
-    The default AIACC ring keeps the legacy key format so existing
-    golden entries stay addressable; planner-backend cells append an
-    ``-<algorithm>`` suffix and baseline-backend cells a ``-<backend>``
-    suffix.
-    """
-    key = (f"r{ranks}-s{streams}"
-           f"-{'faults' if faults else 'nofaults'}"
-           f"-{'inv' if invariants else 'noinv'}-seed{seed}")
-    if algorithm != "ring":
-        key += f"-{algorithm}"
-    if backend != "aiacc":
-        key += f"-{backend}"
-    return key
 
 
 @dataclasses.dataclass(frozen=True)
 class DiagnosisProbe:
-    """Outcome of one diagnosis-determinism cell."""
+    """Outcome of one diagnosis-determinism cell (its golden entry)."""
 
-    straggler_rank: int | None
-    straggler_factor: float
-    seed: int
     #: Canonical findings digest (see ``repro.obs.diagnosis``).
     findings_digest: str
     findings: int
-
-    @property
-    def key(self) -> str:
-        """Stable identifier used by the golden-findings file."""
-        return diagnosis_probe_key(self.straggler_rank,
-                                   self.straggler_factor, self.seed)
-
-
-def diagnosis_probe_key(straggler_rank: int | None,
-                        straggler_factor: float = 3.0,
-                        seed: int = 0) -> str:
-    """Canonical name of one diagnosis cell (golden-findings JSON key)."""
-    scenario = ("clean" if straggler_rank is None
-                else f"straggler-r{straggler_rank}-x{straggler_factor:g}")
-    return f"diag-{scenario}-seed{seed}"
 
 
 def diagnosis_probe(straggler_rank: int | None = None,
@@ -144,10 +94,111 @@ def diagnosis_probe(straggler_rank: int | None = None,
         config=AIACCConfig(num_streams=4), seed=seed, obs=obs,
         compute_skew=skew)
     diagnosis = diagnose(obs, attributions=report.attributions)
-    return DiagnosisProbe(
-        straggler_rank=straggler_rank, straggler_factor=straggler_factor,
-        seed=seed, findings_digest=diagnosis.findings_digest,
-        findings=len(diagnosis.findings))
+    return DiagnosisProbe(findings_digest=diagnosis.findings_digest,
+                          findings=len(diagnosis.findings))
+
+
+#: Every cell pinned in ``tests/sim/golden_digests.json``.  Each runs
+#: with the invariant checker on and seed 0; :func:`golden_entry` is its
+#: pin, and ``tools/capture_golden.py`` re-pins the whole registry.
+GOLDEN_CELLS: tuple[dict, ...] = tuple(
+    {"ranks": ranks, "streams": streams, "faults": faults}
+    for ranks in (2, 8, 32)
+    for streams in (1, 4)
+    for faults in (False, True)
+) + (
+    # Planner cell on one node: the in-network-aggregation schedule
+    # takes the planner's single-node ring.
+    {"ranks": 8, "streams": 4, "faults": False, "algorithm": "ina"},
+) + tuple(
+    # 32-rank cells: a hierarchical unit holds one CUDA stream per local
+    # GPU, so the stream pool grants multi-slot requests and the
+    # collective runs its three-phase chain; every planner schedule
+    # runs its inter-node phases.
+    {"ranks": 32, "streams": 4, "faults": False, "algorithm": algorithm}
+    for algorithm in ("hierarchical", "ina", "multi-tree",
+                      "halving-doubling")
+) + (
+    # Large-scale cell: pins the bundled-ring tier (GroupFlow fan-outs,
+    # the network's wakeup timer) at 1024 ranks.  Symmetric, so it runs
+    # in representative mode — cheap enough for the matrix while still
+    # covering the 128-node schedule's event stream.
+    {"ranks": 1024, "streams": 4, "faults": False},
+) + tuple(
+    # Baselines, which ignore ``streams``: the parameter servers'
+    # push/pulls are single flows through ``FluidNetwork.start_flow``, a
+    # path the AIACC cells barely touch; Horovod and PyTorch-DDP run
+    # one coordinated all-reduce stream per rank.
+    {"ranks": 16, "streams": 4, "faults": False, "backend": backend}
+    for backend in ("byteps", "mxnet-kvstore", "horovod", "pytorch-ddp")
+)
+
+#: Every cell pinned in ``tests/sim/golden_findings.json``: a clean run,
+#: which must stay at the empty-findings digest, and an injected
+#: straggler.  :func:`findings_entry` is its pin.
+FINDINGS_CELLS: tuple[dict, ...] = (
+    {"straggler_rank": None, "straggler_factor": 3.0, "seed": 0},
+    {"straggler_rank": 2, "straggler_factor": 3.0, "seed": 0},
+)
+
+
+def golden_key(cell: dict) -> str:
+    """JSON key of one :data:`GOLDEN_CELLS` cell.
+
+    Every cell runs invariant-checked at seed 0, which the key spells
+    out; planner cells append ``-<algorithm>`` and baseline cells
+    ``-<backend>``.
+    """
+    key = (f"r{cell['ranks']}-s{cell['streams']}"
+           f"-{'faults' if cell['faults'] else 'nofaults'}-inv-seed0")
+    for field, default in (("algorithm", "ring"), ("backend", "aiacc")):
+        if cell.get(field, default) != default:
+            key += f"-{cell[field]}"
+    return key
+
+
+def golden_entry(cell: dict) -> dict:
+    """Run one :data:`GOLDEN_CELLS` cell and return its pinned entry."""
+    probe = run_probe(**cell, invariants=True, seed=0)
+    return {"digest": probe.digest,
+            "iteration_times_s": list(probe.iteration_times_s)}
+
+
+def findings_key(cell: dict) -> str:
+    """JSON key of one :data:`FINDINGS_CELLS` cell."""
+    rank = cell["straggler_rank"]
+    scenario = ("clean" if rank is None else
+                f"straggler-r{rank}-x{cell['straggler_factor']:g}")
+    return f"diag-{scenario}-seed{cell['seed']}"
+
+
+def findings_entry(cell: dict) -> dict:
+    """Diagnose one :data:`FINDINGS_CELLS` cell; return its pinned entry."""
+    return dataclasses.asdict(diagnosis_probe(**cell))
+
+
+def golden_report(committed: t.Mapping[str, dict],
+                  fresh: t.Mapping[str, dict]) -> list[str]:
+    """One line per fresh entry, comparing it with the committed one.
+
+    A golden entry's times, or a findings entry's count, is ``held``,
+    ``MOVED`` or ``new``; the line ends with the old -> new digest.
+    """
+    lines = []
+    for key, entry in fresh.items():
+        if "iteration_times_s" in entry:
+            label, value, digest = "times", "iteration_times_s", "digest"
+        else:
+            label, value, digest = "count", "findings", "findings_digest"
+        old = committed.get(key)
+        if old is None:
+            state, old_digest = "new", "-"
+        else:
+            state = "held" if old[value] == entry[value] else "MOVED"
+            old_digest = old[digest]
+        lines.append(f"{key}: {label} {state}, digest {old_digest} -> "
+                     f"{entry[digest]}")
+    return lines
 
 
 def _fault_layout(ranks: int) -> int:
@@ -171,36 +222,33 @@ def run_probe(ranks: int, streams: int = 4, faults: bool = False,
         if algorithm != "ring" or backend != "aiacc":
             raise TrainingError(
                 "fault probes only cover the AIACC ring algorithm")
-        return _run_fault_probe(ranks, streams, invariants, seed,
-                                iterations, model)
-    return _run_clean_probe(ranks, streams, invariants, seed,
-                            iterations, model, algorithm, backend)
+        result = _run_fault_probe(ranks, streams, invariants, seed,
+                                  iterations, model)
+    else:
+        result = _run_clean_probe(ranks, streams, invariants, seed,
+                                  iterations, model, algorithm, backend)
+    return DeterminismProbe(digest=result.state_digest,
+                            iteration_times_s=result.iteration_times_s)
 
 
 def _run_clean_probe(ranks: int, streams: int, invariants: bool,
                      seed: int, iterations: int, model: str,
-                     algorithm: str = "ring",
-                     backend: str = "aiacc") -> DeterminismProbe:
+                     algorithm: str, backend: str) -> ThroughputResult:
     if backend == "aiacc":
         comm = make_backend("aiacc", config=AIACCConfig(
             num_streams=streams, algorithm=algorithm))
     else:
         comm = make_backend(backend)
-    result = run_training(
+    return run_training(
         model, comm, ranks,
         measure_iterations=iterations, warmup_iterations=0,
         extra_forward_time_s=seed * SEED_JITTER_S,
         check_invariants=invariants)
-    return DeterminismProbe(
-        ranks=ranks, streams=streams, faults=False, invariants=invariants,
-        seed=seed, digest=result.state_digest,
-        iteration_times_s=result.iteration_times_s, algorithm=algorithm,
-        backend=backend)
 
 
 def _run_fault_probe(ranks: int, streams: int, invariants: bool,
                      seed: int, iterations: int,
-                     model: str) -> DeterminismProbe:
+                     model: str) -> FaultInjectionResult:
     from repro.training.resilience import run_fault_injected_training
 
     gpus_per_node = _fault_layout(ranks)
@@ -210,13 +258,9 @@ def _run_fault_probe(ranks: int, streams: int, invariants: bool,
     victim = seed % num_nodes
     crash_at = 0.4 + 0.01 * (seed % 7)
     plan = FaultPlan([NodeCrash(at_s=crash_at, node=victim)])
-    result = run_fault_injected_training(
+    return run_fault_injected_training(
         model, plan, config=AIACCConfig(num_streams=streams),
         num_gpus=ranks, gpus_per_node=gpus_per_node,
         total_iterations=iterations,
         checkpoint_interval=max(1, iterations // 2),
         check_invariants=invariants)
-    return DeterminismProbe(
-        ranks=ranks, streams=streams, faults=True, invariants=invariants,
-        seed=seed, digest=result.state_digest,
-        iteration_times_s=tuple(result.iteration_times_s))

@@ -51,6 +51,34 @@ class TestRegistry:
         assert backend.config.num_streams == 4
 
 
+#: Sizes and periods must be finite and positive, overheads finite and
+#: non-negative.
+BAD_VALUES = [
+    (backend, param, value)
+    for backend, param in [(BytePSBackend, "partition_bytes"),
+                           (PyTorchDDPBackend, "bucket_bytes"),
+                           (HorovodBackend, "fusion_buffer_bytes"),
+                           (HorovodBackend, "cycle_time_s")]
+    for value in (float("nan"), float("inf"))
+] + [
+    (backend, param, value)
+    for backend, param in [(BytePSBackend, "server_overhead_s"),
+                           (MXNetKVStoreBackend, "per_key_overhead_s"),
+                           (PyTorchDDPBackend, "launch_overhead_s"),
+                           (HorovodBackend, "master_service_per_worker_s"),
+                           (HorovodBackend, "master_service_per_entry_s")]
+    for value in (-1e-6, float("nan"), float("inf"))
+]
+
+
+@pytest.mark.parametrize("backend,param,value", BAD_VALUES,
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_bad_size_or_overhead_rejected_at_construction(backend, param,
+                                                       value):
+    with pytest.raises(ValueError, match=param):
+        backend(**{param: value})
+
+
 class TestHorovod:
     def test_negotiation_cost_scales_with_workers(self):
         backend = HorovodBackend()

@@ -6,8 +6,9 @@ Three layers of replay guarantee, strongest first:
    ranks x streams x faults matrix must reproduce the event-sequence
    digest pinned in ``golden_digests.json``.  This is cross-*commit*
    determinism: a hot-path rewrite that shifts one event time or name by
-   one ulp fails here.  Regenerate only after an intentional, reviewed
-   behaviour change (``tools/capture_golden_digests.py``).
+   one ulp fails here.  Every pinned cell is declared once, in
+   ``repro.harness.determinism.GOLDEN_CELLS``; re-pin only after an
+   intentional, reviewed behaviour change (``tools/capture_golden.py``).
 2. **Replay stability** — running the same cell twice in one process
    yields the same digest (cross-*run* determinism; catches leaked
    global state, id()-ordered iteration, allocation-history effects).
@@ -20,15 +21,23 @@ simulated iteration times instead, which also proves the invariant
 checker itself never perturbs simulated time.
 """
 
+import copy
 import json
+import math
 import pathlib
+import re
 
 import pytest
 
 from repro.harness.determinism import (
+    FINDINGS_CELLS,
+    GOLDEN_CELLS,
     diagnosis_probe,
-    diagnosis_probe_key,
-    probe_key,
+    findings_entry,
+    findings_key,
+    golden_entry,
+    golden_key,
+    golden_report,
     run_probe,
 )
 from repro.sim.invariants import ENV_FLAG
@@ -40,77 +49,22 @@ GOLDEN_FINDINGS_PATH = pathlib.Path(__file__).parent / \
     "golden_findings.json"
 GOLDEN_FINDINGS = json.loads(GOLDEN_FINDINGS_PATH.read_text())
 
-DIAGNOSIS_MATRIX = [
-    {"straggler_rank": None, "straggler_factor": 3.0, "seed": 0},
-    {"straggler_rank": 2, "straggler_factor": 3.0, "seed": 0},
-]
-
-
-def diagnosis_cell_id(cell):
-    return diagnosis_probe_key(**cell)
-
-MATRIX = [
-    {"ranks": ranks, "streams": streams, "faults": faults}
-    for ranks in (2, 8, 32)
-    for streams in (1, 4)
-    for faults in (False, True)
-] + [
-    # Planner-backend cell: the in-network-aggregation schedule runs
-    # through the fluid network's multi-phase planned path, so its event
-    # schedule gets the same cross-commit pin as the legacy algorithms.
-    {"ranks": 8, "streams": 4, "faults": False, "algorithm": "ina"},
-    # Hierarchical cell: every unit holds one CUDA stream per local GPU
-    # for its inter-node rings, so the stream pool grants multi-slot
-    # requests and the collective runs its three-phase chain.
-    {"ranks": 32, "streams": 4, "faults": False,
-     "algorithm": "hierarchical"},
-] + [
-    # Multi-node planner cells: the 8-rank ina cell fits on one node,
-    # so it takes the planner's single-node ring.  At 32 ranks every
-    # planner schedule runs its inter-node phases.
-    {"ranks": 32, "streams": 4, "faults": False, "algorithm": algorithm}
-    for algorithm in ("ina", "multi-tree", "halving-doubling")
-] + [
-    # Large-scale cell: pins the bundled-ring tier (GroupFlow fan-outs,
-    # the network's wakeup timer) at 1024 ranks.  Symmetric, so it
-    # runs in representative mode — cheap enough for the matrix while
-    # still covering the 128-node schedule's event stream.
-    {"ranks": 1024, "streams": 4, "faults": False},
-] + [
-    # Parameter-server baselines: single flows through ``start_flow``.
-    {"ranks": 16, "streams": 4, "faults": False, "backend": backend}
-    for backend in ("byteps", "mxnet-kvstore")
-] + [
-    # Serial all-reduce baselines: one coordinated stream per rank.
-    {"ranks": 16, "streams": 4, "faults": False, "backend": backend}
-    for backend in ("horovod", "pytorch-ddp")
-]
-
-
-def cell_id(cell):
-    return probe_key(cell["ranks"], cell["streams"], cell["faults"],
-                     True, 0, cell.get("algorithm", "ring"),
-                     cell.get("backend", "aiacc"))
-
 
 class TestGoldenDigests:
-    @pytest.mark.parametrize("cell", MATRIX, ids=cell_id)
+    @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=golden_key)
     def test_digest_matches_golden(self, cell):
-        golden = GOLDEN[cell_id(cell)]
-        probe = run_probe(**cell, invariants=True, seed=0)
-        assert probe.digest == golden["digest"], (
-            f"{cell_id(cell)}: event schedule diverged from the pinned "
-            f"golden digest — if this change is intentional, regenerate "
-            f"with tools/capture_golden_digests.py"
+        assert golden_entry(cell) == GOLDEN[golden_key(cell)], (
+            f"{golden_key(cell)}: event schedule diverged from the pinned "
+            f"golden entry — if this change is intentional, re-pin with "
+            f"tools/capture_golden.py"
         )
-        assert list(probe.iteration_times_s) == golden["iteration_times_s"]
 
     def test_golden_file_covers_whole_matrix(self):
-        assert sorted(GOLDEN) == sorted(cell_id(cell) for cell in MATRIX)
+        assert sorted(GOLDEN) == sorted(map(golden_key, GOLDEN_CELLS))
 
 
 class TestReplayStability:
-    @pytest.mark.parametrize("cell", MATRIX, ids=cell_id)
+    @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=golden_key)
     def test_same_cell_twice_same_digest(self, cell):
         first = run_probe(**cell, invariants=True, seed=0)
         second = run_probe(**cell, invariants=True, seed=0)
@@ -118,11 +72,12 @@ class TestReplayStability:
         assert first.iteration_times_s == second.iteration_times_s
 
     @pytest.mark.parametrize(
-        "cell", [c for c in MATRIX if c["streams"] == 4], ids=cell_id)
+        "cell", [c for c in GOLDEN_CELLS if c["streams"] == 4],
+        ids=golden_key)
     def test_invariants_off_same_times(self, cell):
         # No digest without the checker, but simulated time must be
         # bit-identical — i.e. observing a run never alters it.
-        golden = GOLDEN[cell_id(cell)]
+        golden = GOLDEN[golden_key(cell)]
         probe = run_probe(**cell, invariants=False, seed=0)
         assert probe.digest is None
         assert list(probe.iteration_times_s) == golden["iteration_times_s"]
@@ -168,24 +123,19 @@ class TestDiagnosisDigests:
     """The diagnosis layer gets the same cross-commit pin as the sim.
 
     A detector-threshold tweak, finding-field rename or sort-order
-    change must fail here; regenerate the golden file only after an
-    intentional change (``tools/capture_golden_findings.py``).
+    change must fail here; re-pin only after an intentional change
+    (``tools/capture_golden.py``).
     """
 
-    @pytest.mark.parametrize("cell", DIAGNOSIS_MATRIX,
-                             ids=diagnosis_cell_id)
+    @pytest.mark.parametrize("cell", FINDINGS_CELLS, ids=findings_key)
     def test_findings_digest_matches_golden(self, cell):
-        golden = GOLDEN_FINDINGS[diagnosis_cell_id(cell)]
-        probe = diagnosis_probe(**cell)
-        assert probe.findings == golden["findings"]
-        assert probe.findings_digest == golden["findings_digest"], (
-            f"{diagnosis_cell_id(cell)}: findings diverged from the "
-            f"pinned golden digest — if this change is intentional, "
-            f"regenerate with tools/capture_golden_findings.py"
+        assert findings_entry(cell) == GOLDEN_FINDINGS[findings_key(cell)], (
+            f"{findings_key(cell)}: findings diverged from the pinned "
+            f"golden entry — if this change is intentional, re-pin with "
+            f"tools/capture_golden.py"
         )
 
-    @pytest.mark.parametrize("cell", DIAGNOSIS_MATRIX,
-                             ids=diagnosis_cell_id)
+    @pytest.mark.parametrize("cell", FINDINGS_CELLS, ids=findings_key)
     def test_same_cell_twice_same_digest(self, cell):
         first = diagnosis_probe(**cell)
         second = diagnosis_probe(**cell)
@@ -199,4 +149,33 @@ class TestDiagnosisDigests:
 
     def test_golden_file_covers_diagnosis_matrix(self):
         assert sorted(GOLDEN_FINDINGS) == sorted(
-            diagnosis_cell_id(cell) for cell in DIAGNOSIS_MATRIX)
+            map(findings_key, FINDINGS_CELLS))
+
+
+class TestGoldenReport:
+    """``golden_report`` flags exactly the entries that moved."""
+
+    def test_marks_moved_changed_and_new_cells(self):
+        committed = {**GOLDEN, **GOLDEN_FINDINGS}
+        fresh = copy.deepcopy(committed)
+        times = fresh["r8-s4-nofaults-inv-seed0"]["iteration_times_s"]
+        times[0] = math.nextafter(times[0], math.inf)
+        fresh["r2-s1-faults-inv-seed0"]["digest"] = "0" * 32
+        fresh["diag-straggler-r2-x3-seed0"]["findings"] = 2
+        fresh["r4-s4-nofaults-inv-seed0"] = dict(
+            GOLDEN["r2-s1-nofaults-inv-seed0"])
+
+        report = {}
+        for line in golden_report(committed, fresh):
+            key, state, old, new = re.fullmatch(
+                r"(\S+): (?:times|count) (\w+), digest (\S+) -> (\S+)",
+                line).groups()
+            report[key] = (state, old != new)
+
+        assert report == {
+            **{key: ("held", False) for key in committed},
+            "r8-s4-nofaults-inv-seed0": ("MOVED", False),
+            "r2-s1-faults-inv-seed0": ("held", True),
+            "diag-straggler-r2-x3-seed0": ("MOVED", False),
+            "r4-s4-nofaults-inv-seed0": ("new", True),
+        }
