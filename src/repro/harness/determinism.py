@@ -4,7 +4,8 @@ The simulator's replay-determinism guarantee is only worth anything if
 it survives hot-path rewrites.  This module packages one training run
 per matrix cell — ranks x streams x {faults on/off} x {invariants
 on/off} — behind a single function, and declares every golden-pinned
-cell once (:data:`GOLDEN_CELLS`, :data:`FINDINGS_CELLS`), so the
+cell once (:data:`GOLDEN_CELLS`, :data:`FINDINGS_CELLS`,
+:data:`CHAOS_CELLS`), so the
 determinism test and ``tools/capture_golden.py`` check and re-pin the
 exact same configurations.
 
@@ -142,6 +143,19 @@ FINDINGS_CELLS: tuple[dict, ...] = (
 )
 
 
+#: Every chaos-soak seed pinned in ``tests/sim/golden_chaos.json``: the
+#: seeds the CI soak runs (``python -m repro chaos --seeds 20``).
+#: :func:`chaos_entry` is its pin.
+CHAOS_CELLS: tuple[int, ...] = tuple(range(20))
+
+#: The :class:`~repro.harness.chaos.ChaosOutcome` fields a chaos pin
+#: holds: the terminal state and simulated time of the run, not its
+#: event digest, which a same-instant reordering moves.
+CHAOS_FIELDS = ("status", "error", "final_world", "final_epoch",
+                "epoch_transitions", "recoveries", "wasted_iterations",
+                "total_time_s")
+
+
 def golden_key(cell: dict) -> str:
     """JSON key of one :data:`GOLDEN_CELLS` cell.
 
@@ -177,26 +191,46 @@ def findings_entry(cell: dict) -> dict:
     return dataclasses.asdict(diagnosis_probe(**cell))
 
 
+def chaos_key(seed: int) -> str:
+    """JSON key of one :data:`CHAOS_CELLS` seed."""
+    return f"chaos-seed{seed}"
+
+
+def chaos_entry(seed: int) -> dict:
+    """Soak one chaos seed once; return its pinned outcome fields."""
+    from repro.harness.chaos import run_chaos_case
+
+    outcome, _result = run_chaos_case(seed)
+    return {field: getattr(outcome, field) for field in CHAOS_FIELDS}
+
+
 def golden_report(committed: t.Mapping[str, dict],
                   fresh: t.Mapping[str, dict]) -> list[str]:
     """One line per fresh entry, comparing it with the committed one.
 
-    A golden entry's times, or a findings entry's count, is ``held``,
-    ``MOVED`` or ``new``; the line ends with the old -> new digest.
+    A golden entry's times, a findings entry's count, or a chaos
+    entry's whole outcome is ``held``, ``MOVED`` or ``new``; the line
+    ends with the old -> new digest (a chaos entry's status).
     """
     lines = []
     for key, entry in fresh.items():
+        tag = "digest"
         if "iteration_times_s" in entry:
             label, value, digest = "times", "iteration_times_s", "digest"
-        else:
+        elif "findings" in entry:
             label, value, digest = "count", "findings", "findings_digest"
+        else:
+            label, value, digest = "outcome", None, "status"
+            tag = "status"
         old = committed.get(key)
         if old is None:
             state, old_digest = "new", "-"
         else:
-            state = "held" if old[value] == entry[value] else "MOVED"
+            same = old == entry if value is None \
+                else old[value] == entry[value]
+            state = "held" if same else "MOVED"
             old_digest = old[digest]
-        lines.append(f"{key}: {label} {state}, digest {old_digest} -> "
+        lines.append(f"{key}: {label} {state}, {tag} {old_digest} -> "
                      f"{entry[digest]}")
     return lines
 

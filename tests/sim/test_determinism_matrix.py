@@ -30,8 +30,11 @@ import re
 import pytest
 
 from repro.harness.determinism import (
+    CHAOS_CELLS,
     FINDINGS_CELLS,
     GOLDEN_CELLS,
+    chaos_entry,
+    chaos_key,
     diagnosis_probe,
     findings_entry,
     findings_key,
@@ -48,6 +51,9 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 GOLDEN_FINDINGS_PATH = pathlib.Path(__file__).parent / \
     "golden_findings.json"
 GOLDEN_FINDINGS = json.loads(GOLDEN_FINDINGS_PATH.read_text())
+
+GOLDEN_CHAOS_PATH = pathlib.Path(__file__).parent / "golden_chaos.json"
+GOLDEN_CHAOS = json.loads(GOLDEN_CHAOS_PATH.read_text())
 
 
 class TestGoldenDigests:
@@ -152,6 +158,33 @@ class TestDiagnosisDigests:
             map(findings_key, FINDINGS_CELLS))
 
 
+class TestChaosOutcomes:
+    """Each CI soak seed's terminal state is pinned across commits.
+
+    The soak itself only checks replay determinism within one run; this
+    pin fails when a change to the failure detector or the recovery
+    driver moves a seed's status, recoveries, final membership or total
+    simulated time.  Re-pin only after an intentional change
+    (``tools/capture_golden.py``).
+    """
+
+    @pytest.mark.parametrize("seed", CHAOS_CELLS, ids=chaos_key)
+    def test_outcome_matches_golden(self, seed):
+        assert chaos_entry(seed) == GOLDEN_CHAOS[chaos_key(seed)], (
+            f"{chaos_key(seed)}: chaos outcome diverged from the pinned "
+            f"golden entry — if this change is intentional, re-pin with "
+            f"tools/capture_golden.py"
+        )
+
+    def test_golden_file_covers_the_soak(self):
+        assert sorted(GOLDEN_CHAOS) == sorted(map(chaos_key, CHAOS_CELLS))
+
+    def test_pins_cover_recoveries_and_transitions(self):
+        assert any(entry["recoveries"] for entry in GOLDEN_CHAOS.values())
+        assert any(entry["epoch_transitions"] > 1
+                   for entry in GOLDEN_CHAOS.values())
+
+
 class TestGoldenReport:
     """``golden_report`` flags exactly the entries that moved."""
 
@@ -178,4 +211,25 @@ class TestGoldenReport:
             "r2-s1-faults-inv-seed0": ("held", True),
             "diag-straggler-r2-x3-seed0": ("MOVED", False),
             "r4-s4-nofaults-inv-seed0": ("new", True),
+        }
+
+    def test_marks_moved_chaos_outcomes(self):
+        committed = dict(GOLDEN_CHAOS)
+        fresh = copy.deepcopy(committed)
+        fresh["chaos-seed1"]["total_time_s"] = math.nextafter(
+            fresh["chaos-seed1"]["total_time_s"], math.inf)
+        fresh["chaos-seed20"] = dict(GOLDEN_CHAOS["chaos-seed0"])
+
+        report = {}
+        for line in golden_report(committed, fresh):
+            key, state, old, new = re.fullmatch(
+                r"(\S+): outcome (\w+), status (\S+) -> (\S+)",
+                line).groups()
+            report[key] = (state, old, new)
+
+        assert report == {
+            **{key: ("held", entry["status"], entry["status"])
+               for key, entry in committed.items()},
+            "chaos-seed1": ("MOVED", "completed", "completed"),
+            "chaos-seed20": ("new", "-", "completed"),
         }

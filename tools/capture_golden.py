@@ -1,12 +1,13 @@
-"""Re-pin ``tests/sim/golden_digests.json`` and ``golden_findings.json``.
+"""Re-pin the golden files under ``tests/sim``.
 
 Runs every cell of the registry in ``repro.harness.determinism`` through
 the pin functions ``tests/sim/test_determinism_matrix.py`` checks,
 prints per cell whether it ``held`` against the committed file, and
-rewrites both files.  On a committed tree this is a no-op; a change that
-only reorders same-instant events moves digests but must hold every
-cell's times.  Only re-pin after an intentional, reviewed behaviour
-change:
+rewrites ``golden_digests.json``, ``golden_findings.json`` and
+``golden_chaos.json``.  On a committed tree this is a no-op; a change
+that only reorders same-instant events moves digests but must hold
+every cell's times, every findings count and every chaos outcome.  Only
+re-pin after an intentional, reviewed behaviour change:
 
     PYTHONPATH=src python tools/capture_golden.py
 """
@@ -18,8 +19,11 @@ import pathlib
 import sys
 
 from repro.harness.determinism import (
+    CHAOS_CELLS,
     FINDINGS_CELLS,
     GOLDEN_CELLS,
+    chaos_entry,
+    chaos_key,
     findings_entry,
     findings_key,
     golden_entry,
@@ -35,7 +39,8 @@ def main() -> None:
     for name, cells, key, entry in (
             ("golden_digests.json", GOLDEN_CELLS, golden_key, golden_entry),
             ("golden_findings.json", FINDINGS_CELLS, findings_key,
-             findings_entry)):
+             findings_entry),
+            ("golden_chaos.json", CHAOS_CELLS, chaos_key, chaos_entry)):
         path = GOLDEN_DIR / name
         committed = json.loads(path.read_text()) if path.exists() else {}
         fresh = {key(cell): entry(cell) for cell in cells}
