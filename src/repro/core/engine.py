@@ -16,10 +16,13 @@ One iteration runs the pipeline of Fig. 6:
 4. each unit is dispatched to a free stream of the **communication
    thread pool** and all-reduced concurrently with other units over the
    same physical network — the multi-streamed communication that lifts
-   TCP utilisation from ≤30% toward the aggregate limit.  A unit runs
-   on the pool's callbacks, not as a process: the step spawns only
-   itself and one dispatch per packed batch (plus, with a unit
-   deadline, one failure-detector loop per unit);
+   TCP utilisation from ≤30% toward the aggregate limit.  The daemon's
+   hand-offs are asynchronous, not threads: a dispatch (daemon grant,
+   service time, sync round, staging) is a chain of callbacks, a unit
+   runs on the pool's callbacks, and the failure detector
+   (:meth:`AIACCBackend.deadline`) is a callback combinator.  The step
+   spawns only itself, with or without deadlines, and its backward walk
+   wakes only where a batch closes and where backward ends;
 5. when every unit of the iteration has completed, gradients are
    unpacked and handed to the optimizer via the callback.
 """
@@ -39,11 +42,11 @@ from repro.frameworks.base import (
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
+    relay,
 )
 from repro.obs.metrics import STEP_TIME_BUCKETS
 from repro.sim.events import Event
 from repro.sim.invariants import InvariantChecker
-from repro.sim.process import Process
 from repro.sim.resources import Resource
 
 
@@ -63,14 +66,14 @@ class AIACCBackend(DDLBackend):
         self._plan: BackwardPlan | None = None
         self._daemon: Resource | None = None
         self._checker: InvariantChecker | None = None
-        #: Processes this iteration spawned that are still running;
-        #: :meth:`abort` interrupts them on a confirmed peer death.
-        #: Insertion-ordered (dict-as-set): processes hash by identity,
-        #: so a plain set would make abort's interrupt order — and with
-        #: it the cancel-vs-grant outcome of same-timestamp stream
+        #: Live dispatch chains and deadlines of this iteration, each
+        #: mapped to its cancel hook; :meth:`abort` runs them on a
+        #: confirmed peer death.  Insertion-ordered: events hash by
+        #: identity, so a set would make abort's cancel order — and with
+        #: it the cancel-vs-grant outcome of same-timestamp daemon
         #: requests — depend on memory addresses, leaking allocation
         #: history into the replay digest.
-        self._inflight: dict[Process, None] = {}
+        self._inflight: dict[Event, t.Callable[[object], None]] = {}
         #: Number of :meth:`abort` calls so far: a unit whose staging
         #: began before the latest abort never starts.
         self._aborts = 0
@@ -149,27 +152,24 @@ class AIACCBackend(DDLBackend):
             self._checker.advance_epoch(epoch)
 
     def abort(self, cause: object = None) -> int:
-        """Interrupt every in-flight process and cancel every live unit.
+        """Cancel every live dispatch chain, deadline and unit.
 
         Called by the recovery driver after a confirmed peer death: units
         talking to the dead node would otherwise hold stream slots
-        forever.  Afterwards no stream slot is held, no request is
-        queued and no unit still being staged will start.  Returns the
-        number of processes interrupted plus units cancelled.
+        forever.  Afterwards no daemon or stream slot is held, no request
+        is queued and no unit still being staged will start.  Each
+        cancelled chain's event fails with
+        :class:`~repro.errors.ProcessInterrupt`.  Returns the number of
+        chains and units cancelled.
         """
-        victims, self._inflight = list(self._inflight), {}
-        interrupted = 0
-        for victim in victims:
-            if victim.can_interrupt:
-                # A no-op watcher so the interrupt is recorded as a
-                # failed event instead of surfacing out of sim.step().
-                victim.add_callback(lambda _ev: None)
-                victim.interrupt(cause)
-                interrupted += 1
+        live, self._inflight = self._inflight, {}
+        for cancel in live.values():
+            cancel(cause)
         self._aborts += 1
+        cancelled = len(live)
         if self._pool is not None:
-            interrupted += self._pool.cancel_all(cause)
-        return interrupted
+            cancelled += self._pool.cancel_all(cause)
+        return cancelled
 
     # -- iteration -----------------------------------------------------------
 
@@ -195,35 +195,42 @@ class AIACCBackend(DDLBackend):
         pool.compute_started()
 
         unit_events: list[Event] = []
-        dispatch_processes: list[Process] = []
+        dispatches: list[Event] = []
 
         # The framework hook: each schedule point's gradients enter the
-        # gradient queue in one resume, and the batches the plan closes
-        # there go to the daemon.
+        # gradient queue, and the batches the plan closes there go to
+        # the daemon.  Nothing else happens between those points, so the
+        # walk wakes only at a point that closes a batch and at the end
+        # of backward, at the instant successive per-point timeouts
+        # would have reached.
+        sim = ctx.sim
+        when = sim.now
         for (delay, _parameters), (grad_ids, batches) in zip(
                 ctx.backward_steps(), plan.points, strict=True):
             if delay:
-                yield ctx.sim.timeout(delay)
+                when = when + delay
             sync_vector[grad_ids] = 1
             self._m_gradients.inc(len(grad_ids))
-            for units in batches:
-                dispatch_processes.append(self._track(ctx.sim.spawn(
-                    self._dispatch(ctx, units, unit_events),
-                    name="aiacc.dispatch")))
+            if batches:
+                if when > sim.now:
+                    yield sim.at(when)
+                for units in batches:
+                    dispatches.append(
+                        self._dispatch(ctx, units, unit_events))
+        if when > sim.now:
+            yield sim.at(when)
 
         pool.compute_finished()
-        timeline.span("backward", "compute", 0, backward_start, ctx.sim.now)
+        timeline.span("backward", "compute", 0, backward_start, sim.now)
         if plan.tail:
-            dispatch_processes.append(self._track(ctx.sim.spawn(
-                self._dispatch(ctx, plan.tail, unit_events),
-                name="aiacc.dispatch")))
+            dispatches.append(self._dispatch(ctx, plan.tail, unit_events))
 
         # All dispatches must finish starting units before the barrier on
         # the units themselves is complete.
-        if dispatch_processes:
-            yield ctx.sim.all_of(dispatch_processes)
+        if dispatches:
+            yield sim.all_of(dispatches)
         if unit_events:
-            yield ctx.sim.all_of(unit_events)
+            yield sim.all_of(unit_events)
 
         if self._checker is not None:
             # Iteration boundary is a quiescence point: every stream slot
@@ -249,22 +256,10 @@ class AIACCBackend(DDLBackend):
 
     # -- internals -------------------------------------------------------------
 
-    def _track(self, process: Process) -> Process:
-        """Register a spawned process for :meth:`abort`.
-
-        The tracking callback doubles as a watcher, so a failing tracked
-        process records its exception (surfaced via the iteration
-        barriers) rather than hard-raising out of the simulator.
-        """
-        self._inflight[process] = None
-        process.add_callback(lambda _ev: self._inflight.pop(process, None))
-        return process
-
-    def _retrying(self, ctx: TrainContext,
-                  launch: t.Callable[[], t.Any], phase: str,
-                  timeout_s: float,
-                  abandon: t.Callable[[t.Any], None] | None = None,
-                  ) -> t.Generator:
+    def deadline(self, ctx: TrainContext, launch: t.Callable[[], Event],
+                 timeout_s: float, phase: str,
+                 abandon: t.Callable[[Event], None] | None = None,
+                 ) -> Event:
         """Race ``launch()`` against a deadline, with bounded retries.
 
         The paper's failure detector: a missed deadline raises
@@ -278,45 +273,90 @@ class AIACCBackend(DDLBackend):
         ``config.max_detection_deadline_s`` (default:
         ``DETECTION_DEADLINE_CAP_FACTOR x timeout_s``) so confirmation
         latency grows linearly — not exponentially — in ``comm_retries``.
+
+        The detector runs on callbacks, not as a process: the returned
+        event succeeds with the first attempt that beats its deadline,
+        fails with that attempt's exception, or fails with
+        :class:`PeerDeadError` once every retry has timed out.
+        :meth:`abort` cancels it in any state.
         """
-        cap = self.config.max_detection_deadline_s
+        sim, obs, config = ctx.sim, ctx.obs, self.config
+        cap = config.max_detection_deadline_s
         if cap is None:
             cap = DETECTION_DEADLINE_CAP_FACTOR * timeout_s
-        deadline = min(timeout_s, cap)
+        result = sim.event(name=f"deadline.{phase}")
+        window = min(timeout_s, cap)
+        attempt = 0
         suspected_at: float | None = None
-        for attempt in range(self.config.comm_retries + 1):
-            pending = launch()
-            index, value = yield ctx.sim.any_of(
-                [pending, ctx.sim.timeout(deadline)])
-            if index == 0:
-                return value
+        #: The attempt racing the current deadline; ``None`` once it has
+        #: timed out, so a late outcome of an abandoned attempt is
+        #: ignored.
+        pending: Event | None = None
+
+        def start(_event: Event | None = None) -> None:
+            nonlocal pending
+            if result.triggered:  # cancelled in backoff
+                return
+            current = pending = launch()
+            timer = sim.timeout(window)
+            current.add_callback(finished)
+            timer.add_callback(lambda _timer: expired(current))
+
+        def finished(current: Event) -> None:
+            if current is not pending or result.triggered:
+                return
+            self._inflight.pop(result, None)
+            relay(result, current)
+
+        def expired(current: Event) -> None:
+            nonlocal pending, suspected_at, window, attempt
+            if current is not pending or result.triggered:
+                return
+            pending = None
             if suspected_at is None:
-                suspected_at = ctx.sim.now
-                ctx.obs.fault_event("suspect", ctx.sim.now, phase=phase)
-            ctx.obs.count_fault(f"{phase}_timeout")
+                suspected_at = sim.now
+                obs.fault_event("suspect", sim.now, phase=phase)
+            obs.count_fault(f"{phase}_timeout")
             if abandon is not None:
-                abandon(pending)
-            if attempt < self.config.comm_retries:
-                yield ctx.sim.timeout(min(
-                    self.config.retry_backoff_s * (2 ** attempt), cap))
-                deadline = min(deadline * 2, cap)
-        ctx.obs.fault_event("confirm", ctx.sim.now, phase=phase)
-        raise PeerDeadError(phase=phase,
-                            suspected_at_s=t.cast(float, suspected_at),
-                            confirmed_at_s=ctx.sim.now)
+                abandon(current)
+            if attempt < config.comm_retries:
+                backoff = sim.timeout(min(
+                    config.retry_backoff_s * (2 ** attempt), cap))
+                window = min(window * 2, cap)
+                attempt += 1
+                backoff.add_callback(start)
+                return
+            obs.fault_event("confirm", sim.now, phase=phase)
+            self._inflight.pop(result, None)
+            result.fail(PeerDeadError(
+                phase=phase, suspected_at_s=t.cast(float, suspected_at),
+                confirmed_at_s=sim.now))
+
+        def cancel(cause: object) -> None:
+            result.fail(ProcessInterrupt(cause))
+
+        self._inflight[result] = cancel
+        start()
+        return result
 
     def _dispatch(self, ctx: TrainContext,
                   units: tuple[AllReduceUnit, ...],
-                  unit_events: list[Event]) -> t.Generator:
+                  unit_events: list[Event]) -> Event:
         """Synchronize a planned gradient batch, start its units.
 
         The daemon CPU work (relaying the bit-vector ring, launching
         units) is serialized on the single MPI daemon thread; the network
         round-trip of the synchronization ring is asynchronous and only
         delays when these units may start.  Each unit's event goes into
-        ``unit_events`` when it starts — after its staging, if any — and
-        the dispatch returns once every unit of the batch has started.
+        ``unit_events`` when it starts — after its staging, if any.
+
+        The dispatch is a chain of callbacks, not a process: the daemon
+        grant starts the service time, whose end releases the daemon and
+        starts the sync round, whose end starts (or stages) the units.
+        The returned event fires once every unit of the batch has
+        started.  :meth:`abort` cancels the chain in any state.
         """
+        sim = ctx.sim
         daemon = t.cast(Resource, self._daemon)
         spec = ctx.cluster.spec
         if self._checker is not None:
@@ -328,90 +368,124 @@ class AIACCBackend(DDLBackend):
         relay_cost = 2 * max(ctx.cluster.num_nodes - 1, 1) * \
             spec.transport.per_message_overhead_s
         service = relay_cost + len(units) * self.UNIT_DISPATCH_OVERHEAD_S
+        dispatch = sim.event(name="aiacc.dispatch")
         request = daemon.acquire()
-        try:
-            yield request
-        except ProcessInterrupt:
-            # Abort while queued: withdraw the request so the grant is
-            # not handed to a dead process.
-            if not daemon.cancel(request):
-                daemon.release()
-            raise
-        try:
-            service_start = ctx.sim.now
-            yield ctx.sim.timeout(service)
-            ctx.obs.timeline.span("pack+launch", "pack", 0, service_start,
-                                  ctx.sim.now, units=len(units))
-        finally:
-            daemon.release()
-
-        # Network round-trip of the decentralized min all-reduce.  With a
-        # sync deadline configured, this is the paper's master-free
-        # failure detector: a missed round means suspicion.
+        #: Whether the chain still holds (or is queued for) the daemon:
+        #: from the request until the service time ends.
+        holding = True
+        service_start = negotiate_start = 0.0
+        #: Staged units not yet started.
+        staging = 0
         payload = max(1.0, len(t.cast(GradientRegistry,
                                       self._registry).sync_vector) / 8.0)
-        negotiate_start = ctx.sim.now
-        if self.config.sync_timeout_s is None:
-            yield ctx.collectives.control_roundtrip(payload_bytes=payload)
-        else:
-            yield from self._retrying(
-                ctx,
-                lambda: ctx.collectives.control_roundtrip(
-                    payload_bytes=payload),
-                phase="sync", timeout_s=self.config.sync_timeout_s)
-        ctx.obs.timeline.span("sync-round", "negotiate", 0,
-                              negotiate_start, ctx.sim.now,
-                              payload_bytes=payload)
-        if ctx.obs.diag is not None:
-            ctx.obs.diag.observe_negotiation(
-                0, ctx.sim.now - negotiate_start)
-        self._m_sync_rounds.inc()
-        self._m_units.inc(len(units))
-        for unit in units:
-            self._m_unit_bytes.observe(unit.nbytes)
 
-        # A hierarchical or planner-synthesized unit occupies one CUDA
-        # stream per local GPU for its inter-node stage (g parallel
-        # rings / per-shard exchange streams); a flat-ring unit
-        # occupies one.
-        streams = 1 if self.config.algorithm == "ring" \
-            else spec.gpus_per_node
-        staging: list[Event] = []
-        for unit in units:
-            # Paper §V-A.2: with GPU-direct RDMA the bucket lives in
-            # GPU memory; over TCP it is staged through CPU memory.
-            staging_s = ctx.staging_time_s(unit.nbytes)
-            if staging_s:
-                stage = ctx.sim.timeout(staging_s)
-                stage.add_callback(functools.partial(
-                    self._staged, ctx, unit, streams, unit_events,
-                    self._aborts, ctx.sim.now))
-                staging.append(stage)
+        def granted(_request: Event) -> None:
+            nonlocal service_start
+            if dispatch.triggered:  # cancelled
+                return
+            service_start = sim.now
+            sim.timeout(service).add_callback(served)
+
+        def served(_service: Event) -> None:
+            nonlocal holding, negotiate_start
+            if dispatch.triggered:  # cancelled
+                return
+            ctx.obs.timeline.span("pack+launch", "pack", 0, service_start,
+                                  sim.now, units=len(units))
+            holding = False
+            daemon.release()
+            # Network round-trip of the decentralized min all-reduce.
+            # With a sync deadline configured, this is the paper's
+            # master-free failure detector: a missed round means
+            # suspicion.
+            negotiate_start = sim.now
+            timeout_s = self.config.sync_timeout_s
+            if timeout_s is None:
+                round_trip = ctx.collectives.control_roundtrip(
+                    payload_bytes=payload)
             else:
-                unit_events.append(self._start_unit(ctx, unit, streams))
-        if staging:
-            # The iteration builds its barrier from ``unit_events`` once
-            # every dispatch has returned, so each staged unit must
-            # have started by then.
-            yield ctx.sim.all_of(staging)
+                round_trip = self.deadline(
+                    ctx, lambda: ctx.collectives.control_roundtrip(
+                        payload_bytes=payload),
+                    timeout_s, "sync")
+            round_trip.add_callback(synced)
 
-    def _staged(self, ctx: TrainContext, unit: AllReduceUnit,
-                streams: int, unit_events: list[Event], aborts: int,
-                staging_start: float, _stage: Event) -> None:
-        """Start ``unit`` once its staging copy is done (unless aborted)."""
-        if aborts != self._aborts:
-            return
-        ctx.obs.timeline.span("staging", "staging", 0, staging_start,
-                              ctx.sim.now, bytes=unit.nbytes)
-        unit_events.append(self._start_unit(ctx, unit, streams))
+        def synced(round_trip: Event) -> None:
+            nonlocal staging
+            if dispatch.triggered:  # cancelled
+                return
+            if not round_trip._ok:
+                self._inflight.pop(dispatch, None)
+                dispatch.fail(t.cast(BaseException, round_trip._value))
+                return
+            ctx.obs.timeline.span("sync-round", "negotiate", 0,
+                                  negotiate_start, sim.now,
+                                  payload_bytes=payload)
+            if ctx.obs.diag is not None:
+                ctx.obs.diag.observe_negotiation(
+                    0, sim.now - negotiate_start)
+            self._m_sync_rounds.inc()
+            self._m_units.inc(len(units))
+            for unit in units:
+                self._m_unit_bytes.observe(unit.nbytes)
+
+            # A hierarchical or planner-synthesized unit occupies one
+            # CUDA stream per local GPU for its inter-node stage (g
+            # parallel rings / per-shard exchange streams); a flat-ring
+            # unit occupies one.
+            streams = 1 if self.config.algorithm == "ring" \
+                else spec.gpus_per_node
+            for unit in units:
+                # Paper §V-A.2: with GPU-direct RDMA the bucket lives in
+                # GPU memory; over TCP it is staged through CPU memory.
+                staging_s = ctx.staging_time_s(unit.nbytes)
+                if staging_s:
+                    staging += 1
+                    sim.timeout(staging_s).add_callback(functools.partial(
+                        staged, unit, streams, self._aborts, sim.now))
+                else:
+                    unit_events.append(self._start_unit(ctx, unit, streams))
+            if not staging:
+                started()
+
+        def staged(unit: AllReduceUnit, streams: int, aborts: int,
+                   staging_start: float, _stage: Event) -> None:
+            # Start ``unit`` once its staging copy is done, unless an
+            # abort came in between.
+            nonlocal staging
+            if aborts != self._aborts:
+                return
+            ctx.obs.timeline.span("staging", "staging", 0, staging_start,
+                                  sim.now, bytes=unit.nbytes)
+            unit_events.append(self._start_unit(ctx, unit, streams))
+            staging -= 1
+            if not staging:
+                started()
+
+        def started() -> None:
+            # The iteration builds its barrier from ``unit_events`` once
+            # every dispatch has fired, so each unit has started by then.
+            self._inflight.pop(dispatch, None)
+            dispatch.succeed()
+
+        def cancel(cause: object) -> None:
+            if holding and not daemon.cancel(request):
+                # Granted (the grant may not have fired yet) or in
+                # service: the chain holds the slot.
+                daemon.release()
+            dispatch.fail(ProcessInterrupt(cause))
+
+        self._inflight[dispatch] = cancel
+        request.add_callback(granted)
+        return dispatch
 
     def _start_unit(self, ctx: TrainContext, unit: AllReduceUnit,
                     streams: int) -> Event:
         """Hand ``unit`` to the stream pool; returns its event.
 
-        With a unit deadline configured, the failure detector's retry
-        loop owns the unit: each attempt is a pool unit, and a timed-out
-        attempt is cancelled through the pool before the next one.
+        With a unit deadline configured, the failure detector owns the
+        unit: each attempt is a pool unit, and a timed-out attempt is
+        cancelled through the pool before the next one.
         """
         pool = t.cast(CommStreamPool, self._pool)
         nbytes = unit.nbytes
@@ -424,9 +498,8 @@ class AIACCBackend(DDLBackend):
         if timeout_s is None:
             return pool.start_unit(work, streams, "allreduce-unit",
                                    bytes=nbytes)
-        return self._track(ctx.sim.spawn(self._retrying(
+        return self.deadline(
             ctx,
             lambda: pool.start_unit(work, streams, "allreduce-unit",
                                     bytes=nbytes),
-            phase="unit", timeout_s=timeout_s, abandon=pool.cancel),
-            name=f"aiacc.unit{unit.unit_id}"))
+            timeout_s, "unit", abandon=pool.cancel)

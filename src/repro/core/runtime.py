@@ -8,6 +8,7 @@ algorithm — plus the production feature toggles of Section IV.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.errors import ReproError
 
@@ -87,18 +88,27 @@ class AIACCConfig:
             )
         if self.autotune_budget < 1:
             raise ReproError("autotune_budget must be >= 1")
-        if self.sync_timeout_s is not None and self.sync_timeout_s <= 0:
-            raise ReproError("sync_timeout_s must be positive when set")
-        if self.unit_timeout_s is not None and self.unit_timeout_s <= 0:
-            raise ReproError("unit_timeout_s must be positive when set")
+        # The failure detector schedules these as timeouts: a NaN or an
+        # infinite deadline would sit in the event heap, and ``min()``
+        # silently drops a NaN clamp.  Each check is written so that
+        # NaN fails it.
+        for name in ("sync_timeout_s", "unit_timeout_s",
+                     "max_detection_deadline_s"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ReproError(
+                    f"{name} must be finite and positive when set, "
+                    f"got {value}")
+        if isinstance(self.comm_retries, bool) \
+                or not isinstance(self.comm_retries, int):
+            raise ReproError(
+                f"comm_retries must be an int, got {self.comm_retries!r}")
         if self.comm_retries < 0:
             raise ReproError("comm_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ReproError("retry_backoff_s must be >= 0")
-        if self.max_detection_deadline_s is not None \
-                and self.max_detection_deadline_s <= 0:
+        if not 0 <= self.retry_backoff_s < math.inf:
             raise ReproError(
-                "max_detection_deadline_s must be positive when set")
+                f"retry_backoff_s must be finite and >= 0, "
+                f"got {self.retry_backoff_s}")
 
     @property
     def wire_dtype_bytes(self) -> int:

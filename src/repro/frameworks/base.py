@@ -13,6 +13,12 @@ All backends drive the same simulated iteration structure:
    of the paper's Figs. 5–6 without a gradient queue between them;
 3. **communication** — backend-specific; the iteration completes when all
    gradients are globally reduced and the optimizer step has run.
+   Transfers run on callbacks, not processes: the parameter servers'
+   push/pulls and the serial all-reduces of Horovod and DDP are chains
+   of flow, collective and timeout events served by a
+   :class:`ConnectionPool`.  A PS step spawns one process (the step),
+   DDP two (plus its autograd hook) and Horovod three (plus its
+   backward walk and cycle negotiator).
 
 Because data-parallel workers are symmetric (identical model, identical
 batch shape, synchronized steps), the simulation follows one
@@ -24,25 +30,25 @@ terms.
 from __future__ import annotations
 
 import abc
+import collections
 import dataclasses
 import math
 import typing as t
 
-from repro.errors import TrainingError
+from repro.errors import SimulationError, TrainingError
 from repro.models.base import ModelSpec, ParameterSpec
 from repro.collectives.timed import TimedCollectives
 from repro.obs import Observability
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork
-from repro.sim.resources import Store
 from repro.sim.topology import Cluster
 
 #: Fixed cost of the optimizer parameter-update kernel per iteration.
 UPDATE_TIME_S = 1e-3
 
-#: Sentinel closing one :class:`ConnectionPool` connection.
-_CLOSE = object()
+#: :meth:`TrainContext.backward_steps`: ``(delay_s, parameters)`` steps.
+BackwardSteps = tuple[tuple[float, tuple[ParameterSpec, ...]], ...]
 
 
 def require_positive(name: str, value: float) -> None:
@@ -56,6 +62,18 @@ def require_non_negative(name: str, value: float) -> None:
     if not 0 <= value < math.inf:
         raise ValueError(
             f"{name} must be finite and non-negative, got {value}")
+
+
+def relay(target: Event, source: Event) -> None:
+    """Trigger ``target`` with the outcome of the fired ``source``.
+
+    The last link of a callback chain: the chain's own event succeeds
+    with its last step's value, or fails with its exception.
+    """
+    if source.ok:
+        target.succeed(source.value)
+    else:
+        target.fail(t.cast(BaseException, source.value))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +108,11 @@ class TrainContext:
     #: record calls on the hot path cost a single branch.
     obs: Observability = dataclasses.field(
         default_factory=Observability.disabled)
+    #: ``(model, backward_time_s, steps)`` of the last
+    #: :meth:`backward_steps` call.
+    _backward_memo: tuple[ModelSpec, float, BackwardSteps] | None = \
+        dataclasses.field(default=None, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self) -> None:
         if self.batch_per_gpu < 1:
@@ -151,18 +174,26 @@ class TrainContext:
 
     # -- gradient production --------------------------------------------------
 
-    def backward_steps(self) -> list[tuple[float, tuple[ParameterSpec, ...]]]:
+    def backward_steps(self) -> BackwardSteps:
         """The backward pass as ``(delay_s, parameters)`` steps.
 
         One step per :meth:`~repro.models.base.ModelSpec.backward_schedule`
         point, in reverse layer order: its ``parameters`` become ready
         ``delay_s`` after the previous step, 0 when the point shares the
         previous point's instant.  A last ``(delay_s, ())`` step ends the
-        pass at ``backward_time_s``.  A backend walks the list in its own
-        process — ``if delay: yield sim.timeout(delay)``, then handles
-        the point's parameters in one resume.
+        pass at ``backward_time_s``.  A backend walks the steps in its
+        own process — ``if delay: yield sim.timeout(delay)``, then
+        handles the point's parameters in one resume.
+
+        The steps depend only on the model and ``backward_time_s``, so
+        they are built once per pair and returned from a memo while
+        both stay the same.
         """
         duration = self.backward_time_s
+        memo = self._backward_memo
+        if memo is not None and memo[0] is self.model \
+                and memo[1] == duration:
+            return memo[2]
         elapsed = 0.0
         steps: list[tuple[float, tuple[ParameterSpec, ...]]] = []
         for event in self.model.backward_schedule():
@@ -173,7 +204,8 @@ class TrainContext:
                 elapsed = target
             steps.append((delay, event.parameters))
         steps.append((duration - elapsed if elapsed < duration else 0.0, ()))
-        return steps
+        self._backward_memo = (self.model, duration, tuple(steps))
+        return self._backward_memo[2]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,38 +244,43 @@ class DDLBackend(abc.ABC):
 
 
 class ConnectionPool:
-    """``size`` long-lived connection processes serving transfers FIFO.
+    """``size`` connections serving transfers FIFO, on callbacks.
 
     The parameter-server baselines pipeline their push/pulls over a
     fixed number of connections, and Horovod and DDP run their serial
-    all-reduces on one.  Rather than spawning one process per transfer
-    that then queues for a connection, each connection is one process
-    that takes the next submitted item from a FIFO store and runs
-    ``serve(item)`` to completion.  Items start in submission order,
-    each on the first connection to become free — the grant order of a
-    FIFO semaphore — so the pool spawns ``size`` processes per
-    iteration instead of one per transfer.
+    all-reduces on one.  ``serve(item)`` starts one transfer and returns
+    the event that fires when it is done.  Items start in submission
+    order, each as soon as a connection is free — the grant order of a
+    FIFO semaphore — and a finished transfer hands its connection to
+    the next queued item.  The pool is a queue and a count of free
+    connections: it spawns no process and schedules no event of its
+    own.
 
-    :meth:`close` ends every connection once the queue drains and
-    returns the event that fires when all have finished; it fails with
-    the first exception a ``serve`` raises.
+    :meth:`close` returns the event that fires once the queue has
+    drained and every connection is idle.  The first failing ``serve``
+    fails it, whether ``serve`` raises or its event fails; that
+    connection is lost and the others serve the rest of the queue.
     """
 
     def __init__(self, sim: Simulator, size: int,
-                 serve: t.Callable[[t.Any], t.Generator],
-                 name: str) -> None:
-        self._queue = Store(sim, name=f"{name}.queue")
+                 serve: t.Callable[[t.Any], Event], name: str) -> None:
         self._serve = serve
-        self._connections = [
-            sim.spawn(self._connection(), name=f"{name}.connection")
-            for _ in range(size)]
-        # Watched from the start, so a crashing connection fails the
-        # pool instead of surfacing out of the kernel.
-        self._closed = sim.all_of(self._connections)
+        self._name = name
+        self._queue: collections.deque[object] = collections.deque()
+        self._size = size
+        self._free = size
+        self._closing = False
+        #: Whether :meth:`_drain` is on the stack: a transfer whose event
+        #: has already fired returns its connection to that loop instead
+        #: of recursing.
+        self._draining = False
+        self._closed = sim.event(name=f"{name}.closed")
 
     def submit(self, item: object) -> None:
         """Queue ``item`` for the next free connection."""
-        self._queue.put(item)
+        self._queue.append(item)
+        if self._free:
+            self._drain()
 
     def stage(self, ctx: TrainContext, nbytes: float) -> Event | None:
         """Copy ``nbytes`` over PCIe, then submit them.
@@ -263,15 +300,47 @@ class ConnectionPool:
         return copy
 
     def close(self) -> Event:
-        """Close every connection after the queued items; the join event."""
-        for _ in self._connections:
-            self._queue.put(_CLOSE)
+        """The event that fires once every submitted item is done."""
+        self._closing = True
+        self._settle()
         return self._closed
 
-    def _connection(self) -> t.Generator:
+    def _drain(self) -> None:
+        """Start queued items while a connection is free."""
+        if self._draining:
+            return
+        self._draining = True
         queue, serve = self._queue, self._serve
-        while True:
-            item = yield queue.get()
-            if item is _CLOSE:
-                return
-            yield from serve(item)
+        while queue and self._free:
+            self._free -= 1
+            item = queue.popleft()
+            try:
+                event = serve(item)
+                if not isinstance(event, Event):
+                    raise SimulationError(
+                        f"{self._name} serve({item!r}) returned {event!r}; "
+                        "it must return an Event")
+            except Exception as exc:  # noqa: BLE001 - fails the pool
+                self._fail(exc)
+                continue
+            event.add_callback(self._done)
+        self._draining = False
+        self._settle()
+
+    def _done(self, event: Event) -> None:
+        if not event._ok:
+            self._fail(t.cast(BaseException, event._value))
+            return
+        self._free += 1
+        self._drain()
+
+    def _fail(self, exc: BaseException) -> None:
+        if not self._closed.triggered:
+            self._closed.fail(exc)
+
+    def _settle(self) -> None:
+        # After a failure a connection is lost and ``close`` has failed,
+        # so every connection free means nothing is in service.
+        if self._closing and self._free == self._size and not self._queue \
+                and not self._draining and not self._closed.triggered:
+            self._closed.succeed()

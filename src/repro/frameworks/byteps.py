@@ -27,9 +27,11 @@ from repro.frameworks.base import (
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
+    relay,
     require_non_negative,
     require_positive,
 )
+from repro.sim.events import Event
 from repro.sim.network import FluidNetwork, Link
 
 
@@ -107,8 +109,7 @@ class BytePSBackend(DDLBackend):
         yield ctx.sim.timeout(ctx.forward_time_s)
 
         pool = ConnectionPool(ctx.sim, self.num_connections,
-                              functools.partial(self._push_pull, ctx),
-                              name="byteps")
+                              self._push_pull(ctx), name="byteps")
         for delay, parameters in ctx.backward_steps():
             if delay:
                 yield ctx.sim.timeout(delay)
@@ -131,27 +132,54 @@ class BytePSBackend(DDLBackend):
             parts.append(size)
         return parts
 
-    def _push_pull(self, ctx: TrainContext, part_bytes: float) -> t.Generator:
-        """Push one partition to its server, then pull the aggregate."""
-        nic_bytes = self.nic_bytes_per_gradient(ctx, part_bytes)
-        if nic_bytes <= 0:
-            # Single node (or all-local servers): NVLink/loopback only.
-            yield ctx.network.start_flow(
-                [ctx.cluster.nvlink[0]], 2 * part_bytes)
-            return
+    def _push_pull(self, ctx: TrainContext) -> t.Callable[[float], Event]:
+        """The iteration's transfer: push one partition, pull it back.
+
+        A transfer is the push flow, ``server_overhead_s`` on the
+        server and the pull flow, chained on callbacks; it returns the
+        event that fires when the pull is done.  The path and the cap
+        are the same for every partition, so they are looked up once
+        per iteration, and the NIC bytes once per distinct partition
+        size.
+        """
+        sim, network = ctx.sim, ctx.network
+        if ctx.cluster.num_nodes == 1:
+            # No inter-node NIC bytes: NVLink/loopback only.
+            nvlink = [ctx.cluster.nvlink[0]]
+            return lambda part_bytes: network.start_flow(
+                nvlink, 2 * part_bytes)
         cap = ctx.cluster.stream_cap_bps()
         hop = list(ctx.cluster.representative_hop())
-        server_bytes = self.server_nic_bytes_per_gradient(ctx, part_bytes)
-        if server_bytes:
+        if self.extra_cpu_server_nodes:
             # Dedicated server NICs can become the bottleneck when
             # too few CPU machines are subscribed.
             hop.append(self._server_link(ctx))
-            nic_bytes = max(nic_bytes, server_bytes)
-        # Push ...
-        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
-        yield ctx.sim.timeout(self.server_overhead_s)
-        # ... then pull the reduced value back.
-        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
+        nic_bytes: dict[float, float] = {}
+
+        def push_pull(part_bytes: float) -> Event:
+            nbytes = nic_bytes.get(part_bytes)
+            if nbytes is None:
+                nbytes = nic_bytes[part_bytes] = max(
+                    self.nic_bytes_per_gradient(ctx, part_bytes),
+                    self.server_nic_bytes_per_gradient(ctx, part_bytes))
+            done = sim.event(name="byteps.pushpull")
+
+            def pull(_overhead: Event) -> None:
+                network.start_flow(hop, nbytes, rate_cap_bps=cap) \
+                    .add_callback(functools.partial(relay, done))
+
+            def pushed(push: Event) -> None:
+                if not push.ok:
+                    relay(done, push)
+                    return
+                sim.timeout(self.server_overhead_s).add_callback(pull)
+
+            # Push ... then pull the reduced value back.
+            network.start_flow(hop, nbytes, rate_cap_bps=cap) \
+                .add_callback(pushed)
+            return done
+
+        return push_pull
 
     def _server_link(self, ctx: TrainContext) -> Link:
         """The shared NIC of the dedicated CPU server fleet on ``ctx``'s

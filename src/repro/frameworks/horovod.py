@@ -142,11 +142,10 @@ class HorovodBackend(DDLBackend):
             yield ctx.sim.all_of(staging)
         yield comm.close()
 
-    def _allreduce(self, ctx: TrainContext,
-                   buffer_bytes: float) -> t.Generator:
+    def _allreduce(self, ctx: TrainContext, buffer_bytes: float) -> Event:
         """Single-stream all-reduce of one fusion buffer."""
-        yield ctx.collectives.allreduce(buffer_bytes,
-                                        algorithm=self.algorithm)
+        return ctx.collectives.allreduce(buffer_bytes,
+                                         algorithm=self.algorithm)
 
 
 def _backward(ctx: TrainContext, ready: list[ReadyGradient]) -> t.Generator:

@@ -25,8 +25,10 @@ from repro.frameworks.base import (
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
+    relay,
     require_non_negative,
 )
+from repro.sim.events import Event
 
 
 class MXNetKVStoreBackend(DDLBackend):
@@ -49,8 +51,7 @@ class MXNetKVStoreBackend(DDLBackend):
         yield ctx.sim.timeout(ctx.forward_time_s)
 
         pool = ConnectionPool(ctx.sim, self.num_connections,
-                              functools.partial(self._push_pull, ctx),
-                              name="kvstore")
+                              self._push_pull(ctx), name="kvstore")
         for delay, parameters in ctx.backward_steps():
             if delay:
                 yield ctx.sim.timeout(delay)
@@ -63,16 +64,45 @@ class MXNetKVStoreBackend(DDLBackend):
             compute_time_s=ctx.compute_time_s,
         )
 
-    def _push_pull(self, ctx: TrainContext, size: float) -> t.Generator:
-        """Serial whole-key push then pull on one connection."""
+    def _push_pull(self, ctx: TrainContext) -> t.Callable[[float], Event]:
+        """The iteration's transfer: serial whole-key push then pull.
+
+        A transfer is ``per_key_overhead_s`` of serialization, then the
+        push flow and the pull flow, chained on callbacks; it returns
+        the event that fires when the pull is done.  The path and the
+        cap are looked up once per iteration, and the NIC bytes once
+        per distinct key size.
+        """
+        sim, network = ctx.sim, ctx.network
         g = ctx.cluster.spec.gpus_per_node
         m = ctx.cluster.num_nodes
-        yield ctx.sim.timeout(self.per_key_overhead_s)
         if m == 1:
-            yield ctx.network.start_flow([ctx.cluster.nvlink[0]], 2 * size)
-            return
-        nic_bytes = g * size * (m - 1) / m
-        cap = ctx.cluster.stream_cap_bps()
-        hop = ctx.cluster.representative_hop()
-        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
-        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
+            # NVLink/loopback: one flow carries the push and the pull.
+            path, cap = [ctx.cluster.nvlink[0]], None
+        else:
+            path = ctx.cluster.representative_hop()
+            cap = ctx.cluster.stream_cap_bps()
+        flow_bytes: dict[float, float] = {}
+
+        def push_pull(size: float) -> Event:
+            nbytes = flow_bytes.get(size)
+            if nbytes is None:
+                nbytes = flow_bytes[size] = 2 * size if m == 1 \
+                    else g * size * (m - 1) / m
+            done = sim.event(name="kvstore.pushpull")
+
+            def pushed(push: Event) -> None:
+                if m == 1 or not push.ok:
+                    relay(done, push)
+                    return
+                network.start_flow(path, nbytes, rate_cap_bps=cap) \
+                    .add_callback(functools.partial(relay, done))
+
+            def push(_overhead: Event) -> None:
+                network.start_flow(path, nbytes, rate_cap_bps=cap) \
+                    .add_callback(pushed)
+
+            sim.timeout(self.per_key_overhead_s).add_callback(push)
+            return done
+
+        return push_pull

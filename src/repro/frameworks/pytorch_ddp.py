@@ -23,6 +23,7 @@ from repro.frameworks.base import (
     IterationStats,
     TrainContext,
     UPDATE_TIME_S,
+    relay,
     require_non_negative,
     require_positive,
 )
@@ -143,10 +144,15 @@ class PyTorchDDPBackend(DDLBackend):
             yield ctx.sim.all_of(staging)
         yield comm.close()
 
-    def _allreduce(self, ctx: TrainContext,
-                   bucket_bytes: float) -> t.Generator:
+    def _allreduce(self, ctx: TrainContext, bucket_bytes: float) -> Event:
         """Launch overhead, then the capped all-reduce of one bucket."""
-        yield ctx.sim.timeout(self.launch_overhead_s)
-        yield ctx.collectives.allreduce(
-            bucket_bytes, algorithm=self.algorithm,
-            cap_scale=self.stream_cap_scale)
+        done = ctx.sim.event(name="ddp.allreduce")
+
+        def launch(_overhead: Event) -> None:
+            ctx.collectives.allreduce(
+                bucket_bytes, algorithm=self.algorithm,
+                cap_scale=self.stream_cap_scale,
+            ).add_callback(functools.partial(relay, done))
+
+        ctx.sim.timeout(self.launch_overhead_s).add_callback(launch)
+        return done

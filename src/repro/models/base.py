@@ -15,6 +15,7 @@ implementations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as t
 
 from repro.errors import ReproError
@@ -136,9 +137,13 @@ class ModelSpec:
         """Bytes of gradients exchanged per iteration (fp32)."""
         return sum(layer.nbytes for layer in self.layers)
 
-    @property
+    @functools.cached_property
     def forward_flops(self) -> float:
-        """Per-sample forward FLOPs used by the timing model."""
+        """Per-sample forward FLOPs used by the timing model.
+
+        A sum over the layers that every step reads several times; the
+        layers are immutable, so it is computed once per spec.
+        """
         return sum(layer.forward_flops for layer in self.layers)
 
     @property

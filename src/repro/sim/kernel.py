@@ -77,9 +77,11 @@ class Simulator:
         ``name``, ``_scheduled``, ``_value`` and ``succeed(value)`` —
         such as the fluid network's wakeup timer.
         """
-        if when < self.now:
+        # Written so that a NaN ``when`` fails too: every comparison
+        # with NaN is false.
+        if not when >= self.now:
             raise SimulationError(
-                f"cannot schedule event in the past ({when} < {self.now})"
+                f"cannot schedule event at {when} (now={self.now})"
             )
         event._scheduled += 1
         self.events_scheduled += 1
@@ -94,6 +96,18 @@ class Simulator:
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """An event that fires after ``delay`` simulated seconds."""
         return Timeout(self, delay, value=value)
+
+    def at(self, when: float, value: object = None) -> Event:
+        """An event that fires at absolute simulated time ``when``.
+
+        A process that would sleep through several successive timeouts
+        with nothing to do between them can accumulate their delays —
+        ``when = when + delay``, the same additions the kernel makes
+        for each timeout — and wake once, at the same instant.
+        """
+        event = Event(self, name="at")
+        self._schedule_at(when, event, value)
+        return event
 
     def all_of(self, events: t.Sequence[Event]) -> AllOf:
         """An event that fires when every event in ``events`` has fired."""

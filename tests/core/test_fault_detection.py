@@ -50,6 +50,23 @@ class TestConfigValidation:
         with pytest.raises(ReproError):
             AIACCConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        # A NaN deadline failed mid-run (``unit_timeout_s``: every rate
+        # zero) or put NaN entries in the heap (``sync_timeout_s``); a
+        # NaN backoff or clamp was dropped by ``min()``.
+        *((field, value)
+          for field in ("sync_timeout_s", "unit_timeout_s",
+                        "retry_backoff_s", "max_detection_deadline_s")
+          for value in (float("nan"), float("inf"))),
+        # A non-integer retry count failed mid-run in ``range()``.
+        ("comm_retries", 1.5),
+        ("comm_retries", True),
+    ], ids=lambda value: str(value))
+    def test_non_finite_deadlines_rejected_at_construction(self, field,
+                                                           value):
+        with pytest.raises(ReproError, match=field):
+            AIACCConfig(**{field: value})
+
     def test_valid_detection_config(self):
         config = AIACCConfig(sync_timeout_s=1.0, unit_timeout_s=2.0,
                              comm_retries=0, retry_backoff_s=0.0)

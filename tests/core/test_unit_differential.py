@@ -1,17 +1,22 @@
-"""Differential test of the all-reduce unit: pool callbacks vs processes.
+"""Differential test of the AIACC step: callback chains vs processes.
 
-The oracle is kept verbatim below: the engine's ``_dispatch`` spawned
-one ``unit_process`` per all-reduce unit (staging, then the unit), and
-that spawned the stream pool's ``run_unit`` generator (acquire, run the
-collective, release).  A unit now runs as a callback chain on the pool
+The oracle is kept verbatim below.  Its iteration slept through one
+timeout per backward schedule point and spawned one ``_dispatch``
+process per packed batch; that process waited on the daemon, hosted the
+sync round's failure detector (the ``_retrying`` generator) and spawned
+one ``unit_process`` per all-reduce unit (staging, then the unit), which
+spawned the stream pool's ``run_unit`` generator (acquire, run the
+collective, release).  Now the walk wakes only where a batch closes, a
+dispatch is a callback chain, a unit runs on the pool's callbacks
 (:meth:`~repro.core.streams.CommStreamPool.start_unit`), staging is a
-timeout with a callback, and with a unit deadline the failure
-detector's retry loop is the unit's only process.
+timeout with a callback, and the failure detector is a callback
+combinator (:meth:`~repro.core.engine.AIACCBackend.deadline`): the step
+spawns only itself.
 
 Every delay is still ``now + delay`` and every grant still goes through
-the pool's FIFO resource, so a unit starts its flows at the same
-instant; only its position among the events of that instant changes.
-So every iteration time, every diagnosis finding and every
+the daemon's and the pool's FIFO resources, so a unit starts its flows
+at the same instant; only its position among the events of that instant
+changes.  So every iteration time, every diagnosis finding and every
 ``allreduce-unit`` and ``staging`` span (start, end, CUDA stream id and
 meta) must be identical.
 """
@@ -24,10 +29,11 @@ import pytest
 from repro.core.engine import AIACCBackend
 from repro.core.packing import AllReduceUnit
 from repro.core.registration import GradientRegistry
-from repro.core.runtime import AIACCConfig
+from repro.core.runtime import AIACCConfig, DETECTION_DEADLINE_CAP_FACTOR
 from repro.core.streams import CommStreamPool
-from repro.errors import ProcessInterrupt
-from repro.frameworks.base import TrainContext
+from repro.errors import PeerDeadError, ProcessInterrupt, TrainingError
+from repro.frameworks.base import IterationStats, TrainContext, \
+    UPDATE_TIME_S
 from repro.obs import Observability, diagnose
 from repro.sim.events import Event
 from repro.sim.faults import FaultPlan, NodeCrash
@@ -112,6 +118,148 @@ def _oracle_run_unit(self, work: t.Callable[[], Event],
                     self.rank, stream_id, self.sim.now - granted_at,
                     float(t.cast(float, span_meta.get("bytes", 0.0))))
         self.release(streams)
+
+
+def _oracle_iteration(self, ctx: TrainContext) -> t.Generator:
+    if self._pool is None or self._registry is None \
+            or self._plan is None:
+        raise TrainingError(
+            "AIACCBackend.warmup() must run before iterations"
+        )
+    pool = self._pool
+    plan = self._plan
+    self._registry.reset_vector()
+    sync_vector = self._registry.sync_vector
+
+    timeline = ctx.obs.timeline
+    self._step += 1
+    step = self._step
+    start = ctx.sim.now
+    timeline.begin_step(0, step, start)
+    yield ctx.sim.timeout(ctx.forward_time_s)
+    timeline.span("forward", "compute", 0, start, ctx.sim.now)
+    backward_start = ctx.sim.now
+    pool.compute_started()
+
+    unit_events: list[Event] = []
+    dispatch_processes: list[Process] = []
+
+    # The framework hook: each schedule point's gradients enter the
+    # gradient queue in one resume, and the batches the plan closes
+    # there go to the daemon.
+    for (delay, _parameters), (grad_ids, batches) in zip(
+            ctx.backward_steps(), plan.points, strict=True):
+        if delay:
+            yield ctx.sim.timeout(delay)
+        sync_vector[grad_ids] = 1
+        self._m_gradients.inc(len(grad_ids))
+        for units in batches:
+            dispatch_processes.append(self._track(ctx.sim.spawn(
+                self._dispatch(ctx, units, unit_events),
+                name="aiacc.dispatch")))
+
+    pool.compute_finished()
+    timeline.span("backward", "compute", 0, backward_start, ctx.sim.now)
+    if plan.tail:
+        dispatch_processes.append(self._track(ctx.sim.spawn(
+            self._dispatch(ctx, plan.tail, unit_events),
+            name="aiacc.dispatch")))
+
+    # All dispatches must finish starting units before the barrier on
+    # the units themselves is complete.
+    if dispatch_processes:
+        yield ctx.sim.all_of(dispatch_processes)
+    if unit_events:
+        yield ctx.sim.all_of(unit_events)
+
+    if self._checker is not None:
+        # Iteration boundary is a quiescence point: every stream slot
+        # returned, no queued units, the daemon idle — anything else
+        # means an interrupt leaked a grant or a counter drifted.
+        self._checker.check_pool_quiescent(pool, rank=0)
+        self._checker.check_idle(
+            t.cast(Resource, self._daemon), rank=0)
+
+    apply_start = ctx.sim.now
+    yield ctx.sim.timeout(UPDATE_TIME_S)
+    timeline.span("apply", "apply", 0, apply_start, ctx.sim.now)
+    timeline.end_step(0, step, ctx.sim.now)
+    self._m_iterations.inc()
+    self._m_step_seconds.observe(ctx.sim.now - start)
+    if ctx.obs.diag is not None:
+        ctx.obs.diag.observe_step(0, step, ctx.sim.now - start,
+                                  ctx.sim.now)
+    return IterationStats(
+        iteration_time_s=ctx.sim.now - start,
+        compute_time_s=ctx.compute_time_s,
+    )
+
+
+def _oracle_track(self, process: Process) -> Process:
+    """Register a spawned process for :meth:`abort`.
+
+    The tracking callback doubles as a watcher, so a failing tracked
+    process records its exception (surfaced via the iteration
+    barriers) rather than hard-raising out of the simulator.  The
+    engine's ``abort`` runs each registered hook: here, the interrupt
+    the process-based engine delivered.
+    """
+    def interrupt(cause: object) -> None:
+        if process.can_interrupt:
+            # A no-op watcher so the interrupt is recorded as a
+            # failed event instead of surfacing out of sim.step().
+            process.add_callback(lambda _ev: None)
+            process.interrupt(cause)
+
+    self._inflight[process] = interrupt
+    process.add_callback(lambda _ev: self._inflight.pop(process, None))
+    return process
+
+
+def _oracle_retrying(self, ctx: TrainContext,
+                     launch: t.Callable[[], t.Any], phase: str,
+                     timeout_s: float,
+                     abandon: t.Callable[[t.Any], None] | None = None,
+                     ) -> t.Generator:
+    """Race ``launch()`` against a deadline, with bounded retries.
+
+    The paper's failure detector: a missed deadline raises
+    *suspicion*; only after ``comm_retries`` further attempts — each
+    preceded by exponential backoff and given a doubled deadline —
+    is the peer *confirmed* dead (:class:`PeerDeadError`).  The
+    optional ``abandon`` callback tears down a timed-out attempt
+    (e.g. cancels a hung unit so it frees its streams).
+
+    Both the per-attempt deadline and the backoff are clamped to
+    ``config.max_detection_deadline_s`` (default:
+    ``DETECTION_DEADLINE_CAP_FACTOR x timeout_s``) so confirmation
+    latency grows linearly — not exponentially — in ``comm_retries``.
+    """
+    cap = self.config.max_detection_deadline_s
+    if cap is None:
+        cap = DETECTION_DEADLINE_CAP_FACTOR * timeout_s
+    deadline = min(timeout_s, cap)
+    suspected_at: float | None = None
+    for attempt in range(self.config.comm_retries + 1):
+        pending = launch()
+        index, value = yield ctx.sim.any_of(
+            [pending, ctx.sim.timeout(deadline)])
+        if index == 0:
+            return value
+        if suspected_at is None:
+            suspected_at = ctx.sim.now
+            ctx.obs.fault_event("suspect", ctx.sim.now, phase=phase)
+        ctx.obs.count_fault(f"{phase}_timeout")
+        if abandon is not None:
+            abandon(pending)
+        if attempt < self.config.comm_retries:
+            yield ctx.sim.timeout(min(
+                self.config.retry_backoff_s * (2 ** attempt), cap))
+            deadline = min(deadline * 2, cap)
+    ctx.obs.fault_event("confirm", ctx.sim.now, phase=phase)
+    raise PeerDeadError(phase=phase,
+                        suspected_at_s=t.cast(float, suspected_at),
+                        confirmed_at_s=ctx.sim.now)
 
 
 def _oracle_dispatch(self, ctx: TrainContext,
@@ -229,6 +377,11 @@ def _oracle_dispatch(self, ctx: TrainContext,
 
 
 def _use_unit_processes(monkeypatch):
+    monkeypatch.setattr(AIACCBackend, "iteration", _oracle_iteration)
+    monkeypatch.setattr(AIACCBackend, "_track", _oracle_track,
+                        raising=False)
+    monkeypatch.setattr(AIACCBackend, "_retrying", _oracle_retrying,
+                        raising=False)
     monkeypatch.setattr(CommStreamPool, "acquire", _oracle_acquire,
                         raising=False)
     monkeypatch.setattr(CommStreamPool, "release", _oracle_release,

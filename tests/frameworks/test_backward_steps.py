@@ -108,3 +108,45 @@ def test_shared_fraction_is_one_zero_delay_step():
     assert walked[0][1] == walked[1][1] < walked[2][1]
     # The process start, the forward pass and the two non-zero delays.
     assert walked_events == produced_events == 4
+
+
+def _fresh_steps(ctx: TrainContext) -> tuple:
+    """``backward_steps`` computed without the memo."""
+    ctx._backward_memo = None
+    return ctx.backward_steps()
+
+
+@pytest.mark.parametrize("name", ("resnet50", "bert-large"))
+def test_memoized_steps_equal_a_fresh_computation(name):
+    ctx = make_ctx(get_model(name), 32, 0.0)
+    first = ctx.backward_steps()
+    assert isinstance(first, tuple)
+    assert ctx.backward_steps() is first
+    assert _fresh_steps(make_ctx(get_model(name), 32, 0.0)) == first
+
+
+def test_changing_the_batch_or_model_returns_fresh_steps():
+    model = get_model("resnet50")
+    ctx = make_ctx(model, 32, 0.0)
+    steps = ctx.backward_steps()
+    ctx.batch_per_gpu = 16
+    halved = ctx.backward_steps()
+    assert halved != steps
+    assert halved == _fresh_steps(make_ctx(model, 16, 0.0))
+    ctx.model = get_model("vgg16")
+    assert ctx.backward_steps() == _fresh_steps(
+        make_ctx(get_model("vgg16"), 16, 0.0))
+    ctx.model = model
+    ctx.batch_per_gpu = 32
+    assert ctx.backward_steps() == steps
+
+
+def test_forward_flops_is_computed_once_per_spec():
+    model = get_model("resnet50")
+    flops = model.forward_flops
+    assert flops == sum(layer.forward_flops for layer in model.layers)
+    assert model.__dict__["forward_flops"] == flops
+    # A rescaled spec is a new object with its own sum.
+    scaled = model.scaled_to(model.num_parameters, 2 * flops)
+    assert scaled.forward_flops == sum(
+        layer.forward_flops for layer in scaled.layers)

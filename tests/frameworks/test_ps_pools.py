@@ -1,13 +1,14 @@
 """Differential tests: PS connection pools against per-transfer processes.
 
 BytePS and MXNet KVStore run their push/pulls on a
-:class:`~repro.frameworks.base.ConnectionPool`: ``num_connections``
-long-lived processes fed FIFO from a store.  The oracles below keep the
-previous scheduling around the same push/pull bodies: one process per
-transfer, gated by a FIFO :class:`~repro.sim.resources.Resource` of
-connections.  Both grant transfers in the same order, and every PS flow
-of a cell shares one path and one cap, so the simulated iteration times
-must be equal, not merely close.
+:class:`~repro.frameworks.base.ConnectionPool`: a FIFO queue and a count
+of ``num_connections`` free connections, each transfer a chain of
+callbacks.  The oracles below keep the previous scheduling: one process
+per transfer, gated by a FIFO :class:`~repro.sim.resources.Resource` of
+connections, each running the push/pull generator kept verbatim here.
+Both grant transfers in the same order, and every PS flow of a cell
+shares one path and one cap, so the simulated iteration times must be
+equal, not merely close.
 """
 
 import typing as t
@@ -71,7 +72,7 @@ class _PerTransferIteration:
                size: float) -> t.Generator:
         yield connections.acquire()
         try:
-            yield from self._push_pull(ctx, size)
+            yield from self._oracle_push_pull(ctx, size)
         finally:
             connections.release()
 
@@ -82,12 +83,50 @@ class OracleBytePS(_PerTransferIteration, BytePSBackend):
     def _items(self, ctx, parameter):
         return self._partition(ctx.wire_bytes(parameter))
 
+    def _oracle_push_pull(self, ctx: TrainContext,
+                          part_bytes: float) -> t.Generator:
+        """Push one partition to its server, then pull the aggregate."""
+        nic_bytes = self.nic_bytes_per_gradient(ctx, part_bytes)
+        if nic_bytes <= 0:
+            # Single node (or all-local servers): NVLink/loopback only.
+            yield ctx.network.start_flow(
+                [ctx.cluster.nvlink[0]], 2 * part_bytes)
+            return
+        cap = ctx.cluster.stream_cap_bps()
+        hop = list(ctx.cluster.representative_hop())
+        server_bytes = self.server_nic_bytes_per_gradient(ctx, part_bytes)
+        if server_bytes:
+            # Dedicated server NICs can become the bottleneck when
+            # too few CPU machines are subscribed.
+            hop.append(self._server_link(ctx))
+            nic_bytes = max(nic_bytes, server_bytes)
+        # Push ...
+        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
+        yield ctx.sim.timeout(self.server_overhead_s)
+        # ... then pull the reduced value back.
+        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
+
 
 class OracleKVStore(_PerTransferIteration, MXNetKVStoreBackend):
     pushpull_name = "kvstore.pushpull"
 
     def _items(self, ctx, parameter):
         return [ctx.wire_bytes(parameter)]
+
+    def _oracle_push_pull(self, ctx: TrainContext,
+                          size: float) -> t.Generator:
+        """Serial whole-key push then pull on one connection."""
+        g = ctx.cluster.spec.gpus_per_node
+        m = ctx.cluster.num_nodes
+        yield ctx.sim.timeout(self.per_key_overhead_s)
+        if m == 1:
+            yield ctx.network.start_flow([ctx.cluster.nvlink[0]], 2 * size)
+            return
+        nic_bytes = g * size * (m - 1) / m
+        cap = ctx.cluster.stream_cap_bps()
+        hop = ctx.cluster.representative_hop()
+        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
+        yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
 
 
 def iteration_times(backend, model, gpus):
@@ -144,20 +183,33 @@ class _Boom(RuntimeError):
     pass
 
 
+def _failing(sim, delay, exc):
+    """An event that fails with ``exc`` after ``delay``."""
+    event = sim.event()
+    sim.timeout(delay).add_callback(lambda _ev: event.fail(exc))
+    return event
+
+
 class TestConnectionFailure:
+    @pytest.mark.parametrize("raises", (False, True),
+                             ids=("event-fails", "serve-raises"))
     @pytest.mark.parametrize("backend_cls", (BytePSBackend,
                                              MXNetKVStoreBackend))
     def test_exception_in_one_connection_fails_the_iteration(
-            self, backend_cls):
+            self, backend_cls, raises):
         backend = backend_cls(num_connections=2)
         served = []
 
-        def push_pull(ctx, size):
-            index = len(served)
-            served.append(size)
-            yield ctx.sim.timeout(1e-4)
-            if index == 2:
-                raise _Boom("connection lost")
+        def push_pull(ctx):
+            def serve(size):
+                index = len(served)
+                served.append(size)
+                if index != 2:
+                    return ctx.sim.timeout(1e-4)
+                if raises:
+                    raise _Boom("connection lost")
+                return _failing(ctx.sim, 1e-4, _Boom("connection lost"))
+            return serve
 
         backend._push_pull = push_pull
         with pytest.raises(_Boom, match="connection lost"):
@@ -165,7 +217,7 @@ class TestConnectionFailure:
                          warmup_iterations=0)
 
     def test_failure_is_delivered_to_a_waiting_iteration(self):
-        # The crash happens after the last submit, while the iteration
+        # The failure happens after the last submit, while the iteration
         # already waits on the pool: it must fail, not hang.
         from repro.frameworks.base import ConnectionPool
         from repro.sim import Simulator
@@ -173,9 +225,9 @@ class TestConnectionFailure:
         sim = Simulator()
 
         def serve(item):
-            yield sim.timeout(item)
             if item == 2.0:
-                raise _Boom("late")
+                return _failing(sim, item, _Boom("late"))
+            return sim.timeout(item)
 
         failed_at = []
 
@@ -194,22 +246,19 @@ class TestConnectionFailure:
             sim.run()
         assert failed_at == [2.0]
 
-    def test_yielding_a_non_event_still_fails(self):
+    def test_returning_a_non_event_fails_the_pool(self):
         from repro.frameworks.base import ConnectionPool
         from repro.sim import Simulator
 
         sim = Simulator()
 
-        def serve(item):
-            yield item
-
         def iteration():
-            pool = ConnectionPool(sim, 1, serve, name="test")
+            pool = ConnectionPool(sim, 1, lambda item: item, name="test")
             pool.submit("not an event")
             yield pool.close()
 
         sim.spawn(iteration())
-        with pytest.raises(SimulationError, match="only yield Event"):
+        with pytest.raises(SimulationError, match="must return an Event"):
             sim.run()
 
 
@@ -225,7 +274,7 @@ class TestStaging:
 
         def serve(item):
             served.append((item, ctx.sim.now))
-            yield ctx.sim.timeout(0.0)
+            return ctx.sim.timeout(0.0)
 
         return ctx, ConnectionPool(ctx.sim, 1, serve, name="test"), served
 

@@ -26,6 +26,49 @@ def test_timeout_rejects_negative_delay():
         sim.timeout(-1.0)
 
 
+def test_timeout_rejects_nan_delay():
+    # A NaN delay used to fire first and set the clock to NaN.
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    assert sim.queue_length == 0
+
+
+@pytest.mark.parametrize("when", (float("nan"), -1.0),
+                         ids=("nan", "past"))
+def test_schedule_rejects_nan_and_past_times(when):
+    sim = Simulator()
+    sim.run(until=sim.timeout(0.5))
+    with pytest.raises(SimulationError):
+        sim._schedule_at(when, sim.event(), None)
+    with pytest.raises(SimulationError):
+        sim.at(when)
+    assert sim.queue_length == 0 and sim.now == 0.5
+
+
+def test_at_fires_at_the_absolute_time_successive_timeouts_reach():
+    delays = (0.1, 0.2, 0.3, 1e-17, 0.7)
+    sim = Simulator()
+
+    def sleeper():
+        for delay in delays:
+            yield sim.timeout(delay)
+        return sim.now
+
+    slept = sim.spawn(sleeper())
+    sim.run()
+
+    sim = Simulator()
+    when = sim.now
+    for delay in delays:
+        when = when + delay
+    woke = sim.at(when, value="woke")
+    sim.run()
+    assert woke.value == "woke"
+    assert sim.now == slept.value
+    assert sim.events_scheduled == 1
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []

@@ -14,6 +14,8 @@ lists.
 import pytest
 
 from bench.workloads import StepConfig, build_step_context, simulate_step
+from repro.core.engine import AIACCBackend
+from repro.core.runtime import AIACCConfig
 from repro.frameworks import (
     BytePSBackend,
     HorovodBackend,
@@ -26,31 +28,39 @@ from repro.training.trainer import build_train_context
 
 #: ``(config, reallocations, flow visits, processes spawned, events
 #: scheduled)`` for one step after warm-up.  The iteration walks the
-#: backward schedule itself: one timeout per distinct ready instant, no
-#: event per gradient tensor.  Every fan-out enters the network in one
-#: insert, and multi-phase collectives run as callback chains, not
-#: processes.  An all-reduce unit runs on the stream pool's callbacks:
-#: the step spawns the iteration and one dispatch per packed batch.
+#: backward schedule itself and wakes only where a batch closes and
+#: where backward ends: no event per gradient tensor, no timeout per
+#: schedule point.  Every fan-out enters the network in one insert, and
+#: multi-phase collectives run as callback chains, not processes.  A
+#: dispatch and an all-reduce unit run on callbacks: the step spawns
+#: only itself.
 PINNED = (
     # No process per unit: 11 units x (unit process + pool runner)
-    # spawns and bootstraps fewer, 29 -> 7 and 123 -> 101.
-    (StepConfig("step-8r", 8), 22, 11, 7, 101),
+    # spawns and bootstraps fewer, 29 -> 7 and 123 -> 101.  No process
+    # per dispatch: 6 spawns and bootstraps fewer, and the walk's 19
+    # per-point timeouts become 6 wakes, 7 -> 1 and 101 -> 82.
+    (StepConfig("step-8r", 8), 22, 11, 1, 82),
     # The ring's hop bundle and NVLink bundle enter in one insert, not
     # one each: one reallocation and one wakeup fewer per all-reduce.
-    # No process per unit: 29 -> 7 spawned, 154 -> 132 scheduled.
-    (StepConfig("step-256r", 256), 33, 56, 7, 132),
+    # No process per unit: 29 -> 7 spawned, 154 -> 132 scheduled.  No
+    # process per dispatch, and one wake per batch-closing point: 7 -> 1
+    # spawned, 132 -> 113 scheduled.
+    (StepConfig("step-256r", 256), 33, 56, 1, 113),
     # Congested: node 0's hop and the hop into node 0 launch alone, the
     # other 30 hops and the NVLink fabrics as one bundle class each.
     # No process per hierarchical all-reduce: no spawn, no bootstrap.
     # No process per unit: 40 units x 2 spawns and bootstraps fewer,
-    # 88 -> 8 and 746 -> 666.
+    # 88 -> 8 and 746 -> 666.  No process per dispatch (7 fewer spawns
+    # and bootstraps), and wakes only at batch-closing points: 8 -> 1
+    # and 666 -> 650.
     (StepConfig("stress-256r-hier", 256, streams=24, model="vgg16",
                 algorithm="hierarchical", congested=True), 280, 404,
-     8, 666),
+     1, 650),
     # No process per planner all-reduce.  No process per unit:
-    # 29 -> 7 spawned, 409 -> 387 scheduled.
+    # 29 -> 7 spawned, 409 -> 387 scheduled.  No process per dispatch,
+    # one wake per batch-closing point: 7 -> 1 and 387 -> 368.
     (StepConfig("planner-128r-ina", 128, algorithm="ina",
-                core_oversubscription=4.0), 99, 220, 7, 387),
+                core_oversubscription=4.0), 99, 220, 1, 368),
 )
 
 
@@ -77,24 +87,47 @@ def test_one_step_solver_work(config, reallocations, visits, spawned,
     MXNetKVStoreBackend(), MXNetKVStoreBackend(num_connections=1)),
     ids=("byteps-4", "byteps-1", "kvstore-2", "kvstore-1"))
 def test_ps_step_spawns_one_process_per_connection(backend):
-    # The step itself, which also walks the backward schedule, and one
-    # process per connection — however many partitions or keys the
-    # model has.
+    # The step itself, which also walks the backward schedule.  The
+    # connections are a free count and a queue, and each push/pull is a
+    # callback chain, so no process is spawned per connection, per
+    # partition or per key.
     model = get_model("resnet50")
     ctx = build_train_context(model, backend, 16, model.default_batch_size)
     simulate_step(ctx, backend)  # warm-up
     spawned = ctx.sim.processes_spawned
     simulate_step(ctx, backend)
-    assert ctx.sim.processes_spawned - spawned == 1 + backend.num_connections
+    assert ctx.sim.processes_spawned - spawned == 1
     assert len(model.parameters()) > 100
 
 
-@pytest.mark.parametrize("config", [pinned[0] for pinned in PINNED],
-                         ids=[pinned[0].name for pinned in PINNED])
-def test_aiacc_step_spawns_no_process_per_unit(config):
-    # The iteration and one dispatch per packed batch — however many
-    # all-reduce units the batches hold.
-    ctx, backend = build_step_context(config)
+#: A detection-armed config: every sync round and every unit runs under
+#: the failure detector's deadline.
+DEADLINES = AIACCConfig(num_streams=4, sync_timeout_s=0.5,
+                        unit_timeout_s=1.0, comm_retries=1,
+                        retry_backoff_s=0.1)
+
+
+def _aiacc_contexts():
+    for config, *_counts in PINNED:
+        yield pytest.param(lambda config=config: build_step_context(config),
+                           id=config.name)
+    for ranks in (8, 16):
+        def build(ranks=ranks):
+            backend = AIACCBackend(DEADLINES)
+            model = get_model("resnet50")
+            ctx = build_train_context(model, backend, ranks,
+                                      model.default_batch_size)
+            ctx.sim.run(until=ctx.sim.spawn(backend.warmup(ctx)))
+            return ctx, backend
+        yield pytest.param(build, id=f"deadlines-{ranks}r")
+
+
+@pytest.mark.parametrize("build", _aiacc_contexts())
+def test_aiacc_step_spawns_no_process_per_unit(build):
+    # The iteration only — however many packed batches and all-reduce
+    # units the step dispatches, and whether or not the sync rounds and
+    # units run under a deadline.
+    ctx, backend = build()
     simulate_step(ctx, backend)  # warm-up
     plan = backend._plan
     batches = [units for _ids, closed in plan.points for units in closed]
@@ -103,18 +136,18 @@ def test_aiacc_step_spawns_no_process_per_unit(config):
     units = sum(len(batch) for batch in batches)
     spawned = ctx.sim.processes_spawned
     simulate_step(ctx, backend)
-    assert ctx.sim.processes_spawned - spawned == 1 + len(batches)
-    assert units > len(batches)
+    assert ctx.sim.processes_spawned - spawned == 1
+    assert units > len(batches) > 1
 
 
 @pytest.mark.parametrize("backend, processes", (
-    (HorovodBackend, 4), (PyTorchDDPBackend, 3)), ids=("horovod", "ddp"))
+    (HorovodBackend, 3), (PyTorchDDPBackend, 2)), ids=("horovod", "ddp"))
 def test_serial_backend_step_spawns_no_process_per_buffer(backend,
                                                           processes):
-    # Horovod: the step, the backward walk, the negotiator and the one
-    # connection; DDP: the step, the autograd hook and the connection.
-    # Staging a fusion buffer or bucket is a timeout, not a process, so
-    # the count is the same whatever the model's buffer count.
+    # Horovod: the step, the backward walk and the negotiator; DDP: the
+    # step and the autograd hook.  The one comm connection is a callback
+    # pool, and staging a fusion buffer or bucket is a timeout, so the
+    # count is the same whatever the model's buffer count.
     for name in ("resnet50", "bert-large", "vgg16"):
         model = get_model(name)
         comm = backend()
