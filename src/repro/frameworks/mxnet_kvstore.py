@@ -70,8 +70,7 @@ class MXNetKVStoreBackend(DDLBackend):
         A transfer is ``per_key_overhead_s`` of serialization, then the
         push flow and the pull flow, chained on callbacks; it returns
         the event that fires when the pull is done.  The path and the
-        cap are looked up once per iteration, and the NIC bytes once
-        per distinct key size.
+        cap are looked up once per iteration.
         """
         sim, network = ctx.sim, ctx.network
         g = ctx.cluster.spec.gpus_per_node
@@ -82,13 +81,9 @@ class MXNetKVStoreBackend(DDLBackend):
         else:
             path = ctx.cluster.representative_hop()
             cap = ctx.cluster.stream_cap_bps()
-        flow_bytes: dict[float, float] = {}
 
         def push_pull(size: float) -> Event:
-            nbytes = flow_bytes.get(size)
-            if nbytes is None:
-                nbytes = flow_bytes[size] = 2 * size if m == 1 \
-                    else g * size * (m - 1) / m
+            nbytes = 2 * size if m == 1 else g * size * (m - 1) / m
             done = sim.event(name="kvstore.pushpull")
 
             def pushed(push: Event) -> None:

@@ -204,34 +204,38 @@ def chaos_entry(seed: int) -> dict:
     return {field: getattr(outcome, field) for field in CHAOS_FIELDS}
 
 
+#: How :func:`golden_report` reads each pin kind, keyed by a field only
+#: that kind has: the word for what must hold, the fields that must
+#: hold, and the field shown old -> new.
+_REPORT_KINDS = {
+    "iteration_times_s": ("times", ("iteration_times_s",), "digest"),
+    "findings": ("count", ("findings",), "findings_digest"),
+    "total_time_s": ("outcome", CHAOS_FIELDS, "status"),
+}
+
+
 def golden_report(committed: t.Mapping[str, dict],
                   fresh: t.Mapping[str, dict]) -> list[str]:
     """One line per fresh entry, comparing it with the committed one.
 
     A golden entry's times, a findings entry's count, or a chaos
-    entry's whole outcome is ``held``, ``MOVED`` or ``new``; the line
+    entry's outcome fields are ``held``, ``MOVED`` or ``new``; the line
     ends with the old -> new digest (a chaos entry's status).
     """
     lines = []
     for key, entry in fresh.items():
-        tag = "digest"
-        if "iteration_times_s" in entry:
-            label, value, digest = "times", "iteration_times_s", "digest"
-        elif "findings" in entry:
-            label, value, digest = "count", "findings", "findings_digest"
-        else:
-            label, value, digest = "outcome", None, "status"
-            tag = "status"
+        label, held_fields, shown = next(
+            kind for marker, kind in _REPORT_KINDS.items()
+            if marker in entry)
         old = committed.get(key)
         if old is None:
-            state, old_digest = "new", "-"
+            state, old_shown = "new", "-"
         else:
-            same = old == entry if value is None \
-                else old[value] == entry[value]
+            same = all(old[f] == entry[f] for f in held_fields)
             state = "held" if same else "MOVED"
-            old_digest = old[digest]
-        lines.append(f"{key}: {label} {state}, {tag} {old_digest} -> "
-                     f"{entry[digest]}")
+            old_shown = old[shown]
+        lines.append(f"{key}: {label} {state}, {shown} {old_shown} -> "
+                     f"{entry[shown]}")
     return lines
 
 

@@ -201,7 +201,8 @@ class TestGoldenReport:
         report = {}
         for line in golden_report(committed, fresh):
             key, state, old, new = re.fullmatch(
-                r"(\S+): (?:times|count) (\w+), digest (\S+) -> (\S+)",
+                r"(\S+): (?:times|count) (\w+), (?:findings_)?digest "
+                r"(\S+) -> (\S+)",
                 line).groups()
             report[key] = (state, old != new)
 

@@ -86,7 +86,7 @@ def test_one_step_solver_work(config, reallocations, visits, spawned,
     BytePSBackend(), BytePSBackend(num_connections=1),
     MXNetKVStoreBackend(), MXNetKVStoreBackend(num_connections=1)),
     ids=("byteps-4", "byteps-1", "kvstore-2", "kvstore-1"))
-def test_ps_step_spawns_one_process_per_connection(backend):
+def test_ps_step_spawns_one_process(backend):
     # The step itself, which also walks the backward schedule.  The
     # connections are a free count and a queue, and each push/pull is a
     # callback chain, so no process is spawned per connection, per
