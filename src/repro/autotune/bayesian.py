@@ -10,8 +10,6 @@ exist to fit the surrogate.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
-from scipy.stats import norm
 
 from repro.autotune.space import ParameterPoint, SearchSpace
 from repro.autotune.techniques import SearchTechnique
@@ -44,6 +42,7 @@ class BayesianOptimization(SearchTechnique):
     def _posterior(self, candidates: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
         """GP posterior mean and stddev at ``candidates``."""
+        from scipy import linalg
         train_x = np.stack(self._observed_x)
         train_y = np.asarray(self._observed_y)
         mean_y = train_y.mean()
@@ -65,6 +64,8 @@ class BayesianOptimization(SearchTechnique):
             pool = self.space.all_points()
         if len(self._observed_y) < _MIN_OBSERVATIONS:
             return pool[self.rng.integers(len(pool))]
+        from scipy.stats import norm
+
         encoded = np.stack([p.encode(self.space) for p in pool])
         mu, sigma = self._posterior(encoded)
         best = min(self._observed_y)

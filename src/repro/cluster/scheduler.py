@@ -59,10 +59,6 @@ class PlacementScheduler:
     def free_nodes(self) -> tuple[int, ...]:
         return tuple(self._free)
 
-    @property
-    def placements(self) -> dict[str, Placement]:
-        return dict(self._placements)
-
     def core_demand_bps(self, spec: "JobSpec", streams: int) -> float:
         """Worst-case spine demand of one job's ring traffic.
 

@@ -57,12 +57,6 @@ from repro.collectives.planner import (
     planned_numeric_allreduce,
 )
 from repro.collectives.ring import ring_allreduce, ring_allreduce_worker
-from repro.collectives.scatter_gather import (
-    allgather,
-    allgather_worker,
-    reduce_scatter,
-    reduce_scatter_worker,
-)
 from repro.collectives.timed import ALGORITHMS, TimedCollectives
 
 __all__ = [
@@ -75,8 +69,6 @@ __all__ = [
     "ReduceOp",
     "SchedulePhase",
     "TimedCollectives",
-    "allgather",
-    "allgather_worker",
     "alltoall",
     "alltoall_worker",
     "gather",
@@ -104,8 +96,6 @@ __all__ = [
     "multi_tree_allreduce_worker",
     "multi_tree_time_s",
     "planned_numeric_allreduce",
-    "reduce_scatter",
-    "reduce_scatter_worker",
     "ring_allreduce",
     "ring_allreduce_time_s",
     "ring_allreduce_worker",

@@ -215,11 +215,6 @@ class IterationStats:
     iteration_time_s: float
     compute_time_s: float
 
-    @property
-    def exposed_comm_time_s(self) -> float:
-        """Communication time not hidden behind compute."""
-        return max(0.0, self.iteration_time_s - self.compute_time_s)
-
 
 class DDLBackend(abc.ABC):
     """One distributed-training communication framework."""

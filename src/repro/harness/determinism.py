@@ -132,6 +132,22 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     # one coordinated all-reduce stream per rank.
     {"ranks": 16, "streams": 4, "faults": False, "backend": backend}
     for backend in ("byteps", "mxnet-kvstore", "horovod", "pytorch-ddp")
+) + (
+    # Spine cells: an oversubscribed core link breaks NIC symmetry, so
+    # these run the full link set, one flow per inter-node hop through
+    # the shared core.  They pin the times a representative spine must
+    # reproduce.  The last two use 9 nodes and odd stream counts; in the
+    # 3-stream one a share link's per-flow ``(core / m) / w`` rounds
+    # differently from the full link set's ``core / (m * w)``.
+    {"ranks": 32, "streams": 4, "faults": False, "core_oversubscription": 4.0},
+    {"ranks": 32, "streams": 4, "faults": False, "algorithm": "hierarchical",
+     "core_oversubscription": 4.0},
+    {"ranks": 256, "streams": 4, "faults": False,
+     "core_oversubscription": 2.0},
+    {"ranks": 72, "streams": 5, "faults": False,
+     "core_oversubscription": 1.5},
+    {"ranks": 72, "streams": 3, "faults": False,
+     "core_oversubscription": 1.3},
 )
 
 #: Every cell pinned in ``tests/sim/golden_findings.json``: a clean run,
@@ -160,14 +176,17 @@ def golden_key(cell: dict) -> str:
     """JSON key of one :data:`GOLDEN_CELLS` cell.
 
     Every cell runs invariant-checked at seed 0, which the key spells
-    out; planner cells append ``-<algorithm>`` and baseline cells
-    ``-<backend>``.
+    out; planner cells append ``-<algorithm>``, baseline cells
+    ``-<backend>`` and spine cells ``-core<k>``.
     """
     key = (f"r{cell['ranks']}-s{cell['streams']}"
            f"-{'faults' if cell['faults'] else 'nofaults'}-inv-seed0")
     for field, default in (("algorithm", "ring"), ("backend", "aiacc")):
         if cell.get(field, default) != default:
             key += f"-{cell[field]}"
+    core = cell.get("core_oversubscription", 1.0)
+    if core != 1.0:
+        key += f"-core{core:g}"
     return key
 
 
@@ -250,28 +269,35 @@ def run_probe(ranks: int, streams: int = 4, faults: bool = False,
               invariants: bool = True, seed: int = 0,
               iterations: int = 2, model: str = PROBE_MODEL,
               algorithm: str = "ring",
-              backend: str = "aiacc") -> DeterminismProbe:
+              backend: str = "aiacc",
+              core_oversubscription: float = 1.0) -> DeterminismProbe:
     """Run one matrix cell and return its digest + iteration times.
 
     ``streams`` and ``algorithm`` configure the AIACC engine; any other
     ``backend`` runs with its default settings and ignores them.
+    ``core_oversubscription`` above 1 puts the ranks behind a shared
+    oversubscribed core link.
     """
     if faults:
-        if algorithm != "ring" or backend != "aiacc":
+        if (algorithm != "ring" or backend != "aiacc"
+                or core_oversubscription != 1.0):
             raise TrainingError(
-                "fault probes only cover the AIACC ring algorithm")
+                "fault probes only cover the AIACC ring algorithm on a "
+                "non-blocking fabric")
         result = _run_fault_probe(ranks, streams, invariants, seed,
                                   iterations, model)
     else:
         result = _run_clean_probe(ranks, streams, invariants, seed,
-                                  iterations, model, algorithm, backend)
+                                  iterations, model, algorithm, backend,
+                                  core_oversubscription)
     return DeterminismProbe(digest=result.state_digest,
                             iteration_times_s=result.iteration_times_s)
 
 
 def _run_clean_probe(ranks: int, streams: int, invariants: bool,
                      seed: int, iterations: int, model: str,
-                     algorithm: str, backend: str) -> ThroughputResult:
+                     algorithm: str, backend: str,
+                     core_oversubscription: float) -> ThroughputResult:
     if backend == "aiacc":
         comm = make_backend("aiacc", config=AIACCConfig(
             num_streams=streams, algorithm=algorithm))
@@ -281,6 +307,7 @@ def _run_clean_probe(ranks: int, streams: int, invariants: bool,
         model, comm, ranks,
         measure_iterations=iterations, warmup_iterations=0,
         extra_forward_time_s=seed * SEED_JITTER_S,
+        core_oversubscription=core_oversubscription,
         check_invariants=invariants)
 
 

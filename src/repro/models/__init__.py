@@ -12,7 +12,6 @@ from repro.models.base import (
     ModelSpec,
     ModelSpecError,
     ParameterSpec,
-    make_layer,
 )
 from repro.models.ctr import build_ctr
 from repro.models.insightface import build_insightface
@@ -55,7 +54,6 @@ __all__ = [
     "build_vgg16",
     "get_dataset",
     "get_model",
-    "make_layer",
     "random_model_spec",
     "table1",
 ]

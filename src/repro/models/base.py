@@ -250,13 +250,3 @@ class ModelSpec:
                 forward_flops=layer.forward_flops * flop_scale)
             for layer in self.layers)
         return dataclasses.replace(self, layers=layers)
-
-
-def make_layer(name: str, shapes: t.Sequence[tuple[str, int]],
-               forward_flops: float) -> LayerSpec:
-    """Convenience builder: ``shapes`` is ``[(suffix, num_elements), ...]``."""
-    params = tuple(
-        ParameterSpec(name=f"{name}.{suffix}", num_elements=count)
-        for suffix, count in shapes
-    )
-    return LayerSpec(name=name, parameters=params, forward_flops=forward_flops)

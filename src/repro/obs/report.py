@@ -92,37 +92,6 @@ def link_utilisation_rows(timeline: StepTimeline) -> list[dict]:
     return rows
 
 
-def job_link_rows(timeline: StepTimeline) -> list[dict]:
-    """Per-(link, job) traffic summary of network-category spans.
-
-    The multi-tenant fabric stamps ``job`` into every flow span's meta
-    (see ``Flow.job``); this groups the recorded spans by
-    shared link and tenant so a cluster run can report how each job's
-    bytes and busy-time split across contended links.  Spans without a
-    job tag group under ``"-"``.
-    """
-    grouped: dict[tuple[str, str], list] = {}
-    for span in timeline.spans:
-        if span.rank != NETWORK_RANK or span.cat != "net":
-            continue
-        key = (str(span.meta.get("lane", "?")),
-               str(span.meta.get("job", "-")))
-        grouped.setdefault(key, []).append(span)
-    rows = []
-    for link, job in sorted(grouped):
-        spans = grouped[(link, job)]
-        rows.append({
-            "link": link,
-            "job": job,
-            "flows": len(spans),
-            "mbytes": sum(float(t.cast(float, s.meta["bytes"]))
-                          for s in spans) / 1e6,
-            "busy_ms": sum(s.duration for s in spans) * 1e3,
-            "throttled": any(bool(s.meta.get("capped")) for s in spans),
-        })
-    return rows
-
-
 def stream_lane_rows(timeline: StepTimeline) -> list[dict]:
     """Per-(rank, stream) occupancy summary of network-category spans."""
     grouped: dict[tuple[int, int], list] = {}

@@ -356,10 +356,3 @@ class InvariantChecker:
                 "plan-agreement",
                 f"round {round_index}: rank {rank} packed a different "
                 f"unit plan than rank {ref_rank}", rank=rank)
-
-    # -- whole-sim sweeps -----------------------------------------------------
-
-    def check_all_resources(self) -> None:
-        """Re-validate the ledger of every registered resource."""
-        for resource in self._resources:
-            self.check_resource(resource)

@@ -15,9 +15,8 @@ links motivating tree all-reduce) build the full link set.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as t
-
-import networkx as nx
 
 from repro.errors import TopologyError
 from repro.sim.cuda import GPUDevice, GPUSpec, V100
@@ -25,6 +24,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import Link
 from repro.sim.tcp import TCP
 from repro.sim.transport import TransportModel
+
+if t.TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,8 +84,11 @@ class Cluster:
         self.num_nodes = num_nodes
         self.spec = node_spec or NodeSpec()
         self.congestion = dict(congested_links or {})
-        if core_oversubscription < 1.0:
-            raise TopologyError("core_oversubscription must be >= 1")
+        if not (math.isfinite(core_oversubscription)
+                and core_oversubscription >= 1.0):
+            raise TopologyError(
+                f"core_oversubscription must be a finite ratio >= 1, "
+                f"got {core_oversubscription!r}")
         self.core_oversubscription = core_oversubscription
         for node, fraction in self.congestion.items():
             if not 0 <= node < num_nodes:
@@ -227,6 +232,8 @@ class Cluster:
         Used by the auto-tuner's settings cache, which matches previously
         seen deployments via graph edit distance (paper Section VI).
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for node in range(self.num_nodes):
             graph.add_node(node, gpus=self.spec.gpus_per_node,

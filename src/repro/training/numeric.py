@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.core.perseus import PerseusSession
 from repro.core.runtime import AIACCConfig
-from repro.training.optimizer import DistributedOptimizer, Optimizer, SGD
+from repro.training.optimizer import DistributedOptimizer, Optimizer
 
 State = t.Dict[str, np.ndarray]
 
@@ -172,8 +172,3 @@ def train_data_parallel(model: TinyMLP, task: SyntheticTask,
         dist_optimizer.step(worker_params, worker_grads)
         losses.append(float(np.mean(step_losses)))
     return worker_params, losses
-
-
-def default_optimizer() -> Optimizer:
-    """The optimizer used by the equivalence tests and examples."""
-    return SGD(lr=0.1, momentum=0.9)

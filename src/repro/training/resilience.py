@@ -56,10 +56,6 @@ class ResilienceResult:
         """Useful-work fraction: ideal time / actual time."""
         return self.ideal_time_s / self.total_time_s
 
-    @property
-    def overhead_fraction(self) -> float:
-        return 1.0 - self.goodput
-
 
 def checkpoint_write_time_s(model: str | ModelSpec) -> float:
     """Seconds to persist one fp32 copy of the model parameters."""

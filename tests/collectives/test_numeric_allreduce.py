@@ -1,4 +1,4 @@
-"""Correctness of the numeric collectives (ring, hierarchical, RS/AG, bcast).
+"""Correctness of the numeric collectives (ring, hierarchical, bcast).
 
 These tests exercise the message-level implementations with real numpy
 payloads and compare against the mathematical reduction.
@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 
 from repro.collectives import (
     ReduceOp,
-    allgather,
     broadcast,
     hierarchical_allreduce,
-    reduce_scatter,
     ring_allreduce,
 )
-from repro.collectives.primitives import chunk_bounds
 from repro.errors import CollectiveError
 
 
@@ -137,47 +134,6 @@ class TestHierarchicalAllReduce:
         hier = hierarchical_allreduce(arrays, gpus_per_node=gpus)
         for a, b in zip(flat, hier):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
-class TestReduceScatter:
-    def test_chunks_match_ring_convention(self):
-        n = 4
-        arrays = random_inputs(n, 20, seed=20)
-        expected = np.sum(arrays, axis=0)
-        bounds = chunk_bounds(20, n)
-        results = reduce_scatter(arrays)
-        for rank, chunk in enumerate(results):
-            lo, hi = bounds[(rank + 1) % n]
-            np.testing.assert_allclose(chunk, expected[lo:hi], rtol=1e-12)
-
-    def test_single_worker(self):
-        arrays = random_inputs(1, 10, seed=21)
-        np.testing.assert_array_equal(reduce_scatter(arrays)[0], arrays[0])
-
-
-class TestAllGather:
-    def test_all_workers_collect_all_chunks(self):
-        chunks = [np.full(3, float(rank)) for rank in range(5)]
-        results = allgather(chunks)
-        for gathered in results:
-            assert len(gathered) == 5
-            for rank, chunk in enumerate(gathered):
-                np.testing.assert_array_equal(chunk, np.full(3, float(rank)))
-
-    def test_reduce_scatter_plus_allgather_equals_allreduce(self):
-        n = 4
-        arrays = random_inputs(n, 21, seed=22)
-        expected = np.sum(arrays, axis=0)
-        scattered = reduce_scatter(arrays)
-        gathered = allgather(scattered)
-        bounds = chunk_bounds(21, n)
-        for per_worker in gathered:
-            # Chunk owned by rank r covers bounds[(r + 1) % n].
-            reassembled = np.empty(21)
-            for rank, chunk in enumerate(per_worker):
-                lo, hi = bounds[(rank + 1) % n]
-                reassembled[lo:hi] = chunk
-            np.testing.assert_allclose(reassembled, expected, rtol=1e-12)
 
 
 class TestBroadcast:

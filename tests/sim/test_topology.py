@@ -1,11 +1,14 @@
 """Tests for topology features (core oversubscription)."""
 
+import math
+
 import pytest
 
 from repro.collectives import TimedCollectives
 from repro.errors import TopologyError
 from repro.sim import FluidNetwork, Simulator, alibaba_v100_cluster
 from repro.sim.topology import Cluster, NodeSpec
+from repro.training.trainer import run_training
 
 
 class TestClusterBasics:
@@ -89,7 +92,14 @@ class TestOversubscription:
 
         assert run(4.0) > 2.5 * run(1.0)
 
-    def test_invalid_factor_rejected(self):
+    @pytest.mark.parametrize("ratio", [0.5, math.nan, math.inf])
+    def test_invalid_factor_rejected(self, ratio):
         sim = Simulator()
-        with pytest.raises(TopologyError):
-            Cluster(sim, 4, NodeSpec(), core_oversubscription=0.5)
+        with pytest.raises(TopologyError, match="core_oversubscription"):
+            Cluster(sim, 4, NodeSpec(), core_oversubscription=ratio)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_non_finite_factor_rejected_through_run_training(self, ratio):
+        with pytest.raises(TopologyError, match="core_oversubscription"):
+            run_training("resnet50", "aiacc", 16, measure_iterations=1,
+                         warmup_iterations=0, core_oversubscription=ratio)
