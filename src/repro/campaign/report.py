@@ -65,7 +65,13 @@ class CampaignReport:
         attempts, timestamps and error text (which may embed times) —
         only (spec, state, result payload | error class) contribute.
         """
-        payload = {
+        blob = json.dumps(self._outcomes(), sort_keys=True)
+        return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
+
+    def _outcomes(self) -> dict[str, dict]:
+        """Every cell's terminal outcome by spec id: its state, its
+        ``done`` result payload and its failed/quarantined error class."""
+        return {
             row.spec_id: {
                 "state": row.state,
                 "result": row.result if row.state == "done" else None,
@@ -75,8 +81,6 @@ class CampaignReport:
             }
             for row in self.rows
         }
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
 
     # -- table rows ------------------------------------------------------------
 
@@ -166,19 +170,7 @@ def diff_reports(a: CampaignReport, b: CampaignReport) -> list[CellDiff]:
     reports diff clean if and only if their digests match.  Returns the
     divergent cells sorted by spec id (empty when identical).
     """
-    def payload(report: CampaignReport) -> dict[str, dict]:
-        return {
-            row.spec_id: {
-                "state": row.state,
-                "result": row.result if row.state == "done" else None,
-                "error_class": (row.error_class
-                                if row.state in ("failed", "quarantined")
-                                else None),
-            }
-            for row in report.rows
-        }
-
-    cells_a, cells_b = payload(a), payload(b)
+    cells_a, cells_b = a._outcomes(), b._outcomes()
     diffs: list[CellDiff] = []
     for spec_id in sorted(set(cells_a) | set(cells_b)):
         if spec_id not in cells_a:

@@ -902,6 +902,7 @@ def _campaign_diagnosis(store: pathlib.Path, campaign_id: int | None
     """Aggregate the findings recorded by a campaign's diagnosed cells."""
     from repro.campaign.report import load_report_from_path
     from repro.obs import DiagnosisReport, Finding, parse_severity
+    from repro.obs.diagnosis import _finding_sort_key
 
     report = load_report_from_path(store, campaign_id)
     findings = []
@@ -928,8 +929,7 @@ def _campaign_diagnosis(store: pathlib.Path, campaign_id: int | None
                 message=str(rec.get("message", "")),
                 time_s=float(rec.get("time_s", 0.0)),
                 evidence=evidence + (("spec_id", row.spec_id),)))
-    findings.sort(key=lambda f: (-int(f.severity), f.component, f.kind,
-                                 f.subject, f.time_s))
+    findings.sort(key=_finding_sort_key)
     print(f"campaign {report.campaign_id} ({report.name}): "
           f"{diagnosed} diagnosed cell(s)")
     measurements: dict[str, float] = {}

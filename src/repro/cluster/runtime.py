@@ -36,12 +36,13 @@ from repro.autotune.graph_distance import ModelFingerprint
 from repro.cluster.fabric import SharedFabric
 from repro.cluster.jobs import JobSpec, JobState, NumericTrainer
 from repro.cluster.scheduler import PlacementScheduler, backoff_delay_s
+from repro.collectives.cost_model import CostParams, ring_allreduce_time_s
 from repro.core.elastic import EpochTransition
 from repro.errors import AdmissionRejected, ClusterError
 from repro.models.zoo import get_model
 from repro.obs import Observability
 from repro.obs.detectors import Severity
-from repro.obs.diagnosis import Finding, findings_digest
+from repro.obs.diagnosis import Finding, _finding_sort_key, findings_digest
 from repro.obs.slo import evaluate_slos, job_slos
 from repro.sim.faults import (
     BandwidthDegradation,
@@ -54,8 +55,8 @@ from repro.sim.kernel import Simulator
 
 #: Candidate stream counts the degradation tuner may shrink into.
 SHRINK_STREAMS = (1, 2, 4, 8, 12, 16, 20, 24)
-#: Per-stream setup/bookkeeping cost charged by the shrink tuner's
-#: closed-form model (what makes fewer streams win once the fair share,
+#: Per-stream setup/bookkeeping cost the shrink tuner adds to the
+#: closed-form ring (what makes fewer streams win once the fair share,
 #: not the stream count, is the bandwidth bottleneck).
 STREAM_OVERHEAD_S = 2e-4
 
@@ -135,11 +136,6 @@ class ClusterResult:
             sort_keys=True, indent=2) + "\n"
 
 
-def _finding_order(finding: Finding) -> tuple:
-    return (-int(finding.severity), finding.component, finding.kind,
-            finding.subject, finding.time_s)
-
-
 class ClusterRuntime:
     """Drives one shared-fabric schedule of N jobs to completion."""
 
@@ -185,6 +181,11 @@ class ClusterRuntime:
             for name in dict.fromkeys(spec.model for spec in self.specs)}
         self._topologies = {spec.job_id: self._job_topology(spec)
                             for spec in self.specs}
+        # Each job's SLO anchor: its uncontended step time.
+        self._baselines = {
+            spec.job_id: self._ring_step_s(spec, spec.num_streams, 1.0,
+                                           self.fabric.core_bps)
+            for spec in self.specs}
         self.states: dict[str, JobState] = {}
         self.findings: list[Finding] = []
         for spec in self.specs:
@@ -214,7 +215,7 @@ class ClusterRuntime:
         # Drain chaos restore windows etc. so link state settles.
         self.sim.run()
         self._interference_findings()
-        self.findings.sort(key=_finding_order)
+        self.findings.sort(key=_finding_sort_key)
         return ClusterResult(
             jobs={job_id: state.record()
                   for job_id, state in sorted(self.states.items())},
@@ -379,17 +380,23 @@ class ClusterRuntime:
 
     # -- SLO sentinel + ladder ----------------------------------------------
 
-    def _baseline_step_s(self, state: JobState) -> float:
-        """Analytic uncontended step time (anchors the job's SLO)."""
-        spec = state.spec
-        if spec.num_nodes < 2:
-            return spec.compute_s
-        hop_bits = 2.0 * (spec.num_nodes - 1) / spec.num_nodes \
-            * spec.bytes_per_step * 8.0
-        rate = min(self.fabric.nic_bps,
-                   spec.num_streams * self.fabric.stream_cap_bps,
-                   self.fabric.core_bps / spec.num_nodes)
-        return spec.compute_s + hop_bits / rate
+    def _ring_step_s(self, spec: JobSpec, streams: int, cap_scale: float,
+                     core_bps: float) -> float:
+        """Compute plus the closed-form ring over the job's nodes, one GPU
+        each: ``streams`` streams per hop at ``cap_scale`` times the cap,
+        a ``core_bps`` share of the spine, and no latency (the fabric's
+        links have none)."""
+        m = spec.num_nodes
+        params = CostParams(
+            world_size=m, num_nodes=m,
+            nic_stream_bps=self.fabric.stream_cap_bps * cap_scale,
+            nic_total_bps=self.fabric.nic_bps,
+            # One GPU per node: the ring never crosses NVLink.
+            nvlink_bps=self.fabric.nic_bps,
+            inter_alpha_s=0.0, intra_alpha_s=0.0, inter_latency_s=0.0,
+            core_bps=core_bps)
+        return spec.compute_s + ring_allreduce_time_s(
+            spec.bytes_per_step, params, streams)
 
     def _slo_breached(self, state: JobState) -> bool:
         window = self.config.slo_window
@@ -397,7 +404,7 @@ class ClusterRuntime:
             return False
         spec = state.spec
         observed = sum(state.step_times[-window:]) / window
-        slos = job_slos(spec.job_id, self._baseline_step_s(state),
+        slos = job_slos(spec.job_id, self._baselines[spec.job_id],
                         slack_ratio=self.config.slo_slack)
         results = evaluate_slos(
             slos, {f"job:{spec.job_id}:step_time_s": observed})
@@ -423,16 +430,11 @@ class ClusterRuntime:
                           budget=len(space), seed=spec.seed,
                           obs=self.obs)
         fair_core = self._fair_core_share_bps(spec)
-        hop_bits = 2.0 * max(1, spec.num_nodes - 1) / spec.num_nodes \
-            * spec.bytes_per_step * 8.0
 
         def evaluate(point: ParameterPoint) -> float:
-            rate = min(self.fabric.nic_bps,
-                       point.num_streams * self.fabric.stream_cap_bps
-                       * state.cap_scale,
-                       fair_core)
-            return (spec.compute_s + hop_bits / rate
-                    + point.num_streams * STREAM_OVERHEAD_S)
+            return self._ring_step_s(spec, point.num_streams,
+                                     state.cap_scale, fair_core) \
+                + point.num_streams * STREAM_OVERHEAD_S
 
         best = tuner.tune(evaluate).best_point
         previous = state.streams
@@ -509,8 +511,7 @@ class ClusterRuntime:
                   if self.states.get(s.job_id) is not None
                   and self.states[s.job_id].nodes]
         total_priority = sum(s.priority for s in active) or spec.priority
-        share = self.fabric.core_bps * spec.priority / total_priority
-        return share / max(1, spec.num_nodes)
+        return self.fabric.core_bps * spec.priority / total_priority
 
     # -- chaos ---------------------------------------------------------------
 

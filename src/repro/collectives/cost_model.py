@@ -1,10 +1,10 @@
 """Analytic α–β cost models for the collective algorithms.
 
-These closed-form estimates serve three purposes:
-
-1. sanity checks for the flow-level simulation (tests compare both);
-2. fast candidate scoring inside the auto-tuner's search techniques;
-3. documentation of the communication volumes used by the timed executor.
+Each closed form charges, term for term, what the timed executor
+charges for the same schedule on a symmetric cluster.  The differential
+tests (``tests/collectives/test_differential_cost.py``) hold the
+simulation to every form; the multi-tenant cluster's SLO baseline and
+shrink tuner (:mod:`repro.cluster.runtime`) score with the ring form.
 
 Notation: ``S`` bytes reduced over ``n`` workers on ``m`` nodes with ``g``
 GPUs per node; β terms are bandwidth (bits/s), α terms per-message latency.
@@ -13,13 +13,19 @@ GPUs per node; β terms are bandwidth (bits/s), α terms per-message latency.
 from __future__ import annotations
 
 import dataclasses
+import math
+import typing as t
 
 from repro.errors import CollectiveError
 
-#: Device-wide synchronization charged between macro phases of the
-#: multi-phase algorithms (hierarchical and the planner backends).  The
-#: timed executor and the planner import this so closed forms and
-#: simulated schedules charge the identical constant.
+if t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.topology import Cluster
+
+#: Device-wide synchronization between the macro phases of the
+#: hierarchical and planner schedules, charged by the closed forms, the
+#: timed executor and the planner alike.  Under backward-pass SM
+#: occupancy it costs about a millisecond, which makes the auto-tuner
+#: prefer the flat ring on healthy networks (paper §VIII-D).
 PHASE_SYNC_S = 2e-3
 
 #: Store-and-forward latency of the in-network aggregation point (FPGA
@@ -41,10 +47,11 @@ class CostParams:
     nvlink_bps: float
     #: Per-message overhead on the inter-node path (s).
     inter_alpha_s: float
-    #: Per-message overhead on the intra-node path (s).
+    #: One-way intra-node latency (s): each NVLink hop's wire latency
+    #: and the per-step cost of an intra-node ring.
     intra_alpha_s: float = 5e-6
-    #: One-way inter-node wire latency (s); the planner closed forms
-    #: charge it per exchange round on top of the software overhead.
+    #: One-way inter-node wire latency (s): each NIC hop's tail latency
+    #: and the per-round cost of an inter-node exchange.
     inter_latency_s: float = 100e-6
     #: Capacity of the shared (oversubscribed) datacenter core link, or
     #: ``None`` for a non-blocking fabric.
@@ -58,6 +65,34 @@ class CostParams:
             raise CollectiveError("world_size and num_nodes must be >= 1")
         if self.world_size % self.num_nodes != 0:
             raise CollectiveError("world_size must divide across nodes evenly")
+        for name in ("nic_stream_bps", "nic_total_bps", "nvlink_bps",
+                     "core_bps", "ina_agg_bps"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise CollectiveError(
+                    f"{name} must be finite and positive, got {value!r}")
+        for name in ("inter_alpha_s", "intra_alpha_s", "inter_latency_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise CollectiveError(
+                    f"{name} must be finite and non-negative, "
+                    f"got {value!r}")
+
+    @classmethod
+    def of(cls, cluster: Cluster) -> CostParams:
+        """The deployment ``cluster`` describes, as its node 0 sees it."""
+        spec = cluster.spec
+        return cls(
+            world_size=cluster.world_size,
+            num_nodes=cluster.num_nodes,
+            nic_stream_bps=cluster.stream_cap_bps(),
+            nic_total_bps=cluster.nic_out[0].capacity_bps,
+            nvlink_bps=spec.gpu.nvlink_bps,
+            inter_alpha_s=spec.transport.per_message_overhead_s,
+            intra_alpha_s=spec.intra_node_latency_s,
+            inter_latency_s=spec.inter_node_latency_s,
+            core_bps=None if cluster.core is None
+            else cluster.core.capacity_bps)
 
     @property
     def gpus_per_node(self) -> int:
@@ -77,39 +112,33 @@ def ring_allreduce_time_s(size_bytes: float, params: CostParams,
                           streams: int = 1) -> float:
     """Time for a flat topology-aware ring all-reduce of ``size_bytes``.
 
-    ``streams`` > 1 models AIACC's multi-streamed mode where the unit's
-    traffic effectively enjoys the bandwidth of ``streams`` capped
-    connections (up to the aggregate NIC limit); used only for analytic
-    tuning — the simulator models streams explicitly.
+    The slowest hop drains ``2 S (n-1)/n`` bytes; then ``2 (n-1)`` steps
+    pay the overhead their ``S/n`` chunks do not hide, and the pipeline
+    fills over ``m`` NIC and ``n - m`` NVLink hops.  ``streams`` > 1
+    models AIACC's multi-streamed hop of ``streams`` capped connections.
     """
     n = params.world_size
     m = params.num_nodes
     if n == 1 or size_bytes <= 0:
         return 0.0
-    hop_bytes = ring_volume_bytes(size_bytes, n)
-    steps = 2 * (n - 1)
-    alpha = steps * (params.inter_alpha_s if m > 1 else params.intra_alpha_s)
     if m == 1:
-        return hop_bytes * 8.0 / params.nvlink_bps + alpha
-    bandwidth = min(params.nic_stream_bps * streams, params.nic_total_bps)
-    if params.core_bps is not None:
-        bandwidth = min(bandwidth, params.core_bps / m)
-    nic_time = hop_bytes * 8.0 / bandwidth
-    if params.gpus_per_node == 1:
-        # One GPU per node: the flat ring never touches NVLink, so the
-        # intra-node term must not appear (previously it did, inflating
-        # the estimate whenever NVLink was slower than the NIC path).
-        return nic_time + alpha
-    nvlink_time = hop_bytes * 8.0 / params.nvlink_bps
-    return max(nic_time, nvlink_time) + alpha
+        return _single_node_time_s(size_bytes, params)
+    hop_bits = ring_volume_bytes(size_bytes, n) * 8.0
+    drain = hop_bits / _hop_bps(params, streams) + params.inter_latency_s
+    if params.gpus_per_node > 1:
+        drain = max(drain, hop_bits / params.nvlink_bps
+                    + params.intra_alpha_s)
+    return drain + 2 * (n - 1) * _exposed_s(size_bytes / n, params) \
+        + m * params.inter_latency_s + (n - m) * params.intra_alpha_s
 
 
 def hierarchical_allreduce_time_s(size_bytes: float,
                                   params: CostParams) -> float:
     """Time for the hierarchical (intra-ring + inter-ring) all-reduce.
 
-    Phase 2 runs ``g`` parallel inter-node rings (one per local rank), each
-    carrying a ``1/g`` shard, so it naturally uses ``g`` streams.
+    The intra-node reduce-scatter and all-gather wrap one inter-node
+    phase of ``g`` parallel rings (one per local rank), each carrying a
+    ``1/g`` shard, so it naturally uses ``g`` streams.
     """
     n = params.world_size
     m = params.num_nodes
@@ -118,54 +147,60 @@ def hierarchical_allreduce_time_s(size_bytes: float,
         return 0.0
     if m == 1 or g == 1:
         return ring_allreduce_time_s(size_bytes, params)
-
-    # Phase 1 (reduce-scatter) + phase 3 (all-gather) over NVLink.
-    intra_bytes = 2.0 * size_bytes * (g - 1) / g
-    intra_time = intra_bytes * 8.0 / params.nvlink_bps
-    intra_alpha = 2 * (g - 1) * params.intra_alpha_s
-
-    # Phase 2: g parallel rings of m nodes, each reducing S/g bytes.
-    shard = size_bytes / g
-    hop_bytes = ring_volume_bytes(shard, m)
-    bandwidth = min(params.nic_stream_bps * g, params.nic_total_bps) / g
-    if params.core_bps is not None:
-        bandwidth = min(bandwidth, params.core_bps / (m * g))
-    inter_time = hop_bytes * 8.0 / bandwidth
-    inter_alpha = 2 * (m - 1) * params.inter_alpha_s
-
-    return intra_time + intra_alpha + inter_time + inter_alpha
+    hop_bits = ring_volume_bytes(size_bytes / g, m) * g * 8.0
+    rings = hop_bits / _hop_bps(params, g) + params.inter_latency_s \
+        + 2 * (m - 1) * (params.inter_latency_s
+                         + _exposed_s(size_bytes / (g * m), params))
+    return _intra_wrap_time_s(size_bytes, params) + rings
 
 
 def broadcast_time_s(size_bytes: float, params: CostParams) -> float:
-    """Pipelined ring broadcast of ``size_bytes`` to all workers."""
+    """Pipelined ring broadcast of ``size_bytes`` to all workers.
+
+    Every hop streams the whole payload at once."""
     if params.world_size == 1 or size_bytes <= 0:
         return 0.0
     if params.num_nodes == 1:
-        return size_bytes * 8.0 / params.nvlink_bps + \
-            params.world_size * params.intra_alpha_s
-    return size_bytes * 8.0 / params.nic_stream_bps + \
-        params.num_nodes * params.inter_alpha_s
+        return size_bytes * 8.0 / params.nvlink_bps + params.intra_alpha_s
+    return size_bytes * 8.0 / _hop_bps(params, 1) + params.inter_latency_s
 
 
-# -- planner-backend closed forms -------------------------------------------
+# -- multi-phase closed forms -----------------------------------------------
 #
-# These mirror, phase for phase, the schedules synthesized by
-# :class:`repro.collectives.planner.CollectivePlanner`; the differential
-# tests hold the simulated execution inside a tolerance band of them.
+# These mirror, phase for phase, the hierarchical schedule of
+# :class:`repro.collectives.timed.TimedCollectives` and the schedules
+# synthesized by :class:`repro.collectives.planner.CollectivePlanner`.
 # Shared structure: an optional intra-node reduce-scatter / all-gather
-# pair (identical to the hierarchical algorithm's phases 1 and 3, with a
-# device sync at each macro boundary), around an algorithm-specific
-# inter-node stage.
+# pair, with a device sync at each macro boundary, around an
+# algorithm-specific inter-node stage.
 
 
 def _intra_wrap_time_s(size_bytes: float, params: CostParams) -> float:
-    """Intra-node RS + AG phases plus their two macro-boundary syncs."""
+    """Intra-node RS + AG phases plus their two macro-boundary syncs;
+    each phase pays ``g - 1`` steps and its NVLink hop's latency."""
     g = params.gpus_per_node
     if g == 1:
         return 0.0
     intra_bytes = 2.0 * size_bytes * (g - 1) / g
     return intra_bytes * 8.0 / params.nvlink_bps \
-        + 2 * (g - 1) * params.intra_alpha_s + 2 * PHASE_SYNC_S
+        + 2 * g * params.intra_alpha_s + 2 * PHASE_SYNC_S
+
+
+def _hop_bps(params: CostParams, streams: int) -> float:
+    """Rate of one node's inter-node hop of ``streams`` capped streams
+    while every node sends one such hop through the core."""
+    bandwidth = min(params.nic_stream_bps * streams, params.nic_total_bps)
+    if params.core_bps is not None:
+        bandwidth = min(bandwidth, params.core_bps / params.num_nodes)
+    return bandwidth
+
+
+def _exchange_s(per_stream_bytes: float, streams: int,
+                params: CostParams) -> float:
+    """One planner exchange round of ``streams`` streams per node: wire
+    time, the hop's latency, the round's latency and exposed overhead."""
+    return per_stream_bytes * streams * 8.0 / _hop_bps(params, streams) \
+        + 2 * params.inter_latency_s + _exposed_s(per_stream_bytes, params)
 
 
 def _exposed_s(per_stream_bytes: float, params: CostParams) -> float:
@@ -175,10 +210,11 @@ def _exposed_s(per_stream_bytes: float, params: CostParams) -> float:
 
 
 def _single_node_time_s(size_bytes: float, params: CostParams) -> float:
-    """All planner backends degenerate to the NVLink ring on one node."""
+    """Every all-reduce degenerates to the NVLink ring on one node:
+    ``2 (n-1)`` intra-node steps plus the NVLink hop's latency."""
     n = params.world_size
     return ring_volume_bytes(size_bytes, n) * 8.0 / params.nvlink_bps \
-        + 2 * (n - 1) * params.intra_alpha_s
+        + (2 * n - 1) * params.intra_alpha_s
 
 
 def halving_doubling_time_s(size_bytes: float,
@@ -200,16 +236,11 @@ def halving_doubling_time_s(size_bytes: float,
         raise CollectiveError(
             f"halving-doubling requires a power-of-two node count, got {m}"
         )
-    per_stream_bw = min(params.nic_stream_bps, params.nic_total_bps / g)
-    if params.core_bps is not None:
-        per_stream_bw = min(per_stream_bw, params.core_bps / (m * g))
     total = _intra_wrap_time_s(size_bytes, params)
-    rounds = m.bit_length() - 1
-    for k in range(rounds):
-        per_stream = (size_bytes / g) / (1 << (k + 1))
-        round_time = per_stream * 8.0 / per_stream_bw \
-            + 2 * params.inter_latency_s + _exposed_s(per_stream, params)
-        total += 2 * round_time  # the AG round mirrors the RS round
+    for k in range(m.bit_length() - 1):
+        # The AG round mirrors the RS round.
+        total += 2 * _exchange_s((size_bytes / g) / (1 << (k + 1)), g,
+                                 params)
     return total
 
 
@@ -226,16 +257,8 @@ def multi_tree_time_s(size_bytes: float, params: CostParams) -> float:
         return 0.0
     if m == 1:
         return _single_node_time_s(size_bytes, params)
-    per_stream = size_bytes / (g * m)
-    streams_per_nic = g * (m - 1)
-    per_stream_bw = min(params.nic_stream_bps,
-                        params.nic_total_bps / streams_per_nic)
-    if params.core_bps is not None:
-        per_stream_bw = min(per_stream_bw,
-                            params.core_bps / (m * streams_per_nic))
-    phase_time = per_stream * 8.0 / per_stream_bw \
-        + 2 * params.inter_latency_s + _exposed_s(per_stream, params)
-    return _intra_wrap_time_s(size_bytes, params) + 2 * phase_time
+    return _intra_wrap_time_s(size_bytes, params) \
+        + 2 * _exchange_s(size_bytes / (g * m), g * (m - 1), params)
 
 
 def ina_time_s(size_bytes: float, params: CostParams) -> float:
@@ -255,19 +278,18 @@ def ina_time_s(size_bytes: float, params: CostParams) -> float:
         return _single_node_time_s(size_bytes, params)
     per_stream = size_bytes / g
 
-    up_bw = min(params.nic_stream_bps * g, params.nic_total_bps)
-    if params.core_bps is not None:
-        up_bw = min(up_bw, params.core_bps / m)
+    up_bw = _hop_bps(params, g)
     if params.ina_agg_bps is not None:
         up_bw = min(up_bw, params.ina_agg_bps / m)
     up_time = size_bytes * 8.0 / up_bw + 1.5 * params.inter_latency_s \
         + _exposed_s(per_stream, params) + INA_SWITCH_LATENCY_S
 
+    # The NIC-in hop pays half the inter-node latency; the trunk crosses
+    # only the spine, whose link adds none.
     down_bw = min(params.nic_stream_bps * g, params.nic_total_bps)
-    down_time = size_bytes * 8.0 / down_bw
+    down_time = size_bytes * 8.0 / down_bw + 0.5 * params.inter_latency_s
     if params.core_bps is not None:
         down_time = max(down_time, size_bytes * 8.0 / params.core_bps)
-    down_time += 1.5 * params.inter_latency_s \
-        + _exposed_s(per_stream, params)
+    down_time += params.inter_latency_s + _exposed_s(per_stream, params)
 
     return _intra_wrap_time_s(size_bytes, params) + up_time + down_time

@@ -38,11 +38,11 @@ Every schedule has two faces, mirroring the rest of
 * a **numeric face** — :func:`planned_numeric_allreduce` executes the
   same data movement with real numpy arrays so property tests can prove
   each synthesized schedule reduces to bit-exactly the numeric ring's
-  values (``tests/collectives/test_planner_properties.py``).
+  values (``tests/collectives/test_planner.py``).
 
 Timing is differential-tested against the closed forms in
 :mod:`repro.collectives.cost_model`
-(``tests/collectives/test_planner_differential.py``).
+(``tests/collectives/test_differential_cost.py``).
 """
 
 from __future__ import annotations

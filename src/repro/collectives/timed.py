@@ -55,7 +55,7 @@ import math
 import typing as t
 
 from repro.errors import CollectiveError
-from repro.collectives.cost_model import ring_volume_bytes
+from repro.collectives.cost_model import PHASE_SYNC_S, ring_volume_bytes
 from repro.collectives.planner import PLANNER_ALGORITHMS, CollectivePlanner
 from repro.obs import NETWORK_RANK, Observability
 from repro.sim.events import Event
@@ -80,15 +80,6 @@ _Run = tuple["_Classes | t.Sequence[t.Sequence[Link]]", float,
 _Phase = tuple[t.Sequence[_Run], float, "str | None"]
 #: A built collective: its phases and the label its chain runs under.
 _Plan = tuple[list[_Phase], str]
-
-#: Device-wide synchronization between the hierarchical algorithm's three
-#: phases.  Every GPU of a node must finish phase k before phase k+1 may
-#: launch; under backward-pass SM occupancy this event sync costs about a
-#: millisecond — the overhead that makes the auto-tuner prefer the flat
-#: ring on healthy networks (paper §VIII-D) while the hierarchical
-#: algorithm still wins on congested links, where its bandwidth shape
-#: matters more.
-HIERARCHICAL_PHASE_SYNC_S = 2e-3
 
 
 def _check_size(size_bytes: float) -> None:
@@ -647,9 +638,9 @@ class TimedCollectives:
         exposed = max(0.0, spec.transport.per_message_overhead_s
                       - shard_chunk_tx)
         return [
-            (intra, intra_latency + HIERARCHICAL_PHASE_SYNC_S, None),
+            (intra, intra_latency + PHASE_SYNC_S, None),
             (rings, 2 * (m - 1) * (spec.inter_node_latency_s + exposed)
-             + HIERARCHICAL_PHASE_SYNC_S, None),
+             + PHASE_SYNC_S, None),
             (intra, intra_latency, None),
         ], "hierarchical"
 

@@ -5,7 +5,7 @@ it survives hot-path rewrites.  This module packages one training run
 per matrix cell — ranks x streams x {faults on/off} x {invariants
 on/off} — behind a single function, and declares every golden-pinned
 cell once (:data:`GOLDEN_CELLS`, :data:`FINDINGS_CELLS`,
-:data:`CHAOS_CELLS`), so the
+:data:`CHAOS_CELLS`, :data:`CLUSTER_CELLS`), so the
 determinism test and ``tools/capture_golden.py`` check and re-pin the
 exact same configurations.
 
@@ -164,6 +164,11 @@ FINDINGS_CELLS: tuple[dict, ...] = (
 #: :func:`chaos_entry` is its pin.
 CHAOS_CELLS: tuple[int, ...] = tuple(range(20))
 
+#: Every multi-tenant cell pinned in ``tests/sim/golden_cluster.json``:
+#: the committed three-job scenario with chaos on one tenant, the run
+#: the CI cluster smoke replays.  :func:`cluster_entry` is its pin.
+CLUSTER_CELLS: tuple[dict, ...] = ({"chaos": True},)
+
 #: The :class:`~repro.harness.chaos.ChaosOutcome` fields a chaos pin
 #: holds: the terminal state and simulated time of the run, not its
 #: event digest, which a same-instant reordering moves.
@@ -223,6 +228,21 @@ def chaos_entry(seed: int) -> dict:
     return {field: getattr(outcome, field) for field in CHAOS_FIELDS}
 
 
+def cluster_key(cell: dict) -> str:
+    """JSON key of one :data:`CLUSTER_CELLS` cell."""
+    return f"three-job-{'chaos' if cell['chaos'] else 'clean'}"
+
+
+def cluster_entry(cell: dict) -> dict:
+    """Run one cluster cell; return its cluster and per-job digests."""
+    from repro.cluster.runtime import three_job_scenario
+
+    result = three_job_scenario(**cell).run()
+    return {"cluster_digest": result.cluster_digest,
+            "numeric_digests": {job_id: result.job_digest(job_id)
+                                for job_id in result.jobs}}
+
+
 #: How :func:`golden_report` reads each pin kind, keyed by a field only
 #: that kind has: the word for what must hold, the fields that must
 #: hold, and the field shown old -> new.
@@ -230,6 +250,8 @@ _REPORT_KINDS = {
     "iteration_times_s": ("times", ("iteration_times_s",), "digest"),
     "findings": ("count", ("findings",), "findings_digest"),
     "total_time_s": ("outcome", CHAOS_FIELDS, "status"),
+    "numeric_digests": ("digests", ("cluster_digest", "numeric_digests"),
+                        "cluster_digest"),
 }
 
 
@@ -237,9 +259,9 @@ def golden_report(committed: t.Mapping[str, dict],
                   fresh: t.Mapping[str, dict]) -> list[str]:
     """One line per fresh entry, comparing it with the committed one.
 
-    A golden entry's times, a findings entry's count, or a chaos
-    entry's outcome fields are ``held``, ``MOVED`` or ``new``; the line
-    ends with the old -> new digest (a chaos entry's status).
+    A golden entry's times, a findings entry's count, a chaos entry's
+    outcome or a cluster entry's digests are ``held``, ``MOVED`` or
+    ``new``; the line ends with the old -> new digest (chaos: status).
     """
     lines = []
     for key, entry in fresh.items():

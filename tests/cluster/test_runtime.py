@@ -7,6 +7,9 @@ chaos-free shared run, and the whole run replays to a pinned
 ``cluster_digest``.
 """
 
+import json
+import pathlib
+
 import pytest
 
 import repro.cluster.runtime as runtime_module
@@ -19,7 +22,13 @@ from repro.cluster import (
 )
 from repro.errors import AdmissionRejected, ClusterError
 from repro.models import get_model
-from repro.sim.faults import FaultPlan, NodeCrash
+from repro.sim.faults import FaultPlan, NodeCrash, Straggler
+
+#: The pinned three-job chaos run (``repro.harness.determinism.
+#: CLUSTER_CELLS``; re-pin with ``tools/capture_golden.py``).
+GOLDEN_CLUSTER = json.loads(
+    (pathlib.Path(__file__).parents[1] / "sim" / "golden_cluster.json")
+    .read_text())["three-job-chaos"]
 
 
 def small_config(**overrides):
@@ -89,12 +98,44 @@ class TestIsolation:
             result.job_digest("ghost")
 
     def test_pinned_golden_cluster_digest(self):
-        # The CI cluster-smoke gate pins the same value; re-capture
-        # with `python -m repro cluster` after an intentional change
-        # to the scenario, the fabric or the degradation policy.
+        # The CI cluster-smoke gate reads the same pin; re-pin with
+        # tools/capture_golden.py after an intentional change to the
+        # scenario, the fabric or the degradation policy.
         result = three_job_scenario(chaos=True).run()
-        assert result.cluster_digest == \
-            "aea42149d0d935ce8d2d84bb3ca89582"
+        assert result.cluster_digest == GOLDEN_CLUSTER["cluster_digest"]
+
+
+class TestClosedFormScoring:
+    """The SLO baseline and the shrink tuner score with the cost model."""
+
+    def test_baseline_is_compute_plus_the_uncontended_ring(self):
+        runtime = three_job_scenario(chaos=False)
+        # jobA: 2 S (m-1)/m = 48 MB per hop at min(10 Gbps NIC,
+        # 8 streams x 2.5 Gbps, 40 Gbps core / 2 nodes) = 10 Gbps.
+        assert runtime._baselines["jobA"] == \
+            pytest.approx(0.04 + 48e6 * 8 / 10e9, rel=1e-12)
+
+    def test_shrink_scores_the_fair_core_share(self):
+        # The victim's priority share of the 40 Gbps core is 10 Gbps,
+        # 5 Gbps per node: 2 streams of 2.5 Gbps already fill it, so the
+        # per-stream overhead makes 2 beat 4.  A tuner blind to the core
+        # would pick 4 (10 Gbps on the NIC).
+        specs = [
+            JobSpec(job_id="a", num_nodes=2, steps=6, num_streams=8,
+                    arrival_s=0.1, compute_s=0.04, bytes_per_step=48e6),
+            JobSpec(job_id="b", num_nodes=2, steps=60, num_streams=2,
+                    priority=3.0, compute_s=0.04, bytes_per_step=48e6,
+                    seed=1),
+        ]
+        chaos = {"a": FaultPlan([Straggler(at_s=0.0, node=0, slowdown=6.0,
+                                           duration_s=30.0)])}
+        result = ClusterRuntime(
+            specs, config=small_config(core_oversubscription=1.0),
+            chaos=chaos).run()
+        shrinks = [dict(f.evidence) for f in result.findings
+                   if f.kind == "degrade-streams"]
+        assert [(e["streams_before"], e["streams_after"])
+                for e in shrinks] == [(8, 2)]
 
 
 class TestAdmission:
@@ -188,4 +229,4 @@ class TestWarmStart:
         monkeypatch.setattr(runtime_module, "get_model", counting_get_model)
         result = three_job_scenario(chaos=True).run()
         assert sorted(built) == ["resnet50", "vgg16"]
-        assert result.cluster_digest == "aea42149d0d935ce8d2d84bb3ca89582"
+        assert result.cluster_digest == GOLDEN_CLUSTER["cluster_digest"]

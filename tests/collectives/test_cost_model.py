@@ -1,5 +1,7 @@
 """Tests for the analytic α-β cost models."""
 
+import math
+
 import pytest
 
 from repro.collectives.cost_model import (
@@ -10,14 +12,58 @@ from repro.collectives.cost_model import (
     ring_volume_bytes,
 )
 from repro.errors import CollectiveError
+from repro.sim import Simulator, alibaba_v100_cluster
 
 
-def params(world=32, nodes=4, stream=7.5e9, total=28.8e9):
+def params(world=32, nodes=4, stream=7.5e9, total=28.8e9, **fields):
+    fields = {"nvlink_bps": 150e9 * 8, "inter_alpha_s": 25e-6, **fields}
     return CostParams(
         world_size=world, num_nodes=nodes,
-        nic_stream_bps=stream, nic_total_bps=total,
-        nvlink_bps=150e9 * 8, inter_alpha_s=25e-6,
+        nic_stream_bps=stream, nic_total_bps=total, **fields,
     )
+
+
+class TestParams:
+    def test_of_maps_the_cluster(self):
+        cluster = alibaba_v100_cluster(Simulator(), 32,
+                                       core_oversubscription=2.0)
+        spec = cluster.spec
+        assert CostParams.of(cluster) == params(
+            world=32, nodes=4, stream=cluster.stream_cap_bps(),
+            total=cluster.nic_out[0].capacity_bps,
+            nvlink_bps=spec.gpu.nvlink_bps,
+            inter_alpha_s=spec.transport.per_message_overhead_s,
+            intra_alpha_s=spec.intra_node_latency_s,
+            inter_latency_s=spec.inter_node_latency_s,
+            core_bps=cluster.core.capacity_bps)
+
+    def test_of_non_blocking_fabric_has_no_core(self):
+        cluster = alibaba_v100_cluster(Simulator(), 16)
+        assert CostParams.of(cluster).core_bps is None
+
+    @pytest.mark.parametrize("field,overrides", [
+        ("nic_stream_bps", {"stream": 0.0}),
+        ("nic_stream_bps", {"stream": math.nan}),
+        ("nic_total_bps", {"total": math.inf}),
+        ("nvlink_bps", {"nvlink_bps": -1.0}),
+        ("core_bps", {"core_bps": 0.0}),
+        ("ina_agg_bps", {"ina_agg_bps": math.nan}),
+        ("inter_alpha_s", {"inter_alpha_s": math.inf}),
+        ("inter_alpha_s", {"inter_alpha_s": -1e-6}),
+        ("intra_alpha_s", {"intra_alpha_s": math.nan}),
+        ("inter_latency_s", {"inter_latency_s": -1.0}),
+    ])
+    def test_bad_bandwidth_or_latency_is_a_typed_error(self, field,
+                                                       overrides):
+        # Each once surfaced as a ZeroDivisionError, a NaN or inf time,
+        # or a silently accepted negative bandwidth.
+        with pytest.raises(CollectiveError, match=field):
+            params(**overrides)
+
+    def test_zero_latency_is_accepted(self):
+        p = params(inter_alpha_s=0.0, intra_alpha_s=0.0, inter_latency_s=0.0)
+        assert ring_allreduce_time_s(100e6, p) == \
+            ring_volume_bytes(100e6, 32) * 8 / 7.5e9
 
 
 class TestRingVolume:
@@ -68,9 +114,7 @@ class TestRingTime:
 
     def test_world_not_divisible_rejected(self):
         with pytest.raises(CollectiveError):
-            CostParams(world_size=10, num_nodes=4, nic_stream_bps=1e9,
-                       nic_total_bps=1e9, nvlink_bps=1e12,
-                       inter_alpha_s=1e-5)
+            params(world=10, nodes=4)
 
 
 class TestHierarchicalTime:

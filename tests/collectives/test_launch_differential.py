@@ -36,7 +36,8 @@ import pytest
 
 from repro.collectives import TimedCollectives, ring_volume_bytes
 from repro.collectives.planner import PLANNER_ALGORITHMS, CollectivePlanner
-from repro.collectives.timed import HIERARCHICAL_PHASE_SYNC_S, _Classes
+from repro.collectives.cost_model import PHASE_SYNC_S
+from repro.collectives.timed import _Classes
 from repro.obs import NETWORK_RANK, Observability, diagnose
 from repro.sim import FluidNetwork, Simulator
 from repro.sim.network import FlowBundle, GroupFlow
@@ -73,7 +74,7 @@ def _oracle_hierarchical(self, size_bytes: float,
             [(members, rs_bytes, None, 1) for members, in plan.nvlink],
             "hierarchical"))
         yield self.sim.timeout((g - 1) * spec.intra_node_latency_s
-                               + HIERARCHICAL_PHASE_SYNC_S)
+                               + PHASE_SYNC_S)
 
         # Phase 2: g parallel inter-node rings on 1/g shards.  The g
         # rings of one hop are symmetric clones (same links, same
@@ -90,7 +91,7 @@ def _oracle_hierarchical(self, size_bytes: float,
                       - shard_chunk_tx)
         yield self.sim.timeout(
             2 * (m - 1) * (spec.inter_node_latency_s + exposed)
-            + HIERARCHICAL_PHASE_SYNC_S)
+            + PHASE_SYNC_S)
 
         # Phase 3: intra-node all-gather.
         ag_bytes = size_bytes * (g - 1) / g

@@ -20,7 +20,7 @@ from repro.collectives import (
     TimedCollectives,
     ring_volume_bytes,
 )
-from repro.collectives.timed import HIERARCHICAL_PHASE_SYNC_S
+from repro.collectives.cost_model import PHASE_SYNC_S
 from repro.sim import FluidNetwork, Simulator
 from repro.sim.network import FlowBundle
 from repro.sim.topology import Cluster, NodeSpec
@@ -100,9 +100,9 @@ def oracle_hierarchical(c, size_bytes, cap_scale):
     exposed = max(0.0, spec.transport.per_message_overhead_s
                   - (size_bytes / g / m) * 8.0 / slowest)
     return [
-        (intra, intra_latency + HIERARCHICAL_PHASE_SYNC_S, None),
+        (intra, intra_latency + PHASE_SYNC_S, None),
         (rings, 2 * (m - 1) * (spec.inter_node_latency_s + exposed)
-         + HIERARCHICAL_PHASE_SYNC_S, None),
+         + PHASE_SYNC_S, None),
         (intra, intra_latency, None),
     ], "hierarchical"
 

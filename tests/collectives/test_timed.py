@@ -84,15 +84,8 @@ class TestRingTimed:
         size = 64e6
         done = timed.allreduce(size)
         sim.run(until=done)
-        params = CostParams(
-            world_size=32, num_nodes=4,
-            nic_stream_bps=cluster.stream_cap_bps(),
-            nic_total_bps=cluster.nic_out[0].capacity_bps,
-            nvlink_bps=cluster.spec.gpu.nvlink_bps,
-            inter_alpha_s=cluster.spec.transport.per_message_overhead_s,
-        )
-        analytic = ring_allreduce_time_s(size, params)
-        assert sim.now == pytest.approx(analytic, rel=0.25)
+        analytic = ring_allreduce_time_s(size, CostParams.of(cluster))
+        assert sim.now == pytest.approx(analytic, rel=1e-12)
 
     def test_single_node_uses_nvlink_only(self):
         sim, net, timed, cluster = make_context(num_gpus=8)

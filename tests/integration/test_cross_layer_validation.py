@@ -7,8 +7,9 @@ The library models each collective at three fidelities:
 2. **flow-level** — :class:`TimedCollectives` placing aggregate hop flows;
 3. **analytic** — the α-β cost model.
 
-For symmetric clusters all three must agree on all-reduce duration
-(within latency-term tolerances); this is the strongest internal
+For symmetric clusters all three must agree on all-reduce duration:
+the flow level and the analytic model to float rounding, the message
+level within latency-term tolerances.  This is the strongest internal
 consistency check the simulator has.
 """
 
@@ -80,19 +81,11 @@ class TestThreeWayAgreement:
         size_bytes = size_mb * 1e6
         sim_time = flow_level_duration(num_nodes, gpus_per_node,
                                        size_bytes)
-        spec = NodeSpec(gpus_per_node=gpus_per_node)
-        params = CostParams(
-            world_size=num_nodes * gpus_per_node,
-            num_nodes=num_nodes,
-            nic_stream_bps=spec.transport.stream_cap_bps(
-                spec.nic_bandwidth_bps),
-            nic_total_bps=spec.transport.effective_capacity_bps(
-                spec.nic_bandwidth_bps),
-            nvlink_bps=spec.gpu.nvlink_bps,
-            inter_alpha_s=spec.transport.per_message_overhead_s,
-        )
+        params = CostParams.of(Cluster(
+            Simulator(), num_nodes, NodeSpec(gpus_per_node=gpus_per_node)))
         analytic = ring_allreduce_time_s(size_bytes, params)
-        assert sim_time == pytest.approx(analytic, rel=0.3)
+        # The closed form charges the flow level's terms one for one.
+        assert sim_time == pytest.approx(analytic, rel=1e-12)
 
     def test_message_level_bandwidth_sane(self):
         # The measured duration must never beat the per-stream cap.

@@ -31,10 +31,13 @@ import pytest
 
 from repro.harness.determinism import (
     CHAOS_CELLS,
+    CLUSTER_CELLS,
     FINDINGS_CELLS,
     GOLDEN_CELLS,
     chaos_entry,
     chaos_key,
+    cluster_entry,
+    cluster_key,
     diagnosis_probe,
     findings_entry,
     findings_key,
@@ -54,6 +57,9 @@ GOLDEN_FINDINGS = json.loads(GOLDEN_FINDINGS_PATH.read_text())
 
 GOLDEN_CHAOS_PATH = pathlib.Path(__file__).parent / "golden_chaos.json"
 GOLDEN_CHAOS = json.loads(GOLDEN_CHAOS_PATH.read_text())
+
+GOLDEN_CLUSTER_PATH = pathlib.Path(__file__).parent / "golden_cluster.json"
+GOLDEN_CLUSTER = json.loads(GOLDEN_CLUSTER_PATH.read_text())
 
 
 class TestGoldenDigests:
@@ -185,6 +191,28 @@ class TestChaosOutcomes:
                    for entry in GOLDEN_CHAOS.values())
 
 
+class TestClusterDigests:
+    """The multi-tenant run's digests are pinned across commits.
+
+    The cluster digest folds every tenant's outcome and every finding;
+    the per-job numeric digests are the isolation contract's pins.
+    Re-pin only after an intentional change to the scenario, the
+    fabric or the degradation policy (``tools/capture_golden.py``).
+    """
+
+    @pytest.mark.parametrize("cell", CLUSTER_CELLS, ids=cluster_key)
+    def test_digests_match_golden(self, cell):
+        assert cluster_entry(cell) == GOLDEN_CLUSTER[cluster_key(cell)], (
+            f"{cluster_key(cell)}: cluster run diverged from the pinned "
+            f"golden entry — if this change is intentional, re-pin with "
+            f"tools/capture_golden.py"
+        )
+
+    def test_golden_file_covers_the_cells(self):
+        assert sorted(GOLDEN_CLUSTER) == sorted(
+            map(cluster_key, CLUSTER_CELLS))
+
+
 class TestGoldenReport:
     """``golden_report`` flags exactly the entries that moved."""
 
@@ -234,3 +262,16 @@ class TestGoldenReport:
             "chaos-seed1": ("MOVED", "completed", "completed"),
             "chaos-seed20": ("new", "-", "completed"),
         }
+
+    def test_marks_moved_cluster_digests(self):
+        committed = dict(GOLDEN_CLUSTER)
+        fresh = copy.deepcopy(committed)
+        fresh["three-job-chaos"]["numeric_digests"]["jobB"] = "0" * 32
+        fresh["three-job-clean"] = dict(GOLDEN_CLUSTER["three-job-chaos"])
+        digest = GOLDEN_CLUSTER["three-job-chaos"]["cluster_digest"]
+
+        assert golden_report(committed, fresh) == [
+            f"three-job-chaos: digests MOVED, cluster_digest {digest} -> "
+            f"{digest}",
+            f"three-job-clean: digests new, cluster_digest - -> {digest}",
+        ]
