@@ -56,9 +56,6 @@ class CostParams:
     #: Capacity of the shared (oversubscribed) datacenter core link, or
     #: ``None`` for a non-blocking fabric.
     core_bps: float | None = None
-    #: Aggregate reduction throughput of the in-network aggregation
-    #: point; ``None`` means line rate on every port (non-blocking).
-    ina_agg_bps: float | None = None
 
     def __post_init__(self) -> None:
         if self.world_size < 1 or self.num_nodes < 1:
@@ -66,7 +63,7 @@ class CostParams:
         if self.world_size % self.num_nodes != 0:
             raise CollectiveError("world_size must divide across nodes evenly")
         for name in ("nic_stream_bps", "nic_total_bps", "nvlink_bps",
-                     "core_bps", "ina_agg_bps"):
+                     "core_bps"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise CollectiveError(
@@ -265,8 +262,8 @@ def ina_time_s(size_bytes: float, params: CostParams) -> float:
     """In-network aggregation: one uplink copy, one multicast copy.
 
     Up phase: every node ships its reduced shard set (``S`` bytes as
-    ``g`` streams) to the aggregation point, whose pipeline throughput
-    ``ina_agg_bps`` is shared by all ``m`` nodes.  Down phase: the
+    ``g`` streams) to the aggregation point, which reduces at line rate
+    on every port (the planner's default aggregator).  Down phase: the
     result crosses the spine once (multicast trunk) and fans out over
     every node's NIC-in concurrently.
     """
@@ -278,11 +275,9 @@ def ina_time_s(size_bytes: float, params: CostParams) -> float:
         return _single_node_time_s(size_bytes, params)
     per_stream = size_bytes / g
 
-    up_bw = _hop_bps(params, g)
-    if params.ina_agg_bps is not None:
-        up_bw = min(up_bw, params.ina_agg_bps / m)
-    up_time = size_bytes * 8.0 / up_bw + 1.5 * params.inter_latency_s \
-        + _exposed_s(per_stream, params) + INA_SWITCH_LATENCY_S
+    up_time = size_bytes * 8.0 / _hop_bps(params, g) \
+        + 1.5 * params.inter_latency_s + _exposed_s(per_stream, params) \
+        + INA_SWITCH_LATENCY_S
 
     # The NIC-in hop pays half the inter-node latency; the trunk crosses
     # only the spine, whose link adds none.

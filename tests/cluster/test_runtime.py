@@ -137,6 +137,22 @@ class TestClosedFormScoring:
         assert [(e["streams_before"], e["streams_after"])
                 for e in shrinks] == [(8, 2)]
 
+    def test_single_node_job_shrinks_to_one_stream(self):
+        # One node has no ring hop, so the closed form charges no wire
+        # time and only the per-stream overhead separates candidates.  A
+        # tuner charging a phantom 2 S NIC transfer would pick 4 streams.
+        spec = JobSpec(job_id="solo", num_nodes=1, steps=6, num_streams=8,
+                       compute_s=0.04, bytes_per_step=48e6)
+        chaos = {"solo": FaultPlan([Straggler(at_s=0.0, node=0,
+                                              slowdown=6.0,
+                                              duration_s=30.0)])}
+        result = ClusterRuntime([spec], config=small_config(),
+                                chaos=chaos).run()
+        shrinks = [dict(f.evidence) for f in result.findings
+                   if f.kind == "degrade-streams"]
+        assert [(e["streams_before"], e["streams_after"])
+                for e in shrinks] == [(8, 1)]
+
 
 class TestAdmission:
     def test_oversized_job_is_rejected_with_typed_finding(self):

@@ -47,7 +47,6 @@ class TestParams:
         ("nic_total_bps", {"total": math.inf}),
         ("nvlink_bps", {"nvlink_bps": -1.0}),
         ("core_bps", {"core_bps": 0.0}),
-        ("ina_agg_bps", {"ina_agg_bps": math.nan}),
         ("inter_alpha_s", {"inter_alpha_s": math.inf}),
         ("inter_alpha_s", {"inter_alpha_s": -1e-6}),
         ("intra_alpha_s", {"intra_alpha_s": math.nan}),

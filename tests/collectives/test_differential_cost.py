@@ -35,6 +35,8 @@ from repro.sim import FluidNetwork, Simulator, alibaba_v100_cluster
 RANKS = [16, 32, 64, 128, 256]
 PAYLOADS_BYTES = [1e6, 16e6, 100e6]
 OVERSUBSCRIPTION = [1.0, 2.0, 4.0]
+#: World sizes that fit on one 8-GPU node.
+SINGLE_NODE_RANKS = [4, 8]
 
 #: Each public closed form and the timed collective it models.  Every
 #: rank count here is a power-of-two number of 8-GPU nodes, as
@@ -58,10 +60,10 @@ FORMS = {
 #: Relative band of the simulated time around each closed form.  The
 #: measured worst case over the grid is float rounding: 3.3e-16 (ring,
 #: hierarchical, multi-tree), 0 (broadcast), 6.7e-16 (halving-doubling)
-#: and 4.4e-16 (ina).  The band adds a margin of about 1e-12 for a
-#: different summation order; a dropped term fails it by orders of
-#: magnitude, since the smallest one, a 5 µs NVLink latency, is about 4e-3
-#: of the shortest collective on the grid.
+#: and 4.4e-16 (ina); on one node it is at most 2.2e-16.  The band adds
+#: a margin of about 1e-12 for a different summation order; a dropped
+#: term fails it by orders of magnitude, since the smallest one, a 5 µs
+#: NVLink latency, is about 4e-3 of the shortest collective on the grid.
 BAND = 1e-12
 
 
@@ -87,6 +89,23 @@ class TestClosedFormsMatchSimulation:
         analytic = closed_form(payload, CostParams.of(cluster))
         assert sim.now == pytest.approx(analytic, rel=BAND), (
             f"{form} {ranks}r {payload / 1e6:g}MB {oversubscription:g}:1: "
+            f"simulated {sim.now!r}s vs analytic {analytic!r}s"
+        )
+
+    @pytest.mark.parametrize("payload", PAYLOADS_BYTES)
+    @pytest.mark.parametrize("ranks", SINGLE_NODE_RANKS)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_single_node_matches_closed_form(self, form, ranks, payload):
+        # One node: every all-reduce takes the NVLink ring and the
+        # broadcast a single NVLink hop, with no NIC or core on the path.
+        closed_form, launch = FORMS[form]
+        sim, timed, cluster = make_context(ranks)
+        assert cluster.num_nodes == 1
+        done = launch(timed, payload)
+        sim.run(until=done)
+        analytic = closed_form(payload, CostParams.of(cluster))
+        assert sim.now == pytest.approx(analytic, rel=BAND), (
+            f"{form} {ranks}r {payload / 1e6:g}MB single node: "
             f"simulated {sim.now!r}s vs analytic {analytic!r}s"
         )
 

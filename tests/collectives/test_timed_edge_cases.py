@@ -114,8 +114,9 @@ class TestDegenerateShapeDifferential:
         assert sim.now == pytest.approx(analytic, rel=1e-12)
 
     @pytest.mark.parametrize("payload", PAYLOADS)
-    def test_single_node(self, payload):
-        sim, timed, cluster = make_context(8)
+    @pytest.mark.parametrize("num_gpus", [4, 8])
+    def test_single_node(self, num_gpus, payload):
+        sim, timed, cluster = make_context(num_gpus)
         done = timed.allreduce(payload, algorithm="ring")
         sim.run(until=done)
         analytic = ring_allreduce_time_s(payload, CostParams.of(cluster))
