@@ -37,7 +37,13 @@ import typing as t
 from repro.core.runtime import AIACCConfig
 from repro.errors import TrainingError
 from repro.frameworks import make_backend
-from repro.sim.faults import FaultPlan, NodeCrash
+from repro.sim.faults import (
+    BandwidthDegradation,
+    FaultPlan,
+    LinkFlap,
+    NodeCrash,
+    Straggler,
+)
 from repro.training.trainer import ThroughputResult, run_training
 
 if t.TYPE_CHECKING:
@@ -166,8 +172,11 @@ CHAOS_CELLS: tuple[int, ...] = tuple(range(20))
 
 #: Every multi-tenant cell pinned in ``tests/sim/golden_cluster.json``:
 #: the committed three-job scenario with chaos on one tenant, the run
-#: the CI cluster smoke replays.  :func:`cluster_entry` is its pin.
-CLUSTER_CELLS: tuple[dict, ...] = ({"chaos": True},)
+#: the CI cluster smoke replays, and the same jobs with a mixed-kind
+#: Poisson plan on jobA, the fault process of the bench's tenants-chaos
+#: workload.  Seed 6 draws a straggler, a degradation ahead of a flap,
+#: and two crashes.  :func:`cluster_entry` is its pin.
+CLUSTER_CELLS: tuple[dict, ...] = ({"chaos": True}, {"poisson_seed": 6})
 
 #: The :class:`~repro.harness.chaos.ChaosOutcome` fields a chaos pin
 #: holds: the terminal state and simulated time of the run, not its
@@ -230,14 +239,24 @@ def chaos_entry(seed: int) -> dict:
 
 def cluster_key(cell: dict) -> str:
     """JSON key of one :data:`CLUSTER_CELLS` cell."""
+    if "poisson_seed" in cell:
+        return f"three-job-poisson-seed{cell['poisson_seed']}"
     return f"three-job-{'chaos' if cell['chaos'] else 'clean'}"
 
 
 def cluster_entry(cell: dict) -> dict:
     """Run one cluster cell; return its cluster and per-job digests."""
-    from repro.cluster.runtime import three_job_scenario
+    from repro.cluster.runtime import ClusterRuntime, three_job_scenario
 
-    result = three_job_scenario(**cell).run()
+    if "poisson_seed" in cell:
+        plan = FaultPlan.poisson(
+            mtbf_s=0.5, horizon_s=6.0, num_nodes=2,
+            seed=cell["poisson_seed"],
+            kinds=(NodeCrash, LinkFlap, BandwidthDegradation, Straggler))
+        specs = three_job_scenario(chaos=False).specs
+        result = ClusterRuntime(specs, chaos={"jobA": plan}).run()
+    else:
+        result = three_job_scenario(**cell).run()
     return {"cluster_digest": result.cluster_digest,
             "numeric_digests": {job_id: result.job_digest(job_id)
                                 for job_id in result.jobs}}

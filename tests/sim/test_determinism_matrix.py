@@ -264,7 +264,7 @@ class TestGoldenReport:
         }
 
     def test_marks_moved_cluster_digests(self):
-        committed = dict(GOLDEN_CLUSTER)
+        committed = {"three-job-chaos": GOLDEN_CLUSTER["three-job-chaos"]}
         fresh = copy.deepcopy(committed)
         fresh["three-job-chaos"]["numeric_digests"]["jobB"] = "0" * 32
         fresh["three-job-clean"] = dict(GOLDEN_CLUSTER["three-job-chaos"])
