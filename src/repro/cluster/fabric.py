@@ -98,16 +98,16 @@ class SharedFabric:
     # -- chaos hooks ---------------------------------------------------------
 
     def scale_node_nic(self, node: int, fraction: float) -> None:
-        """Degrade a node's NIC pair to ``fraction`` of base capacity."""
+        """Scale a node's NIC pair to ``fraction`` of base capacity.
+
+        0 takes it hard down (a flap), to :data:`DEAD_NIC_FRACTION`.
+        """
         self._check_node(node)
-        if not 0 < fraction <= 1:
-            raise ClusterError("NIC scale fraction must be in (0, 1]")
+        if not 0 <= fraction <= 1:
+            raise ClusterError("NIC scale fraction must be in [0, 1]")
+        fraction = fraction if fraction > 0 else DEAD_NIC_FRACTION
         for link in (self.nic_out[node], self.nic_in[node]):
             self.network.set_link_capacity(link, self.nic_bps * fraction)
-
-    def flap_node_nic(self, node: int) -> None:
-        """Take a node's NIC pair hard down (a link flap)."""
-        self.scale_node_nic(node, DEAD_NIC_FRACTION)
 
     def restore_node_nic(self, node: int) -> None:
         """Restore a node's NIC pair to base capacity."""

@@ -30,7 +30,6 @@ from repro.training.optimizer import SGD
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.elastic import EpochTransition
-    from repro.sim.faults import FaultPlan
 
 #: Job lifecycle states (``JobState.status`` is always one of these).
 JOB_STATES = ("queued", "running", "degraded", "preempted",
@@ -181,7 +180,6 @@ class JobState:
         default_factory=list)
     #: The typed rejection, when admission timed out.
     rejection: str | None = None
-    chaos: "FaultPlan | None" = None
     trainer: NumericTrainer | None = None
 
     def __post_init__(self) -> None:

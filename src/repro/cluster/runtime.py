@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing as t
 
 import networkx as nx
@@ -38,7 +39,7 @@ from repro.cluster.jobs import JobSpec, JobState, NumericTrainer
 from repro.cluster.scheduler import PlacementScheduler, backoff_delay_s
 from repro.collectives.cost_model import CostParams, ring_allreduce_time_s
 from repro.core.elastic import EpochTransition
-from repro.errors import AdmissionRejected, ClusterError
+from repro.errors import AdmissionRejected, ClusterError, FaultInjectionError
 from repro.models.zoo import get_model
 from repro.obs import Observability
 from repro.obs.detectors import Severity
@@ -47,9 +48,10 @@ from repro.obs.slo import evaluate_slos, job_slos
 from repro.sim.faults import (
     BandwidthDegradation,
     FaultPlan,
-    LinkFlap,
     NodeCrash,
     Straggler,
+    WindowFault,
+    check_windows,
 )
 from repro.sim.kernel import Simulator
 
@@ -163,6 +165,11 @@ class ClusterRuntime:
                         f"chaos for job {job_id!r} targets local node "
                         f"{fault.node}, outside its {spec.num_nodes} "
                         f"node(s)")
+            # Stragglers slow compute here, so they hold no NIC window.
+            try:
+                check_windows(f for f in plan if not isinstance(f, Straggler))
+            except FaultInjectionError as exc:
+                raise ClusterError(f"chaos for job {job_id!r}: {exc}") from exc
         self.obs = obs if obs is not None else Observability(enabled=True)
         if self.obs.diag is None:
             self.obs.attach_detectors()
@@ -226,7 +233,6 @@ class ClusterRuntime:
 
     def _job_process(self, spec: JobSpec) -> t.Generator:
         state = JobState(spec=spec, streams=spec.num_streams,
-                         chaos=self.chaos.get(spec.job_id),
                          trainer=NumericTrainer(spec))
         self.states[spec.job_id] = state
         yield self.sim.timeout(spec.arrival_s)
@@ -239,19 +245,16 @@ class ClusterRuntime:
             self._finding(Severity.ERROR, "admission-rejected",
                           spec.job_id, str(exc))
             return
+        crashes, stragglers = self._arm_chaos(state)
         self._warm_start(state)
-        crash_done: set[int] = set()
         breach_streak = 0
         preemptions = 0
         while state.steps_done < spec.steps:
             step = state.steps_done
             step_start = self.sim.now
             # -- chaos at the step boundary: crashes pay their restart.
-            for index, fault in enumerate(self._job_faults(state,
-                                                           NodeCrash)):
-                if index in crash_done or fault.at_s > self.sim.now:
-                    continue
-                crash_done.add(index)
+            while crashes and crashes[0].at_s <= self.sim.now:
+                fault = crashes.pop(0)
                 self.obs.timeline.instant(
                     "fault.inject", "fault", state.nodes[fault.node],
                     self.sim.now, job=spec.job_id, kind="crash")
@@ -266,7 +269,9 @@ class ClusterRuntime:
                     evidence=(("local_node", fault.node),
                               ("restart_s",
                                self.config.restart_overhead_s)))
-            compute_s = spec.compute_s * self._straggler_factor(state)
+            compute_s = spec.compute_s * math.prod(
+                f.slowdown for f in stragglers
+                if f.at_s <= self.sim.now < f.end_s)
             compute_start = self.sim.now
             yield self.sim.timeout(compute_s)
             self.obs.timeline.span(
@@ -330,8 +335,6 @@ class ClusterRuntime:
                     "cluster.admit", "cluster", placement.nodes[0],
                     self.sim.now, job=spec.job_id,
                     nodes=list(placement.nodes), resuming=resuming)
-                if not resuming:
-                    self._arm_link_chaos(state)
                 return
             delay = backoff_delay_s(attempt)
             if not resuming and \
@@ -515,53 +518,44 @@ class ClusterRuntime:
 
     # -- chaos ---------------------------------------------------------------
 
-    def _job_faults(self, state: JobState, kind: type) -> list:
-        if state.chaos is None:
-            return []
-        return [f for f in state.chaos.faults if isinstance(f, kind)]
+    def _arm_chaos(self, state: JobState
+                   ) -> tuple[list[NodeCrash], list[Straggler]]:
+        """Read the tenant's plan once, at its first admission.
 
-    def _straggler_factor(self, state: JobState) -> float:
-        factor = 1.0
-        for fault in self._job_faults(state, Straggler):
-            if fault.at_s <= self.sim.now < fault.at_s + fault.duration_s:
-                factor *= fault.slowdown
-        return factor
+        Returns its crashes, which restart at step boundaries, and its
+        stragglers, which stretch compute while open.  Every other
+        window fault gets a process that holds its NIC window.
+        """
+        crashes: list[NodeCrash] = []
+        stragglers: list[Straggler] = []
+        for fault in self.chaos.get(state.spec.job_id, ()):
+            if isinstance(fault, NodeCrash):
+                crashes.append(fault)
+            elif isinstance(fault, Straggler):
+                stragglers.append(fault)
+            elif isinstance(fault, WindowFault):
+                self.sim.spawn(
+                    self._nic_window(state, fault),
+                    name=f"chaos:{fault.event}:{state.spec.job_id}"
+                         f"@{fault.node}")
+        return crashes, stragglers
 
-    def _arm_link_chaos(self, state: JobState) -> None:
-        """Spawn restore-after-window processes for link faults."""
-        for fault in self._job_faults(state, LinkFlap):
-            self.sim.spawn(
-                self._link_window(state, fault.node, None, fault.at_s,
-                                  fault.down_s),
-                name=f"chaos:flap:{state.spec.job_id}@{fault.node}")
-        for fault in self._job_faults(state, BandwidthDegradation):
-            self.sim.spawn(
-                self._link_window(state, fault.node, fault.fraction,
-                                  fault.at_s, fault.duration_s),
-                name=f"chaos:degrade:{state.spec.job_id}@{fault.node}")
-
-    def _link_window(self, state: JobState, local_node: int,
-                     fraction: float | None, at_s: float,
-                     duration_s: float) -> t.Generator:
-        if at_s > self.sim.now:
-            yield self.sim.timeout(at_s - self.sim.now)
+    def _nic_window(self, state: JobState,
+                    fault: WindowFault) -> t.Generator:
+        if fault.at_s > self.sim.now:
+            yield self.sim.timeout(fault.at_s - self.sim.now)
         if not state.nodes:
             return  # preempted before the window opened
-        node = state.nodes[local_node]
-        if fraction is None:
-            self.fabric.flap_node_nic(node)
-        else:
-            self.fabric.scale_node_nic(node, fraction)
+        node = state.nodes[fault.node]
+        self.fabric.scale_node_nic(node, fault.nic_factor)
         self.obs.timeline.instant(
             "fault.inject", "fault", node, self.sim.now,
-            job=state.spec.job_id,
-            kind="flap" if fraction is None else "degrade")
-        yield self.sim.timeout(duration_s)
+            job=state.spec.job_id, kind=fault.event)
+        yield self.sim.timeout(fault.window_s)
         self.fabric.restore_node_nic(node)
         self.obs.timeline.instant(
             "fault.restore", "fault", node, self.sim.now,
-            job=state.spec.job_id,
-            kind="flap" if fraction is None else "degrade")
+            job=state.spec.job_id, kind=fault.event)
 
     # -- findings ------------------------------------------------------------
 

@@ -37,13 +37,7 @@ import typing as t
 from repro.core.runtime import AIACCConfig
 from repro.errors import TrainingError
 from repro.frameworks import make_backend
-from repro.sim.faults import (
-    BandwidthDegradation,
-    FaultPlan,
-    LinkFlap,
-    NodeCrash,
-    Straggler,
-)
+from repro.sim.faults import WINDOW_FAULTS, FaultPlan, NodeCrash
 from repro.training.trainer import ThroughputResult, run_training
 
 if t.TYPE_CHECKING:
@@ -248,15 +242,13 @@ def cluster_entry(cell: dict) -> dict:
     """Run one cluster cell; return its cluster and per-job digests."""
     from repro.cluster.runtime import ClusterRuntime, three_job_scenario
 
+    runtime = three_job_scenario(chaos=cell.get("chaos", False))
     if "poisson_seed" in cell:
         plan = FaultPlan.poisson(
             mtbf_s=0.5, horizon_s=6.0, num_nodes=2,
-            seed=cell["poisson_seed"],
-            kinds=(NodeCrash, LinkFlap, BandwidthDegradation, Straggler))
-        specs = three_job_scenario(chaos=False).specs
-        result = ClusterRuntime(specs, chaos={"jobA": plan}).run()
-    else:
-        result = three_job_scenario(**cell).run()
+            seed=cell["poisson_seed"], kinds=(NodeCrash, *WINDOW_FAULTS))
+        runtime = ClusterRuntime(runtime.specs, chaos={"jobA": plan})
+    result = runtime.run()
     return {"cluster_digest": result.cluster_digest,
             "numeric_digests": {job_id: result.job_digest(job_id)
                                 for job_id in result.jobs}}

@@ -17,9 +17,9 @@ than as closed-form time corrections:
     A node's NIC runs at a fraction of capacity for a window —
     the bursty cross-tenant traffic of §VII, but time-varying.
 :class:`Straggler`
-    A node's NIC slows by a factor for a window, modelling the
-    slow-worker effect that motivates event-level (not average-rate)
-    failure modelling in the S-SGD DAG literature.
+    A node slows by a factor for a window, modelling the slow-worker
+    effect that motivates event-level (not average-rate) failure
+    modelling in the S-SGD DAG literature.
 :class:`NodeLeave`
     A *clean* scheduled departure: the node announces at ``at_s`` and is
     excised at the next membership-epoch boundary.  Unlike a crash its
@@ -29,6 +29,16 @@ than as closed-form time corrections:
     A node (a brand-new identity, or a previously crashed/departed one
     rejoining) requests admission at ``at_s``; it is admitted at the next
     epoch boundary via a pipelined live-parameter broadcast.
+
+Flaps, degradations and stragglers are :class:`WindowFault` types.
+Each states its window length, NIC capacity factor, event name and
+random parameter ranges once; the plan checker, both plan generators,
+the injector and the cluster runtime (:mod:`repro.cluster.runtime`)
+read them.  The two interpreters read two kinds differently.  The
+injector scales a straggler's NIC by ``1/slowdown``, while the cluster
+stretches the tenant's compute phase by ``slowdown``.  A flap takes the
+NIC to :data:`DEAD_LINK_BPS` in the injector and to
+``DEAD_NIC_FRACTION`` (1e-4) of base capacity in the cluster.
 
 A :class:`FaultPlan` is an immutable, time-sorted schedule of faults;
 a :class:`FaultInjector` arms the plan against a live simulator/cluster/
@@ -43,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import random
 import typing as t
 
@@ -83,6 +94,10 @@ class Fault:
             raise FaultInjectionError(
                 f"fault time must be finite and >= 0, got {self.at_s}"
             )
+        if isinstance(self.node, bool) or \
+                not isinstance(self.node, numbers.Integral):
+            raise FaultInjectionError(
+                f"fault node must be an integer, got {self.node!r}")
         if self.node < 0:
             raise FaultInjectionError(
                 f"fault node must be >= 0, got {self.node}"
@@ -95,22 +110,63 @@ class NodeCrash(Fault):
 
 
 @dataclasses.dataclass(frozen=True)
-class LinkFlap(Fault):
+class WindowFault(Fault):
+    """A fault that holds one node's NIC in a changed state for a window.
+
+    Each subtype states once what the plan checker, the generators, the
+    injector and the cluster read: :attr:`window_s`, how long the window
+    stays open; :attr:`nic_factor`, the fraction of NIC capacity the node
+    keeps meanwhile (0 for a link that is down); :attr:`event`, the name
+    recorded as the window opens and closes; and :attr:`draws`, the
+    uniform range of each parameter a generator draws, in draw order.
+    """
+
+    event: t.ClassVar[str]
+    draws: t.ClassVar[tuple[tuple[str, float, float], ...]]
+
+    @property
+    def window_s(self) -> float:
+        raise NotImplementedError
+
+    @property
+    def nic_factor(self) -> float:
+        raise NotImplementedError
+
+    @property
+    def end_s(self) -> float:
+        """When the window closes."""
+        return self.at_s + self.window_s
+
+
+@dataclasses.dataclass(frozen=True)
+class LinkFlap(WindowFault):
     """The node's NIC goes down at ``at_s`` and recovers after ``down_s``."""
 
     down_s: float = 1.0
+    event = "link_flap"
+    draws = (("down_s", 0.2, 2.0),)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _require_duration("down_s", self.down_s)
 
+    @property
+    def window_s(self) -> float:
+        return self.down_s
+
+    @property
+    def nic_factor(self) -> float:
+        return 0.0
+
 
 @dataclasses.dataclass(frozen=True)
-class BandwidthDegradation(Fault):
+class BandwidthDegradation(WindowFault):
     """The node's NIC runs at ``fraction`` of capacity for ``duration_s``."""
 
     fraction: float = 0.5
     duration_s: float = 1.0
+    event = "degrade"
+    draws = (("fraction", 0.2, 0.8), ("duration_s", 0.5, 5.0))
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -118,19 +174,42 @@ class BandwidthDegradation(Fault):
             raise FaultInjectionError("fraction must be in (0, 1]")
         _require_duration("duration_s", self.duration_s)
 
+    @property
+    def window_s(self) -> float:
+        return self.duration_s
+
+    @property
+    def nic_factor(self) -> float:
+        return self.fraction
+
 
 @dataclasses.dataclass(frozen=True)
-class Straggler(Fault):
-    """The node's NIC slows by ``slowdown``x for ``duration_s`` seconds."""
+class Straggler(WindowFault):
+    """The node runs ``slowdown``x slower for ``duration_s`` seconds.
+
+    The injector reads this as a NIC slowdown (:attr:`nic_factor` is
+    ``1/slowdown``); the cluster runtime stretches the tenant's compute
+    phase by ``slowdown`` instead and leaves the NIC alone.
+    """
 
     slowdown: float = 4.0
     duration_s: float = 1.0
+    event = "straggler"
+    draws = (("slowdown", 2.0, 8.0), ("duration_s", 0.5, 5.0))
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not 1 < self.slowdown < math.inf:
             raise FaultInjectionError("slowdown must be finite and > 1")
         _require_duration("duration_s", self.duration_s)
+
+    @property
+    def window_s(self) -> float:
+        return self.duration_s
+
+    @property
+    def nic_factor(self) -> float:
+        return 1.0 / self.slowdown
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,20 +229,51 @@ class NodeJoin(Fault):
 #: Fault kinds that change membership when *applied* (crash) or at the
 #: next epoch boundary (leave/join).
 MEMBERSHIP_FAULTS = (NodeCrash, NodeLeave, NodeJoin)
+#: Fault kinds that hold a node's NIC in a changed state for a window.
+WINDOW_FAULTS = (LinkFlap, BandwidthDegradation, Straggler)
+
+
+def check_windows(faults: t.Iterable[Fault]) -> None:
+    """Reject a window that opens before its node's last one closes.
+
+    ``faults`` must be in time order.  Capacity save/restore does not
+    nest, so the first window's restore would cut the second one short.
+    """
+    last: dict[int, WindowFault] = {}
+    for fault in faults:
+        if isinstance(fault, WindowFault):
+            prior = last.get(fault.node)
+            if prior is not None and fault.at_s < prior.end_s:
+                raise FaultInjectionError(
+                    f"{type(fault).__name__} at t={fault.at_s:g}s overlaps "
+                    f"the {type(prior).__name__} window on node "
+                    f"{fault.node}, which runs until t={prior.end_s:g}s")
+            last[fault.node] = fault
+
+
+def _draw_window(kind: t.Any, rng: random.Random, at_s: float, node: int,
+                 busy_until: dict[int, float]) -> WindowFault:
+    """Draw a window fault for a generator; mark its node busy."""
+    if kind not in WINDOW_FAULTS:
+        raise FaultInjectionError(f"unknown fault kind {kind!r}")
+    fault: WindowFault = kind(at_s, node, **{
+        name: rng.uniform(low, high) for name, low, high in kind.draws})
+    busy_until[node] = fault.end_s
+    return fault
 
 
 class FaultPlan:
     """An immutable, time-ordered schedule of faults."""
 
     def __init__(self, faults: t.Iterable[Fault]) -> None:
-        self.faults: tuple[Fault, ...] = tuple(
-            sorted(faults, key=lambda f: (f.at_s, f.node))
-        )
-        for fault in self.faults:
+        faults = tuple(faults)
+        for fault in faults:
             if not isinstance(fault, Fault):
                 raise FaultInjectionError(
                     f"plan entries must be Fault instances, got {fault!r}"
                 )
+        self.faults: tuple[Fault, ...] = tuple(
+            sorted(faults, key=lambda f: (f.at_s, f.node)))
 
     def __len__(self) -> int:
         return len(self.faults)
@@ -182,14 +292,11 @@ class FaultPlan:
         * crashes/leaves targeting a node that is not a member at that
           point of the schedule (out-of-range ranks included);
         * joins targeting a node that is already a member;
-        * link-level faults (flap/degradation/straggler) targeting an
+        * window faults (flap/degradation/straggler) targeting an
           identity the schedule never knows about — former members are
           allowed (the fault is a runtime no-op, like today);
-        * overlapping NIC windows (flap/degradation/straggler) on the
-          same node — the injector's capacity save/restore does not
-          nest, so the first window's recovery would silently restore
-          the link out from under the second;
-        * any point where the group would drop below one worker.
+        * any point where the group would drop below one worker;
+        * overlapping windows on the same node (:func:`check_windows`).
         """
         self.membership_bounds(cluster.num_nodes)
 
@@ -206,8 +313,6 @@ class FaultPlan:
         members = set(range(initial_nodes))
         known = set(members)
         minimum = len(members)
-        #: Per-node open NIC window: (end time, fault kind name).
-        busy_until: dict[int, tuple[float, str]] = {}
         for fault in self.faults:
             name = type(fault).__name__
             if isinstance(fault, NodeJoin):
@@ -232,27 +337,12 @@ class FaultPlan:
                         "group below one worker"
                     )
                 minimum = min(minimum, len(members))
-            else:
-                if fault.node not in known:
-                    raise FaultInjectionError(
-                        f"{name} targets node {fault.node} but the "
-                        f"schedule only ever knows nodes {sorted(known)}"
-                    )
-                if isinstance(fault, LinkFlap):
-                    window_s: float | None = fault.down_s
-                elif isinstance(fault, (BandwidthDegradation, Straggler)):
-                    window_s = fault.duration_s
-                else:
-                    window_s = None
-                if window_s is not None:
-                    prior = busy_until.get(fault.node)
-                    if prior is not None and fault.at_s < prior[0]:
-                        raise FaultInjectionError(
-                            f"{name} at t={fault.at_s:g}s overlaps the "
-                            f"{prior[1]} window on node {fault.node}, "
-                            f"which runs until t={prior[0]:g}s"
-                        )
-                    busy_until[fault.node] = (fault.at_s + window_s, name)
+            elif fault.node not in known:
+                raise FaultInjectionError(
+                    f"{name} targets node {fault.node} but the "
+                    f"schedule only ever knows nodes {sorted(known)}"
+                )
+        check_windows(self.faults)
         return minimum, len(members)
 
     @property
@@ -298,32 +388,12 @@ class FaultPlan:
                 break
             node = rng.choice(candidates)
             kind = kinds[rng.randrange(len(kinds))]
-            if kind in (LinkFlap, BandwidthDegradation, Straggler) \
-                    and clock < busy_until.get(node, 0.0):
-                continue  # node's NIC window is still open; skip draw
             if kind is NodeCrash:
                 crashed.add(node)
                 faults.append(NodeCrash(at_s=clock, node=node))
-            elif kind is LinkFlap:
-                down_s = rng.uniform(0.2, 2.0)
-                busy_until[node] = clock + down_s
-                faults.append(LinkFlap(at_s=clock, node=node, down_s=down_s))
-            elif kind is BandwidthDegradation:
-                fraction = rng.uniform(0.2, 0.8)
-                duration_s = rng.uniform(0.5, 5.0)
-                busy_until[node] = clock + duration_s
-                faults.append(BandwidthDegradation(
-                    at_s=clock, node=node, fraction=fraction,
-                    duration_s=duration_s))
-            elif kind is Straggler:
-                slowdown = rng.uniform(2.0, 8.0)
-                duration_s = rng.uniform(0.5, 5.0)
-                busy_until[node] = clock + duration_s
-                faults.append(Straggler(at_s=clock, node=node,
-                                        slowdown=slowdown,
-                                        duration_s=duration_s))
-            else:
-                raise FaultInjectionError(f"unknown fault kind {kind!r}")
+            elif clock >= busy_until.get(node, 0.0):  # else skip the draw
+                faults.append(_draw_window(kind, rng, clock, node,
+                                           busy_until))
         return cls(faults)
 
     @classmethod
@@ -391,25 +461,8 @@ class FaultPlan:
                 if not idle:
                     continue  # every member's NIC window is open
                 node = rng.choice(idle)
-                if kind is LinkFlap:
-                    down_s = rng.uniform(0.2, 2.0)
-                    busy_until[node] = clock + down_s
-                    faults.append(LinkFlap(at_s=clock, node=node,
-                                           down_s=down_s))
-                elif kind is BandwidthDegradation:
-                    fraction = rng.uniform(0.2, 0.8)
-                    duration_s = rng.uniform(0.5, 5.0)
-                    busy_until[node] = clock + duration_s
-                    faults.append(BandwidthDegradation(
-                        at_s=clock, node=node, fraction=fraction,
-                        duration_s=duration_s))
-                else:
-                    slowdown = rng.uniform(2.0, 8.0)
-                    duration_s = rng.uniform(0.5, 5.0)
-                    busy_until[node] = clock + duration_s
-                    faults.append(Straggler(
-                        at_s=clock, node=node, slowdown=slowdown,
-                        duration_s=duration_s))
+                faults.append(_draw_window(kind, rng, clock, node,
+                                           busy_until))
         return cls(faults)
 
 
@@ -627,15 +680,8 @@ class FaultInjector:
         index = self._current.index(fault.node)
         if isinstance(fault, NodeCrash):
             self._apply_crash(fault, index)
-        elif isinstance(fault, LinkFlap):
-            self._apply_scaled(fault, index, scale=None,
-                               duration_s=fault.down_s, kind="link_flap")
-        elif isinstance(fault, BandwidthDegradation):
-            self._apply_scaled(fault, index, scale=fault.fraction,
-                               duration_s=fault.duration_s, kind="degrade")
-        elif isinstance(fault, Straggler):
-            self._apply_scaled(fault, index, scale=1.0 / fault.slowdown,
-                               duration_s=fault.duration_s, kind="straggler")
+        elif isinstance(fault, WindowFault):
+            self._apply_window(fault, index)
         else:
             raise FaultInjectionError(f"unknown fault {fault!r}")
 
@@ -684,11 +730,11 @@ class FaultInjector:
         self.join_times[fault.node] = self.sim.now
         self.obs.fault_event("join", self.sim.now, node=fault.node)
 
-    def _apply_scaled(self, fault: Fault, index: int, scale: float | None,
-                      duration_s: float, kind: str) -> None:
-        """Scale the node's NIC for a window, then restore.
+    def _apply_window(self, fault: WindowFault, index: int) -> None:
+        """Scale the node's NIC by the fault's factor, then restore.
 
-        ``scale=None`` means "down hard" (:data:`DEAD_LINK_BPS`).
+        A factor of 0 (a flap) takes the NIC down to
+        :data:`DEAD_LINK_BPS`.
         """
         nic_links = [self.cluster.nic_out[index], self.cluster.nic_in[index]]
         original = fault.node
@@ -696,22 +742,23 @@ class FaultInjector:
         for link in nic_links:
             before = self._saved_caps.get(link, link.capacity_bps)
             restore.append((link, before))
-            target = DEAD_LINK_BPS if scale is None else before * scale
-            self._squash(link, target)
-        self.obs.fault_event("inject", self.sim.now, fault=kind,
+            self._squash(link, before * fault.nic_factor
+                         if fault.nic_factor > 0 else DEAD_LINK_BPS)
+        self.obs.fault_event("inject", self.sim.now, fault=fault.event,
                              node=original)
 
         def _recover() -> t.Generator:
-            yield self.sim.timeout(duration_s)
+            yield self.sim.timeout(fault.window_s)
             if original in self._crashed or original not in self._current:
                 return  # node died/left during the window; stay squashed
             for link, capacity in restore:
                 self.network.set_link_capacity(link, capacity)
                 self._saved_caps.pop(link, None)
-            self.obs.fault_event("recover", self.sim.now, fault=kind,
+            self.obs.fault_event("recover", self.sim.now, fault=fault.event,
                                  node=original)
 
-        self.sim.spawn(_recover(), name=f"fault-recover:{kind}@{original}")
+        self.sim.spawn(_recover(),
+                       name=f"fault-recover:{fault.event}@{original}")
 
     def _squash(self, link: Link, capacity_bps: float) -> None:
         self._saved_caps.setdefault(link, link.capacity_bps)

@@ -22,7 +22,13 @@ from repro.cluster import (
 )
 from repro.errors import AdmissionRejected, ClusterError
 from repro.models import get_model
-from repro.sim.faults import FaultPlan, NodeCrash, Straggler
+from repro.sim.faults import (
+    BandwidthDegradation,
+    FaultPlan,
+    LinkFlap,
+    NodeCrash,
+    Straggler,
+)
 
 #: The pinned three-job chaos run (``repro.harness.determinism.
 #: CLUSTER_CELLS``; re-pin with ``tools/capture_golden.py``).
@@ -211,6 +217,53 @@ class TestRuntimeValidation:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ClusterError):
             ClusterRuntime([])
+
+    def test_overlapping_nic_windows_on_one_node_rejected(self):
+        # The flap's restore would put node 0's NIC back at base
+        # capacity at 0.05 s, cutting the degradation (to 10.02 s) short.
+        plan = FaultPlan([
+            LinkFlap(at_s=0.0, node=0, down_s=0.05),
+            BandwidthDegradation(at_s=0.02, node=0, fraction=0.5,
+                                 duration_s=10.0)])
+        with pytest.raises(ClusterError, match="overlaps"):
+            ClusterRuntime([JobSpec(job_id="a", num_nodes=2)],
+                           chaos={"a": plan})
+
+    def test_straggler_holds_no_nic_window(self):
+        # The cluster reads a straggler as a compute slowdown, so it may
+        # overlap a NIC window on its node (the committed scenario does).
+        plan = FaultPlan([
+            Straggler(at_s=0.0, node=0, slowdown=2.0, duration_s=5.0),
+            BandwidthDegradation(at_s=1.0, node=0, fraction=0.5,
+                                 duration_s=1.0)])
+        ClusterRuntime([JobSpec(job_id="a", num_nodes=2)],
+                       chaos={"a": plan})
+
+
+class TestLinkFlap:
+    def test_flap_takes_the_nic_down_for_its_window(self):
+        runtime = ClusterRuntime(
+            [JobSpec(job_id="a", num_nodes=2, steps=4, num_streams=1,
+                     compute_s=0.04, bytes_per_step=1e6)],
+            config=small_config(),
+            chaos={"a": FaultPlan([LinkFlap(at_s=0.05, node=1,
+                                            down_s=0.1)])})
+        clean = ClusterRuntime(
+            [JobSpec(job_id="a", num_nodes=2, steps=4, num_streams=1,
+                     compute_s=0.04, bytes_per_step=1e6)],
+            config=small_config()).run()
+        result = runtime.run()
+        events = [(i.name, i.time, i.meta["kind"])
+                  for i in result.obs.timeline.instants if i.cat == "fault"]
+        assert events == [("fault.inject", 0.05, "link_flap"),
+                          ("fault.restore", pytest.approx(0.15),
+                           "link_flap")]
+        # The step that straddles the window waits out the flap.
+        assert max(result.jobs["a"]["step_times"]) > \
+            max(clean.jobs["a"]["step_times"]) + 0.05
+        fabric = runtime.fabric
+        assert {link.capacity_bps for link in
+                [*fabric.nic_out, *fabric.nic_in]} == {fabric.nic_bps}
 
 
 class TestWarmStart:

@@ -73,6 +73,40 @@ class TestFaultPlan:
         kinds = {type(f) for f in plan}
         assert len(kinds) >= 2  # the draw mixes fault types
 
+    @pytest.mark.parametrize("node", [1.5, True, math.nan, "1"])
+    def test_node_must_be_an_integer(self, node):
+        # A float node used to survive until a cluster indexed a tuple
+        # with it, mid-run.
+        with pytest.raises(FaultInjectionError, match="integer"):
+            NodeCrash(at_s=0.0, node=node)
+
+    def test_plan_rejects_non_fault_entries(self):
+        with pytest.raises(FaultInjectionError, match="Fault instances"):
+            FaultPlan(["x"])
+
+    @pytest.mark.parametrize("draw", [
+        lambda kinds: FaultPlan.poisson(mtbf_s=1.0, horizon_s=10.0,
+                                        num_nodes=4, kinds=kinds),
+        lambda kinds: FaultPlan.chaos(0, num_nodes=4, horizon_s=10.0,
+                                      kinds=kinds),
+    ], ids=["poisson", "chaos"])
+    def test_unknown_kind_raises_in_both_generators(self, draw):
+        with pytest.raises(FaultInjectionError, match="unknown fault kind"):
+            draw((int,))
+
+    def test_window_vocabulary(self):
+        # Each window fault states its window, NIC factor and event
+        # name once; the checker, the injector and the cluster read them.
+        flap = LinkFlap(at_s=1.0, node=0, down_s=0.5)
+        degrade = BandwidthDegradation(at_s=1.0, node=0, fraction=0.3,
+                                       duration_s=2.0)
+        slow = Straggler(at_s=1.0, node=0, slowdown=4.0, duration_s=3.0)
+        assert [(f.window_s, f.end_s, f.nic_factor, f.event)
+                for f in (flap, degrade, slow)] == [
+            (0.5, 1.5, 0.0, "link_flap"),
+            (2.0, 3.0, 0.3, "degrade"),
+            (3.0, 4.0, 0.25, "straggler")]
+
 
 class TestFaultPlanHardening:
     """Validation hardening: fractions, window overlap, target bounds."""
