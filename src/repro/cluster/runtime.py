@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import typing as t
 
 import networkx as nx
@@ -90,11 +91,33 @@ class ClusterConfig:
     warm_start_max_distance: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.slo_window < 1 or self.breach_patience < 1:
-            raise ClusterError(
-                "slo_window and breach_patience must be >= 1")
-        if self.admission_deadline_s <= 0:
-            raise ClusterError("admission_deadline_s must be positive")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kind = numbers.Integral if field.type == "int" else numbers.Real
+            least, strict = _CONFIG_FLOORS[field.name]
+            # NaN fails every ordered comparison, hence ``isfinite``.
+            if isinstance(value, bool) or not isinstance(value, kind) \
+                    or not math.isfinite(value) or value < least \
+                    or (strict and value == least):
+                raise ClusterError(
+                    f"{field.name} must be a finite {field.type} "
+                    f"{'>' if strict else '>='} {least}, got {value!r}")
+        if self.stream_cap_fraction > 1:
+            raise ClusterError(f"stream_cap_fraction must be <= 1, got "
+                               f"{self.stream_cap_fraction!r}")
+
+
+#: ``field -> (floor, floor excluded)`` for every :class:`ClusterConfig`
+#: field: a shared fabric needs two nodes and ``job_slos`` a slack
+#: above 1.
+_CONFIG_FLOORS = {
+    "num_nodes": (2, False), "nic_bps": (0, True),
+    "core_oversubscription": (1, False), "stream_cap_fraction": (0, True),
+    "admission_deadline_s": (0, True), "slo_slack": (1, True),
+    "slo_window": (1, False), "breach_patience": (1, False),
+    "restart_overhead_s": (0, False), "preempt_requeue_s": (0, False),
+    "max_preemptions": (0, False), "warm_start_max_distance": (0, False),
+}
 
 
 @dataclasses.dataclass(frozen=True)

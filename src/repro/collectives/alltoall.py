@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import CollectiveError
 from repro.collectives.primitives import ReduceOp, apply_op, finalize_op
-from repro.collectives.runner import run_workers
+from repro.collectives.runner import run_collective
 from repro.sim.kernel import Simulator
 from repro.sim.mpi import Communicator
 
@@ -107,33 +107,22 @@ def reduce_worker(sim: Simulator, comm: Communicator, rank: int,
     yield  # pragma: no cover
 
 
-def _run(worker_factory: t.Callable[[Simulator, Communicator, int],
-                                    t.Generator],
-         size: int) -> list:
-    sim = Simulator()
-    comm = Communicator(sim, size=size)
-    processes = [sim.spawn(worker_factory(sim, comm, rank),
-                           name=f"coll.r{rank}")
-                 for rank in range(size)]
-    return run_workers(sim, processes)
-
-
 def alltoall(per_worker_chunks: t.Sequence[t.Sequence[np.ndarray]]
              ) -> list[list[np.ndarray]]:
     """Run an all-to-all; returns what each worker received, by source."""
     if not per_worker_chunks:
         raise CollectiveError("alltoall requires at least one worker")
     size = len(per_worker_chunks)
-    return _run(lambda sim, comm, rank: alltoall_worker(
-        sim, comm, rank, per_worker_chunks[rank]), size)
+    return run_collective(lambda sim, comm, rank: alltoall_worker(
+        sim, comm, rank, per_worker_chunks[rank]), size, "coll")
 
 
 def gather(arrays: t.Sequence[np.ndarray], root: int = 0) -> list:
     """Run a gather; result[root] is the list of all arrays."""
     if not arrays:
         raise CollectiveError("gather requires at least one array")
-    return _run(lambda sim, comm, rank: gather_worker(
-        sim, comm, rank, arrays[rank], root=root), len(arrays))
+    return run_collective(lambda sim, comm, rank: gather_worker(
+        sim, comm, rank, arrays[rank], root=root), len(arrays), "coll")
 
 
 def scatter(chunks: t.Sequence[np.ndarray], root: int = 0,
@@ -142,9 +131,9 @@ def scatter(chunks: t.Sequence[np.ndarray], root: int = 0,
     world = size or len(chunks)
     if len(chunks) != world:
         raise CollectiveError("need exactly one chunk per worker")
-    return _run(lambda sim, comm, rank: scatter_worker(
+    return run_collective(lambda sim, comm, rank: scatter_worker(
         sim, comm, rank, chunks if rank == root else None, root=root),
-        world)
+        world, "coll")
 
 
 def reduce(arrays: t.Sequence[np.ndarray], root: int = 0,
@@ -152,5 +141,6 @@ def reduce(arrays: t.Sequence[np.ndarray], root: int = 0,
     """Run a reduce-to-root; result[root] is the reduction."""
     if not arrays:
         raise CollectiveError("reduce requires at least one array")
-    return _run(lambda sim, comm, rank: reduce_worker(
-        sim, comm, rank, arrays[rank], root=root, op=op), len(arrays))
+    return run_collective(lambda sim, comm, rank: reduce_worker(
+        sim, comm, rank, arrays[rank], root=root, op=op), len(arrays),
+        "coll")

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import CollectiveError
 from repro.collectives.primitives import chunk_bounds
-from repro.collectives.runner import run_workers
+from repro.collectives.runner import run_collective
 from repro.sim.kernel import Simulator
 from repro.sim.mpi import Communicator
 
@@ -81,11 +81,7 @@ def broadcast(arrays: t.Sequence[np.ndarray | None],
         raise CollectiveError("broadcast requires at least one worker slot")
     if not 0 <= root < len(arrays):
         raise CollectiveError(f"root {root} out of range")
-    sim = Simulator()
-    comm = Communicator(sim, size=len(arrays))
-    processes = [
-        sim.spawn(broadcast_worker(sim, comm, rank, array, root=root),
-                  name=f"bcast.r{rank}")
-        for rank, array in enumerate(arrays)
-    ]
-    return [t.cast(np.ndarray, r) for r in run_workers(sim, processes)]
+    return run_collective(
+        lambda sim, comm, rank: broadcast_worker(
+            sim, comm, rank, arrays[rank], root=root),
+        len(arrays), "bcast")

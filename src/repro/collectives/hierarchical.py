@@ -30,7 +30,7 @@ from repro.collectives.primitives import (
     finalize_op,
 )
 from repro.collectives.ring import ring_allreduce_worker
-from repro.collectives.runner import run_workers
+from repro.collectives.runner import run_collective
 from repro.sim.kernel import Simulator
 from repro.sim.mpi import Communicator
 
@@ -134,12 +134,7 @@ def hierarchical_allreduce(
     """Run a hierarchical all-reduce across ``len(arrays)`` workers."""
     if not arrays:
         raise CollectiveError("hierarchical_allreduce requires arrays")
-    sim = Simulator()
-    comm = Communicator(sim, size=len(arrays))
-    processes = [
-        sim.spawn(hierarchical_allreduce_worker(
-            sim, comm, rank, array, gpus_per_node, op=op),
-            name=f"hier.r{rank}")
-        for rank, array in enumerate(arrays)
-    ]
-    return [t.cast(np.ndarray, r) for r in run_workers(sim, processes)]
+    return run_collective(
+        lambda sim, comm, rank: hierarchical_allreduce_worker(
+            sim, comm, rank, arrays[rank], gpus_per_node, op=op),
+        len(arrays), "hier")

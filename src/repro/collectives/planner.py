@@ -65,7 +65,7 @@ from repro.collectives.primitives import (
     chunk_bounds,
     finalize_op,
 )
-from repro.collectives.runner import run_workers
+from repro.collectives.runner import run_collective
 from repro.sim.kernel import Simulator
 from repro.sim.mpi import Communicator
 from repro.sim.network import Link
@@ -582,14 +582,9 @@ def _run_numeric(worker: t.Callable[..., t.Generator],
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise CollectiveError(f"workers disagree on shape: {shapes}")
-    sim = Simulator()
-    comm = Communicator(sim, size=len(arrays))
-    processes = [
-        sim.spawn(worker(sim, comm, rank, array, op=op),
-                  name=f"planned.r{rank}")
-        for rank, array in enumerate(arrays)
-    ]
-    return [t.cast(np.ndarray, r) for r in run_workers(sim, processes)]
+    return run_collective(
+        lambda sim, comm, rank: worker(sim, comm, rank, arrays[rank], op=op),
+        len(arrays), "planned")
 
 
 def halving_doubling_allreduce(arrays: t.Sequence[np.ndarray],

@@ -28,7 +28,7 @@ from repro.collectives.primitives import (
     chunk_bounds,
     finalize_op,
 )
-from repro.collectives.runner import run_workers
+from repro.collectives.runner import run_collective
 from repro.sim.kernel import Simulator
 from repro.sim.mpi import Communicator
 
@@ -120,7 +120,6 @@ def ring_allreduce_worker(
 def ring_allreduce(
     arrays: t.Sequence[np.ndarray],
     op: ReduceOp = ReduceOp.SUM,
-    comm: Communicator | None = None,
 ) -> list[np.ndarray]:
     """Run a complete ring all-reduce across ``len(arrays)`` workers.
 
@@ -134,18 +133,7 @@ def ring_allreduce(
     if len(shapes) != 1:
         raise CollectiveError(f"workers disagree on shape: {shapes}")
 
-    if comm is None:
-        sim = Simulator()
-        comm = Communicator(sim, size=len(arrays))
-    else:
-        sim = comm.sim
-        if comm.size != len(arrays):
-            raise CollectiveError(
-                f"communicator size {comm.size} != #arrays {len(arrays)}"
-            )
-    processes = [
-        sim.spawn(ring_allreduce_worker(sim, comm, rank, array, op=op),
-                  name=f"allreduce.r{rank}")
-        for rank, array in enumerate(arrays)
-    ]
-    return [t.cast(np.ndarray, r) for r in run_workers(sim, processes)]
+    return run_collective(
+        lambda sim, comm, rank: ring_allreduce_worker(
+            sim, comm, rank, arrays[rank], op=op),
+        len(arrays), "allreduce")

@@ -1,4 +1,4 @@
-"""Helper to drive a set of collective worker processes to completion."""
+"""Helpers to drive a set of collective worker processes to completion."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import typing as t
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
+from repro.sim.mpi import Communicator
 from repro.sim.process import Process
 
 
@@ -32,3 +33,18 @@ def run_workers(sim: Simulator, processes: t.Sequence[Process]) -> list:
             f"collective deadlocked; stuck workers: {stuck}"
         )
     return [p.value for p in processes]
+
+
+def run_collective(worker: t.Callable[[Simulator, Communicator, int],
+                                      t.Generator],
+                   size: int, prefix: str) -> list:
+    """Run ``worker(sim, comm, rank)`` on ``size`` ranks; return results.
+
+    One fresh simulator and ideal communicator; the workers spawn in
+    rank order as ``{prefix}.r{rank}``, the names a deadlock lists.
+    """
+    sim = Simulator()
+    comm = Communicator(sim, size=size)
+    processes = [sim.spawn(worker(sim, comm, rank), name=f"{prefix}.r{rank}")
+                 for rank in range(size)]
+    return run_workers(sim, processes)

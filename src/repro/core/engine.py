@@ -246,9 +246,6 @@ class AIACCBackend(DDLBackend):
         timeline.end_step(0, step, ctx.sim.now)
         self._m_iterations.inc()
         self._m_step_seconds.observe(ctx.sim.now - start)
-        if ctx.obs.diag is not None:
-            ctx.obs.diag.observe_step(0, step, ctx.sim.now - start,
-                                      ctx.sim.now)
         return IterationStats(
             iteration_time_s=ctx.sim.now - start,
             compute_time_s=ctx.compute_time_s,
@@ -421,9 +418,6 @@ class AIACCBackend(DDLBackend):
             ctx.obs.timeline.span("sync-round", "negotiate", 0,
                                   negotiate_start, sim.now,
                                   payload_bytes=payload)
-            if ctx.obs.diag is not None:
-                ctx.obs.diag.observe_negotiation(
-                    0, sim.now - negotiate_start)
             self._m_sync_rounds.inc()
             self._m_units.inc(len(units))
             for unit in units:

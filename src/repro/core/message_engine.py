@@ -184,10 +184,6 @@ def run_message_level_iteration(
                 timeline.span("allreduce-unit", "network", rank,
                               granted_at, sim.now, stream=stream_id,
                               bytes=float(unit.nbytes))
-                if obs.diag is not None:
-                    obs.diag.observe_stream_span(
-                        rank, stream_id, sim.now - granted_at,
-                        float(unit.nbytes))
                 pools[rank].release()
             out = t.cast(np.ndarray, out)
             cursor = 0
@@ -282,8 +278,6 @@ def run_message_level_iteration(
             yield sim.all_of(unit_procs)
         step_end = sim.now
         timeline.end_step(rank, 0, step_end)
-        if obs.diag is not None:
-            obs.diag.observe_step(rank, 0, step_end - step_start, step_end)
         return reduced
 
     processes = [sim.spawn(worker(rank), name=f"worker{rank}")

@@ -155,7 +155,6 @@ class CommStreamPool:
         def finish(interrupted: bool) -> None:
             del self._live[unit]
             timeline = self.obs.timeline
-            diag = self.obs.diag
             start = t.cast(float, granted_at)
             meta = dict(span_meta, epoch=self.epoch) if self.epoch \
                 else span_meta
@@ -164,10 +163,6 @@ class CommStreamPool:
                 timeline.span(label, "network", self.rank, start, sim.now,
                               stream=stream_id, interrupted=interrupted,
                               **meta)
-                if diag is not None:
-                    diag.observe_stream_span(
-                        self.rank, stream_id, sim.now - start,
-                        float(t.cast(float, meta.get("bytes", 0.0))))
             self._release(streams)
 
         def done(event: Event) -> None:

@@ -115,9 +115,6 @@ class DecentralizedSynchronizer:
         self.obs.timeline.span("sync-round", "negotiate", self.rank,
                                started_at, self.sim.now,
                                round=round_index, ready=len(ready))
-        if self.obs.diag is not None:
-            self.obs.diag.observe_negotiation(
-                self.rank, self.sim.now - started_at)
         self._m_rounds.inc(rank=self.rank)
         return ready
 

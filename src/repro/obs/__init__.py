@@ -25,6 +25,7 @@ turns the recorded run into typed findings, and
 sentinel its objectives and reference points.
 """
 
+from repro.errors import ReproError
 from repro.obs.baselines import (
     Baseline,
     load_bench_baseline,
@@ -100,13 +101,17 @@ class Observability:
             else MetricsRegistry(enabled=enabled)
         self.timeline = timeline if timeline is not None \
             else StepTimeline(enabled=enabled)
-        #: Optional attached :class:`DetectorSuite`; every hot-path hook
-        #: site checks ``diag is not None`` exactly once.
+        #: Optional attached :class:`DetectorSuite`, fed live only by the
+        #: network and the tuner; the rest of its state is read from the
+        #: timeline when :func:`~repro.obs.diagnosis.diagnose` runs.
         self.diag: DetectorSuite | None = None
 
     def attach_detectors(self, suite: "DetectorSuite | None" = None
                          ) -> DetectorSuite:
-        """Attach (and return) a streaming-detector suite to this run."""
+        """Attach (and return) a detector suite to this recording run."""
+        if not (self.registry.enabled and self.timeline.enabled):
+            raise ReproError("attach_detectors needs an enabled registry "
+                             "and timeline: diagnosis reads both")
         self.diag = suite if suite is not None else DetectorSuite()
         return self.diag
 

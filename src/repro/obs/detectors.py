@@ -2,20 +2,21 @@
 
 The paper's evaluation is a catalogue of communication pathologies —
 per-stream link-utilisation skew (Fig. 3), negotiation overhead at
-scale, congested spines, tuner mis-convergence.  This module turns the
-passive instruments of :mod:`repro.obs` into *online* detectors: the
-engines, the stream pools, the fluid network and the auto-tuner feed a
-:class:`DetectorSuite` a few floats per event, the suite keeps O(1)
-aggregate state per rank / stream / link, and :meth:`DetectorSuite.
-finalize` folds that state into a canonical tuple of
-:class:`DetectorEvent`\\ s the diagnosis engine turns into findings.
+scale, congested spines, tuner mis-convergence.  A
+:class:`DetectorSuite` keeps O(1) aggregate state per rank / stream /
+link and :meth:`DetectorSuite.finalize` folds it into a canonical tuple
+of :class:`DetectorEvent`\\ s the diagnosis engine turns into findings.
+The fluid network (link utilisation, flows, per-job bytes) and the
+auto-tuner feed it live, as the run records that state nowhere else;
+step windows, negotiation and stream spans are read from the timeline
+(:meth:`DetectorSuite.replay_timeline`).
 
 Determinism contract: the suite stores only sums and counts keyed by
-stable identifiers, folds them in *sorted-key* order at finalize time,
-and round-trips exactly through the metrics registry
-(:meth:`DetectorSuite.publish` / :meth:`DetectorSuite.
-seed_from_registry`) — JSON serialises floats losslessly, so
-re-diagnosing recorded artifacts is bit-identical to diagnosing live.
+stable identifiers and folds them in *sorted-key* order.
+:func:`~repro.obs.diagnosis.diagnose` always finalizes a fresh suite
+seeded from the registry (:meth:`DetectorSuite.publish` /
+:meth:`DetectorSuite.seed_from_registry`) and fed the timeline; JSON
+floats are lossless, so recorded artifacts diagnose bit-identically.
 """
 
 from __future__ import annotations
@@ -386,13 +387,13 @@ class DetectorSuite:
             self._tuner_recent.append(cost)
 
     def replay_timeline(self, timeline: "StepTimeline") -> None:
-        """Re-feed a recorded timeline through the step/sync/stream hooks.
+        """Feed a recorded timeline through the step/sync/stream hooks.
 
-        Matches the live hook points exactly: step windows, worker-side
-        ``negotiate`` spans, and stream-bound ``network`` spans — so a
-        fresh suite fed a recorded run reaches the same state the live
-        suite held (link/tuner state comes from the registry instead,
-        via :meth:`seed_from_registry`).
+        This is the only source of step, negotiation and stream state:
+        every completed step window, every worker-side ``negotiate``
+        span and every stream-bound ``network`` span, in recording
+        order.  Link and tuner state comes from the registry instead,
+        via :meth:`seed_from_registry`.
         """
         from repro.obs.timeline import NETWORK_RANK
 

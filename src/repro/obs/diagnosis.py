@@ -26,7 +26,6 @@ from repro.errors import ReproError
 from repro.ioutil import atomic_write_text
 from repro.obs.critical_path import StepAttribution, attribute_all
 from repro.obs.detectors import (
-    DetectorConfig,
     DetectorEvent,
     DetectorSuite,
     Severity,
@@ -241,20 +240,20 @@ def timeline_measurements(timeline: StepTimeline) -> dict[str, float]:
 
 
 def diagnose(obs: "Observability",
-             attributions: t.Sequence[StepAttribution] | None = None,
-             config: DetectorConfig | None = None) -> DiagnosisReport:
-    """Diagnose one run's observability bundle.
+             attributions: t.Sequence[StepAttribution] | None = None
+             ) -> DiagnosisReport:
+    """Diagnose one run's observability bundle, live or re-loaded.
 
-    Uses the live :class:`DetectorSuite` when one is attached
-    (``obs.diag``); otherwise reconstructs an equivalent suite from the
-    recorded registry + timeline (the ``--from-artifacts`` path).  Both
-    roads produce bit-identical findings for the same run.
+    An attached suite (``obs.diag``) publishes into the registry; a
+    fresh suite with its config is then seeded from the registry and
+    fed the timeline, so findings are a function of the recording.
     """
-    suite = getattr(obs, "diag", None)
-    if suite is None:
-        suite = DetectorSuite(config)
-        suite.seed_from_registry(obs.registry)
-        suite.replay_timeline(obs.timeline)
+    live = obs.diag
+    if live is not None:
+        live.publish(obs.registry)
+    suite = DetectorSuite(live.config if live is not None else None)
+    suite.seed_from_registry(obs.registry)
+    suite.replay_timeline(obs.timeline)
     if attributions is None:
         attributions = attribute_all(obs.timeline)
     events = suite.finalize(attributions or None)

@@ -7,7 +7,9 @@ chaos-free shared run, and the whole run replays to a pinned
 ``cluster_digest``.
 """
 
+import dataclasses
 import json
+import math
 import pathlib
 
 import pytest
@@ -196,6 +198,58 @@ class TestAdmission:
         assert exc.deadline_s == 5.0
         assert exc.attempts == 7
         assert "no slots" in str(exc)
+
+
+#: One out-of-range value per :class:`ClusterConfig` field (more where
+#: a field once failed late or with the wrong error type).
+BAD_CONFIG_FIELDS = [
+    ("num_nodes", 1),
+    ("num_nodes", 2.5),
+    ("num_nodes", True),
+    ("nic_bps", math.nan),
+    ("nic_bps", math.inf),
+    ("nic_bps", 0.0),
+    ("core_oversubscription", math.nan),
+    ("core_oversubscription", math.inf),
+    ("core_oversubscription", 0.5),
+    ("stream_cap_fraction", 1.5),
+    ("stream_cap_fraction", math.nan),
+    ("admission_deadline_s", math.nan),
+    ("admission_deadline_s", 0.0),
+    ("slo_slack", math.nan),
+    ("slo_slack", 1.0),
+    ("slo_window", 0),
+    ("slo_window", 2.0),
+    ("breach_patience", 0),
+    ("breach_patience", False),
+    ("restart_overhead_s", -1),
+    ("restart_overhead_s", math.inf),
+    ("preempt_requeue_s", -1.0),
+    ("preempt_requeue_s", math.nan),
+    ("max_preemptions", -1),
+    ("max_preemptions", 1.0),
+    ("warm_start_max_distance", math.nan),
+    ("warm_start_max_distance", -1.0),
+]
+
+
+class TestConfigValidation:
+    def test_every_field_is_checked(self):
+        fields = {f.name for f in dataclasses.fields(ClusterConfig)}
+        assert {name for name, _value in BAD_CONFIG_FIELDS} == fields
+
+    @pytest.mark.parametrize(
+        "field, value", BAD_CONFIG_FIELDS,
+        ids=[f"{name}={value!r}" for name, value in BAD_CONFIG_FIELDS])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ClusterError, match=field):
+            ClusterConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        ClusterConfig(num_nodes=2, core_oversubscription=1.0,
+                      stream_cap_fraction=1.0, restart_overhead_s=0,
+                      preempt_requeue_s=0.0, max_preemptions=0,
+                      warm_start_max_distance=0.0, nic_bps=10**10)
 
 
 class TestRuntimeValidation:

@@ -18,20 +18,23 @@ from repro.sim import FluidNetwork, Link, Simulator, alibaba_v100_cluster
 from repro.sim.network import GroupFlow
 
 
-def _feed_engine_hooks(suite):
-    """Identical engine-side telemetry for both runs.
+def _record_engine_timeline(timeline):
+    """Identical engine-side timeline for both runs.
 
-    Two ranks, two steps each, and a lopsided stream split on rank 0 so
-    the stream-imbalance detector has something to say; the network
-    feeds the congestion detector itself.
+    Two ranks, two one-second steps each, and a lopsided stream split on
+    rank 0 so the stream-imbalance detector has something to say; the
+    network feeds the congestion detector itself.
     """
     for rank in (0, 1):
-        suite.observe_step(rank, 0, 1.0, 1.0)
-        suite.observe_step(rank, 1, 1.0, 2.0)
-    suite.observe_stream_span(0, 0, 0.9, 8e6)
-    suite.observe_stream_span(0, 1, 0.001, 1e3)
-    suite.observe_stream_span(1, 0, 0.45, 4e6)
-    suite.observe_stream_span(1, 1, 0.45, 4e6)
+        for step in (0, 1):
+            timeline.begin_step(rank, step, float(step))
+            timeline.end_step(rank, step, float(step + 1))
+    for rank, stream, busy_s, nbytes in ((0, 0, 0.9, 8e6),
+                                         (0, 1, 0.001, 1e3),
+                                         (1, 0, 0.45, 4e6),
+                                         (1, 1, 0.45, 4e6)):
+        timeline.span("allreduce-unit", "network", rank, 0.0, busy_s,
+                      stream=stream, bytes=nbytes)
 
 
 def _run_network_scenario(bundled):
@@ -61,7 +64,7 @@ def _run_network_scenario(bundled):
         assert net._claims
     else:
         assert not net._claims
-    _feed_engine_hooks(net.diag)
+    _record_engine_timeline(obs.timeline)
     return diagnose(obs)
 
 

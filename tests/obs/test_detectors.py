@@ -5,7 +5,12 @@ import dataclasses
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import MetricsRegistry
+from repro.obs import (
+    MetricsRegistry,
+    Observability,
+    StepTimeline,
+    diagnose,
+)
 from repro.obs.detectors import (
     DetectorConfig,
     DetectorSuite,
@@ -253,6 +258,34 @@ class TestRegistryRoundTrip:
         replayed = DetectorSuite()
         replayed.seed_from_registry(registry)
         assert replayed._link_flows == live._link_flows
+
+
+class TestAttachedSuite:
+    @pytest.mark.parametrize("disabled", [
+        {"registry": MetricsRegistry(enabled=False)},
+        {"timeline": StepTimeline(enabled=False)},
+    ], ids=["registry", "timeline"])
+    def test_attach_needs_a_recording_bundle(self, disabled):
+        obs = Observability(**disabled)
+        with pytest.raises(ReproError, match="attach_detectors"):
+            obs.attach_detectors()
+        assert obs.diag is None
+
+    def test_diagnose_uses_the_attached_config(self):
+        # A stream split that the default imbalance share flags and a
+        # laxer attached config does not.
+        def diagnosed(config):
+            obs = Observability(enabled=True)
+            obs.attach_detectors(DetectorSuite(config))
+            obs.timeline.begin_step(0, 0, 0.0)
+            obs.timeline.end_step(0, 0, 1.0)
+            for stream, busy_s in ((0, 0.8), (1, 0.2)):
+                obs.timeline.span("allreduce-unit", "network", 0, 0.0,
+                                  busy_s, stream=stream, bytes=1e6)
+            return [f.kind for f in diagnose(obs).findings]
+
+        assert diagnosed(DetectorConfig()) == ["stream-imbalance"]
+        assert diagnosed(DetectorConfig(imbalance_share=0.9)) == []
 
 
 class TestCanonicalOrdering:

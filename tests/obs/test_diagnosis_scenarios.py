@@ -136,14 +136,37 @@ class TestCrashRecoveryScenario:
 
 
 class TestArtifactRoundTrip:
-    def test_live_and_recorded_digests_are_bit_identical(self, tmp_path):
-        obs, live = diagnosed_step_report(compute_skew={2: 3.0})
-        obs.diag.publish(obs.registry)
+    # The two FINDINGS_CELLS of the golden registry: clean and straggler.
+    @pytest.mark.parametrize("skew", [None, {2: 3.0}],
+                             ids=["clean", "straggler"])
+    def test_live_and_recorded_digests_are_bit_identical(self, tmp_path,
+                                                         skew):
+        obs, live = diagnosed_step_report(compute_skew=skew)
         write_diagnosis_artifacts(tmp_path, live, obs=obs)
 
         replayed = diagnose(load_artifacts(tmp_path))
         assert replayed.findings_digest == live.findings_digest
         assert dict(replayed.measurements) == dict(live.measurements)
+
+    def test_link_state_survives_the_round_trip(self, tmp_path):
+        # Link utilisation is fed live by the network and recorded only
+        # through the registry; diagnosing must write it there so the
+        # artifacts carry the congested core.
+        from repro.harness.experiments import measure
+
+        obs = Observability(enabled=True)
+        obs.attach_detectors()
+        measure("resnet50", "aiacc", 32, streams=4,
+                core_oversubscription=4.0, full_link=True, iterations=1,
+                obs=obs)
+        live = diagnose(obs)
+        assert [(f.kind, f.subject) for f in live.findings] == \
+            [("congestion", "link core")]
+        write_diagnosis_artifacts(tmp_path, live, obs=obs)
+
+        replayed = diagnose(load_artifacts(tmp_path))
+        assert replayed.findings == live.findings
+        assert replayed.findings_digest == live.findings_digest
 
     def test_markdown_and_jsonl_cross_reference_the_digest(self, tmp_path):
         obs, report = diagnosed_step_report(compute_skew={2: 3.0})
