@@ -107,6 +107,10 @@ CREATE INDEX IF NOT EXISTS runs_by_run_key
     ON runs (campaign_id, run_key, state);
 """
 
+#: Stamped into ``PRAGMA user_version`` once ``_SCHEMA``, the migration
+#: and ``_RUN_KEY_INDEX`` have run; raise it when the schema changes.
+SCHEMA_VERSION = 1
+
 
 @dataclasses.dataclass(frozen=True)
 class RunRow:
@@ -172,6 +176,9 @@ class CampaignStore:
     Instances are cheap and single-threaded by design: the orchestrator,
     each pool worker and each heartbeat thread open their own store on
     the same path and coordinate purely through SQLite's locking.
+    Opening a store whose ``user_version`` stamp is current runs only
+    the connection pragmas; the schema script and the migration run
+    while the stamp is missing or older than :data:`SCHEMA_VERSION`.
     """
 
     def __init__(self, path: str | pathlib.Path,
@@ -191,9 +198,12 @@ class CampaignStore:
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(
                 f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
-            self._conn.executescript(_SCHEMA)
-            self._migrate()
-            self._conn.executescript(_RUN_KEY_INDEX)
+            if self._conn.execute(
+                    "PRAGMA user_version").fetchone()[0] < SCHEMA_VERSION:
+                self._conn.executescript(_SCHEMA)
+                self._migrate()
+                self._conn.executescript(_RUN_KEY_INDEX)
+                self._conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
         except sqlite3.Error as exc:
             raise CampaignStoreError(
                 f"cannot open campaign store {self.path}: {exc}") from exc

@@ -293,33 +293,35 @@ RUNNERS: dict[str, Runner] = {
 
 class _HeartbeatThread(threading.Thread):
     """Extends the claim lease every ``lease_s / 3`` over its own store
-    connection until stopped (or until the claim goes stale)."""
+    connection until stopped (or until the claim goes stale).
+
+    The connection is opened at the first beat, one interval in: a cell
+    that ends sooner never opens it.
+    """
 
     def __init__(self, store_path: str, campaign_id: int, spec_id: str,
                  claim_token: str, lease_s: float) -> None:
         super().__init__(daemon=True, name=f"heartbeat-{spec_id}")
         self._args = (campaign_id, spec_id, claim_token, lease_s)
         self._store_path = store_path
-        self._stop = threading.Event()
-        #: Set when the store rejected a heartbeat: the lease was
-        #: reclaimed and this worker's result will be dropped as stale.
-        self.stale = threading.Event()
+        #: Not ``_stop``: ``Thread.join`` calls its own ``_stop`` method.
+        self._halt = threading.Event()
 
     def run(self) -> None:
         campaign_id, spec_id, token, lease_s = self._args
         interval = max(0.05, lease_s / 3.0)
+        if self._halt.wait(interval):
+            return
         try:
             with CampaignStore(self._store_path) as store:
-                while not self._stop.wait(interval):
-                    if not store.heartbeat(campaign_id, spec_id, token,
-                                           lease_s):
-                        self.stale.set()
+                while store.heartbeat(campaign_id, spec_id, token, lease_s):
+                    if self._halt.wait(interval):
                         return
         except ReproError:  # pragma: no cover - store teardown race
             pass
 
     def stop(self) -> None:
-        self._stop.set()
+        self._halt.set()
 
 
 def execute_run(store_path: str, campaign_id: int, spec_id: str,

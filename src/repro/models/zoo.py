@@ -1,12 +1,16 @@
 """Model registry and the paper's Table I.
 
-``get_model(name)`` returns a freshly built :class:`ModelSpec` for any
-workload the paper evaluates; ``table1()`` reproduces Table I ("DNN model
-characteristics") from the registered specs.
+``get_model(name)`` returns a :class:`ModelSpec` for any workload the
+paper evaluates; ``table1()`` reproduces Table I ("DNN model
+characteristics") from the registered specs.  Each model is built once
+per process: every call gets its own ``ModelSpec`` around the same
+immutable layer tree (frozen dataclasses holding only tuples).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import typing as t
 
 from repro.errors import ReproError
@@ -43,14 +47,21 @@ def available_models() -> list[str]:
 
 
 def get_model(name: str) -> ModelSpec:
-    """Build the named workload model."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
+    """The named workload model: a new spec over its shared layers.
+
+    The layer tree is built on the first call in a process and shared
+    by later ones; ``dataclasses.replace`` gives each caller its own
+    (re-validated) ``ModelSpec`` instance.
+    """
+    if name not in _BUILDERS:
         raise ReproError(
-            f"unknown model {name!r}; available: {available_models()}"
-        ) from None
-    return builder()
+            f"unknown model {name!r}; available: {available_models()}")
+    return dataclasses.replace(_built(name))
+
+
+@functools.cache
+def _built(name: str) -> ModelSpec:
+    return _BUILDERS[name]()
 
 
 def table1() -> list[dict[str, object]]:

@@ -36,7 +36,7 @@ from repro.campaign.report import (
     run_records,
 )
 from repro.campaign.runner import CampaignRunner, submit_campaign
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import SCHEMA_VERSION, CampaignStore
 from repro.campaign.worker import RUNNERS, execute_run
 from repro.cli import main
 from repro.obs.exporters import prometheus_text
@@ -311,6 +311,19 @@ class TestStoreMigration:
         with CampaignStore(tmp_path / "old.db") as store:
             assert [row.run_key for row in store.runs(campaign_id)] == \
                 [rows[spec_id].run_key for spec_id in sorted(rows)]
+
+    def test_migrated_store_is_stamped_and_reopens_without_ddl(
+            self, tmp_path, ddl_on_open):
+        path = tmp_path / "old.db"
+        old_store(path, [TWIN_GRIDS[0]])
+        migration = ddl_on_open(path)
+        assert any(sql.startswith("ALTER TABLE runs ADD COLUMN run_key")
+                   for sql in migration)
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == \
+            SCHEMA_VERSION
+        conn.close()
+        assert ddl_on_open(path) == []
 
     def test_old_store_resumes_and_reuses(self, tmp_path, capsys):
         path = tmp_path / "old.db"

@@ -6,6 +6,8 @@ a stale worker can never overwrite a newer attempt, and a terminal
 state is recorded exactly once.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.campaign.grid import CampaignGrid, expand_grids
@@ -14,6 +16,7 @@ from repro.campaign.store import (
     ACTIVE_STATES,
     STATES,
     TERMINAL_STATES,
+    SCHEMA_VERSION,
     CampaignStore,
     open_store_readonly,
 )
@@ -51,6 +54,23 @@ class TestSchema:
     def test_unknown_campaign_raises_typed(self, store):
         with pytest.raises(CampaignStoreError):
             store.campaign(999)
+
+    def test_new_store_is_stamped(self, tmp_path, ddl_on_open):
+        path = tmp_path / "campaigns.db"
+        assert ddl_on_open(path)
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == \
+            SCHEMA_VERSION
+        conn.close()
+
+    def test_reopening_a_stamped_store_issues_no_ddl(self, tmp_path,
+                                                      ddl_on_open):
+        path = tmp_path / "campaigns.db"
+        with CampaignStore(path) as store:
+            campaign_id, _ = make_campaign(store)
+        assert ddl_on_open(path) == []
+        with CampaignStore(path) as store:
+            assert store.counts(campaign_id)["pending"] == 3
 
 
 class TestSubmission:

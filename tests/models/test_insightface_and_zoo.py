@@ -1,5 +1,7 @@
 """Tests for the InsightFace workload and zoo completeness."""
 
+import dataclasses
+
 import pytest
 
 from repro.models import available_models, get_model
@@ -62,3 +64,19 @@ class TestZooCompleteness:
         b = get_model("resnet50")
         assert a is not b
         assert a.num_parameters == b.num_parameters
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_shared_layer_tree_is_immutable(self, name):
+        # Each model is built once per process and its layers shared by
+        # every spec handed out, so no node of the tree may be mutable.
+        spec = get_model(name)
+        assert get_model(name).layers is spec.layers
+        nodes = [spec, *spec.layers,
+                 *(p for layer in spec.layers for p in layer.parameters)]
+        for node in nodes:
+            for field in dataclasses.fields(node):
+                value = getattr(node, field.name)
+                assert isinstance(value, (str, int, float, tuple,
+                                          type(None))), (node, field.name)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, field.name, value)

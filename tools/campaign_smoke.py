@@ -2,16 +2,19 @@
 
 The script exercises ISSUE 6's end-to-end invariant on a tiny grid:
 
-1. submit a grid mixing sleep cells, one ``kamikaze`` cell that
-   SIGKILLs its own worker mid-campaign, and a ``measure`` twin pair
-   that differs only in its ``figure`` label (so one cell may copy the
-   other's result instead of simulating it);
+1. submit a grid mixing sleep cells, one of which outlives a lease
+   heartbeat interval, one ``kamikaze`` cell that SIGKILLs its own
+   worker mid-campaign, and a ``measure`` twin pair that differs only
+   in its ``figure`` label (so one cell may copy the other's result
+   instead of simulating it);
 2. run the campaign in a child orchestrator and ``kill -9`` that
    orchestrator once some cells are done and some are still active;
 3. resume with ``python -m repro campaign resume`` and require that
    every cell ends terminal, the kamikaze cell recovered, and the final
    report digest equals that of an uninterrupted control run of the
    same grid in a fresh store — whichever twin ran or was reused;
+   in both stores the long sleep cell must show a heartbeat after its
+   start, from a worker in a real pool process;
 4. write the resulting store summary under ``--out`` for upload.
 
 Exit code 0 only if every check holds.
@@ -24,6 +27,7 @@ import json
 import os
 import pathlib
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -45,10 +49,17 @@ from repro.campaign.store import CampaignStore  # noqa: E402
 
 POLICY = RetryPolicy(max_attempts=3, base_backoff_s=0.05,
                      max_backoff_s=0.5)
+LEASE_S = 1.0
+
+#: ``cell`` of the sleep cell that outlives a heartbeat interval
+#: (``LEASE_S / 3``), so its worker beats at least twice.
+BEAT_CELL = 200
 
 GRIDS = [
     CampaignGrid(runner="sleep", axes={"cell": tuple(range(6))},
                  base={"duration_s": 0.25}),
+    CampaignGrid(runner="sleep", axes={"cell": (BEAT_CELL,)},
+                 base={"duration_s": 0.8}),
     CampaignGrid(runner="kamikaze", axes={"cell": (100,)},
                  base={"die_attempts": 1}),
     CampaignGrid(runner="measure", axes={"figure": ("a", "b")},
@@ -61,11 +72,31 @@ def run_uninterrupted(store_path: pathlib.Path) -> str:
     with CampaignStore(store_path) as store:
         campaign_id = submit_campaign(store, GRIDS, name="smoke-control")
     runner = CampaignRunner(store_path, campaign_id, max_workers=2,
-                            lease_s=1.0, poll_s=0.05, policy=POLICY)
+                            lease_s=LEASE_S, poll_s=0.05, policy=POLICY)
     counts = runner.run(max_wall_s=120.0)
     assert counts["done"] == CELLS, f"control run incomplete: {counts}"
+    check_heartbeat(store_path)
     with CampaignStore(store_path) as store:
         return load_report(store, campaign_id).digest()
+
+
+def check_heartbeat(store_path: pathlib.Path) -> None:
+    """Fail unless the long sleep cell's ``heartbeat_at`` moved past its
+    ``started_at`` (``mark_running`` stamps both with one instant, so
+    only a heartbeat can move it)."""
+    conn = sqlite3.connect(store_path)
+    try:
+        rows = conn.execute(
+            "SELECT params_json, started_at, heartbeat_at FROM runs "
+            "WHERE runner = 'sleep' AND state = 'done'").fetchall()
+    finally:
+        conn.close()
+    beats = [beat for params, started, beat in rows
+             if json.loads(params)["cell"] == BEAT_CELL
+             and beat is not None and beat > started]
+    if not beats:
+        raise SystemExit(f"sleep cell {BEAT_CELL} has no heartbeat_at "
+                         f"after its start in {store_path}")
 
 
 def spawn_orchestrator(store_path: pathlib.Path,
@@ -75,7 +106,7 @@ def spawn_orchestrator(store_path: pathlib.Path,
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "run",
          "--store", str(store_path), "--id", str(campaign_id),
-         "--workers", "2", "--lease", "1.0",
+         "--workers", "2", "--lease", str(LEASE_S),
          "--max-attempts", "3", "--backoff", "0.05"],
         env=env)
 
@@ -125,7 +156,7 @@ def main() -> int:
     result = subprocess.run(
         [sys.executable, "-m", "repro", "campaign", "resume",
          str(campaign_id), "--store", str(store_path),
-         "--workers", "2", "--lease", "1.0",
+         "--workers", "2", "--lease", str(LEASE_S),
          "--max-attempts", "3", "--backoff", "0.05"],
         env={**os.environ,
              "PYTHONPATH": str(SRC) + os.pathsep +
@@ -154,6 +185,7 @@ def main() -> int:
     assert report.digest() == control_digest, (
         f"digest mismatch: interrupted {report.digest()} != "
         f"control {control_digest}")
+    check_heartbeat(store_path)
     kamikaze = [r for r in report.rows if r.runner == "kamikaze"][0]
     assert kamikaze.state == "done" and kamikaze.attempt >= 2, (
         f"kamikaze cell did not recover: {kamikaze.state} "
