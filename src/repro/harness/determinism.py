@@ -132,6 +132,11 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     # one coordinated all-reduce stream per rank.
     {"ranks": 16, "streams": 4, "faults": False, "backend": backend}
     for backend in ("byteps", "mxnet-kvstore", "horovod", "pytorch-ddp")
+) + tuple(
+    # Parameter servers on one node: each transfer is one NVLink flow
+    # carrying the push and the pull, with no inter-node hop.
+    {"ranks": 8, "streams": 4, "faults": False, "backend": backend}
+    for backend in ("byteps", "mxnet-kvstore")
 ) + (
     # Spine cells: an oversubscribed core link breaks NIC symmetry, so
     # these run the full link set, one flow per inter-node hop through

@@ -150,6 +150,7 @@ BYTEPS_CELLS = (
     ("exact-partitions", "resnet50", 16,
      {"partition_bytes": _RESNET_MAX_BYTES / 4}),
     ("remainder-partitions", "resnet50", 16, {"partition_bytes": 3e6}),
+    ("no-server-overhead", "resnet50", 16, {"server_overhead_s": 0}),
 )
 
 
@@ -171,6 +172,14 @@ class TestPoolMatchesPerTransferOracle:
             MXNetKVStoreBackend(num_connections=connections), model, gpus)
         oracle = iteration_times(
             OracleKVStore(num_connections=connections), model, gpus)
+        assert pooled == oracle
+
+    @pytest.mark.parametrize("gpus", (8, 16))
+    def test_kvstore_without_per_key_overhead(self, gpus):
+        pooled = iteration_times(
+            MXNetKVStoreBackend(per_key_overhead_s=0), "resnet50", gpus)
+        oracle = iteration_times(
+            OracleKVStore(per_key_overhead_s=0), "resnet50", gpus)
         assert pooled == oracle
 
     def test_exact_partition_leaves_no_remainder(self):

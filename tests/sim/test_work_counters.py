@@ -82,11 +82,12 @@ def test_one_step_solver_work(config, reallocations, visits, spawned,
         (reallocations, visits, spawned, scheduled)
 
 
-@pytest.mark.parametrize("backend", (
-    BytePSBackend(), BytePSBackend(num_connections=1),
-    MXNetKVStoreBackend(), MXNetKVStoreBackend(num_connections=1)),
+@pytest.mark.parametrize("backend, scheduled", (
+    (BytePSBackend(), 1251), (BytePSBackend(num_connections=1), 902),
+    (MXNetKVStoreBackend(), 1098), (MXNetKVStoreBackend(num_connections=1),
+                                    827)),
     ids=("byteps-4", "byteps-1", "kvstore-2", "kvstore-1"))
-def test_ps_step_spawns_one_process(backend):
+def test_ps_step_spawns_one_process(backend, scheduled):
     # The step itself, which also walks the backward schedule.  The
     # connections are a free count and a queue, and each push/pull is a
     # callback chain, so no process is spawned per connection, per
@@ -94,9 +95,10 @@ def test_ps_step_spawns_one_process(backend):
     model = get_model("resnet50")
     ctx = build_train_context(model, backend, 16, model.default_batch_size)
     simulate_step(ctx, backend)  # warm-up
-    spawned = ctx.sim.processes_spawned
+    before = _kernel_work(ctx.sim)
     simulate_step(ctx, backend)
-    assert ctx.sim.processes_spawned - spawned == 1
+    after = _kernel_work(ctx.sim)
+    assert tuple(b - a for a, b in zip(before, after)) == (1, scheduled)
     assert len(model.parameters()) > 100
 
 
