@@ -27,9 +27,11 @@ from repro.frameworks.base import (
     TrainContext,
     UPDATE_TIME_S,
 )
-from repro.frameworks.byteps import BytePSBackend
 from repro.frameworks.horovod import HorovodBackend
-from repro.frameworks.mxnet_kvstore import MXNetKVStoreBackend
+from repro.frameworks.parameter_server import (
+    BytePSBackend,
+    MXNetKVStoreBackend,
+)
 from repro.frameworks.pytorch_ddp import PyTorchDDPBackend
 
 

@@ -68,6 +68,15 @@ BAD_VALUES = [
                            (HorovodBackend, "master_service_per_worker_s"),
                            (HorovodBackend, "master_service_per_entry_s")]
     for value in (-1e-6, float("nan"), float("inf"))
+] + [
+    # Connection and server counts are integers: a pool of 2.5
+    # connections counted down to -0.5 free and never ran out.
+    (backend, "num_connections", value)
+    for backend in (BytePSBackend, MXNetKVStoreBackend)
+    for value in (0, 2.5, float("nan"), float("inf"))
+] + [
+    (BytePSBackend, "extra_cpu_server_nodes", value)
+    for value in (-1, 0.5, float("nan"))
 ]
 
 

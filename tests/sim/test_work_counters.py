@@ -102,6 +102,27 @@ def test_ps_step_spawns_one_process(backend, scheduled):
     assert len(model.parameters()) > 100
 
 
+@pytest.mark.parametrize("backend, ranks, scheduled", (
+    (BytePSBackend(server_overhead_s=0), 16, 1075),
+    (MXNetKVStoreBackend(per_key_overhead_s=0), 16, 957),
+    (MXNetKVStoreBackend(per_key_overhead_s=0), 8, 429)),
+    ids=("byteps-16r", "kvstore-16r", "kvstore-8r"))
+def test_ps_zero_overhead_schedules_no_timeout(backend, ranks, scheduled):
+    # A zero overhead is no step of the push/pull chain, so each
+    # transfer schedules one timeout fewer than a zero-length one did
+    # (1251, 1118 and 590 events).  On one node the KVStore chain is
+    # then a single NVLink flow.  The iteration times are unchanged:
+    # ``test_ps_pools`` checks them against the per-transfer oracles.
+    model = get_model("resnet50")
+    ctx = build_train_context(model, backend, ranks,
+                              model.default_batch_size)
+    simulate_step(ctx, backend)  # warm-up
+    before = _kernel_work(ctx.sim)
+    simulate_step(ctx, backend)
+    after = _kernel_work(ctx.sim)
+    assert tuple(b - a for a, b in zip(before, after)) == (1, scheduled)
+
+
 #: A detection-armed config: every sync round and every unit runs under
 #: the failure detector's deadline.
 DEADLINES = AIACCConfig(num_streams=4, sync_timeout_s=0.5,
