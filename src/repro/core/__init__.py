@@ -45,12 +45,6 @@ from repro.core.packing import (
 from repro.core.perseus import PerseusSession, init
 from repro.core.registration import GradientRegistry
 from repro.core.runtime import AIACCConfig
-from repro.core.sparsification import (
-    TopKCompressor,
-    sparse_allreduce,
-    sparse_wire_bytes,
-    train_step_with_topk,
-)
 from repro.core.streams import CommStreamPool
 from repro.core.synchronization import DecentralizedSynchronizer, synchronize_all
 from repro.core.translator import (
@@ -78,10 +72,6 @@ __all__ = [
     "NullCompressor",
     "PerseusSession",
     "TensorSlice",
-    "TopKCompressor",
-    "sparse_allreduce",
-    "sparse_wire_bytes",
-    "train_step_with_topk",
     "check_finite",
     "init",
     "plan_backward",

@@ -22,17 +22,7 @@ from repro.training.hybrid import (
     make_hybrid_plan,
     run_hybrid_training,
 )
-from repro.training.async_dp import (
-    StaleGradientTrainer,
-    async_iteration_time_s,
-)
 from repro.training.lr_schedule import LinearDecay, LRSchedule, StepDecay
-from repro.training.pipeline import (
-    NumericPipeline,
-    PipelinePlan,
-    plan_pipeline,
-    run_pipeline_training,
-)
 from repro.training.resilience import (
     FaultInjectionResult,
     RecoveryRecord,
@@ -71,17 +61,11 @@ __all__ = [
     "HybridPlan",
     "LRSchedule",
     "LinearDecay",
-    "NumericPipeline",
-    "PipelinePlan",
     "RecoveryRecord",
     "ResilienceResult",
-    "StaleGradientTrainer",
-    "async_iteration_time_s",
     "build_train_context",
     "optimal_checkpoint_interval",
-    "plan_pipeline",
     "run_fault_injected_training",
-    "run_pipeline_training",
     "simulate_resilient_training",
     "Optimizer",
     "SGD",

@@ -1,12 +1,10 @@
 """Integration tests combining several subsystems end to end."""
 
 import numpy as np
-import pytest
 
 from repro.core.fault_tolerance import CheckpointManager, ElasticCoordinator
 from repro.core.perseus import PerseusSession
 from repro.core.runtime import AIACCConfig
-from repro.core.sparsification import TopKCompressor, train_step_with_topk
 from repro.harness import measure
 from repro.obs import Observability, chrome_trace_events
 from repro.training.numeric import (
@@ -16,7 +14,6 @@ from repro.training.numeric import (
 )
 from repro.training.optimizer import SGD, AdamSGD, DistributedOptimizer
 from repro.training.lr_schedule import LinearDecay
-from repro.training.pipeline import NumericPipeline
 from repro.training.trainer import run_training
 
 
@@ -59,36 +56,6 @@ class TestNumericFullStack:
             for other in worker_params[1:]:
                 np.testing.assert_array_equal(worker_params[0][name],
                                               other[name])
-
-    def test_pipeline_plus_data_parallel_numeric(self):
-        # 2-stage pipeline inside each of 2 data-parallel replicas ==
-        # plain data-parallel training.
-        task = make_synthetic_task(num_samples=256, seed=2)
-        plain_model = TinyMLP(16, 8, 4, seed=3)
-        plain_params, _ = train_data_parallel(
-            plain_model, task, SGD(lr=0.1), 4, 2, 32)
-
-        pipe_model = TinyMLP(16, 8, 4, seed=3)
-        session = PerseusSession(2)
-        dist = DistributedOptimizer(SGD(lr=0.1), session)
-        worker_params = [pipe_model.clone_parameters() for _ in range(2)]
-        batches = task.batches(32)
-        for _ in range(4):
-            inputs, labels = next(batches)
-            grads = []
-            for rank in range(2):
-                pipeline = NumericPipeline(worker_params[rank],
-                                           micro_batches=4)
-                _, g = pipeline.loss_and_grads(
-                    inputs[rank * 16:(rank + 1) * 16],
-                    labels[rank * 16:(rank + 1) * 16])
-                grads.append(g)
-            dist.step(worker_params, grads)
-
-        for name in plain_params[0]:
-            np.testing.assert_allclose(worker_params[0][name],
-                                       plain_params[0][name],
-                                       rtol=1e-6, atol=1e-8)
 
     def test_failure_recovery_preserves_training_math(self, tmp_path):
         task = make_synthetic_task(num_samples=256, seed=4)
@@ -134,19 +101,6 @@ class TestNumericFullStack:
             np.testing.assert_allclose(worker_params[0][name],
                                        ref_params[0][name],
                                        rtol=1e-6, atol=1e-8)
-
-    def test_topk_and_dense_agree_at_full_ratio(self):
-        rng = np.random.default_rng(6)
-        grads = [{"w": rng.normal(size=(8, 8))} for _ in range(3)]
-        compressors = [TopKCompressor(1.0) for _ in range(3)]
-        sparse = train_step_with_topk(compressors, grads)
-
-        session = PerseusSession(3)
-        session.register_parameters({"w": (8, 8)})
-        dense = session.reduce_gradients(
-            [{k: v.copy() for k, v in g.items()} for g in grads])
-        np.testing.assert_allclose(sparse["w"], dense[0]["w"], rtol=1e-6,
-                                   atol=1e-7)
 
 
 class TestTimedFullStack:
