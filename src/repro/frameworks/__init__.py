@@ -12,6 +12,9 @@ name                      framework modelled
 ``mxnet-kvstore``         MXNet distributed KVStore (whole-key PS)
 ========================  ====================================================
 
+``byteps`` and ``mxnet-kvstore`` are two configurations of one
+parameter-server model (:mod:`repro.frameworks.parameter_server`).
+
 Backends are single-experiment objects: create a new one per run.
 """
 

@@ -163,25 +163,20 @@ class ParameterServerBackend(DDLBackend):
         """The iteration's transfer: one push/pull chain per item.
 
         The chain is ``[per_key_overhead_s] -> push flow ->
-        [server_overhead_s] -> pull flow``, where a zero overhead is no
-        step at all.  On one node there are no inter-node NIC bytes: the
-        chain is ``[per_key_overhead_s] -> one NVLink/loopback flow of
-        2 x bytes``, with no server step and no pull.  A chain that is
-        exactly one flow returns that flow's event; a longer one runs on
-        callbacks and returns a ``<pool>.pushpull`` event that fires
-        when its last step is done, or fails with the first failed
-        flow.  The path, the cap and the steps are the same for every
-        item, so they are set up once per iteration, and the NIC bytes
-        once per distinct item size.
+        [server_overhead_s] -> pull flow``; a zero overhead is no step.
+        On one node, with no inter-node NIC bytes, it is
+        ``[per_key_overhead_s] -> one NVLink flow of 2 x bytes``.  A
+        chain of exactly one flow returns that flow's event; a longer
+        one returns a ``<pool>.pushpull`` event with the outcome of its
+        last step or of its first failed flow.  The path, the cap and
+        the steps are set up once per iteration, the NIC bytes once per
+        distinct item size.
         """
         sim, network = ctx.sim, ctx.network
-        if ctx.cluster.num_nodes == 1:
+        single_node = ctx.cluster.num_nodes == 1
+        if single_node:
             path, cap = [ctx.cluster.nvlink[0]], None
-            steps: tuple[float | None, ...] = (self.per_key_overhead_s,
-                                               _FLOW)
-
-            def wire_bytes(size: float) -> float:
-                return 2 * size
+            steps = (self.per_key_overhead_s, _FLOW)
         else:
             path = list(ctx.cluster.representative_hop())
             cap = ctx.cluster.stream_cap_bps()
@@ -191,10 +186,6 @@ class ParameterServerBackend(DDLBackend):
                 path.append(self._server_link(ctx))
             steps = (self.per_key_overhead_s, _FLOW,
                      self.server_overhead_s, _FLOW)
-
-            def wire_bytes(size: float) -> float:
-                return max(self.nic_bytes_per_gradient(ctx, size),
-                           self.server_nic_bytes_per_gradient(ctx, size))
         steps = tuple(step for step in steps if step != 0)
         if steps == (_FLOW,):
             return lambda size: network.start_flow(path, 2 * size)
@@ -206,7 +197,9 @@ class ParameterServerBackend(DDLBackend):
         def push_pull(size: float) -> Event:
             nbytes = nic_bytes.get(size)
             if nbytes is None:
-                nbytes = nic_bytes[size] = wire_bytes(size)
+                nbytes = nic_bytes[size] = 2 * size if single_node else max(
+                    self.nic_bytes_per_gradient(ctx, size),
+                    self.server_nic_bytes_per_gradient(ctx, size))
             done = sim.event(name=name)
             index = 1
 
