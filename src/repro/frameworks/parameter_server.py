@@ -191,7 +191,6 @@ class ParameterServerBackend(DDLBackend):
             return lambda size: network.start_flow(path, 2 * size)
         name = f"{self.pool}.pushpull"
         last = len(steps)
-        flow = functools.partial(network.start_flow, path, rate_cap_bps=cap)
         nic_bytes: dict[float, float] = {}
 
         def push_pull(size: float) -> Event:
@@ -212,13 +211,19 @@ class ParameterServerBackend(DDLBackend):
                     return
                 step = steps[index]
                 index += 1
-                (flow(nbytes) if step is _FLOW else sim.timeout(step)) \
-                    .add_callback(advance if index < last
-                                  else functools.partial(relay, done))
+                if step is _FLOW:
+                    event = network.start_flow(path, nbytes, rate_cap_bps=cap)
+                else:
+                    event = sim.timeout(step)
+                event.add_callback(advance if index < last
+                                   else functools.partial(relay, done))
 
             step = steps[0]
-            (flow(nbytes) if step is _FLOW else sim.timeout(step)) \
-                .add_callback(advance)
+            if step is _FLOW:
+                network.start_flow(path, nbytes, rate_cap_bps=cap) \
+                    .add_callback(advance)
+            else:
+                sim.timeout(step).add_callback(advance)
             return done
 
         return push_pull
