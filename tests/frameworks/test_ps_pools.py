@@ -153,6 +153,16 @@ BYTEPS_CELLS = (
     ("no-server-overhead", "resnet50", 16, {"server_overhead_s": 0}),
 )
 
+KVSTORE_CELLS = tuple(
+    (f"{model}-{gpus}-{connections}", model, gpus,
+     {"num_connections": connections})
+    for model, gpus in (("resnet50", 8), ("resnet50", 16), ("vgg16", 64))
+    for connections in (1, 2)
+) + (
+    ("1-node-no-key-overhead", "resnet50", 8, {"per_key_overhead_s": 0}),
+    ("2-nodes-no-key-overhead", "resnet50", 16, {"per_key_overhead_s": 0}),
+)
+
 
 class TestPoolMatchesPerTransferOracle:
     @pytest.mark.parametrize("model, gpus, options",
@@ -163,23 +173,12 @@ class TestPoolMatchesPerTransferOracle:
         oracle = iteration_times(OracleBytePS(**options), model, gpus)
         assert pooled == oracle
 
-    @pytest.mark.parametrize("connections", (1, 2))
-    @pytest.mark.parametrize("model, gpus", (("resnet50", 8),
-                                             ("resnet50", 16),
-                                             ("vgg16", 64)))
-    def test_kvstore(self, model, gpus, connections):
-        pooled = iteration_times(
-            MXNetKVStoreBackend(num_connections=connections), model, gpus)
-        oracle = iteration_times(
-            OracleKVStore(num_connections=connections), model, gpus)
-        assert pooled == oracle
-
-    @pytest.mark.parametrize("gpus", (8, 16))
-    def test_kvstore_without_per_key_overhead(self, gpus):
-        pooled = iteration_times(
-            MXNetKVStoreBackend(per_key_overhead_s=0), "resnet50", gpus)
-        oracle = iteration_times(
-            OracleKVStore(per_key_overhead_s=0), "resnet50", gpus)
+    @pytest.mark.parametrize("model, gpus, options",
+                             [cell[1:] for cell in KVSTORE_CELLS],
+                             ids=[cell[0] for cell in KVSTORE_CELLS])
+    def test_kvstore(self, model, gpus, options):
+        pooled = iteration_times(MXNetKVStoreBackend(**options), model, gpus)
+        oracle = iteration_times(OracleKVStore(**options), model, gpus)
         assert pooled == oracle
 
     def test_exact_partition_leaves_no_remainder(self):

@@ -82,37 +82,24 @@ def test_one_step_solver_work(config, reallocations, visits, spawned,
         (reallocations, visits, spawned, scheduled)
 
 
-@pytest.mark.parametrize("backend, scheduled", (
-    (BytePSBackend(), 1251), (BytePSBackend(num_connections=1), 902),
-    (MXNetKVStoreBackend(), 1098), (MXNetKVStoreBackend(num_connections=1),
-                                    827)),
-    ids=("byteps-4", "byteps-1", "kvstore-2", "kvstore-1"))
-def test_ps_step_spawns_one_process(backend, scheduled):
+@pytest.mark.parametrize("backend, ranks, scheduled", (
+    (BytePSBackend(), 16, 1251), (BytePSBackend(num_connections=1), 16, 902),
+    (MXNetKVStoreBackend(), 16, 1098),
+    (MXNetKVStoreBackend(num_connections=1), 16, 827),
+    # A zero overhead is no step of the push/pull chain, so it schedules
+    # no timeout: 1251, 1118 and 590 events with a zero-length one.  On
+    # one node the KVStore chain is then a single NVLink flow.
+    (BytePSBackend(server_overhead_s=0), 16, 1075),
+    (MXNetKVStoreBackend(per_key_overhead_s=0), 16, 957),
+    (MXNetKVStoreBackend(per_key_overhead_s=0), 8, 429)),
+    ids=("byteps-4", "byteps-1", "kvstore-2", "kvstore-1",
+         "byteps-no-server-overhead", "kvstore-no-key-overhead",
+         "kvstore-no-key-overhead-8r"))
+def test_ps_step_spawns_one_process(backend, ranks, scheduled):
     # The step itself, which also walks the backward schedule.  The
     # connections are a free count and a queue, and each push/pull is a
     # callback chain, so no process is spawned per connection, per
     # partition or per key.
-    model = get_model("resnet50")
-    ctx = build_train_context(model, backend, 16, model.default_batch_size)
-    simulate_step(ctx, backend)  # warm-up
-    before = _kernel_work(ctx.sim)
-    simulate_step(ctx, backend)
-    after = _kernel_work(ctx.sim)
-    assert tuple(b - a for a, b in zip(before, after)) == (1, scheduled)
-    assert len(model.parameters()) > 100
-
-
-@pytest.mark.parametrize("backend, ranks, scheduled", (
-    (BytePSBackend(server_overhead_s=0), 16, 1075),
-    (MXNetKVStoreBackend(per_key_overhead_s=0), 16, 957),
-    (MXNetKVStoreBackend(per_key_overhead_s=0), 8, 429)),
-    ids=("byteps-16r", "kvstore-16r", "kvstore-8r"))
-def test_ps_zero_overhead_schedules_no_timeout(backend, ranks, scheduled):
-    # A zero overhead is no step of the push/pull chain, so each
-    # transfer schedules one timeout fewer than a zero-length one did
-    # (1251, 1118 and 590 events).  On one node the KVStore chain is
-    # then a single NVLink flow.  The iteration times are unchanged:
-    # ``test_ps_pools`` checks them against the per-transfer oracles.
     model = get_model("resnet50")
     ctx = build_train_context(model, backend, ranks,
                               model.default_batch_size)
@@ -121,6 +108,7 @@ def test_ps_zero_overhead_schedules_no_timeout(backend, ranks, scheduled):
     simulate_step(ctx, backend)
     after = _kernel_work(ctx.sim)
     assert tuple(b - a for a, b in zip(before, after)) == (1, scheduled)
+    assert len(model.parameters()) > 100
 
 
 #: A detection-armed config: every sync round and every unit runs under
