@@ -296,8 +296,9 @@ class MXNetKVStoreBackend(ParameterServerBackend):
 
     def __init__(self, per_key_overhead_s: float = 100e-6,
                  num_connections: int = 2) -> None:
-        #: KVStore overlaps the push of one key with the pull of another,
-        #: but far less aggressively than BytePS's partitioned pipeline.
+        # Two connections: KVStore overlaps the push of one key with the
+        # pull of another, but far less aggressively than BytePS's
+        # partitioned pipeline.
         super().__init__(num_connections,
                          per_key_overhead_s=per_key_overhead_s)
 
