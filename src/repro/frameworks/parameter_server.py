@@ -193,6 +193,25 @@ class ParameterServerBackend(DDLBackend):
         last = len(steps)
         nic_bytes: dict[float, float] = {}
 
+        def advance(done: Event, nbytes: float, index: int,
+                    event: Event) -> None:
+            # The step before ``index`` is done: start step ``index``.
+            # The last step relays its outcome to ``done``.  The state
+            # rides in partials, not in a closure per transfer, so a
+            # finished chain is freed without the cycle collector.
+            if not event._ok:
+                relay(done, event)
+                return
+            step = steps[index]
+            if step is _FLOW:
+                event = network.start_flow(path, nbytes, rate_cap_bps=cap)
+            else:
+                event = sim.timeout(step)
+            index += 1
+            event.add_callback(
+                functools.partial(advance, done, nbytes, index)
+                if index < last else functools.partial(relay, done))
+
         def push_pull(size: float) -> Event:
             nbytes = nic_bytes.get(size)
             if nbytes is None:
@@ -200,30 +219,12 @@ class ParameterServerBackend(DDLBackend):
                     self.nic_bytes_per_gradient(ctx, size),
                     self.server_nic_bytes_per_gradient(ctx, size))
             done = sim.event(name=name)
-            index = 1
-
-            def advance(event: Event) -> None:
-                # Start the next step once the previous one is done; the
-                # last one relays its outcome to ``done``.
-                nonlocal index
-                if not event._ok:
-                    relay(done, event)
-                    return
-                step = steps[index]
-                index += 1
-                if step is _FLOW:
-                    event = network.start_flow(path, nbytes, rate_cap_bps=cap)
-                else:
-                    event = sim.timeout(step)
-                event.add_callback(advance if index < last
-                                   else functools.partial(relay, done))
-
             step = steps[0]
             if step is _FLOW:
-                network.start_flow(path, nbytes, rate_cap_bps=cap) \
-                    .add_callback(advance)
+                event = network.start_flow(path, nbytes, rate_cap_bps=cap)
             else:
-                sim.timeout(step).add_callback(advance)
+                event = sim.timeout(step)
+            event.add_callback(functools.partial(advance, done, nbytes, 1))
             return done
 
         return push_pull
