@@ -118,10 +118,10 @@ def test_ps_step_spawns_one_process(backend, ranks, scheduled):
     (MXNetKVStoreBackend(), 8)),
     ids=("byteps", "kvstore", "kvstore-8r"))
 def test_ps_transfers_leave_no_cyclic_garbage(backend, ranks):
-    # A finished push/pull chain is freed by reference counting.  A
-    # closure per transfer that refers to itself left about 7 objects
-    # per transfer to the cycle collector, whose extra collections cost
-    # a few percent of a figures sweep.
+    # A finished push/pull chain must be freed by reference counting.
+    # Cyclic garbage per transfer, such as a closure that registers
+    # itself as the next step's callback, makes the cycle collector run
+    # often enough to cost a few percent of a figures sweep.
     model = get_model("resnet50")
     ctx = build_train_context(model, backend, ranks,
                               model.default_batch_size)
