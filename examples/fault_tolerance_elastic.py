@@ -3,9 +3,9 @@
 A production scenario on the numeric engine:
 
 1. four workers train with periodic checkpoints;
-2. one worker's node fails mid-run — the coordinator shrinks the group
-   and restores everyone from the last checkpoint;
-3. later two fresh workers join — the coordinator broadcasts the *live*
+2. one worker's node fails mid-run — the elastic runtime shrinks the
+   group and restores everyone from the last checkpoint;
+3. later two fresh workers join — the runtime broadcasts the *live*
    parameters to them (no checkpoint round-trip) and training continues
    at the larger scale;
 4. a NaN is injected to show the gradient debugger attributing it to the
@@ -18,7 +18,8 @@ import tempfile
 
 import numpy as np
 
-from repro.core.fault_tolerance import CheckpointManager, ElasticCoordinator
+from repro.core.elastic import ElasticRuntime
+from repro.core.fault_tolerance import CheckpointManager
 from repro.core.perseus import PerseusSession
 from repro.core.runtime import AIACCConfig
 from repro.errors import NaNGradientError
@@ -49,7 +50,9 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as ckpt_dir:
         checkpoints = CheckpointManager(ckpt_dir, keep_last=2)
-        coordinator = ElasticCoordinator(checkpoints, initial_workers=4)
+        # One GPU per node: each worker is its own node identity.
+        runtime = ElasticRuntime(checkpoints, members=range(4),
+                                 gpus_per_node=1)
 
         session = PerseusSession(4)
         optimizer = DistributedOptimizer(SGD(lr=0.1, momentum=0.9), session)
@@ -63,25 +66,26 @@ def main() -> None:
         print(f"  reached step {step}; last checkpoint at step 10")
 
         print("\nPhase 2: node failure! restoring from checkpoint ...")
-        restored_step, params = coordinator.on_failure(failed_workers=1)
-        print(f"  resumed at step {restored_step} with "
-              f"{coordinator.live_workers} workers "
+        restored_step, params, _ = runtime.failure(
+            [3], at_s=0.0, reconfigure_time_s=0.0)
+        world = runtime.view.world_size
+        print(f"  resumed at step {restored_step} with {world} workers "
               f"(steps 11-15 are recomputed)")
-        session = PerseusSession(coordinator.live_workers)
+        session = PerseusSession(world)
         optimizer = DistributedOptimizer(SGD(lr=0.1, momentum=0.9), session)
         worker_params = [
-            {k: v.copy() for k, v in params.items()}
-            for _ in range(coordinator.live_workers)
+            {k: v.copy() for k, v in params.items()} for _ in range(world)
         ]
         step = train_steps(session, optimizer, worker_params, task,
                            restored_step, 5, 8)
 
         print("\nPhase 3: two new nodes join; broadcasting parameters ...")
-        worker_params = coordinator.on_join(worker_params, new_workers=2)
-        print(f"  now {coordinator.live_workers} workers; joiners received "
-              f"identical parameters: "
-              f"{all(np.array_equal(worker_params[0]['fc1.weight'], p['fc1.weight']) for p in worker_params)}")
-        session = PerseusSession(coordinator.live_workers)
+        worker_params, joined = runtime.scale_up(
+            [4, 5], at_s=0.0, live_parameters=worker_params,
+            resumed_iteration=step, reconfigure_time_s=0.0)
+        print(f"  now {runtime.view.world_size} workers; joiners received "
+              f"identical parameters: {joined.broadcast_identical}")
+        session = PerseusSession(runtime.view.world_size)
         optimizer = DistributedOptimizer(SGD(lr=0.1, momentum=0.9), session)
         step = train_steps(session, optimizer, worker_params, task,
                            step, 5, 8)

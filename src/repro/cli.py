@@ -438,38 +438,23 @@ def cmd_translate(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.runtime import AIACCConfig
     from repro.errors import TrainingError
-    from repro.harness import measure
-    from repro.obs import Observability, chrome_trace_events
+    from repro.harness.experiments import crash_recovery, recovery_cell
+    from repro.obs import chrome_trace_events
     from repro.sim.faults import FaultPlan, NodeCrash
-    from repro.training.resilience import (
-        run_fault_injected_training,
-        simulate_resilient_training,
-    )
 
     num_nodes = args.gpus // 8
     if args.gpus % 8 != 0 or num_nodes < 2:
         raise TrainingError("--gpus must be a multiple of 8 and >= 16")
 
-    # A quick healthy measurement of the run's own engine settings fixes
-    # the iteration time, which anchors both the default crash schedule
-    # and the analytical comparison.
-    cell = {"model": args.model, "backend": "aiacc", "gpus": args.gpus,
-            "streams": AIACCConfig.num_streams,
-            "granularity_mb": AIACCConfig.granularity_bytes / 1e6,
-            "iterations": 2}
-    _print_spec(cell)
-    iter_s = measure(**cell).mean_iteration_s
-    horizon = args.iterations * iter_s
-
-    if args.mtbf is not None:
-        drawn = FaultPlan.poisson(args.mtbf, horizon, num_nodes,
-                                  seed=args.seed)
-        crashes = [f for f in drawn
-                   if isinstance(f, NodeCrash)][:num_nodes - 1]
-        plan = FaultPlan(crashes)
-    else:
+    def schedule(iter_s: float) -> FaultPlan:
+        """The crash schedule, anchored on the healthy iteration time."""
+        horizon = args.iterations * iter_s
+        if args.mtbf is not None:
+            drawn = FaultPlan.poisson(args.mtbf, horizon, num_nodes,
+                                      seed=args.seed)
+            return FaultPlan([f for f in drawn
+                              if isinstance(f, NodeCrash)][:num_nodes - 1])
         nodes = args.crash_node if args.crash_node is not None else [1]
         if args.crash_at is not None:
             if len(args.crash_at) != len(nodes):
@@ -480,21 +465,19 @@ def cmd_faults(args: argparse.Namespace) -> int:
             # Spread defaults over the run, starting a quarter in.
             times = [horizon * (0.25 + 0.5 * i / max(1, len(nodes)))
                      for i in range(len(nodes))]
-        plan = FaultPlan([NodeCrash(at_s=when, node=node)
+        return FaultPlan([NodeCrash(at_s=when, node=node)
                           for node, when in zip(nodes, times)])
 
-    result = run_fault_injected_training(
-        args.model, plan, num_gpus=args.gpus,
-        total_iterations=args.iterations,
-        checkpoint_interval=args.checkpoint_interval,
+    cell = recovery_cell(args.model, args.gpus)
+    _print_spec(cell)
+    plan, result, analytical = crash_recovery(
+        cell, schedule, args.iterations, args.checkpoint_interval,
         sync_timeout_s=args.sync_timeout,
         unit_timeout_s=args.unit_timeout,
         comm_retries=args.retries,
         # Without the flag the environment decides, as for every other
         # simulator.
-        check_invariants=args.check_invariants or None,
-        obs=Observability(),
-    )
+        check_invariants=args.check_invariants or None)
 
     print(f"model:               {result.model}")
     print(f"workers:             {result.initial_num_gpus} -> "
@@ -511,13 +494,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
               f"{rec.rebuild_time_s:.1f}s; lost {rec.lost_iterations} "
               f"iteration(s)")
 
-    failure_at = sorted({min(int(rec.injected_at_s // iter_s),
-                             args.iterations - 1)
-                         for rec in result.recoveries})
-    if failure_at:
-        analytical = simulate_resilient_training(
-            args.model, iter_s, args.iterations, args.checkpoint_interval,
-            failure_at=failure_at)
+    if analytical is not None:
         print(f"analytical goodput:  {analytical.goodput:.3f} "
               f"(simulate_resilient_training)")
 

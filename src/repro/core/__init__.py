@@ -14,9 +14,10 @@ Components (paper section in parentheses):
   above (Fig. 6);
 - :mod:`repro.core.perseus` — the Horovod-compatible numeric API (§IV);
 - :mod:`repro.core.compression` — fp16 wire compression (§X);
-- :mod:`repro.core.fault_tolerance` — checkpoints and elasticity (§IV);
-- :mod:`repro.core.elastic` — epoch-based elastic membership:
-  scale-up/down at iteration boundaries (§IV);
+- :mod:`repro.core.fault_tolerance` — atomic checkpoints (§IV);
+- :mod:`repro.core.elastic` — the worker group: epoch-based elastic
+  membership, checkpoint restore on failure and the live-parameter
+  broadcast to joiners (§IV);
 - :mod:`repro.core.debugging` — NaN attribution (§IV);
 - :mod:`repro.core.translator` — source-to-source porting tool (§IV).
 """
@@ -29,7 +30,7 @@ from repro.core.elastic import (
     MembershipView,
 )
 from repro.core.engine import AIACCBackend
-from repro.core.fault_tolerance import CheckpointManager, ElasticCoordinator
+from repro.core.fault_tolerance import CheckpointManager
 from repro.core.message_engine import (
     MessageLevelResult,
     run_message_level_iteration,
@@ -60,7 +61,6 @@ __all__ = [
     "CheckpointManager",
     "CommStreamPool",
     "DecentralizedSynchronizer",
-    "ElasticCoordinator",
     "ElasticRuntime",
     "EpochTransition",
     "MembershipView",

@@ -15,21 +15,22 @@ quiescent; each advance is one of three transitions:
 
 ``scale-up``
     New node identities are admitted.  The joiners receive rank 0's live
-    parameters through the pipelined broadcast of
-    :meth:`~repro.core.fault_tolerance.ElasticCoordinator.on_join`; the
-    runtime verifies all ranks came out bit-identical, rescales the
-    learning rate for the larger global batch (linear scaling rule) and
-    re-keys the auto-tuner's best-setting cache for the new topology.
+    parameters through a pipelined numeric broadcast; the runtime
+    verifies all ranks came out bit-identical, rescales the learning
+    rate for the larger global batch (linear scaling rule) and re-keys
+    the auto-tuner's best-setting cache for the new topology.
 
 ``failure``
     A crash detected by the engine's failure detector.  The group
-    shrinks and restores from the last checkpoint — the pre-existing
-    recovery path, now also stamped with an epoch advance.
+    shrinks and restores from the last checkpoint (or cold-starts from
+    iteration 0 when none was written yet), stamped with an epoch
+    advance.
 
-:class:`ElasticRuntime` owns the current :class:`MembershipView` and the
-append-only log of :class:`EpochTransition` records; the recovery driver
-(:func:`repro.training.resilience.run_fault_injected_training`) calls
-into it at every boundary.
+:class:`ElasticRuntime` is the one record of the worker group: it owns
+the current :class:`MembershipView`, the append-only log of
+:class:`EpochTransition` records and the checkpoint restore; the recovery
+driver (:func:`repro.training.resilience.run_fault_injected_training`)
+calls into it at every boundary.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ import typing as t
 
 import numpy as np
 
+from repro.collectives.broadcast import broadcast as numeric_broadcast
 from repro.errors import TrainingError
-from repro.core.fault_tolerance import ElasticCoordinator, State
+from repro.core.fault_tolerance import CheckpointManager, State
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.autotune.cache import SettingsCache
@@ -135,31 +137,33 @@ class EpochTransition:
 
 
 class ElasticRuntime:
-    """Epoch bookkeeping + coordinator calls for the recovery driver.
+    """The one record of a worker group: membership, restore and join.
 
     Owns the current :class:`MembershipView`, the transition log, the
-    linear-scaling learning-rate rule and the tuner re-key on topology
-    change.  The driver remains responsible for the simulated-time costs
-    (reconfigure pauses) and for rebuilding the train context; this
-    class guarantees the *bookkeeping* is consistent: members stay
-    unique, epochs only move forward, the coordinator's live-worker
-    count tracks the view's world size.
+    checkpoint restore of a crash recovery, the live-parameter broadcast
+    to joiners, the linear-scaling learning-rate rule and the tuner
+    re-key on topology change.  The driver remains responsible for the
+    simulated-time costs (reconfigure pauses) and for rebuilding the
+    train context; this class keeps the group consistent: members stay
+    unique, epochs only move forward, and the view's world size is the
+    group's only size.
     """
 
-    def __init__(self, coordinator: ElasticCoordinator,
+    def __init__(self, checkpoints: CheckpointManager,
                  members: t.Sequence[int], gpus_per_node: int,
-                 settings_cache: "SettingsCache | None" = None) -> None:
-        self.coordinator = coordinator
+                 settings_cache: "SettingsCache | None" = None,
+                 init_parameters: t.Callable[[], State] | None = None
+                 ) -> None:
+        self.checkpoints = checkpoints
         self.view = MembershipView(0, tuple(members), gpus_per_node)
         self.settings_cache = settings_cache
+        #: Factory for fresh parameters, used when a failure arrives
+        #: before the first checkpoint was ever written (cold start).
+        self.init_parameters = init_parameters
         #: World size of the initial deployment — the linear-scaling
         #: rule's reference point.
         self.initial_world_size = self.view.world_size
         self.transitions: list[EpochTransition] = []
-        if coordinator.live_workers != self.view.world_size:
-            raise TrainingError(
-                f"coordinator tracks {coordinator.live_workers} workers "
-                f"but the membership view holds {self.view.world_size}")
 
     # -- queries -------------------------------------------------------------
 
@@ -194,20 +198,7 @@ class ElasticRuntime:
         training state, so ``resumed_iteration`` is whatever iteration
         the group had completed — nothing is lost.
         """
-        gone = tuple(dict.fromkeys(departed))
-        if not gone:
-            raise TrainingError("scale_down needs at least one departure")
-        missing = [n for n in gone if n not in self.view.members]
-        if missing:
-            raise TrainingError(
-                f"cannot excise non-members {missing} at epoch "
-                f"{self.view.epoch}")
-        survivors = tuple(n for n in self.view.members if n not in gone)
-        if not survivors:
-            raise TrainingError(
-                "scale-down would leave an empty worker group")
-        self.coordinator.on_leave(
-            departing_workers=len(gone) * self.view.gpus_per_node)
+        gone, survivors = self._excise("scale-down", departed)
         return self._advance(
             kind="scale-down", at_s=at_s, members=survivors,
             departed=gone, joined=(), live_continuation=True,
@@ -221,11 +212,13 @@ class ElasticRuntime:
                  ) -> tuple[list[State], EpochTransition]:
         """Admit joiners via pipelined live-parameter broadcast.
 
-        ``live_parameters`` is each current worker's parameter dict (the
-        coordinator validates the count).  Returns the new total worker
-        set's states plus the transition record; the record's
-        ``broadcast_identical`` asserts every rank came out bit-identical
-        to rank 0 — the correctness contract of the broadcast path.
+        ``live_parameters`` holds each current worker's parameter dict,
+        one per rank of the current view.  The joiners receive rank 0's
+        state through the numeric broadcast (no checkpoint involved).
+        Returns the new total worker set's states plus the transition
+        record; the record's ``broadcast_identical`` asserts every rank
+        came out bit-identical to rank 0 — the correctness contract of
+        the broadcast path.
         """
         fresh = tuple(dict.fromkeys(joined))
         if not fresh:
@@ -235,44 +228,57 @@ class ElasticRuntime:
             raise TrainingError(
                 f"cannot admit existing members {clashes} at epoch "
                 f"{self.view.epoch}")
-        states = self.coordinator.on_join(
-            live_parameters,
-            new_workers=len(fresh) * self.view.gpus_per_node)
-        identical = _states_identical(states)
+        world = self.view.world_size
+        if len(live_parameters) != world:
+            raise TrainingError(
+                f"expected state for {world} live workers, got "
+                f"{len(live_parameters)}")
+        new_world = world + len(fresh) * self.view.gpus_per_node
+        root = live_parameters[0]
+        states: list[State] = [dict(p) for p in live_parameters] + \
+            [dict() for _ in range(new_world - world)]
+        for name in sorted(root):
+            slots: list[np.ndarray | None] = [None] * new_world
+            slots[0] = root[name].ravel()
+            received = numeric_broadcast(slots, root=0)
+            for rank in range(world, new_world):
+                states[rank][name] = received[rank].reshape(root[name].shape)
         transition = self._advance(
             kind="scale-up", at_s=at_s,
             members=self.view.members + fresh,
             departed=(), joined=fresh, live_continuation=True,
-            broadcast_identical=identical,
+            broadcast_identical=_states_identical(states),
             resumed_iteration=resumed_iteration,
             reconfigure_time_s=reconfigure_time_s, retuned=retuned)
         return states, transition
 
     def failure(self, dead: t.Sequence[int], at_s: float,
-                resumed_iteration: int,
-                reconfigure_time_s: float) -> EpochTransition:
-        """Record the epoch advance of a crash recovery.
+                reconfigure_time_s: float
+                ) -> tuple[int, State, EpochTransition]:
+        """Shrink the group and restore state from the last checkpoint.
 
-        The driver has already routed the state through
-        :meth:`ElasticCoordinator.on_failure` (checkpoint restore) —
-        this only advances the membership bookkeeping.
+        Returns ``(iteration, parameters, transition)`` to resume from.
+        The dead nodes' in-flight iteration is lost — exactly the
+        paper's "restart the training process from the last checkpoint".
+
+        Cold start: a failure that lands before the first checkpoint was
+        written restarts from iteration 0 with freshly initialized
+        parameters (via ``init_parameters``, or empty state) instead of
+        raising mid-recovery.
         """
-        gone = tuple(dict.fromkeys(dead))
-        if not gone:
-            raise TrainingError("failure transition needs dead nodes")
-        missing = [n for n in gone if n not in self.view.members]
-        if missing:
-            raise TrainingError(
-                f"crashed nodes {missing} are not members at epoch "
-                f"{self.view.epoch}")
-        survivors = tuple(n for n in self.view.members if n not in gone)
-        if not survivors:
-            raise TrainingError("failure would leave an empty worker group")
-        return self._advance(
+        gone, survivors = self._excise("failure", dead)
+        if self.checkpoints.latest() is None:
+            iteration = 0
+            parameters = self.init_parameters() \
+                if self.init_parameters else {}
+        else:
+            iteration, parameters, _, _ = self.checkpoints.load()
+        transition = self._advance(
             kind="failure", at_s=at_s, members=survivors,
             departed=gone, joined=(), live_continuation=False,
-            broadcast_identical=None, resumed_iteration=resumed_iteration,
+            broadcast_identical=None, resumed_iteration=iteration,
             reconfigure_time_s=reconfigure_time_s)
+        return iteration, parameters, transition
 
     # -- tuner re-key ---------------------------------------------------------
 
@@ -304,6 +310,23 @@ class ElasticRuntime:
 
     # -- internals -----------------------------------------------------------
 
+    def _excise(self, kind: str, nodes: t.Sequence[int]
+                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(gone, survivors)`` of removing member ``nodes``."""
+        gone = tuple(dict.fromkeys(nodes))
+        if not gone:
+            raise TrainingError(f"{kind} needs at least one node")
+        missing = [n for n in gone if n not in self.view.members]
+        if missing:
+            raise TrainingError(
+                f"cannot excise non-members {missing} at epoch "
+                f"{self.view.epoch}")
+        survivors = tuple(n for n in self.view.members if n not in gone)
+        if not survivors:
+            raise TrainingError(
+                f"{kind} would leave an empty worker group")
+        return gone, survivors
+
     def _advance(self, kind: str, at_s: float,
                  members: tuple[int, ...], departed: tuple[int, ...],
                  joined: tuple[int, ...], live_continuation: bool,
@@ -313,10 +336,6 @@ class ElasticRuntime:
         before = self.view
         after = MembershipView(before.epoch + 1, members,
                                before.gpus_per_node)
-        if self.coordinator.live_workers != after.world_size:
-            raise TrainingError(
-                f"coordinator/view divergence at epoch {after.epoch}: "
-                f"{self.coordinator.live_workers} != {after.world_size}")
         transition = EpochTransition(
             epoch=after.epoch, at_s=at_s, kind=kind,
             departed=departed, joined=joined,

@@ -6,10 +6,9 @@ and elastic deployment by propagating training parameters into newly
 added computing nodes."
 
 :class:`CheckpointManager` persists model/optimizer state atomically and
-restores the most recent valid checkpoint.  :class:`ElasticCoordinator`
-manages the worker set: on failure it shrinks the group and restores from
-checkpoint; on scale-up it broadcasts the live parameters to joiners (no
-checkpoint round-trip needed).
+restores the most recent valid checkpoint.  The worker group that
+restores from it on failure, and broadcasts live parameters to joiners
+on scale-up, is :class:`repro.core.elastic.ElasticRuntime`.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import CheckpointError
-from repro.collectives.broadcast import broadcast as numeric_broadcast
+from repro.errors import CheckpointError, require_count
 
 State = t.Dict[str, np.ndarray]
 
@@ -32,8 +30,7 @@ class CheckpointManager:
 
     def __init__(self, directory: str | pathlib.Path,
                  keep_last: int = 3) -> None:
-        if keep_last < 1:
-            raise CheckpointError("keep_last must be >= 1")
+        keep_last = require_count("keep_last", keep_last, 1, CheckpointError)
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep_last = keep_last
@@ -52,8 +49,7 @@ class CheckpointManager:
              optimizer_state: State | None = None,
              metadata: t.Mapping[str, object] | None = None) -> pathlib.Path:
         """Write checkpoint ``iteration`` atomically; prune old ones."""
-        if iteration < 0:
-            raise CheckpointError("iteration must be >= 0")
+        iteration = require_count("iteration", iteration, 0, CheckpointError)
         path = self.directory / f"ckpt-{iteration:010d}.npz"
         # The temp name must NOT match the ckpt-*.npz glob: a writer
         # crashing between the write and the rename would otherwise
@@ -138,93 +134,3 @@ class CheckpointManager:
         checkpoints = sorted(self.directory.glob("ckpt-*.npz"))
         for stale in checkpoints[:-self.keep_last]:
             stale.unlink()
-
-
-class ElasticCoordinator:
-    """Tracks the live worker set and handles joins/failures."""
-
-    def __init__(self, checkpoints: CheckpointManager,
-                 initial_workers: int,
-                 init_parameters: t.Callable[[], State] | None = None
-                 ) -> None:
-        if initial_workers < 1:
-            raise CheckpointError("need at least one worker")
-        self.checkpoints = checkpoints
-        self.live_workers = initial_workers
-        #: Factory for fresh parameters, used when a failure arrives
-        #: before the first checkpoint was ever written (cold start).
-        self.init_parameters = init_parameters
-        self.restarts = 0
-        self.joins = 0
-        #: Workers that left *cleanly* (scale-down at an epoch boundary,
-        #: no checkpoint restore) — distinct from :attr:`restarts`.
-        self.departures = 0
-
-    def on_failure(self, failed_workers: int = 1) -> tuple[int, State]:
-        """Shrink the group and restore state from the last checkpoint.
-
-        Returns ``(iteration, parameters)`` to resume from.  The failed
-        workers' in-flight iteration is lost — exactly the paper's
-        "restart the training process from the last checkpoint".
-
-        Cold start: a failure that lands before the first checkpoint was
-        written restarts from iteration 0 with freshly initialized
-        parameters (via ``init_parameters``, or empty state) instead of
-        raising mid-recovery.
-        """
-        if not 0 < failed_workers < self.live_workers:
-            raise CheckpointError(
-                f"cannot lose {failed_workers} of {self.live_workers} workers"
-            )
-        self.live_workers -= failed_workers
-        self.restarts += 1
-        if self.checkpoints.latest() is None:
-            fresh = self.init_parameters() if self.init_parameters else {}
-            return 0, fresh
-        iteration, parameters, _, _ = self.checkpoints.load()
-        return iteration, parameters
-
-    def on_leave(self, departing_workers: int = 1) -> int:
-        """Shrink the group after a *clean* departure (scale-down).
-
-        Unlike :meth:`on_failure`, nothing is lost and nothing is
-        restored: the survivors already hold the live parameters, so
-        training continues from them — no checkpoint round-trip.
-        Returns the new live worker count.
-        """
-        if not 0 < departing_workers < self.live_workers:
-            raise CheckpointError(
-                f"cannot release {departing_workers} of "
-                f"{self.live_workers} workers"
-            )
-        self.live_workers -= departing_workers
-        self.departures += departing_workers
-        return self.live_workers
-
-    def on_join(self, live_parameters: t.Sequence[State],
-                new_workers: int = 1) -> list[State]:
-        """Grow the group; broadcast live parameters to the joiners.
-
-        ``live_parameters`` holds each existing worker's parameter dict;
-        returns the parameter dicts of the *new total* worker set (the
-        joiners receive rank-0's state via a pipelined broadcast, no
-        checkpoint involved).
-        """
-        if new_workers < 1:
-            raise CheckpointError("new_workers must be >= 1")
-        if len(live_parameters) != self.live_workers:
-            raise CheckpointError(
-                f"expected state for {self.live_workers} live workers"
-            )
-        self.live_workers += new_workers
-        self.joins += new_workers
-        root = live_parameters[0]
-        result: list[State] = [dict(p) for p in live_parameters] + \
-            [dict() for _ in range(new_workers)]
-        for name in sorted(root):
-            slots: list[np.ndarray | None] = [None] * self.live_workers
-            slots[0] = root[name].ravel()
-            received = numeric_broadcast(slots, root=0)
-            for rank in range(len(live_parameters), self.live_workers):
-                result[rank][name] = received[rank].reshape(root[name].shape)
-        return result

@@ -3,9 +3,15 @@
 Every error raised by this library derives from :class:`ReproError` so that
 callers can catch library failures with a single ``except`` clause while
 still letting programming errors (``TypeError`` etc.) propagate.
+:func:`require_count` and :func:`require_duration` check a count or a
+duration at an entry point and raise the caller's error type.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+import typing as t
 
 
 class ReproError(Exception):
@@ -205,3 +211,35 @@ class NaNGradientError(TrainingError):
         )
         self.parameter_name = parameter_name
         self.worker_rank = worker_rank
+
+
+def require_count(name: str, value: t.Any, minimum: int,
+                  error: type[ReproError]) -> int:
+    """``value`` as an int ``>= minimum``, else ``error``.
+
+    Counts go through :func:`operator.index`, so ``2.5``, ``16.0`` and
+    ``nan`` are refused instead of being truncated or compared.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise error(
+            f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return count
+
+
+def require_duration(name: str, value: t.Any, error: type[ReproError],
+                     positive: bool = False) -> float:
+    """``value`` if it is finite and ``>= 0`` (``> 0`` when
+    ``positive``), else ``error``."""
+    try:
+        valid = (0 < value if positive else 0 <= value) and value < math.inf
+    except TypeError:
+        valid = False
+    if not valid:
+        raise error(f"{name} must be finite and "
+                    f"{'positive' if positive else 'non-negative'}, "
+                    f"got {value!r}")
+    return value

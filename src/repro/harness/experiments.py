@@ -39,6 +39,7 @@ from repro.training.trainer import ThroughputResult, run_training
 
 if t.TYPE_CHECKING:
     from repro.campaign.grid import RunSpec
+    from repro.sim.faults import FaultPlan
     from repro.training.resilience import (
         FaultInjectionResult,
         ResilienceResult,
@@ -594,32 +595,66 @@ def ablation_byteps_servers() -> list[dict]:
 # Fault tolerance (§IV)
 # --------------------------------------------------------------------------
 
-def crash_recovery_run() -> tuple[FaultInjectionResult, ResilienceResult]:
-    """A node crash mid-allreduce in a 16-worker AIACC run (§IV).
+def recovery_cell(model: str, gpus: int) -> dict[str, t.Any]:
+    """The healthy ``measure`` cell that times a crash-recovery run:
+    AIACC on the default engine settings, two measured iterations."""
+    return {"model": model, "backend": "aiacc", "gpus": gpus,
+            "streams": AIACCConfig.num_streams,
+            "granularity_mb": AIACCConfig.granularity_bytes / 1e6,
+            "iterations": 2}
 
-    Node 1 dies 40% into iteration 9: mid-allreduce, past the checkpoint
-    written after iteration 5, in a 20-iteration run.  Returns the
-    event-driven run and the closed-form
-    :func:`~repro.training.resilience.simulate_resilient_training` walk
-    of the same failure iterations.
+
+def crash_recovery(cell: dict[str, t.Any],
+                   plan: t.Callable[[float], FaultPlan],
+                   iterations: int, checkpoint_interval: int,
+                   **options: t.Any
+                   ) -> tuple[FaultPlan, FaultInjectionResult,
+                              ResilienceResult | None]:
+    """A fault-injected run beside the closed-form walk of its failures.
+
+    :func:`measure` of the healthy ``cell`` (see :func:`recovery_cell`)
+    fixes the iteration time; ``plan`` turns it into the fault schedule.
+    The event-driven run takes ``options`` as further keywords of
+    :func:`~repro.training.resilience.run_fault_injected_training`.  Each
+    recovery's injection time, in iterations, is a failure index of the
+    :func:`~repro.training.resilience.simulate_resilient_training` walk.
+    Returns the plan, the run and the walk (``None`` when nothing was
+    recovered).
     """
-    from repro.sim.faults import FaultPlan, NodeCrash
     from repro.training.resilience import (
         run_fault_injected_training,
         simulate_resilient_training,
     )
 
-    model, iterations, interval = "resnet50", 20, 5
-    iter_s = run_training(model, "aiacc", 16, measure_iterations=2,
-                          warmup_iterations=1).mean_iteration_s
+    iter_s = measure(**cell).mean_iteration_s
+    faults = plan(iter_s)
     result = run_fault_injected_training(
-        model, FaultPlan([NodeCrash(at_s=8.4 * iter_s, node=1)]),
-        num_gpus=16, total_iterations=iterations,
-        checkpoint_interval=interval, obs=Observability())
+        cell["model"], faults, num_gpus=cell["gpus"],
+        total_iterations=iterations,
+        checkpoint_interval=checkpoint_interval, obs=Observability(),
+        **options)
     failure_at = sorted({min(int(rec.injected_at_s // iter_s),
                              iterations - 1) for rec in result.recoveries})
     analytical = simulate_resilient_training(
-        model, iter_s, iterations, interval, failure_at=failure_at)
+        cell["model"], iter_s, iterations, checkpoint_interval,
+        failure_at=failure_at) if failure_at else None
+    return faults, result, analytical
+
+
+def crash_recovery_run() -> tuple[FaultInjectionResult,
+                                  ResilienceResult | None]:
+    """A node crash mid-allreduce in a 16-worker AIACC run (§IV).
+
+    Node 1 dies 40% into iteration 9: mid-allreduce, past the checkpoint
+    written after iteration 5, in a 20-iteration run.  Returns the
+    event-driven run and the closed-form walk of :func:`crash_recovery`.
+    """
+    from repro.sim.faults import FaultPlan, NodeCrash
+
+    _, result, analytical = crash_recovery(
+        recovery_cell("resnet50", 16),
+        lambda iter_s: FaultPlan([NodeCrash(at_s=8.4 * iter_s, node=1)]),
+        iterations=20, checkpoint_interval=5)
     return result, analytical
 
 

@@ -8,9 +8,9 @@ than as closed-form time corrections:
 
 :class:`NodeCrash`
     A node dies at a simulated instant.  Its NIC and NVLink capacities
-    collapse (in-flight flows stall), the cluster marks it failed (new
-    collectives never complete), and any registered victim processes
-    receive :class:`~repro.errors.ProcessInterrupt`.
+    collapse (in-flight flows stall) and the cluster marks it failed (new
+    collectives never complete); training learns of it only through the
+    engine's failure detector.
 :class:`LinkFlap`
     A node's NIC goes down for a bounded window, then recovers.
 :class:`BandwidthDegradation`
@@ -44,9 +44,9 @@ A :class:`FaultPlan` is an immutable, time-sorted schedule of faults;
 a :class:`FaultInjector` arms the plan against a live simulator/cluster/
 network triple and survives communicator rebuilds via :meth:`retarget`.
 
-Faults are *delivered through the event queue* (`Simulator.interrupt`),
-so injection is deterministic and ordered with all other simulation
-activity.
+Faults are *delivered through the event queue* (one timeout per
+fault), so injection is deterministic and ordered with all other
+simulation activity.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ import numbers
 import random
 import typing as t
 
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, require_count, \
+    require_duration
 from repro.obs import Observability
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork, Link
-from repro.sim.process import Process
 from repro.sim.topology import Cluster
 
 #: Capacity a dead node's links are squashed to.  The fluid network
@@ -72,9 +72,7 @@ DEAD_LINK_BPS = 1e-3
 
 
 def _require_duration(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise FaultInjectionError(
-            f"{name} must be finite and positive, got {value}")
+    require_duration(name, value, FaultInjectionError, positive=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,6 +260,15 @@ def _draw_window(kind: t.Any, rng: random.Random, at_s: float, node: int,
     return fault
 
 
+def _require_kinds(kinds: t.Sequence[type]) -> tuple[type, ...]:
+    """A generator's fault kinds as a tuple; an empty one has nothing to
+    draw from."""
+    kinds = tuple(kinds)
+    if not kinds:
+        raise FaultInjectionError("kinds must name at least one fault type")
+    return kinds
+
+
 class FaultPlan:
     """An immutable, time-ordered schedule of faults."""
 
@@ -372,8 +379,9 @@ class FaultPlan:
         """
         _require_duration("mtbf_s", mtbf_s)
         _require_duration("horizon_s", horizon_s)
-        if num_nodes < 1:
-            raise FaultInjectionError("num_nodes must be >= 1")
+        num_nodes = require_count("num_nodes", num_nodes, 1,
+                                  FaultInjectionError)
+        kinds = _require_kinds(kinds)
         rng = random.Random(seed)
         faults: list[Fault] = []
         crashed: set[int] = set()
@@ -412,20 +420,22 @@ class FaultPlan:
         the same node.  ``max_extra_nodes`` bounds brand-new identities
         beyond the initial cluster.
         """
-        if num_nodes < 1:
-            raise FaultInjectionError("num_nodes must be >= 1")
+        num_nodes = require_count("num_nodes", num_nodes, 1,
+                                  FaultInjectionError)
         _require_duration("horizon_s", horizon_s)
-        if not 1 <= min_nodes <= num_nodes:
+        min_nodes = require_count("min_nodes", min_nodes, 1,
+                                  FaultInjectionError)
+        if min_nodes > num_nodes:
             raise FaultInjectionError(
                 "min_nodes must be within [1, num_nodes]")
-        if max_extra_nodes < 0:
-            raise FaultInjectionError("max_extra_nodes must be >= 0")
-        kinds = tuple(kinds) if kinds is not None else (
+        max_extra_nodes = require_count("max_extra_nodes", max_extra_nodes,
+                                        0, FaultInjectionError)
+        kinds = _require_kinds(kinds if kinds is not None else (
             NodeCrash, LinkFlap, BandwidthDegradation, Straggler,
-            NodeLeave, NodeJoin)
-        rng = random.Random(seed)
+            NodeLeave, NodeJoin))
         mean = mtbf_s if mtbf_s is not None else horizon_s / 6.0
         _require_duration("mtbf_s", mean)
+        rng = random.Random(seed)
         members = set(range(num_nodes))
         gone: set[int] = set()  # crashed or departed, eligible to rejoin
         next_new = num_nodes
@@ -512,16 +522,10 @@ class FaultInjector:
         self.leave_times: dict[int, float] = {}
         #: Request time per joined original node (latest join wins).
         self.join_times: dict[int, float] = {}
-        #: Processes to interrupt per original node id on crash.
-        self._victims: dict[int, list[Process]] = {}
         #: Original capacities of links we have squashed, for restore.
         self._saved_caps: dict[Link, float] = {}
 
     # -- wiring ---------------------------------------------------------------
-
-    def register_victim(self, node: int, process: Process) -> None:
-        """Interrupt ``process`` (if interruptible) when ``node`` crashes."""
-        self._victims.setdefault(node, []).append(process)
 
     def arm(self, plan: FaultPlan) -> None:
         """Schedule every fault in ``plan`` for delivery."""
@@ -581,10 +585,10 @@ class FaultInjector:
         """Admit joining ``nodes`` (original ids) as new members.
 
         A previously crashed or departed identity may rejoin: its
-        crashed/departed marks are cleared (the cluster-side equivalent
-        is :meth:`repro.sim.topology.Cluster.uncrash`).  Joiners are
-        appended after the survivors, so existing members keep their
-        cluster indices.
+        crashed/departed marks are cleared, and the rebuild that follows
+        builds a fresh :class:`~repro.sim.topology.Cluster` with no
+        failed marks.  Joiners are appended after the survivors, so
+        existing members keep their cluster indices.
         """
         for node in nodes:
             if node in self._current:
@@ -697,12 +701,6 @@ class FaultInjector:
         self.cluster.fail_node(index)
         for link in self._node_links(index):
             self._squash(link, DEAD_LINK_BPS)
-        for victim in self._victims.get(fault.node, ()):
-            if victim.can_interrupt:
-                # Ensure the interrupt cannot hard-raise as an unwatched
-                # process crash out of sim.step().
-                victim.add_callback(lambda _ev: None)
-                victim.interrupt(fault)
         self.obs.fault_event("inject", self.sim.now, fault="node_crash",
                              node=fault.node)
 

@@ -134,22 +134,6 @@ class Cluster:
         self._check_node(node)
         self.failed_nodes.add(node)
 
-    def restore_node(self, node: int) -> None:
-        """Clear a node's crashed flag (it rejoined after elastic rebuild)."""
-        self._check_node(node)
-        self.failed_nodes.discard(node)
-
-    def uncrash(self, node: int) -> None:
-        """Rejoin bookkeeping: the node is healthy again.
-
-        Alias of :meth:`restore_node`, named for the elastic-membership
-        path: a rank that crashed, was excised at one epoch, and rejoins
-        at a later epoch re-enters through here — its links regain full
-        capacity (the fault injector restores them on admission) and
-        collectives stop treating it as dead.  Idempotent.
-        """
-        self.restore_node(node)
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise TopologyError(f"node {node} out of range")

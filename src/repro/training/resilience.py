@@ -11,6 +11,12 @@ It answers the operational question behind the feature: how often should
 a production job checkpoint, given its failure rate?
 (:func:`optimal_checkpoint_interval` implements Young's classic
 approximation for comparison.)
+
+:func:`run_fault_injected_training` is the event-driven counterpart and
+the one timed model of elasticity: it runs the engine under a
+:class:`~repro.sim.faults.FaultPlan`, recovers crashes from checkpoints
+and applies scheduled leaves and joins at iteration boundaries, all
+through one :class:`~repro.core.elastic.ElasticRuntime`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import FaultInjectionError, PeerDeadError, TrainingError
+from repro.errors import FaultInjectionError, PeerDeadError, TrainingError, \
+    require_count, require_duration
 from repro.core.elastic import EpochTransition
 from repro.core.runtime import AIACCConfig
 from repro.models.base import ModelSpec
@@ -93,12 +100,18 @@ def simulate_resilient_training(
         which a node fails; work since the last checkpoint is lost.
     """
     spec = get_model(model) if isinstance(model, str) else model
-    if iteration_time_s <= 0:
-        raise TrainingError("iteration_time_s must be positive")
-    if total_iterations < 1 or checkpoint_interval < 1:
-        raise TrainingError("iterations/interval must be >= 1")
-    failures = sorted(set(failure_at))
-    if failures and (failures[0] < 0 or failures[-1] >= total_iterations):
+    require_duration("iteration_time_s", iteration_time_s, TrainingError,
+                     positive=True)
+    total_iterations = require_count("total_iterations", total_iterations,
+                                     1, TrainingError)
+    checkpoint_interval = require_count(
+        "checkpoint_interval", checkpoint_interval, 1, TrainingError)
+    require_duration("restart_overhead_s", restart_overhead_s,
+                     TrainingError)
+    failures = sorted({require_count("failure index", index, 0,
+                                     TrainingError)
+                       for index in failure_at})
+    if failures and failures[-1] >= total_iterations:
         raise TrainingError("failure indices out of range")
 
     ckpt_time = checkpoint_write_time_s(spec)
@@ -146,80 +159,15 @@ def optimal_checkpoint_interval(iteration_time_s: float,
                                 model: str | ModelSpec) -> int:
     """Young's approximation: sqrt(2 x ckpt_cost x MTBF), in iterations."""
     spec = get_model(model) if isinstance(model, str) else model
-    if iteration_time_s <= 0 or mean_iterations_between_failures <= 0:
-        raise TrainingError("inputs must be positive")
+    require_duration("iteration_time_s", iteration_time_s, TrainingError,
+                     positive=True)
+    require_duration("mean_iterations_between_failures",
+                     mean_iterations_between_failures, TrainingError,
+                     positive=True)
     ckpt_cost = checkpoint_write_time_s(spec)
     mtbf_s = mean_iterations_between_failures * iteration_time_s
     interval_s = math.sqrt(2.0 * ckpt_cost * mtbf_s)
     return max(1, round(interval_s / iteration_time_s))
-
-
-@dataclasses.dataclass(frozen=True)
-class ElasticPhase:
-    """One segment of an elastically scaled training run."""
-
-    num_gpus: int
-    iterations: int
-    iteration_time_s: float
-    samples: float
-
-
-def simulate_elastic_scaling(
-    model: str | ModelSpec,
-    backend: str,
-    phases: t.Sequence[tuple[int, int]],
-    batch_per_gpu: int | None = None,
-) -> tuple[list[ElasticPhase], float]:
-    """Timed elastic deployment: resize the cluster between phases.
-
-    ``phases`` is ``[(num_gpus, iterations), ...]``; between consecutive
-    phases the coordinator pauses training, re-forms the communicators
-    and broadcasts the parameters to any joining workers (paper §IV:
-    "elastic deployment by propagating training parameters into newly
-    added computing nodes").
-
-    Returns the per-phase results and the total wall-clock seconds
-    including the resize pauses.
-    """
-    from repro.training.trainer import run_training
-
-    spec = get_model(model) if isinstance(model, str) else model
-    if not phases:
-        raise TrainingError("need at least one phase")
-    results: list[ElasticPhase] = []
-    total_time = 0.0
-    previous_gpus: int | None = None
-    # One measurement per distinct world size: an up-down-up schedule
-    # revisiting a size reuses its measured iteration time (the
-    # measurement is a deterministic function of (spec, backend,
-    # num_gpus, batch_per_gpu), all fixed across phases).
-    measured_cache: dict[int, t.Any] = {}
-    for num_gpus, iterations in phases:
-        if num_gpus < 1 or iterations < 1:
-            raise TrainingError("phases need positive GPUs/iterations")
-        measured = measured_cache.get(num_gpus)
-        if measured is None:
-            measured = run_training(spec, backend, num_gpus,
-                                    batch_per_gpu=batch_per_gpu,
-                                    measure_iterations=2,
-                                    warmup_iterations=1)
-            measured_cache[num_gpus] = measured
-        if previous_gpus is not None and num_gpus != previous_gpus:
-            # Resize pause: communicator rebuild + parameter broadcast
-            # to joiners (only needed when growing).
-            total_time += DEFAULT_RESTART_OVERHEAD_S / 3.0
-            if num_gpus > previous_gpus:
-                total_time += broadcast_time_s(spec)
-        phase_time = iterations * measured.mean_iteration_s
-        total_time += phase_time
-        results.append(ElasticPhase(
-            num_gpus=num_gpus,
-            iterations=iterations,
-            iteration_time_s=measured.mean_iteration_s,
-            samples=iterations * num_gpus * measured.batch_per_gpu,
-        ))
-        previous_gpus = num_gpus
-    return results, total_time
 
 
 @dataclasses.dataclass(frozen=True)
@@ -328,7 +276,7 @@ def run_fault_injected_training(
     detector suspects and then confirms the death
     (:class:`~repro.errors.PeerDeadError`), in-flight units are aborted,
     the ring is rebuilt over the survivors, state restores from the last
-    checkpoint via :class:`~repro.core.fault_tolerance.ElasticCoordinator`,
+    checkpoint via :meth:`~repro.core.elastic.ElasticRuntime.failure`,
     and training resumes — all on the simulated clock, so the recovery
     trajectory (detection latency, rebuild time, lost work) is measured,
     not assumed.
@@ -350,7 +298,7 @@ def run_fault_injected_training(
     the membership epoch (:class:`~repro.core.elastic.ElasticRuntime`):
     a clean leave excises the departed nodes and continues from the
     survivors' **live** parameters (no checkpoint restore); a join
-    admits the new identities via the coordinator's pipelined
+    admits the new identities via the runtime's pipelined
     live-parameter broadcast, verified bit-identical across ranks, and
     re-keys the auto-tuner's best-setting cache (pass
     ``settings_cache``) plus the linear-scaling LR multiplier for the
@@ -360,13 +308,21 @@ def run_fault_injected_training(
     from repro.autotune.graph_distance import ModelFingerprint
     from repro.core.elastic import ElasticRuntime
     from repro.core.engine import AIACCBackend
-    from repro.core.fault_tolerance import CheckpointManager, \
-        ElasticCoordinator
+    from repro.core.fault_tolerance import CheckpointManager
     from repro.training.trainer import build_train_context
 
     spec = get_model(model) if isinstance(model, str) else model
-    if total_iterations < 1 or checkpoint_interval < 1:
-        raise TrainingError("iterations/interval must be >= 1")
+    total_iterations = require_count("total_iterations", total_iterations,
+                                     1, TrainingError)
+    checkpoint_interval = require_count(
+        "checkpoint_interval", checkpoint_interval, 1, TrainingError)
+    num_gpus = require_count("num_gpus", num_gpus, 1, TrainingError)
+    gpus_per_node = require_count("gpus_per_node", gpus_per_node, 1,
+                                  TrainingError)
+    max_restarts = require_count("max_restarts", max_restarts, 0,
+                                 TrainingError)
+    require_duration("restart_overhead_s", restart_overhead_s,
+                     TrainingError)
     if num_gpus % gpus_per_node != 0 or num_gpus < 2 * gpus_per_node:
         raise TrainingError(
             "fault injection needs >= 2 whole nodes (num_gpus a multiple "
@@ -407,20 +363,17 @@ def run_fault_injected_training(
         checkpoint_dir = cleanup.name
     try:
         checkpoints = CheckpointManager(checkpoint_dir, keep_last=3)
-        elastic = ElasticCoordinator(
-            checkpoints, initial_workers=num_gpus,
-            init_parameters=lambda: _stub_state(0))
         runtime = ElasticRuntime(
-            elastic, members=range(num_nodes), gpus_per_node=gpus_per_node,
-            settings_cache=settings_cache)
+            checkpoints, members=range(num_nodes),
+            gpus_per_node=gpus_per_node, settings_cache=settings_cache,
+            init_parameters=lambda: _stub_state(0))
         # The tuner re-key's model side, fingerprinted once per run.
         cache_key = ModelFingerprint.of(spec) \
             if settings_cache is not None else spec
         ckpt_cost = checkpoint_write_time_s(spec)
         rebuild_cost = restart_overhead_s + broadcast_time_s(spec)
         #: Communicator re-formation pause at a clean epoch boundary —
-        #: no process respawn, so a third of the full restart overhead
-        #: (matching :func:`simulate_elastic_scaling`'s resize pause).
+        #: no process respawn, so a third of the full restart overhead.
         reconfigure_cost = restart_overhead_s / 3.0
 
         def _rebuild(world_size: int, label: str):
@@ -510,7 +463,7 @@ def run_fault_injected_training(
                         join_cost = reconfigure_cost + \
                             broadcast_time_s(spec)
                         live = [_stub_state(completed)
-                                for _ in range(elastic.live_workers)]
+                                for _ in range(runtime.view.world_size)]
                         new_world = runtime.view.world_size + \
                             len(nodes) * gpus_per_node
                         joined_ctx = _context(new_world)
@@ -557,13 +510,11 @@ def run_fault_injected_training(
                 sim.run(until=sim.timeout(rebuild_cost))
                 dead = injector.take_pending_dead()
 
-            resume_iteration, _params = elastic.on_failure(
-                failed_workers=len(all_dead) * gpus_per_node)
+            resume_iteration, _params, _transition = runtime.failure(
+                all_dead, at_s=sim.now,
+                reconfigure_time_s=sim.now - failure.confirmed_at_s)
             obs.fault_event("restore", sim.now,
                             iteration=resume_iteration)
-            runtime.failure(
-                all_dead, at_s=sim.now, resumed_iteration=resume_iteration,
-                reconfigure_time_s=sim.now - failure.confirmed_at_s)
             # Rebuild the communicator over the survivors and retarget
             # the injector with no intervening simulated time, so no
             # fault can land between the two.

@@ -9,10 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.autotune import ParameterPoint, SettingsCache
-from repro.errors import AutotuneError, TrainingError
+from repro.errors import AutotuneError
 from repro.models import get_model
 from repro.sim import Simulator, alibaba_v100_cluster
-from repro.training.resilience import simulate_elastic_scaling
 
 
 def topo(num_gpus):
@@ -218,43 +217,6 @@ class TestMalformedFingerprint:
                             layer_flops=[1, 2])
         flops = cache._entries[-1].model.layer_flops
         assert [type(value) for value in flops] == [float, float]
-
-
-class TestElasticScaling:
-    def test_phases_measured_and_paused(self):
-        phases, total = simulate_elastic_scaling(
-            "resnet50", "aiacc", [(16, 5), (32, 5)])
-        assert len(phases) == 2
-        assert phases[0].num_gpus == 16
-        assert phases[1].num_gpus == 32
-        pure = sum(p.iterations * p.iteration_time_s for p in phases)
-        # Total includes the grow pause + parameter broadcast.
-        assert total > pure
-
-    def test_shrink_has_no_broadcast(self):
-        _, grow_total = simulate_elastic_scaling(
-            "resnet50", "aiacc", [(16, 3), (32, 3)])
-        _, shrink_total = simulate_elastic_scaling(
-            "resnet50", "aiacc", [(32, 3), (16, 3)])
-        # Same phases mirrored; growing pays the extra broadcast.
-        assert grow_total > shrink_total
-
-    def test_single_phase_no_pause(self):
-        phases, total = simulate_elastic_scaling(
-            "resnet50", "aiacc", [(16, 4)])
-        assert total == pytest.approx(
-            phases[0].iterations * phases[0].iteration_time_s)
-
-    def test_samples_accounting(self):
-        phases, _ = simulate_elastic_scaling(
-            "resnet50", "aiacc", [(16, 5)], batch_per_gpu=32)
-        assert phases[0].samples == 5 * 16 * 32
-
-    def test_validation(self):
-        with pytest.raises(TrainingError):
-            simulate_elastic_scaling("resnet50", "aiacc", [])
-        with pytest.raises(TrainingError):
-            simulate_elastic_scaling("resnet50", "aiacc", [(0, 5)])
 
 
 JSON_VALUES = st.recursive(

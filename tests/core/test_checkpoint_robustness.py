@@ -4,7 +4,8 @@ sweep, corrupt-newest fallback, elastic cold start)."""
 import numpy as np
 import pytest
 
-from repro.core.fault_tolerance import CheckpointManager, ElasticCoordinator
+from repro.core.elastic import ElasticRuntime
+from repro.core.fault_tolerance import CheckpointManager
 from repro.errors import CheckpointError
 
 
@@ -71,25 +72,43 @@ class TestCorruptFallback:
 class TestElasticColdStart:
     def test_failure_before_first_checkpoint_restarts_fresh(self, tmp_path):
         manager = CheckpointManager(tmp_path)
-        elastic = ElasticCoordinator(manager, initial_workers=16,
-                                     init_parameters=lambda: params(0))
-        iteration, restored = elastic.on_failure(failed_workers=8)
+        elastic = ElasticRuntime(manager, range(2), gpus_per_node=8,
+                                 init_parameters=lambda: params(0))
+        iteration, restored, _ = elastic.failure([1], at_s=0.0,
+                                                 reconfigure_time_s=0.0)
         assert iteration == 0
         np.testing.assert_array_equal(restored["theta"], params(0)["theta"])
-        assert elastic.live_workers == 8
-        assert elastic.restarts == 1
+        assert elastic.view.world_size == 8
+        assert [t.kind for t in elastic.transitions] == ["failure"]
 
     def test_cold_start_without_factory_gives_empty_state(self, tmp_path):
-        elastic = ElasticCoordinator(CheckpointManager(tmp_path),
-                                     initial_workers=4)
-        iteration, restored = elastic.on_failure()
+        elastic = ElasticRuntime(CheckpointManager(tmp_path), range(4),
+                                 gpus_per_node=1)
+        iteration, restored, _ = elastic.failure([3], at_s=0.0,
+                                                 reconfigure_time_s=0.0)
         assert (iteration, restored) == (0, {})
 
     def test_failure_after_checkpoint_restores_it(self, tmp_path):
         manager = CheckpointManager(tmp_path)
-        elastic = ElasticCoordinator(manager, initial_workers=4,
-                                     init_parameters=lambda: params(0))
+        elastic = ElasticRuntime(manager, range(4), gpus_per_node=1,
+                                 init_parameters=lambda: params(0))
         manager.save(9, params(9))
-        iteration, restored = elastic.on_failure()
+        iteration, restored, _ = elastic.failure([3], at_s=0.0,
+                                                 reconfigure_time_s=0.0)
         assert iteration == 9
         np.testing.assert_array_equal(restored["theta"], params(9)["theta"])
+
+
+class TestCheckpointInputs:
+    @pytest.mark.parametrize("keep_last", [2.5, 2.0, float("nan"), 0, "3"])
+    def test_keep_last_must_be_a_whole_number(self, tmp_path, keep_last):
+        # A fractional count used to fail with a TypeError at the first
+        # save's prune, not at construction.
+        with pytest.raises(CheckpointError):
+            CheckpointManager(tmp_path, keep_last=keep_last)
+
+    @pytest.mark.parametrize("iteration", [-1, 2.5, float("nan")])
+    def test_save_iteration_must_be_a_whole_number(self, tmp_path,
+                                                   iteration):
+        with pytest.raises(CheckpointError):
+            CheckpointManager(tmp_path).save(iteration, params(0))

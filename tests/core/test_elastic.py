@@ -1,10 +1,11 @@
 """Unit tests for the elastic membership runtime (`repro.core.elastic`).
 
 Covers the epoch bookkeeping (views, transitions, monotonic epochs), the
-coordinator's clean-departure and live-broadcast join paths, the tuner
-re-key on topology change and the cluster-side rejoin bookkeeping
-(`Cluster.uncrash`).
+clean-departure and live-broadcast join paths, the checkpoint restore of
+a failure and the tuner re-key on topology change.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -13,21 +14,21 @@ from repro.autotune.cache import SettingsCache
 from repro.autotune.space import ParameterPoint
 from repro.core.elastic import ElasticRuntime, EpochTransition, \
     MembershipView
-from repro.core.fault_tolerance import CheckpointManager, ElasticCoordinator
+from repro.core.fault_tolerance import CheckpointManager
 from repro.core.runtime import AIACCConfig
-from repro.errors import CheckpointError, TopologyError, TrainingError
+from repro.errors import CheckpointError, TrainingError
 from repro.sim.kernel import Simulator
 from repro.sim.topology import Cluster, NodeSpec
 
 
 def make_runtime(tmp_path, nodes=4, gpus_per_node=2, cache=None):
-    manager = CheckpointManager(tmp_path)
-    coordinator = ElasticCoordinator(
-        manager, initial_workers=nodes * gpus_per_node)
-    runtime = ElasticRuntime(coordinator, members=range(nodes),
-                             gpus_per_node=gpus_per_node,
-                             settings_cache=cache)
-    return runtime, coordinator
+    return ElasticRuntime(CheckpointManager(tmp_path), members=range(nodes),
+                          gpus_per_node=gpus_per_node, settings_cache=cache)
+
+
+def kinds(runtime):
+    """How many transitions of each kind the runtime recorded."""
+    return collections.Counter(t.kind for t in runtime.transitions)
 
 
 class TestMembershipView:
@@ -73,15 +74,16 @@ class TestEpochTransition:
 
 class TestScaleDown:
     def test_clean_departure_continues_live(self, tmp_path):
-        runtime, coordinator = make_runtime(tmp_path)
+        runtime = make_runtime(tmp_path)
         transition = runtime.scale_down([3], at_s=2.0,
                                         resumed_iteration=5,
                                         reconfigure_time_s=0.4)
         assert runtime.epoch == 1
         assert runtime.members == (0, 1, 2)
-        assert coordinator.live_workers == 6
-        assert coordinator.departures == 2  # 1 node x 2 GPUs
-        assert coordinator.restarts == 0  # no checkpoint restore
+        assert runtime.view.world_size == 6
+        # 1 node x 2 GPUs departed.
+        assert transition.world_before - transition.world_after == 2
+        assert kinds(runtime) == {"scale-down": 1}  # no checkpoint restore
         assert transition.kind == "scale-down"
         assert transition.live_continuation is True
         assert transition.broadcast_identical is None
@@ -89,21 +91,22 @@ class TestScaleDown:
         assert transition.lr_scale == pytest.approx(0.75)
 
     def test_rejects_non_member_and_empty_group(self, tmp_path):
-        runtime, _ = make_runtime(tmp_path)
+        runtime = make_runtime(tmp_path)
         with pytest.raises(TrainingError, match="non-members"):
             runtime.scale_down([9], at_s=0.0, resumed_iteration=0,
                                reconfigure_time_s=0.0)
         with pytest.raises(TrainingError):
             runtime.scale_down([], at_s=0.0, resumed_iteration=0,
                                reconfigure_time_s=0.0)
-        with pytest.raises((TrainingError, CheckpointError)):
+        with pytest.raises(TrainingError):
             runtime.scale_down([0, 1, 2, 3], at_s=0.0,
                                resumed_iteration=0, reconfigure_time_s=0.0)
+        assert runtime.transitions == []
 
 
 class TestScaleUp:
     def test_join_broadcasts_bit_identical_state(self, tmp_path):
-        runtime, coordinator = make_runtime(tmp_path, nodes=2)
+        runtime = make_runtime(tmp_path, nodes=2)
         live = [{"w": np.arange(6, dtype=np.float32) + rank * 0}
                 for rank in range(4)]
         states, transition = runtime.scale_up(
@@ -111,7 +114,7 @@ class TestScaleUp:
             reconfigure_time_s=0.8)
         assert runtime.epoch == 1
         assert runtime.members == (0, 1, 2)
-        assert coordinator.live_workers == 6
+        assert runtime.view.world_size == 6
         assert len(states) == 6
         # Every rank — including both joiners — is bit-identical to
         # rank 0: the broadcast correctness contract.
@@ -123,7 +126,7 @@ class TestScaleUp:
         assert transition.lr_scale == pytest.approx(1.5)
 
     def test_rejoin_keeps_identity(self, tmp_path):
-        runtime, _ = make_runtime(tmp_path)
+        runtime = make_runtime(tmp_path)
         runtime.scale_down([1], at_s=1.0, resumed_iteration=2,
                            reconfigure_time_s=0.1)
         live = [{"w": np.ones(2)} for _ in range(6)]
@@ -136,43 +139,58 @@ class TestScaleUp:
         assert runtime.lr_scale() == pytest.approx(1.0)
 
     def test_rejects_existing_member(self, tmp_path):
-        runtime, _ = make_runtime(tmp_path)
+        runtime = make_runtime(tmp_path)
         with pytest.raises(TrainingError, match="existing members"):
             runtime.scale_up([0], at_s=0.0, live_parameters=[],
                              resumed_iteration=0, reconfigure_time_s=0.0)
 
+    def test_rejects_live_state_for_another_world_size(self, tmp_path):
+        runtime = make_runtime(tmp_path)  # 4 nodes x 2 GPUs
+        with pytest.raises(TrainingError, match="8 live workers"):
+            runtime.scale_up([5], at_s=0.0,
+                             live_parameters=[{"w": np.zeros(1)}] * 6,
+                             resumed_iteration=0, reconfigure_time_s=0.0)
+        assert runtime.epoch == 0
+        assert runtime.view.world_size == 8
+
 
 class TestFailureTransition:
     def test_failure_records_checkpoint_restore(self, tmp_path):
-        runtime, coordinator = make_runtime(tmp_path)
-        # The driver routes state through on_failure first ...
-        coordinator.on_failure(failed_workers=2)
-        transition = runtime.failure([2], at_s=3.0, resumed_iteration=0,
-                                     reconfigure_time_s=1.5)
+        runtime = make_runtime(tmp_path)
+        runtime.checkpoints.save(4, {"w": np.full(2, 4.0)})
+        iteration, parameters, transition = runtime.failure(
+            [2], at_s=3.0, reconfigure_time_s=1.5)
+        assert iteration == 4
+        np.testing.assert_array_equal(parameters["w"], np.full(2, 4.0))
         assert transition.kind == "failure"
         assert transition.live_continuation is False
+        assert transition.resumed_iteration == 4
         assert runtime.members == (0, 1, 3)
+        assert runtime.view.world_size == 6
 
-    def test_divergence_from_coordinator_detected(self, tmp_path):
-        runtime, _ = make_runtime(tmp_path)
-        # ... skipping on_failure leaves the coordinator at the old
-        # count, which the runtime refuses to paper over.
-        with pytest.raises(TrainingError, match="divergence"):
-            runtime.failure([2], at_s=3.0, resumed_iteration=0,
-                            reconfigure_time_s=1.5)
+    def test_failed_restore_leaves_the_group_unchanged(self, tmp_path):
+        runtime = make_runtime(tmp_path)
+        runtime.checkpoints.save(4, {"w": np.zeros(1)}).write_bytes(b"bad")
+        with pytest.raises(CheckpointError):
+            runtime.failure([2], at_s=3.0, reconfigure_time_s=1.5)
+        with pytest.raises(TrainingError, match="non-members"):
+            runtime.failure([9], at_s=3.0, reconfigure_time_s=1.5)
+        assert runtime.epoch == 0
+        assert runtime.view.world_size == 8
+        assert runtime.transitions == []
 
     def test_epochs_are_monotonic_across_transitions(self, tmp_path):
-        runtime, coordinator = make_runtime(tmp_path)
+        runtime = make_runtime(tmp_path)
         runtime.scale_down([0], at_s=1.0, resumed_iteration=1,
                            reconfigure_time_s=0.1)
-        coordinator.on_failure(failed_workers=2)
-        runtime.failure([1], at_s=2.0, resumed_iteration=0,
-                        reconfigure_time_s=0.5)
+        runtime.failure([1], at_s=2.0, reconfigure_time_s=0.5)
         live = [{"w": np.zeros(1)} for _ in range(4)]
         runtime.scale_up([5], at_s=3.0, live_parameters=live,
                          resumed_iteration=2, reconfigure_time_s=0.3)
         assert [t.epoch for t in runtime.transitions] == [1, 2, 3]
         assert runtime.epoch == 3
+        assert kinds(runtime) == {"scale-down": 1, "failure": 1,
+                                  "scale-up": 1}
 
 
 class TestRetune:
@@ -188,7 +206,7 @@ class TestRetune:
                                    granularity_bytes=8e6,
                                    algorithm="hierarchical"),
                     best_cost_s=0.01)
-        runtime, _ = make_runtime(tmp_path, cache=cache)
+        runtime = make_runtime(tmp_path, cache=cache)
         config, label = runtime.retune(model, cluster, AIACCConfig())
         assert label == "prior-3node"
         assert config.num_streams == 4
@@ -200,7 +218,7 @@ class TestRetune:
 
         sim = Simulator()
         cluster = Cluster(sim, 2, NodeSpec(gpus_per_node=2))
-        runtime, _ = make_runtime(tmp_path, cache=None)
+        runtime = make_runtime(tmp_path, cache=None)
         config = AIACCConfig()
         tuned, label = runtime.retune(get_model("resnet50"), cluster,
                                       config)
@@ -208,50 +226,38 @@ class TestRetune:
         assert label is None
 
 
-class TestCoordinatorMembership:
-    def test_on_leave_counts_departures(self, tmp_path):
-        coordinator = ElasticCoordinator(CheckpointManager(tmp_path),
-                                         initial_workers=8)
-        assert coordinator.on_leave(departing_workers=2) == 6
-        assert coordinator.departures == 2
-        assert coordinator.restarts == 0
+class TestRuntimeMembership:
+    """What the deleted coordinator's own tests checked, on the runtime."""
 
-    def test_on_leave_rejects_bad_counts(self, tmp_path):
-        coordinator = ElasticCoordinator(CheckpointManager(tmp_path),
-                                         initial_workers=4)
-        with pytest.raises(CheckpointError):
-            coordinator.on_leave(departing_workers=0)
-        with pytest.raises(CheckpointError):
-            coordinator.on_leave(departing_workers=4)
+    def test_leave_counts_departures(self, tmp_path):
+        runtime = make_runtime(tmp_path, nodes=4, gpus_per_node=2)
+        transition = runtime.scale_down([3], at_s=0.0, resumed_iteration=0,
+                                        reconfigure_time_s=0.0)
+        assert runtime.view.world_size == 6
+        assert transition.world_before - transition.world_after == 2
+        assert kinds(runtime) == {"scale-down": 1}
 
-    def test_on_join_broadcast_multi_tensor_state(self, tmp_path):
-        coordinator = ElasticCoordinator(CheckpointManager(tmp_path),
-                                         initial_workers=3)
+    def test_leave_rejects_bad_counts(self, tmp_path):
+        runtime = make_runtime(tmp_path, nodes=4, gpus_per_node=1)
+        with pytest.raises(TrainingError):
+            runtime.scale_down([], at_s=0.0, resumed_iteration=0,
+                               reconfigure_time_s=0.0)
+        with pytest.raises(TrainingError):
+            runtime.scale_down([0, 1, 2, 3], at_s=0.0, resumed_iteration=0,
+                               reconfigure_time_s=0.0)
+
+    def test_join_broadcast_multi_tensor_state(self, tmp_path):
+        runtime = make_runtime(tmp_path, nodes=3, gpus_per_node=1)
         live = [{"w": np.full((2, 3), 7.0), "b": np.arange(4.0)}
                 for _ in range(3)]
-        result = coordinator.on_join(live, new_workers=2)
-        assert coordinator.live_workers == 5
-        assert coordinator.joins == 2
+        result, _ = runtime.scale_up([3, 4], at_s=0.0, live_parameters=live,
+                                     resumed_iteration=0,
+                                     reconfigure_time_s=0.0)
+        assert runtime.view.world_size == 5
+        assert kinds(runtime) == {"scale-up": 1}
+        assert runtime.transitions[0].joined == (3, 4)
         assert len(result) == 5
         for state in result:
             np.testing.assert_array_equal(state["w"], live[0]["w"])
             np.testing.assert_array_equal(state["b"], live[0]["b"])
             assert state["w"].shape == (2, 3)  # shape survives the ravel
-
-
-class TestClusterUncrash:
-    def test_uncrash_clears_failed_mark(self):
-        sim = Simulator()
-        cluster = Cluster(sim, 3, NodeSpec(gpus_per_node=2))
-        cluster.fail_node(1)
-        assert cluster.alive_nodes == [0, 2]
-        cluster.uncrash(1)
-        assert cluster.failed_nodes == set()
-        assert cluster.alive_world_size == cluster.world_size
-        cluster.uncrash(1)  # idempotent
-
-    def test_uncrash_checks_range(self):
-        sim = Simulator()
-        cluster = Cluster(sim, 2, NodeSpec(gpus_per_node=1))
-        with pytest.raises(TopologyError):
-            cluster.uncrash(5)

@@ -178,14 +178,6 @@ class TestStalledCollectives:
         sim.run(until=sim.timeout(120.0))
         assert not done.triggered
 
-    def test_collectives_resume_after_restore(self):
-        sim, cluster, collectives, _ = self.make()
-        cluster.fail_node(1)
-        cluster.restore_node(1)
-        done = collectives.allreduce(1e6)
-        sim.run(until=done)
-        assert done.triggered
-
 
 class TestStreamPoolInterrupts:
     def test_interrupt_while_running_releases_streams(self):

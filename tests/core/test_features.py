@@ -5,12 +5,14 @@ import pytest
 
 from repro.core.compression import FP16Compressor, NullCompressor
 from repro.core.debugging import GradientDebugger, check_finite
-from repro.core.fault_tolerance import CheckpointManager, ElasticCoordinator
+from repro.core.elastic import ElasticRuntime
+from repro.core.fault_tolerance import CheckpointManager
 from repro.core.translator import (
     translate_horovod_source,
     translate_sequential_source,
 )
-from repro.errors import CheckpointError, NaNGradientError, TranslationError
+from repro.errors import CheckpointError, NaNGradientError, TrainingError, \
+    TranslationError
 
 
 class TestCompression:
@@ -104,33 +106,38 @@ class TestElasticity:
     def test_failure_restores_from_checkpoint(self, tmp_path):
         manager = CheckpointManager(tmp_path)
         manager.save(10, {"w": np.full(3, 7.0)})
-        coordinator = ElasticCoordinator(manager, initial_workers=4)
-        iteration, params = coordinator.on_failure(failed_workers=1)
+        runtime = ElasticRuntime(manager, range(4), gpus_per_node=1)
+        iteration, params, _ = runtime.failure([3], at_s=0.0,
+                                               reconfigure_time_s=0.0)
         assert iteration == 10
-        assert coordinator.live_workers == 3
+        assert runtime.view.world_size == 3
         np.testing.assert_array_equal(params["w"], np.full(3, 7.0))
 
     def test_cannot_lose_all_workers(self, tmp_path):
         manager = CheckpointManager(tmp_path)
-        coordinator = ElasticCoordinator(manager, initial_workers=2)
-        with pytest.raises(CheckpointError):
-            coordinator.on_failure(failed_workers=2)
+        runtime = ElasticRuntime(manager, range(2), gpus_per_node=1)
+        with pytest.raises(TrainingError):
+            runtime.failure([0, 1], at_s=0.0, reconfigure_time_s=0.0)
 
     def test_join_broadcasts_parameters(self, tmp_path):
         manager = CheckpointManager(tmp_path)
-        coordinator = ElasticCoordinator(manager, initial_workers=2)
+        runtime = ElasticRuntime(manager, range(2), gpus_per_node=1)
         live = [{"w": np.arange(4.0)}, {"w": np.arange(4.0)}]
-        result = coordinator.on_join(live, new_workers=2)
-        assert coordinator.live_workers == 4
+        result, _ = runtime.scale_up([2, 3], at_s=0.0, live_parameters=live,
+                                     resumed_iteration=0,
+                                     reconfigure_time_s=0.0)
+        assert runtime.view.world_size == 4
         assert len(result) == 4
         for worker in result:
             np.testing.assert_array_equal(worker["w"], np.arange(4.0))
 
     def test_join_validates_live_state(self, tmp_path):
         manager = CheckpointManager(tmp_path)
-        coordinator = ElasticCoordinator(manager, initial_workers=3)
-        with pytest.raises(CheckpointError):
-            coordinator.on_join([{"w": np.zeros(1)}], new_workers=1)
+        runtime = ElasticRuntime(manager, range(3), gpus_per_node=1)
+        with pytest.raises(TrainingError):
+            runtime.scale_up([3], at_s=0.0,
+                             live_parameters=[{"w": np.zeros(1)}],
+                             resumed_iteration=0, reconfigure_time_s=0.0)
 
 
 class TestTranslator:

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.core.fault_tolerance import CheckpointManager, ElasticCoordinator
+from repro.core.elastic import ElasticRuntime
+from repro.core.fault_tolerance import CheckpointManager
 from repro.core.perseus import PerseusSession
 from repro.core.runtime import AIACCConfig
 from repro.harness import measure
@@ -67,15 +68,19 @@ class TestNumericFullStack:
 
         # Interrupted run: checkpoint after 5, crash, restore, redo 3.
         manager = CheckpointManager(tmp_path)
-        coordinator = ElasticCoordinator(manager, initial_workers=2)
+        runtime = ElasticRuntime(manager, range(2), gpus_per_node=1)
         partial, _ = train_data_parallel(
             model, task, SGD(lr=0.1), 5, 2, 32)
         manager.save(5, partial[0])
-        _, restored = coordinator.on_failure(failed_workers=1)
+        _, restored, _ = runtime.failure([1], at_s=0.0,
+                                         reconfigure_time_s=0.0)
         # Rebuild to 2 workers (one rejoins) and replay the tail; the
         # data order is deterministic so results must match exactly...
-        rebuilt = coordinator.on_join([restored], new_workers=1)
-        assert coordinator.live_workers == 2
+        rebuilt, _ = runtime.scale_up([1], at_s=0.0,
+                                      live_parameters=[restored],
+                                      resumed_iteration=5,
+                                      reconfigure_time_s=0.0)
+        assert runtime.view.world_size == 2
 
         session = PerseusSession(2)
         dist = DistributedOptimizer(SGD(lr=0.1), session)

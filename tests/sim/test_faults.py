@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.worker import parse_fault_plan
-from repro.errors import CampaignError, FaultInjectionError, ProcessInterrupt
+from repro.errors import CampaignError, FaultInjectionError
 from repro.obs import Observability
 from repro.sim.faults import (
     DEAD_LINK_BPS,
@@ -256,27 +256,6 @@ class TestFaultInjectorCrash:
         injector.arm(FaultPlan([NodeCrash(at_s=0.01, node=1)]))
         sim.run(until=sim.timeout(60.0))
         assert not flow.triggered  # stalled, not completed
-
-    def test_crash_interrupts_registered_victims(self):
-        sim = Simulator()
-        cluster = make_cluster(sim)
-        network = FluidNetwork(sim)
-        injector = FaultInjector(sim, cluster, network)
-        causes = []
-
-        def worker(sim):
-            try:
-                yield sim.timeout(100.0)
-            except ProcessInterrupt as exc:
-                causes.append(exc.cause)
-
-        proc = sim.spawn(worker(sim))
-        injector.register_victim(1, proc)
-        injector.arm(FaultPlan([NodeCrash(at_s=3.0, node=1)]))
-        sim.run(until=proc)
-        assert len(causes) == 1
-        assert isinstance(causes[0], NodeCrash)
-        assert sim.now == pytest.approx(3.0)
 
     def test_obs_records_injection(self):
         sim = Simulator()
@@ -580,3 +559,39 @@ class TestMembershipInjector:
         assert injector.has_pending_dead
         injector.take_pending_dead()
         assert not injector.has_pending_dead
+
+
+class TestGeneratorCounts:
+    """Counts and kind lists are checked before the RNG is built: an
+    empty ``kinds`` used to fail inside ``randrange`` and a fractional
+    node count inside ``range``, both with untyped errors."""
+
+    @pytest.mark.parametrize("bad", [
+        dict(kinds=()), dict(kinds=[]), dict(num_nodes=2.5),
+        dict(num_nodes=2.0), dict(num_nodes=math.nan), dict(num_nodes=0)],
+        ids=["kinds-empty-tuple", "kinds-empty-list", "nodes-fractional",
+             "nodes-float", "nodes-nan", "nodes-zero"])
+    def test_poisson_rejects(self, bad):
+        args = dict(mtbf_s=0.5, horizon_s=6.0, num_nodes=2, seed=6)
+        args.update(bad)
+        with pytest.raises(FaultInjectionError):
+            FaultPlan.poisson(**args)
+
+    @pytest.mark.parametrize("bad", [
+        dict(kinds=()), dict(num_nodes=2.5), dict(num_nodes=math.nan),
+        dict(min_nodes=1.5), dict(min_nodes=5), dict(min_nodes=0),
+        dict(max_extra_nodes=0.5), dict(max_extra_nodes=-1)],
+        ids=["kinds-empty", "nodes-fractional", "nodes-nan",
+             "min-fractional", "min-above-nodes", "min-zero",
+             "extra-fractional", "extra-negative"])
+    def test_chaos_rejects(self, bad):
+        args = dict(seed=0, num_nodes=4, horizon_s=2.5)
+        args.update(bad)
+        with pytest.raises(FaultInjectionError):
+            FaultPlan.chaos(**args)
+
+    def test_kinds_as_a_list_draw_the_same_plan(self):
+        kinds = (NodeCrash, LinkFlap, BandwidthDegradation, Straggler)
+        as_tuple = FaultPlan.poisson(0.5, 6.0, 2, seed=6, kinds=kinds)
+        as_list = FaultPlan.poisson(0.5, 6.0, 2, seed=6, kinds=list(kinds))
+        assert as_list.faults == as_tuple.faults

@@ -16,8 +16,8 @@ from repro.errors import ReproError
 from repro.models.synthetic import random_model_spec
 from repro.obs import Observability
 from repro.sim.faults import FaultPlan, NodeCrash, NodeJoin, NodeLeave
-from repro.training.resilience import run_fault_injected_training, \
-    simulate_elastic_scaling
+from repro.training.resilience import broadcast_time_s, \
+    run_fault_injected_training
 
 
 def small_spec():
@@ -90,6 +90,13 @@ class TestScaleUp:
         assert all(i.cat == "membership" for i in advances)
         assert advances[0].meta["kind"] == "scale-down"
         assert advances[1].meta["kind"] == "scale-up"
+        # Both boundaries pay the communicator re-formation, a third of
+        # the 2 s restart overhead; only the join adds the broadcast of
+        # the live parameters to the joiner.
+        down = result.epoch_transitions[0]
+        assert down.reconfigure_time_s == 2.0 / 3 == 0.6666666666666666
+        assert up.reconfigure_time_s == \
+            2.0 / 3 + broadcast_time_s(small_spec()) == 0.6880094293333333
 
     def test_join_of_new_identity_grows_the_group(self, tmp_path):
         result = run(FaultPlan([NodeJoin(at_s=0.2, node=8)]),
@@ -160,32 +167,3 @@ class TestDetectionDeadlineCap:
                      comm_retries=4, total_iterations=6,
                      checkpoint_dir=str(tmp_path))
         assert capped.recoveries[0].detection_latency_s > 0
-
-
-class TestElasticScalingMemoization:
-    def test_one_measurement_per_world_size(self, monkeypatch):
-        import types
-
-        import repro.training.trainer as trainer
-
-        calls = []
-
-        def fake_run_training(spec, backend, num_gpus, batch_per_gpu=None,
-                              measure_iterations=2, warmup_iterations=1):
-            calls.append(num_gpus)
-            return types.SimpleNamespace(
-                mean_iteration_s=1.0 / num_gpus, batch_per_gpu=32)
-
-        monkeypatch.setattr(trainer, "run_training", fake_run_training)
-        phases, total = simulate_elastic_scaling(
-            "resnet50", "aiacc", [(8, 2), (16, 2), (8, 2), (16, 2)])
-        # Up-down-up schedule revisits both sizes; each measured once.
-        assert sorted(calls) == [8, 16]
-        assert len(phases) == 4
-        assert total > 0
-
-    def test_revisited_size_reuses_identical_measurement(self):
-        phases, _ = simulate_elastic_scaling(
-            "resnet50", "aiacc", [(8, 1), (16, 1), (8, 1)])
-        assert phases[0].iteration_time_s == phases[2].iteration_time_s
-        assert phases[0].samples == phases[2].samples

@@ -5,6 +5,8 @@ The full 16-worker acceptance run lives in
 driver with a small model so it stays in the sub-second range.
 """
 
+import math
+
 import pytest
 
 from repro.errors import TrainingError
@@ -85,3 +87,29 @@ class TestFaultInjectedTraining:
         with pytest.raises(TrainingError):
             run_fault_injected_training(small_spec(), FaultPlan([]),
                                         num_gpus=8)
+
+
+#: ``run_fault_injected_training`` keywords each entry breaks.  Before
+#: validation ``total_iterations=2.5`` ran 3 iterations and reported 2.5,
+#: ``nan`` ran none, ``checkpoint_interval=1.5`` checkpointed only at
+#: iteration 3 and ``num_gpus=16.0`` failed with a ``TypeError``.
+BAD_RUNS = {
+    "total-fractional": dict(total_iterations=2.5),
+    "total-nan": dict(total_iterations=math.nan),
+    "total-zero": dict(total_iterations=0),
+    "interval-fractional": dict(checkpoint_interval=1.5),
+    "interval-nan": dict(checkpoint_interval=math.nan),
+    "gpus-float": dict(num_gpus=16.0),
+    "gpus-fractional": dict(num_gpus=16.5),
+    "gpus-per-node-fractional": dict(gpus_per_node=7.5),
+    "max-restarts-fractional": dict(max_restarts=1.5),
+    "max-restarts-negative": dict(max_restarts=-1),
+    "overhead-negative": dict(restart_overhead_s=-100.0),
+    "overhead-nan": dict(restart_overhead_s=math.nan),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_RUNS.values(), ids=BAD_RUNS)
+def test_driver_rejects_bad_values(bad):
+    with pytest.raises(TrainingError):
+        run_fault_injected_training(small_spec(), FaultPlan([]), **bad)

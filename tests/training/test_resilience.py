@@ -1,5 +1,8 @@
 """Tests for failure-injected training."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import TrainingError
@@ -78,3 +81,52 @@ class TestResilience:
         with pytest.raises(TrainingError):
             optimal_checkpoint_interval(0, 100, "resnet50")
 
+
+#: ``simulate_resilient_training`` arguments each entry breaks, over a
+#: valid ``("resnet50", 1.0, 10, 5)`` call.  Before validation these
+#: returned a ``nan`` or negative goodput, or checkpointed on a cadence
+#: other than the one asked for.
+BAD_WALKS = {
+    "iteration-nan": dict(iteration_time_s=math.nan),
+    "iteration-inf": dict(iteration_time_s=math.inf),
+    "iteration-negative": dict(iteration_time_s=-1.0),
+    "total-fractional": dict(total_iterations=2.5),
+    "total-nan": dict(total_iterations=math.nan),
+    "total-zero": dict(total_iterations=0),
+    "interval-fractional": dict(checkpoint_interval=2.5),
+    "interval-float": dict(checkpoint_interval=5.0),
+    "interval-zero": dict(checkpoint_interval=0),
+    "overhead-negative": dict(restart_overhead_s=-100, failure_at=[3]),
+    "overhead-nan": dict(restart_overhead_s=math.nan, failure_at=[3]),
+    "overhead-inf": dict(restart_overhead_s=math.inf, failure_at=[3]),
+    "failure-fractional": dict(failure_at=[2.5]),
+    "failure-negative": dict(failure_at=[-1]),
+    "failure-past-the-end": dict(failure_at=[10]),
+}
+
+
+class TestResilienceInputs:
+    @pytest.mark.parametrize("bad", BAD_WALKS.values(), ids=BAD_WALKS)
+    def test_walk_rejects_bad_values(self, bad):
+        args = dict(model="resnet50", iteration_time_s=1.0,
+                    total_iterations=10, checkpoint_interval=5)
+        args.update(bad)
+        with pytest.raises(TrainingError):
+            simulate_resilient_training(**args)
+
+    def test_walk_accepts_integral_counts_of_any_int_type(self):
+        exact = simulate_resilient_training("resnet50", 1.0, 10, 5,
+                                            failure_at=[3])
+        numpy = simulate_resilient_training(
+            "resnet50", 1.0, np.int64(10), np.int64(5),
+            failure_at=[np.int64(3)])
+        assert numpy == exact
+
+    @pytest.mark.parametrize("iteration_s,mtbf", [
+        (math.nan, 100), (math.inf, 100), (-0.25, 100),
+        (0.25, math.nan), (0.25, math.inf), (0.25, 0)],
+        ids=["iteration-nan", "iteration-inf", "iteration-negative",
+             "mtbf-nan", "mtbf-inf", "mtbf-zero"])
+    def test_optimal_interval_rejects_bad_values(self, iteration_s, mtbf):
+        with pytest.raises(TrainingError):
+            optimal_checkpoint_interval(iteration_s, mtbf, "resnet50")
