@@ -25,26 +25,29 @@ Robustness contracts:
   ``claim_token``; a worker whose lease was reclaimed (it looked dead
   but was only slow) gets its stale result rejected instead of
   double-recording the cell.
-* **Crash detection via leases** — claimants heartbeat
-  ``lease_expires_at``; :meth:`reclaim_expired` re-queues runs whose
-  lease passed (their worker is presumed dead) and quarantines runs
-  that keep burning attempts without ever reporting an error (a
-  crash-looping cell).
+* **One transaction to begin, one to finish** — :meth:`mark_running`
+  checks the token, moves the run to ``running`` and returns it with
+  its ``done`` twin; :meth:`record_done` or :meth:`record_failure`
+  finishes it.  A worker makes no other store call per cell.
+* **Crash detection via leases** — each worker process's lease keeper
+  heartbeats ``lease_expires_at``; :meth:`reclaim_expired` re-queues
+  runs whose lease passed (their worker is presumed dead) and
+  quarantines runs that keep burning attempts without ever reporting
+  an error (a crash-looping cell).
 * **Policy inside the transition** — :meth:`record_failure` applies the
   :class:`~repro.campaign.policy.RetryPolicy` within the same immediate
   transaction that reads the previous error class, so retry/quarantine
   decisions are atomic with the state they depend on.
 * **Runs shared by key** — every row keeps its cell's
-  :func:`~repro.campaign.grid.run_key`; :meth:`done_twin` finds a
-  ``done`` row of the same run, whose result a worker may record for
-  its own cell instead of simulating it again.
+  :func:`~repro.campaign.grid.run_key`; the twin :meth:`mark_running`
+  returns is a ``done`` row of the same run, whose result a worker may
+  record for its own cell instead of simulating it again.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pathlib
 import sqlite3
 import time
@@ -112,6 +115,12 @@ CREATE INDEX IF NOT EXISTS runs_by_run_key
 SCHEMA_VERSION = 1
 
 
+def encode_result(result: t.Mapping[str, object]) -> str:
+    """A run result as the JSON text the store keeps; raises
+    ``TypeError`` for a value JSON cannot encode."""
+    return json.dumps(dict(result), sort_keys=True)
+
+
 @dataclasses.dataclass(frozen=True)
 class RunRow:
     """One run as recorded in the store."""
@@ -173,9 +182,10 @@ class CampaignInfo:
 class CampaignStore:
     """One SQLite connection to the durable campaign database.
 
-    Instances are cheap and single-threaded by design: the orchestrator,
-    each pool worker and each heartbeat thread open their own store on
-    the same path and coordinate purely through SQLite's locking.
+    Instances are single-threaded by design: the orchestrator, each
+    pool worker and each worker's lease keeper open their own store on
+    the same path and coordinate purely through SQLite's locking.  A
+    worker keeps its store open across the cells it serves.
     Opening a store whose ``user_version`` stamp is current runs only
     the connection pragmas; the schema script and the migration run
     while the stamp is missing or older than :data:`SCHEMA_VERSION`.
@@ -361,16 +371,42 @@ class CampaignStore:
         return RunRow.from_sql(claimed)
 
     def mark_running(self, campaign_id: int, spec_id: str,
-                     claim_token: str, now: float | None = None) -> bool:
-        """claimed -> running (token-guarded); False if the claim is stale."""
+                     claim_token: str, now: float | None = None
+                     ) -> tuple[RunRow, tuple[str, dict] | None] | None:
+        """Begin a claimed run: claimed -> running (token-guarded).
+
+        One immediate transaction moves the run, reads it back and looks
+        up its ``done`` twin: a ``done`` cell of this campaign with the
+        same run key (the lowest such spec id; failed and quarantined
+        cells never count).  Returns ``(row, (twin spec id, twin result)
+        or None)``, or None when the claim is stale.
+        """
         now = time.time() if now is None else now
-        cursor = self._transition(
-            "UPDATE runs SET state = 'running', started_at = ?, "
-            "heartbeat_at = ? "
-            "WHERE campaign_id = ? AND spec_id = ? AND claim_token = ? "
-            "AND state = 'claimed'",
-            (now, now, campaign_id, spec_id, claim_token))
-        return cursor.rowcount == 1
+        try:
+            with self._immediate() as conn:
+                cursor = conn.execute(
+                    "UPDATE runs SET state = 'running', started_at = ?, "
+                    "heartbeat_at = ? "
+                    "WHERE campaign_id = ? AND spec_id = ? AND "
+                    "claim_token = ? AND state = 'claimed'",
+                    (now, now, campaign_id, spec_id, claim_token))
+                if cursor.rowcount != 1:
+                    return None
+                row = RunRow.from_sql(conn.execute(
+                    "SELECT * FROM runs WHERE campaign_id = ? AND "
+                    "spec_id = ?", (campaign_id, spec_id)).fetchone())
+                if row.run_key is None:
+                    return row, None
+                twin = conn.execute(
+                    "SELECT spec_id, result_json FROM runs "
+                    "WHERE campaign_id = ? AND run_key = ? AND "
+                    "state = 'done' ORDER BY spec_id LIMIT 1",
+                    (campaign_id, row.run_key)).fetchone()
+        except sqlite3.Error as exc:
+            raise CampaignStoreError(f"begin failed: {exc}") from exc
+        if twin is None:
+            return row, None
+        return row, (twin["spec_id"], json.loads(twin["result_json"]))
 
     def heartbeat(self, campaign_id: int, spec_id: str, claim_token: str,
                   lease_s: float, now: float | None = None) -> bool:
@@ -453,12 +489,14 @@ class CampaignStore:
     # -- terminal transitions --------------------------------------------------
 
     def record_done(self, campaign_id: int, spec_id: str, claim_token: str,
-                    result: t.Mapping[str, object], wall_time_s: float,
-                    now: float | None = None,
+                    result: t.Mapping[str, object] | str,
+                    wall_time_s: float, now: float | None = None,
                     reused_from: str | None = None) -> bool:
         """running -> done (token-guarded, exactly-once).
 
-        ``reused_from`` names the ``done`` twin whose result this is.
+        ``result`` is a JSON-safe mapping or its JSON text, as encoded
+        by :func:`encode_result`.  ``reused_from`` names the ``done``
+        twin whose result this is.
         Returns False when the claim went stale — the run was reclaimed
         and belongs to a newer attempt, so this result is dropped.
         """
@@ -470,8 +508,9 @@ class CampaignStore:
             "reused_from = ? "
             "WHERE campaign_id = ? AND spec_id = ? AND claim_token = ? "
             "AND state IN ('claimed', 'running')",
-            (json.dumps(dict(result), sort_keys=True), wall_time_s, now,
-             reused_from, campaign_id, spec_id, claim_token))
+            (result if isinstance(result, str) else encode_result(result),
+             wall_time_s, now, reused_from, campaign_id, spec_id,
+             claim_token))
         return cursor.rowcount == 1
 
     def record_failure(self, campaign_id: int, spec_id: str,
@@ -537,19 +576,6 @@ class CampaignStore:
                 f"campaign store transition failed: {exc}") from exc
 
     # -- inspection ------------------------------------------------------------
-
-    def done_twin(self, campaign_id: int,
-                  key: str) -> tuple[str, dict] | None:
-        """``(spec_id, result)`` of a ``done`` cell of this campaign whose
-        run key is ``key`` (the lowest such spec id), or None.  Failed
-        and quarantined cells never count."""
-        row = self._query(
-            "SELECT spec_id, result_json FROM runs WHERE campaign_id = ? "
-            "AND run_key = ? AND state = 'done' ORDER BY spec_id LIMIT 1",
-            (campaign_id, key)).fetchone()
-        if row is None:
-            return None
-        return row["spec_id"], json.loads(row["result_json"])
 
     def run(self, campaign_id: int, spec_id: str) -> RunRow:
         row = self._query(

@@ -4,19 +4,27 @@
 the orchestrator is deliberately thin — everything durable goes through
 the store, from *inside the worker process*:
 
-* the worker marks the run ``running``, heartbeats its claim lease from
-  a background thread (so long cells are not falsely declared dead),
-  and records ``done``/``failed``/``quarantined`` itself;
+* each cell costs two store transactions: ``mark_running`` begins it
+  (token check, claimed -> running, and the ``done`` twin lookup) and
+  ``record_done``/``record_failure`` finishes it;
+* a worker process keeps one store open across the cells it serves,
+  reopened only when the store path, the file's inode or the pid
+  changes, so a forked pool never uses its parent's connection;
+* one daemon lease-keeper thread per process extends the lease of
+  every running cell every ``lease_s / 3`` (so long cells are not
+  falsely declared dead) and drops a claim whose beat finds it stale;
 * a cell whose run (:func:`~repro.campaign.grid.run_key`) already has a
   ``done`` twin in the campaign records that twin's result verbatim,
   with ``reused_from`` naming it, instead of simulating the run again —
   runs are deterministic functions of their spec, so the copy is the
   result the simulation would produce;
+* a result JSON cannot encode is a failure of the run, recorded through
+  the retry policy like any exception the runner raises;
 * the orchestrator merely schedules; if it is ``kill -9``-ed the moment
   a worker finishes, the finished cell is already recorded and a resume
   will not re-run it;
-* if the *worker* dies mid-run (SIGKILL, OOM), nothing is recorded, the
-  heartbeat stops, and the lease expiry re-queues the cell.
+* if the *worker* dies mid-run (SIGKILL, OOM), nothing is recorded, its
+  keeper dies with it, and the lease expiry re-queues the cell.
 
 Runners are looked up by name in :data:`RUNNERS` so specs stay plain
 JSON across the process boundary and across store restarts.  Paper
@@ -28,6 +36,7 @@ in tests and CI.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -39,7 +48,7 @@ import typing as t
 
 from repro.campaign.grid import RUN_LABELS
 from repro.campaign.policy import RetryPolicy
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import CampaignStore, encode_result
 from repro.errors import CampaignError, ReproError, TransientWorkerError
 
 
@@ -266,7 +275,7 @@ def kamikaze_runner(params: dict, ctx: RunContext) -> dict:
     """SIGKILL the worker process mid-run for ``die_attempts`` attempts.
 
     Models a hard worker loss (OOM killer, spot preemption): nothing is
-    recorded, the heartbeat stops, and the lease-expiry reclaim must
+    recorded, the lease keeper dies, and the lease-expiry reclaim must
     re-queue the cell; later attempts complete deterministically.
     """
     if ctx.attempt <= int(t.cast(int, params.get("die_attempts", 1))):
@@ -291,37 +300,152 @@ RUNNERS: dict[str, Runner] = {
 # Pool entry point
 # --------------------------------------------------------------------------
 
-class _HeartbeatThread(threading.Thread):
-    """Extends the claim lease every ``lease_s / 3`` over its own store
-    connection until stopped (or until the claim goes stale).
+class _StoreSlot:
+    """An open :class:`CampaignStore` on one path, reopened only when the
+    path, the file's inode or the pid changes.
 
-    The connection is opened at the first beat, one interval in: a cell
-    that ends sooner never opens it.
+    The open connection keeps the file's inode allocated, so a store
+    deleted and re-created at the same path always shows a new inode.
+    A store opened before a ``fork`` belongs to the parent: the child
+    neither uses nor closes it (SQLite connections must not cross a
+    fork) and parks it in :data:`_INHERITED` instead.
     """
 
-    def __init__(self, store_path: str, campaign_id: int, spec_id: str,
-                 claim_token: str, lease_s: float) -> None:
-        super().__init__(daemon=True, name=f"heartbeat-{spec_id}")
-        self._args = (campaign_id, spec_id, claim_token, lease_s)
-        self._store_path = store_path
-        #: Not ``_stop``: ``Thread.join`` calls its own ``_stop`` method.
-        self._halt = threading.Event()
+    store: CampaignStore | None = None
+    key: tuple[str, int, int, int] | None = None
 
-    def run(self) -> None:
-        campaign_id, spec_id, token, lease_s = self._args
-        interval = max(0.05, lease_s / 3.0)
-        if self._halt.wait(interval):
-            return
+    def get(self, path: str) -> CampaignStore:
+        pid = os.getpid()
+        if self.key != (path, *_identity(path), pid):
+            if self.store is not None and self.key is not None:
+                if self.key[-1] == pid:
+                    self.store.close()
+                else:
+                    _INHERITED.append(self.store)
+            self.store = CampaignStore(path)
+            self.key = (path, *_identity(path), pid)
+        return self.store
+
+
+class _ThreadStoreSlot(_StoreSlot, threading.local):
+    """A :class:`_StoreSlot` per thread: a connection serves only the
+    thread that opened it."""
+
+
+def _identity(path: str) -> tuple[int, int]:
+    """``(device, inode)`` of the file at ``path``; ``(-1, -1)`` if none."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return -1, -1
+    return stat.st_dev, stat.st_ino
+
+
+#: Stores a forked child inherited from its parent, kept referenced so
+#: that they are never closed in the child.
+_INHERITED: list[CampaignStore] = []
+
+#: The store :func:`execute_run` reuses across the cells of a process.
+_WORKER_STORE = _ThreadStoreSlot()
+
+
+@dataclasses.dataclass
+class _Claim:
+    """A claim the lease keeper extends, and when it is next due."""
+
+    path: str
+    campaign_id: int
+    spec_id: str
+    token: str
+    lease_s: float
+    #: ``time.monotonic()`` instant of the next beat.
+    due: float = 0.0
+
+    @property
+    def interval(self) -> float:
+        return max(0.05, self.lease_s / 3.0)
+
+
+class _LeaseKeeper:
+    """One daemon thread per process that extends every held claim's
+    lease every ``lease_s / 3``.
+
+    The thread starts with the first claim held in the process and
+    beats over its own connection, opened at its first beat: a process
+    whose cells all end within one interval never opens it.  A beat that
+    finds its claim stale drops that claim; the others keep beating.  A
+    forked child starts a keeper of its own.
+    """
+
+    def __init__(self) -> None:
+        self._pid: int | None = None
+
+    def _start(self) -> None:
+        if self._pid is not None and self._slot.store is not None:
+            _INHERITED.append(self._slot.store)
+        self._pid = os.getpid()
+        self._slot = _StoreSlot()
+        self._cond = threading.Condition()
+        self._claims: dict[str, _Claim] = {}
+        #: When the thread next wakes by itself: holding a claim due
+        #: later needs no wake-up.
+        self._wake_at = math.inf
+        threading.Thread(target=self._run, name="lease-keeper",
+                         daemon=True).start()
+
+    @contextlib.contextmanager
+    def hold(self, path: str, campaign_id: int, spec_id: str, token: str,
+             lease_s: float) -> t.Iterator[None]:
+        """Extend the claim's lease until the block exits."""
+        if self._pid != os.getpid():
+            self._start()
+        claim = _Claim(path, campaign_id, spec_id, token, lease_s)
+        with self._cond:
+            claim.due = time.monotonic() + claim.interval
+            self._claims[token] = claim
+            if claim.due < self._wake_at:
+                self._wake_at = claim.due
+                self._cond.notify()
         try:
-            with CampaignStore(self._store_path) as store:
-                while store.heartbeat(campaign_id, spec_id, token, lease_s):
-                    if self._halt.wait(interval):
-                        return
-        except ReproError:  # pragma: no cover - store teardown race
-            pass
+            yield
+        finally:
+            self._drop(token)
 
-    def stop(self) -> None:
-        self._halt.set()
+    def _drop(self, token: str) -> None:
+        with self._cond:
+            self._claims.pop(token, None)
+
+    def _due(self) -> list[_Claim]:
+        """Wait for the next beat; the claims due now, rescheduled."""
+        with self._cond:
+            while True:
+                now = time.monotonic()
+                due = [claim for claim in self._claims.values()
+                       if claim.due <= now]
+                if due:
+                    for claim in due:
+                        claim.due = now + claim.interval
+                    return due
+                self._wake_at = min((claim.due for claim in
+                                     self._claims.values()),
+                                    default=math.inf)
+                self._cond.wait(None if self._wake_at == math.inf
+                                else self._wake_at - now)
+
+    def _run(self) -> None:
+        while True:
+            for claim in self._due():
+                try:
+                    live = self._slot.get(claim.path).heartbeat(
+                        claim.campaign_id, claim.spec_id, claim.token,
+                        claim.lease_s)
+                except ReproError:  # the store went away under the claim
+                    live = False
+                if not live:
+                    self._drop(claim.token)
+
+
+_KEEPER = _LeaseKeeper()
 
 
 def execute_run(store_path: str, campaign_id: int, spec_id: str,
@@ -329,56 +453,55 @@ def execute_run(store_path: str, campaign_id: int, spec_id: str,
                 policy_payload: dict) -> str:
     """Execute one claimed run and durably record its terminal state.
 
+    Two store transactions bracket the cell: ``mark_running`` begins it
+    and returns its ``done`` twin, and ``record_done`` (or
+    ``record_failure``) finishes it.  The store stays open across the
+    cells a process serves, and the process's lease keeper extends the
+    claim while the runner works.
+
     Returns the resulting state name (for orchestrator logging only —
     the store already holds the truth).  Never raises for run
-    failures; only infrastructure problems (store unreachable)
-    propagate to the pool.
+    failures, a result JSON cannot encode included; only
+    infrastructure problems (store unreachable) propagate to the pool.
     """
     policy = RetryPolicy.from_payload(policy_payload)
-    with CampaignStore(store_path) as store:
-        row = store.run(campaign_id, spec_id)
-        if row.claim_token != claim_token:
-            return "stale"
-        if not store.mark_running(campaign_id, spec_id, claim_token):
-            return "stale"
-        try:
-            runner = RUNNERS[row.runner]
-        except KeyError:
-            state = store.record_failure(
-                campaign_id, spec_id, claim_token, policy,
-                error_class="UnknownRunner",
-                error=f"no runner named {row.runner!r}",
-                traceback_text="", wall_time_s=0.0)
-            return state or "stale"
-
-        twin = (store.done_twin(campaign_id, row.run_key)
-                if row.run_key is not None else None)
-        if twin is not None:
-            source, result = twin
-            if store.record_done(campaign_id, spec_id, claim_token, result,
-                                 wall_time_s=0.0, reused_from=source):
-                return "done"
-            return "stale"
-
-        heartbeat = _HeartbeatThread(store_path, campaign_id, spec_id,
-                                     claim_token, lease_s)
-        heartbeat.start()
-        context = RunContext(attempt=row.attempt, spec_id=spec_id,
-                             campaign_id=campaign_id)
-        started = time.perf_counter()
-        try:
-            result = runner(dict(row.params), context)
-        except Exception as exc:
-            wall = time.perf_counter() - started
-            heartbeat.stop()
-            state = store.record_failure(
-                campaign_id, spec_id, claim_token, policy,
-                error_class=type(exc).__name__, error=str(exc),
-                traceback_text=traceback.format_exc(), wall_time_s=wall)
-            return state or "stale"
-        wall = time.perf_counter() - started
-        heartbeat.stop()
-        if store.record_done(campaign_id, spec_id, claim_token,
-                             dict(result), wall_time_s=wall):
+    store = _WORKER_STORE.get(store_path)
+    begun = store.mark_running(campaign_id, spec_id, claim_token)
+    if begun is None:
+        return "stale"
+    row, twin = begun
+    runner = RUNNERS.get(row.runner)
+    if runner is None:
+        state = store.record_failure(
+            campaign_id, spec_id, claim_token, policy,
+            error_class="UnknownRunner",
+            error=f"no runner named {row.runner!r}",
+            traceback_text="", wall_time_s=0.0)
+        return state or "stale"
+    if twin is not None:
+        source, result = twin
+        if store.record_done(campaign_id, spec_id, claim_token, result,
+                             wall_time_s=0.0, reused_from=source):
             return "done"
         return "stale"
+
+    context = RunContext(attempt=row.attempt, spec_id=spec_id,
+                         campaign_id=campaign_id)
+    started = time.perf_counter()
+    try:
+        with _KEEPER.hold(store_path, campaign_id, spec_id, claim_token,
+                          lease_s):
+            result = runner(dict(row.params), context)
+        wall = time.perf_counter() - started
+        encoded = encode_result(result)
+    except Exception as exc:
+        state = store.record_failure(
+            campaign_id, spec_id, claim_token, policy,
+            error_class=type(exc).__name__, error=str(exc),
+            traceback_text=traceback.format_exc(),
+            wall_time_s=time.perf_counter() - started)
+        return state or "stale"
+    if store.record_done(campaign_id, spec_id, claim_token, encoded,
+                         wall_time_s=wall):
+        return "done"
+    return "stale"

@@ -49,12 +49,6 @@ def atomic_write_text(path: str | pathlib.Path, text: str,
     return target
 
 
-def atomic_write_json(path: str | pathlib.Path, payload: object,
-                      **dumps_kwargs: t.Any) -> pathlib.Path:
-    """Atomically serialize ``payload`` as JSON to ``path``."""
-    return atomic_write_text(path, json.dumps(payload, **dumps_kwargs))
-
-
 def atomic_write_jsonl(path: str | pathlib.Path,
                        records: t.Iterable[object]) -> pathlib.Path:
     """Atomically write one JSON document per line.

@@ -293,7 +293,8 @@ def old_store(path, grids, done=None):
 
 class TestStoreMigration:
     def test_open_adds_columns_and_backfills_run_keys(self, tmp_path):
-        grids = [TWIN_GRIDS[0],
+        # TWIN_GRIDS[1] is TWIN_GRIDS[0] under another figure label.
+        grids = [*TWIN_GRIDS[:2],
                  CampaignGrid(runner="sleep", axes={"cell": (0, 1)})]
         source = expand_grids([TWIN_GRIDS[0]])[0]
         campaign_id, specs = old_store(tmp_path / "old.db", grids,
@@ -301,8 +302,12 @@ class TestStoreMigration:
         with CampaignStore(tmp_path / "old.db") as store:
             rows = {row.spec_id: row for row in store.runs(campaign_id)}
             twin_key = rows[source.spec_id].run_key
-            assert store.done_twin(campaign_id, twin_key) == \
-                (source.spec_id, {"x": 1.5})
+            claimed = store.claim_next(campaign_id, "test", LEASE_S)
+            while claimed.run_key != twin_key:
+                claimed = store.claim_next(campaign_id, "test", LEASE_S)
+            _, twin = store.mark_running(campaign_id, claimed.spec_id,
+                                         claimed.claim_token)
+            assert twin == (source.spec_id, {"x": 1.5})
         assert {spec_id: row.run_key for spec_id, row in rows.items()} == \
             {spec.spec_id: run_key(spec.runner, spec.params)
              for spec in specs}

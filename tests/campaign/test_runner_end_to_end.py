@@ -13,8 +13,10 @@ import subprocess
 import sys
 import time
 
+import numpy
 import pytest
 
+from repro.campaign import worker
 from repro.campaign.grid import CampaignGrid
 from repro.campaign.policy import RetryPolicy
 from repro.campaign.report import load_report
@@ -110,6 +112,22 @@ class TestWorkerCrash:
         assert by_runner["broken"].error_class == "InjectedFailure"
         assert by_runner["alternating"].state == "failed"
         assert by_runner["alternating"].attempt == FAST.max_attempts
+
+    def test_result_json_cannot_encode_is_quarantined(self, tmp_path,
+                                                      monkeypatch):
+        # A forked worker inherits the patched registry.
+        monkeypatch.setitem(worker.RUNNERS, "numpy-result",
+                            lambda params, ctx: {"n": numpy.int64(3)})
+        grids = [CampaignGrid(runner="numpy-result", axes={"cell": (0,)}),
+                 sleep_grid(1)]
+        campaign_id, counts = run_grids(tmp_path / "j.db", grids,
+                                        mp_start_method="fork")
+        assert counts["done"] == counts["quarantined"] == 1
+        cell = [r for r in report_of(tmp_path / "j.db", campaign_id).rows
+                if r.runner == "numpy-result"][0]
+        assert cell.state == "quarantined"
+        assert cell.error_class == "TypeError"
+        assert cell.attempt == 2
 
     def test_wall_clock_budget_leaves_campaign_resumable(self, tmp_path):
         path = tmp_path / "w.db"

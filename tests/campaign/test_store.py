@@ -151,6 +151,45 @@ class TestTokenGuards:
                                      "wrong-token", {"x": 1}, 0.1)
         assert store.run(campaign_id, row.spec_id).state == "running"
 
+    def test_mark_running_begins_a_claim_once(self, store):
+        campaign_id, _ = make_campaign(store, cells=1)
+        row = store.claim_next(campaign_id, "a", 10.0)
+        assert store.mark_running(campaign_id, row.spec_id,
+                                  "wrong-token") is None
+        begun, twin = store.mark_running(campaign_id, row.spec_id,
+                                         row.claim_token, now=100.0)
+        assert twin is None  # sleep cells have no run key
+        assert begun.state == "running"
+        assert begun.heartbeat_at == 100.0
+        assert (begun.spec_id, begun.claim_token, begun.attempt) == \
+            (row.spec_id, row.claim_token, 1)
+        assert store.mark_running(campaign_id, row.spec_id,
+                                  row.claim_token) is None
+
+    def test_mark_running_returns_the_lowest_done_twin(self, store):
+        # Four label twins of one run, claimed in spec id order: the
+        # first fails, the next two end done, the last then begins.
+        campaign_id = store.create_campaign("twins")
+        store.add_runs(campaign_id, expand_grids([CampaignGrid(
+            runner="measure", axes={"figure": ("a", "b", "c", "d")},
+            base={"model": "resnet50", "gpus": 8})]))
+        failed, low, high, last = [store.claim_next(campaign_id, "a", 10.0)
+                                   for _ in range(4)]
+        for claim in (failed, low, high):
+            _, twin = store.mark_running(campaign_id, claim.spec_id,
+                                         claim.claim_token)
+            assert twin is None
+        assert store.record_failure(
+            campaign_id, failed.spec_id, failed.claim_token,
+            RetryPolicy(max_attempts=1), error_class="E", error="x",
+            traceback_text="", wall_time_s=0.1) == "failed"
+        for claim, value in ((high, 2), (low, 1)):
+            assert store.record_done(campaign_id, claim.spec_id,
+                                     claim.claim_token, {"x": value}, 0.1)
+        _, twin = store.mark_running(campaign_id, last.spec_id,
+                                     last.claim_token)
+        assert twin == (low.spec_id, {"x": 1})
+
     def test_record_done_is_exactly_once(self, store):
         campaign_id, _ = make_campaign(store, cells=1)
         row = store.claim_next(campaign_id, "a", 10.0)

@@ -1,11 +1,8 @@
 """Atomic file-write helpers (`repro.ioutil`)."""
 
-import json
-
 import pytest
 
-from repro.ioutil import atomic_write_json, atomic_write_jsonl, \
-    atomic_write_text
+from repro.ioutil import atomic_write_jsonl, atomic_write_text
 
 
 class TestAtomicWriteText:
@@ -39,11 +36,6 @@ class TestAtomicWriteText:
 
 
 class TestStructuredWriters:
-    def test_json(self, tmp_path):
-        target = tmp_path / "out.json"
-        atomic_write_json(target, {"b": 1, "a": 2})
-        assert json.loads(target.read_text()) == {"a": 2, "b": 1}
-
     def test_jsonl_dicts_are_key_sorted(self, tmp_path):
         target = tmp_path / "out.jsonl"
         atomic_write_jsonl(target, [{"b": 1, "a": 2}, {"x": 3}])

@@ -83,8 +83,6 @@ ALLOWED = {
         "id-to-spec lookup of the gradient registry, tested",
     "repro.core.streams.CommStreamPool.in_flight":
         "stream-pool occupancy the engine and fault tests read",
-    "repro.ioutil.atomic_write_json":
-        "JSON twin of atomic_write_text, tested",
     "repro.models.base.ModelSpec.max_batch_size":
         "memory-model query of the model zoo, tested",
     "repro.models.base.ModelSpec.memory_required_bytes":

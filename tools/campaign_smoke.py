@@ -14,7 +14,10 @@ The script exercises ISSUE 6's end-to-end invariant on a tiny grid:
    report digest equals that of an uninterrupted control run of the
    same grid in a fresh store — whichever twin ran or was reused;
    in both stores the long sleep cell must show a heartbeat after its
-   start, from a worker in a real pool process;
+   start, from a worker in a real pool process — in the control run,
+   whose one pool process serves the cells in claim order, from a
+   worker that already served an earlier cell, so the beat comes from
+   a reused worker's lease keeper;
 4. write the resulting store summary under ``--out`` for upload.
 
 Exit code 0 only if every check holds.
@@ -52,7 +55,9 @@ POLICY = RetryPolicy(max_attempts=3, base_backoff_s=0.05,
 LEASE_S = 1.0
 
 #: ``cell`` of the sleep cell that outlives a heartbeat interval
-#: (``LEASE_S / 3``), so its worker beats at least twice.
+#: (``LEASE_S / 3``), so its worker's keeper beats it at least twice.
+#: :func:`check_claim_order` requires that it is not the first cell a
+#: worker process serves in the control run.
 BEAT_CELL = 200
 
 GRIDS = [
@@ -68,10 +73,27 @@ GRIDS = [
 CELLS = len(expand_grids(GRIDS))
 
 
+def check_claim_order() -> None:
+    """Fail unless a cell that keeps its worker alive is claimed right
+    before the beat cell.
+
+    ``claim_next`` claims in spec id order.  In a one-worker pool every
+    cell claimed since the last worker death runs in the same process,
+    so the beat cell then runs in a worker that served the cell before
+    it, and whose lease keeper is already running.
+    """
+    order = sorted(expand_grids(GRIDS), key=lambda spec: spec.spec_id)
+    beat = [spec.params.get("cell") for spec in order].index(BEAT_CELL)
+    if beat == 0 or order[beat - 1].runner == "kamikaze":
+        raise SystemExit(f"sleep cell {BEAT_CELL} would be the first cell "
+                         f"of a fresh worker; pick another BEAT_CELL")
+
+
 def run_uninterrupted(store_path: pathlib.Path) -> str:
+    check_claim_order()
     with CampaignStore(store_path) as store:
         campaign_id = submit_campaign(store, GRIDS, name="smoke-control")
-    runner = CampaignRunner(store_path, campaign_id, max_workers=2,
+    runner = CampaignRunner(store_path, campaign_id, max_workers=1,
                             lease_s=LEASE_S, poll_s=0.05, policy=POLICY)
     counts = runner.run(max_wall_s=120.0)
     assert counts["done"] == CELLS, f"control run incomplete: {counts}"
@@ -82,8 +104,9 @@ def run_uninterrupted(store_path: pathlib.Path) -> str:
 
 def check_heartbeat(store_path: pathlib.Path) -> None:
     """Fail unless the long sleep cell's ``heartbeat_at`` moved past its
-    ``started_at`` (``mark_running`` stamps both with one instant, so
-    only a heartbeat can move it)."""
+    ``started_at``: ``mark_running``, the transaction that begins a
+    cell, stamps both with one instant, so only a beat of the worker's
+    lease keeper can move it."""
     conn = sqlite3.connect(store_path)
     try:
         rows = conn.execute(
