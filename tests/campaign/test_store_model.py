@@ -5,7 +5,9 @@ virtual clock (every call passes ``now=``) against a dict of model
 rows.  Two workers claim cells; tokens are picked from every token the
 store ever issued plus a foreign one, so stale and foreign claims are
 exercised as often as live ones.  Between the rules the clock jumps,
-sometimes past a lease, and the store is closed and reopened.
+sometimes past a lease, and the store is closed and reopened, with
+or without its schema stamp.  ``mark_running`` must return the row and
+the twin the model predicts.
 
 After every step the store's rows must equal the model's, and:
 
@@ -19,6 +21,7 @@ After every step the store's rows must equal the model's, and:
 
 import dataclasses
 import shutil
+import sqlite3
 import tempfile
 
 from hypothesis import settings
@@ -168,9 +171,15 @@ class StoreMachine(RuleBasedStateMachine):
         began = self.guarded(live, lambda: self.store.mark_running(
             self.campaign_id, self.target(index, spec_id), token,
             now=self.now))
-        assert bool(began) == live
-        if live:
-            row.state = "running"
+        if not live:
+            assert began is None
+            return
+        row.state = "running"
+        begun, twin = began
+        assert observed(begun) == observed(row)
+        source = self.twin(row.run_key)
+        assert twin == (None if source is None
+                        else (source, self.rows[source].result))
 
     @rule(index=st.integers(min_value=0), lease_s=st.sampled_from(LEASES))
     def heartbeat(self, index, lease_s):
@@ -266,9 +275,15 @@ class StoreMachine(RuleBasedStateMachine):
     def advance(self, dt):
         self.now += dt
 
-    @rule()
-    def reopen(self):
+    @rule(unstamp=st.booleans())
+    def reopen(self, unstamp):
         self.store.close()
+        if unstamp:
+            # An unstamped store reruns the schema script and the
+            # migration on open; neither may change a row.
+            conn = sqlite3.connect(self.path)
+            conn.execute("PRAGMA user_version = 0")
+            conn.close()
         self.store = CampaignStore(self.path)
 
     # -- invariants ------------------------------------------------------------
