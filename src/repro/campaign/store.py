@@ -395,9 +395,7 @@ class CampaignStore:
                 row = RunRow.from_sql(conn.execute(
                     "SELECT * FROM runs WHERE campaign_id = ? AND "
                     "spec_id = ?", (campaign_id, spec_id)).fetchone())
-                if row.run_key is None:
-                    return row, None
-                twin = conn.execute(
+                twin = None if row.run_key is None else conn.execute(
                     "SELECT spec_id, result_json FROM runs "
                     "WHERE campaign_id = ? AND run_key = ? AND "
                     "state = 'done' ORDER BY spec_id LIMIT 1",
