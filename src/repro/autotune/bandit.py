@@ -20,7 +20,7 @@ import math
 import typing as t
 from collections import deque
 
-from repro.errors import AutotuneError
+from repro.errors import AutotuneError, require_count
 
 
 class AUCBandit:
@@ -32,13 +32,11 @@ class AUCBandit:
             raise AutotuneError("bandit needs at least one technique")
         if len(set(techniques)) != len(techniques):
             raise AutotuneError("technique names must be unique")
-        if window < 1:
-            raise AutotuneError("window must be >= 1")
         self.techniques = list(techniques)
-        self.window = window
+        self.window = require_count("window", window, 1, AutotuneError)
         self.exploration = exploration
         #: (technique, delivered_new_global_best) events, oldest first.
-        self.history: deque[tuple[str, bool]] = deque(maxlen=window)
+        self.history: deque[tuple[str, bool]] = deque(maxlen=self.window)
 
     # -- credit assignment ---------------------------------------------------
 

@@ -18,7 +18,7 @@ import typing as t
 
 import networkx as nx
 
-from repro.errors import AutotuneError
+from repro.errors import AutotuneError, require_count
 from repro.autotune.graph_distance import (
     ModelFingerprint,
     deployment_distance,
@@ -45,9 +45,8 @@ class SettingsCache:
     """Nearest-deployment lookup of previously tuned parameters."""
 
     def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise AutotuneError("max_entries must be >= 1")
-        self.max_entries = max_entries
+        self.max_entries = require_count("max_entries", max_entries, 1,
+                                         AutotuneError)
         self._entries: list[CacheEntry] = []
         #: Corrupt persisted entries :meth:`load` skipped, as
         #: ``(entry_payload, reason)`` pairs — quarantined, not fatal.

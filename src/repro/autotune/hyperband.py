@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from repro.errors import AutotuneError, require_count
 from repro.autotune.space import ParameterPoint, SearchSpace
 from repro.autotune.techniques import SearchTechnique
 
@@ -27,10 +28,9 @@ class Hyperband(SearchTechnique):
     def __init__(self, space: SearchSpace, bracket_size: int = 8,
                  eta: int = 4, seed: int = 0) -> None:
         super().__init__(space)
-        if bracket_size < eta or eta < 2:
-            raise ValueError("need bracket_size >= eta >= 2")
-        self.bracket_size = bracket_size
-        self.eta = eta
+        self.eta = require_count("eta", eta, 2, AutotuneError)
+        self.bracket_size = require_count("bracket_size", bracket_size,
+                                          self.eta, AutotuneError)
         self.rng = np.random.default_rng(seed)
         self._start_bracket()
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from repro.errors import AutotuneError, require_count
 from repro.autotune.space import ParameterPoint, SearchSpace
 from repro.autotune.techniques import SearchTechnique
 
@@ -24,8 +25,8 @@ class PopulationBasedTraining(SearchTechnique):
     def __init__(self, space: SearchSpace, population_size: int = 8,
                  seed: int = 0) -> None:
         super().__init__(space)
-        if population_size < 2:
-            raise ValueError("population_size must be >= 2")
+        population_size = require_count("population_size", population_size,
+                                        2, AutotuneError)
         self.rng = np.random.default_rng(seed)
         self.population = [space.random_point(self.rng)
                            for _ in range(population_size)]

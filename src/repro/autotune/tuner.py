@@ -19,7 +19,7 @@ import dataclasses
 import logging
 import typing as t
 
-from repro.errors import AutotuneError
+from repro.errors import AutotuneError, require_count, require_real
 from repro.autotune.bandit import AUCBandit
 from repro.autotune.bayesian import BayesianOptimization
 from repro.autotune.grid import GridSearch
@@ -80,8 +80,7 @@ class AutoTuner:
                  exploration: float = 0.2, seed: int = 0,
                  initial_point: ParameterPoint | None = None,
                  obs: Observability | None = None) -> None:
-        if budget < 1:
-            raise AutotuneError("budget must be >= 1")
+        self.budget = require_count("budget", budget, 1, AutotuneError)
         #: Observability sink for trial/bandit-credit telemetry.
         self.obs = obs or Observability.disabled()
         registry = self.obs.registry
@@ -102,7 +101,6 @@ class AutoTuner:
             else default_ensemble(self.space, seed=seed)
         if not self.techniques:
             raise AutotuneError("need at least one search technique")
-        self.budget = budget
         self.bandit = AUCBandit([t_.name for t_ in self.techniques],
                                 window=window, exploration=exploration)
         #: Starting point from the settings cache (paper: previously found
@@ -120,10 +118,7 @@ class AutoTuner:
         def record(index: int, name: str, point: ParameterPoint,
                    cost: float) -> None:
             nonlocal best_point, best_cost
-            if cost < 0:
-                raise AutotuneError(
-                    f"evaluator returned negative cost {cost}"
-                )
+            require_real("evaluator cost", cost, AutotuneError)
             improved = cost < best_cost
             if improved:
                 best_point, best_cost = point, cost

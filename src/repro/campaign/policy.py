@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, require_count, require_real
 
 #: Terminal decision kinds.
 RETRY = "retry"
@@ -54,11 +54,10 @@ class RetryPolicy:
     quarantine_repeated_class: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise CampaignError("max_attempts must be >= 1")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise CampaignError("backoff times must be >= 0")
-        if self.multiplier < 1.0:
+        require_count("max_attempts", self.max_attempts, 1, CampaignError)
+        require_real("base_backoff_s", self.base_backoff_s, CampaignError)
+        require_real("max_backoff_s", self.max_backoff_s, CampaignError)
+        if require_real("multiplier", self.multiplier, CampaignError) < 1:
             raise CampaignError("multiplier must be >= 1")
 
     def backoff_s(self, attempt: int) -> float:

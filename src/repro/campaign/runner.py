@@ -37,7 +37,7 @@ from repro.campaign.grid import (
 from repro.campaign.policy import RetryPolicy
 from repro.campaign.store import CampaignStore, RunRow
 from repro.campaign.worker import execute_run
-from repro.errors import CampaignError
+from repro.errors import CampaignError, require_count, require_real
 
 #: progress callback: counts dict after every state change wave.
 ProgressFn = t.Callable[[dict[str, int]], None]
@@ -62,15 +62,13 @@ class CampaignRunner:
                  poll_s: float = 0.1,
                  policy: RetryPolicy | None = None,
                  mp_start_method: str = "spawn") -> None:
-        if max_workers < 1:
-            raise CampaignError("max_workers must be >= 1")
-        if lease_s <= 0:
-            raise CampaignError("lease_s must be > 0")
         self.store_path = os.fspath(store_path)
         self.campaign_id = campaign_id
-        self.max_workers = max_workers
-        self.lease_s = lease_s
-        self.poll_s = poll_s
+        self.max_workers = require_count("max_workers", max_workers, 1,
+                                         CampaignError)
+        self.lease_s = require_real("lease_s", lease_s, CampaignError,
+                                    positive=True)
+        self.poll_s = require_real("poll_s", poll_s, CampaignError)
         self.policy = policy or RetryPolicy()
         #: Consecutive broken-pool rebuilds tolerated before giving up.
         self.max_pool_rebuilds = 8
@@ -95,6 +93,8 @@ class CampaignRunner:
         after the pool is torn down — the campaign itself stays
         resumable.
         """
+        if max_wall_s is not None:
+            require_real("max_wall_s", max_wall_s, CampaignError)
         store = CampaignStore(self.store_path)
         store.campaign(self.campaign_id)  # typed error if unknown
         pool = self._new_pool()

@@ -49,7 +49,8 @@ import typing as t
 from repro.campaign.grid import RUN_LABELS
 from repro.campaign.policy import RetryPolicy
 from repro.campaign.store import CampaignStore, encode_result
-from repro.errors import CampaignError, ReproError, TransientWorkerError
+from repro.errors import CampaignError, ReproError, TransientWorkerError, \
+    require_real
 
 
 class InjectedFailure(ReproError):
@@ -141,7 +142,9 @@ HYBRID_PARAMS = ("model", "backend", "gpus", "model_parallel_degree")
 def hybrid_kwargs(params: t.Mapping[str, object]) -> dict[str, t.Any]:
     """A ``hybrid`` cell's run settings: labels dropped, ``backend``
     defaulted to ``aiacc`` and ``model_parallel_degree`` to 2;
-    unknown, missing or mistyped keys raise :class:`CampaignError`."""
+    unknown, missing or mistyped keys raise :class:`CampaignError`.
+    :func:`~repro.harness.experiments.measure_hybrid` checks the
+    counts."""
     kwargs = {key: value for key, value in params.items()
               if key not in RUN_LABELS["hybrid"]}
     unknown = sorted(set(kwargs) - set(HYBRID_PARAMS))
@@ -156,14 +159,6 @@ def hybrid_kwargs(params: t.Mapping[str, object]) -> dict[str, t.Any]:
         if not isinstance(kwargs[key], str):
             raise CampaignError(
                 f"hybrid {key} must be a name, got {kwargs[key]!r}")
-    for key in ("gpus", "model_parallel_degree"):
-        value = kwargs[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value) or value != int(value) \
-                or value < 1:
-            raise CampaignError(
-                f"hybrid {key} must be a whole number >= 1, got {value!r}")
-        kwargs[key] = int(value)
     return kwargs
 
 
@@ -176,7 +171,7 @@ def hybrid_runner(params: dict, _ctx: RunContext) -> dict:
     return {
         "model": kwargs["model"],
         "backend": kwargs["backend"],
-        "gpus": kwargs["gpus"],
+        "gpus": result.num_gpus,
         "throughput": result.throughput,
         "mean_iteration_s": result.mean_iteration_s,
     }
@@ -203,11 +198,12 @@ def parse_fault_plan(text: str) -> dict[str, float]:
             except ValueError as exc:
                 raise CampaignError(
                     f"malformed fault plan {text!r}: {exc}") from exc
-            if key not in FAULT_PLAN_KEYS or not 0 < number < math.inf:
+            if key not in FAULT_PLAN_KEYS:
                 raise CampaignError(
                     f"fault plan {text!r}: want {' or '.join(FAULT_PLAN_KEYS)}"
                     f" set to a finite positive number")
-            kwargs[key] = number
+            kwargs[key] = require_real(f"fault plan {key}", number,
+                                       CampaignError, positive=True)
     return kwargs
 
 

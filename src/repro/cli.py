@@ -438,14 +438,14 @@ def cmd_translate(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import TrainingError
+    from repro.errors import TrainingError, require_count
     from repro.harness.experiments import crash_recovery, recovery_cell
     from repro.obs import chrome_trace_events
     from repro.sim.faults import FaultPlan, NodeCrash
 
-    num_nodes = args.gpus // 8
-    if args.gpus % 8 != 0 or num_nodes < 2:
+    if require_count("--gpus", args.gpus, 16, TrainingError) % 8:
         raise TrainingError("--gpus must be a multiple of 8 and >= 16")
+    num_nodes = args.gpus // 8
 
     def schedule(iter_s: float) -> FaultPlan:
         """The crash schedule, anchored on the healthy iteration time."""

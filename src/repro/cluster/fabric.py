@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, require_count, require_real
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork, Link
 
@@ -39,16 +39,15 @@ class SharedFabric:
                  core_oversubscription: float = 2.0,
                  stream_cap_fraction: float = 0.25,
                  obs: Observability | None = None) -> None:
-        if num_nodes < 2:
-            raise ClusterError("a shared fabric needs >= 2 nodes")
-        if nic_bps <= 0:
-            raise ClusterError("nic_bps must be positive")
-        if core_oversubscription < 1.0:
+        require_real("nic_bps", nic_bps, ClusterError, positive=True)
+        if require_real("core_oversubscription", core_oversubscription,
+                        ClusterError) < 1:
             raise ClusterError("core_oversubscription must be >= 1")
-        if not 0 < stream_cap_fraction <= 1:
+        if require_real("stream_cap_fraction", stream_cap_fraction,
+                        ClusterError, positive=True) > 1:
             raise ClusterError("stream_cap_fraction must be in (0, 1]")
         self.sim = sim
-        self.num_nodes = num_nodes
+        self.num_nodes = require_count("num_nodes", num_nodes, 2, ClusterError)
         self.nic_bps = float(nic_bps)
         #: Single-transport-stream ceiling on a NIC (the paper's <=30%
         #: single-stream efficiency is the motivating regime).
@@ -103,7 +102,7 @@ class SharedFabric:
         0 takes it hard down (a flap), to :data:`DEAD_NIC_FRACTION`.
         """
         self._check_node(node)
-        if not 0 <= fraction <= 1:
+        if require_real("NIC scale fraction", fraction, ClusterError) > 1:
             raise ClusterError("NIC scale fraction must be in [0, 1]")
         fraction = fraction if fraction > 0 else DEAD_NIC_FRACTION
         for link in (self.nic_out[node], self.nic_in[node]):

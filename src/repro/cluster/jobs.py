@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 import typing as t
 
 import numpy as np
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, require_count, require_real
 from repro.training.numeric import TinyMLP, make_synthetic_task
 from repro.training.optimizer import SGD
 
@@ -64,32 +63,14 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise ClusterError("job_id must be non-empty")
-        # NaN passes every ordered comparison below, and a NaN priority
-        # or time would stall the shared fabric's solver or clock.
-        for name in ("priority", "arrival_s", "compute_s", "bytes_per_step"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ClusterError(
-                    f"job {self.job_id!r}: {name} must be finite, "
-                    f"got {value!r}")
-        if self.num_nodes < 1:
-            raise ClusterError(
-                f"job {self.job_id!r}: num_nodes must be >= 1")
-        if self.priority <= 0:
-            raise ClusterError(
-                f"job {self.job_id!r}: priority must be positive")
-        if self.arrival_s < 0:
-            raise ClusterError(
-                f"job {self.job_id!r}: arrival_s must be >= 0")
-        if self.steps < 1:
-            raise ClusterError(f"job {self.job_id!r}: steps must be >= 1")
-        if self.num_streams < 1:
-            raise ClusterError(
-                f"job {self.job_id!r}: num_streams must be >= 1")
-        if self.compute_s <= 0 or self.bytes_per_step <= 0:
-            raise ClusterError(
-                f"job {self.job_id!r}: compute_s and bytes_per_step "
-                f"must be positive")
+        job = f"job {self.job_id!r}:"
+        for name in ("num_nodes", "steps", "num_streams"):
+            require_count(f"{job} {name}", getattr(self, name), 1,
+                          ClusterError)
+        require_real(f"{job} arrival_s", self.arrival_s, ClusterError)
+        for name in ("priority", "compute_s", "bytes_per_step"):
+            require_real(f"{job} {name}", getattr(self, name), ClusterError,
+                         positive=True)
         if self.batch_size % self.num_nodes != 0:
             raise ClusterError(
                 f"job {self.job_id!r}: batch_size {self.batch_size} is "

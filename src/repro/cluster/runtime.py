@@ -25,7 +25,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import typing as t
 
 import networkx as nx
@@ -40,7 +39,8 @@ from repro.cluster.jobs import JobSpec, JobState, NumericTrainer
 from repro.cluster.scheduler import PlacementScheduler, backoff_delay_s
 from repro.collectives.cost_model import CostParams, ring_allreduce_time_s
 from repro.core.elastic import EpochTransition
-from repro.errors import AdmissionRejected, ClusterError, FaultInjectionError
+from repro.errors import AdmissionRejected, ClusterError, \
+    FaultInjectionError, require_count, require_real
 from repro.models.zoo import get_model
 from repro.obs import Observability
 from repro.obs.detectors import Severity
@@ -91,33 +91,28 @@ class ClusterConfig:
     warm_start_max_distance: float = 8.0
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            kind = numbers.Integral if field.type == "int" else numbers.Real
-            least, strict = _CONFIG_FLOORS[field.name]
-            # NaN fails every ordered comparison, hence ``isfinite``.
-            if isinstance(value, bool) or not isinstance(value, kind) \
-                    or not math.isfinite(value) or value < least \
-                    or (strict and value == least):
-                raise ClusterError(
-                    f"{field.name} must be a finite {field.type} "
-                    f"{'>' if strict else '>='} {least}, got {value!r}")
-        if self.stream_cap_fraction > 1:
+        # A shared fabric needs two nodes and ``job_slos`` a slack
+        # above 1.
+        require_count("num_nodes", self.num_nodes, 2, ClusterError)
+        for name in ("slo_window", "breach_patience"):
+            require_count(name, getattr(self, name), 1, ClusterError)
+        require_count("max_preemptions", self.max_preemptions, 0, ClusterError)
+        for name in ("nic_bps", "admission_deadline_s"):
+            require_real(name, getattr(self, name), ClusterError,
+                         positive=True)
+        for name in ("restart_overhead_s", "preempt_requeue_s",
+                     "warm_start_max_distance"):
+            require_real(name, getattr(self, name), ClusterError)
+        if require_real("core_oversubscription", self.core_oversubscription,
+                        ClusterError) < 1:
+            raise ClusterError("core_oversubscription must be >= 1")
+        if require_real("stream_cap_fraction", self.stream_cap_fraction,
+                        ClusterError, positive=True) > 1:
             raise ClusterError(f"stream_cap_fraction must be <= 1, got "
                                f"{self.stream_cap_fraction!r}")
-
-
-#: ``field -> (floor, floor excluded)`` for every :class:`ClusterConfig`
-#: field: a shared fabric needs two nodes and ``job_slos`` a slack
-#: above 1.
-_CONFIG_FLOORS = {
-    "num_nodes": (2, False), "nic_bps": (0, True),
-    "core_oversubscription": (1, False), "stream_cap_fraction": (0, True),
-    "admission_deadline_s": (0, True), "slo_slack": (1, True),
-    "slo_window": (1, False), "breach_patience": (1, False),
-    "restart_overhead_s": (0, False), "preempt_requeue_s": (0, False),
-    "max_preemptions": (0, False), "warm_start_max_distance": (0, False),
-}
+        if require_real("slo_slack", self.slo_slack, ClusterError) <= 1:
+            raise ClusterError(
+                f"slo_slack must be > 1, got {self.slo_slack!r}")
 
 
 @dataclasses.dataclass(frozen=True)

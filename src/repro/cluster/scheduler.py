@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, require_count
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.fabric import SharedFabric
@@ -31,8 +31,7 @@ BACKOFF_CAP_S = 4.0
 
 def backoff_delay_s(attempt: int) -> float:
     """Capped exponential backoff: 0.25, 0.5, 1, 2, 4, 4, ... seconds."""
-    if attempt < 0:
-        raise ClusterError("attempt must be >= 0")
+    attempt = require_count("attempt", attempt, 0, ClusterError)
     return min(BACKOFF_BASE_S * (2.0 ** attempt), BACKOFF_CAP_S)
 
 
@@ -55,9 +54,6 @@ class PlacementScheduler:
         self._free = list(range(fabric.num_nodes))
         self._placements: dict[str, Placement] = {}
 
-    @property
-    def free_nodes(self) -> tuple[int, ...]:
-        return tuple(self._free)
 
     def core_demand_bps(self, spec: "JobSpec", streams: int) -> float:
         """Worst-case spine demand of one job's ring traffic.

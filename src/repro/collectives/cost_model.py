@@ -13,10 +13,9 @@ GPUs per node; β terms are bandwidth (bits/s), α terms per-message latency.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing as t
 
-from repro.errors import CollectiveError
+from repro.errors import CollectiveError, require_count, require_real
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.topology import Cluster
@@ -58,22 +57,17 @@ class CostParams:
     core_bps: float | None = None
 
     def __post_init__(self) -> None:
-        if self.world_size < 1 or self.num_nodes < 1:
-            raise CollectiveError("world_size and num_nodes must be >= 1")
+        require_count("world_size", self.world_size, 1, CollectiveError)
+        require_count("num_nodes", self.num_nodes, 1, CollectiveError)
         if self.world_size % self.num_nodes != 0:
             raise CollectiveError("world_size must divide across nodes evenly")
         for name in ("nic_stream_bps", "nic_total_bps", "nvlink_bps",
                      "core_bps"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise CollectiveError(
-                    f"{name} must be finite and positive, got {value!r}")
+            if getattr(self, name) is not None:
+                require_real(name, getattr(self, name), CollectiveError,
+                             positive=True)
         for name in ("inter_alpha_s", "intra_alpha_s", "inter_latency_s"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise CollectiveError(
-                    f"{name} must be finite and non-negative, "
-                    f"got {value!r}")
+            require_real(name, getattr(self, name), CollectiveError)
 
     @classmethod
     def of(cls, cluster: Cluster) -> CostParams:
@@ -98,9 +92,7 @@ class CostParams:
 
 def ring_volume_bytes(size_bytes: float, participants: int) -> float:
     """Bytes crossing each ring hop for an all-reduce of ``size_bytes``."""
-    if participants < 1:
-        raise CollectiveError("participants must be >= 1")
-    if participants == 1:
+    if require_count("participants", participants, 1, CollectiveError) == 1:
         return 0.0
     return 2.0 * size_bytes * (participants - 1) / participants
 

@@ -53,7 +53,7 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import CollectiveError
+from repro.errors import CollectiveError, require_real
 from repro.collectives.cost_model import (
     INA_SWITCH_LATENCY_S,
     PHASE_SYNC_S,
@@ -125,15 +125,6 @@ class CollectiveSchedule:
     size_bytes: float
     phases: tuple[SchedulePhase, ...]
 
-    @property
-    def total_flow_bytes(self) -> float:
-        return sum(flow.size_bytes for phase in self.phases
-                   for flow in phase.flows)
-
-    @property
-    def total_latency_s(self) -> float:
-        return sum(phase.latency_s for phase in self.phases)
-
 
 class CollectivePlanner:
     """Synthesizes collective schedules for one concrete cluster.
@@ -157,9 +148,8 @@ class CollectivePlanner:
             spec.nic_bandwidth_bps)
         if ina_agg_bps is None:
             ina_agg_bps = cluster.num_nodes * line_rate
-        if ina_agg_bps <= 0:
-            raise CollectiveError("ina_agg_bps must be positive")
-        self.ina_agg_bps = ina_agg_bps
+        self.ina_agg_bps = require_real("ina_agg_bps", ina_agg_bps,
+                                        CollectiveError, positive=True)
         #: The aggregation point inside the fabric.  A free-standing
         #: link: every up-phase flow traverses it, so a constrained
         #: aggregator pipeline becomes a real shared bottleneck in the
@@ -167,15 +157,6 @@ class CollectivePlanner:
         self._ina_link: Link | None = None
 
     # -- public API -------------------------------------------------------
-
-    def supported_algorithms(self) -> tuple[str, ...]:
-        """Planner algorithms valid on this cluster's shape."""
-        m = self.cluster.num_nodes
-        names = []
-        if m == 1 or _is_power_of_two(m):
-            names.append("halving-doubling")
-        names.extend(["multi-tree", "ina"])
-        return tuple(names)
 
     def plan(self, algorithm: str, size_bytes: float,
              cap_scale: float = 1.0) -> CollectiveSchedule:
@@ -606,9 +587,8 @@ def planned_numeric_allreduce(algorithm: str,
                               ) -> list[np.ndarray]:
     """Numeric execution of a planner algorithm's data movement.
 
-    Non-power-of-two world sizes fall back to the ring for
-    halving-doubling — mirroring :meth:`CollectivePlanner.
-    supported_algorithms`, which excludes it on such shapes.
+    Halving-doubling needs a power-of-two world size and raises
+    :class:`~repro.errors.CollectiveError` on any other.
     """
     if algorithm == "halving-doubling":
         if _is_power_of_two(len(arrays)):

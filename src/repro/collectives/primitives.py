@@ -14,7 +14,7 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import CollectiveError
+from repro.errors import CollectiveError, require_count
 
 
 class ReduceOp(enum.Enum):
@@ -65,10 +65,8 @@ def chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
     differ in length by at most one and empty ranges only occur when
     ``parts > total``.
     """
-    if parts < 1:
-        raise CollectiveError(f"parts must be >= 1, got {parts}")
-    if total < 0:
-        raise CollectiveError(f"total must be >= 0, got {total}")
+    parts = require_count("parts", parts, 1, CollectiveError)
+    total = require_count("total", total, 0, CollectiveError)
     base, extra = divmod(total, parts)
     bounds = []
     start = 0

@@ -41,7 +41,7 @@ import typing as t
 import numpy as np
 
 from repro.collectives.broadcast import broadcast as numeric_broadcast
-from repro.errors import TrainingError
+from repro.errors import TrainingError, require_count, require_real
 from repro.core.fault_tolerance import CheckpointManager, State
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,14 +73,12 @@ class MembershipView:
     gpus_per_node: int
 
     def __post_init__(self) -> None:
-        if self.epoch < 0:
-            raise TrainingError("membership epoch must be >= 0")
+        require_count("membership epoch", self.epoch, 0, TrainingError)
         if not self.members:
             raise TrainingError("a worker group needs at least one member")
         if len(set(self.members)) != len(self.members):
             raise TrainingError(f"duplicate members: {self.members}")
-        if self.gpus_per_node < 1:
-            raise TrainingError("gpus_per_node must be >= 1")
+        require_count("gpus_per_node", self.gpus_per_node, 1, TrainingError)
 
     @property
     def num_nodes(self) -> int:
@@ -130,10 +128,10 @@ class EpochTransition:
         if self.kind not in TRANSITION_KINDS:
             raise TrainingError(
                 f"kind must be one of {TRANSITION_KINDS}, got {self.kind!r}")
-        if self.world_before < 1 or self.world_after < 1:
-            raise TrainingError("world sizes must be >= 1")
-        if self.reconfigure_time_s < 0:
-            raise TrainingError("reconfigure_time_s must be >= 0")
+        require_count("world_before", self.world_before, 1, TrainingError)
+        require_count("world_after", self.world_after, 1, TrainingError)
+        require_real("reconfigure_time_s", self.reconfigure_time_s,
+                     TrainingError)
 
 
 class ElasticRuntime:
@@ -182,9 +180,8 @@ class ElasticRuntime:
         grows k×, multiply the learning rate by k.  Relative to the
         *initial* deployment so successive resizes compose.
         """
-        world = self.view.world_size if world_size is None else world_size
-        if world < 1:
-            raise TrainingError("world_size must be >= 1")
+        world = self.view.world_size if world_size is None \
+            else require_count("world_size", world_size, 1, TrainingError)
         return world / self.initial_world_size
 
     # -- transitions ---------------------------------------------------------

@@ -32,7 +32,8 @@ from __future__ import annotations
 import functools
 import typing as t
 
-from repro.errors import PeerDeadError, ProcessInterrupt, TrainingError
+from repro.errors import PeerDeadError, ProcessInterrupt, TrainingError, \
+    require_count
 from repro.core.packing import AllReduceUnit, BackwardPlan, plan_backward
 from repro.core.registration import GradientRegistry
 from repro.core.runtime import AIACCConfig, DETECTION_DEADLINE_CAP_FACTOR
@@ -142,7 +143,8 @@ class AIACCBackend(DDLBackend):
         are keyed per-topology and must not compare sync rounds or unit
         plans across a membership change.
         """
-        if epoch < self.epoch:
+        if require_count("membership epoch", epoch, 0,
+                         TrainingError) < self.epoch:
             raise TrainingError(
                 f"membership epoch moved backwards: {self.epoch} -> {epoch}")
         self.epoch = epoch

@@ -30,7 +30,8 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import SynchronizationError
+from repro.errors import SynchronizationError, TrainingError, \
+    require_count, require_real
 from repro.collectives.primitives import ReduceOp
 from repro.collectives.ring import ring_allreduce_worker
 from repro.collectives.runner import run_workers
@@ -95,6 +96,8 @@ def run_message_level_iteration(
     ``compute_skew`` optionally scales that duration per rank
     (``{rank: factor}``, default 1.0) — the straggler scenario knob: one
     slow rank stretches its own backward while the cohort keeps pace.
+    A rank outside the world or a factor that is not finite and
+    positive raises :class:`~repro.errors.TrainingError`.
     Gradient values are deterministic per (worker, parameter) so the
     reduction can be verified.
 
@@ -115,6 +118,13 @@ def run_message_level_iteration(
     cluster = Cluster(sim, num_nodes,
                       NodeSpec(gpus_per_node=gpus_per_node))
     world = cluster.world_size
+    for rank, factor in (compute_skew or {}).items():
+        if require_count("compute_skew rank", rank, 0, TrainingError) \
+                >= world:
+            raise TrainingError(f"compute_skew rank {rank} out of range "
+                                f"for world size {world}")
+        require_real(f"compute_skew factor of rank {rank}", factor,
+                     TrainingError, positive=True)
     comm = Communicator(sim, size=world, cluster=cluster, network=network,
                         connections_per_pair=config.num_streams)
     rng = np.random.default_rng(seed)

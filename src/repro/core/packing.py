@@ -23,7 +23,7 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import PackingError
+from repro.errors import PackingError, require_real
 from repro.models.base import ParameterSpec
 
 #: Minimum slice size, as a fraction of the packing granularity.  Byte
@@ -46,11 +46,8 @@ class TensorSlice:
     nbytes: float
 
     def __post_init__(self) -> None:
-        if self.nbytes <= 0 or self.offset < 0:
-            raise PackingError(
-                f"invalid slice of gradient {self.grad_id}: "
-                f"offset={self.offset}, nbytes={self.nbytes}"
-            )
+        require_real("slice offset", self.offset, PackingError)
+        require_real("slice nbytes", self.nbytes, PackingError, positive=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,9 +66,9 @@ class GradientPacker:
     """Splits/merges synchronized gradients into all-reduce units."""
 
     def __init__(self, granularity_bytes: float) -> None:
-        if granularity_bytes <= 0:
-            raise PackingError("granularity must be positive")
-        self.granularity_bytes = float(granularity_bytes)
+        self.granularity_bytes = float(require_real(
+            "granularity_bytes", granularity_bytes, PackingError,
+            positive=True))
         self._next_unit_id = 0
 
     def pack(self, gradients: t.Sequence[tuple[int, float]]

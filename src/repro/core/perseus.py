@@ -20,7 +20,8 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import RegistrationError, SynchronizationError
+from repro.errors import RegistrationError, SynchronizationError, \
+    require_count
 from repro.collectives.primitives import ReduceOp
 from repro.collectives.broadcast import broadcast as numeric_broadcast
 from repro.collectives.ring import ring_allreduce
@@ -47,11 +48,9 @@ class PerseusSession:
     """
 
     def __init__(self, size: int, config: AIACCConfig | None = None) -> None:
-        if size < 1:
-            raise RegistrationError(f"session size must be >= 1, got {size}")
-        self._size = size
+        self._size = require_count("session size", size, 1, RegistrationError)
         self.config = config or AIACCConfig()
-        self._registries = [GradientRegistry() for _ in range(size)]
+        self._registries = [GradientRegistry() for _ in range(self._size)]
         self._shapes: dict[str, tuple[int, ...]] = {}
         #: Per-rank gradients pushed but not yet globally reduced.
         self._pending: list[dict[str, np.ndarray]] = [

@@ -75,12 +75,6 @@ class GradientRegistry:
         except KeyError:
             raise RegistrationError(f"unknown parameter {name!r}") from None
 
-    def spec_by_id(self, grad_id: int) -> ParameterSpec:
-        """Parameter spec for a gradient id."""
-        self._require_frozen()
-        if not 0 <= grad_id < len(self._ordered):
-            raise RegistrationError(f"gradient id {grad_id} out of range")
-        return self._specs[self._ordered[grad_id]]
 
     def ordered_specs(self) -> list[ParameterSpec]:
         """All parameters in gradient-id order."""

@@ -8,9 +8,8 @@ algorithm — plus the production feature toggles of Section IV.
 from __future__ import annotations
 
 import dataclasses
-import math
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_count, require_real
 
 #: Search bounds observed in the paper's deployments ("the number of
 #: concurrent CUDA streams varies between 2 and 24", §VIII-D).
@@ -70,11 +69,13 @@ class AIACCConfig:
     max_detection_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not MIN_STREAMS <= self.num_streams <= MAX_STREAMS:
+        if require_count("num_streams", self.num_streams, MIN_STREAMS,
+                         ReproError) > MAX_STREAMS:
             raise ReproError(
                 f"num_streams must be within [{MIN_STREAMS}, {MAX_STREAMS}]"
             )
-        if not MIN_GRANULARITY_BYTES <= self.granularity_bytes \
+        if not MIN_GRANULARITY_BYTES <= require_real(
+                "granularity_bytes", self.granularity_bytes, ReproError) \
                 <= MAX_GRANULARITY_BYTES:
             raise ReproError(
                 "granularity_bytes must be within "
@@ -86,29 +87,17 @@ class AIACCConfig:
                 f"algorithm must be one of {ALGORITHMS}, "
                 f"got {self.algorithm!r}"
             )
-        if self.autotune_budget < 1:
-            raise ReproError("autotune_budget must be >= 1")
+        require_count("autotune_budget", self.autotune_budget, 1, ReproError)
         # The failure detector schedules these as timeouts: a NaN or an
         # infinite deadline would sit in the event heap, and ``min()``
-        # silently drops a NaN clamp.  Each check is written so that
-        # NaN fails it.
+        # silently drops a NaN clamp.
         for name in ("sync_timeout_s", "unit_timeout_s",
                      "max_detection_deadline_s"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ReproError(
-                    f"{name} must be finite and positive when set, "
-                    f"got {value}")
-        if isinstance(self.comm_retries, bool) \
-                or not isinstance(self.comm_retries, int):
-            raise ReproError(
-                f"comm_retries must be an int, got {self.comm_retries!r}")
-        if self.comm_retries < 0:
-            raise ReproError("comm_retries must be >= 0")
-        if not 0 <= self.retry_backoff_s < math.inf:
-            raise ReproError(
-                f"retry_backoff_s must be finite and >= 0, "
-                f"got {self.retry_backoff_s}")
+            if getattr(self, name) is not None:
+                require_real(name, getattr(self, name), ReproError,
+                             positive=True)
+        require_count("comm_retries", self.comm_retries, 0, ReproError)
+        require_real("retry_backoff_s", self.retry_backoff_s, ReproError)
 
     @property
     def wire_dtype_bytes(self) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import typing as t
 
-from repro.errors import ProcessInterrupt, ReproError
+from repro.errors import ProcessInterrupt, ReproError, require_count
 from repro.obs import Observability
 from repro.sim.cuda import GPUDevice
 from repro.sim.events import Event
@@ -39,11 +39,10 @@ class CommStreamPool:
                  setup_latency_s: float = 0.0,
                  obs: Observability | None = None,
                  rank: int = 0) -> None:
-        if num_streams < 1:
-            raise ReproError("num_streams must be >= 1")
         self.sim = sim
         self.gpu = gpu
-        self.requested_streams = num_streams
+        self.requested_streams = require_count("num_streams", num_streams,
+                                               1, ReproError)
         self.compute_occupancy = compute_occupancy
         #: Observability sink for per-stream unit spans and metrics.
         self.obs = obs or Observability.disabled()

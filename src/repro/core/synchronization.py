@@ -23,7 +23,8 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import SynchronizationError, SyncTimeoutError
+from repro.errors import SynchronizationError, SyncTimeoutError, \
+    require_count
 from repro.collectives.primitives import ReduceOp
 from repro.collectives.ring import ring_allreduce_worker
 from repro.core.registration import GradientRegistry
@@ -51,8 +52,7 @@ class DecentralizedSynchronizer:
             raise SynchronizationError(
                 "registry must be frozen before synchronization"
             )
-        if epoch < 0:
-            raise SynchronizationError("epoch must be >= 0")
+        require_count("epoch", epoch, 0, SynchronizationError)
         self.sim = sim
         self.comm = comm
         self.rank = rank

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.errors import TranslationError
+from repro.errors import TranslationError, require_count
 
 #: Module that replaces horovod.* imports.
 PERSEUS_MODULE = "repro.core.perseus"
@@ -111,8 +111,7 @@ def translate_sequential_source(source: str, num_workers: int = 8,
     found — the script would not actually be distributed, and silent
     no-op translation is worse than an error.
     """
-    if num_workers < 1:
-        raise TranslationError("num_workers must be >= 1")
+    require_count("num_workers", num_workers, 1, TranslationError)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:

@@ -1,10 +1,33 @@
-"""Exception hierarchy for the repro package.
+"""Exception hierarchy and input policy for the repro package.
 
 Every error raised by this library derives from :class:`ReproError` so that
 callers can catch library failures with a single ``except`` clause while
 still letting programming errors (``TypeError`` etc.) propagate.
-:func:`require_count` and :func:`require_duration` check a count or a
-duration at an entry point and raise the caller's error type.
+
+Input policy.  Every count, real and fraction a constructor,
+``__post_init__`` or public entry point takes is checked by one of two
+helpers, which raise the caller's typed error:
+
+- :func:`require_count` takes a whole number ``>= minimum`` through
+  :func:`operator.index`: stream, node, GPU, retry and iteration counts.
+  ``2.5``, ``16.0`` and ``nan`` are refused, not truncated.
+- :func:`require_real` takes a finite number ``>= 0`` (``> 0`` when
+  ``positive``): durations, bandwidths, sizes, rates, priorities and
+  fractions.  ``nan`` and ``inf`` are refused.
+
+Neither takes a ``bool``: ``True`` is a flag, not a count of one.
+
+A tighter bound (``<= 1`` for a fraction, ``<= MAX_STREAMS``,
+``multiplier >= 1``) is one plain comparison right after the helper
+call; the helper has already refused ``nan``, so the comparison is
+safe.  Index checks (a rank, node or id in ``[0, n)``) are a different
+rule and stay inline.
+
+A guard that runs per event, per flow, per request or per collective
+(``Simulator.timeout``, the ``FluidNetwork`` flow and link checks,
+``TimedCollectives``' size and ``cap_scale`` checks,
+``Resource.request``, ``SharedFabric.allreduce``) also stays inline, so
+the hot path pays a compare, not a call.
 """
 
 from __future__ import annotations
@@ -220,26 +243,26 @@ def require_count(name: str, value: t.Any, minimum: int,
     Counts go through :func:`operator.index`, so ``2.5``, ``16.0`` and
     ``nan`` are refused instead of being truncated or compared.
     """
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or count < minimum:
-        raise error(
-            f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return count
+    if type(value) is not bool:
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= minimum:
+                return count
+    raise error(f"{name} must be a whole number >= {minimum}, got {value!r}")
 
 
-def require_duration(name: str, value: t.Any, error: type[ReproError],
-                     positive: bool = False) -> float:
+def require_real(name: str, value: t.Any, error: type[ReproError],
+                 positive: bool = False) -> float:
     """``value`` if it is finite and ``>= 0`` (``> 0`` when
     ``positive``), else ``error``."""
     try:
-        valid = (0 < value if positive else 0 <= value) and value < math.inf
+        if (0 < value if positive else 0 <= value) and value < math.inf \
+                and type(value) is not bool:
+            return value
     except TypeError:
-        valid = False
-    if not valid:
-        raise error(f"{name} must be finite and "
-                    f"{'positive' if positive else 'non-negative'}, "
-                    f"got {value!r}")
-    return value
+        pass
+    raise error(f"{name} must be finite and "
+                f"{'positive' if positive else 'non-negative'}, got {value!r}")

@@ -32,10 +32,10 @@ from __future__ import annotations
 import abc
 import collections
 import dataclasses
-import math
 import typing as t
 
-from repro.errors import SimulationError, TrainingError
+from repro.errors import SimulationError, TrainingError, require_count, \
+    require_real
 from repro.models.base import ModelSpec, ParameterSpec
 from repro.collectives.timed import TimedCollectives
 from repro.obs import Observability
@@ -49,19 +49,6 @@ UPDATE_TIME_S = 1e-3
 
 #: :meth:`TrainContext.backward_steps`: ``(delay_s, parameters)`` steps.
 BackwardSteps = tuple[tuple[float, tuple[ParameterSpec, ...]], ...]
-
-
-def require_positive(name: str, value: float) -> None:
-    """Reject a backend size or period that is not finite and positive."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def require_non_negative(name: str, value: float) -> None:
-    """Reject a backend overhead that is not finite and non-negative."""
-    if not 0 <= value < math.inf:
-        raise ValueError(
-            f"{name} must be finite and non-negative, got {value}")
 
 
 def relay(target: Event, source: Event) -> None:
@@ -115,10 +102,9 @@ class TrainContext:
                           compare=False)
 
     def __post_init__(self) -> None:
-        if self.batch_per_gpu < 1:
-            raise TrainingError("batch_per_gpu must be >= 1")
-        if self.extra_forward_time_s < 0:
-            raise TrainingError("extra_forward_time_s must be >= 0")
+        require_count("batch_per_gpu", self.batch_per_gpu, 1, TrainingError)
+        require_real("extra_forward_time_s", self.extra_forward_time_s,
+                     TrainingError)
 
     # -- compute timing -----------------------------------------------------
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import typing as t
 
+from repro.errors import TrainingError, require_real
 from repro.frameworks.base import (
     ConnectionPool,
     DDLBackend,
@@ -26,8 +27,6 @@ from repro.frameworks.base import (
     ReadyGradient,
     TrainContext,
     UPDATE_TIME_S,
-    require_non_negative,
-    require_positive,
 )
 from repro.sim.events import Event
 from repro.sim.process import Process
@@ -43,16 +42,17 @@ class HorovodBackend(DDLBackend):
                  master_service_per_worker_s: float = 5e-6,
                  master_service_per_entry_s: float = 1.0e-6,
                  algorithm: str = "ring") -> None:
-        require_positive("cycle_time_s", cycle_time_s)
-        require_positive("fusion_buffer_bytes", fusion_buffer_bytes)
-        require_non_negative("master_service_per_worker_s",
-                             master_service_per_worker_s)
-        require_non_negative("master_service_per_entry_s",
-                             master_service_per_entry_s)
-        self.cycle_time_s = cycle_time_s
-        self.fusion_buffer_bytes = fusion_buffer_bytes
-        self.master_service_per_worker_s = master_service_per_worker_s
-        self.master_service_per_entry_s = master_service_per_entry_s
+        self.cycle_time_s = require_real("cycle_time_s", cycle_time_s,
+                                         TrainingError, positive=True)
+        self.fusion_buffer_bytes = require_real(
+            "fusion_buffer_bytes", fusion_buffer_bytes, TrainingError,
+            positive=True)
+        self.master_service_per_worker_s = require_real(
+            "master_service_per_worker_s", master_service_per_worker_s,
+            TrainingError)
+        self.master_service_per_entry_s = require_real(
+            "master_service_per_entry_s", master_service_per_entry_s,
+            TrainingError)
         self.algorithm = algorithm
 
     # -- control-plane cost model ----------------------------------------------

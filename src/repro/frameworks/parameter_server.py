@@ -36,10 +36,10 @@ from __future__ import annotations
 import abc
 import functools
 import math
-import operator
 import typing as t
 import weakref
 
+from repro.errors import TrainingError, require_count, require_real
 from repro.frameworks.base import (
     ConnectionPool,
     DDLBackend,
@@ -47,8 +47,6 @@ from repro.frameworks.base import (
     TrainContext,
     UPDATE_TIME_S,
     relay,
-    require_non_negative,
-    require_positive,
 )
 from repro.sim.events import Event
 from repro.sim.network import FluidNetwork, Link
@@ -56,19 +54,6 @@ from repro.sim.network import FluidNetwork, Link
 #: The flow step of a push/pull chain; every other step is a delay in
 #: seconds.
 _FLOW = None
-
-
-def _require_count(name: str, value: int, minimum: int) -> int:
-    """``value`` as an int ``>= minimum``: a fractional pool size would
-    never run out of free connections."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = minimum - 1
-    if count < minimum:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
-    return count
 
 
 class ParameterServerBackend(DDLBackend):
@@ -88,20 +73,22 @@ class ParameterServerBackend(DDLBackend):
                  extra_cpu_server_nodes: int = 0,
                  per_key_overhead_s: float = 0.0,
                  server_overhead_s: float = 0.0) -> None:
-        require_non_negative("per_key_overhead_s", per_key_overhead_s)
-        require_non_negative("server_overhead_s", server_overhead_s)
-        self.num_connections = _require_count(
-            "num_connections", num_connections, 1)
+        # A fractional pool size would never run out of free connections.
+        self.num_connections = require_count(
+            "num_connections", num_connections, 1, TrainingError)
         #: Dedicated CPU server machines (the paper's setup has none).
-        self.extra_cpu_server_nodes = _require_count(
-            "extra_cpu_server_nodes", extra_cpu_server_nodes, 0)
+        self.extra_cpu_server_nodes = require_count(
+            "extra_cpu_server_nodes", extra_cpu_server_nodes, 0,
+            TrainingError)
         #: Tensors are cut into parts of at most this many bytes; the
         #: default sends whole keys.
         self.partition_bytes = partition_bytes
         #: Serialization before each push, and aggregation on the server
         #: between a push and its pull.
-        self.per_key_overhead_s = per_key_overhead_s
-        self.server_overhead_s = server_overhead_s
+        self.per_key_overhead_s = require_real(
+            "per_key_overhead_s", per_key_overhead_s, TrainingError)
+        self.server_overhead_s = require_real(
+            "server_overhead_s", server_overhead_s, TrainingError)
         #: ``network -> dedicated-server NIC``: one link per run, so a
         #: reused backend never carries a previous cluster's capacity.
         self._server_links: weakref.WeakKeyDictionary[FluidNetwork, Link] \
@@ -252,7 +239,8 @@ class BytePSBackend(ParameterServerBackend):
                  num_connections: int = 4,
                  extra_cpu_server_nodes: int = 0,
                  server_overhead_s: float = 50e-6) -> None:
-        require_positive("partition_bytes", partition_bytes)
+        require_real("partition_bytes", partition_bytes, TrainingError,
+                     positive=True)
         super().__init__(num_connections, partition_bytes=partition_bytes,
                          extra_cpu_server_nodes=extra_cpu_server_nodes,
                          server_overhead_s=server_overhead_s)

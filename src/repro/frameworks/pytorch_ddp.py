@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import typing as t
 
+from repro.errors import TrainingError, require_real
 from repro.frameworks.base import (
     ConnectionPool,
     DDLBackend,
@@ -24,8 +25,6 @@ from repro.frameworks.base import (
     TrainContext,
     UPDATE_TIME_S,
     relay,
-    require_non_negative,
-    require_positive,
 )
 from repro.models.base import ParameterSpec
 from repro.sim.events import Event
@@ -40,12 +39,13 @@ class PyTorchDDPBackend(DDLBackend):
                  launch_overhead_s: float = 30e-6,
                  stream_cap_scale: float = 0.65,
                  algorithm: str = "ring") -> None:
-        require_positive("bucket_bytes", bucket_bytes)
-        require_non_negative("launch_overhead_s", launch_overhead_s)
-        if not 0 < stream_cap_scale <= 1:
-            raise ValueError("stream_cap_scale must be in (0, 1]")
-        self.bucket_bytes = bucket_bytes
-        self.launch_overhead_s = launch_overhead_s
+        self.bucket_bytes = require_real("bucket_bytes", bucket_bytes,
+                                         TrainingError, positive=True)
+        self.launch_overhead_s = require_real(
+            "launch_overhead_s", launch_overhead_s, TrainingError)
+        if require_real("stream_cap_scale", stream_cap_scale, TrainingError,
+                        positive=True) > 1:
+            raise TrainingError("stream_cap_scale must be in (0, 1]")
         #: DDP v1.10 ships NCCL default socket configuration (untuned
         #: NCCL_SOCKET_NTHREADS), reaching about two-thirds of the single-stream
         #: ceiling of a tuned Horovod deployment; calibrated against the

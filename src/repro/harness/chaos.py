@@ -33,7 +33,7 @@ import json
 import pathlib
 import typing as t
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_count
 from repro.ioutil import atomic_write_text
 from repro.models.base import ModelSpec
 from repro.models.synthetic import random_model_spec
@@ -140,15 +140,15 @@ def run_chaos_case(
     two whole nodes, or a count below 1) raises
     :class:`~repro.errors.ReproError` before any schedule runs.
     """
-    if gpus_per_node < 1 or num_gpus % gpus_per_node != 0 \
-            or num_gpus < 2 * gpus_per_node:
+    require_count("total_iterations", total_iterations, 1, ReproError)
+    require_count("checkpoint_interval", checkpoint_interval, 1, ReproError)
+    gpus_per_node = require_count("gpus_per_node", gpus_per_node, 1,
+                                  ReproError)
+    if require_count("num_gpus", num_gpus, 2 * gpus_per_node,
+                     ReproError) % gpus_per_node:
         raise ReproError(
             f"chaos soak needs >= 2 whole nodes of gpus_per_node >= 1 "
             f"GPUs, got num_gpus={num_gpus}, gpus_per_node={gpus_per_node}")
-    if total_iterations < 1 or checkpoint_interval < 1:
-        raise ReproError(
-            f"chaos soak needs total_iterations and checkpoint_interval "
-            f">= 1, got {total_iterations} and {checkpoint_interval}")
     spec = model or default_chaos_model()
     plan = FaultPlan.chaos(seed, num_nodes=num_gpus // gpus_per_node,
                            horizon_s=horizon_s, mtbf_s=mtbf_s,
@@ -201,8 +201,7 @@ def run_chaos_soak(
     """
     if not seeds:
         raise ReproError("chaos soak needs at least one seed")
-    if replays < 1:
-        raise ReproError("replays must be >= 1")
+    require_count("replays", replays, 1, ReproError)
     outcomes: list[ChaosOutcome] = []
     lines: list[str] = []
     for seed in seeds:

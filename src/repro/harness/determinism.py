@@ -35,7 +35,7 @@ import dataclasses
 import typing as t
 
 from repro.core.runtime import AIACCConfig
-from repro.errors import TrainingError
+from repro.errors import TrainingError, require_count
 from repro.frameworks import make_backend
 from repro.sim.faults import WINDOW_FAULTS, FaultPlan, NodeCrash
 from repro.training.trainer import ThroughputResult, run_training
@@ -298,9 +298,8 @@ def golden_report(committed: t.Mapping[str, dict],
 
 def _fault_layout(ranks: int) -> int:
     """GPUs per node for the fault probe (needs >= 2 whole nodes)."""
-    if ranks < 2:
-        raise TrainingError("fault probes need at least 2 ranks")
-    return min(8, ranks // 2)
+    return min(8, require_count("fault probe ranks", ranks, 2,
+                                TrainingError) // 2)
 
 
 def run_probe(ranks: int, streams: int = 4, faults: bool = False,

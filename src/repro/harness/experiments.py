@@ -183,6 +183,9 @@ def measure_hybrid(model: str, backend: str, gpus: int,
     the mean of three), with aiacc on its :func:`tuned_aiacc_config`
     setting.  Fig. 13 and campaign ``hybrid`` cells both call it.
     """
+    gpus = _checked("gpus", gpus, "count")
+    model_parallel_degree = _checked(
+        "model_parallel_degree", model_parallel_degree, "count")
     engine = make_backend("aiacc", config=tuned_aiacc_config(model, gpus)) \
         if backend == "aiacc" else make_backend(backend)
     return run_hybrid_training(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pathlib
 import typing as t
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_real
 
 Row = t.Mapping[str, object]
 
@@ -83,9 +83,9 @@ def ascii_chart(rows: t.Sequence[Row], label_key: str,
     values = [float(t.cast(float, row[key]))
               for row in rows for key in value_keys
               if row.get(key) is not None]
-    if not values or max(values) <= 0:
+    if not values:
         raise ReproError("chart needs at least one positive value")
-    peak = max(values)
+    peak = require_real("chart peak", max(values), ReproError, positive=True)
     label_width = max(len(str(row[label_key])) for row in rows)
     key_width = max(len(key) for key in value_keys)
 

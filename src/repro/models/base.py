@@ -18,7 +18,7 @@ import dataclasses
 import functools
 import typing as t
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_count, require_real
 
 
 class ModelSpecError(ReproError):
@@ -34,10 +34,7 @@ class ParameterSpec:
     dtype_bytes: int = 4
 
     def __post_init__(self) -> None:
-        if self.num_elements < 1:
-            raise ModelSpecError(
-                f"parameter {self.name!r} must have >= 1 element"
-            )
+        require_count("num_elements", self.num_elements, 1, ModelSpecError)
         if self.dtype_bytes not in (1, 2, 4, 8):
             raise ModelSpecError(
                 f"parameter {self.name!r} has unsupported dtype width "
@@ -58,8 +55,7 @@ class LayerSpec:
     forward_flops: float
 
     def __post_init__(self) -> None:
-        if self.forward_flops < 0:
-            raise ModelSpecError(f"layer {self.name!r} has negative FLOPs")
+        require_real("forward_flops", self.forward_flops, ModelSpecError)
 
     @property
     def num_parameters(self) -> int:
@@ -110,7 +106,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ModelSpecError(f"model {self.name!r} has no layers")
-        if not 0 < self.compute_occupancy <= 1:
+        if require_real("compute_occupancy", self.compute_occupancy,
+                        ModelSpecError, positive=True) > 1:
             raise ModelSpecError(
                 f"model {self.name!r} compute_occupancy out of (0, 1]"
             )
@@ -157,48 +154,10 @@ class ModelSpec:
         """Per-sample backward FLOPs (standard 2x forward estimate)."""
         return 2.0 * self.forward_flops
 
-    @property
-    def training_flops(self) -> float:
-        """Per-sample FLOPs for one full training step."""
-        return self.forward_flops + self.backward_flops
 
     def parameters(self) -> list[ParameterSpec]:
         """All parameters in registration (forward) order."""
         return [p for layer in self.layers for p in layer.parameters]
-
-    # -- memory model --------------------------------------------------------
-
-    @property
-    def activation_bytes_per_sample(self) -> float:
-        """Rough activation memory per training sample.
-
-        Proxy: activations scale with compute, not parameters (conv nets
-        have huge spatial activations, transformers recompute parts of
-        theirs).  Coefficients are order-of-magnitude fits to published
-        profiler numbers (ResNet-50 ≈ 80 MB, BERT-Large ≈ 0.6 GB/seq).
-        """
-        divisor = 400.0 if self.category == "NLP" else 100.0
-        return self.forward_flops / divisor
-
-    def memory_required_bytes(self, batch_size: int) -> float:
-        """Training memory at ``batch_size``: states + activations.
-
-        Parameter states are weights + gradients + two Adam moments
-        (4x model bytes, fp32).
-        """
-        if batch_size < 1:
-            raise ModelSpecError("batch_size must be >= 1")
-        states = 4.0 * self.gradient_bytes
-        return states + batch_size * self.activation_bytes_per_sample
-
-    def max_batch_size(self, gpu_memory_bytes: float) -> int:
-        """Largest per-GPU batch fitting in ``gpu_memory_bytes``."""
-        if gpu_memory_bytes <= 0:
-            raise ModelSpecError("gpu_memory_bytes must be positive")
-        budget = gpu_memory_bytes - 4.0 * self.gradient_bytes
-        if budget <= 0:
-            return 0
-        return max(0, int(budget // self.activation_bytes_per_sample))
 
     # -- backward schedule --------------------------------------------------
 
@@ -234,8 +193,10 @@ class ModelSpec:
         Relative layer sizes — which determine communication behaviour —
         are preserved.
         """
-        if target_parameters < 1 or target_forward_flops <= 0:
-            raise ModelSpecError("scale targets must be positive")
+        require_count("target_parameters", target_parameters, 1,
+                      ModelSpecError)
+        require_real("target_forward_flops", target_forward_flops,
+                     ModelSpecError, positive=True)
         param_scale = target_parameters / self.num_parameters
         flop_scale = target_forward_flops / self.forward_flops
         layers = tuple(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_count
 
 
 @dataclasses.dataclass(frozen=True)
@@ -22,14 +22,13 @@ class DatasetSpec:
     sample_unit: str
 
     def __post_init__(self) -> None:
-        if self.num_samples < 1:
-            raise ReproError(f"dataset {self.name!r} must have samples")
+        require_count(f"dataset {self.name!r} num_samples", self.num_samples,
+                      1, ReproError)
 
     def iterations_per_epoch(self, global_batch: int) -> int:
         """Minibatch steps per epoch at ``global_batch`` samples/step."""
-        if global_batch < 1:
-            raise ReproError("global batch must be >= 1")
-        return max(1, self.num_samples // global_batch)
+        return max(1, self.num_samples // require_count(
+            "global batch", global_batch, 1, ReproError))
 
 
 #: ImageNet-1k training split (ILSVRC-2012).

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_count, require_real
 from repro.models.base import LayerSpec, ModelSpec, ParameterSpec
 
 
@@ -33,14 +33,12 @@ def random_model_spec(
         Sigma of the log-normal layer-size distribution; 0 gives equal
         layers, 2+ gives VGG-like domination by a few huge tensors.
     """
-    if num_layers < 1:
-        raise ReproError("num_layers must be >= 1")
-    if total_parameters < num_layers:
-        raise ReproError("need at least one parameter per layer")
-    if total_forward_flops <= 0:
-        raise ReproError("total_forward_flops must be positive")
-    if size_spread < 0:
-        raise ReproError("size_spread must be >= 0")
+    num_layers = require_count("num_layers", num_layers, 1, ReproError)
+    # At least one parameter per layer.
+    require_count("total_parameters", total_parameters, num_layers, ReproError)
+    require_real("total_forward_flops", total_forward_flops, ReproError,
+                 positive=True)
+    require_real("size_spread", size_spread, ReproError)
     rng = np.random.default_rng(seed)
 
     weights = rng.lognormal(mean=0.0, sigma=size_spread, size=num_layers)

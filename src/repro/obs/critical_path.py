@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_real
 from repro.obs.timeline import StepTimeline, TimelineSpan
 
 #: Attribution components, highest priority first (``straggler`` is the
@@ -91,7 +91,8 @@ def _component_of(span: TimelineSpan) -> str | None:
 def attribute_window(timeline: StepTimeline, rank: int, start: float,
                      end: float, step: int = 0) -> StepAttribution:
     """Attribute an arbitrary ``[start, end]`` window of one rank."""
-    if end < start:
+    require_real("window start", start, ReproError)
+    if require_real("window end", end, ReproError) < start:
         raise ReproError("attribution window ends before it starts")
     by_component: dict[str, list[tuple[float, float]]] = {
         "compute": [], "negotiate": [], "network": []}

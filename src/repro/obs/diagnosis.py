@@ -103,11 +103,6 @@ class DiagnosisReport:
     def findings_digest(self) -> str:
         return findings_digest(self.findings)
 
-    @property
-    def worst_severity(self) -> Severity | None:
-        if not self.findings:
-            return None
-        return max(finding.severity for finding in self.findings)
 
     def findings_at(self, floor: Severity) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity >= floor)

@@ -22,7 +22,7 @@ import logging
 import re
 import typing as t
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_count, require_real
 
 logger = logging.getLogger("repro.obs")
 
@@ -69,9 +69,8 @@ class Metric:
                  max_label_sets: int = DEFAULT_MAX_LABEL_SETS) -> None:
         if not _NAME_RE.match(name):
             raise ReproError(f"invalid metric name {name!r}")
-        if max_label_sets < 1:
-            raise ReproError(
-                f"metric {name!r} needs max_label_sets >= 1")
+        require_count(f"metric {name!r} max_label_sets", max_label_sets, 1,
+                      ReproError)
         self.name = name
         self.help = help
         #: Toggled by the owning registry; every record method checks
@@ -212,7 +211,7 @@ class Histogram(Metric):
         integer bucket counts.  Returns ``None`` when the label set has
         no observations.
         """
-        if not 0.0 <= q <= 1.0:
+        if require_real(f"histogram {self.name}: quantile", q, ReproError) > 1:
             raise ReproError(
                 f"histogram {self.name}: quantile {q} outside [0, 1]")
         state = self.samples.get(_label_key(labels))
@@ -257,10 +256,6 @@ class MetricsRegistry:
         """Total label sets refused by cardinality guards, all families."""
         return sum(m.dropped_label_sets for m in self._metrics.values())
 
-    def set_enabled(self, enabled: bool) -> None:
-        self._enabled = bool(enabled)
-        for metric in self._metrics.values():
-            metric.enabled = self._enabled
 
     # -- family registration -------------------------------------------------
 

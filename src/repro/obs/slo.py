@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 import pathlib
 import typing as t
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_real
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.baselines import Baseline
@@ -52,17 +50,13 @@ class SLO:
     description: str = ""
 
     def __post_init__(self) -> None:
-        for field in ("max_value", "min_value", "baseline_ratio", "quantile"):
-            value = getattr(self, field)
-            # ``bool`` is an ``int``: JSON ``true`` must not read as 1.
-            if value is not None and (
-                    isinstance(value, bool)
-                    or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ReproError(
-                    f"SLO {self.name!r}: {field} must be a finite number, "
-                    f"got {value!r}")
-        if self.quantile is not None and not 0.0 < self.quantile < 1.0:
+        for field in ("max_value", "min_value", "baseline_ratio"):
+            if getattr(self, field) is not None:
+                require_real(f"SLO {self.name!r}: {field}",
+                             getattr(self, field), ReproError)
+        if self.quantile is not None and require_real(
+                f"SLO {self.name!r}: quantile", self.quantile, ReproError,
+                positive=True) >= 1:
             raise ReproError(
                 f"SLO {self.name!r}: quantile must lie in (0, 1), "
                 f"got {self.quantile!r}")
@@ -145,10 +139,10 @@ def job_slos(job_id: str, baseline_step_s: float,
     limit, and ``slack_ratio`` is the contention the tenant is expected
     to absorb before the degradation ladder engages.
     """
-    if baseline_step_s <= 0:
-        raise ReproError(
-            f"job {job_id!r}: baseline_step_s must be positive")
-    if slack_ratio <= 1.0:
+    require_real(f"job {job_id!r}: baseline_step_s", baseline_step_s,
+                 ReproError, positive=True)
+    if require_real(f"job {job_id!r}: slack_ratio", slack_ratio,
+                    ReproError) <= 1:
         raise ReproError(
             f"job {job_id!r}: slack_ratio must exceed 1.0")
     return (

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_count, require_real
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,9 +43,11 @@ class GPUSpec:
     pcie_bps: float = 13e9 * 8
 
     def __post_init__(self) -> None:
-        if self.peak_fp32_flops <= 0 or self.sm_count <= 0:
-            raise SimulationError(f"invalid GPU spec {self.name!r}")
-        if not 0 < self.compute_efficiency <= 1:
+        require_real("peak_fp32_flops", self.peak_fp32_flops,
+                     SimulationError, positive=True)
+        require_count("sm_count", self.sm_count, 1, SimulationError)
+        if require_real("compute_efficiency", self.compute_efficiency,
+                        SimulationError, positive=True) > 1:
             raise SimulationError("compute_efficiency must be in (0, 1]")
 
 
@@ -82,9 +84,8 @@ class GPUDevice:
 
     def compute_time_s(self, flops: float) -> float:
         """Wall-clock seconds to execute ``flops`` of training compute."""
-        if flops < 0:
-            raise SimulationError(f"negative flops: {flops}")
-        return flops / (self.spec.peak_fp32_flops * self.spec.compute_efficiency)
+        return require_real("flops", flops, SimulationError) / (
+            self.spec.peak_fp32_flops * self.spec.compute_efficiency)
 
     def max_concurrent_comm_streams(self, compute_occupancy: float) -> int:
         """How many communication streams can actually run concurrently.
@@ -98,7 +99,8 @@ class GPUDevice:
             leave fewer SMs for communication kernels — reproducing the
             paper's observation that such models limit stream concurrency.
         """
-        if not 0 <= compute_occupancy <= 1:
+        if require_real("compute_occupancy", compute_occupancy,
+                        SimulationError) > 1:
             raise SimulationError(
                 f"compute_occupancy must be in [0, 1], got {compute_occupancy}"
             )
@@ -113,6 +115,6 @@ class GPUDevice:
 
     def effective_streams(self, requested: int, compute_occupancy: float) -> int:
         """Streams that run concurrently given a request of ``requested``."""
-        if requested < 1:
-            raise SimulationError(f"requested streams must be >= 1: {requested}")
-        return min(requested, self.max_concurrent_comm_streams(compute_occupancy))
+        return min(require_count("requested streams", requested, 1,
+                                 SimulationError),
+                   self.max_concurrent_comm_streams(compute_occupancy))

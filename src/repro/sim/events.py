@@ -187,7 +187,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: object = None,
                  name: str = "") -> None:
         if not delay >= 0:  # also refuses NaN
-            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         # The slots of Event.__init__, set here without the super() call:
         # timeouts are the kernel's most frequent allocation.
         self.sim = sim

@@ -52,13 +52,10 @@ simulation activity.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import random
 import typing as t
 
-from repro.errors import FaultInjectionError, require_count, \
-    require_duration
+from repro.errors import FaultInjectionError, require_count, require_real
 from repro.obs import Observability
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork, Link
@@ -69,10 +66,6 @@ from repro.sim.topology import Cluster
 #: flow's remaining transfer takes geological time, which is how a dead
 #: NIC looks to its peers: the connection does not error, it stalls.
 DEAD_LINK_BPS = 1e-3
-
-
-def _require_duration(name: str, value: float) -> None:
-    require_duration(name, value, FaultInjectionError, positive=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,18 +81,8 @@ class Fault:
     node: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.at_s < math.inf:
-            raise FaultInjectionError(
-                f"fault time must be finite and >= 0, got {self.at_s}"
-            )
-        if isinstance(self.node, bool) or \
-                not isinstance(self.node, numbers.Integral):
-            raise FaultInjectionError(
-                f"fault node must be an integer, got {self.node!r}")
-        if self.node < 0:
-            raise FaultInjectionError(
-                f"fault node must be >= 0, got {self.node}"
-            )
+        require_real("at_s", self.at_s, FaultInjectionError)
+        require_count("node", self.node, 0, FaultInjectionError)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,7 +129,7 @@ class LinkFlap(WindowFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require_duration("down_s", self.down_s)
+        require_real("down_s", self.down_s, FaultInjectionError, positive=True)
 
     @property
     def window_s(self) -> float:
@@ -168,9 +151,11 @@ class BandwidthDegradation(WindowFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 < self.fraction <= 1:
+        if require_real("fraction", self.fraction, FaultInjectionError,
+                        positive=True) > 1:
             raise FaultInjectionError("fraction must be in (0, 1]")
-        _require_duration("duration_s", self.duration_s)
+        require_real("duration_s", self.duration_s, FaultInjectionError,
+                     positive=True)
 
     @property
     def window_s(self) -> float:
@@ -197,9 +182,10 @@ class Straggler(WindowFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 1 < self.slowdown < math.inf:
+        if require_real("slowdown", self.slowdown, FaultInjectionError) <= 1:
             raise FaultInjectionError("slowdown must be finite and > 1")
-        _require_duration("duration_s", self.duration_s)
+        require_real("duration_s", self.duration_s, FaultInjectionError,
+                     positive=True)
 
     @property
     def window_s(self) -> float:
@@ -315,8 +301,8 @@ class FaultPlan:
         members.  Raises :class:`~repro.errors.FaultInjectionError` on
         the first inconsistency (see :meth:`validate_for`).
         """
-        if initial_nodes < 1:
-            raise FaultInjectionError("initial_nodes must be >= 1")
+        initial_nodes = require_count("initial_nodes", initial_nodes, 1,
+                                      FaultInjectionError)
         members = set(range(initial_nodes))
         known = set(members)
         minimum = len(members)
@@ -377,8 +363,9 @@ class FaultPlan:
         is skipped instead), so a plan can be checked against the
         cluster size up front.
         """
-        _require_duration("mtbf_s", mtbf_s)
-        _require_duration("horizon_s", horizon_s)
+        require_real("mtbf_s", mtbf_s, FaultInjectionError, positive=True)
+        require_real("horizon_s", horizon_s, FaultInjectionError,
+                     positive=True)
         num_nodes = require_count("num_nodes", num_nodes, 1,
                                   FaultInjectionError)
         kinds = _require_kinds(kinds)
@@ -422,7 +409,8 @@ class FaultPlan:
         """
         num_nodes = require_count("num_nodes", num_nodes, 1,
                                   FaultInjectionError)
-        _require_duration("horizon_s", horizon_s)
+        require_real("horizon_s", horizon_s, FaultInjectionError,
+                     positive=True)
         min_nodes = require_count("min_nodes", min_nodes, 1,
                                   FaultInjectionError)
         if min_nodes > num_nodes:
@@ -434,7 +422,7 @@ class FaultPlan:
             NodeCrash, LinkFlap, BandwidthDegradation, Straggler,
             NodeLeave, NodeJoin))
         mean = mtbf_s if mtbf_s is not None else horizon_s / 6.0
-        _require_duration("mtbf_s", mean)
+        require_real("mtbf_s", mean, FaultInjectionError, positive=True)
         rng = random.Random(seed)
         members = set(range(num_nodes))
         gone: set[int] = set()  # crashed or departed, eligible to rejoin

@@ -14,7 +14,7 @@ import heapq
 import itertools
 import typing as t
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_real
 from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Timeout
 from repro.sim.invariants import InvariantChecker, invariants_enabled_by_env
 
@@ -255,7 +255,7 @@ class Simulator:
                 if event._value is _PENDING:
                     event.succeed(value)
         else:
-            horizon = float(until)
+            horizon = float(require_real("until", until, SimulationError))
             if horizon < self.now:
                 raise SimulationError(
                     f"run(until={horizon}) is in the past (now={self.now})"

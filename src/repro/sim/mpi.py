@@ -18,7 +18,7 @@ from __future__ import annotations
 import typing as t
 from collections import deque
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_count
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.network import FluidNetwork
@@ -53,19 +53,18 @@ class Communicator:
                  ideal_latency_s: float = 10e-6,
                  ideal_bandwidth_bps: float | None = None,
                  connections_per_pair: int = 1) -> None:
-        if size < 1:
-            raise SimulationError(f"communicator size must be >= 1, got {size}")
         if (cluster is None) != (network is None):
             raise SimulationError(
                 "cluster and network must be given together or not at all"
             )
+        require_count("connections_per_pair", connections_per_pair, 1,
+                      SimulationError)
+        size = require_count("communicator size", size, 1, SimulationError)
         if cluster is not None and cluster.world_size < size:
             raise SimulationError(
                 f"communicator size {size} exceeds cluster world size "
                 f"{cluster.world_size}"
             )
-        if connections_per_pair < 1:
-            raise SimulationError("connections_per_pair must be >= 1")
         self.sim = sim
         self.size = size
         self.cluster = cluster

@@ -80,7 +80,7 @@ import math
 import operator
 import typing as t
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, require_real
 from repro.sim.events import _PENDING, Event
 from repro.sim.kernel import Simulator
 
@@ -201,10 +201,7 @@ class Link:
 
     def __init__(self, name: str, capacity_bps: float, latency_s: float = 0.0) -> None:
         _check_capacity(name, capacity_bps)
-        if not math.isfinite(latency_s) or latency_s < 0:
-            raise NetworkError(
-                f"link {name!r} latency must be finite and non-negative, "
-                f"got {latency_s!r}")
+        require_real("latency_s", latency_s, NetworkError)
         self.name = name
         self.capacity_bps = float(capacity_bps)
         self.latency_s = float(latency_s)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import typing as t
 from collections import deque
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_count
 from repro.sim.events import Event
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -35,10 +35,8 @@ class Resource:
     """
 
     def __init__(self, sim: "Simulator", capacity: int, name: str = "") -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
-        self.capacity = capacity
+        self.capacity = require_count("capacity", capacity, 1, SimulationError)
         self.name = name or "resource"
         self._acquire_name = f"{self.name}.acquire"
         self.in_use = 0
@@ -165,9 +163,7 @@ class Resource:
         holders — usage drains down to the new capacity as slots are
         released.
         """
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        self.capacity = require_count("capacity", capacity, 1, SimulationError)
         self._wake_waiters()
 
     def _wake_waiters(self) -> None:

@@ -15,10 +15,9 @@ links motivating tree all-reduce) build the full link set.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing as t
 
-from repro.errors import TopologyError
+from repro.errors import TopologyError, require_count, require_real
 from repro.sim.cuda import GPUDevice, GPUSpec, V100
 from repro.sim.kernel import Simulator
 from repro.sim.network import Link
@@ -45,10 +44,9 @@ class NodeSpec:
     inter_node_latency_s: float = 100e-6
 
     def __post_init__(self) -> None:
-        if self.gpus_per_node < 1:
-            raise TopologyError("gpus_per_node must be >= 1")
-        if self.nic_bandwidth_bps <= 0:
-            raise TopologyError("nic_bandwidth_bps must be positive")
+        require_count("gpus_per_node", self.gpus_per_node, 1, TopologyError)
+        require_real("nic_bandwidth_bps", self.nic_bandwidth_bps,
+                     TopologyError, positive=True)
 
 
 class Cluster:
@@ -78,14 +76,13 @@ class Cluster:
                  node_spec: NodeSpec | None = None,
                  congested_links: t.Mapping[int, float] | None = None,
                  core_oversubscription: float = 1.0) -> None:
-        if num_nodes < 1:
-            raise TopologyError(f"num_nodes must be >= 1, got {num_nodes}")
         self.sim = sim
-        self.num_nodes = num_nodes
+        self.num_nodes = require_count("num_nodes", num_nodes, 1,
+                                       TopologyError)
         self.spec = node_spec or NodeSpec()
         self.congestion = dict(congested_links or {})
-        if not (math.isfinite(core_oversubscription)
-                and core_oversubscription >= 1.0):
+        if require_real("core_oversubscription", core_oversubscription,
+                        TopologyError) < 1:
             raise TopologyError(
                 f"core_oversubscription must be a finite ratio >= 1, "
                 f"got {core_oversubscription!r}")
@@ -93,7 +90,8 @@ class Cluster:
         for node, fraction in self.congestion.items():
             if not 0 <= node < num_nodes:
                 raise TopologyError(f"congested node {node} out of range")
-            if not 0 < fraction <= 1:
+            if require_real("congestion fraction", fraction, TopologyError,
+                            positive=True) > 1:
                 raise TopologyError("congestion fraction must be in (0, 1]")
 
         transport = self.spec.transport
@@ -160,10 +158,6 @@ class Cluster:
         self._check_rank(rank)
         return rank // self.spec.gpus_per_node
 
-    def local_rank(self, rank: int) -> int:
-        """GPU index of worker ``rank`` within its node."""
-        self._check_rank(rank)
-        return rank % self.spec.gpus_per_node
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world_size:
@@ -244,8 +238,7 @@ def alibaba_v100_cluster(sim: Simulator, num_gpus: int,
     ``core_oversubscription > 1`` inserts the shared leaf-spine core
     link (see :class:`Cluster`).
     """
-    if num_gpus < 1:
-        raise TopologyError(f"num_gpus must be >= 1, got {num_gpus}")
+    num_gpus = require_count("num_gpus", num_gpus, 1, TopologyError)
     if num_gpus < gpus_per_node:
         gpus_per_node = num_gpus
     if num_gpus % gpus_per_node != 0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, require_real
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,16 +41,18 @@ class TransportModel:
     gpu_direct: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.single_stream_efficiency <= 1:
-            raise NetworkError("single_stream_efficiency must be in (0, 1]")
-        if not 0 < self.aggregate_efficiency <= 1:
+        require_real("per_message_overhead_s", self.per_message_overhead_s,
+                     NetworkError)
+        require_real("setup_latency_s", self.setup_latency_s, NetworkError)
+        if require_real("aggregate_efficiency", self.aggregate_efficiency,
+                        NetworkError, positive=True) > 1:
             raise NetworkError("aggregate_efficiency must be in (0, 1]")
-        if self.single_stream_efficiency > self.aggregate_efficiency:
+        if require_real("single_stream_efficiency",
+                        self.single_stream_efficiency, NetworkError,
+                        positive=True) > self.aggregate_efficiency:
             raise NetworkError(
                 "a single stream cannot beat the aggregate efficiency"
             )
-        if self.per_message_overhead_s < 0 or self.setup_latency_s < 0:
-            raise NetworkError("overheads must be non-negative")
 
     def stream_cap_bps(self, raw_bandwidth_bps: float) -> float:
         """Per-stream rate cap on a link of ``raw_bandwidth_bps``."""
@@ -60,9 +62,4 @@ class TransportModel:
         """Usable aggregate capacity of a link of ``raw_bandwidth_bps``."""
         return raw_bandwidth_bps * self.aggregate_efficiency
 
-    def max_useful_streams(self) -> int:
-        """Streams needed to saturate the aggregate capacity."""
-        import math
 
-        return math.ceil(self.aggregate_efficiency
-                         / self.single_stream_efficiency)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import TrainingError
+from repro.errors import TrainingError, require_count, require_real
 from repro.models.datasets import IMAGENET, DatasetSpec
 
 #: Effective ImageNet epochs to 93% top-5 with the AIACC DAWNBench recipe
@@ -49,12 +49,12 @@ def time_to_accuracy(throughput_samples_per_s: float, num_gpus: int,
                      dataset: DatasetSpec = IMAGENET,
                      gpus_per_instance: int = 8) -> TimeToAccuracy:
     """Compute DAWNBench metrics from a measured training throughput."""
-    if throughput_samples_per_s <= 0:
-        raise TrainingError("throughput must be positive")
-    if num_gpus < 1 or gpus_per_instance < 1:
-        raise TrainingError("GPU counts must be >= 1")
-    if epochs_to_target <= 0:
-        raise TrainingError("epochs_to_target must be positive")
+    require_real("throughput", throughput_samples_per_s, TrainingError,
+                 positive=True)
+    require_count("num_gpus", num_gpus, 1, TrainingError)
+    require_count("gpus_per_instance", gpus_per_instance, 1, TrainingError)
+    require_real("epochs_to_target", epochs_to_target, TrainingError,
+                 positive=True)
     total_samples = dataset.num_samples * epochs_to_target
     seconds = total_samples / throughput_samples_per_s
     instances = max(1, num_gpus // gpus_per_instance)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.errors import TrainingError
+from repro.errors import TrainingError, require_count
 from repro.frameworks.base import DDLBackend
 from repro.models.base import ModelSpec
 from repro.models.zoo import get_model
@@ -39,8 +39,8 @@ class HybridPlan:
     activation_bytes_per_sample: float
 
     def __post_init__(self) -> None:
-        if self.model_parallel_degree < 1:
-            raise TrainingError("model_parallel_degree must be >= 1")
+        require_count("model_parallel_degree", self.model_parallel_degree, 1,
+                      TrainingError)
 
     def per_gpu_spec(self) -> ModelSpec:
         """The per-GPU shard: 1/k of parameters and FLOPs."""

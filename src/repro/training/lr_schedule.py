@@ -10,7 +10,7 @@ paper builds on (DAWNBench) uses it.
 
 from __future__ import annotations
 
-from repro.errors import TrainingError
+from repro.errors import TrainingError, require_count, require_real
 
 
 class LRSchedule:
@@ -18,20 +18,18 @@ class LRSchedule:
 
     def __init__(self, base_lr: float, total_steps: int,
                  warmup_steps: int = 0) -> None:
-        if base_lr <= 0:
-            raise TrainingError("base_lr must be positive")
-        if total_steps < 1:
-            raise TrainingError("total_steps must be >= 1")
-        if not 0 <= warmup_steps < total_steps:
+        self.base_lr = require_real("base_lr", base_lr, TrainingError,
+                                    positive=True)
+        self.total_steps = require_count("total_steps", total_steps, 1,
+                                         TrainingError)
+        self.warmup_steps = require_count("warmup_steps", warmup_steps, 0,
+                                          TrainingError)
+        if self.warmup_steps >= self.total_steps:
             raise TrainingError("warmup_steps must be within total_steps")
-        self.base_lr = base_lr
-        self.total_steps = total_steps
-        self.warmup_steps = warmup_steps
 
     def lr_at(self, step: int) -> float:
         """Learning rate for ``step`` (0-based)."""
-        if step < 0:
-            raise TrainingError("step must be >= 0")
+        require_count("step", step, 0, TrainingError)
         if self.warmup_steps and step < self.warmup_steps:
             # Linear warm-up from base_lr / warmup_steps.
             return self.base_lr * (step + 1) / self.warmup_steps
@@ -47,7 +45,7 @@ class LinearDecay(LRSchedule):
     def __init__(self, base_lr: float, total_steps: int,
                  warmup_steps: int = 0, final_fraction: float = 0.0) -> None:
         super().__init__(base_lr, total_steps, warmup_steps)
-        if not 0 <= final_fraction <= 1:
+        if require_real("final_fraction", final_fraction, TrainingError) > 1:
             raise TrainingError("final_fraction must be in [0, 1]")
         self.final_fraction = final_fraction
 
@@ -65,7 +63,7 @@ class StepDecay(LRSchedule):
                  milestones: list[int], gamma: float = 0.1,
                  warmup_steps: int = 0) -> None:
         super().__init__(base_lr, total_steps, warmup_steps)
-        if not 0 < gamma < 1:
+        if require_real("gamma", gamma, TrainingError, positive=True) >= 1:
             raise TrainingError("gamma must be in (0, 1)")
         if sorted(milestones) != list(milestones):
             raise TrainingError("milestones must be ascending")

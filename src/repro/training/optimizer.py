@@ -17,7 +17,7 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import TrainingError
+from repro.errors import TrainingError, require_count, require_real
 
 State = t.Dict[str, np.ndarray]
 
@@ -26,9 +26,7 @@ class Optimizer:
     """Base class: stateful parameter updates from gradients."""
 
     def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise TrainingError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
+        self.lr = require_real("lr", lr, TrainingError, positive=True)
         self.steps = 0
 
     def step(self, parameters: State, gradients: State) -> None:
@@ -55,7 +53,7 @@ class SGD(Optimizer):
     def __init__(self, lr: float = 0.1, momentum: float = 0.0,
                  weight_decay: float = 0.0) -> None:
         super().__init__(lr)
-        if not 0 <= momentum < 1:
+        if require_real("momentum", momentum, TrainingError) >= 1:
             raise TrainingError("momentum must be in [0, 1)")
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -95,7 +93,8 @@ class Adam(Optimizer):
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
         super().__init__(lr)
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
+        if max(require_real("beta1", beta1, TrainingError),
+               require_real("beta2", beta2, TrainingError)) >= 1:
             raise TrainingError("betas must be in [0, 1)")
         self.beta1 = beta1
         self.beta2 = beta2
@@ -129,9 +128,8 @@ class AdamSGD(Optimizer):
     def __init__(self, lr: float = 1e-3, sgd_lr: float = 0.01,
                  switch_step: int = 100, momentum: float = 0.9) -> None:
         super().__init__(lr)
-        if switch_step < 1:
-            raise TrainingError("switch_step must be >= 1")
-        self.switch_step = switch_step
+        self.switch_step = require_count("switch_step", switch_step, 1,
+                                         TrainingError)
         self.adam = Adam(lr=lr)
         self.sgd = SGD(lr=sgd_lr, momentum=momentum)
 

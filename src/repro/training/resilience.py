@@ -29,7 +29,7 @@ import typing as t
 import numpy as np
 
 from repro.errors import FaultInjectionError, PeerDeadError, TrainingError, \
-    require_count, require_duration
+    require_count, require_real
 from repro.core.elastic import EpochTransition
 from repro.core.runtime import AIACCConfig
 from repro.models.base import ModelSpec
@@ -100,14 +100,13 @@ def simulate_resilient_training(
         which a node fails; work since the last checkpoint is lost.
     """
     spec = get_model(model) if isinstance(model, str) else model
-    require_duration("iteration_time_s", iteration_time_s, TrainingError,
-                     positive=True)
+    require_real("iteration_time_s", iteration_time_s, TrainingError,
+                 positive=True)
     total_iterations = require_count("total_iterations", total_iterations,
                                      1, TrainingError)
     checkpoint_interval = require_count(
         "checkpoint_interval", checkpoint_interval, 1, TrainingError)
-    require_duration("restart_overhead_s", restart_overhead_s,
-                     TrainingError)
+    require_real("restart_overhead_s", restart_overhead_s, TrainingError)
     failures = sorted({require_count("failure index", index, 0,
                                      TrainingError)
                        for index in failure_at})
@@ -159,11 +158,11 @@ def optimal_checkpoint_interval(iteration_time_s: float,
                                 model: str | ModelSpec) -> int:
     """Young's approximation: sqrt(2 x ckpt_cost x MTBF), in iterations."""
     spec = get_model(model) if isinstance(model, str) else model
-    require_duration("iteration_time_s", iteration_time_s, TrainingError,
-                     positive=True)
-    require_duration("mean_iterations_between_failures",
-                     mean_iterations_between_failures, TrainingError,
-                     positive=True)
+    require_real("iteration_time_s", iteration_time_s, TrainingError,
+                 positive=True)
+    require_real("mean_iterations_between_failures",
+                 mean_iterations_between_failures, TrainingError,
+                 positive=True)
     ckpt_cost = checkpoint_write_time_s(spec)
     mtbf_s = mean_iterations_between_failures * iteration_time_s
     interval_s = math.sqrt(2.0 * ckpt_cost * mtbf_s)
@@ -316,13 +315,12 @@ def run_fault_injected_training(
                                      1, TrainingError)
     checkpoint_interval = require_count(
         "checkpoint_interval", checkpoint_interval, 1, TrainingError)
+    max_restarts = require_count("max_restarts", max_restarts, 0,
+                                 TrainingError)
+    require_real("restart_overhead_s", restart_overhead_s, TrainingError)
     num_gpus = require_count("num_gpus", num_gpus, 1, TrainingError)
     gpus_per_node = require_count("gpus_per_node", gpus_per_node, 1,
                                   TrainingError)
-    max_restarts = require_count("max_restarts", max_restarts, 0,
-                                 TrainingError)
-    require_duration("restart_overhead_s", restart_overhead_s,
-                     TrainingError)
     if num_gpus % gpus_per_node != 0 or num_gpus < 2 * gpus_per_node:
         raise TrainingError(
             "fault injection needs >= 2 whole nodes (num_gpus a multiple "

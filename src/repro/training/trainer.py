@@ -17,7 +17,7 @@ import logging
 import statistics
 import typing as t
 
-from repro.errors import TopologyError, TrainingError
+from repro.errors import TopologyError, TrainingError, require_count
 from repro.collectives.timed import TimedCollectives
 from repro.frameworks import make_backend
 from repro.frameworks.base import DDLBackend, IterationStats, TrainContext
@@ -100,8 +100,7 @@ def build_train_context(
     ``gpus_per_node`` GPUs form one partially filled node, except under
     ``congested_links``, which need whole nodes.
     """
-    if num_gpus < 1:
-        raise TopologyError(f"num_gpus must be >= 1, got {num_gpus}")
+    num_gpus = require_count("num_gpus", num_gpus, 1, TopologyError)
     if num_gpus % gpus_per_node != 0:
         if congested_links:
             raise TrainingError("num_gpus must fill whole nodes when "
@@ -191,8 +190,8 @@ def run_training(
         built; the result then carries the run's ``state_digest``.
         ``None`` follows the ``REPRO_CHECK_INVARIANTS`` environment flag.
     """
-    if measure_iterations < 1 or warmup_iterations < 0:
-        raise TrainingError("iteration counts out of range")
+    require_count("measure_iterations", measure_iterations, 1, TrainingError)
+    require_count("warmup_iterations", warmup_iterations, 0, TrainingError)
     spec = get_model(model) if isinstance(model, str) else model
     if isinstance(backend, str):
         backend = make_backend(backend)

@@ -103,12 +103,6 @@ class TestHybridCellValidation:
         {**HYBRID, "streams": 64},
         {**HYBRID, "modle": "vgg16"},
         {**HYBRID, "diagnose": True},
-        {**HYBRID, "gpus": 8.7}, {**HYBRID, "gpus": True},
-        {**HYBRID, "gpus": 0}, {**HYBRID, "gpus": "8"},
-        {**HYBRID, "gpus": None}, {**HYBRID, "gpus": math.inf},
-        {**HYBRID, "model_parallel_degree": 1.5},
-        {**HYBRID, "model_parallel_degree": False},
-        {**HYBRID, "model_parallel_degree": 0},
         {**HYBRID, "model": 7}, {**HYBRID, "backend": None},
         {"gpus": 8},
         {"model": "resnet50"},
@@ -117,15 +111,28 @@ class TestHybridCellValidation:
         with pytest.raises(CampaignError):
             hybrid_runner(cell, CTX)
 
+    @pytest.mark.parametrize("cell", [
+        {**HYBRID, "gpus": 8.7}, {**HYBRID, "gpus": True},
+        {**HYBRID, "gpus": 0}, {**HYBRID, "gpus": "8"},
+        {**HYBRID, "gpus": None}, {**HYBRID, "gpus": math.inf},
+        {**HYBRID, "model_parallel_degree": 1.5},
+        {**HYBRID, "model_parallel_degree": False},
+        {**HYBRID, "model_parallel_degree": 0},
+    ], ids=repr)
+    def test_bad_count_raises_training_error(self, cell):
+        # measure_hybrid checks its counts as measure does.
+        with pytest.raises(TrainingError):
+            hybrid_runner(cell, CTX)
+
     def test_labels_are_accepted_and_dropped(self):
         assert hybrid_kwargs({**HYBRID, "figure": "fig13", "seed": 3}) == \
             {**HYBRID, "backend": "aiacc", "model_parallel_degree": 2}
 
     def test_integral_float_counts_run_as_ints(self):
-        assert hybrid_kwargs({**HYBRID, "gpus": 8.0,
-                              "model_parallel_degree": 2.0}) == \
-            hybrid_kwargs(HYBRID)
-        assert type(hybrid_kwargs({**HYBRID, "gpus": 8.0})["gpus"]) is int
+        result = hybrid_runner({**HYBRID, "gpus": 8.0,
+                                "model_parallel_degree": 2.0}, CTX)
+        assert result == hybrid_runner(HYBRID, CTX)
+        assert type(result["gpus"]) is int
 
 
 def spec_line(out: str, name: str) -> str:

@@ -71,14 +71,12 @@ class TestPlacementScheduler:
         assert reason == "admitted"
         assert a.nodes == (0, 1)
         assert b.nodes == (2, 3, 4)
-        assert sched.free_nodes == (5,)
 
     def test_release_returns_slots_in_order(self):
         sched = PlacementScheduler(make_fabric(4))
         sched.try_admit(spec("a", num_nodes=2), streams=1)
         sched.try_admit(spec("b", num_nodes=2), streams=1)
         sched.release("a")
-        assert sched.free_nodes == (0, 1)
         again, _ = sched.try_admit(spec("c", num_nodes=2), streams=1)
         assert again.nodes == (0, 1)
 

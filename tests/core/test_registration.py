@@ -69,16 +69,6 @@ class TestRegistration:
         registry.freeze()
         assert len(registry) == model.num_gradients
 
-    def test_spec_by_id_roundtrip(self):
-        registry = make_registry()
-        for name in ("a", "b", "c"):
-            grad_id = registry.grad_id(name)
-            assert registry.spec_by_id(grad_id).name == name
-
-    def test_spec_by_id_out_of_range(self):
-        registry = make_registry()
-        with pytest.raises(RegistrationError):
-            registry.spec_by_id(99)
 
     def test_ordered_specs(self):
         registry = make_registry(("b", "a"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, TrainingError
 from repro.frameworks import (
     BytePSBackend,
     HorovodBackend,
@@ -84,7 +84,7 @@ BAD_VALUES = [
                          ids=lambda v: getattr(v, "name", str(v)))
 def test_bad_size_or_overhead_rejected_at_construction(backend, param,
                                                        value):
-    with pytest.raises(ValueError, match=param):
+    with pytest.raises(TrainingError, match=param):
         backend(**{param: value})
 
 
@@ -120,7 +120,7 @@ class TestHorovod:
         assert buffers == [4000]
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TrainingError):
             HorovodBackend(cycle_time_s=0)
 
     def test_end_to_end_iteration(self):
@@ -151,9 +151,9 @@ class TestPyTorchDDP:
                 assert size <= 25e6 * 1.01
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TrainingError):
             PyTorchDDPBackend(bucket_bytes=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TrainingError):
             PyTorchDDPBackend(stream_cap_scale=0)
 
     def test_end_to_end_iteration(self):

@@ -53,7 +53,8 @@ class TestChaosCase:
     def test_misconfigured_soak_rejected(self, kwargs):
         # Checked before the schedule is drawn, so no input reaches the
         # try block as a "clean failure" or escapes as a raw exception.
-        with pytest.raises(ReproError, match="chaos soak needs"):
+        (name,) = kwargs
+        with pytest.raises(ReproError, match=f"^{name} must be a whole "):
             run_chaos_case(seed=0, **kwargs)
 
 

@@ -47,7 +47,6 @@ class TestCleanScenario:
         _obs, report = diagnosed_step_report()
         assert report.findings == ()
         assert report.findings_digest == EMPTY_FINDINGS_DIGEST
-        assert report.worst_severity is None
 
     def test_healthy_trainer_shape_is_quiet(self):
         from repro.training.trainer import run_training

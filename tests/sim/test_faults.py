@@ -77,7 +77,7 @@ class TestFaultPlan:
     def test_node_must_be_an_integer(self, node):
         # A float node used to survive until a cluster indexed a tuple
         # with it, mid-run.
-        with pytest.raises(FaultInjectionError, match="integer"):
+        with pytest.raises(FaultInjectionError, match="whole number"):
             NodeCrash(at_s=0.0, node=node)
 
     def test_plan_rejects_non_fault_entries(self):
@@ -115,7 +115,9 @@ class TestFaultPlanHardening:
         # 1.0 is a valid (no-op) degradation; the bound is (0, 1].
         BandwidthDegradation(at_s=0.0, node=0, fraction=1.0)
         for bad in (0.0, -0.5, 1.0001, 2.0):
-            with pytest.raises(FaultInjectionError, match=r"\(0, 1\]"):
+            with pytest.raises(FaultInjectionError,
+                               match=r"fraction must be (finite and "
+                                     r"positive|in \(0, 1\])"):
                 BandwidthDegradation(at_s=0.0, node=0, fraction=bad)
 
     def test_overlapping_flap_windows_on_same_node_rejected(self):

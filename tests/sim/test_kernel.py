@@ -22,14 +22,14 @@ def test_timeout_advances_clock():
 
 def test_timeout_rejects_negative_delay():
     sim = Simulator()
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         sim.timeout(-1.0)
 
 
 def test_timeout_rejects_nan_delay():
     # A NaN delay used to fire first and set the clock to NaN.
     sim = Simulator()
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         sim.timeout(float("nan"))
     assert sim.queue_length == 0
 

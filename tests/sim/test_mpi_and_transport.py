@@ -157,13 +157,10 @@ class TestTransportModels:
         assert not TCP.gpu_direct
         assert TCP.stream_cap_bps(30e9) == pytest.approx(7.5e9)
         assert TCP.effective_capacity_bps(30e9) == pytest.approx(28.8e9)
-        assert TCP.max_useful_streams() == 4
 
     def test_rdma_calibration(self):
         assert RDMA.single_stream_efficiency == pytest.approx(0.08)
         assert RDMA.gpu_direct
-        # Saturating RDMA takes far more streams than TCP.
-        assert RDMA.max_useful_streams() > TCP.max_useful_streams()
 
     def test_validation(self):
         with pytest.raises(NetworkError):

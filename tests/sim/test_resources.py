@@ -10,7 +10,7 @@ from repro.sim.resources import Resource, Store
 class TestResource:
     def test_capacity_validation(self):
         sim = Simulator()
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             Resource(sim, capacity=0)
 
     def test_acquire_release_cycle(self):

@@ -18,7 +18,6 @@ class TestClusterBasics:
         assert cluster.world_size == 32
         assert cluster.num_nodes == 4
         assert cluster.node_of(17) == 2
-        assert cluster.local_rank(17) == 1
 
     def test_rank_out_of_range(self):
         sim = Simulator()

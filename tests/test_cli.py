@@ -126,15 +126,17 @@ class TestFaultsCommand:
         assert "seed   0" in out
         assert len(jsonl.read_text().strip().splitlines()) == 4
 
-    @pytest.mark.parametrize("flags", [
-        ["--gpus", "3"], ["--iterations", "0"], ["--gpus-per-node", "0"]])
-    def test_chaos_misconfigured_soak_exits_one(self, capsys, flags):
+    @pytest.mark.parametrize("flags,name", [
+        (["--gpus", "3"], "num_gpus"), (["--gpus", "5"], "chaos soak"),
+        (["--iterations", "0"], "total_iterations"),
+        (["--gpus-per-node", "0"], "gpus_per_node")])
+    def test_chaos_misconfigured_soak_exits_one(self, capsys, flags, name):
         # A bad layout or count is a harness error, not a chaos outcome:
         # the CLI exits 1 before any seed runs.
         assert main(["chaos", "--seeds", "2", "--replays", "1",
                      *flags]) == 1
         captured = capsys.readouterr()
-        assert "error: chaos soak needs" in captured.err
+        assert f"error: {name}" in captured.err
         assert "seed " not in captured.out
 
     def test_chaos_typed_failures_exit_zero(self, capsys):

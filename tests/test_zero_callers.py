@@ -34,8 +34,6 @@ ALLOWED = {
         "against",
     "repro.campaign.grid.RunSpec.from_json":
         "inverse of RunSpec.to_json; the round-trip test reads it",
-    "repro.cluster.scheduler.PlacementScheduler.free_nodes":
-        "read-only view of the free slots for tests of placement",
     "repro.collectives.alltoall.gather":
         "numeric collective API (§IX primitives), tested bit-exact",
     "repro.collectives.alltoall.reduce":
@@ -53,12 +51,6 @@ ALLOWED = {
         "closed-form model the timed multi-tree is tested against",
     "repro.collectives.hierarchical.hierarchical_allreduce":
         "numeric face of the hierarchical algorithm, tested bit-exact",
-    "repro.collectives.planner.CollectivePlanner.supported_algorithms":
-        "planner query the planner tests enumerate",
-    "repro.collectives.planner.CollectiveSchedule.total_flow_bytes":
-        "schedule summary the planner tests check",
-    "repro.collectives.planner.CollectiveSchedule.total_latency_s":
-        "schedule summary the planner tests check",
     "repro.collectives.planner.planned_numeric_allreduce":
         "numeric face of the planner algorithms, tested bit-exact",
     "repro.collectives.primitives.concat_chunks":
@@ -79,24 +71,12 @@ ALLOWED = {
         "decentralized synchronization round of the numeric API (§V-A)",
     "repro.core.perseus.init":
         "Horovod API (hvd.init); translated scripts call it",
-    "repro.core.registration.GradientRegistry.spec_by_id":
-        "id-to-spec lookup of the gradient registry, tested",
     "repro.core.streams.CommStreamPool.in_flight":
         "stream-pool occupancy the engine and fault tests read",
-    "repro.models.base.ModelSpec.max_batch_size":
-        "memory-model query of the model zoo, tested",
-    "repro.models.base.ModelSpec.memory_required_bytes":
-        "memory-model query of the model zoo, tested",
-    "repro.models.base.ModelSpec.training_flops":
-        "per-sample training FLOPs of the model zoo, tested",
     "repro.models.datasets.DatasetSpec.iterations_per_epoch":
         "dataset query, tested",
     "repro.models.datasets.get_dataset":
         "dataset registry lookup, tested",
-    "repro.obs.diagnosis.DiagnosisReport.worst_severity":
-        "report summary the diagnosis tests check",
-    "repro.obs.metrics.MetricsRegistry.set_enabled":
-        "registry-wide switch, tested",
     "repro.obs.timeline.StepTimeline.merge":
         "folds per-rank timelines together, tested",
     "repro.sim.kernel.Simulator.queue_length":
@@ -113,10 +93,6 @@ ALLOWED = {
         "public deposit of the store API, tested",
     "repro.sim.topology.Cluster.alive_world_size":
         "survivor world size the fault tests read",
-    "repro.sim.topology.Cluster.local_rank":
-        "rank-to-GPU mapping of the cluster, tested",
-    "repro.sim.transport.TransportModel.max_useful_streams":
-        "stream-saturation query of the transport model, tested",
     "repro.training.lr_schedule.StepDecay":
         "step-decay schedule beside the paper's linear decay, tested",
     "repro.training.resilience.optimal_checkpoint_interval":
