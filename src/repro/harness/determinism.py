@@ -165,7 +165,8 @@ FINDINGS_CELLS: tuple[dict, ...] = (
 
 
 #: Every chaos-soak seed pinned in ``tests/sim/golden_chaos.json``: the
-#: seeds the CI soak runs (``python -m repro chaos --seeds 20``).
+#: first 20 of the 100 seeds the CI soak runs (``python -m repro chaos
+#: --seeds 100``); the rest must only terminate and replay equal.
 #: :func:`chaos_entry` is its pin.
 CHAOS_CELLS: tuple[int, ...] = tuple(range(20))
 

@@ -42,7 +42,10 @@ NIC to :data:`DEAD_LINK_BPS` in the injector and to
 
 A :class:`FaultPlan` is an immutable, time-sorted schedule of faults;
 a :class:`FaultInjector` arms the plan against a live simulator/cluster/
-network triple and survives communicator rebuilds via :meth:`retarget`.
+network triple.  The injector keeps no record of the worker group: it
+holds the membership announcements not yet applied and the NIC windows
+still open, and the recovery driver hands it each rebuilt cluster with
+the group's members via :meth:`FaultInjector.retarget`.
 
 Faults are *delivered through the event queue* (one timeout per
 fault), so injection is deterministic and ordered with all other
@@ -73,8 +76,10 @@ class Fault:
     """Base class for scheduled faults.
 
     ``at_s`` is the absolute simulated injection time; ``node`` is the
-    index of the victim node *in the original cluster* (the injector
-    keeps the mapping to post-rebuild indices).
+    victim's original node id: its index in the original cluster, or a
+    new identity a join admits.  In a rebuilt cluster the victim's
+    index is its position in the members passed to
+    :meth:`FaultInjector.retarget`.
     """
 
     at_s: float
@@ -215,6 +220,8 @@ class NodeJoin(Fault):
 MEMBERSHIP_FAULTS = (NodeCrash, NodeLeave, NodeJoin)
 #: Fault kinds that hold a node's NIC in a changed state for a window.
 WINDOW_FAULTS = (LinkFlap, BandwidthDegradation, Straggler)
+#: The injector's queue entry kind of each membership fault.
+_ANNOUNCED = {NodeCrash: "crash", NodeLeave: "leave", NodeJoin: "join"}
 
 
 def check_windows(faults: t.Iterable[Fault]) -> None:
@@ -287,7 +294,8 @@ class FaultPlan:
         * joins targeting a node that is already a member;
         * window faults (flap/degradation/straggler) targeting an
           identity the schedule never knows about — former members are
-          allowed (the fault is a runtime no-op, like today);
+          allowed (the window holds the node's NIC only while it is a
+          member);
         * any point where the group would drop below one worker;
         * overlapping windows on the same node (:func:`check_windows`).
         """
@@ -467,51 +475,46 @@ class FaultPlan:
 class FaultInjector:
     """Arms a :class:`FaultPlan` against a live simulation.
 
-    The injector owns the mapping from *original* node indices (the
-    coordinates the plan is written in) to indices in the *current*
-    cluster, which shrinks as crashed nodes are excised by elastic
-    rebuilds.  After each rebuild the driver calls :meth:`retarget` with
-    the new cluster/network; pending faults whose victim has already
-    crashed become no-ops.
+    The injector is not a record of the worker group.  It knows the
+    cluster and network in use, the original node id of each cluster
+    index (the ``members`` the driver passed to :meth:`retarget`), and
+    what no other object knows:
+
+    * the membership announcements not yet applied — crashes, leaves
+      and joins, in delivery order.  An announcement that undoes a
+      pending one for the same node withdraws both: a join after a
+      pending leave (the node never left), a leave or crash after a
+      pending join (the node was never admitted).  A crash voids its
+      node's pending leave; a leave of a crashed member is dropped,
+      since crash recovery owns that node;
+    * the NIC windows still open, keyed by original node id.  A window
+      holds its node's NIC in whichever cluster is in use: on a member
+      when it opens, on the rebuilt cluster at each :meth:`retarget`
+      (a joiner admitted mid-window gets the rest of it), and its close
+      restores the links of the cluster in use at that moment.
+
+    The driver drains crashes with :meth:`take_crashes` and, at an
+    iteration boundary, the net joins and then the net leaves; neither
+    is handed out while a crash is pending.
     """
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  network: FluidNetwork,
                  obs: Observability | None = None) -> None:
         self.sim = sim
-        self.cluster = cluster
-        self.network = network
         #: The run's observability; fault events are counted and put on
         #: its timeline.
         self.obs = obs or Observability.disabled()
-        #: Original node ids of the nodes present in the current cluster,
-        #: in cluster order: ``_current[i]`` is the original identity of
-        #: current node ``i``.
-        self._current: list[int] = list(range(cluster.num_nodes))
-        #: Original ids of permanently crashed nodes.
-        self._crashed: set[int] = set()
-        #: Original ids of nodes that departed cleanly (scale-down).
-        self._departed: set[int] = set()
-        #: Every identity the injector has ever known (initial members
-        #: plus admitted joiners); joins of unknown ids extend it.
-        self._known: set[int] = set(self._current)
-        #: Crashes not yet consumed by the recovery driver
-        #: (:meth:`take_pending_dead`), in original-node coordinates.
-        self._pending_dead: list[int] = []
-        #: Clean departures announced but not yet excised at an epoch
-        #: boundary (:meth:`take_pending_leaves`).
-        self._pending_leaves: list[int] = []
-        #: Join requests awaiting admission at an epoch boundary
-        #: (:meth:`take_pending_joins`).
-        self._pending_joins: list[int] = []
-        #: Injection time per crashed original node.
-        self.crash_times: dict[int, float] = {}
-        #: Announce time per departed original node.
-        self.leave_times: dict[int, float] = {}
-        #: Request time per joined original node (latest join wins).
-        self.join_times: dict[int, float] = {}
-        #: Original capacities of links we have squashed, for restore.
-        self._saved_caps: dict[Link, float] = {}
+        #: Announcements not yet applied, in delivery order:
+        #: ``(kind, node, at_s)`` with kind ``crash``, ``leave`` or
+        #: ``join`` and ``node`` an original id.
+        self._queue: list[tuple[str, int, float]] = []
+        #: Open NIC windows by original node id, each with the
+        #: ``(link, capacity)`` pairs it squashed in the cluster in use
+        #: (empty while the node is not a live member of it).
+        self._windows: dict[int, tuple[WindowFault,
+                                       tuple[tuple[Link, float], ...]]] = {}
+        self.retarget(cluster, network, range(cluster.num_nodes))
 
     # -- wiring ---------------------------------------------------------------
 
@@ -522,129 +525,66 @@ class FaultInjector:
             self.sim.spawn(self._deliver(fault),
                            name=f"fault:{type(fault).__name__}@{fault.at_s:g}")
 
-    def retarget(self, cluster: Cluster, network: FluidNetwork) -> None:
-        """Point the injector at the post-rebuild cluster.
+    def retarget(self, cluster: Cluster, network: FluidNetwork,
+                 members: t.Iterable[int]) -> None:
+        """Point the injector at a rebuilt cluster.
 
-        Must be called with *no intervening sim-time advancement* after
-        the new cluster is built, so no fault can land in between.  The
-        surviving original node ids, in order, become the new cluster's
-        node indices — the same survivor ordering the rebuild uses.
-        Nodes excised by :meth:`depart` or added by :meth:`admit` are
-        already reflected in the current membership.
+        ``members`` holds the original node id of each of ``cluster``'s
+        nodes, in index order (the group's membership view).  Every open
+        window of a member is applied to the new cluster's NIC links.
+        Call it with *no intervening sim-time advancement* after the
+        cluster is built, so no fault can land in between.
         """
-        survivors = [n for n in self._current if n not in self._crashed]
-        if len(survivors) != cluster.num_nodes:
+        members = tuple(members)
+        if len(members) != cluster.num_nodes:
             raise FaultInjectionError(
                 f"retarget: cluster has {cluster.num_nodes} nodes but "
-                f"{len(survivors)} original nodes survive"
+                f"{len(members)} members were given"
             )
-        self._current = survivors
         self.cluster = cluster
         self.network = network
-        self._saved_caps.clear()
+        #: Cluster index of each original node id in :attr:`cluster`.
+        self._index = {node: i for i, node in enumerate(members)}
+        for node, (fault, _held) in self._windows.items():
+            self._windows[node] = (fault, self._hold(fault))
 
-    # -- membership transitions (epoch boundaries) ----------------------------
+    # -- the driver's side of the queue ---------------------------------------
 
-    @property
-    def membership(self) -> tuple[int, ...]:
-        """Current members, original ids, in cluster-index order."""
-        return tuple(n for n in self._current if n not in self._crashed)
+    def take_crashes(self) -> list[tuple[int, float]]:
+        """Return-and-clear pending crashes as ``(node, at_s)`` pairs.
 
-    def depart(self, nodes: t.Sequence[int]) -> None:
-        """Excise cleanly departing ``nodes`` (original ids).
-
-        Called by the elastic driver at an epoch boundary after draining
-        :meth:`take_pending_leaves`; must be followed by a rebuild +
-        :meth:`retarget` with no intervening simulated time.
+        The recovery driver drains this after catching
+        :class:`~repro.errors.PeerDeadError` to learn who died and when
+        (possibly more than one node, if crashes landed close together).
         """
-        for node in nodes:
-            if node not in self._current:
-                raise FaultInjectionError(
-                    f"depart: node {node} is not a current member"
-                )
-            if node in self._crashed:
-                raise FaultInjectionError(
-                    f"depart: node {node} crashed; use the recovery path"
-                )
-            self._departed.add(node)
-        self._current = [n for n in self._current if n not in set(nodes)]
+        return [(node, at_s) for _, node, at_s in self._take("crash")]
 
-    def admit(self, nodes: t.Sequence[int]) -> None:
-        """Admit joining ``nodes`` (original ids) as new members.
+    def take_joins(self) -> tuple[int, ...]:
+        """Return-and-clear the net joins an iteration boundary admits.
 
-        A previously crashed or departed identity may rejoin: its
-        crashed/departed marks are cleared, and the rebuild that follows
-        builds a fresh :class:`~repro.sim.topology.Cluster` with no
-        failed marks.  Joiners are appended after the survivors, so
-        existing members keep their cluster indices.
+        Nothing while a crash is pending.  A join of a crashed member
+        stays queued until the crash's recovery removed it from the
+        group.
         """
-        for node in nodes:
-            if node in self._current:
-                raise FaultInjectionError(
-                    f"admit: node {node} is already a member"
-                )
-            self._crashed.discard(node)
-            self._departed.discard(node)
-            self._known.add(node)
-            self._current.append(node)
+        return tuple(node for _, node, _ in self._take(
+            "join", lambda node: node not in self._index))
 
-    @property
-    def has_pending_dead(self) -> bool:
-        """True when crashes await the recovery driver.
+    def take_leaves(self) -> tuple[int, ...]:
+        """Return-and-clear the net leaves an iteration boundary removes.
 
-        The elastic driver polls this between boundary transitions: a
-        crash landing mid-reconfigure hands the boundary back to the
-        crash-recovery path (remaining leaves/joins are re-queued).
+        Nothing while a crash is pending.
         """
-        return bool(self._pending_dead)
+        return tuple(node for _, node, _ in self._take("leave"))
 
-    def requeue_leaves(self, nodes: t.Sequence[int]) -> None:
-        """Put drained-but-unprocessed departures back at queue front."""
-        self._pending_leaves = [n for n in nodes
-                                if n not in self._pending_leaves] + \
-            self._pending_leaves
-
-    def requeue_joins(self, nodes: t.Sequence[int]) -> None:
-        """Put drained-but-unprocessed join requests back at queue front."""
-        self._pending_joins = [n for n in nodes
-                               if n not in self._pending_joins] + \
-            self._pending_joins
-
-    def take_pending_dead(self) -> list[int]:
-        """Return-and-clear crashes not yet consumed by recovery.
-
-        Coordinates are original node ids; the recovery driver drains
-        this after catching :class:`~repro.errors.PeerDeadError` to
-        learn who actually died (possibly more than one node, if
-        crashes landed close together).
-        """
-        dead, self._pending_dead = self._pending_dead, []
-        return dead
-
-    def take_pending_leaves(self) -> list[int]:
-        """Return-and-clear announced clean departures (original ids).
-
-        Drained by the elastic driver at iteration boundaries; nodes
-        that crashed between the announcement and the boundary are
-        dropped (the crash recovery path owns them).
-        """
-        leaves, self._pending_leaves = self._pending_leaves, []
-        return [n for n in leaves
-                if n not in self._crashed and n in self._current]
-
-    def take_pending_joins(self) -> list[int]:
-        """Return admissible join requests (original ids).
-
-        A rejoin request for a node that crashed but has not been excised
-        yet (its recovery is still pending) stays queued for a later
-        boundary; a request for a node that is already a live member is
-        dropped as a no-op.
-        """
-        joins, self._pending_joins = self._pending_joins, []
-        ready = [n for n in joins if n not in self._current]
-        self._pending_joins = [n for n in joins
-                               if n in self._current and n in self._crashed]
-        return ready
+    def _take(self, kind: str,
+              ready: t.Callable[[int], bool] = lambda node: True
+              ) -> list[tuple[str, int, float]]:
+        if kind != "crash" and any(k == "crash" for k, _, _ in self._queue):
+            return []
+        taken = [entry for entry in self._queue
+                 if entry[0] == kind and ready(entry[1])]
+        self._queue = [entry for entry in self._queue if entry not in taken]
+        return taken
 
     # -- delivery -------------------------------------------------------------
 
@@ -659,93 +599,86 @@ class FaultInjector:
 
     def apply(self, fault: Fault) -> None:
         """Apply ``fault`` right now (normally called via :meth:`arm`)."""
-        if isinstance(fault, NodeJoin):
-            self._apply_join(fault)
+        if isinstance(fault, WindowFault):
+            self._open_window(fault)
             return
-        if fault.node in self._crashed:
-            return  # victim already dead; nothing left to break
-        if fault.node not in self._current:
-            return  # defensive: unknown identity after a retarget
-        if isinstance(fault, NodeLeave):
-            self._apply_leave(fault)
-            return
-        index = self._current.index(fault.node)
-        if isinstance(fault, NodeCrash):
-            self._apply_crash(fault, index)
-        elif isinstance(fault, WindowFault):
-            self._apply_window(fault, index)
-        else:
+        kind = _ANNOUNCED.get(type(fault))
+        if kind is None:
             raise FaultInjectionError(f"unknown fault {fault!r}")
+        node = fault.node
+        pending = next((k for k, n, _ in self._queue
+                        if n == node and k != "crash"), None)
+        index = self._live(node)
+        if pending == ("leave" if kind == "join" else "join"):
+            self._withdraw(pending, node)  # the two cancel out
+        elif pending == kind or (index is not None) == (kind == "join"):
+            # A duplicate, a join of a live member, or a leave or crash
+            # of a node that is not one.
+            return
+        else:
+            if kind == "crash":
+                self._withdraw("leave", node)  # recovery owns the node
+                self.cluster.fail_node(index)
+                for link in (self.cluster.nic_out[index],
+                             self.cluster.nic_in[index],
+                             self.cluster.nvlink[index]):
+                    self.network.set_link_capacity(link, DEAD_LINK_BPS)
+            self._queue.append((kind, node, self.sim.now))
+        if kind == "crash":
+            self.obs.fault_event("inject", self.sim.now, fault="node_crash",
+                                 node=node)
+        else:
+            self.obs.fault_event(kind, self.sim.now, node=node)
 
-    def _node_links(self, index: int) -> list[Link]:
-        links = [self.cluster.nic_out[index], self.cluster.nic_in[index],
-                 self.cluster.nvlink[index]]
-        return links
+    def _withdraw(self, kind: str, node: int) -> None:
+        self._queue = [e for e in self._queue if e[:2] != (kind, node)]
 
-    def _apply_crash(self, fault: NodeCrash, index: int) -> None:
-        self._crashed.add(fault.node)
-        self._pending_dead.append(fault.node)
-        self.crash_times[fault.node] = self.sim.now
-        self.cluster.fail_node(index)
-        for link in self._node_links(index):
-            self._squash(link, DEAD_LINK_BPS)
-        self.obs.fault_event("inject", self.sim.now, fault="node_crash",
+    def _live(self, node: int) -> int | None:
+        """``node``'s index in the cluster in use, if it is a live member."""
+        index = self._index.get(node)
+        if index is None or index in self.cluster.failed_nodes:
+            return None
+        return index
+
+    def _open_window(self, fault: WindowFault) -> None:
+        """Hold the node's NIC at the fault's factor until the window ends.
+
+        The window is kept open whether or not the node is a live member
+        right now, so a node admitted mid-window gets the rest of it.
+        Windows on one node never overlap (:func:`check_windows`).
+        """
+        held = self._hold(fault)
+        self._windows[fault.node] = (fault, held)
+        if held:
+            self.obs.fault_event("inject", self.sim.now, fault=fault.event,
+                                 node=fault.node)
+        self.sim.spawn(self._close_window(fault),
+                       name=f"fault-recover:{fault.event}@{fault.node}")
+
+    def _close_window(self, fault: WindowFault) -> t.Generator:
+        yield self.sim.timeout(fault.window_s)
+        _fault, held = self._windows.pop(fault.node)
+        if not held or self._live(fault.node) is None:
+            return  # not in this cluster, or died: stay squashed
+        for link, capacity in held:
+            self.network.set_link_capacity(link, capacity)
+        self.obs.fault_event("recover", self.sim.now, fault=fault.event,
                              node=fault.node)
 
-    def _apply_leave(self, fault: NodeLeave) -> None:
-        """Announce a clean departure; excision waits for the boundary.
-
-        The node keeps training (links healthy, collectives complete)
-        until the elastic driver drains :meth:`take_pending_leaves` at
-        the end of the current iteration — the live-state continuation
-        that distinguishes scale-down from crash recovery.
-        """
-        if fault.node in self._pending_leaves:
-            return  # duplicate announcement
-        self._pending_leaves.append(fault.node)
-        self.leave_times[fault.node] = self.sim.now
-        self.obs.fault_event("leave", self.sim.now, node=fault.node)
-
-    def _apply_join(self, fault: NodeJoin) -> None:
-        """Record a join request; admission waits for the boundary."""
-        if fault.node in self._current and fault.node not in self._crashed:
-            return  # already a live member; nothing to admit
-        if fault.node in self._pending_joins:
-            return  # duplicate request
-        self._pending_joins.append(fault.node)
-        self.join_times[fault.node] = self.sim.now
-        self.obs.fault_event("join", self.sim.now, node=fault.node)
-
-    def _apply_window(self, fault: WindowFault, index: int) -> None:
-        """Scale the node's NIC by the fault's factor, then restore.
+    def _hold(self, fault: WindowFault) -> tuple[tuple[Link, float], ...]:
+        """Scale a live member's NIC links by ``fault.nic_factor``.
 
         A factor of 0 (a flap) takes the NIC down to
-        :data:`DEAD_LINK_BPS`.
+        :data:`DEAD_LINK_BPS`.  Returns each link with the capacity to
+        restore; empty when the node is not a live member.
         """
-        nic_links = [self.cluster.nic_out[index], self.cluster.nic_in[index]]
-        original = fault.node
-        restore: list[tuple[Link, float]] = []
-        for link in nic_links:
-            before = self._saved_caps.get(link, link.capacity_bps)
-            restore.append((link, before))
-            self._squash(link, before * fault.nic_factor
-                         if fault.nic_factor > 0 else DEAD_LINK_BPS)
-        self.obs.fault_event("inject", self.sim.now, fault=fault.event,
-                             node=original)
-
-        def _recover() -> t.Generator:
-            yield self.sim.timeout(fault.window_s)
-            if original in self._crashed or original not in self._current:
-                return  # node died/left during the window; stay squashed
-            for link, capacity in restore:
-                self.network.set_link_capacity(link, capacity)
-                self._saved_caps.pop(link, None)
-            self.obs.fault_event("recover", self.sim.now, fault=fault.event,
-                                 node=original)
-
-        self.sim.spawn(_recover(),
-                       name=f"fault-recover:{fault.event}@{original}")
-
-    def _squash(self, link: Link, capacity_bps: float) -> None:
-        self._saved_caps.setdefault(link, link.capacity_bps)
-        self.network.set_link_capacity(link, capacity_bps)
+        index = self._live(fault.node)
+        if index is None:
+            return ()
+        held = []
+        for link in (self.cluster.nic_out[index], self.cluster.nic_in[index]):
+            held.append((link, link.capacity_bps))
+            self.network.set_link_capacity(
+                link, link.capacity_bps * fault.nic_factor
+                if fault.nic_factor > 0 else DEAD_LINK_BPS)
+        return tuple(held)

@@ -136,16 +136,6 @@ class Cluster:
         if not 0 <= node < self.num_nodes:
             raise TopologyError(f"node {node} out of range")
 
-    @property
-    def alive_nodes(self) -> list[int]:
-        """Indices of nodes not currently marked failed."""
-        return [n for n in range(self.num_nodes) if n not in self.failed_nodes]
-
-    @property
-    def alive_world_size(self) -> int:
-        """GPU workers on surviving nodes."""
-        return len(self.alive_nodes) * self.spec.gpus_per_node
-
     # -- rank arithmetic -----------------------------------------------------
 
     @property

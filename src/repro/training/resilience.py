@@ -292,17 +292,20 @@ def run_fault_injected_training(
 
     The plan may also schedule *membership* events
     (:class:`~repro.sim.faults.NodeLeave` /
-    :class:`~repro.sim.faults.NodeJoin`).  These are drained at
-    iteration boundaries — where the group is quiescent — and advance
-    the membership epoch (:class:`~repro.core.elastic.ElasticRuntime`):
-    a clean leave excises the departed nodes and continues from the
-    survivors' **live** parameters (no checkpoint restore); a join
-    admits the new identities via the runtime's pipelined
+    :class:`~repro.sim.faults.NodeJoin`).  At each iteration boundary —
+    where the group is quiescent — the injector's net joins are
+    admitted in one ``scale-up`` and then its net leaves removed in one
+    ``scale-down`` (:class:`~repro.core.elastic.ElasticRuntime`), so a
+    plan the checker accepted never empties the group; with a crash
+    pending the boundary takes neither.  A scale-down continues from
+    the survivors' **live** parameters (no checkpoint restore); a
+    scale-up admits the new identities via the runtime's pipelined
     live-parameter broadcast, verified bit-identical across ranks, and
     re-keys the auto-tuner's best-setting cache (pass
     ``settings_cache``) plus the linear-scaling LR multiplier for the
     new topology.  Crashes keep the abort → rebuild → checkpoint-restore
-    path, now also stamped as a ``failure`` epoch transition.
+    path, stamped as a ``failure`` epoch transition.  Every rebuild
+    hands the injector the new cluster with ``runtime.members``.
     """
     from repro.autotune.graph_distance import ModelFingerprint
     from repro.core.elastic import ElasticRuntime
@@ -374,15 +377,16 @@ def run_fault_injected_training(
         #: no process respawn, so a third of the full restart overhead.
         reconfigure_cost = restart_overhead_s / 3.0
 
-        def _rebuild(world_size: int, label: str):
-            """Re-form the group: new context, retargeted injector.
+        def _install(new_ctx, label: str) -> None:
+            """Install a rebuilt context for the group's current members.
 
-            Built with no intervening simulated time after the caller's
-            membership bookkeeping, so no fault can land in between.
+            The caller builds ``new_ctx`` right after its membership
+            bookkeeping, with no intervening simulated time, so no
+            fault can land between the two.
             """
             nonlocal ctx
-            ctx = _context(world_size)
-            injector.retarget(ctx.cluster, ctx.network)
+            ctx = new_ctx
+            injector.retarget(ctx.cluster, ctx.network, runtime.members)
             backend.advance_epoch(runtime.epoch)
             rewarm = sim.spawn(backend.warmup(ctx), name=label)
             sim.run(until=rewarm)
@@ -408,80 +412,45 @@ def run_fault_injected_training(
                     ckpt_total += ckpt_cost
                     sim.run(until=sim.timeout(ckpt_cost))
 
-                # Epoch boundary: the group is quiescent, so announced
-                # clean departures and pending joins take effect here,
-                # in announcement order (batching consecutive same-kind
-                # events into one transition each, matching the order
-                # the plan was validated in).
-                leaves = injector.take_pending_leaves()
-                joins = injector.take_pending_joins()
-                batches: list[tuple[str, list[int]]] = []
-                announced = sorted(
-                    [(injector.leave_times[n], n, "leave") for n in leaves]
-                    + [(injector.join_times[n], n, "join") for n in joins])
-                for _at, node, kind in announced:
-                    if batches and batches[-1][0] == kind:
-                        batches[-1][1].append(node)
-                    else:
-                        batches.append((kind, [node]))
-                while batches:
-                    if injector.has_pending_dead:
-                        # A crash landed mid-transition: hand the
-                        # boundary to the crash-recovery path and keep
-                        # the rest of the membership work queued.
-                        for kind, nodes in batches:
-                            if kind == "leave":
-                                injector.requeue_leaves(nodes)
-                            else:
-                                injector.requeue_joins(nodes)
-                        break
-                    kind, nodes = batches.pop(0)
-                    if kind == "leave":
-                        # Scale-down: excise the departed ranks and
-                        # continue from the survivors' live parameters —
-                        # nothing is lost, nothing restores from
-                        # checkpoint.
-                        injector.depart(nodes)
-                        runtime.scale_down(
-                            nodes, at_s=sim.now,
-                            resumed_iteration=completed,
-                            reconfigure_time_s=reconfigure_cost)
-                        _rebuild(runtime.view.world_size,
-                                 f"rewarm-epoch{runtime.epoch}")
-                        sim.run(until=sim.timeout(reconfigure_cost))
-                        obs.epoch_event(runtime.epoch, sim.now,
-                                        kind="scale-down",
-                                        world=runtime.view.world_size)
-                    else:
-                        # Scale-up: admit joiners via the pipelined
-                        # live-parameter broadcast, re-key the tuner's
-                        # best-setting cache for the new topology and
-                        # rescale the LR (linear scaling rule).
-                        injector.admit(nodes)
-                        join_cost = reconfigure_cost + \
-                            broadcast_time_s(spec)
-                        live = [_stub_state(completed)
-                                for _ in range(runtime.view.world_size)]
-                        new_world = runtime.view.world_size + \
-                            len(nodes) * gpus_per_node
-                        joined_ctx = _context(new_world)
-                        backend.config, tuned_label = runtime.retune(
-                            cache_key, joined_ctx.cluster, backend.config)
-                        runtime.scale_up(
-                            nodes, at_s=sim.now, live_parameters=live,
-                            resumed_iteration=completed,
-                            reconfigure_time_s=join_cost,
-                            retuned=tuned_label)
-                        ctx = joined_ctx
-                        injector.retarget(ctx.cluster, ctx.network)
-                        backend.advance_epoch(runtime.epoch)
-                        rewarm = sim.spawn(
-                            backend.warmup(ctx),
-                            name=f"rewarm-epoch{runtime.epoch}")
-                        sim.run(until=rewarm)
-                        sim.run(until=sim.timeout(join_cost))
-                        obs.epoch_event(runtime.epoch, sim.now,
-                                        kind="scale-up", world=new_world)
+                # Epoch boundary: the group is quiescent.  Admit the
+                # net joins first, then remove the net leaves, so a
+                # plan the checker accepted never empties the group.
+                # With a crash pending the injector hands out neither.
+                joins = injector.take_joins()
+                if joins:
+                    # Scale-up: admit joiners via the pipelined
+                    # live-parameter broadcast, re-key the tuner's
+                    # best-setting cache for the new topology and
+                    # rescale the LR (linear scaling rule).
+                    join_cost = reconfigure_cost + broadcast_time_s(spec)
+                    live = [_stub_state(completed)
+                            for _ in range(runtime.view.world_size)]
+                    joined_ctx = _context(runtime.view.world_size
+                                          + len(joins) * gpus_per_node)
+                    backend.config, tuned_label = runtime.retune(
+                        cache_key, joined_ctx.cluster, backend.config)
+                    runtime.scale_up(
+                        joins, at_s=sim.now, live_parameters=live,
+                        resumed_iteration=completed,
+                        reconfigure_time_s=join_cost, retuned=tuned_label)
+                    _install(joined_ctx, f"rewarm-epoch{runtime.epoch}")
+                    sim.run(until=sim.timeout(join_cost))
+                    obs.epoch_event(runtime.epoch, sim.now, kind="scale-up",
+                                    world=runtime.view.world_size)
+                leaves = injector.take_leaves()
+                if leaves:
+                    # Scale-down: excise the departed ranks and continue
+                    # from the survivors' live parameters — nothing is
+                    # lost, nothing restores from checkpoint.
+                    runtime.scale_down(
+                        leaves, at_s=sim.now, resumed_iteration=completed,
+                        reconfigure_time_s=reconfigure_cost)
+                    _install(_context(runtime.view.world_size),
+                             f"rewarm-epoch{runtime.epoch}")
+                    sim.run(until=sim.timeout(reconfigure_cost))
+                    obs.epoch_event(runtime.epoch, sim.now,
+                                    kind="scale-down",
+                                    world=runtime.view.world_size)
                 continue
 
             failure = proc.value
@@ -492,8 +461,8 @@ def run_fault_injected_training(
                     f"exceeded {max_restarts} restarts; aborting"
                 )
             backend.abort(failure)
-            dead = injector.take_pending_dead()
-            if not dead:
+            crashes = injector.take_crashes()
+            if not crashes:
                 raise TrainingError(
                     "failure detector confirmed a dead peer but no node "
                     "crashed — detection timeouts are too aggressive for "
@@ -501,26 +470,24 @@ def run_fault_injected_training(
                 )
             # Pay the restart overhead per batch of deaths; more crashes
             # landing during the window extend the outage.
-            all_dead: list[int] = []
-            while dead:
-                all_dead.extend(dead)
-                obs.fault_event("rebuild", sim.now, nodes=tuple(dead))
+            all_crashes: list[tuple[int, float]] = []
+            while crashes:
+                all_crashes.extend(crashes)
+                obs.fault_event("rebuild", sim.now,
+                                nodes=tuple(node for node, _ in crashes))
                 sim.run(until=sim.timeout(rebuild_cost))
-                dead = injector.take_pending_dead()
+                crashes = injector.take_crashes()
 
+            dead = [node for node, _ in all_crashes]
             resume_iteration, _params, _transition = runtime.failure(
-                all_dead, at_s=sim.now,
+                dead, at_s=sim.now,
                 reconfigure_time_s=sim.now - failure.confirmed_at_s)
             obs.fault_event("restore", sim.now,
                             iteration=resume_iteration)
-            # Rebuild the communicator over the survivors and retarget
-            # the injector with no intervening simulated time, so no
-            # fault can land between the two.
-            _rebuild(runtime.view.world_size, "rewarmup")
+            _install(_context(runtime.view.world_size), "rewarmup")
             recoveries.append(RecoveryRecord(
-                failed_nodes=tuple(all_dead),
-                injected_at_s=min(injector.crash_times[n]
-                                  for n in all_dead),
+                failed_nodes=tuple(dead),
+                injected_at_s=min(at_s for _, at_s in all_crashes),
                 suspected_at_s=failure.suspected_at_s,
                 confirmed_at_s=failure.confirmed_at_s,
                 resumed_at_s=sim.now,

@@ -239,14 +239,11 @@ class TestFaultInjectorCrash:
         injector.arm(FaultPlan([NodeCrash(at_s=2.0, node=1)]))
         sim.run()
         assert cluster.failed_nodes == {1}
-        assert cluster.alive_nodes == [0, 2, 3]
-        assert cluster.alive_world_size == 6
         assert cluster.nic_out[1].capacity_bps == DEAD_LINK_BPS
         assert cluster.nic_in[1].capacity_bps == DEAD_LINK_BPS
         assert cluster.nvlink[1].capacity_bps == DEAD_LINK_BPS
-        assert injector.take_pending_dead() == [1]
-        assert injector.take_pending_dead() == []  # drained
-        assert injector.crash_times[1] == pytest.approx(2.0)
+        assert injector.take_crashes() == [(1, pytest.approx(2.0))]
+        assert injector.take_crashes() == []  # drained
 
     def test_crash_stalls_inflight_flow(self):
         sim = Simulator()
@@ -338,25 +335,24 @@ class TestRetarget:
             NodeCrash(at_s=10.0, node=3),
         ]))
         sim.run(until=sim.timeout(2.0))
-        assert injector.take_pending_dead() == [1]
+        assert injector.take_crashes() == [(1, 1.0)]
         # Rebuild over survivors {0, 2, 3} -> new indices {0, 1, 2}.
         new_cluster = make_cluster(sim, num_nodes=3)
         new_network = FluidNetwork(sim)
-        injector.retarget(new_cluster, new_network)
+        injector.retarget(new_cluster, new_network, (0, 2, 3))
         sim.run()
         # Original node 3 is index 2 in the rebuilt cluster.
         assert new_cluster.failed_nodes == {2}
         assert new_cluster.nic_out[2].capacity_bps == DEAD_LINK_BPS
-        assert injector.take_pending_dead() == [3]
+        assert injector.take_crashes() == [(3, 10.0)]
 
     def test_retarget_rejects_wrong_size(self):
         sim = Simulator()
-        cluster = make_cluster(sim, num_nodes=4)
-        injector = FaultInjector(sim, cluster, FluidNetwork(sim))
-        injector.apply(NodeCrash(at_s=0.0, node=0))
-        with pytest.raises(FaultInjectionError):
+        injector = FaultInjector(sim, make_cluster(sim, num_nodes=4),
+                                 FluidNetwork(sim))
+        with pytest.raises(FaultInjectionError, match="3 members"):
             injector.retarget(make_cluster(sim, num_nodes=4),
-                              FluidNetwork(sim))
+                              FluidNetwork(sim), (0, 2, 3))
 
     def test_fault_on_already_crashed_node_is_noop(self):
         sim = Simulator()
@@ -364,7 +360,23 @@ class TestRetarget:
         injector = FaultInjector(sim, cluster, FluidNetwork(sim))
         injector.apply(NodeCrash(at_s=0.0, node=2))
         injector.apply(NodeCrash(at_s=0.0, node=2))  # idempotent
-        assert injector.take_pending_dead() == [2]
+        assert injector.take_crashes() == [(2, 0.0)]
+
+    def test_joiner_admitted_mid_window_gets_the_rest(self):
+        sim = Simulator()
+        injector = FaultInjector(sim, make_cluster(sim, num_nodes=4),
+                                 FluidNetwork(sim))
+        injector.apply(NodeJoin(at_s=0.0, node=4))
+        injector.apply(LinkFlap(at_s=0.0, node=4, down_s=5.0))
+        assert injector.take_joins() == (4,)
+        sim.run(until=sim.timeout(1.0))
+        grown = make_cluster(sim, num_nodes=5)
+        healthy = grown.nic_out[4].capacity_bps
+        injector.retarget(grown, FluidNetwork(sim), (0, 1, 2, 3, 4))
+        assert grown.nic_out[4].capacity_bps == DEAD_LINK_BPS
+        sim.run()
+        assert sim.now == pytest.approx(5.0)
+        assert grown.nic_out[4].capacity_bps == healthy
 
 
 class TestMembershipPlanValidation:
@@ -462,105 +474,89 @@ class TestMembershipInjector:
         # Unlike a crash, the node stays healthy until the boundary.
         assert cluster.failed_nodes == set()
         assert cluster.nic_out[1].capacity_bps == pytest.approx(healthy)
-        assert injector.leave_times[1] == pytest.approx(1.0)
-        assert injector.take_pending_leaves() == [1]
-        assert injector.take_pending_leaves() == []  # drained
+        assert injector.take_leaves() == (1,)
+        assert injector.take_leaves() == ()  # drained
 
     def test_duplicate_announcements_dedup(self):
         sim = Simulator()
         injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
         injector.apply(NodeLeave(at_s=0.0, node=2))
         injector.apply(NodeLeave(at_s=0.0, node=2))
-        assert injector.take_pending_leaves() == [2]
+        assert injector.take_leaves() == (2,)
         injector.apply(NodeJoin(at_s=0.0, node=9))
         injector.apply(NodeJoin(at_s=0.0, node=9))
-        assert injector.take_pending_joins() == [9]
+        assert injector.take_joins() == (9,)
 
     def test_join_of_live_member_is_noop(self):
         sim = Simulator()
         injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
         injector.apply(NodeJoin(at_s=0.0, node=1))
-        assert injector.take_pending_joins() == []
+        assert injector.take_joins() == ()
 
-    def test_depart_then_admit_roundtrip(self):
-        sim = Simulator()
-        injector = FaultInjector(sim, make_cluster(sim, num_nodes=4),
-                                 FluidNetwork(sim))
-        injector.depart([1, 3])
-        assert injector.membership == (0, 2)
-        injector.retarget(make_cluster(sim, num_nodes=2),
-                          FluidNetwork(sim))
-        injector.admit([3])
-        # Joiners append after the survivors, preserving indices.
-        assert injector.membership == (0, 2, 3)
-        injector.retarget(make_cluster(sim, num_nodes=3),
-                          FluidNetwork(sim))
-
-    def test_depart_rejects_non_member_and_crashed(self):
-        sim = Simulator()
-        injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
-        with pytest.raises(FaultInjectionError, match="not a current"):
-            injector.depart([9])
-        injector.apply(NodeCrash(at_s=0.0, node=2))
-        with pytest.raises(FaultInjectionError, match="recovery path"):
-            injector.depart([2])
-
-    def test_admit_rejects_current_member(self):
-        sim = Simulator()
-        injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
-        with pytest.raises(FaultInjectionError, match="already a member"):
-            injector.admit([0])
-
-    def test_crash_between_announce_and_boundary_drops_leave(self):
+    def test_crash_voids_a_pending_leave(self):
         # The node announced a clean departure but died before the
         # boundary: the crash-recovery path owns it, the leave is void.
         sim = Simulator()
         injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
         injector.apply(NodeLeave(at_s=0.0, node=1))
         injector.apply(NodeCrash(at_s=0.0, node=1))
-        assert injector.take_pending_leaves() == []
-        assert injector.take_pending_dead() == [1]
+        assert injector.take_crashes() == [(1, 0.0)]
+        assert injector.take_leaves() == ()
 
-    def test_rejoin_after_crash_clears_bookkeeping(self):
+    def test_leave_of_crashed_member_is_dropped(self):
+        sim = Simulator()
+        injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
+        injector.apply(NodeCrash(at_s=0.0, node=2))
+        injector.apply(NodeLeave(at_s=0.0, node=2))
+        assert injector.take_crashes() == [(2, 0.0)]
+        assert injector.take_leaves() == ()
+
+    @pytest.mark.parametrize("first, second", [
+        (NodeLeave(at_s=0.0, node=1), NodeJoin(at_s=0.0, node=1)),
+        (NodeJoin(at_s=0.0, node=4), NodeLeave(at_s=0.0, node=4)),
+        (NodeJoin(at_s=0.0, node=4), NodeCrash(at_s=0.0, node=4)),
+    ], ids=["leave-then-join", "join-then-leave", "join-then-crash"])
+    def test_undoing_announcement_withdraws_both(self, first, second):
+        sim = Simulator()
+        cluster = make_cluster(sim)
+        injector = FaultInjector(sim, cluster, FluidNetwork(sim))
+        injector.apply(first)
+        injector.apply(second)
+        assert injector.take_crashes() == []
+        assert injector.take_joins() == ()
+        assert injector.take_leaves() == ()
+        assert cluster.failed_nodes == set()
+
+    def test_nothing_taken_while_a_crash_is_pending(self):
+        sim = Simulator()
+        injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
+        injector.apply(NodeLeave(at_s=0.0, node=2))
+        injector.apply(NodeJoin(at_s=0.0, node=5))
+        injector.apply(NodeCrash(at_s=0.0, node=1))
+        assert injector.take_joins() == ()
+        assert injector.take_leaves() == ()
+        assert injector.take_crashes() == [(1, 0.0)]
+        assert injector.take_joins() == (5,)
+        assert injector.take_leaves() == (2,)
+
+    def test_crashed_node_rejoins_at_its_new_index(self):
         sim = Simulator()
         cluster = make_cluster(sim, num_nodes=4)
         injector = FaultInjector(sim, cluster, FluidNetwork(sim))
         injector.apply(NodeCrash(at_s=0.0, node=1))
-        assert injector.take_pending_dead() == [1]
-        injector.retarget(make_cluster(sim, num_nodes=3),
-                          FluidNetwork(sim))
-        assert injector.membership == (0, 2, 3)
-        # The same identity rejoins at a later epoch.
+        # The rejoin waits until recovery removed the crashed member.
         injector.apply(NodeJoin(at_s=0.0, node=1))
-        assert injector.take_pending_joins() == [1]
-        injector.admit([1])
-        assert injector.membership == (0, 2, 3, 1)
+        assert injector.take_crashes() == [(1, 0.0)]
+        assert injector.take_joins() == ()
+        injector.retarget(make_cluster(sim, num_nodes=3),
+                          FluidNetwork(sim), (0, 2, 3))
+        assert injector.take_joins() == (1,)
         rebuilt = make_cluster(sim, num_nodes=4)
-        injector.retarget(rebuilt, FluidNetwork(sim))
+        injector.retarget(rebuilt, FluidNetwork(sim), (0, 2, 3, 1))
         # The rejoined node is healthy: a fresh crash for it re-applies.
         injector.apply(NodeCrash(at_s=0.0, node=1))
         assert rebuilt.failed_nodes == {3}  # node 1 sits at index 3 now
-        assert injector.take_pending_dead() == [1]
-
-    def test_requeue_puts_events_back_at_front(self):
-        sim = Simulator()
-        injector = FaultInjector(sim, make_cluster(sim, num_nodes=4),
-                                 FluidNetwork(sim))
-        injector.apply(NodeLeave(at_s=0.0, node=3))
-        injector.requeue_leaves([1, 2])
-        assert injector.take_pending_leaves() == [1, 2, 3]
-        injector.apply(NodeJoin(at_s=0.0, node=8))
-        injector.requeue_joins([8, 9])  # 8 already queued: dedup
-        assert injector.take_pending_joins() == [9, 8]
-
-    def test_has_pending_dead_tracks_unconsumed_crashes(self):
-        sim = Simulator()
-        injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
-        assert not injector.has_pending_dead
-        injector.apply(NodeCrash(at_s=0.0, node=0))
-        assert injector.has_pending_dead
-        injector.take_pending_dead()
-        assert not injector.has_pending_dead
+        assert injector.take_crashes() == [(1, 0.0)]
 
 
 class TestGeneratorCounts:

@@ -91,8 +91,6 @@ ALLOWED = {
         "non-blocking acquire of the resource API, tested",
     "repro.sim.resources.Store.put":
         "public deposit of the store API, tested",
-    "repro.sim.topology.Cluster.alive_world_size":
-        "survivor world size the fault tests read",
     "repro.training.lr_schedule.StepDecay":
         "step-decay schedule beside the paper's linear decay, tested",
     "repro.training.resilience.optimal_checkpoint_interval":

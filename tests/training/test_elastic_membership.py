@@ -7,7 +7,11 @@ broadcast, and both must advance the membership epoch visibly in the
 observability registry and timeline.
 """
 
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.autotune.cache import SettingsCache
 from repro.autotune.space import ParameterPoint
@@ -15,7 +19,10 @@ from repro.core.runtime import AIACCConfig
 from repro.errors import ReproError
 from repro.models.synthetic import random_model_spec
 from repro.obs import Observability
-from repro.sim.faults import FaultPlan, NodeCrash, NodeJoin, NodeLeave
+from repro.harness.chaos import default_chaos_model
+from repro.sim.faults import BandwidthDegradation, FaultPlan, NodeCrash, \
+    NodeJoin, NodeLeave, WindowFault
+from repro.training import trainer
 from repro.training.resilience import broadcast_time_s, \
     run_fault_injected_training
 
@@ -167,3 +174,120 @@ class TestDetectionDeadlineCap:
                      comm_retries=4, total_iterations=6,
                      checkpoint_dir=str(tmp_path))
         assert capped.recoveries[0].detection_latency_s > 0
+
+
+# -- the contract with the plan checker ---------------------------------------
+
+#: The three plans whose announcements undo each other before the first
+#: boundary, on 4 nodes x 2 GPUs: the checker ends each at 8 GPUs.
+UNDONE_PLANS = {
+    "leave-then-join": [NodeLeave(at_s=0.01, node=1),
+                        NodeJoin(at_s=0.02, node=1)],
+    "join-then-leave": [NodeJoin(at_s=0.01, node=4),
+                        NodeLeave(at_s=0.02, node=4)],
+    "join-then-crash": [NodeJoin(at_s=0.01, node=4),
+                        NodeCrash(at_s=0.02, node=4)],
+}
+
+#: A degradation window still open when the crash recovery rebuilds.
+WINDOW_PLAN = [BandwidthDegradation(at_s=0.1, node=2, fraction=0.2,
+                                    duration_s=50.0),
+               NodeCrash(at_s=0.3, node=1)]
+
+
+def run_chaos_sized(faults):
+    """Run ``faults`` on the chaos soak's model and 4 x 2 layout.
+
+    Returns the result, the plan, the last train context built (the
+    cluster in use when the run ended) and the NIC capacity a freshly
+    built cluster has.
+    """
+    contexts, healthy = [], []
+    build = trainer.build_train_context
+
+    def recording(*args, **kwargs):
+        contexts.append(build(*args, **kwargs))
+        healthy.append(contexts[-1].cluster.nic_out[0].capacity_bps)
+        return contexts[-1]
+
+    plan = FaultPlan(faults)
+    with mock.patch.object(trainer, "build_train_context", recording):
+        result = run_fault_injected_training(
+            default_chaos_model(), plan, num_gpus=8, gpus_per_node=2,
+            total_iterations=12, checkpoint_interval=2,
+            restart_overhead_s=2.0, sync_timeout_s=0.5, unit_timeout_s=1.0,
+            comm_retries=1, retry_backoff_s=0.1)
+    assert len(set(healthy)) == 1
+    return result, plan, contexts[-1], healthy[0]
+
+
+@st.composite
+def leave_join_plans(draw):
+    """Valid leaves and joins on 4 initial nodes and 2 new identities.
+
+    Every event lands by t = 0.15 s; the 12-iteration run's last
+    boundary comes after 0.17 s even on one node.
+    """
+    members = set(range(4))
+    times = sorted(draw(st.lists(
+        st.floats(0.0, 0.15, allow_nan=False), max_size=8, unique=True)))
+    faults = []
+    for at_s in times:
+        outside = sorted(set(range(6)) - members)
+        if len(members) > 1 and (not outside or draw(st.booleans())):
+            node = draw(st.sampled_from(sorted(members)))
+            members.discard(node)
+            faults.append(NodeLeave(at_s=at_s, node=node))
+        else:
+            node = draw(st.sampled_from(outside))
+            members.add(node)
+            faults.append(NodeJoin(at_s=at_s, node=node))
+    return faults
+
+
+@settings(max_examples=100, deadline=None)
+@given(faults=leave_join_plans())
+@example(faults=UNDONE_PLANS["leave-then-join"])
+@example(faults=UNDONE_PLANS["join-then-leave"])
+@example(faults=UNDONE_PLANS["join-then-crash"])
+@example(faults=WINDOW_PLAN)
+def test_run_ends_where_the_checker_says(faults):
+    result, plan, ctx, healthy = run_chaos_sized(faults)
+    assert len(result.iteration_times_s) == result.total_iterations
+    assert result.final_num_gpus == plan.membership_bounds(4)[1] * 2
+    # Every NIC of the final cluster is healthy unless a window of its
+    # node is still open, in which case it runs at the window's factor.
+    members = list(range(4))
+    for transition in result.epoch_transitions:
+        members = [n for n in members if n not in transition.departed]
+        members += transition.joined
+    now = ctx.sim.now
+    for index, node in enumerate(members):
+        factor = next((f.nic_factor for f in plan
+                       if isinstance(f, WindowFault) and f.node == node
+                       and f.at_s <= now < f.end_s), 1.0)
+        assert ctx.cluster.nic_out[index].capacity_bps == \
+            pytest.approx(healthy * factor)
+
+
+@pytest.mark.parametrize("name", sorted(UNDONE_PLANS))
+def test_undone_announcements_make_no_transition(name):
+    result, _plan, _ctx, _healthy = run_chaos_sized(UNDONE_PLANS[name])
+    assert result.final_num_gpus == 8
+    assert result.epoch_transitions == ()
+    assert result.recoveries == ()
+
+
+def test_open_window_holds_across_the_recovery_rebuild():
+    result, _plan, ctx, healthy = run_chaos_sized(WINDOW_PLAN)
+    assert [t.kind for t in result.epoch_transitions] == ["failure"]
+    # Node 2 sits at index 1 of the rebuilt cluster (0, 2, 3).
+    links = (ctx.cluster.nic_out[1], ctx.cluster.nic_in[1])
+    assert [link.capacity_bps for link in links] == \
+        [pytest.approx(healthy * 0.2)] * 2
+    sim = ctx.sim
+    sim.run(until=sim.timeout(50.1 - sim.now - 1e-6))
+    assert [link.capacity_bps for link in links] == \
+        [pytest.approx(healthy * 0.2)] * 2
+    sim.run(until=sim.timeout(2e-6))
+    assert [link.capacity_bps for link in links] == [healthy] * 2
