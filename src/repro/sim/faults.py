@@ -562,12 +562,9 @@ class FaultInjector:
     def take_joins(self) -> tuple[int, ...]:
         """Return-and-clear the net joins an iteration boundary admits.
 
-        Nothing while a crash is pending.  A join of a crashed member
-        stays queued until the crash's recovery removed it from the
-        group.
+        Nothing while a crash is pending.
         """
-        return tuple(node for _, node, _ in self._take(
-            "join", lambda node: node not in self._index))
+        return tuple(node for _, node, _ in self._take("join"))
 
     def take_leaves(self) -> tuple[int, ...]:
         """Return-and-clear the net leaves an iteration boundary removes.
@@ -576,14 +573,11 @@ class FaultInjector:
         """
         return tuple(node for _, node, _ in self._take("leave"))
 
-    def _take(self, kind: str,
-              ready: t.Callable[[int], bool] = lambda node: True
-              ) -> list[tuple[str, int, float]]:
+    def _take(self, kind: str) -> list[tuple[str, int, float]]:
         if kind != "crash" and any(k == "crash" for k, _, _ in self._queue):
             return []
-        taken = [entry for entry in self._queue
-                 if entry[0] == kind and ready(entry[1])]
-        self._queue = [entry for entry in self._queue if entry not in taken]
+        taken = [entry for entry in self._queue if entry[0] == kind]
+        self._queue = [entry for entry in self._queue if entry[0] != kind]
         return taken
 
     # -- delivery -------------------------------------------------------------
@@ -609,26 +603,32 @@ class FaultInjector:
         pending = next((k for k, n, _ in self._queue
                         if n == node and k != "crash"), None)
         index = self._live(node)
-        if pending == ("leave" if kind == "join" else "join"):
-            self._withdraw(pending, node)  # the two cancel out
-        elif pending == kind or (index is not None) == (kind == "join"):
-            # A duplicate, a join of a live member, or a leave or crash
-            # of a node that is not one.
-            return
-        else:
+        if kind == "join" and pending == "leave":
+            self._withdraw("leave", node)  # the node never left
+        elif kind != "join" and pending == "join":
+            self._withdraw("join", node)  # the node was never admitted
             if kind == "crash":
-                self._withdraw("leave", node)  # recovery owns the node
-                self.cluster.fail_node(index)
-                for link in (self.cluster.nic_out[index],
-                             self.cluster.nic_in[index],
-                             self.cluster.nvlink[index]):
-                    self.network.set_link_capacity(link, DEAD_LINK_BPS)
+                return  # no node failed
+        elif pending == kind:
+            return  # a duplicate
+        elif kind == "join" and index is not None:
+            return  # a join of a live member
+        elif kind != "join" and index is None:
+            return  # a leave or crash of a node that is not a live member
+        elif kind == "crash":
+            self._withdraw("leave", node)  # recovery owns the node
+            self.cluster.fail_node(index)
+            for link in (self.cluster.nic_out[index],
+                         self.cluster.nic_in[index],
+                         self.cluster.nvlink[index]):
+                self.network.set_link_capacity(link, DEAD_LINK_BPS)
             self._queue.append((kind, node, self.sim.now))
-        if kind == "crash":
             self.obs.fault_event("inject", self.sim.now, fault="node_crash",
                                  node=node)
+            return
         else:
-            self.obs.fault_event(kind, self.sim.now, node=node)
+            self._queue.append((kind, node, self.sim.now))
+        self.obs.fault_event(kind, self.sim.now, node=node)
 
     def _withdraw(self, kind: str, node: int) -> None:
         self._queue = [e for e in self._queue if e[:2] != (kind, node)]
@@ -645,8 +645,12 @@ class FaultInjector:
 
         The window is kept open whether or not the node is a live member
         right now, so a node admitted mid-window gets the rest of it.
-        Windows on one node never overlap (:func:`check_windows`).
+        Windows on one node never overlap (:func:`check_windows`), but
+        one may open at the instant the last one closes, before that
+        close has run: the earlier window ends first.
         """
+        if fault.node in self._windows:
+            self._end_window(fault.node)
         held = self._hold(fault)
         self._windows[fault.node] = (fault, held)
         if held:
@@ -657,13 +661,18 @@ class FaultInjector:
 
     def _close_window(self, fault: WindowFault) -> t.Generator:
         yield self.sim.timeout(fault.window_s)
-        _fault, held = self._windows.pop(fault.node)
-        if not held or self._live(fault.node) is None:
+        if self._windows.get(fault.node, (None,))[0] is fault:
+            self._end_window(fault.node)
+
+    def _end_window(self, node: int) -> None:
+        """Close ``node``'s open window in the cluster in use."""
+        fault, held = self._windows.pop(node)
+        if not held or self._live(node) is None:
             return  # not in this cluster, or died: stay squashed
         for link, capacity in held:
             self.network.set_link_capacity(link, capacity)
         self.obs.fault_event("recover", self.sim.now, fault=fault.event,
-                             node=fault.node)
+                             node=node)
 
     def _hold(self, fault: WindowFault) -> tuple[tuple[Link, float], ...]:
         """Scale a live member's NIC links by ``fault.nic_factor``.

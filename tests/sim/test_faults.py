@@ -309,6 +309,26 @@ class TestTransientFaults:
         sim.run()
         assert cluster.nic_out[3].capacity_bps == pytest.approx(healthy)
 
+    def test_back_to_back_windows_on_one_node(self):
+        # The second window opens at the instant the first closes; the
+        # kernel delivers it before the first close runs.
+        sim = Simulator()
+        cluster = make_cluster(sim)
+        obs = Observability()
+        injector = FaultInjector(sim, cluster, FluidNetwork(sim), obs=obs)
+        healthy = cluster.nic_out[0].capacity_bps
+        injector.arm(FaultPlan([LinkFlap(at_s=1.0, node=0, down_s=1.0),
+                                LinkFlap(at_s=2.0, node=0, down_s=1.0)]))
+        for at in (1.5, 2.0, 2.5):
+            sim.run(until=sim.timeout(at - sim.now))
+            assert cluster.nic_out[0].capacity_bps == DEAD_LINK_BPS
+            assert cluster.nic_in[0].capacity_bps == DEAD_LINK_BPS
+        sim.run()
+        assert sim.now == pytest.approx(3.0)
+        assert cluster.nic_out[0].capacity_bps == healthy
+        assert cluster.nic_in[0].capacity_bps == healthy
+        assert obs.fault_counts() == {"inject": 2, "recover": 2}
+
     def test_crash_during_flap_window_stays_down(self):
         sim = Simulator()
         cluster = make_cluster(sim)
@@ -527,6 +547,16 @@ class TestMembershipInjector:
         assert injector.take_leaves() == ()
         assert cluster.failed_nodes == set()
 
+    def test_withdrawn_crash_counts_no_injection(self):
+        # No node failed, so no fault episode opens and nothing recovers.
+        sim = Simulator()
+        obs = Observability()
+        injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim),
+                                 obs=obs)
+        injector.apply(NodeJoin(at_s=0.0, node=4))
+        injector.apply(NodeCrash(at_s=0.0, node=4))
+        assert obs.fault_counts() == {"join": 1}
+
     def test_nothing_taken_while_a_crash_is_pending(self):
         sim = Simulator()
         injector = FaultInjector(sim, make_cluster(sim), FluidNetwork(sim))
@@ -546,8 +576,10 @@ class TestMembershipInjector:
         injector.apply(NodeCrash(at_s=0.0, node=1))
         # The rejoin waits until recovery removed the crashed member.
         injector.apply(NodeJoin(at_s=0.0, node=1))
-        assert injector.take_crashes() == [(1, 0.0)]
         assert injector.take_joins() == ()
+        # Recovery drains the crash and rebuilds over the survivors with
+        # no boundary in between; only then does the rejoin come out.
+        assert injector.take_crashes() == [(1, 0.0)]
         injector.retarget(make_cluster(sim, num_nodes=3),
                           FluidNetwork(sim), (0, 2, 3))
         assert injector.take_joins() == (1,)
