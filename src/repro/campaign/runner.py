@@ -16,7 +16,8 @@ Failure handling:
   their lease before reclaiming them;
 * **orchestrator kill -9** — claimed/running rows keep their lease; the
   next orchestrator's :meth:`~repro.campaign.store.CampaignStore.
-  reclaim_expired` re-queues them once the lease passes;
+  reclaim_expired` re-queues them once the lease passes.  Its pool
+  workers exit (:func:`_exit_with`), leaving their cells to the lease;
 * **crash-looping cells** — the reclaim path quarantines cells that
   burn the whole attempt budget without ever reporting an error.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
+import threading
 import time
 import typing as t
 
@@ -41,6 +43,16 @@ from repro.errors import CampaignError, require_count, require_real
 
 #: progress callback: counts dict after every state change wave.
 ProgressFn = t.Callable[[dict[str, int]], None]
+
+
+def _exit_with(parent_pid: int) -> None:
+    """Pool initializer: exit once the orchestrator ``parent_pid`` dies
+    (the worker is re-parented), so no lease keeper outlives it."""
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(0.2)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def submit_campaign(store: CampaignStore, grids: t.Sequence[CampaignGrid],
@@ -82,7 +94,8 @@ class CampaignRunner:
 
     def _new_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.max_workers, mp_context=self._mp_context)
+            max_workers=self.max_workers, mp_context=self._mp_context,
+            initializer=_exit_with, initargs=(os.getpid(),))
 
     def run(self, progress: ProgressFn | None = None,
             max_wall_s: float | None = None) -> dict[str, int]:

@@ -10,8 +10,8 @@ contention through the solver's *inter-job* weighted fairness at shared
 links.
 
 Chaos hooks (:meth:`scale_node_nic` / :meth:`restore_node_nic`) scale a
-node's NIC pair against its *base* capacity, so windows restore exactly
-and never compound.
+node's NIC pair against its *base* capacity and put it back; a tenant's
+:class:`~repro.sim.faults.NicWindows` decides when.
 """
 
 from __future__ import annotations

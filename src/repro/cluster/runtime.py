@@ -49,6 +49,7 @@ from repro.obs.slo import evaluate_slos, job_slos
 from repro.sim.faults import (
     BandwidthDegradation,
     FaultPlan,
+    NicWindows,
     NodeCrash,
     Straggler,
     WindowFault,
@@ -263,7 +264,7 @@ class ClusterRuntime:
             self._finding(Severity.ERROR, "admission-rejected",
                           spec.job_id, str(exc))
             return
-        crashes, stragglers = self._arm_chaos(state)
+        crashes, stragglers, windows = self._arm_chaos(state)
         self._warm_start(state)
         breach_streak = 0
         preemptions = 0
@@ -323,7 +324,8 @@ class ClusterRuntime:
                     self._throttle_caps(state)
                 elif preemptions < self.config.max_preemptions:
                     preemptions += 1
-                    yield from self._preempt_and_requeue(state)
+                    yield from self._preempt_and_requeue(state, windows)
+        windows.end_all()
         self.scheduler.release(spec.job_id)
         state.status = "completed"
         state.nodes = ()
@@ -485,8 +487,10 @@ class ClusterRuntime:
             f"to {state.cap_scale:g}x",
             evidence=(("cap_scale", state.cap_scale),))
 
-    def _preempt_and_requeue(self, state: JobState) -> t.Generator:
-        """Ladder stage 3: quiescent-boundary preemption + readmission."""
+    def _preempt_and_requeue(self, state: JobState,
+                             windows: NicWindows) -> t.Generator:
+        """Ladder stage 3: quiescent-boundary preemption + readmission;
+        the tenant's open NIC windows move with it."""
         spec = state.spec
         state.ladder_stage = 3
         departed = state.nodes
@@ -497,6 +501,7 @@ class ClusterRuntime:
             live_continuation=True, broadcast_identical=None,
             resumed_iteration=state.steps_done, lr_scale=1.0,
             reconfigure_time_s=self.config.preempt_requeue_s))
+        windows.lift_all()
         self.scheduler.release(spec.job_id)
         state.nodes = ()
         state.status = "preempted"
@@ -513,6 +518,7 @@ class ClusterRuntime:
         yield self.sim.timeout(self.config.preempt_requeue_s)
         yield from self._admit(state, deadline_s=float("inf"),
                                resuming=True)
+        windows.hold_all()
         state.transitions.append(EpochTransition(
             epoch=len(state.transitions) + 1, at_s=self.sim.now,
             kind="resume", departed=(), joined=state.nodes,
@@ -536,44 +542,43 @@ class ClusterRuntime:
 
     # -- chaos ---------------------------------------------------------------
 
-    def _arm_chaos(self, state: JobState
-                   ) -> tuple[list[NodeCrash], list[Straggler]]:
+    def _arm_chaos(self, state: JobState) -> tuple[
+            list[NodeCrash], list[Straggler], NicWindows]:
         """Read the tenant's plan once, at its first admission.
 
-        Returns its crashes, which restart at step boundaries, and its
-        stragglers, which stretch compute while open.  Every other
-        window fault gets a process that holds its NIC window.
+        Returns its crashes, which restart at step boundaries, its
+        stragglers, which stretch compute while open, and its NIC
+        windows, keyed by local node id and held on the fabric nodes
+        the tenant sits on (on none while it is not placed).
         """
+        job = state.spec.job_id
+
+        def hold(fault: WindowFault) -> int | None:
+            if not state.nodes:
+                return None
+            node = state.nodes[fault.node]
+            self.fabric.scale_node_nic(node, fault.nic_factor)
+            self.obs.timeline.instant("fault.inject", "fault", node,
+                                      self.sim.now, job=job, kind=fault.event)
+            return node
+
+        def lift(fault: WindowFault, node: int) -> None:
+            self.fabric.restore_node_nic(node)
+            self.obs.timeline.instant("fault.restore", "fault", node,
+                                      self.sim.now, job=job, kind=fault.event)
+
         crashes: list[NodeCrash] = []
         stragglers: list[Straggler] = []
-        for fault in self.chaos.get(state.spec.job_id, ()):
+        windows = NicWindows(self.sim, hold, lift)
+        for fault in self.chaos.get(job, ()):
             if isinstance(fault, NodeCrash):
                 crashes.append(fault)
             elif isinstance(fault, Straggler):
                 stragglers.append(fault)
             elif isinstance(fault, WindowFault):
-                self.sim.spawn(
-                    self._nic_window(state, fault),
-                    name=f"chaos:{fault.event}:{state.spec.job_id}"
-                         f"@{fault.node}")
-        return crashes, stragglers
-
-    def _nic_window(self, state: JobState,
-                    fault: WindowFault) -> t.Generator:
-        if fault.at_s > self.sim.now:
-            yield self.sim.timeout(fault.at_s - self.sim.now)
-        if not state.nodes:
-            return  # preempted before the window opened
-        node = state.nodes[fault.node]
-        self.fabric.scale_node_nic(node, fault.nic_factor)
-        self.obs.timeline.instant(
-            "fault.inject", "fault", node, self.sim.now,
-            job=state.spec.job_id, kind=fault.event)
-        yield self.sim.timeout(fault.window_s)
-        self.fabric.restore_node_nic(node)
-        self.obs.timeline.instant(
-            "fault.restore", "fault", node, self.sim.now,
-            job=state.spec.job_id, kind=fault.event)
+                windows.arm(fault, name=f"chaos:{fault.event}:{job}"
+                                        f"@{fault.node}")
+        return crashes, stragglers, windows
 
     # -- findings ------------------------------------------------------------
 

@@ -34,11 +34,12 @@ Flaps, degradations and stragglers are :class:`WindowFault` types.
 Each states its window length, NIC capacity factor, event name and
 random parameter ranges once; the plan checker, both plan generators,
 the injector and the cluster runtime (:mod:`repro.cluster.runtime`)
-read them.  The two interpreters read two kinds differently.  The
-injector scales a straggler's NIC by ``1/slowdown``, while the cluster
-stretches the tenant's compute phase by ``slowdown``.  A flap takes the
-NIC to :data:`DEAD_LINK_BPS` in the injector and to
-``DEAD_NIC_FRACTION`` (1e-4) of base capacity in the cluster.
+read them, and both interpreters drive one :class:`NicWindows` record,
+each with its own reading.  The injector scales a straggler's NIC by
+``1/slowdown``, while the cluster stretches the tenant's compute phase
+by ``slowdown``.  A flap takes the NIC to :data:`DEAD_LINK_BPS` in the
+injector and to ``DEAD_NIC_FRACTION`` (1e-4) of base capacity in the
+cluster.
 
 A :class:`FaultPlan` is an immutable, time-sorted schedule of faults;
 a :class:`FaultInjector` arms the plan against a live simulator/cluster/
@@ -175,9 +176,9 @@ class BandwidthDegradation(WindowFault):
 class Straggler(WindowFault):
     """The node runs ``slowdown``x slower for ``duration_s`` seconds.
 
-    The injector reads this as a NIC slowdown (:attr:`nic_factor` is
-    ``1/slowdown``); the cluster runtime stretches the tenant's compute
-    phase by ``slowdown`` instead and leaves the NIC alone.
+    The injector reads this as a NIC window (:attr:`nic_factor` is
+    ``1/slowdown``).  The cluster runtime stretches the tenant's compute
+    phase by ``slowdown`` instead; it opens no NIC window for it.
     """
 
     slowdown: float = 4.0
@@ -227,8 +228,8 @@ _ANNOUNCED = {NodeCrash: "crash", NodeLeave: "leave", NodeJoin: "join"}
 def check_windows(faults: t.Iterable[Fault]) -> None:
     """Reject a window that opens before its node's last one closes.
 
-    ``faults`` must be in time order.  Capacity save/restore does not
-    nest, so the first window's restore would cut the second one short.
+    ``faults`` must be in time order.  :class:`NicWindows` holds one
+    window per node, so a second open would cut the first window short.
     """
     last: dict[int, WindowFault] = {}
     for fault in faults:
@@ -472,6 +473,79 @@ class FaultPlan:
         return cls(faults)
 
 
+class NicWindows:
+    """The open NIC windows of one worker group, at most one per node.
+
+    The one record of when a window opens, ends and moves.  Its owner
+    passes in its reading: ``hold(fault)`` puts the window on the node's
+    NIC and returns what ``lift(fault, held)`` needs to take it off, or
+    ``None`` when the node is not placed.  An open ends its node's
+    earlier window (one may open at the instant the last one closes);
+    a close ends only its own.  A window opened late closes at
+    ``end_s``, one opened on time ``window_s`` later.
+    """
+
+    def __init__(self, sim: Simulator,
+                 hold: t.Callable[[WindowFault], t.Any],
+                 lift: t.Callable[[WindowFault, t.Any], None]) -> None:
+        self.sim = sim
+        self._hold = hold
+        self._lift = lift
+        #: Open windows by node id, with what ``hold`` returned.
+        self._open: dict[int, tuple[WindowFault, t.Any]] = {}
+        self._ended = False
+
+    def arm(self, fault: WindowFault, name: str) -> None:
+        """Open ``fault``'s window at ``at_s``, or now if that has passed."""
+        def deliver() -> t.Generator:
+            if fault.at_s > self.sim.now:
+                yield self.sim.timeout(fault.at_s - self.sim.now)
+            self.open(fault)
+        self.sim.spawn(deliver(), name=name)
+
+    def open(self, fault: WindowFault) -> t.Any:
+        """Open ``fault``'s window now; return what ``hold`` returned."""
+        now = self.sim.now
+        if self._ended or now >= fault.end_s:
+            return None
+        self._end(fault.node)
+        held = self._hold(fault)
+        self._open[fault.node] = (fault, held)
+        self.sim.spawn(
+            self._close(fault, fault.window_s if now <= fault.at_s
+                        else fault.end_s - now),
+            name=f"fault-recover:{fault.event}@{fault.node}")
+        return held
+
+    def _close(self, fault: WindowFault, delay: float) -> t.Generator:
+        yield self.sim.timeout(delay)
+        if self._open.get(fault.node, (None,))[0] is fault:
+            self._end(fault.node)
+
+    def _end(self, node: int) -> None:
+        fault, held = self._open.pop(node, (None, None))
+        if held is not None:
+            self._lift(fault, held)
+
+    def lift_all(self) -> None:
+        """Take every open window off the placement in use."""
+        for node, (fault, held) in self._open.items():
+            if held is not None:
+                self._lift(fault, held)
+            self._open[node] = (fault, None)
+
+    def hold_all(self) -> None:
+        """Put what is left of each open window on the placement in use."""
+        for node, (fault, _held) in self._open.items():
+            self._open[node] = (fault, self._hold(fault))
+
+    def end_all(self) -> None:
+        """End every open window and open no more: the group is gone."""
+        self.lift_all()
+        self._open.clear()
+        self._ended = True
+
+
 class FaultInjector:
     """Arms a :class:`FaultPlan` against a live simulation.
 
@@ -487,11 +561,9 @@ class FaultInjector:
       pending join (the node was never admitted).  A crash voids its
       node's pending leave; a leave of a crashed member is dropped,
       since crash recovery owns that node;
-    * the NIC windows still open, keyed by original node id.  A window
-      holds its node's NIC in whichever cluster is in use: on a member
-      when it opens, on the rebuilt cluster at each :meth:`retarget`
-      (a joiner admitted mid-window gets the rest of it), and its close
-      restores the links of the cluster in use at that moment.
+    * the NIC windows still open (:attr:`windows`), keyed by original
+      node id; each :meth:`retarget` holds what is left of them on the
+      rebuilt cluster, so a joiner admitted mid-window gets the rest.
 
     The driver drains crashes with :meth:`take_crashes` and, at an
     iteration boundary, the net joins and then the net leaves; neither
@@ -509,11 +581,7 @@ class FaultInjector:
         #: ``(kind, node, at_s)`` with kind ``crash``, ``leave`` or
         #: ``join`` and ``node`` an original id.
         self._queue: list[tuple[str, int, float]] = []
-        #: Open NIC windows by original node id, each with the
-        #: ``(link, capacity)`` pairs it squashed in the cluster in use
-        #: (empty while the node is not a live member of it).
-        self._windows: dict[int, tuple[WindowFault,
-                                       tuple[tuple[Link, float], ...]]] = {}
+        self.windows = NicWindows(sim, self._scale_nic, self._restore_nic)
         self.retarget(cluster, network, range(cluster.num_nodes))
 
     # -- wiring ---------------------------------------------------------------
@@ -545,8 +613,7 @@ class FaultInjector:
         self.network = network
         #: Cluster index of each original node id in :attr:`cluster`.
         self._index = {node: i for i, node in enumerate(members)}
-        for node, (fault, _held) in self._windows.items():
-            self._windows[node] = (fault, self._hold(fault))
+        self.windows.hold_all()
 
     # -- the driver's side of the queue ---------------------------------------
 
@@ -594,7 +661,9 @@ class FaultInjector:
     def apply(self, fault: Fault) -> None:
         """Apply ``fault`` right now (normally called via :meth:`arm`)."""
         if isinstance(fault, WindowFault):
-            self._open_window(fault)
+            if self.windows.open(fault) is not None:
+                self.obs.fault_event("inject", self.sim.now,
+                                     fault=fault.event, node=fault.node)
             return
         kind = _ANNOUNCED.get(type(fault))
         if kind is None:
@@ -640,54 +709,26 @@ class FaultInjector:
             return None
         return index
 
-    def _open_window(self, fault: WindowFault) -> None:
-        """Hold the node's NIC at the fault's factor until the window ends.
+    def _scale_nic(self, fault: WindowFault
+                   ) -> tuple[tuple[Link, float], ...] | None:
+        """Scale a live member's NIC links by ``fault.nic_factor`` (a
+        flap: to :data:`DEAD_LINK_BPS`); return each link with the
+        capacity to restore, or ``None`` when the node is not live."""
+        index = self._live(fault.node)
+        if index is None:
+            return None
+        held = tuple((link, link.capacity_bps) for link in
+                     (self.cluster.nic_out[index], self.cluster.nic_in[index]))
+        for link, capacity in held:
+            self.network.set_link_capacity(
+                link, capacity * fault.nic_factor or DEAD_LINK_BPS)
+        return held
 
-        The window is kept open whether or not the node is a live member
-        right now, so a node admitted mid-window gets the rest of it.
-        Windows on one node never overlap (:func:`check_windows`), but
-        one may open at the instant the last one closes, before that
-        close has run: the earlier window ends first.
-        """
-        if fault.node in self._windows:
-            self._end_window(fault.node)
-        held = self._hold(fault)
-        self._windows[fault.node] = (fault, held)
-        if held:
-            self.obs.fault_event("inject", self.sim.now, fault=fault.event,
-                                 node=fault.node)
-        self.sim.spawn(self._close_window(fault),
-                       name=f"fault-recover:{fault.event}@{fault.node}")
-
-    def _close_window(self, fault: WindowFault) -> t.Generator:
-        yield self.sim.timeout(fault.window_s)
-        if self._windows.get(fault.node, (None,))[0] is fault:
-            self._end_window(fault.node)
-
-    def _end_window(self, node: int) -> None:
-        """Close ``node``'s open window in the cluster in use."""
-        fault, held = self._windows.pop(node)
-        if not held or self._live(node) is None:
-            return  # not in this cluster, or died: stay squashed
+    def _restore_nic(self, fault: WindowFault,
+                     held: tuple[tuple[Link, float], ...]) -> None:
+        if self._live(fault.node) is None:
+            return  # died: stay squashed
         for link, capacity in held:
             self.network.set_link_capacity(link, capacity)
         self.obs.fault_event("recover", self.sim.now, fault=fault.event,
-                             node=node)
-
-    def _hold(self, fault: WindowFault) -> tuple[tuple[Link, float], ...]:
-        """Scale a live member's NIC links by ``fault.nic_factor``.
-
-        A factor of 0 (a flap) takes the NIC down to
-        :data:`DEAD_LINK_BPS`.  Returns each link with the capacity to
-        restore; empty when the node is not a live member.
-        """
-        index = self._live(fault.node)
-        if index is None:
-            return ()
-        held = []
-        for link in (self.cluster.nic_out[index], self.cluster.nic_in[index]):
-            held.append((link, link.capacity_bps))
-            self.network.set_link_capacity(
-                link, link.capacity_bps * fault.nic_factor
-                if fault.nic_factor > 0 else DEAD_LINK_BPS)
-        return tuple(held)
+                             node=fault.node)

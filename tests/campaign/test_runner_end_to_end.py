@@ -144,6 +144,37 @@ class TestWorkerCrash:
         assert counts["done"] == 8
 
 
+def proc_stat(pid):
+    """``(state, ppid)`` of ``pid`` from ``/proc``, or ``None`` if gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            fields = stat.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def pool_workers(pid):
+    """The pids of ``pid``'s process-pool workers, read from ``/proc``."""
+    workers = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or (proc_stat(entry) or ("", 0))[1] != pid:
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as cmdline:
+                if b"spawn_main" in cmdline.read():
+                    workers.append(int(entry))
+        except OSError:
+            pass
+    return workers
+
+
+def alive(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
 class TestOrchestratorKill9:
     """SIGKILL the orchestrator process mid-campaign, then resume."""
 
@@ -194,10 +225,18 @@ class TestOrchestratorKill9:
         proc = self._spawn_orchestrator(path, campaign_id)
         try:
             at_kill = self._wait_for_progress(path, campaign_id, proc)
+            workers = pool_workers(proc.pid)
             os.kill(proc.pid, signal.SIGKILL)
         finally:
             proc.wait(timeout=30)
         assert at_kill["done"] < self.CELLS
+        # The pool workers notice their orchestrator is gone and exit;
+        # the cells they were running wait out their leases.
+        assert workers
+        deadline = time.monotonic() + 5.0
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if alive(pid)]
 
         # Resume in-process; leases of the killed claims age out.
         resumed = CampaignRunner(path, campaign_id, max_workers=2,

@@ -22,6 +22,7 @@ from repro.cluster import (
     JobSpec,
     three_job_scenario,
 )
+from repro.cluster.fabric import DEAD_NIC_FRACTION
 from repro.errors import AdmissionRejected, ClusterError
 from repro.models import get_model
 from repro.sim.faults import (
@@ -318,6 +319,133 @@ class TestLinkFlap:
         fabric = runtime.fabric
         assert {link.capacity_bps for link in
                 [*fabric.nic_out, *fabric.nic_in]} == {fabric.nic_bps}
+
+
+def nic_trace(runtime):
+    """Record every capacity the run sets: ``(time, link name, bps)``."""
+    trace = []
+    network = runtime.fabric.network
+    set_capacity = network.set_link_capacity
+
+    def record(link, capacity_bps):
+        trace.append((runtime.sim.now, link.name, capacity_bps))
+        set_capacity(link, capacity_bps)
+
+    network.set_link_capacity = record
+    return trace
+
+
+def nic_level(runtime, trace, node, at_s):
+    """Fabric node ``node``'s NIC pair, as a fraction of base, once
+    everything due at ``at_s`` has run."""
+    levels = {}
+    for when, name, capacity in trace:
+        if when <= at_s:
+            levels[name] = capacity
+    base = runtime.fabric.nic_bps
+    out, into = (levels.get(f"node{node}.nic.{end}", base) / base
+                 for end in ("out", "in"))
+    assert out == into
+    return out
+
+
+class TestNicWindows:
+    """The cluster drives the shared window record (`NicWindows`)."""
+
+    @pytest.mark.parametrize("first, second, level", [
+        (LinkFlap(at_s=1.0, node=0, down_s=1.0),
+         LinkFlap(at_s=2.0, node=0, down_s=1.0), DEAD_NIC_FRACTION),
+        (BandwidthDegradation(at_s=1.0, node=0, fraction=0.5,
+                              duration_s=1.0),
+         BandwidthDegradation(at_s=2.0, node=0, fraction=0.25,
+                              duration_s=1.0), 0.25),
+    ], ids=["flaps", "degradations"])
+    def test_back_to_back_windows_on_one_node(self, first, second, level):
+        # The second window's timeout is the older one, so it opens at
+        # t = 2 before the first one closes; that close must not end it.
+        runtime = ClusterRuntime(
+            [JobSpec(job_id="a", num_nodes=2, steps=400)],
+            config=small_config(max_preemptions=0),
+            chaos={"a": FaultPlan([first, second])})
+        trace = nic_trace(runtime)
+        result = runtime.run()
+        assert result.jobs["a"]["transitions"] == []
+        for at_s in (2.0, 2.5, 2.999):
+            assert nic_level(runtime, trace, 0, at_s) == level
+        assert nic_level(runtime, trace, 0, 3.0) == 1.0
+        assert trace[-1] == (3.0, "node0.nic.in", runtime.fabric.nic_bps)
+
+    def test_window_started_before_admission_closes_at_its_end(self):
+        # Chaos is armed at first admission (t = 0.5); the window keeps
+        # its place in time rather than running 1 s from admission.
+        runtime = ClusterRuntime(
+            [JobSpec(job_id="a", num_nodes=2, steps=40, arrival_s=0.5)],
+            config=small_config(),
+            chaos={"a": FaultPlan([BandwidthDegradation(
+                at_s=0.0, node=0, fraction=0.5, duration_s=1.0)])})
+        trace = nic_trace(runtime)
+        runtime.run()
+        assert nic_level(runtime, trace, 0, 0.5) == 0.5
+        assert nic_level(runtime, trace, 0, 0.999) == 0.5
+        assert nic_level(runtime, trace, 0, 1.0) == 1.0
+        assert nic_level(runtime, trace, 0, 1.25) == 1.0
+
+    def test_window_over_before_admission_never_opens(self):
+        runtime = ClusterRuntime(
+            [JobSpec(job_id="a", num_nodes=2, steps=4, arrival_s=0.5)],
+            config=small_config(),
+            chaos={"a": FaultPlan([LinkFlap(at_s=0.0, node=0,
+                                            down_s=0.5)])})
+        trace = nic_trace(runtime)
+        runtime.run()
+        assert trace == []
+
+    def test_windows_follow_the_tenant_across_preemption(self):
+        # The committed scenario preempts jobA at t = 3.17, inside its
+        # [2, 6) degradation of local node 0; a second window on local
+        # node 1 opens at t = 3.5, while jobA waits to be readmitted.
+        scenario = three_job_scenario(chaos=True)
+        plan = FaultPlan([*scenario.chaos["jobA"], BandwidthDegradation(
+            at_s=3.5, node=1, fraction=0.5, duration_s=2.0)])
+        runtime = ClusterRuntime(scenario.specs, chaos={"jobA": plan})
+        trace = nic_trace(runtime)
+        result = runtime.run()
+        preempt, resume = result.jobs["jobA"]["transitions"]
+        assert (preempt["kind"], resume["kind"]) == ("preempt", "resume")
+        vacated = dict(next(f.evidence for f in result.findings
+                            if f.kind == "preempt"))["nodes"]
+        placed = dict(next(f.evidence for f in result.findings
+                           if f.kind == "resume"))["nodes"]
+        assert preempt["at_s"] < 3.5 < resume["at_s"] < 5.5
+        # Before: local node 0 degraded.  During the requeue: every
+        # node jobA vacated is healthy, the new window included.
+        assert nic_level(runtime, trace, vacated[0], 3.0) == 0.3
+        for at_s in (preempt["at_s"], 3.5, resume["at_s"] - 1e-9):
+            for node in vacated:
+                assert nic_level(runtime, trace, node, at_s) == 1.0
+        # After readmission: what is left of both windows, until each
+        # one's end_s.
+        for at_s in (resume["at_s"], 5.499):
+            assert nic_level(runtime, trace, placed[0], at_s) == 0.3
+            assert nic_level(runtime, trace, placed[1], at_s) == 0.5
+        assert nic_level(runtime, trace, placed[1], 5.5) == 1.0
+        assert nic_level(runtime, trace, placed[0], 5.999) == 0.3
+        assert nic_level(runtime, trace, placed[0], 6.0) == 1.0
+
+    def test_completion_lifts_open_windows(self):
+        # The tenant finishes inside its window; the node it leaves is
+        # healthy for whoever lands there next.
+        runtime = ClusterRuntime(
+            [JobSpec(job_id="a", num_nodes=2, steps=2, compute_s=0.01,
+                     bytes_per_step=1e6)],
+            config=small_config(),
+            chaos={"a": FaultPlan([BandwidthDegradation(
+                at_s=0.0, node=1, fraction=0.5, duration_s=30.0)])})
+        trace = nic_trace(runtime)
+        runtime.run()
+        done = trace[-1][0]
+        assert done < 1.0
+        assert nic_level(runtime, trace, 1, done) == 1.0
 
 
 class TestWarmStart:
