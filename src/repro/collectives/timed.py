@@ -23,17 +23,19 @@ event callbacks, not a process.
 
 Every fan-out launches the same way (:meth:`TimedCollectives.
 _launch_runs`): consecutive flows sharing (bytes, cap, weight) form a
-*uniform run*.  The members of a run that share no link with another
-member of the launch split into classes of capacity-identical members
+*uniform run*.  The members of a run split into classes of
+capacity-identical members
 (:meth:`~repro.sim.network.FluidNetwork.bundle_classes`): each class of
 two or more enters as one :class:`~repro.sim.network.GroupFlow`, every
 other member as a plain flow, so one congested hop no longer unbundles
-the rest of its ring, while hops sharing an oversubscribed core enter
-member by member.  The whole fan-out enters the network in one
-:meth:`~repro.sim.network.FluidNetwork.start_flows` insert.  This is
-exact at every scale: bundled members are link-disjoint and
-capacity-identical, so each one's rate is bit-equal to the group's, and
-no simulated time passes between a launch's same-instant arrivals.
+the rest of its ring.  Hops that all cross an oversubscribed core, or
+the planner's ``ina.agg`` trunk, bundle too: the group weighs once per
+member on those shared links.  The whole fan-out enters the network in
+one :meth:`~repro.sim.network.FluidNetwork.start_flows` insert.  This
+is exact at every scale: bundled members are capacity-identical and
+the solver counts and debits a shared link once per member, so each
+member's rate is bit-equal to the group's, and no simulated time passes
+between a launch's same-instant arrivals.
 
 Every all-reduce, half-ring and all-to-all builds its phase list once
 per ``(algorithm, size_bytes, cap_scale)`` (:meth:`TimedCollectives.

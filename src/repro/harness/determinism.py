@@ -139,11 +139,12 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     for backend in ("byteps", "mxnet-kvstore")
 ) + (
     # Spine cells: an oversubscribed core link breaks NIC symmetry, so
-    # these run the full link set, one flow per inter-node hop through
-    # the shared core.  They pin the times a representative spine must
-    # reproduce.  The last two use 9 nodes and odd stream counts; in the
-    # 3-stream one a share link's per-flow ``(core / m) / w`` rounds
-    # differently from the full link set's ``core / (m * w)``.
+    # these run the full link set, the inter-node hops of a launch as
+    # one group weighed once per hop on the shared core.  They pin the
+    # times a representative spine must reproduce.  The last two use 9
+    # nodes and odd stream counts; in the 3-stream one a share link's
+    # per-flow ``(core / m) / w`` rounds differently from the full link
+    # set's ``core / (m * w)``.
     {"ranks": 32, "streams": 4, "faults": False, "core_oversubscription": 4.0},
     {"ranks": 32, "streams": 4, "faults": False, "algorithm": "hierarchical",
      "core_oversubscription": 4.0},

@@ -42,22 +42,28 @@ Scaling to 1024–4096-rank clusters relies on three hot-path properties:
   multi-tenant, goes through one job-aware water-filling loop
   (:meth:`FluidNetwork._solve_component`).
 
-* **Flow bundling.**  The members of a collective fan-out that share
-  no link with another member split into *classes* of
-  capacity-identical members (:meth:`FluidNetwork.bundle_classes`);
-  each class of two or more collapses into a single
-  :class:`GroupFlow` solver entity: only the
-  *representative* member's links enter the solver, the remaining
-  members' links carry claim markers, and one completion event stands
-  for the whole class.  Every other member enters as a plain flow, and
-  groups and flows enter in one insert with one reallocation
-  (:meth:`FluidNetwork.start_flows`).  Any operation that
-  would break a bundle's symmetry — a foreign flow or a capacity change
-  touching a claimed link — first splits the bundle back into
-  per-member flows, so rates stay exact under faults and congestion.
-  Bundling thins the *event schedule* (fewer wakeups and completions)
-  but never moves a completion time, so the timed collectives bundle
-  every class of two or more members at any scale.
+* **Flow bundling.**  The members of a collective fan-out split into
+  *classes* of capacity-identical members
+  (:meth:`FluidNetwork.bundle_classes`); each class of two or more
+  collapses into a single :class:`GroupFlow` solver entity, and one
+  completion event stands for the whole class.  A member's links are
+  either *private* (crossed by no other member of the fan-out) or
+  *shared* by every member of its class — an oversubscribed spine
+  core, an in-network aggregation trunk.  The group sits on the
+  *representative* member's links: it counts once on its private
+  links and once per member on its shared links, so ``Link.load``,
+  the per-link tenant weights and the water-filling debit all see the
+  member-by-member fan-out.  The other members' private links carry
+  claim markers.  A member that shares a link with only some of its
+  class stays a plain flow, and groups and flows enter in one insert
+  with one reallocation (:meth:`FluidNetwork.start_flows`).  A foreign
+  flow or a capacity change on a claimed (private) link first splits
+  the bundle back into per-member flows; one on a shared link splits
+  nothing, since every member sees it alike.  So rates stay exact
+  under faults and congestion: bundling thins the *event schedule*
+  (fewer wakeups and completions) but never moves a completion time,
+  and the timed collectives bundle every class of two or more members
+  at any scale.
 
 ``start_flow(..., weight=k)`` models ``k`` identical transport streams as
 one flow: the flow counts ``k`` toward every traversed link's load,
@@ -243,6 +249,10 @@ class Flow:
 
     _ids = itertools.count()
 
+    #: Links the entity crosses once per member (see :class:`GroupFlow`):
+    #: none for a plain flow, so the hot paths test one attribute.
+    _shared: tuple[Link, ...] = ()
+
     def __init__(self, links: t.Sequence[Link],
                  size_bits: float, rate_cap_bps: float | None, done: Event,
                  now: float, tail_latency_s: float = 0.0, weight: int = 1,
@@ -297,32 +307,41 @@ class Flow:
 
 
 class GroupFlow(Flow):
-    """A bundle of identical member transfers on pairwise-disjoint links.
+    """A bundle of identical member transfers.
 
     Only the representative member (``member_links[0]``) participates in
-    rate solving; by construction every other member would see exactly
-    the same capacities and competitors (competing entities on a bundled
-    link are themselves aligned group members), so the representative's
-    rate trajectory is exact for all members.  ``size_bits`` and
-    ``rate_bps`` are **per member**; the delivered-bits multiplier
-    ``_mult`` (the member count) accounts for the full fan-out.
+    rate solving.  Its ``links`` are the representative's: *private*
+    links, which no other member crosses, and the ``shared`` links every
+    member crosses.  The group counts ``weight`` on a private link and
+    ``n x weight`` on a shared one (``n`` members), and the solver
+    debits a shared link once per member, so every residual is the one
+    the member-by-member solve computes.  By construction every other
+    member would see exactly the same capacities and competitors on its
+    own private links (competing entities there are themselves aligned
+    group members), so the representative's rate trajectory is exact
+    for all members.  ``size_bits`` and ``rate_bps`` are **per member**;
+    the delivered-bits multiplier ``_mult`` (the member count) accounts
+    for the full fan-out.
 
     ``member_links`` passed as a tuple is trusted to already be a tuple
     of link tuples (the canonical form) so that repeated launches off a
-    cached :class:`FlowBundle` skip the per-member normalisation.
+    cached :class:`FlowBundle` skip the per-member normalisation;
+    ``shared`` comes from that handle too (:attr:`FlowBundle.shared`).
     """
 
-    __slots__ = ("member_links", "_channel")
+    __slots__ = ("member_links", "_shared", "_channel")
 
     def __init__(self, member_links: t.Sequence[t.Sequence[Link]],
                  size_bits: float, rate_cap_bps: float | None, done: Event,
                  now: float, tail_latency_s: float = 0.0, weight: int = 1,
-                 label: str | None = None, job: str | None = None) -> None:
+                 label: str | None = None, job: str | None = None,
+                 shared: tuple[Link, ...] = ()) -> None:
         members = member_links if isinstance(member_links, tuple) \
             else tuple(tuple(links) for links in member_links)
         if len(members) < 2:
             raise NetworkError("a flow group needs at least two members")
         self.member_links = members
+        self._shared = shared
         #: The :class:`_BundleChannel` whose claim this group rides
         #: (set by the network right after construction).
         self._channel: "_BundleChannel | None" = None
@@ -343,25 +362,31 @@ class GroupFlow(Flow):
 class FlowBundle:
     """Reusable handle for the member structure of one bundled fan-out.
 
-    Created once by :meth:`FluidNetwork.bundle` (which performs the
-    *structural* half of bundling validation — member shape and pairwise
-    link disjointness, neither of which can change at runtime) and then
-    passed to :meth:`FluidNetwork.start_flow_group` on every launch.
-    The *dynamic* half — identical capacity profiles and unoccupied
-    links — is checked when the handle first registers a claim channel,
-    and the claim then persists across launches: a steady-state ring
-    unit relaunches in O(representative links) instead of revalidating
-    all members each step.  Iterates (and sizes) as its member link sets.
+    Created once by :meth:`FluidNetwork.bundle` or
+    :meth:`FluidNetwork.bundle_classes` (which perform the *structural*
+    half of bundling validation — member shape, and every link either
+    private to one member or crossed by all of them, none of which can
+    change at runtime) and then passed to
+    :meth:`FluidNetwork.start_flows` on every launch.  ``shared`` holds
+    the links every member crosses, in the representative's order,
+    found once here rather than on every launch.  The *dynamic* half —
+    identical capacity profiles and unoccupied private links — is
+    checked when the handle first registers a claim channel, and the
+    claim then persists across launches: a steady-state ring unit
+    relaunches in O(representative links) instead of revalidating all
+    members each step.  Iterates (and sizes) as its member link sets.
     ``bundles=False`` marks a fan-out whose structure can never bundle
-    (:meth:`FluidNetwork.start_flow_group` on members sharing a link):
-    it always launches per member, joined into one event.
+    (:meth:`FluidNetwork.start_flow_group` on members of which only some
+    share a link): it always launches per member, joined into one event.
     """
 
-    __slots__ = ("members", "bundles", "_channel")
+    __slots__ = ("members", "shared", "bundles", "_channel")
 
     def __init__(self, members: tuple[tuple[Link, ...], ...],
+                 shared: tuple[Link, ...] = (),
                  bundles: bool = True) -> None:
         self.members = members
+        self.shared = shared
         self.bundles = bundles
         self._channel: _BundleChannel | None = None
 
@@ -373,13 +398,14 @@ class FlowBundle:
 
 
 class _BundleChannel:
-    """Live claim on one bundle's link set, shared by aligned handles.
+    """Live claim on one bundle's private links, shared by aligned handles.
 
     One channel owns each claimed link exclusively (channels are
     link-disjoint by registration), so a foreign touch on any claimed
     link identifies exactly the set of groups whose symmetry it breaks:
-    the channel's.  ``claimed`` drops when the channel is deregistered;
-    handles pointing at a dead channel re-register on their next launch.
+    the channel's.  Shared links are never claimed.  ``claimed`` drops
+    when the channel is deregistered; handles pointing at a dead channel
+    re-register on their next launch.
     """
 
     __slots__ = ("members", "groups", "claimed")
@@ -468,8 +494,9 @@ class FluidNetwork:
         #: rate assignment; the solver re-solves only the components
         #: reachable from these (insertion-ordered for reproducibility).
         self._dirty_links: dict[Link, None] = {}
-        #: ``link -> channel`` claim markers for every link a bundled
-        #: fan-out stands on (representative links included).  Each link
+        #: ``link -> channel`` claim markers for every private link a
+        #: bundled fan-out stands on (representative links included;
+        #: shared links are never claimed).  Each link
         #: is owned by at most one :class:`_BundleChannel`; any foreign
         #: touch on a claimed link splits the channel's groups back into
         #: per-member flows and releases the claim.
@@ -581,11 +608,11 @@ class FluidNetwork:
         A :class:`FlowBundle` request enters as one :class:`GroupFlow`
         on its claim channel when bundling is exact right now, else as
         per-member flows joined into the request's event.  Plain flows
-        (per-member ones included) split any bundle whose claimed links
-        they touch; a group whose channel a later request of this same
-        insert released, by evicting its claim or by such a split,
-        enters per member too.  Pure-latency requests are scheduled
-        directly and touch nothing.
+        (per-member ones included) and a group's shared links split any
+        bundle whose claimed links they touch; a group whose channel a
+        later request of this same insert released, by evicting its
+        claim or by such a split, enters per member too.  Pure-latency
+        requests are scheduled directly and touch nothing.
         """
         sim = self.sim
         now = sim.now
@@ -593,7 +620,8 @@ class FluidNetwork:
         #: ``(links or members, handle, channel, size_bytes, cap, weight,
         #: done, latency)`` per positive-size request, in request order.
         pending: list[tuple] = []
-        #: Link sets of the plain flows about to enter.
+        #: Link sets of the plain flows about to enter, and the shared
+        #: links of the groups.
         loose: list[t.Sequence[Link]] = []
         groups = 0
         for links, size_bytes, rate_cap_bps, weight in requests:
@@ -620,6 +648,8 @@ class FluidNetwork:
                     channel = handle._channel = self._register_bundle(handle)
                 if channel is None:
                     loose.extend(links)
+                elif handle.shared:
+                    loose.append(handle.shared)
                 groups += 1
             pending.append((links, handle, channel, size_bytes,
                             rate_cap_bps, weight, done, latency))
@@ -645,7 +675,7 @@ class FluidNetwork:
             elif channel is not None and channel.claimed:
                 group = GroupFlow(links, size_bits, rate_cap_bps, done, now,
                                   tail_latency_s=latency, weight=weight,
-                                  label=label, job=job)
+                                  label=label, job=job, shared=handle.shared)
                 group._channel = channel
                 channel.groups[group] = None
                 entities.append(group)
@@ -669,7 +699,8 @@ class FluidNetwork:
         """Add freshly created entities to the flow set and re-allocate.
 
         A group enters on its representative links only (``links`` is
-        ``member_links[0]``); its other members' links carry claims.
+        ``member_links[0]``); its other members' private links carry
+        claims.
         """
         for flow in flows:
             self._add_flow(flow)
@@ -678,7 +709,8 @@ class FluidNetwork:
     def _add_flow(self, flow: Flow) -> None:
         """Put one entity on the flow set and its links, marking them dirty.
 
-        The caller re-allocates.
+        A group weighs once per member on its shared links.  The caller
+        re-allocates.
         """
         self.flows[flow] = None
         if flow.remaining_bits <= _COMPLETE_BITS:
@@ -689,33 +721,42 @@ class FluidNetwork:
             link.flows[flow] = None
             link.load += weight
             dirty[link] = None
+        shared = flow._shared
+        if shared:
+            extra = weight * (len(flow.member_links) - 1)
+            for link in shared:
+                link.load += extra
 
     def bundle(self, member_links: t.Sequence[t.Sequence[Link]]
                ) -> FlowBundle | None:
         """Precompute a reusable :class:`FlowBundle` handle for a fan-out.
 
         Performs the structural half of bundling validation — at least
-        two members, equal member lengths, pairwise-disjoint links —
-        which depends only on the (immutable) topology, so callers that
-        relaunch the same fan-out every step (the timed collectives'
-        wire plans) pay it once.  Returns ``None`` when the structure
-        can never bundle (e.g. every member shares an oversubscribed
-        core link); such fan-outs always take the per-member path.
+        two members, equal member lengths, no link twice in one member,
+        and every link either private to one member or crossed by all of
+        them (the handle's ``shared`` links) — which depends only on the
+        (immutable) topology, so callers that relaunch the same fan-out
+        every step (the timed collectives' wire plans) pay it once.
+        Returns ``None`` when the structure can never bundle, e.g. when
+        some but not all members share a link; such fan-outs always take
+        the per-member path.
         """
         members = member_links if isinstance(member_links, tuple) \
             else tuple(tuple(links) for links in member_links)
-        if len(members) < 2:
+        count = len(members)
+        if count < 2:
             return None
         rep_len = len(members[0])
-        seen: set[Link] = set()
+        uses: collections.Counter[Link] = collections.Counter()
         for links in members:
-            if len(links) != rep_len:
+            distinct = set(links)
+            if len(links) != rep_len or len(distinct) != rep_len:
                 return None
-            for link in links:
-                if link in seen:
-                    return None
-                seen.add(link)
-        return FlowBundle(members)
+            uses.update(distinct)
+        if any(1 < used < count for used in uses.values()):
+            return None
+        return FlowBundle(members, tuple(link for link in members[0]
+                                         if uses[link] > 1))
 
     def bundle_classes(self, runs: t.Sequence[t.Sequence[t.Sequence[Link]]]
                        ) -> list[list["FlowBundle | tuple[Link, ...]"]]:
@@ -723,33 +764,54 @@ class FluidNetwork:
 
         ``runs`` lists the member link sets of each *uniform run* — the
         members of one run share bytes, cap and weight, so only their
-        links differ.  A member none of whose links appears in another
-        member of the fan-out joins the *class* of its run's members
-        with the same ``(capacity_bps, latency_s)`` link profile, the
-        profile the claim channel compares: a class of two or more
-        becomes one :class:`FlowBundle`, a lone member stays its link
-        tuple.  A member sharing a link — every hop crossing an
-        oversubscribed core, say — stays its link tuple too: a bundle
-        there would be split apart by its own fan-out.  Returns one
+        links differ.  A run's members split into *classes* by their
+        ``(capacity_bps, latency_s)`` link profile, the profile the
+        claim channel compares.  A link of a member is *private* when no
+        other member of the fan-out crosses it, and *shared* when every
+        member of the member's class crosses it — every hop through an
+        oversubscribed core, say; members of other classes or runs may
+        cross it too.  A member with a link that is neither — one it
+        shares with only some of its class — stays its link tuple.  The
+        other members of a class of two or more become one
+        :class:`FlowBundle` whose ``shared`` links are its members'
+        shared links; a lone member stays its link tuple.  Returns one
         entry list per run, classes in order of first member.
         Structure is immutable, so callers that relaunch a fan-out every
         step classify it once; a capacity change at run time only makes
         a class fail its claim and enter per member.
         """
+        runs = [[tuple(links) for links in members] for members in runs]
         uses = collections.Counter(itertools.chain.from_iterable(
             itertools.chain.from_iterable(runs)))
         shared = {link for link, count in uses.items() if count > 1}
         entries: list[list[FlowBundle | tuple[Link, ...]]] = []
         for members in runs:
+            profiles = [tuple(map(_link_profile, links)) for links in members]
+            if shared:
+                # ``profile -> link -> members of that class crossing it``.
+                sizes = collections.Counter(profiles)
+                crossings: dict[tuple, collections.Counter[Link]] = {}
+                for profile, links in zip(profiles, members):
+                    crossings.setdefault(profile, collections.Counter()) \
+                        .update(shared.intersection(links))
             classes: dict[object, list[tuple[Link, ...]]] = {}
-            for index, links in enumerate(map(tuple, members)):
-                # A member sharing a link keys on its index: an entry of
-                # its own.
-                key = (index if shared and not shared.isdisjoint(links)
-                       else tuple(map(_link_profile, links)))
+            for index, (profile, links) in enumerate(zip(profiles, members)):
+                key: object = profile
+                if shared and not shared.isdisjoint(links):
+                    # A member with a link shared by only some of its
+                    # class, or one listed twice, keys on its index: an
+                    # entry of its own.
+                    crossed, size = crossings[profile], sizes[profile]
+                    if len(set(links)) != len(links) or any(
+                            crossed[link] < size
+                            for link in shared.intersection(links)):
+                        key = index
                 classes.setdefault(key, []).append(links)
-            entries.append([FlowBundle(tuple(group)) if len(group) > 1
-                            else group[0] for group in classes.values()])
+            entries.append([
+                FlowBundle(tuple(group), tuple(link for link in group[0]
+                                               if link in shared))
+                if len(group) > 1 else group[0]
+                for group in classes.values()])
         return entries
 
     def start_flow_group(self,
@@ -762,11 +824,12 @@ class FluidNetwork:
         """Begin one identical ``size_bytes`` transfer per member link set.
 
         The symmetric fan-out of a large collective — one flow per node
-        pair, all the same size/cap/weight on pairwise-disjoint,
-        capacity-identical paths — enters the solver as a **single**
-        :class:`GroupFlow` entity when bundling is exact (structure via
-        :meth:`bundle`, capacity profile and link occupancy via the
-        claim channel); otherwise its members enter as per-member flows,
+        pair, all the same size/cap/weight on capacity-identical paths
+        whose links are private or crossed by every member — enters the
+        solver as a **single** :class:`GroupFlow` entity when bundling
+        is exact (structure via :meth:`bundle`, capacity profile and
+        private-link occupancy via the claim channel); otherwise its
+        members enter as per-member flows,
         so the returned event's timing is identical either way.  A
         one-request :meth:`start_flows` call.  ``member_links`` may be a
         :class:`FlowBundle` from :meth:`bundle`, in which case the
@@ -818,18 +881,6 @@ class FluidNetwork:
         self._reallocate()
         return True
 
-    def utilization_of(self, link: Link) -> float:
-        """Instantaneous fraction of ``link`` capacity currently in use."""
-        used = sum(f.rate_bps for f in link.flows)
-        channel = self._claims.get(link)
-        if channel is not None:
-            # Non-representative bundled members do not sit in
-            # ``link.flows``; credit their per-member rates explicitly.
-            for group in channel.groups:
-                if link not in group.links:
-                    used += group.rate_bps
-        return used / link.capacity_bps
-
     def set_link_capacity(self, link: Link, capacity_bps: float) -> None:
         """Change a link's capacity mid-simulation.
 
@@ -840,9 +891,10 @@ class FluidNetwork:
         """
         _check_capacity(link.name, capacity_bps)
         if self._claims:
-            # A capacity change on any bundled member's link breaks the
-            # symmetry bundling relies on; split first so the degraded
-            # member is solved individually.
+            # A capacity change on any bundled member's private link
+            # breaks the symmetry bundling relies on; split first so the
+            # degraded member is solved individually.  A shared link is
+            # never claimed: every member sees its change alike.
             self._split_claimed((link,))
         self._advance_progress()
         link.capacity_bps = float(capacity_bps)
@@ -852,16 +904,18 @@ class FluidNetwork:
     # -- bundling ----------------------------------------------------------
 
     def _register_bundle(self, handle: FlowBundle) -> _BundleChannel | None:
-        """Claim a handle's links, validating the dynamic exactness half.
+        """Claim a handle's private links, validating the dynamic half.
 
         Exactness conditions beyond the structural ones :meth:`bundle`
         already pinned: every member traverses the same capacity/latency
-        profile as the representative, and every link is otherwise
-        unoccupied — except by an **aligned** channel (identical member
-        partition), whose representatives share the same links and
-        therefore keep the symmetry exact; such a channel is adopted so
-        concurrent aligned launches (multi-stream pipelining) share one
-        claim.  Stale claims of idle misaligned channels are evicted.
+        profile as the representative, and every private link is
+        otherwise unoccupied — except by an **aligned** channel
+        (identical member partition), whose representatives share the
+        same links and therefore keep the symmetry exact; such a channel
+        is adopted so concurrent aligned launches (multi-stream
+        pipelining) share one claim.  Stale claims of idle misaligned
+        channels are evicted.  Shared links are neither checked nor
+        claimed: whatever else crosses them, every member sees it alike.
         Runs once per handle lifetime in the steady state; returns
         ``None`` when bundling is not exact right now (or never is).
         """
@@ -872,15 +926,17 @@ class FluidNetwork:
         for links in members:
             if tuple(map(_link_profile, links)) != profile:
                 return None
+        shared = handle.shared
+        private = tuple(link for links in members for link in links
+                        if link not in shared)
         claims = self._claims
         channels: dict[int, _BundleChannel] = {}
-        for links in members:
-            for link in links:
-                existing = claims.get(link)
-                if existing is not None:
-                    channels[id(existing)] = existing
-                elif link.flows:
-                    return None
+        for link in private:
+            existing = claims.get(link)
+            if existing is not None:
+                channels[id(existing)] = existing
+            elif link.flows:
+                return None
         adopted: _BundleChannel | None = None
         for existing in channels.values():
             if existing.members == members:
@@ -890,9 +946,8 @@ class FluidNetwork:
             else:
                 self._deregister_channel(existing)
         channel = adopted if adopted is not None else _BundleChannel(members)
-        for links in members:
-            for link in links:
-                claims[link] = channel
+        for link in private:
+            claims[link] = channel
         return channel
 
     def _deregister_channel(self, channel: _BundleChannel) -> None:
@@ -908,10 +963,11 @@ class FluidNetwork:
         """Split every bundle whose symmetry ``links`` would break.
 
         Channels are link-disjoint and a channel's split flows land only
-        on its own links, so the split set is exactly the touched
-        channels' groups — no transitive closure across channels is
-        possible.  Splits apply in flow-creation order (deterministic
-        regardless of discovery order).
+        on its own links and on shared links, which no channel claims,
+        so the split set is exactly the touched channels' groups — no
+        transitive closure across channels is possible.  Splits apply in
+        flow-creation order (deterministic regardless of discovery
+        order).
         """
         claims = self._claims
         if not claims:
@@ -1114,6 +1170,10 @@ class FluidNetwork:
         links, so surplus released by capped flows is re-offered to the
         survivors in later rounds.
 
+        A group counts, and is debited, once per member on its shared
+        links (see :class:`GroupFlow`): the same integer weights and the
+        same sequence of float debits as its members would take.
+
         :meth:`_assign_rates` solves same-path components — a lone flow
         included — in closed form before they get here, so this loop
         sees only components whose flows differ in path, cap or tenant.
@@ -1145,6 +1205,10 @@ class FluidNetwork:
                     tenants[link] = {job: weight}
                 else:
                     weights[job] = weights.get(job, 0) + weight
+            if flow._shared:
+                extra = weight * (len(flow.member_links) - 1)
+                for link in flow._shared:
+                    tenants[link][job] += extra
         # Summed tenant priorities of every link shared by two or more.
         prio_sum = {link: sum(prio[job] for job in weights)
                     for link, weights in tenants.items() if len(weights) > 1}
@@ -1209,6 +1273,39 @@ class FluidNetwork:
                                                  for other in weights)
                     else:
                         weights[job] -= weight
+                if flow._shared:
+                    self._debit_shared(flow, rate, residual, tenants,
+                                       prio, prio_sum)
+
+    @staticmethod
+    def _debit_shared(group: Flow, rate: float, residual: dict[Link, float],
+                      tenants: dict[Link, dict[str | None, int]],
+                      prio: dict[str | None, float],
+                      prio_sum: dict[Link, float]) -> None:
+        """Debit a fixed group's other members from its shared links.
+
+        The water-filling loop has debited the representative; this
+        repeats its debit once per other member, in member order, so
+        each shared residual takes the float operations the per-member
+        solve performs.
+        """
+        others = len(group.member_links) - 1
+        extra = group.weight * others
+        job = group.job
+        for link in group._shared:
+            left = residual[link]
+            for _ in range(others):
+                left -= rate
+                if left <= 0.0:
+                    left = 0.0
+            residual[link] = left
+            weights = tenants[link]
+            if weights[job] == extra:
+                del weights[job]
+                if len(weights) > 1:
+                    prio_sum[link] = sum(prio[other] for other in weights)
+            else:
+                weights[job] -= extra
 
     def _retire_flow(self, flow: Flow) -> None:
         """Remove one entity from the flow set and its links.
@@ -1224,6 +1321,11 @@ class FluidNetwork:
             link.flows.pop(flow, None)
             link.load -= weight
             dirty[link] = None
+        shared = flow._shared
+        if shared:
+            extra = weight * (len(flow.member_links) - 1)
+            for link in shared:
+                link.load -= extra
         if isinstance(flow, GroupFlow):
             channel = flow._channel
             if channel is not None:

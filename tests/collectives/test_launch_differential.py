@@ -7,19 +7,23 @@ any lone-member run was inserted whole as per-member flows, and a
 launch whose runs all had two or more members started each run as one
 flow group.  So one congested hop — its own per-stream cap makes it a
 lone-member run — unbundled the whole fan-out.  The current rule
-bundles every class of capacity-identical members that share no link
-with the rest of the launch, and enters the whole fan-out in one
-insert.
+bundles every class of capacity-identical members whose links are
+private or crossed by every member of the class, and enters the whole
+fan-out in one insert.  The old rule's fallback, one plain flow per
+member (:func:`_oracle_per_member`), is also the oracle of the spine
+grid below: there every hop crosses the oversubscribed core, which the
+current rule shares by one group.
 
 The second is the pair of generator processes that ran the
 hierarchical and planner schedules phase by phase, yielding each
 fan-out's barrier and then a timeout.  Every collective now builds a
 list of phases that one callback chain runs instead.
 
-Bundled members are link-disjoint and capacity-identical, and each
-chained delay is ``now + delay`` taken at the drain instant, so only
-the event schedule may change: every iteration time, every diagnosis
-finding and every ``collective.*`` timeline span must be identical.
+Bundled members are capacity-identical, a group weighs once per member
+on the links they all cross, and each chained delay is ``now + delay``
+taken at the drain instant, so only the event schedule may change:
+every iteration time, every diagnosis finding and every
+``collective.*`` timeline span must be identical.
 
 The matrix covers every fan-out the collectives launch (ring,
 hierarchical, half-ring, broadcast, all-to-all and the three planner
@@ -34,6 +38,7 @@ import typing as t
 
 import pytest
 
+from bench.workloads import StepConfig, build_step_context, simulate_step
 from repro.collectives import TimedCollectives, ring_volume_bytes
 from repro.collectives.planner import PLANNER_ALGORITHMS, CollectivePlanner
 from repro.collectives.cost_model import PHASE_SYNC_S
@@ -44,6 +49,13 @@ from repro.sim.network import FlowBundle, GroupFlow
 from repro.sim.topology import Cluster, NodeSpec
 
 
+def _oracle_per_member(self, runs, label):
+    return self.network.start_flows(
+        [(links, size_bytes, cap, weight)
+         for members, size_bytes, cap, weight in runs
+         for links in members], label=label)
+
+
 def _oracle_launch_runs(self, runs, label):
     network = self.network
     if all(len(members) >= 2 for members, _size, _cap, _weight in runs):
@@ -51,10 +63,7 @@ def _oracle_launch_runs(self, runs, label):
                     members, size_bytes, rate_cap_bps=cap, weight=weight,
                     label=label)
                 for members, size_bytes, cap, weight in runs]
-    return network.start_flows(
-        [(links, size_bytes, cap, weight)
-         for members, size_bytes, cap, weight in runs
-         for links in members], label=label)
+    return _oracle_per_member(self, runs, label)
 
 
 def _oracle_hierarchical(self, size_bytes: float,
@@ -307,3 +316,36 @@ def test_congested_hop_no_longer_unbundles_the_launch():
     entities = list(net.flows)
     assert [len(e.member_links) if isinstance(e, GroupFlow) else 1
             for e in entities] == [1, 30, 1, 32]
+
+
+#: The spine grid: every inter-node hop crosses one oversubscribed core.
+SPINE_GRID = [
+    StepConfig(f"{model}-{algorithm}-{ranks}r-s{streams}-core{core:g}",
+               ranks, streams=streams, model=model, algorithm=algorithm,
+               core_oversubscription=core)
+    for model in ("resnet50", "vgg16", "bert-large")
+    for algorithm in ("ring", "hierarchical")
+    for ranks in (32, 256)
+    for streams in (1, 8)
+    for core in (1.5, 4.0)
+]
+
+
+def _spine_steps(config):
+    """Two step times after warm-up, and the events they scheduled."""
+    ctx, backend = build_step_context(config)
+    before = ctx.sim.events_scheduled
+    times = [simulate_step(ctx, backend) for _ in range(2)]
+    return times, ctx.sim.events_scheduled - before
+
+
+@pytest.mark.parametrize("config", SPINE_GRID,
+                         ids=[config.name for config in SPINE_GRID])
+def test_shared_core_bundles_match_per_member_launch(monkeypatch, config):
+    times, events = _spine_steps(config)
+    monkeypatch.setattr(TimedCollectives, "_launch_runs",
+                        _oracle_per_member)
+    oracle_times, oracle_events = _spine_steps(config)
+    assert times == oracle_times
+    # Not vacuous: the hops through the core entered as groups.
+    assert events < oracle_events

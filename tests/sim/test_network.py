@@ -6,6 +6,8 @@ from repro.errors import NetworkError
 from repro.sim import FluidNetwork, Link, Simulator
 from repro.sim.network import FlowBundle
 
+from tests.sim.link_usage import link_utilisation
+
 NAN = float("nan")
 INF = float("inf")
 
@@ -184,7 +186,7 @@ class TestFairSharing:
         cap = 3e9
         d1 = net.start_flow([link], size_bytes=1e9, rate_cap_bps=cap)
         d2 = net.start_flow([link], size_bytes=1e9, rate_cap_bps=cap)
-        assert net.utilization_of(link) == pytest.approx(0.6)
+        assert link_utilisation(net, link) == pytest.approx(0.6)
         sim.run(until=sim.all_of([d1, d2]))
         assert sim.now == pytest.approx(8e9 / 3e9)
 
@@ -193,7 +195,7 @@ class TestFairSharing:
         flows = [net.start_flow([link], size_bytes=1e9, rate_cap_bps=3e9)
                  for _ in range(5)]
         # 5 * 3 Gbps > 10 Gbps: fair share 2 Gbps each, fully utilised.
-        assert net.utilization_of(link) == pytest.approx(1.0)
+        assert link_utilisation(net, link) == pytest.approx(1.0)
         sim.run(until=sim.all_of(flows))
         assert sim.now == pytest.approx(8e9 / 2e9)
 
@@ -223,7 +225,7 @@ class TestFairSharing:
         capped = net.start_flow([link], size_bytes=1e9, rate_cap_bps=1e9)
         free = net.start_flow([link], size_bytes=1e9)
         # Capped flow pinned at 1 Gbps; free flow gets the remaining 9 Gbps.
-        assert net.utilization_of(link) == pytest.approx(1.0)
+        assert link_utilisation(net, link) == pytest.approx(1.0)
         sim.run(until=free)
         assert sim.now == pytest.approx(8e9 / 9e9)
         sim.run(until=capped)
@@ -403,12 +405,85 @@ class TestFanOutEntry:
         sim.run()
         assert [event.value for event in events] == [4e-3, 8e-3]
 
-    def test_members_sharing_a_link_stay_plain(self):
+    def test_class_sharing_links_common_to_all_its_members_bundles(self):
+        # Every hop crosses the core: the hops bundle with the core as
+        # their shared link, and the group weighs once per member there.
         core = Link("core", 1e9)
         hops = [(Link(f"h{i}", 1e9), core) for i in range(3)]
         fabrics = [(Link(f"nv{i}", 1e9),) for i in range(3)]
-        net = FluidNetwork(Simulator())
-        hop_entries, [fabric_class] = net.bundle_classes([hops, fabrics])
-        assert hop_entries == hops
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        [hop_class], [fabric_class] = net.bundle_classes([hops, fabrics])
+        assert isinstance(hop_class, FlowBundle)
+        assert list(hop_class) == hops and hop_class.shared == (core,)
         assert isinstance(fabric_class, FlowBundle)
-        assert list(fabric_class) == fabrics
+        assert list(fabric_class) == fabrics and fabric_class.shared == ()
+        done = net.start_flows([(hop_class, 1e6, None, 2)])
+        [group] = net.flows
+        assert core.load == 6 and hops[0][0].load == 2
+        assert core not in net._claims
+        assert [link in net._claims for link, _core in hops] == [True] * 3
+        # Each of the three members gets a third of the core.
+        assert group.rate_bps == 1e9 / 3
+        assert link_utilisation(net, core) == pytest.approx(1.0)
+        sim.run()
+        assert done[0].value == pytest.approx(8e6 * 3 / 1e9)
+        assert core.load == 0 and not core.flows
+
+    def test_group_debits_a_shared_link_once_per_member(self):
+        # Three capped members and a foreign flow cross the core.  The
+        # members take their caps first, so the foreign flow gets what
+        # is left after all three: 1e9 - 3 x 1e8.
+        core = Link("core", 1e9)
+        hops = [(Link(f"h{i}", 1e9), core) for i in range(3)]
+        net = FluidNetwork(Simulator())
+        net.start_flow((core,), 1e6)
+        net.start_flow_group(hops, 1e6, rate_cap_bps=1e8)
+        foreign, group = net.flows
+        assert len(group.member_link_sets()) == 3
+        assert group.rate_bps == 1e8 and foreign.rate_bps == 7e8
+
+    def test_shared_link_splits_the_bundle_that_claims_it(self):
+        # ``l1`` is a private link of the first fan-out's bundle and the
+        # shared link of the second: the second's group must split the
+        # first, whose member on ``l1`` now shares it.
+        def run(bundled):
+            sim = Simulator()
+            net = FluidNetwork(sim)
+            links = [Link(f"l{i}", 1e9) for i in range(5)]
+            first = [[links[0]], [links[1]], [links[2]]]
+            second = [[links[3], links[1]], [links[4], links[1]]]
+            if bundled:
+                events = [net.start_flow_group(first, 1e6),
+                          net.start_flow_group(second, 1e6)]
+                assert [len(flow.member_link_sets()) for flow in net.flows] \
+                    == [1, 1, 1, 2]
+            else:
+                events = [sim.all_of(net.start_flows(
+                    [(member, 1e6, None, 1) for member in fan_out]))
+                    for fan_out in (first, second)]
+            finished = []
+            for event in events:
+                event.add_callback(lambda _ev: finished.append(sim.now))
+            sim.run()
+            return finished
+
+        assert run(True) == run(False) == [pytest.approx(0.024)] * 2
+
+    def test_member_sharing_a_link_with_only_some_stays_plain(self):
+        # h0 and h1 also share ``pair``, which h2 and h3 do not cross:
+        # h0 and h1 stay plain, while h2 and h3 bundle on the core they
+        # share with the whole class.
+        core = Link("core", 1e9)
+        pair = Link("pair", 1e9)
+        hops = [(Link("h0", 1e9), pair, core),
+                (Link("h1", 1e9), pair, core),
+                (Link("h2", 1e9), Link("x2", 1e9), core),
+                (Link("h3", 1e9), Link("x3", 1e9), core)]
+        net = FluidNetwork(Simulator())
+        [entries] = net.bundle_classes([hops])
+        assert entries[:2] == hops[:2]
+        [bundle] = entries[2:]
+        assert isinstance(bundle, FlowBundle)
+        assert list(bundle) == hops[2:] and bundle.shared == (core,)
+        assert net.bundle(hops) is None

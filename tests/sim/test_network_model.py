@@ -1,19 +1,23 @@
 """Model-based test of :class:`FluidNetwork`.
 
 A Hypothesis state machine drives random sequences of the network's
-public operations — single, batched and bundled flow starts and mixed
-launches (bundle classes plus lone flows in one insert) tagged with no
-job or one of two prioritised jobs, cancellation, capacity changes and
-clock advances — over a small fixed link pool, and checks after every
-step that:
+public operations — single, batched and bundled flow starts, fan-outs
+whose members all cross one or two shared links, and mixed launches
+(bundle classes plus lone flows in one insert) tagged with no job or one
+of two prioritised jobs, cancellation, capacity changes and clock
+advances — over a small fixed link pool, and checks after every step
+that:
 
 1. no link carries more than its capacity (``1e-9`` relative slack)
    and no flow runs above ``cap x weight``; every rate is finite and
    non-negative;
 2. when every live flow carries the same job tag, each rate equals what
    the from-scratch :func:`~repro.sim.network.solve_rates_reference`
-   oracle assigns;
-3. each ``Link.load`` equals the summed weights of the flows on it;
+   oracle assigns to every member of it, the oracle seeing each group
+   member as a flow of its own;
+3. each ``Link.load`` equals the summed weights of the flows on it, a
+   group counted once per member that crosses the link (once on a
+   private link, once per member on a shared one);
 4. the solver hot state (``rate_bps``, ``remaining_bits``,
    ``_finish_s``) holds Python floats, never numpy scalars;
 5. every time in the kernel heap is a Python float;
@@ -46,6 +50,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.sim import FluidNetwork, Link, Simulator
 from repro.sim.network import FlowBundle, solve_rates_reference
 
+from tests.sim.link_usage import link_utilisation
+
 NUM_LINKS = 5
 #: Few distinct capacities and caps, so equal-profile bundles and
 #: water-filling ties come up often.
@@ -60,6 +66,17 @@ weights = st.integers(1, 3)
 #: Untagged traffic plus two tenants of unequal priority.
 jobs = st.sampled_from((None, "a", "b"))
 JOB_PRIORITIES = {"a": 1.0, "b": 2.0}
+
+
+class _Member:
+    """One member of a live entity, as the reference solver sees it."""
+
+    __slots__ = ("links", "weight", "rate_cap_bps")
+
+    def __init__(self, links, flow):
+        self.links = links
+        self.weight = flow.weight
+        self.rate_cap_bps = flow.rate_cap_bps
 
 
 @settings(max_examples=40, stateful_step_count=30, deadline=None)
@@ -175,6 +192,50 @@ class FluidNetworkMachine(RuleBasedStateMachine):
         self._shadow_start([event], [(members, size, cap, weight, True)],
                            job)
 
+    @rule(order=st.permutations(range(NUM_LINKS)), shared=st.integers(1, 2),
+          width=st.integers(1, 2), count=st.integers(2, NUM_LINKS),
+          position=st.integers(0, 2), size=sizes, cap=caps, weight=weights,
+          launch=st.sampled_from(("list", "handle", "classes")), job=jobs)
+    def start_shared_fan_out(self, order, shared, width, count, position,
+                             size, cap, weight, launch, job):
+        # Every member crosses the ``shared`` links, at one position of
+        # its path, plus private links of its own: an oversubscribed
+        # core or an aggregation trunk.  The network bundles it with
+        # the shared links weighed once per member; the shadow starts
+        # it member by member.
+        common = [self.links[i] for i in order[:shared]]
+        rest = order[shared:]
+        if len(rest) // width < 2:
+            width = 1
+        count = min(count, len(rest) // width)
+        position = min(position, width)
+        key = tuple(tuple(rest[m * width:(m + 1) * width])
+                    for m in range(count))
+        members = [[self.links[i] for i in ids[:position]] + common
+                   + [self.links[i] for i in ids[position:]]
+                   for ids in key]
+        handle = self.net.bundle(members)
+        assert handle.shared == tuple(common)
+        if launch == "list":
+            requests = [(members, size, cap, weight)]
+            events = [self.net.start_flow_group(
+                members, size, rate_cap_bps=cap, weight=weight, job=job)]
+        else:
+            if launch == "handle":
+                # A cached handle relaunches through its claim channel.
+                parts = [self.handles.setdefault((key, shared, position),
+                                                 handle)]
+            else:
+                [parts] = self.net.bundle_classes([members])
+            requests = [(part, size, cap, weight) for part in parts]
+            events = self.net.start_flows(requests, job=job)
+        for event in events:
+            self._track(event)
+        self._shadow_start(events, [
+            (list(links) if type(links) is not tuple else links, size, cap,
+             weight, type(links) is not tuple)
+            for links, size, cap, weight in requests], job)
+
     @rule(order=st.permutations(range(NUM_LINKS)), width=st.integers(1, 2),
           runs=st.lists(st.tuples(sizes, caps, weights), min_size=1,
                         max_size=3),
@@ -261,9 +322,10 @@ class FluidNetworkMachine(RuleBasedStateMachine):
     @invariant()
     def rates_within_capacity_and_caps(self):
         for link in self.links:
-            # utilization_of also credits bundled non-representative
-            # members, which do not sit in ``link.flows``.
-            assert self.net.utilization_of(link) <= 1 + 1e-9, link
+            # Counted member by member: bundled non-representative
+            # members do not sit in ``link.flows``, and a group crosses
+            # its shared links once per member.
+            assert link_utilisation(self.net, link) <= 1 + 1e-9, link
         for flow in self.net.flows:
             assert math.isfinite(flow.rate_bps) and flow.rate_bps >= 0.0
             if flow.rate_cap_bps is not None:
@@ -273,14 +335,20 @@ class FluidNetworkMachine(RuleBasedStateMachine):
     def single_tenant_rates_match_reference(self):
         if len({flow.job for flow in self.net.flows}) > 1:
             return  # inter-job weighting: the oracle is per-flow max-min
-        for flow, want in solve_rates_reference(self.net.flows).items():
+        members = {_Member(links, flow): flow for flow in self.net.flows
+                   for links in flow.member_link_sets()}
+        for member, want in solve_rates_reference(members).items():
+            flow = members[member]
             assert math.isclose(flow.rate_bps, want, rel_tol=1e-7,
                                 abs_tol=1e-3), (flow, want)
 
     @invariant()
     def link_loads_match_flows(self):
         for link in self.links:
-            assert link.load == sum(flow.weight for flow in link.flows)
+            assert link.load == sum(
+                flow.weight * sum(link in links
+                                  for links in flow.member_link_sets())
+                for flow in link.flows)
             assert all(flow in self.net.flows for flow in link.flows)
 
     @invariant()

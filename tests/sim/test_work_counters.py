@@ -60,9 +60,20 @@ PINNED = (
      1, 650),
     # No process per planner all-reduce.  No process per unit:
     # 29 -> 7 spawned, 409 -> 387 scheduled.  No process per dispatch,
-    # one wake per batch-closing point: 7 -> 1 and 387 -> 368.
+    # one wake per batch-closing point: 7 -> 1 and 387 -> 368.  Every
+    # uplink of the ina-up phase crosses the 4:1 core and the ina.agg
+    # trunk, so the 16 uplinks now enter as one group weighed 16 times
+    # on those two shared links, not as 16 flows: one completion for
+    # the phase, 220 -> 55 flow visits and 368 -> 203 scheduled.
     (StepConfig("planner-128r-ina", 128, algorithm="ina",
-                core_oversubscription=4.0), 99, 220, 1, 368),
+                core_oversubscription=4.0), 99, 55, 1, 203),
+    # A 4:1 spine puts all 512 ring hops on the shared core: they enter
+    # as one group weighed 512 times there, so the step does the work
+    # of the 1:1 step (33 reallocations, 112 scheduled) instead of one
+    # completion and one solver visit per hop (12,811 visits and 5,731
+    # scheduled when each hop was a plain flow).
+    (StepConfig("step-4096r-spine4", 4096, core_oversubscription=4.0),
+     33, 36, 1, 110),
 )
 
 

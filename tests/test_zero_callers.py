@@ -81,8 +81,6 @@ ALLOWED = {
         "folds per-rank timelines together, tested",
     "repro.sim.kernel.Simulator.queue_length":
         "kernel introspection the kernel tests read",
-    "repro.sim.network.FluidNetwork.utilization_of":
-        "per-link utilisation query, tested",
     "repro.sim.network.solve_rates_reference":
         "the tests' reference solver for the fair-share allocation",
     "repro.sim.resources.Resource.available":
