@@ -5,9 +5,8 @@ claims), this suite measures how much *host* wall-clock the simulator
 burns per simulated training step — the quantity that decides whether
 128–256-rank sweeps are interactive or overnight jobs.
 
-Every scenario runs in **full-link mode** (``representative=False``):
-representative mode collapses symmetric clusters to one NIC pair and
-would hide the O(flows x links) cost this suite exists to guard.  The
+Every scenario places the full link set, every node's NIC hops, so it
+measures the O(flows x links) cost this suite exists to guard.  The
 stress scenario adds congestion + the hierarchical algorithm, the
 worst case for the fair-share solver (32 nodes x 8 streams per unit).
 

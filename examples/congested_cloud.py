@@ -68,7 +68,7 @@ def bursty_tenant() -> None:
     sim = Simulator()
     net = FluidNetwork(sim)
     cluster = Cluster(sim, 2, NodeSpec())
-    timed = TimedCollectives(sim, net, cluster, representative=False)
+    timed = TimedCollectives(sim, net, cluster)
     done = timed.allreduce(100e6)
 
     def burst():

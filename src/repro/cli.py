@@ -803,7 +803,6 @@ def _scenario_cell(baseline: t.Any, iterations: int) -> dict[str, t.Any]:
         "algorithm": meta.get("algorithm", "ring"),
         "congested": meta.get("congested") == "true",
         "core_oversubscription": values.get("core_oversubscription", 1.0),
-        "full_link": True,
         "iterations": iterations,
         "diagnose": True,
     }

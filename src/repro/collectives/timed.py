@@ -6,12 +6,6 @@ the cluster links (each flow is one transport stream, subject to the
 per-stream rate cap) and completes when the slowest flow drains plus the
 α/pipeline-fill latency of the ring schedule.
 
-Symmetric clusters run in **representative mode**: only node 0's NIC pair
-and NVLink fabric are simulated.  By symmetry every other NIC would carry
-exactly the same flow set at exactly the same rates, so the representative
-rates — and therefore all completion times — are exact while the event
-count drops by a factor of ``num_nodes``.
-
 Every timed collective is a list of *phases*, and one sequencing rule
 runs them (:meth:`TimedCollectives._chain`): a phase launches its runs
 as one fan-out; once the fan-out drains, the phase's delay passes and
@@ -159,14 +153,10 @@ class TimedCollectives:
     ----------
     sim, network, cluster:
         The simulation context.
-    representative:
-        Force representative mode on (True) / off (False); default:
-        automatic — on for symmetric clusters.
     """
 
     def __init__(self, sim: Simulator, network: FluidNetwork,
-                 cluster: Cluster, representative: bool | None = None,
-                 obs: Observability | None = None) -> None:
+                 cluster: Cluster, obs: Observability | None = None) -> None:
         self.sim = sim
         self.network = network
         self.cluster = cluster
@@ -181,18 +171,8 @@ class TimedCollectives:
         self._m_allreduce_seconds = registry.histogram(
             "allreduce_seconds", "Wall-clock duration of timed all-reduces",
             buckets=(1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0))
-        if representative is None:
-            representative = cluster.is_symmetric
-        if representative and not cluster.is_symmetric:
-            raise CollectiveError(
-                "representative mode requires a symmetric cluster"
-            )
-        self.representative = representative
         #: Lazily built topology-aware planner (halving-doubling,
-        #: multi-tree, ina).  Planner schedules always place the full
-        #: link set — their flow patterns are not NIC-symmetric (e.g.
-        #: the ina multicast trunk), so representative sampling would
-        #: mis-count shared links.
+        #: multi-tree, ina).
         self._planner: CollectivePlanner | None = None
         #: Lazily built wire-flow launch skeleton (see :class:`_WirePlan`).
         self._wire_cache: _WirePlan | None = None
@@ -395,7 +375,7 @@ class TimedCollectives:
             alpha = (n - 1) * spec.intra_node_latency_s
         if g > 1:
             intra_bytes = g * size_bytes * (g - 1) / n
-            for fabric in self._nvlink_fabrics():
+            for fabric in self.cluster.nvlink:
                 specs.append(([fabric], intra_bytes, None, 1))
         return [(self._classify(_uniform_runs(specs)), alpha, None)], \
             "alltoall"
@@ -420,19 +400,12 @@ class TimedCollectives:
         the per-stream rate cap (a congested node's NIC caps lower).
         """
         m = self.cluster.num_nodes
-        if self.representative:
-            return [(0, self.cluster.representative_hop())]
         core = [self.cluster.core] if self.cluster.core is not None else []
         return [
             (i, [self.cluster.nic_out[i], *core,
                  self.cluster.nic_in[(i + 1) % m]])
             for i in range(m)
         ]
-
-    def _nvlink_fabrics(self) -> list[Link]:
-        if self.representative:
-            return [self.cluster.nvlink[0]]
-        return list(self.cluster.nvlink)
 
     def _launch(self, specs: t.Sequence[_Spec],
                 label: str | None = None) -> list[Event]:
@@ -560,7 +533,7 @@ class TimedCollectives:
             slowest_base = min(cap for _hop, cap in hops)
         nvlink: list[tuple[list[Link]]] = []
         if m == 1 or cluster.spec.gpus_per_node > 1:
-            nvlink = [([fabric],) for fabric in self._nvlink_fabrics()]
+            nvlink = [([fabric],) for fabric in self.cluster.nvlink]
         plan = self._wire_cache = _WirePlan(
             self._classify(_uniform_runs(hops)),
             self._classify(_uniform_runs(nvlink)), slowest_base)

@@ -50,10 +50,21 @@ from repro.frameworks.base import (
 )
 from repro.sim.events import Event
 from repro.sim.network import FluidNetwork, Link
+from repro.sim.topology import Cluster
 
 #: The flow step of a push/pull chain; every other step is a delay in
 #: seconds.
 _FLOW = None
+
+
+def _pushpull_path(cluster: Cluster) -> list[Link]:
+    """The links a push or pull crosses: node 0's NIC out, node 1's in.
+
+    This is the PS traffic model (each node's NIC carries its own
+    workers' push/pull volume, so one node's pair times every node's),
+    not a sample of a larger flow set; it crosses no core link.
+    """
+    return [cluster.nic_out[0], cluster.nic_in[1]]
 
 
 class ParameterServerBackend(DDLBackend):
@@ -165,7 +176,7 @@ class ParameterServerBackend(DDLBackend):
             path, cap = [ctx.cluster.nvlink[0]], None
             steps = (self.per_key_overhead_s, _FLOW)
         else:
-            path = list(ctx.cluster.representative_hop())
+            path = _pushpull_path(ctx.cluster)
             cap = ctx.cluster.stream_cap_bps()
             if self.extra_cpu_server_nodes:
                 # Dedicated server NICs can become the bottleneck when

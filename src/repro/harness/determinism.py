@@ -121,9 +121,10 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
                       "halving-doubling")
 ) + (
     # Large-scale cell: pins the bundled-ring tier (GroupFlow fan-outs,
-    # the network's wakeup timer) at 1024 ranks.  Symmetric, so it runs
-    # in representative mode — cheap enough for the matrix while still
-    # covering the 128-node schedule's event stream.
+    # the network's wakeup timer) at 1024 ranks.  Each fan-out's 128
+    # NIC hops enter as one bundled class, so the full link set is
+    # cheap enough for the matrix while covering the 128-node
+    # schedule's event stream.
     {"ranks": 1024, "streams": 4, "faults": False},
 ) + tuple(
     # Baselines, which ignore ``streams``: the parameter servers'
@@ -138,13 +139,11 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     {"ranks": 8, "streams": 4, "faults": False, "backend": backend}
     for backend in ("byteps", "mxnet-kvstore")
 ) + (
-    # Spine cells: an oversubscribed core link breaks NIC symmetry, so
-    # these run the full link set, the inter-node hops of a launch as
-    # one group weighed once per hop on the shared core.  They pin the
-    # times a representative spine must reproduce.  The last two use 9
-    # nodes and odd stream counts; in the 3-stream one a share link's
-    # per-flow ``(core / m) / w`` rounds differently from the full link
-    # set's ``core / (m * w)``.
+    # Spine cells: an oversubscribed core link carries every node's
+    # hops, the inter-node hops of a launch as one group weighed once
+    # per hop on the shared core.  The last two use 9 nodes and odd
+    # stream counts, so the core's per-flow share ``core / (m * w)`` is
+    # not a power-of-two fraction.
     {"ranks": 32, "streams": 4, "faults": False, "core_oversubscription": 4.0},
     {"ranks": 32, "streams": 4, "faults": False, "algorithm": "hierarchical",
      "core_oversubscription": 4.0},

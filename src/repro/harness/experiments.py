@@ -125,7 +125,6 @@ def measure(model: str | ModelSpec, backend: str, gpus: int,
             iterations: int = 3,
             congested: bool = False,
             core_oversubscription: float = 1.0,
-            full_link: bool = False,
             obs: Observability | None = None) -> ThroughputResult:
     """One steady-state throughput measurement (§VII-D protocol).
 
@@ -170,8 +169,6 @@ def measure(model: str | ModelSpec, backend: str, gpus: int,
         if _checked("congested", congested, "flag") else None,
         core_oversubscription=_checked(
             "core_oversubscription", core_oversubscription, "finite"),
-        representative=False
-        if _checked("full_link", full_link, "flag") else None,
         obs=obs)
 
 

@@ -20,7 +20,6 @@ from repro.models.datasets import (
     IMAGENET,
     WIKITEXT_EN,
     DatasetSpec,
-    get_dataset,
 )
 from repro.models.resnet import build_resnet50, build_resnet101
 from repro.models.synthetic import random_model_spec
@@ -52,7 +51,6 @@ __all__ = [
     "build_resnet101",
     "build_transformer",
     "build_vgg16",
-    "get_dataset",
     "get_model",
     "random_model_spec",
     "table1",

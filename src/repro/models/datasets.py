@@ -25,11 +25,6 @@ class DatasetSpec:
         require_count(f"dataset {self.name!r} num_samples", self.num_samples,
                       1, ReproError)
 
-    def iterations_per_epoch(self, global_batch: int) -> int:
-        """Minibatch steps per epoch at ``global_batch`` samples/step."""
-        return max(1, self.num_samples // require_count(
-            "global batch", global_batch, 1, ReproError))
-
 
 #: ImageNet-1k training split (ILSVRC-2012).
 IMAGENET = DatasetSpec("imagenet", 1_281_167, "images")
@@ -40,15 +35,3 @@ WIKITEXT_EN = DatasetSpec("wikitext-en", 800_000, "sequences")
 #: The paper's production CTR system processes "100+ billion entries in
 #: 5 hours"; one epoch here is a representative shard.
 CTR_PRODUCTION = DatasetSpec("ctr-production", 100_000_000_000, "entries")
-
-_REGISTRY = {d.name: d for d in (IMAGENET, WIKITEXT_EN, CTR_PRODUCTION)}
-
-
-def get_dataset(name: str) -> DatasetSpec:
-    """Look up a dataset by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown dataset {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None

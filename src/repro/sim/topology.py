@@ -5,11 +5,7 @@ The evaluation platform of the paper (Section VII-A) is the Alibaba
 node, nodes connected by a 30 Gbps VPC TCP/IP network (RDMA in §VIII-D).
 
 A :class:`Cluster` owns the simulator-facing :class:`~repro.sim.network.Link`
-objects.  Because the paper's experiments are symmetric (identical nodes,
-identical NICs, isolated machines), the timed collective executor may run in
-*representative* mode: only one NIC pair is simulated and, by symmetry, its
-rates equal those of every other NIC.  Asymmetric experiments (congested
-links motivating tree all-reduce) build the full link set.
+objects.
 """
 
 from __future__ import annotations
@@ -157,16 +153,6 @@ class Cluster:
 
     # -- link selection --------------------------------------------------------
 
-    @property
-    def is_symmetric(self) -> bool:
-        """True when one NIC's flow pattern represents every NIC.
-
-        Congested links break symmetry directly; a shared oversubscribed
-        core breaks it too, because the core carries *all* nodes' flows
-        and a representative 1/m sample would undercount its load.
-        """
-        return not self.congestion and self.core is None
-
     def stream_cap_bps(self, node: int = 0) -> float:
         """Per-stream rate cap on ``node``'s NIC."""
         scale = self.congestion.get(node, 1.0)
@@ -185,12 +171,6 @@ class Cluster:
         if self.core is not None:
             path.insert(1, self.core)
         return path
-
-    def representative_hop(self) -> list[Link]:
-        """The NIC pair used in representative (symmetric) simulations."""
-        if self.num_nodes == 1:
-            raise TopologyError("single-node cluster has no inter-node hop")
-        return [self.nic_out[0], self.nic_in[1 % self.num_nodes]]
 
     # -- similarity support (autotuner cache) -----------------------------------
 

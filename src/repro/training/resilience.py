@@ -280,8 +280,8 @@ def run_fault_injected_training(
     trajectory (detection latency, rebuild time, lost work) is measured,
     not assumed.
 
-    The full (non-representative) link set is simulated so the dead
-    node's NIC squash actually stalls traffic; ``sync_timeout_s`` /
+    Every node's links are simulated, so the dead node's NIC squash
+    actually stalls traffic; ``sync_timeout_s`` /
     ``unit_timeout_s`` / ``comm_retries`` / ``retry_backoff_s`` drive the
     paper's §IV failure detector.  The run's engine is built from a copy
     of ``config`` (default :class:`AIACCConfig`) with those four
@@ -345,8 +345,7 @@ def run_fault_injected_training(
     def _context(world_size: int):
         return build_train_context(
             spec, backend, world_size, spec.default_batch_size,
-            gpus_per_node=gpus_per_node, representative=False, sim=sim,
-            obs=obs)
+            gpus_per_node=gpus_per_node, sim=sim, obs=obs)
 
     ctx = _context(num_gpus)
     injector = FaultInjector(sim, ctx.cluster, ctx.network, obs=obs)

@@ -94,11 +94,13 @@ def build_train_context(
     """Build a fresh simulator + cluster + network training context.
 
     Shared by :func:`run_training` and the fault-injection driver
-    (:func:`repro.training.resilience.run_fault_injected_training`, which
-    passes ``representative=False`` so that a crashed node's links are
-    actually simulated and its death stalls real flows).  Fewer than
-    ``gpus_per_node`` GPUs form one partially filled node, except under
-    ``congested_links``, which need whole nodes.
+    (:func:`repro.training.resilience.run_fault_injected_training`).
+    Fewer than ``gpus_per_node`` GPUs form one partially filled node,
+    except under ``congested_links``, which need whole nodes.
+    ``representative`` is ignored and changes nothing: every timed
+    collective places its full link set.  The keyword stays only for
+    the benchmark harness that still passes it; the ROADMAP item "One
+    benchmark harness" deletes it.
     """
     num_gpus = require_count("num_gpus", num_gpus, 1, TopologyError)
     if num_gpus % gpus_per_node != 0:
@@ -123,9 +125,7 @@ def build_train_context(
         sim=sim,
         network=network,
         cluster=cluster,
-        collectives=TimedCollectives(sim, network, cluster,
-                                     representative=representative,
-                                     obs=obs),
+        collectives=TimedCollectives(sim, network, cluster, obs=obs),
         model=spec,
         batch_per_gpu=batch_per_gpu,
         wire_dtype_bytes=_wire_bytes_of(backend),
@@ -149,7 +149,6 @@ def run_training(
     gpu_spec: t.Any = None,
     obs: Observability | None = None,
     core_oversubscription: float = 1.0,
-    representative: bool | None = None,
     check_invariants: bool | None = None,
 ) -> ThroughputResult:
     """Simulate distributed training and measure steady-state throughput.
@@ -174,14 +173,10 @@ def run_training(
         hybrid parallelism, or a deliberate replay perturbation).
     congested_links:
         Optional ``node -> capacity_fraction`` map injecting cross-tenant
-        congestion (forces the slower full-link simulation mode).
+        congestion.
     core_oversubscription:
         Leaf-spine oversubscription ratio; ``> 1`` inserts the shared
-        core link every inter-node flow traverses (also forces full-link
-        mode, since the shared core breaks NIC symmetry).
-    representative:
-        ``False`` simulates every NIC even on a symmetric cluster;
-        ``None`` samples one NIC exactly when the cluster is symmetric.
+        core link every inter-node flow traverses.
     gpu_spec:
         GPU model override (defaults to the paper's V100); pass
         :data:`repro.sim.cuda.A100` for future-hardware what-ifs.
@@ -204,7 +199,7 @@ def run_training(
         gpus_per_node=gpus_per_node,
         extra_forward_time_s=extra_forward_time_s,
         congested_links=congested_links, gpu_spec=gpu_spec,
-        representative=representative, sim=sim, obs=obs,
+        sim=sim, obs=obs,
         core_oversubscription=core_oversubscription,
     )
 

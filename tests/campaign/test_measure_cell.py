@@ -55,7 +55,7 @@ class TestMeasureCellValidation:
         {"core_oversubscription": math.nan},
         {"core_oversubscription": math.inf},
         {"core_oversubscription": "4"},
-        {"rdma": 1}, {"congested": "yes"}, {"full_link": None},
+        {"rdma": 1}, {"congested": "yes"},
         {"backend": "horovod", "streams": 4},
         {"backend": "horovod", "granularity_mb": 8},
         {"backend": "pytorch-ddp", "algorithm": "ring"},
@@ -68,6 +68,7 @@ class TestMeasureCellValidation:
         {**CELL, "stream": 4},
         {**CELL, "transport": "rdma"},
         {**CELL, "diagnose": "yes"},
+        {**CELL, "full_link": True},
         {"gpus": 8},
         {"model": "resnet50"},
     ], ids=repr)

@@ -29,26 +29,24 @@ HALF_RINGS = ("reduce_scatter", "allgather")
 KINDS = ALGORITHMS + HALF_RINGS + ("alltoall",)
 
 #: ``name: (nodes, gpus per node, congested links, core
-#: oversubscription, representative)``.
+#: oversubscription)``.
 CLUSTERS = {
-    "full-link": (4, 8, None, 1.0, None),
-    "full-link-all-nodes": (4, 8, None, 1.0, False),
-    "congested": (4, 8, {1: 0.5}, 1.0, None),
-    "spine-4to1": (4, 8, None, 4.0, None),
-    "single-node": (1, 8, None, 1.0, None),
-    "one-gpu-per-node": (4, 1, None, 1.0, None),
+    "full-link": (4, 8, None, 1.0),
+    "congested": (4, 8, {1: 0.5}, 1.0),
+    "spine-4to1": (4, 8, None, 4.0),
+    "single-node": (1, 8, None, 1.0),
+    "one-gpu-per-node": (4, 1, None, 1.0),
 }
 
 
 def make(name):
-    nodes, gpus, congested, core, representative = CLUSTERS[name]
+    nodes, gpus, congested, core = CLUSTERS[name]
     sim = Simulator()
     net = FluidNetwork(sim)
     cluster = Cluster(sim, nodes, NodeSpec(gpus_per_node=gpus),
                       congested_links=congested,
                       core_oversubscription=core)
-    return TimedCollectives(sim, net, cluster,
-                            representative=representative)
+    return TimedCollectives(sim, net, cluster)
 
 
 def _hops(c):
@@ -62,7 +60,7 @@ def _hops(c):
 def _fabrics(c):
     """The NVLink fabrics a wire fan-out launches."""
     if c.cluster.num_nodes == 1 or c.cluster.spec.gpus_per_node > 1:
-        return c._nvlink_fabrics()
+        return list(c.cluster.nvlink)
     return []
 
 
@@ -131,7 +129,7 @@ def oracle_alltoall(c, size_bytes):
         delay = (n - 1) * spec.intra_node_latency_s
     if g > 1:
         specs += [([fabric], g * size_bytes * (g - 1) / n, None, 1)
-                  for fabric in c._nvlink_fabrics()]
+                  for fabric in c.cluster.nvlink]
     return [(specs, delay, None)], "alltoall"
 
 

@@ -14,6 +14,7 @@ from repro.errors import CollectiveError
 from repro.obs import Observability
 from repro.sim import FluidNetwork, Simulator, alibaba_v100_cluster
 from repro.sim.topology import Cluster, NodeSpec
+from tests.sim.link_usage import link_utilisation
 
 
 def make_context(num_gpus=16, **cluster_kwargs):
@@ -162,30 +163,46 @@ class TestHierarchicalTimed:
         assert sim.now == pytest.approx(sim2.now)
 
 
-class TestRepresentativeMode:
-    def test_matches_full_simulation(self):
-        size = 50e6
-        sim1 = Simulator()
-        net1 = FluidNetwork(sim1)
-        cluster1 = alibaba_v100_cluster(sim1, 16)
-        rep = TimedCollectives(sim1, net1, cluster1, representative=True)
-        d1 = rep.allreduce(size)
-        sim1.run(until=d1)
+#: The kinds that place their flows on every node's NIC hops and NVLink
+#: fabric, as ``(id, call)``.
+SYMMETRIC_COLLECTIVES = (
+    ("ring", lambda timed: timed.allreduce(50e6)),
+    ("hierarchical", lambda timed: timed.allreduce(50e6, "hierarchical")),
+    ("reduce_scatter", lambda timed: timed.reduce_scatter(50e6)),
+    ("allgather", lambda timed: timed.allgather(50e6)),
+    ("alltoall", lambda timed: timed.alltoall(50e6)),
+)
 
-        sim2 = Simulator()
-        net2 = FluidNetwork(sim2)
-        cluster2 = alibaba_v100_cluster(sim2, 16)
-        full = TimedCollectives(sim2, net2, cluster2, representative=False)
-        d2 = full.allreduce(size)
-        sim2.run(until=d2)
-        assert sim1.now == pytest.approx(sim2.now, rel=1e-9)
 
-    def test_representative_on_asymmetric_cluster_rejected(self):
+class TestFullLinkPlacement:
+    @pytest.mark.parametrize("num_nodes", [4, 16])
+    @pytest.mark.parametrize("start", [call for _, call in
+                                       SYMMETRIC_COLLECTIVES],
+                             ids=[name for name, _ in SYMMETRIC_COLLECTIVES])
+    def test_every_nic_carries_node_zeros_load(self, num_nodes, start):
+        # On a symmetric cluster every NIC and NVLink fabric carries
+        # exactly what node 0's carries, after every event.
         sim = Simulator()
         net = FluidNetwork(sim)
-        cluster = Cluster(sim, 4, NodeSpec(), congested_links={1: 0.5})
-        with pytest.raises(CollectiveError):
-            TimedCollectives(sim, net, cluster, representative=True)
+        cluster = Cluster(sim, num_nodes, NodeSpec())
+        done = start(TimedCollectives(sim, net, cluster))
+        busy = set()
+
+        def check():
+            for links in (cluster.nic_out, cluster.nic_in, cluster.nvlink):
+                expected = link_utilisation(net, links[0])
+                if expected:
+                    busy.add(links[0])
+                for link in links[1:]:
+                    assert link_utilisation(net, link) == expected, \
+                        (sim.now, link.name)
+
+        check()
+        while not done.triggered:
+            sim.step()
+            check()
+        assert busy == {cluster.nic_out[0], cluster.nic_in[0],
+                        cluster.nvlink[0]}
 
     def test_congested_link_slows_full_ring(self):
         size = 50e6

@@ -31,6 +31,7 @@ from repro.collectives.cost_model import (
     ring_allreduce_time_s,
 )
 from repro.sim import FluidNetwork, Simulator, alibaba_v100_cluster
+from repro.sim.network import FlowBundle
 from repro.errors import CollectiveError
 from repro.sim.topology import Cluster, NodeSpec
 
@@ -217,22 +218,32 @@ class TestChainStall:
         start_flows = net.start_flows
 
         def recording(requests, **kwargs):
-            launched.append([tuple(links) for links, *_rest in requests])
+            # A bundle request launches one member per link set.
+            launched.append([tuple(members) for links, *_rest in requests
+                             for members in (links if isinstance(
+                                 links, FlowBundle) else [links])])
             return start_flows(requests, **kwargs)
 
         net.start_flows = recording
         return sim, net, cluster, TimedCollectives(sim, net, cluster), \
             launched
 
+    @staticmethod
+    def hops(cluster):
+        m = cluster.num_nodes
+        return [(cluster.nic_out[i], cluster.nic_in[(i + 1) % m])
+                for i in range(m)]
+
     def test_cancelled_phase_two_flow_stalls_the_chain(self):
         sim, net, cluster, timed, launched = self.context()
         done = timed.allreduce(8e6, "hierarchical")
-        assert launched == [[(cluster.nvlink[0],)]]
+        assert launched == [[(link,) for link in cluster.nvlink]]
         while len(launched) < 2:
             sim.step()
-        hop = tuple(cluster.representative_hop())
-        assert launched[1] == [hop]
-        (flow,) = [flow for flow in net.flows if tuple(flow.links) == hop]
+        hops = self.hops(cluster)
+        assert launched[1] == hops
+        (flow,) = [flow for flow in net.flows
+                   if hops[0] in flow.member_link_sets()]
         assert net.cancel_flow(flow.done)
         sim.run()
         # No phase-3 NVLink flow launched, and the event never fired.
@@ -244,9 +255,8 @@ class TestChainStall:
         sim, _net, cluster, timed, launched = self.context()
         done = timed.allreduce(8e6, "hierarchical")
         sim.run(until=done)
-        nvlink = [(cluster.nvlink[0],)]
-        assert launched == [nvlink, [tuple(cluster.representative_hop())],
-                            nvlink]
+        nvlink = [(link,) for link in cluster.nvlink]
+        assert launched == [nvlink, self.hops(cluster), nvlink]
 
     def test_crashed_node_stalls_before_any_flow(self):
         sim, net, cluster, timed, launched = self.context()

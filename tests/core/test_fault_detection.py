@@ -152,8 +152,7 @@ class TestStalledCollectives:
         cluster = Cluster(sim, num_nodes, NodeSpec(gpus_per_node=2))
         network = FluidNetwork(sim)
         obs = Observability()
-        collectives = TimedCollectives(sim, network, cluster,
-                                       representative=False, obs=obs)
+        collectives = TimedCollectives(sim, network, cluster, obs=obs)
         return sim, cluster, collectives, obs
 
     def test_allreduce_hangs_when_node_dead(self):
@@ -234,8 +233,7 @@ class TestEngineDetection:
             comm_retries=comm_retries, retry_backoff_s=0.1))
         obs = Observability()
         ctx = build_train_context(spec, backend, 16,
-                                  spec.default_batch_size,
-                                  representative=False, obs=obs)
+                                  spec.default_batch_size, obs=obs)
         injector = FaultInjector(ctx.sim, ctx.cluster, ctx.network, obs=obs)
         injector.arm(FaultPlan([NodeCrash(at_s=crash_at_s, node=1)]))
         warm = ctx.sim.spawn(backend.warmup(ctx))

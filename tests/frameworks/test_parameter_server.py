@@ -134,7 +134,7 @@ def _lone_flow_s(gpus, backend, size):
     if ctx.cluster.num_nodes == 1:
         flow = ctx.network.start_flow([ctx.cluster.nvlink[0]], 2 * size)
     else:
-        path = list(ctx.cluster.representative_hop())
+        path = [ctx.cluster.nic_out[0], ctx.cluster.nic_in[1]]
         if backend.extra_cpu_server_nodes:
             path.append(backend._server_link(ctx))
         nbytes = max(backend.nic_bytes_per_gradient(ctx, size),

@@ -93,7 +93,7 @@ class OracleBytePS(_PerTransferIteration, BytePSBackend):
                 [ctx.cluster.nvlink[0]], 2 * part_bytes)
             return
         cap = ctx.cluster.stream_cap_bps()
-        hop = list(ctx.cluster.representative_hop())
+        hop = [ctx.cluster.nic_out[0], ctx.cluster.nic_in[1]]
         server_bytes = self.server_nic_bytes_per_gradient(ctx, part_bytes)
         if server_bytes:
             # Dedicated server NICs can become the bottleneck when
@@ -124,7 +124,7 @@ class OracleKVStore(_PerTransferIteration, MXNetKVStoreBackend):
             return
         nic_bytes = g * size * (m - 1) / m
         cap = ctx.cluster.stream_cap_bps()
-        hop = ctx.cluster.representative_hop()
+        hop = [ctx.cluster.nic_out[0], ctx.cluster.nic_in[1]]
         yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
         yield ctx.network.start_flow(hop, nic_bytes, rate_cap_bps=cap)
 

@@ -12,7 +12,6 @@ from repro.models import (
     ModelSpecError,
     ParameterSpec,
     available_models,
-    get_dataset,
     get_model,
     table1,
 )
@@ -148,15 +147,3 @@ class TestValidation:
 class TestDatasets:
     def test_imagenet_size(self):
         assert IMAGENET.num_samples == 1_281_167
-
-    def test_iterations_per_epoch(self):
-        assert IMAGENET.iterations_per_epoch(256) == 1_281_167 // 256
-
-    def test_bad_batch_rejected(self):
-        with pytest.raises(ReproError):
-            IMAGENET.iterations_per_epoch(0)
-
-    def test_lookup(self):
-        assert get_dataset("wikitext-en").sample_unit == "sequences"
-        with pytest.raises(ReproError):
-            get_dataset("mnist")

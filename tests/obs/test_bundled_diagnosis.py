@@ -106,7 +106,7 @@ def _ring_allreduce(monkeypatch, ranks, bundled, size_bytes=4e6):
     net.obs = obs
     net.diag = obs.attach_detectors()
     cluster = alibaba_v100_cluster(sim, ranks, gpus_per_node=8)
-    timed = TimedCollectives(sim, net, cluster, representative=False)
+    timed = TimedCollectives(sim, net, cluster)
     done = timed.allreduce(size_bytes, algorithm="ring")
     return net, done, obs
 

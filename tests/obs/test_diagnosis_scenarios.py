@@ -156,8 +156,7 @@ class TestArtifactRoundTrip:
         obs = Observability(enabled=True)
         obs.attach_detectors()
         measure("resnet50", "aiacc", 32, streams=4,
-                core_oversubscription=4.0, full_link=True, iterations=1,
-                obs=obs)
+                core_oversubscription=4.0, iterations=1, obs=obs)
         live = diagnose(obs)
         assert [(f.kind, f.subject) for f in live.findings] == \
             [("congestion", "link core")]

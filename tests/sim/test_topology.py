@@ -61,7 +61,6 @@ class TestOversubscription:
         sim = Simulator()
         cluster = Cluster(sim, 8, NodeSpec(), core_oversubscription=4.0)
         assert cluster.core is not None
-        assert not cluster.is_symmetric
         # Core capacity = m * NIC_effective / factor.
         expected = 8 * 0.96 * 30e9 / 4.0
         assert cluster.core.capacity_bps == pytest.approx(expected)
@@ -70,7 +69,6 @@ class TestOversubscription:
         sim = Simulator()
         cluster = Cluster(sim, 8, NodeSpec())
         assert cluster.core is None
-        assert cluster.is_symmetric
 
     def test_core_in_inter_node_paths(self):
         sim = Simulator()

@@ -72,7 +72,7 @@ from repro.harness.experiments import measure_hybrid
 from repro.harness.report import ascii_chart
 from repro.models import ModelSpecError, get_model
 from repro.models.base import LayerSpec, ParameterSpec
-from repro.models.datasets import IMAGENET, DatasetSpec
+from repro.models.datasets import DatasetSpec
 from repro.models.synthetic import random_model_spec
 from repro.obs.critical_path import attribute_window
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -296,8 +296,6 @@ SITES = [
      lambda v: get_model("resnet50").scaled_to(1000, v), ModelSpecError),
     ("DatasetSpec.num_samples", COUNT,
      lambda v: DatasetSpec("d", v, "images"), ReproError),
-    ("DatasetSpec.iterations_per_epoch batch", COUNT,
-     IMAGENET.iterations_per_epoch, ReproError),
     *[(f"random_model_spec.{name}", COUNT,
        lambda v, name=name: random_model_spec(0, **{name: v}), ReproError)
       for name in ("num_layers", "total_parameters")],

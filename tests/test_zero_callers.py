@@ -73,10 +73,6 @@ ALLOWED = {
         "Horovod API (hvd.init); translated scripts call it",
     "repro.core.streams.CommStreamPool.in_flight":
         "stream-pool occupancy the engine and fault tests read",
-    "repro.models.datasets.DatasetSpec.iterations_per_epoch":
-        "dataset query, tested",
-    "repro.models.datasets.get_dataset":
-        "dataset registry lookup, tested",
     "repro.obs.timeline.StepTimeline.merge":
         "folds per-rank timelines together, tested",
     "repro.sim.kernel.Simulator.queue_length":
