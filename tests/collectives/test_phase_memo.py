@@ -36,6 +36,7 @@ CLUSTERS = {
     "spine-4to1": (4, 8, None, 4.0),
     "single-node": (1, 8, None, 1.0),
     "one-gpu-per-node": (4, 1, None, 1.0),
+    "congested-spine-8x2": (8, 2, {3: 0.25}, 2.0),
 }
 
 
