@@ -14,9 +14,9 @@ from repro.autotune.bayesian import BayesianOptimization
 from repro.autotune.cache import CacheEntry, SettingsCache
 from repro.autotune.graph_distance import (
     ModelFingerprint,
+    TopologyRecord,
     deployment_distance,
     graph_edit_distance,
-    model_graph,
     signature_distance,
 )
 from repro.autotune.grid import GridSearch
@@ -50,12 +50,12 @@ __all__ = [
     "SearchSpace",
     "SearchTechnique",
     "SettingsCache",
+    "TopologyRecord",
     "Trial",
     "TuneResult",
     "default_ensemble",
     "deployment_distance",
     "graph_edit_distance",
     "make_evaluator",
-    "model_graph",
     "signature_distance",
 ]

@@ -16,11 +16,10 @@ import math
 import pathlib
 import typing as t
 
-import networkx as nx
-
 from repro.errors import AutotuneError, require_count
 from repro.autotune.graph_distance import (
     ModelFingerprint,
+    TopologyRecord,
     deployment_distance,
 )
 from repro.autotune.space import ParameterPoint
@@ -36,7 +35,7 @@ class CacheEntry:
 
     label: str
     model: ModelFingerprint
-    topology: nx.Graph
+    topology: TopologyRecord
     best_point: ParameterPoint
     best_cost_s: float
 
@@ -56,7 +55,7 @@ class SettingsCache:
         return len(self._entries)
 
     def store(self, label: str, model: ModelSpec | ModelFingerprint,
-              topology: nx.Graph, best_point: ParameterPoint,
+              topology: TopologyRecord, best_point: ParameterPoint,
               best_cost_s: float) -> None:
         """Remember a tuned deployment (oldest evicted beyond capacity)."""
         self._entries.append(CacheEntry(
@@ -67,7 +66,7 @@ class SettingsCache:
             self._entries.pop(0)
 
     def lookup(self, model: ModelSpec | ModelFingerprint,
-               topology: nx.Graph,
+               topology: TopologyRecord,
                max_distance: float | None = None
                ) -> tuple[CacheEntry, float] | None:
         """Most similar remembered deployment (entry, distance), or None.
@@ -90,7 +89,7 @@ class SettingsCache:
         return best, best_distance
 
     def starting_point(self, model: ModelSpec | ModelFingerprint,
-                       topology: nx.Graph,
+                       topology: TopologyRecord,
                        max_distance: float | None = None
                        ) -> ParameterPoint | None:
         """The warm-start point for a new deployment, if any."""
@@ -107,7 +106,7 @@ class SettingsCache:
             payload.append({
                 "label": entry.label,
                 "model": _fingerprint_payload(entry.model),
-                "topology": nx.node_link_data(entry.topology, edges="links"),
+                "topology": entry.topology.node_link_data(),
                 "best_point": {
                     "num_streams": entry.best_point.num_streams,
                     "granularity_bytes": entry.best_point.granularity_bytes,
@@ -126,7 +125,8 @@ class SettingsCache:
 
         Models are restored as the :class:`ModelFingerprint` they were
         saved as: exactly the layer-size structure the similarity metric
-        uses.
+        uses.  Topologies are parsed by networkx's node-link reader and
+        kept as the :class:`TopologyRecord` of the graph it builds.
 
         A corrupt *entry* (missing keys, wrong types, an unparsable
         topology) is quarantined into :attr:`quarantined` and logged
@@ -150,14 +150,16 @@ class SettingsCache:
         if not isinstance(payload, list):
             raise AutotuneError(
                 f"settings cache {path} is not a list of entries")
+        import networkx as nx
+
         cache = cls(max_entries=max_entries)
         for item in payload:
             try:
                 cache.store(
                     label=item["label"],
                     model=_fingerprint_from_payload(item["model"]),
-                    topology=nx.node_link_graph(item["topology"],
-                                                edges="links"),
+                    topology=TopologyRecord.of_graph(nx.node_link_graph(
+                        item["topology"], edges="links")),
                     best_point=_point_from_payload(item["best_point"]),
                     best_cost_s=_cost_from_payload(item["best_cost_s"]),
                 )

@@ -27,13 +27,11 @@ import json
 import math
 import typing as t
 
-import networkx as nx
-
 from repro.autotune.grid import GridSearch
 from repro.autotune.space import ParameterPoint, SearchSpace
 from repro.autotune.tuner import AutoTuner
 from repro.autotune.cache import SettingsCache
-from repro.autotune.graph_distance import ModelFingerprint
+from repro.autotune.graph_distance import ModelFingerprint, TopologyRecord
 from repro.cluster.fabric import SharedFabric
 from repro.cluster.jobs import JobSpec, JobState, NumericTrainer
 from repro.cluster.scheduler import PlacementScheduler, backoff_delay_s
@@ -391,15 +389,14 @@ class ClusterRuntime:
                 algorithm="ring"),
             best_cost_s=mean_step)
 
-    def _job_topology(self, spec: JobSpec) -> nx.Graph:
+    def _job_topology(self, spec: JobSpec) -> TopologyRecord:
         """Similarity key for the settings cache: the job's sub-fabric."""
-        graph = nx.Graph()
-        for node in range(spec.num_nodes):
-            graph.add_node(node, gpus=1, gpu="V100")
-        for a in range(spec.num_nodes):
-            for b in range(a + 1, spec.num_nodes):
-                graph.add_edge(a, b, bandwidth=self.config.nic_bps)
-        return graph
+        nodes = range(spec.num_nodes)
+        return TopologyRecord(
+            nodes=tuple((node, {"gpus": 1, "gpu": "V100"})
+                        for node in nodes),
+            edges=tuple((a, b, {"bandwidth": self.config.nic_bps})
+                        for a in nodes for b in nodes[a + 1:]))
 
     # -- SLO sentinel + ladder ----------------------------------------------
 

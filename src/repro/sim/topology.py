@@ -21,7 +21,7 @@ from repro.sim.tcp import TCP
 from repro.sim.transport import TransportModel
 
 if t.TYPE_CHECKING:
-    import networkx as nx
+    from repro.autotune.graph_distance import TopologyRecord
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,25 +174,24 @@ class Cluster:
 
     # -- similarity support (autotuner cache) -----------------------------------
 
-    def topology_graph(self) -> nx.Graph:
-        """Undirected graph of nodes with bandwidth edge attributes.
+    def topology_graph(self) -> TopologyRecord:
+        """Complete graph of nodes with bandwidth edge attributes.
 
         Used by the auto-tuner's settings cache, which matches previously
         seen deployments via graph edit distance (paper Section VI).
         """
-        import networkx as nx
+        from repro.autotune.graph_distance import TopologyRecord
 
-        graph = nx.Graph()
-        for node in range(self.num_nodes):
-            graph.add_node(node, gpus=self.spec.gpus_per_node,
-                           gpu=self.spec.gpu.name)
-        for a in range(self.num_nodes):
-            for b in range(a + 1, self.num_nodes):
-                scale = min(self.congestion.get(a, 1.0),
-                            self.congestion.get(b, 1.0))
-                graph.add_edge(a, b,
-                               bandwidth=self.spec.nic_bandwidth_bps * scale)
-        return graph
+        return TopologyRecord(
+            nodes=tuple((node, {"gpus": self.spec.gpus_per_node,
+                                "gpu": self.spec.gpu.name})
+                        for node in range(self.num_nodes)),
+            edges=tuple(
+                (a, b, {"bandwidth": self.spec.nic_bandwidth_bps
+                        * min(self.congestion.get(a, 1.0),
+                              self.congestion.get(b, 1.0))})
+                for a in range(self.num_nodes)
+                for b in range(a + 1, self.num_nodes)))
 
 
 def alibaba_v100_cluster(sim: Simulator, num_gpus: int,

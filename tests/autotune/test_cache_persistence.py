@@ -4,11 +4,12 @@ import json
 import math
 import pathlib
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.autotune import ParameterPoint, SettingsCache
+from repro.autotune import ParameterPoint, SettingsCache, TopologyRecord
 from repro.errors import AutotuneError
 from repro.models import get_model
 from repro.sim import Simulator, alibaba_v100_cluster
@@ -143,6 +144,66 @@ class TestSavedFormat:
         restored = SettingsCache.load(SAVED)
         assert restored.quarantined == []
         entry, found = restored.lookup(get_model(model), topo(gpus))
+        assert (entry.label, found) == (label, distance)
+
+
+#: A cache file written when the cache keyed on networkx graphs: a 4-node
+#: cluster, a bare K2 and a bare 3-node chain.
+GRAPH_KEYED = pathlib.Path(__file__).parent / "data" / "graph_keyed_cache.json"
+
+
+def _query_topology(name):
+    if name.startswith("cluster"):
+        return topo(8 * int(name.removeprefix("cluster")))
+    if name.startswith("K"):
+        return TopologyRecord.of_graph(nx.complete_graph(int(name[1:])))
+    return TopologyRecord.of_graph(nx.path_graph(int(name[5:])))
+
+
+class TestGraphKeyedFile:
+    def test_same_cache_saves_the_committed_bytes(self, tmp_path):
+        cache = SettingsCache()
+        cache.store("rn50@cluster4", get_model("resnet50"), topo(32),
+                    ParameterPoint(12, 16e6, "ring"), 0.2)
+        cache.store("vgg@K2", get_model("vgg16"),
+                    TopologyRecord.of_graph(nx.complete_graph(2)),
+                    ParameterPoint(4, 8e6, "ring"), 0.5)
+        cache.store("bert@chain3", get_model("bert-large"),
+                    TopologyRecord.of_graph(nx.path_graph(3)),
+                    ParameterPoint(2, 32e6, "tree"), 1.5)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        assert path.read_bytes() == GRAPH_KEYED.read_bytes()
+
+    def test_reload_and_resave_is_byte_identical(self, tmp_path):
+        path = tmp_path / "cache.json"
+        SettingsCache.load(GRAPH_KEYED).save(path)
+        assert path.read_bytes() == GRAPH_KEYED.read_bytes()
+
+    # Labels and distances the networkx-keyed cache gave for this file.
+    @pytest.mark.parametrize("model, topology, label, distance", (
+        ("resnet50", "cluster1", "vgg@K2", 20.0),
+        ("resnet50", "chain2", "vgg@K2", 12.0),
+        ("resnet50", "K3", "rn50@cluster4", 16.0),
+        ("resnet50", "chain3", "rn50@cluster4", 20.0),
+        ("resnet50", "cluster4", "rn50@cluster4", 0.0),
+        ("resnet50", "chain4", "rn50@cluster4", 12.0),
+        ("vgg16", "cluster2", "vgg@K2", 0.0),
+        ("vgg16", "chain3", "vgg@K2", 8.0),
+        ("vgg16", "K4", "rn50@cluster4", 12.0),
+        ("vgg16", "chain5", "vgg@K2", 24.0),
+        ("bert-large", "cluster3", "bert@chain3", 4.0),
+        ("bert-large", "chain3", "bert@chain3", 0.0),
+        ("bert-large", "K5", "bert@chain3", 40.0),
+        ("transformer", "chain4", "rn50@cluster4", 36.0),
+        ("transformer", "cluster5", "rn50@cluster4", 44.0),
+    ))
+    def test_lookups_match_the_graph_keyed_cache(self, model, topology,
+                                                 label, distance):
+        restored = SettingsCache.load(GRAPH_KEYED)
+        assert restored.quarantined == []
+        entry, found = restored.lookup(get_model(model),
+                                       _query_topology(topology))
         assert (entry.label, found) == (label, distance)
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from repro.autotune import (
     AutoTuner,
+    ModelFingerprint,
     ParameterPoint,
     SearchSpace,
     SettingsCache,
     deployment_distance,
     graph_edit_distance,
-    model_graph,
     signature_distance,
 )
 from repro.errors import AutotuneError
@@ -94,10 +94,11 @@ class TestGraphDistance:
         assert signature_distance(a, b) == signature_distance(b, a)
 
     def test_model_graph_chain(self):
+        # The signature opens with the layer chain's node and edge counts.
         spec = get_model("vgg16")
-        graph = model_graph(spec)
-        assert graph.number_of_nodes() == len(spec.layers)
-        assert graph.number_of_edges() == len(spec.layers) - 1
+        nodes, edges = ModelFingerprint.of(spec).signature[:2]
+        assert nodes == len(spec.layers)
+        assert edges == len(spec.layers) - 1
 
     def test_same_deployment_distance_zero(self):
         spec = get_model("resnet50")

@@ -52,8 +52,8 @@ class TestClusterBasics:
         sim = Simulator()
         cluster = alibaba_v100_cluster(sim, 32)
         graph = cluster.topology_graph()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 6  # complete graph K4
+        assert len(graph.nodes) == 4
+        assert len(graph.edges) == 6  # complete graph K4
 
 
 class TestOversubscription:

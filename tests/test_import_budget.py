@@ -2,9 +2,11 @@
 
 Only the auto-tuner needs them: scipy for the Bayesian search's
 posterior and expected improvement, networkx for the settings cache's
-graph edit distance and the cluster runtime's admission.  The timing
-path (trainer, harness, campaign worker) must load neither.  Each case
-runs in a fresh interpreter, since ``sys.modules`` is process-wide.
+graph edit distance search between two different topologies and for
+reading a saved cache.  The timing path (trainer, harness, campaign
+worker) must load neither, and neither must the cluster runtime while
+its tenants' topologies compare identical.  Each case runs in a fresh
+interpreter, since ``sys.modules`` is process-wide.
 """
 
 import json
@@ -54,6 +56,47 @@ def test_cluster_runtime_does_not_load_scipy():
         three_job_scenario(chaos=True).run()
     """)
     assert loaded["scipy"] is False
+
+
+def test_cluster_runtime_loads_no_networkx():
+    # Every committed tenant is a 2-node job: their topologies compare
+    # identical, so the settings cache never searches.
+    loaded = _loaded_after("""
+        from repro.cluster.runtime import three_job_scenario
+
+        three_job_scenario(chaos=True).run()
+    """)
+    assert loaded["networkx"] is False
+
+
+def test_tenants_of_two_shapes_load_networkx_for_the_search():
+    loaded = _loaded_after("""
+        import sys
+
+        from repro.autotune import ParameterPoint, SettingsCache
+        from repro.cluster.jobs import JobSpec
+        from repro.cluster.runtime import ClusterConfig, ClusterRuntime
+        from repro.models import get_model
+        from repro.sim import Simulator, alibaba_v100_cluster
+
+        cache = SettingsCache()
+        cache.store("prior", get_model("vgg16"),
+                    alibaba_v100_cluster(Simulator(), 24).topology_graph(),
+                    ParameterPoint(3, 4e6, "ring"), 0.1)
+        specs = [JobSpec(job_id="small", model="resnet50", num_nodes=2,
+                         steps=4),
+                 JobSpec(job_id="large", model="vgg16", num_nodes=3,
+                         steps=4, batch_size=48)]
+        assert "networkx" not in sys.modules
+        result = ClusterRuntime(
+            specs, config=ClusterConfig(warm_start_max_distance=64.0),
+            settings_cache=cache).run()
+        # The labels the networkx-keyed cache gave this run.
+        assert {job: record["warm_start"]
+                for job, record in result.jobs.items()} == \
+            {"small": "prior", "large": "prior"}
+    """)
+    assert loaded["networkx"] is True
 
 
 def test_bayesian_search_loads_scipy_only_when_it_fits_the_surrogate():

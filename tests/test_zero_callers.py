@@ -29,9 +29,6 @@ CALLER_TREES = ("src", "bench", "tools", "examples", "benchmarks")
 #: Public definitions without a caller, by dotted path, with the reason
 #: each is kept.
 ALLOWED = {
-    "repro.autotune.graph_distance.model_graph":
-        "the explicit layer graph the fingerprint signature is tested "
-        "against",
     "repro.campaign.grid.RunSpec.from_json":
         "inverse of RunSpec.to_json; the round-trip test reads it",
     "repro.collectives.alltoall.gather":
