@@ -39,9 +39,7 @@ from repro.collectives.primitives import (
     ReduceOp,
     apply_op,
     chunk_bounds,
-    concat_chunks,
     finalize_op,
-    split_chunks,
 )
 from repro.collectives.planner import (
     PLANNER_ALGORITHMS,
@@ -82,7 +80,6 @@ __all__ = [
     "broadcast_time_s",
     "broadcast_worker",
     "chunk_bounds",
-    "concat_chunks",
     "finalize_op",
     "halving_doubling_allreduce",
     "halving_doubling_allreduce_worker",
@@ -100,5 +97,4 @@ __all__ = [
     "ring_allreduce_time_s",
     "ring_allreduce_worker",
     "ring_volume_bytes",
-    "split_chunks",
 ]

@@ -2,9 +2,8 @@
 
 Rounds out the primitive set the paper builds upon ("AIACC-Training
 builds upon low-level collective communication primitives (all-scatter,
-all-gather, etc.)", §IX).  All-to-all in particular is the substrate of
-model-parallel attention/expert layers, which the hybrid-parallelism path
-exercises.
+all-gather, etc.)", §IX).  No training path calls them; the tests
+check each against its mathematical result.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ has produced it, i.e. ``min`` over the 0/1 bits is 1.
 from __future__ import annotations
 
 import enum
-import typing as t
 
 import numpy as np
 
@@ -75,17 +74,3 @@ def chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
         bounds.append((start, start + size))
         start += size
     return bounds
-
-
-def split_chunks(data: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Split a 1-D array into ``parts`` contiguous chunks (views)."""
-    if data.ndim != 1:
-        raise CollectiveError(
-            f"collectives operate on flat arrays, got ndim={data.ndim}"
-        )
-    return [data[start:end] for start, end in chunk_bounds(len(data), parts)]
-
-
-def concat_chunks(chunks: t.Sequence[np.ndarray]) -> np.ndarray:
-    """Inverse of :func:`split_chunks`."""
-    return np.concatenate(list(chunks)) if chunks else np.empty(0)

@@ -46,10 +46,6 @@ class AIACCConfig:
     fp16_compression: bool = False
     #: Raise NaNGradientError when a non-finite gradient is produced.
     nan_check: bool = False
-    #: Run the Section VI auto-tuner during warm-up.
-    autotune: bool = False
-    #: Iteration budget of the auto-tuning warm-up phase (paper: n = 100).
-    autotune_budget: int = 100
     #: Deadline for the decentralized readiness sync round; a rank that
     #: misses it suspects a peer failure (paper §IV fault tolerance).
     #: ``None`` disables detection (the healthy-path default).
@@ -87,7 +83,6 @@ class AIACCConfig:
                 f"algorithm must be one of {ALGORITHMS}, "
                 f"got {self.algorithm!r}"
             )
-        require_count("autotune_budget", self.autotune_budget, 1, ReproError)
         # The failure detector schedules these as timeouts: a NaN or an
         # infinite deadline would sit in the event heap, and ``min()``
         # silently drops a NaN clamp.

@@ -26,7 +26,7 @@ rule and stay inline.
 A guard that runs per event, per flow, per request or per collective
 (``Simulator.timeout``, the ``FluidNetwork`` flow and link checks,
 ``TimedCollectives``' size and ``cap_scale`` checks,
-``Resource.request``, ``SharedFabric.allreduce``) also stays inline, so
+``Resource.acquire``, ``SharedFabric.allreduce``) also stays inline, so
 the hot path pays a compare, not a call.
 """
 

@@ -222,18 +222,3 @@ class StepTimeline:
         if self._fault_episode is not None:
             self.flow_end(self._fault_episode, "epoch.advance", rank, time)
             self._fault_episode = None
-
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, other: "StepTimeline") -> None:
-        """Fold another timeline's records into this one.
-
-        Respects this timeline's ``enabled`` flag (a disabled destination
-        stays empty — the retention policy belongs to the destination).
-        """
-        if not self.enabled:
-            return
-        self.spans.extend(other.spans)
-        self.instants.extend(other.instants)
-        self.flow_points.extend(other.flow_points)
-        self._steps.update(other._steps)

@@ -5,7 +5,7 @@ V100 nodes, 30 Gbps VPC TCP / RDMA) with a deterministic simulator:
 
 - :mod:`repro.sim.kernel` — event loop and virtual clock;
 - :mod:`repro.sim.process` — generator-based processes;
-- :mod:`repro.sim.resources` — semaphores and FIFO channels;
+- :mod:`repro.sim.resources` — the FIFO counting semaphore;
 - :mod:`repro.sim.network` — fluid flow model with max-min fair sharing
   and per-stream rate caps (the mechanism behind the paper's headline
   observation that one TCP stream reaches ≤30% of link bandwidth);
@@ -36,7 +36,7 @@ from repro.sim.mpi import Communicator
 from repro.sim.network import Flow, FluidNetwork, Link
 from repro.sim.process import Process
 from repro.sim.rdma import RDMA, rdma_transport
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.tcp import TCP, tcp_transport
 from repro.sim.topology import Cluster, NodeSpec, alibaba_v100_cluster
 from repro.sim.transport import TransportModel
@@ -64,7 +64,6 @@ __all__ = [
     "RDMA",
     "Resource",
     "Simulator",
-    "Store",
     "Straggler",
     "TCP",
     "Timeout",

@@ -31,8 +31,6 @@ class GPUSpec:
     peak_fp32_flops: float
     #: Number of streaming multiprocessors.
     sm_count: int
-    #: Device memory in bytes.
-    memory_bytes: float
     #: Per-GPU NVLink bandwidth (bits/second, effective).
     nvlink_bps: float
     #: Fraction of peak FLOP/s sustained by real training kernels.
@@ -57,7 +55,6 @@ V100 = GPUSpec(
     name="V100-SXM2-32GB",
     peak_fp32_flops=15.7e12,
     sm_count=80,
-    memory_bytes=32 * 2**30,
     nvlink_bps=150e9 * 8,
 )
 
@@ -66,7 +63,6 @@ A100 = GPUSpec(
     name="A100-SXM4-80GB",
     peak_fp32_flops=19.5e12,
     sm_count=108,
-    memory_bytes=80 * 2**30,
     nvlink_bps=300e9 * 8,
 )
 

@@ -282,13 +282,15 @@ class FaultPlan:
     def __iter__(self) -> t.Iterator[Fault]:
         return iter(self.faults)
 
-    def validate_for(self, cluster: Cluster) -> None:
-        """Up-front, typed validation of the whole schedule.
+    def membership_bounds(self, initial_nodes: int) -> tuple[int, int]:
+        """Validate the schedule; return ``(min, final)`` member counts.
 
-        Walks the plan in time order tracking the membership set it
-        implies (crashes and leaves remove a node, joins add one) and
-        rejects, with :class:`~repro.errors.FaultInjectionError` instead
-        of a mid-run ``KeyError``:
+        ``initial_nodes`` is the size of the cluster the plan is armed
+        against; node identities ``0..initial_nodes-1`` are the initial
+        members.  Walks the plan in time order tracking the membership
+        set it implies (crashes and leaves remove a node, joins add one)
+        and raises :class:`~repro.errors.FaultInjectionError`, instead of
+        a mid-run ``KeyError``, on the first of:
 
         * crashes/leaves targeting a node that is not a member at that
           point of the schedule (out-of-range ranks included);
@@ -299,16 +301,6 @@ class FaultPlan:
           member);
         * any point where the group would drop below one worker;
         * overlapping windows on the same node (:func:`check_windows`).
-        """
-        self.membership_bounds(cluster.num_nodes)
-
-    def membership_bounds(self, initial_nodes: int) -> tuple[int, int]:
-        """Validate the schedule; return ``(min, final)`` member counts.
-
-        ``initial_nodes`` is the size of the cluster the plan is armed
-        against; node identities ``0..initial_nodes-1`` are the initial
-        members.  Raises :class:`~repro.errors.FaultInjectionError` on
-        the first inconsistency (see :meth:`validate_for`).
         """
         initial_nodes = require_count("initial_nodes", initial_nodes, 1,
                                       FaultInjectionError)
@@ -410,11 +402,11 @@ class FaultPlan:
         Like :meth:`poisson` but mixes *membership* events (crashes,
         clean leaves, joins of new or previously-lost identities) with
         link-level faults, while tracking the implied membership set so
-        the resulting plan always passes :meth:`validate_for`: the group
-        never drops below ``min_nodes``, joins never target a current
-        member, and windowed NIC faults never overlap an open window on
-        the same node.  ``max_extra_nodes`` bounds brand-new identities
-        beyond the initial cluster.
+        the resulting plan always passes :meth:`membership_bounds`: the
+        group never drops below ``min_nodes``, joins never target a
+        current member, and windowed NIC faults never overlap an open
+        window on the same node.  ``max_extra_nodes`` bounds brand-new
+        identities beyond the initial cluster.
         """
         num_nodes = require_count("num_nodes", num_nodes, 1,
                                   FaultInjectionError)
@@ -588,7 +580,7 @@ class FaultInjector:
 
     def arm(self, plan: FaultPlan) -> None:
         """Schedule every fault in ``plan`` for delivery."""
-        plan.validate_for(self.cluster)
+        plan.membership_bounds(self.cluster.num_nodes)
         for fault in plan:
             self.sim.spawn(self._deliver(fault),
                            name=f"fault:{type(fault).__name__}@{fault.at_s:g}")

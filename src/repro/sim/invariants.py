@@ -15,8 +15,7 @@ keeps a double-entry grant/release ledger; the checker verifies
 ``in_use == granted_slots - released_slots`` and ``in_use >= 0`` after
 every mutation, and quiescence checks assert no slots or acquire grants
 leaked after interrupts (the stream pool must drain to zero at iteration
-boundaries).  :class:`~repro.sim.resources.Store` channels are checked
-for the buffered-items-and-waiting-getters contradiction.
+boundaries).
 
 **Event-ordering determinism**.  The kernel breaks simultaneous-event
 ties with a monotone insertion counter, so two runs of the same seeded
@@ -61,7 +60,7 @@ if t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.streams import CommStreamPool
     from repro.sim.kernel import Simulator
     from repro.sim.process import Process
-    from repro.sim.resources import Resource, Store
+    from repro.sim.resources import Resource
 
 #: Environment flag that turns the checker on for every new simulator.
 ENV_FLAG = "REPRO_CHECK_INVARIANTS"
@@ -182,15 +181,6 @@ class InvariantChecker:
                 "resource-ledger",
                 f"{resource.name!r}: in_use={resource.in_use} but "
                 f"granted-released={ledger}")
-
-    def check_store(self, store: "Store") -> None:
-        """A store must never buffer items while getters wait."""
-        self.checks += 1
-        if len(store._items) and len(store._getters):
-            self._violate(
-                "store-no-starved-getters",
-                f"{store.name!r} buffers {len(store._items)} item(s) "
-                f"while {len(store._getters)} getter(s) wait")
 
     def check_idle(self, resource: "Resource",
                    rank: int | None = None) -> None:

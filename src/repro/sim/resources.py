@@ -1,13 +1,8 @@
-"""Shared-resource primitives for simulated processes.
+"""The shared-resource primitive for simulated processes.
 
-Two primitives cover the library's needs:
-
-:class:`Resource`
-    A counting semaphore with FIFO queuing (GPU SM slots, CPU cores,
-    communication-thread-pool slots).
-:class:`Store`
-    An unbounded FIFO channel of Python objects (message queues between the
-    training worker and the MPI daemon, MPI mailboxes).
+:class:`Resource` is a counting semaphore with FIFO queuing.  The
+communication stream pool, the MPI daemon and the MPI per-pair channels
+hold its slots.
 """
 
 from __future__ import annotations
@@ -52,11 +47,6 @@ class Resource:
             self._checker.register_resource(self)
 
     @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self.capacity - self.in_use
-
-    @property
     def waiting_requests(self) -> int:
         """Number of queued (not yet granted) acquire requests."""
         return len(self._waiters)
@@ -75,7 +65,9 @@ class Resource:
         deadlock each other.  Requests larger than the current capacity
         are granted when the pool is idle, holding the whole pool.
         """
-        self._check_count(count)
+        if type(count) is not int or count < 1:
+            count = require_count(f"{self.name} count", count, 1,
+                                  SimulationError)
         event = self.sim.event(name=self._acquire_name)
         if not self._waiters and self._fits(count):
             self._grant(count)
@@ -86,16 +78,6 @@ class Resource:
             self._checker.check_resource(self)
         return event
 
-    def try_acquire(self, count: int = 1) -> bool:
-        """Take ``count`` slots immediately if available; never blocks."""
-        self._check_count(count)
-        if not self._waiters and self._fits(count):
-            self._grant(count)
-            if self._checker is not None:
-                self._checker.check_resource(self)
-            return True
-        return False
-
     def release(self, count: int = 1) -> None:
         """Return ``count`` slots, waking waiters FIFO as capacity allows.
 
@@ -103,7 +85,9 @@ class Resource:
         are retired instead of handed to waiters until usage fits the new
         capacity.
         """
-        self._check_count(count)
+        if type(count) is not int or count < 1:
+            count = require_count(f"{self.name} count", count, 1,
+                                  SimulationError)
         if self.in_use < count:
             raise SimulationError(
                 f"release({count}) exceeds held slots on {self.name!r}"
@@ -151,11 +135,6 @@ class Resource:
             return True
         return self.in_use == 0 and count > self.capacity
 
-    @staticmethod
-    def _check_count(count: int) -> None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-
     def resize(self, capacity: int) -> None:
         """Change the capacity (elastic pools, compute-aware streams).
 
@@ -174,53 +153,3 @@ class Resource:
             self._waiters.popleft()
             self._grant(count)
             self.sim._schedule_at(self.sim.now, event, None)
-
-
-class Store:
-    """An unbounded FIFO channel between simulated processes."""
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self.sim = sim
-        self.name = name or "store"
-        self._get_name = f"{self.name}.get"
-        self._items: deque[object] = deque()
-        self._getters: deque[Event] = deque()
-        self._checker = getattr(sim, "invariants", None)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: object) -> None:
-        """Deposit an item, waking the oldest waiting getter if any."""
-        if self._getters:
-            event = self._getters.popleft()
-            self.sim._schedule_at(self.sim.now, event, item)
-        else:
-            self._items.append(item)
-        if self._checker is not None:
-            self._checker.check_store(self)
-
-    def get(self) -> Event:
-        """Return an event whose value is the next item (FIFO order)."""
-        event = self.sim.event(name=self._get_name)
-        if self._items:
-            self.sim._schedule_at(self.sim.now, event, self._items.popleft())
-        else:
-            self._getters.append(event)
-        if self._checker is not None:
-            self._checker.check_store(self)
-        return event
-
-    def cancel(self, event: Event) -> bool:
-        """Withdraw a pending :meth:`get` request.
-
-        Returns ``True`` when the getter was still queued; ``False``
-        when an item was already dispatched to it (the caller owns that
-        item).  Interrupted consumers use this so a later :meth:`put`
-        does not hand an item to a dead process.
-        """
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            return False
-        return True

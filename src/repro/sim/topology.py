@@ -33,7 +33,6 @@ class NodeSpec:
     #: Raw NIC bandwidth in bits/second (30 Gbps on the evaluation platform).
     nic_bandwidth_bps: float = 30e9
     transport: TransportModel = TCP
-    cpu_cores: int = 96
     #: One-way latency between GPUs of the same node over NVLink/PCIe.
     intra_node_latency_s: float = 5e-6
     #: One-way latency between nodes over the datacenter network.

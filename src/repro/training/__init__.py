@@ -3,8 +3,7 @@
 - :mod:`repro.training.trainer` — timed throughput measurement;
 - :mod:`repro.training.optimizer` — SGD / Adam / AdamSGD (paper §IV) and
   the Horovod-style ``DistributedOptimizer``;
-- :mod:`repro.training.lr_schedule` — linear decay (AIACC default) and
-  step decay;
+- :mod:`repro.training.lr_schedule` — linear decay (AIACC default);
 - :mod:`repro.training.numeric` — end-to-end numeric data-parallel
   training on a numpy MLP (correctness proof for the whole pipeline);
 - :mod:`repro.training.hybrid` — data + model parallelism (Fig. 13);
@@ -22,7 +21,7 @@ from repro.training.hybrid import (
     make_hybrid_plan,
     run_hybrid_training,
 )
-from repro.training.lr_schedule import LinearDecay, LRSchedule, StepDecay
+from repro.training.lr_schedule import LinearDecay
 from repro.training.resilience import (
     FaultInjectionResult,
     RecoveryRecord,
@@ -59,7 +58,6 @@ __all__ = [
     "DistributedOptimizer",
     "FaultInjectionResult",
     "HybridPlan",
-    "LRSchedule",
     "LinearDecay",
     "RecoveryRecord",
     "ResilienceResult",
@@ -69,7 +67,6 @@ __all__ = [
     "simulate_resilient_training",
     "Optimizer",
     "SGD",
-    "StepDecay",
     "SyntheticTask",
     "ThroughputResult",
     "TimeToAccuracy",

@@ -9,9 +9,7 @@ from repro.collectives import (
     ReduceOp,
     apply_op,
     chunk_bounds,
-    concat_chunks,
     finalize_op,
-    split_chunks,
 )
 from repro.errors import CollectiveError
 
@@ -79,10 +77,6 @@ class TestChunking:
         with pytest.raises(CollectiveError):
             chunk_bounds(-1, 2)
 
-    def test_split_requires_flat(self):
-        with pytest.raises(CollectiveError):
-            split_chunks(np.zeros((2, 2)), 2)
-
     @given(total=st.integers(0, 500), parts=st.integers(1, 32))
     def test_bounds_partition_exactly(self, total, parts):
         bounds = chunk_bounds(total, parts)
@@ -94,11 +88,3 @@ class TestChunking:
             assert hi1 >= lo1 and hi2 >= lo2
         sizes = [hi - lo for lo, hi in bounds]
         assert max(sizes) - min(sizes) <= 1
-
-    @given(data=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                         max_size=100),
-           parts=st.integers(1, 16))
-    def test_split_concat_roundtrip(self, data, parts):
-        array = np.array(data, dtype=np.float64)
-        chunks = split_chunks(array, parts)
-        np.testing.assert_array_equal(concat_chunks(chunks), array)

@@ -2,9 +2,9 @@
 
 Backends walk the backward schedule in their own process.  The oracle
 below is the process they replace: it slept until each schedule point,
-put every gradient of the point into a store and ended with a tail
-sleep.  Walking the steps must make every gradient ready at an instant
-``==`` to the oracle's, and schedule no timeout the oracle did not.
+marked every gradient of the point ready and ended with a tail sleep.
+Walking the steps must make every gradient ready at an instant ``==``
+to the oracle's, and schedule no timeout the oracle did not.
 """
 
 import typing as t
@@ -16,7 +16,6 @@ from repro.frameworks.base import TrainContext
 from repro.models import LayerSpec, ModelSpec, ParameterSpec, get_model
 from repro.models.zoo import available_models
 from repro.sim import FluidNetwork, Simulator, alibaba_v100_cluster
-from repro.sim.resources import Store
 
 
 def make_ctx(model: ModelSpec, batch: int,
@@ -31,9 +30,8 @@ def make_ctx(model: ModelSpec, batch: int,
 
 
 def oracle(ctx: TrainContext, ready: list) -> t.Generator:
-    """The replaced producer: ``(name, sim.now)`` at each put."""
+    """The replaced producer: ``(name, sim.now)`` per ready gradient."""
     yield ctx.sim.timeout(ctx.forward_time_s)
-    store = Store(ctx.sim, name="oracle.gradients")
     duration = ctx.backward_time_s
     elapsed = 0.0
     for event in ctx.model.backward_schedule():
@@ -42,7 +40,6 @@ def oracle(ctx: TrainContext, ready: list) -> t.Generator:
             yield ctx.sim.timeout(target - elapsed)
             elapsed = target
         for parameter in event.parameters:
-            store.put(parameter)
             ready.append((parameter.name, ctx.sim.now))
     if elapsed < duration:
         yield ctx.sim.timeout(duration - elapsed)

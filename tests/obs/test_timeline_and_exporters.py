@@ -78,26 +78,6 @@ class TestStepTimeline:
         assert list(timeline.steps()) == []
         assert chrome_trace_events(timeline) == []
 
-    def test_merge_copies_instants_and_flow_points(self):
-        src = StepTimeline()
-        src.span("x", "compute", 0, 0.0, 1.0)
-        src.fault_event("inject", 0.5)
-        dst = StepTimeline()
-        dst.merge(src)
-        assert len(dst.spans) == 1
-        assert [i.name for i in dst.instants] == ["fault.inject"]
-        assert [p.phase for p in dst.flow_points] == ["start"]
-
-    def test_merge_respects_disabled_destination(self):
-        src = sample_timeline()
-        dst = StepTimeline(enabled=False)
-        dst.merge(src)
-        assert not dst.spans
-        enabled_dst = StepTimeline()
-        enabled_dst.merge(src)
-        assert len(enabled_dst.spans) == len(src.spans)
-        assert enabled_dst.step_window(0, 0) == (0.0, 1.0)
-
 
 class TestFaultTelemetry:
     """``Observability`` counts fault and epoch events and timelines them."""

@@ -48,12 +48,13 @@ class TestFaultPlan:
         with pytest.raises(FaultInjectionError):
             Straggler(at_s=0.0, node=0, slowdown=0.5)
 
-    def test_validate_for_checks_node_range(self):
+    def test_arm_checks_node_range(self):
         sim = Simulator()
-        cluster = make_cluster(sim, num_nodes=2)
+        injector = FaultInjector(sim, make_cluster(sim, num_nodes=2),
+                                 FluidNetwork(sim))
         plan = FaultPlan([NodeCrash(at_s=1.0, node=7)])
         with pytest.raises(FaultInjectionError):
-            plan.validate_for(cluster)
+            injector.arm(plan)
 
     def test_poisson_is_deterministic_and_bounded(self):
         a = FaultPlan.poisson(mtbf_s=5.0, horizon_s=50.0, num_nodes=4,
@@ -144,13 +145,14 @@ class TestFaultPlanHardening:
             Straggler(at_s=1.5, node=1, slowdown=2.0, duration_s=5.0)])
         assert plan.membership_bounds(2) == (2, 2)
 
-    def test_validate_for_rejects_overlap(self):
+    def test_arm_rejects_overlap(self):
         sim = Simulator()
-        cluster = make_cluster(sim, num_nodes=2)
+        injector = FaultInjector(sim, make_cluster(sim, num_nodes=2),
+                                 FluidNetwork(sim))
         plan = FaultPlan([LinkFlap(at_s=0.0, node=0, down_s=3.0),
                           LinkFlap(at_s=1.0, node=0, down_s=1.0)])
         with pytest.raises(FaultInjectionError, match="overlaps"):
-            plan.validate_for(cluster)
+            injector.arm(plan)
 
     def test_link_fault_target_outside_bounds_rejected(self):
         plan = FaultPlan([LinkFlap(at_s=0.0, node=9, down_s=1.0)])
@@ -443,11 +445,12 @@ class TestMembershipPlanValidation:
                           LinkFlap(at_s=2.0, node=1)])
         plan.membership_bounds(2)
 
-    def test_validate_for_covers_membership_events(self):
+    def test_arm_covers_membership_events(self):
         sim = Simulator()
-        cluster = make_cluster(sim, num_nodes=2)
+        injector = FaultInjector(sim, make_cluster(sim, num_nodes=2),
+                                 FluidNetwork(sim))
         with pytest.raises(FaultInjectionError):
-            FaultPlan([NodeLeave(at_s=1.0, node=5)]).validate_for(cluster)
+            injector.arm(FaultPlan([NodeLeave(at_s=1.0, node=5)]))
 
 
 class TestChaosPlans:

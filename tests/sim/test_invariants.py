@@ -27,7 +27,6 @@ from repro.sim import (
     InvariantChecker,
     Resource,
     Simulator,
-    Store,
     V100,
     invariants_enabled_by_env,
 )
@@ -121,7 +120,7 @@ class TestResourceAccounting:
     def test_ledger_corruption_detected(self):
         sim = checked_sim()
         resource = Resource(sim, capacity=2, name="r")
-        assert resource.try_acquire()
+        resource.acquire()
         # Corrupt the books the way a lost-update bug would: usage
         # changes without a matching ledger entry.
         resource.in_use += 1
@@ -132,7 +131,7 @@ class TestResourceAccounting:
     def test_quiescence_detects_held_slot(self):
         sim = checked_sim()
         resource = Resource(sim, capacity=2, name="leaky")
-        assert resource.try_acquire()
+        resource.acquire()
         with pytest.raises(InvariantViolation) as excinfo:
             sim.invariants.check_idle(resource, rank=3)
         assert excinfo.value.invariant == "resource-quiescent"
@@ -141,46 +140,13 @@ class TestResourceAccounting:
     def test_quiescence_detects_queued_request(self):
         sim = checked_sim()
         resource = Resource(sim, capacity=1, name="r")
-        assert resource.try_acquire()
+        resource.acquire()
         resource.acquire()  # queues behind the held slot
         resource.release()
         sim.run()
         # The queued request was granted and never released.
         with pytest.raises(InvariantViolation):
             sim.invariants.check_idle(resource)
-
-    def test_store_contradiction_detected(self):
-        sim = checked_sim()
-        store = Store(sim, name="s")
-        store.put("a")
-        store.put("b")
-        # Corrupt the way a lost-wakeup bug would: a getter queued while
-        # items sit buffered.  The next mutation still leaves both
-        # populated, which the checker flags.
-        store._getters.append(sim.event(name="starved"))
-        with pytest.raises(InvariantViolation) as excinfo:
-            store.get()
-        assert excinfo.value.invariant == "store-no-starved-getters"
-
-    def test_healthy_store_traffic_passes(self):
-        sim = checked_sim()
-        store = Store(sim, name="s")
-
-        def producer():
-            for i in range(5):
-                yield sim.timeout(0.1)
-                store.put(i)
-
-        def consumer():
-            got = []
-            for _ in range(5):
-                got.append((yield store.get()))
-            return got
-
-        sim.spawn(producer())
-        proc = sim.spawn(consumer())
-        sim.run()
-        assert proc.value == [0, 1, 2, 3, 4]
 
 
 class TestReplayDeterminism:

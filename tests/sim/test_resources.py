@@ -1,10 +1,11 @@
-"""Tests for Resource and Store."""
+"""Tests for Resource."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -51,13 +52,13 @@ class TestResource:
         sim.run()
         assert done_times == [1.0, 1.0, 2.0, 2.0]
 
-    def test_try_acquire(self):
+    def test_numpy_int_counts_are_taken_as_ints(self):
         sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        assert resource.try_acquire()
-        assert not resource.try_acquire()
-        resource.release()
-        assert resource.try_acquire()
+        resource = Resource(sim, capacity=2)
+        resource.acquire(np.int64(2))
+        assert resource.in_use == 2 and type(resource.in_use) is int
+        resource.release(np.int64(2))
+        assert resource.in_use == 0 and type(resource.in_use) is int
 
     def test_release_idle_raises(self):
         sim = Simulator()
@@ -86,60 +87,3 @@ class TestResource:
         sim.spawn(grow())
         sim.run()
         assert entered == [("a", 0.0), ("b", 1.0)]
-
-    def test_available(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=3)
-        assert resource.available == 3
-        resource.try_acquire()
-        assert resource.available == 2
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        results = []
-
-        def getter():
-            item = yield store.get()
-            results.append(item)
-
-        sim.spawn(getter())
-        sim.run()
-        assert results == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        results = []
-
-        def getter():
-            item = yield store.get()
-            results.append((item, sim.now))
-
-        def putter():
-            yield sim.timeout(3.0)
-            store.put("late")
-
-        sim.spawn(getter())
-        sim.spawn(putter())
-        sim.run()
-        assert results == [("late", 3.0)]
-
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for item in (1, 2, 3):
-            store.put(item)
-        received = []
-
-        def getter():
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        sim.spawn(getter())
-        sim.run()
-        assert received == [1, 2, 3]

@@ -94,7 +94,7 @@ from repro.sim.tcp import TCP
 from repro.sim.topology import Cluster, NodeSpec
 from repro.training.convergence import time_to_accuracy
 from repro.training.hybrid import make_hybrid_plan
-from repro.training.lr_schedule import LinearDecay, StepDecay
+from repro.training.lr_schedule import LinearDecay
 from repro.training.optimizer import SGD, Adam, AdamSGD
 from repro.training.trainer import build_train_context, run_training
 
@@ -233,14 +233,17 @@ SITES = [
     *_fields(TensorSlice, ["offset", "nbytes"], PackingError, grad_id=0,
              offset=0.0, nbytes=1.0),
     ("PerseusSession.size", COUNT, PerseusSession, RegistrationError),
-    *_fields(AIACCConfig, ["num_streams", "autotune_budget",
-                           "comm_retries"], ReproError, COUNT),
+    *_fields(AIACCConfig, ["num_streams", "comm_retries"], ReproError,
+             COUNT),
     *_fields(AIACCConfig, ["granularity_bytes", "sync_timeout_s",
                            "unit_timeout_s", "max_detection_deadline_s",
                            "retry_backoff_s"], ReproError),
     ("CommStreamPool.num_streams", COUNT,
      lambda v: CommStreamPool(Simulator(), GPUDevice(V100), v, 0.5),
      ReproError),
+    ("CommStreamPool.start_unit streams", COUNT,
+     lambda v: CommStreamPool(Simulator(), GPUDevice(V100), 2, 0.5)
+     .start_unit(Simulator().event, v), SimulationError),
     ("DecentralizedSynchronizer.epoch", COUNT, _synchronizer,
      SynchronizationError),
     ("translate_sequential_source.num_workers", COUNT,
@@ -347,6 +350,10 @@ SITES = [
      SimulationError),
     ("Resource.resize capacity", COUNT, lambda v: Resource(Simulator(), 1).resize(v),
      SimulationError),
+    ("Resource.acquire count", COUNT,
+     lambda v: Resource(Simulator(), 1).acquire(v), SimulationError),
+    ("Resource.release count", COUNT,
+     lambda v: Resource(Simulator(), 1).release(v), SimulationError),
     *_fields(NodeSpec, ["gpus_per_node"], TopologyError, COUNT),
     *_fields(NodeSpec, ["nic_bandwidth_bps"], TopologyError),
     ("Cluster.num_nodes", COUNT, lambda v: Cluster(Simulator(), v),
@@ -399,17 +406,15 @@ SITES = [
      TrainingError),
     ("HybridPlan.model_parallel_degree", COUNT,
      lambda v: make_hybrid_plan("resnet50", v), TrainingError),
-    ("LRSchedule.base_lr", REAL, lambda v: LinearDecay(v, 10),
+    ("LinearDecay.base_lr", REAL, lambda v: LinearDecay(v, 10),
      TrainingError),
-    ("LRSchedule.total_steps", COUNT, lambda v: LinearDecay(0.1, v),
+    ("LinearDecay.total_steps", COUNT, lambda v: LinearDecay(0.1, v),
      TrainingError),
-    ("LRSchedule.warmup_steps", COUNT,
+    ("LinearDecay.warmup_steps", COUNT,
      lambda v: LinearDecay(0.1, 10, warmup_steps=v), TrainingError),
-    ("LRSchedule.lr_at step", COUNT, LinearDecay(0.1, 10).lr_at, TrainingError),
+    ("LinearDecay.lr_at step", COUNT, LinearDecay(0.1, 10).lr_at, TrainingError),
     ("LinearDecay.final_fraction", REAL,
      lambda v: LinearDecay(0.1, 10, final_fraction=v), TrainingError),
-    ("StepDecay.gamma", REAL, lambda v: StepDecay(0.1, 10, [5], gamma=v),
-     TrainingError),
     *_fields(SGD, ["lr", "momentum"], TrainingError),
     *_fields(Adam, ["beta1", "beta2"], TrainingError),
     *_fields(AdamSGD, ["switch_step"], TrainingError, COUNT),

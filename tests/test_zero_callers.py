@@ -16,15 +16,37 @@ leave an orphan behind, not every unused override.
 :data:`ALLOWED` names the public definitions that had no caller when
 the guard was written, each with the reason it stays for now.  An entry
 must still be defined and still be uncalled, so the list only shrinks.
+
+The same holds for configuration: every field of the records in
+:data:`CONFIG_CLASSES` must be read.  A field passes when the caller
+trees load an attribute of its name anywhere but in its own class's
+``__post_init__`` (validating a field is not using it).  There is no
+allowlist for fields.
 """
 
 import ast
+import dataclasses
+import functools
 import pathlib
+
+import pytest
+
+from repro.campaign.policy import RetryPolicy
+from repro.cluster.jobs import JobSpec
+from repro.cluster.runtime import ClusterConfig
+from repro.core.runtime import AIACCConfig
+from repro.obs.detectors import DetectorConfig
+from repro.sim.cuda import GPUSpec
+from repro.sim.topology import NodeSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Trees whose code counts as a caller.
 CALLER_TREES = ("src", "bench", "tools", "examples", "benchmarks")
+
+#: Configuration records whose every field must be read.
+CONFIG_CLASSES = (AIACCConfig, NodeSpec, GPUSpec, ClusterConfig,
+                  DetectorConfig, JobSpec, RetryPolicy)
 
 #: Public definitions without a caller, by dotted path, with the reason
 #: each is kept.
@@ -50,10 +72,6 @@ ALLOWED = {
         "numeric face of the hierarchical algorithm, tested bit-exact",
     "repro.collectives.planner.planned_numeric_allreduce":
         "numeric face of the planner algorithms, tested bit-exact",
-    "repro.collectives.primitives.concat_chunks":
-        "inverse of split_chunks for the numeric collectives",
-    "repro.collectives.primitives.split_chunks":
-        "chunking primitive of the numeric collectives",
     "repro.core.debugging.GradientDebugger.warnings":
         "human-readable report of the NaN debugger (§IV)",
     "repro.core.perseus.PerseusSession.broadcast_parameters":
@@ -70,20 +88,11 @@ ALLOWED = {
         "Horovod API (hvd.init); translated scripts call it",
     "repro.core.streams.CommStreamPool.in_flight":
         "stream-pool occupancy the engine and fault tests read",
-    "repro.obs.timeline.StepTimeline.merge":
-        "folds per-rank timelines together, tested",
     "repro.sim.kernel.Simulator.queue_length":
-        "kernel introspection the kernel tests read",
+        "heap size the model-based pool machine reads to single-step "
+        "the simulator",
     "repro.sim.network.solve_rates_reference":
         "the tests' reference solver for the fair-share allocation",
-    "repro.sim.resources.Resource.available":
-        "free-slot count the resource tests read",
-    "repro.sim.resources.Resource.try_acquire":
-        "non-blocking acquire of the resource API, tested",
-    "repro.sim.resources.Store.put":
-        "public deposit of the store API, tested",
-    "repro.training.lr_schedule.StepDecay":
-        "step-decay schedule beside the paper's linear decay, tested",
     "repro.training.resilience.optimal_checkpoint_interval":
         "Young's checkpoint interval, the closed-form cadence answer",
 }
@@ -166,3 +175,37 @@ def test_allowed_entries_are_still_defined_and_uncalled():
                    if path not in definitions
                    or definitions[path] in names)
     assert stale == [], f"drop these from ALLOWED: {stale}"
+
+
+@functools.cache
+def attribute_loads() -> dict[str, set[str | None]]:
+    """Attribute name -> where the caller trees load it: the class whose
+    ``__post_init__`` holds the load, or ``None`` anywhere else."""
+    loads: dict[str, set[str | None]] = {}
+    for tree in CALLER_TREES:
+        for path in _python_files(tree):
+            module = ast.parse(path.read_text())
+            owner = {}
+            for cls in ast.walk(module):
+                if isinstance(cls, ast.ClassDef):
+                    for item in cls.body:
+                        if isinstance(item, ast.FunctionDef) \
+                                and item.name == "__post_init__":
+                            owner.update((id(node), cls.name)
+                                         for node in ast.walk(item))
+            for node in ast.walk(module):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    loads.setdefault(node.attr, set()).add(
+                        owner.get(id(node)))
+    return loads
+
+
+@pytest.mark.parametrize("cls,field", [
+    pytest.param(cls, field.name, id=f"{cls.__name__}.{field.name}")
+    for cls in CONFIG_CLASSES for field in dataclasses.fields(cls)])
+def test_every_config_field_is_read(cls, field):
+    readers = attribute_loads().get(field, set()) - {cls.__name__}
+    assert readers, (
+        f"nothing in {', '.join(CALLER_TREES)} reads {cls.__name__}."
+        f"{field} outside its own __post_init__")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.training.lr_schedule import LinearDecay, StepDecay
+from repro.training.lr_schedule import LinearDecay
 from repro.training.optimizer import SGD, Adam, AdamSGD
 
 
@@ -136,13 +136,6 @@ class TestSchedules:
         assert ramp == sorted(ramp)
         assert ramp[0] == pytest.approx(0.1)
 
-    def test_step_decay_milestones(self):
-        schedule = StepDecay(base_lr=1.0, total_steps=100,
-                             milestones=[30, 60], gamma=0.1)
-        assert schedule.lr_at(29) == pytest.approx(1.0)
-        assert schedule.lr_at(30) == pytest.approx(0.1)
-        assert schedule.lr_at(60) == pytest.approx(0.01)
-
     def test_beyond_total_clamps(self):
         schedule = LinearDecay(base_lr=1.0, total_steps=10)
         assert schedule.lr_at(500) == schedule.lr_at(9)
@@ -152,7 +145,5 @@ class TestSchedules:
             LinearDecay(base_lr=0, total_steps=10)
         with pytest.raises(TrainingError):
             LinearDecay(base_lr=1, total_steps=10, warmup_steps=10)
-        with pytest.raises(TrainingError):
-            StepDecay(base_lr=1, total_steps=10, milestones=[5, 3])
         with pytest.raises(TrainingError):
             LinearDecay(base_lr=1.0, total_steps=10).lr_at(-1)
